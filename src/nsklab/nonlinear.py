@@ -1,18 +1,30 @@
 """Time integration of the momentum-form nonlinear system.
 
-The linear part is propagated exactly by the Fourier-multiplier semigroup;
-the divergence-form nonlinearity g(theta, m) = -Div H(theta, m) enters
-through the Duhamel integral, approximated by an exponential trapezoid
-predictor-corrector (order 2):
+The linear part A is propagated exactly by the Fourier-multiplier semigroup
+S(h) = exp(hA); the divergence-form nonlinearity g(theta, m) = -Div H(theta, m)
+enters through the Duhamel integral, approximated by ETDRK2 with phi-weights
+(Cox & Matthews 2002), with N(U) = (0, g(U)):
 
-    U*      = S(dt) U_n + dt S(dt) N(U_n)
-    U_{n+1} = S(dt) U_n + dt/2 [ S(dt) N(U_n) + N(U*) ]
+    a       = S(h) U_n + h phi_1(hA) N(U_n)
+    U_{n+1} = a + h phi_2(hA) (N(a) - N(U_n))
 
-Both stages reuse the oracle-verified propagator, so the only scheme error
-is the Duhamel quadrature.  Every pointwise product in H is truncated by the
-2/3 rule, including the rational factor 1/(rho* + theta); the zero mode of g
-vanishes identically (pure divergence), so the means of theta and m are
-conserved bit for bit.
+The phi weights integrate the stiff linear part exactly, so the scheme is
+second order uniformly in the stiffness.  Every pointwise product in H is
+truncated by the 2/3 rule, including the rational factor 1/(rho* + theta);
+the zero mode of g vanishes identically (pure divergence), so the means of
+theta and m are conserved bit for bit.
+
+H is assembled in spectral space.  Each dealiased product is transformed
+forward once; only the real fields a later product needs (the dealiased
+1/rho - 1/rho*, the dealiased m_j m_k and grad rho) are transformed back.
+The viscous and Korteweg tensors, Lap(rho^2) and -Div H are multipliers.
+Transform budget in dim N, with P = N(N+1)/2 symmetric pairs:
+
+* one g: 4 + N + 3P forward and 1 + N + P inverse transforms, 35 in dim 3;
+* one step: one g and 2(N+1) inverse transforms (43 in dim 3) when a sample
+  of U_n has cached g(U_n) on the StepState, else a second g;
+* one sample: one g, cached for the next step, and the inverse transforms of
+  the derivatives in the W^{3,2} and time-derivative norms (53 in dim 3).
 """
 
 from __future__ import annotations
@@ -22,63 +34,76 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import NormSeries, lp_norm, multi_indices
+from .analysis import _AGGREGATE_KEYS, NormSeries, lp_norm, multi_indices
 from .errors import NumericsWarning, RangeViolation, StepRejected
 from .model import FluidParams, Grid, SpectralState, State
-from .spectral import dealias_mask, fftn, ifftn, to_real, to_spectral
+from .spectral import dealias_mask, divergence_spectral, fftn, ifftn, to_real, to_spectral
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 GL_TAU = 0.5 * (GL_NODES + 1.0)
 GL_W = 0.5 * GL_WEIGHTS
 
 
-def viscous_tensor(u: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarray:
-    """S(u) = mu* (grad u + grad u^T) + (nu* - mu*) div u I, derivatives spectral."""
+def _real_tensor(tensor_hat: np.ndarray) -> np.ndarray:
+    """Real-space components of a symmetric tensor given its per-component DFTs."""
+    dim = tensor_hat.shape[0]
+    out = np.empty(tensor_hat.shape)
+    for j in range(dim):
+        for k in range(j, dim):
+            out[j, k] = ifftn(tensor_hat[j, k]).real
+            out[k, j] = out[j, k]
+    return out
+
+
+def _viscous_hat(u_hat: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarray:
+    """Spectral S(u) from the DFTs of the components of u; multipliers only."""
     dim = grid.dim
     xis = grid.wavevectors()
-    u_hat = [fftn(u[j]) for j in range(dim)]
-    grad = np.empty((dim, dim) + grid.shape)
+    div_u = np.zeros(grid.shape, dtype=complex)
     for j in range(dim):
-        for k in range(dim):
-            grad[j, k] = ifftn(1j * xis[k] * u_hat[j]).real
-    div_u = np.zeros(grid.shape)
+        div_u += 1j * xis[j] * u_hat[j]
+    out = np.empty((dim, dim) + grid.shape, dtype=complex)
     for j in range(dim):
-        div_u += grad[j, j]
-    out = np.empty((dim, dim) + grid.shape)
-    for j in range(dim):
-        for k in range(dim):
-            out[j, k] = params.mu_star * (grad[j, k] + grad[k, j])
+        for k in range(j, dim):
+            out[j, k] = params.mu_star * (1j * xis[k] * u_hat[j] + 1j * xis[j] * u_hat[k])
             if j == k:
                 out[j, k] += (params.nu_star - params.mu_star) * div_u
+            out[k, j] = out[j, k]
     return out
+
+
+def _korteweg_hat(rho: np.ndarray, params: FluidParams, grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """Spectral K(rho): transforms of rho, grad rho and the dealiased products only."""
+    dim = grid.dim
+    xis = grid.wavevectors()
+    rho_hat = fftn(rho)
+    grad_rho = [ifftn(1j * xis[j] * rho_hat).real for j in range(dim)]
+    lap_rho_sq = -grid.xi_sq * (mask * fftn(rho * rho))
+    grad_sq = np.zeros(grid.shape, dtype=complex)
+    out = np.empty((dim, dim) + grid.shape, dtype=complex)
+    for j in range(dim):
+        for k in range(j, dim):
+            prod = mask * fftn(grad_rho[j] * grad_rho[k])
+            out[j, k] = -params.kappa_star * prod
+            out[k, j] = out[j, k]
+            if j == k:
+                grad_sq += prod
+    iso = 0.5 * params.kappa_star * (lap_rho_sq - grad_sq)
+    for j in range(dim):
+        out[j, j] += iso
+    return out
+
+
+def viscous_tensor(u: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarray:
+    """S(u) = mu* (grad u + grad u^T) + (nu* - mu*) div u I, derivatives spectral."""
+    return _real_tensor(_viscous_hat(np.stack([fftn(u[j]) for j in range(grid.dim)]), params, grid))
 
 
 def korteweg_tensor(rho: np.ndarray, params: FluidParams, grid: Grid, mask: np.ndarray | None = None) -> np.ndarray:
     """K(rho) = kappa*/2 (Lap(rho^2) - |grad rho|^2) I - kappa* grad rho x grad rho."""
-    dim = grid.dim
     if mask is None:
         mask = dealias_mask(grid)
-    xis = grid.wavevectors()
-    rho_hat = fftn(rho)
-    grad_rho = [ifftn(1j * xis[j] * rho_hat).real for j in range(dim)]
-    rho_sq_hat = mask * fftn(rho * rho)
-    lap_rho_sq = ifftn(-grid.xi_sq * rho_sq_hat).real
-    grad_sq = np.zeros(grid.shape)
-    gg = np.empty((dim, dim) + grid.shape)
-    for j in range(dim):
-        for k in range(j, dim):
-            prod = ifftn(mask * fftn(grad_rho[j] * grad_rho[k])).real
-            gg[j, k] = prod
-            gg[k, j] = prod
-            if j == k:
-                grad_sq += prod
-    out = np.empty((dim, dim) + grid.shape)
-    for j in range(dim):
-        for k in range(dim):
-            out[j, k] = -params.kappa_star * gg[j, k]
-            if j == k:
-                out[j, k] += 0.5 * params.kappa_star * (lap_rho_sq - grad_sq)
-    return out
+    return _real_tensor(_korteweg_hat(rho, params, grid, mask))
 
 
 def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
@@ -94,17 +119,10 @@ def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
     return acc * theta**2
 
 
-def nonlinearity_tensor(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
-    """The bracket tensor H with g = -Div H.
-
-    H = (1/(rho*+theta) - 1/rho*) m x m + (1/rho*) m x m
-        - S((1/(rho*+theta) - 1/rho*) m) - K(theta) + pressure_remainder I,
-    assembled pseudospectrally with 2/3-rule truncation after every product.
-    """
+def _bracket_hat(state: State, params: FluidParams, mask: np.ndarray) -> np.ndarray:
+    """Per-component DFTs of the bracket tensor H (see nonlinearity_tensor)."""
     grid = state.grid
     dim = grid.dim
-    if mask is None:
-        mask = dealias_mask(grid)
     rho = params.rho_star + state.theta
     if rho.min() < params.rho_star / 4.0 or rho.max() > 4.0 * params.rho_star:
         raise RangeViolation(
@@ -113,36 +131,41 @@ def nonlinearity_tensor(state: State, params: FluidParams, mask: np.ndarray | No
         )
     recip = ifftn(mask * fftn(1.0 / rho - 1.0 / params.rho_star)).real
 
-    H = np.empty((dim, dim) + grid.shape)
+    H = np.empty((dim, dim) + grid.shape, dtype=complex)
     # momentum flux (w + 1/rho*) m x m, products truncated at each stage
     for j in range(dim):
         for k in range(j, dim):
-            mm = ifftn(mask * fftn(state.m[j] * state.m[k])).real
-            flux = mm / params.rho_star + ifftn(mask * fftn(recip * mm)).real
-            H[j, k] = flux
-            H[k, j] = flux
+            mm_hat = mask * fftn(state.m[j] * state.m[k])
+            mm = ifftn(mm_hat).real
+            H[j, k] = mm_hat / params.rho_star + mask * fftn(recip * mm)
+            H[k, j] = H[j, k]
     # viscous part of the momentum correction
-    v = np.stack([ifftn(mask * fftn(recip * state.m[j])).real for j in range(dim)])
-    H -= viscous_tensor(v, params, grid)
-    H -= korteweg_tensor(state.theta, params, grid, mask)
-    pr = ifftn(mask * fftn(pressure_remainder(state.theta, params))).real
+    v_hat = np.stack([mask * fftn(recip * state.m[j]) for j in range(dim)])
+    H -= _viscous_hat(v_hat, params, grid)
+    H -= _korteweg_hat(state.theta, params, grid, mask)
+    pr_hat = mask * fftn(pressure_remainder(state.theta, params))
     for j in range(dim):
-        H[j, j] += pr
+        H[j, j] += pr_hat
     return H
+
+
+def nonlinearity_tensor(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
+    """The bracket tensor H with g = -Div H.
+
+    H = (1/(rho*+theta) - 1/rho*) m x m + (1/rho*) m x m
+        - S((1/(rho*+theta) - 1/rho*) m) - K(theta) + pressure_remainder I,
+    assembled pseudospectrally with 2/3-rule truncation after every product.
+    """
+    if mask is None:
+        mask = dealias_mask(state.grid)
+    return _real_tensor(_bracket_hat(state, params, mask))
 
 
 def nonlinearity_g_hat(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
     """Spectral coefficients of g = -Div H; the zero mode vanishes identically."""
-    grid = state.grid
-    H = nonlinearity_tensor(state, params, mask)
-    xis = grid.wavevectors()
-    g_hat = np.empty((grid.dim,) + grid.shape, dtype=complex)
-    for j in range(grid.dim):
-        acc = np.zeros(grid.shape, dtype=complex)
-        for k in range(grid.dim):
-            acc += 1j * xis[k] * fftn(H[j, k])
-        g_hat[j] = -acc
-    return g_hat
+    if mask is None:
+        mask = dealias_mask(state.grid)
+    return -divergence_spectral(_bracket_hat(state, params, mask), state.grid)
 
 
 def nonlinearity_g(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
@@ -153,11 +176,16 @@ def nonlinearity_g(state: State, params: FluidParams, mask: np.ndarray | None = 
 
 @dataclass
 class StepState:
-    """Solver state carrying spectral and real representations together."""
+    """Solver state carrying spectral and real representations together.
+
+    ``g_hat`` caches nonlinearity_g_hat(real) under the run's params and
+    dealias mask: a sample fills it and the next step reuses it as g(U_n).
+    """
 
     spectral: SpectralState
     real: State
     t: float
+    g_hat: np.ndarray | None = None
 
     @classmethod
     def from_state(cls, state: State, t: float = 0.0):
@@ -233,7 +261,9 @@ class Etd2Stepper:
             nxt = self.propagate(state.spectral)
             return StepState(spectral=nxt, real=to_real(nxt), t=state.t + self.dt)
 
-        g0_hat = nonlinearity_g_hat(state.real, self.params, self.mask)
+        g0_hat = state.g_hat
+        if g0_hat is None:
+            g0_hat = nonlinearity_g_hat(state.real, self.params, self.mask)
         base = self.propagate(state.spectral)
         th1, m1 = self._forcing(self._phi1, g0_hat)
         stage = SpectralState(grid=grid, theta_hat=base.theta_hat + th1, m_hat=base.m_hat + m1)
@@ -329,22 +359,8 @@ class RunResult:
         return (not self.rejected) and self.admissible_throughout and np.all(np.isfinite(self.aggregate.values))
 
 
-_BUNDLE_KEYS = (
-    "pair_linf_j0",
-    "pair_linf_j1",
-    "pair_q1_j0",
-    "pair_q1_j1",
-    "pair_q2_j0",
-    "pair_q2_j1",
-    "pair_w32_q1",
-    "pair_w32_q2",
-    "dt_pair_w10_q1",
-    "dt_pair_w10_q2",
-)
-
-
 def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, mask) -> dict:
-    """All norm constituents of the aggregate at one state."""
+    """All norm constituents of the aggregate at one state; caches g(U) on st."""
     grid = st.spectral.grid
     dim = grid.dim
     theta, m = st.real.theta, st.real.m
@@ -352,13 +368,9 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
     th_hat = st.spectral.theta_hat
     m_hat = st.spectral.m_hat
 
-    grad_theta = np.stack([ifftn(1j * xis[a] * th_hat).real for a in range(dim)])
-    grad_m = np.concatenate([[ifftn(1j * xis[a] * m_hat[c]).real for a in range(dim)] for c in range(dim)])
-
-    out = {}
-    for label, q in (("linf", np.inf), ("q1", scn.q1), ("q2", scn.q2)):
-        out[f"pair_{label}_j0"] = lp_norm(theta, grid, q) + lp_norm(m, grid, q)
-        out[f"pair_{label}_j1"] = lp_norm(grad_theta, grid, q) + lp_norm(grad_m, grid, q)
+    # g(U) before the derivative stack, so its temporaries are freed first
+    if scn.nonlinear and st.g_hat is None:
+        st.g_hat = nonlinearity_g_hat(st.real, params, mask)
 
     # W^{3,2}_q of the pair, reusing one spectral representation per field
     derivs_theta = {}
@@ -379,6 +391,14 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
             derivs_m[alpha] = (
                 np.stack([ifftn(mult * m_hat[c]).real for c in range(dim)]) if order else m
             )
+    first = list(multi_indices(dim, 1))
+    grad_theta = np.stack([derivs_theta[alpha] for alpha in first])
+    grad_m = np.stack([derivs_m[alpha][c] for c in range(dim) for alpha in first])
+
+    out = {}
+    for label, q in (("linf", np.inf), ("q1", scn.q1), ("q2", scn.q2)):
+        out[f"pair_{label}_j0"] = lp_norm(theta, grid, q) + lp_norm(m, grid, q)
+        out[f"pair_{label}_j1"] = lp_norm(grad_theta, grid, q) + lp_norm(grad_m, grid, q)
     for label, q in (("q1", scn.q1), ("q2", scn.q2)):
         w3 = sum(lp_norm(f, grid, q) for f in derivs_theta.values())
         w2 = sum(lp_norm(f, grid, q) for f in derivs_m.values())
@@ -390,7 +410,6 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
         xi_dot_m += xis[a] * m_hat[a]
     dtheta_hat = -1j * xi_dot_m
     xi_sq = grid.xi_sq
-    g_hat = nonlinearity_g_hat(st.real, params, mask) if scn.nonlinear else 0.0
     dm_hat = np.empty_like(m_hat)
     for a in range(dim):
         dm_hat[a] = (
@@ -399,7 +418,7 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
             - 1j * params.kappa_star * params.rho_star * xi_sq * xis[a] * th_hat
         )
         if scn.nonlinear:
-            dm_hat[a] += g_hat[a]
+            dm_hat[a] += st.g_hat[a]
     dtheta = ifftn(dtheta_hat).real
     dm = np.stack([ifftn(dm_hat[a]).real for a in range(dim)])
     grad_dtheta = np.stack([ifftn(1j * xis[a] * dtheta_hat).real for a in range(dim)])
@@ -462,7 +481,7 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
     times = np.asarray(times)
     bundle = {
         key: NormSeries(times=times, values=np.array([s[key] for s in samples]), descriptor={"name": key})
-        for key in _BUNDLE_KEYS
+        for key in _AGGREGATE_KEYS
     }
     agg_vals = np.array(
         [

@@ -15,6 +15,7 @@ Exit-code policy lives in the CLI: 0 all verdicts pass, 2 verdict failures,
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .analysis import (
     fit_decay,
     measure_semigroup_decay,
 )
-from .errors import ValidationError
+from .errors import NumericsWarning, ValidationError
 from .fields import (
     curl_mixture_momentum_state,
     riesz_kernel_hat,
@@ -262,11 +263,16 @@ def _nonlinear_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         sample_every=cfg.sample_every,
         nonlinear=cfg.nonlinear,
     )
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
+    # NumericsWarnings become report events without a time, since a warning
+    # carries none; other categories are dropped
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", NumericsWarning)
         result = run_nonlinear(scn)
+    events = result.events + [
+        {"t": None, "kind": "warning", "message": str(w.message)}
+        for w in caught
+        if issubclass(w.category, NumericsWarning)
+    ]
     sdir = _series_dir(out_dir)
     for key, series in result.bundle.items():
         _write_csv(sdir / f"{key}.csv", series.times, series.values)
@@ -285,7 +291,7 @@ def _nonlinear_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         "momentum_drift": result.momentum_drift,
         "symmetry_defect": result.symmetry_defect,
         "aggregate_final": float(result.aggregate.values[-1]),
-        "events": result.events,
+        "events": events,
         "pass": bool(result.success),
     }
 

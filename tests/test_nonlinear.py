@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import nsklab.nonlinear as nonlinear_mod
 from nsklab.errors import RangeViolation, StepRejected, ValidityExceeded
 from nsklab.model import Grid, PressureLaw, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import (
+    Etd2Stepper,
     NonlinearScenario,
     StepState,
     korteweg_tensor,
@@ -186,6 +190,24 @@ class TestNonlinearityG:
             errs.append(np.max(np.abs(g_spec - g_fd)))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
 
+    def test_transform_budget_dim3(self, params, monkeypatch):
+        """One dim-3 g makes at most 35 transforms: products forward once, only needed fields back."""
+        g = Grid(dim=3, box_len=4.0, n=8)
+        s = small_state(g, np.random.default_rng(9), amp=0.1)
+        calls = []
+
+        def counted(fn):
+            def wrapper(arr):
+                calls.append(fn.__name__)
+                return fn(arr)
+
+            return wrapper
+
+        monkeypatch.setattr(nonlinear_mod, "fftn", counted(nonlinear_mod.fftn))
+        monkeypatch.setattr(nonlinear_mod, "ifftn", counted(nonlinear_mod.ifftn))
+        nonlinearity_g_hat(s, params)
+        assert len(calls) <= 35
+
 
 class TestStep:
     def test_zero_data_stays_zero(self, params):
@@ -212,6 +234,17 @@ class TestStep:
         for _ in range(25):
             st = step(st, params, 0.05)
         assert st.spectral.theta_hat[0, 0] == mean0
+
+    def test_cached_g_reuse_is_bitwise_neutral(self, params):
+        """A step from a state carrying its g-hat equals a step that recomputes it."""
+        g = Grid(dim=3, box_len=4.0, n=8)
+        st = StepState.from_state(small_state(g, np.random.default_rng(6), amp=0.1))
+        stepper = Etd2Stepper(params, g, 0.05)
+        cached = dataclasses.replace(st, g_hat=nonlinearity_g_hat(st.real, params, stepper.mask))
+        a = stepper.step(cached)
+        b = stepper.step(dataclasses.replace(cached, g_hat=None))
+        assert np.array_equal(a.spectral.theta_hat, b.spectral.theta_hat)
+        assert np.array_equal(a.spectral.m_hat, b.spectral.m_hat)
 
     def test_step_rejected_on_blowup_scale_data(self, params):
         g = Grid(dim=2, box_len=2.0, n=16)
@@ -296,6 +329,18 @@ class TestRun:
             b = {k: NormSeries(times=v.times[::stride], values=v.values[::stride]) for k, v in r.bundle.items()}
             vals[stride] = aggregate_N(b, 2, 4.0, 2.5, 15.0, 0.35, 4.0)
         assert abs(vals[1] - vals[2]) <= 0.01 * vals[1]
+
+    def test_sampling_stride_does_not_change_shared_samples(self, params):
+        """Runs sampling every step and every second step agree bitwise where both sample."""
+        g = Grid(dim=3, box_len=8.0, n=8)
+        kw = dict(params=params, grid=g, amplitude=0.02, t_end=0.4, dt=0.1, seed=3)
+        r1 = run(NonlinearScenario(sample_every=1, **kw))
+        r2 = run(NonlinearScenario(sample_every=2, **kw))
+        assert np.array_equal(r1.bundle["pair_linf_j0"].times[::2], r2.bundle["pair_linf_j0"].times)
+        for key, series in r2.bundle.items():
+            assert np.array_equal(r1.bundle[key].values[::2], series.values), key
+        assert np.array_equal(r1.final.spectral.theta_hat, r2.final.spectral.theta_hat)
+        assert np.array_equal(r1.final.spectral.m_hat, r2.final.spectral.m_hat)
 
     def test_linear_only_run_reproduces_semigroup_decay_fit(self, params):
         """With the nonlinearity disabled, run() and the linear harness fit the same exponent."""

@@ -122,6 +122,17 @@ class TestRunScenario:
             b = (tmp_path / "b" / "series" / name).read_bytes()
             assert a == b
 
+    def test_nonlinear_warnings_recorded_as_events(self, tmp_path):
+        """A dim-2 run is outside theorem scope; its NumericsWarnings land in report.json."""
+        cfg = config_from_dict(minimal_nonlinear())
+        run_scenario(cfg, tmp_path / "w")
+        report = json.loads((tmp_path / "w" / "report.json").read_text())
+        scope = [e["message"] for e in report["events"] if e["kind"] == "scope"]
+        warned = [e["message"] for e in report["events"] if e["kind"] == "warning"]
+        assert any("dimension N=2" in m for m in scope)
+        assert any("dimension N=2" in m and "outside theorem scope" in m for m in warned)
+        assert all(set(e) == {"t", "kind", "message"} for e in report["events"])
+
     def test_symbol_verify_report(self, tmp_path):
         cfg = config_from_dict({"kind": "symbol-verify", "seed": 9, "samples_per_regime": 40})
         outcome = run_scenario(cfg, tmp_path / "sv")
