@@ -9,6 +9,13 @@ these are the ones recorded in all outputs):
 * Sobolev norms are the plain sum of the L_q norms of all partials up to the
   requested order;
 * ``W^{m,l}`` of a pair is ``||theta||_{W^m} + ||m||_{W^l}``.
+
+Semigroup decay series at q = 2 are computed by Parseval from the evolved
+spectrum, with no transform: each field's spectrum is first projected onto
+its Hermitian part (what ``.real`` of the inverse transform keeps) and every
+first-derivative multiplier ``i xi_k`` is zero on the Nyquist index of axis
+k (what ``.real`` of a derivative round trip keeps), so the values equal
+the real-space norms of the same fields to rounding.
 """
 
 from __future__ import annotations
@@ -27,12 +34,15 @@ from .errors import (
 from .model import FluidParams, Grid, SpectralState, State
 from .spectral import (
     CutoffSpec,
+    _multi_index_power,
     apply_semigroup,
     default_cutoff,
     fftn,
     frequency_split,
+    hermitian_part,
     ifftn,
     low_band_mode_count,
+    odd_wavevectors,
 )
 
 TOL_EXP = 0.1  # absolute tolerance on fitted decay exponents
@@ -55,13 +65,22 @@ def _magnitude(field_arr: np.ndarray, grid: Grid) -> np.ndarray:
 
 def lp_norm(field_arr: np.ndarray, grid: Grid, q) -> float:
     """Grid L_q norm with quadrature weight h^dim; q = inf gives the grid max."""
+    return lp_norms(field_arr, grid, (q,))[0]
+
+
+def lp_norms(field_arr: np.ndarray, grid: Grid, qs) -> list:
+    """lp_norm at each exponent in qs, collapsing the field to its magnitude once."""
     mag = _magnitude(field_arr, grid)
-    if np.isinf(q):
-        return float(np.max(mag))
-    q = float(q)
-    if q < 1.0:
-        raise ValueError("q in [1, inf] required")
-    return float(np.sum(mag**q) ** (1.0 / q) * grid.cell_volume ** (1.0 / q))
+    out = []
+    for q in qs:
+        if np.isinf(q):
+            out.append(float(np.max(mag)))
+            continue
+        q = float(q)
+        if q < 1.0:
+            raise ValueError("q in [1, inf] required")
+        out.append(float(np.sum(mag**q) ** (1.0 / q) * grid.cell_volume ** (1.0 / q)))
+    return out
 
 
 def sobolev_norm(field_arr: np.ndarray, grid: Grid, k: int, q) -> float:
@@ -73,17 +92,13 @@ def sobolev_norm(field_arr: np.ndarray, grid: Grid, k: int, q) -> float:
         return lp_norm(arr, grid, q)
     comps = arr.reshape((-1,) + grid.shape)
     hats = [fftn(c) for c in comps]
-    xis = grid.wavevectors()
     total = 0.0
     for order in range(0, k + 1):
         for alpha in multi_indices(grid.dim, order):
-            mult = np.ones((1,) * grid.dim, dtype=complex)
-            for ax, a in enumerate(alpha):
-                if a:
-                    mult = mult * (1j * xis[ax]) ** a
             if order == 0:
                 deriv = comps
             else:
+                mult = _multi_index_power(grid, alpha)
                 deriv = np.stack([ifftn(mult * h).real for h in hats])
             total += lp_norm(deriv, grid, q)
     return float(total)
@@ -107,28 +122,31 @@ def pair_sobolev_norm(state: State, k_theta: int, k_m: int, q) -> float:
     return sobolev_norm(state.theta, state.grid, k_theta, q) + sobolev_norm(state.m, state.grid, k_m, q)
 
 
-def spectral_l2_norm(spectral: SpectralState) -> float:
-    """Parseval partner of pair L2: carries the exact DFT quadrature weights."""
-    grid = spectral.grid
-    w = grid.cell_volume / grid.mode_count
-    return float(np.sqrt(w * np.sum(np.abs(spectral.theta_hat) ** 2)) + np.sqrt(w * np.sum(np.abs(spectral.m_hat) ** 2)))
+def spectral_l2_norm(power: np.ndarray, grid: Grid, weight=None) -> float:
+    """Grid L2 norm by Parseval from a power spectrum, sum over components of |f_c hat|^2.
+
+    weight (broadcastable, e.g. xi_k^2 for the partial d_k) multiplies the
+    power mode by mode.  The DFT weight cell_volume / mode_count makes the
+    result equal lp_norm(f, grid, 2) of the real field whose DFT has that power.
+    """
+    total = np.sum(power) if weight is None else np.sum(weight * power)
+    return float(np.sqrt(grid.cell_volume / grid.mode_count * total))
+
+
+def _power(hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """|hat|^2 of the Hermitian part, summed over any leading component axis."""
+    h = hermitian_part(hat, grid)
+    power = h.real**2 + h.imag**2
+    return power if hat.ndim == grid.dim else power.sum(axis=0)
 
 
 def mass_radius(field_arr: np.ndarray, grid: Grid, center=None, quantile: float = 0.99) -> float:
     """Smallest periodic radius around center containing the quantile of the |field| mass."""
-    if center is None:
-        center = np.full(grid.dim, grid.box_len / 2.0)
-    center = np.asarray(center, dtype=float)
     mag = _magnitude(field_arr, grid)
     total = float(mag.sum())
     if total == 0.0:
         return 0.0
-    r_sq = np.zeros(grid.shape)
-    for ax, x in enumerate(grid.mesh()):
-        d = np.abs(x - center[ax])
-        d = np.minimum(d, grid.box_len - d)
-        r_sq = r_sq + d**2
-    r = np.sqrt(r_sq)
+    r = np.sqrt(grid.periodic_r_sq(center))
     nbins = 4 * grid.n
     bin_idx = np.minimum((r / (grid.box_len / nbins)).astype(np.int64), nbins - 1)
     mass = np.bincount(bin_idx.ravel(), weights=mag.ravel(), minlength=nbins)
@@ -350,19 +368,11 @@ def edge_leakage(field_arr: np.ndarray, grid: Grid, center=None, shell: float = 
     images interact; wrap-around contamination of pointwise measurements is
     of this order.
     """
-    if center is None:
-        center = np.full(grid.dim, grid.box_len / 2.0)
-    center = np.asarray(center, dtype=float)
     mag = _magnitude(field_arr, grid)
     peak = float(mag.max())
     if peak == 0.0:
         return 0.0
-    r_sq = np.zeros(grid.shape)
-    for ax, x in enumerate(grid.mesh()):
-        d = np.abs(x - center[ax])
-        d = np.minimum(d, grid.box_len - d)
-        r_sq = r_sq + d**2
-    mask = r_sq > (shell * grid.box_len) ** 2
+    mask = grid.periodic_r_sq(center) > (shell * grid.box_len) ** 2
     if not mask.any():
         return 0.0
     return float(mag[mask].max() / peak)
@@ -416,6 +426,13 @@ def measure_semigroup_decay(
     derivatives when w10 is set, matching the W^{1,0} estimates for the high
     band).  The trust window ends at the first sample whose 99%-mass radius
     exceeds a quarter of the box.
+
+    Every norm is taken of the evolved spectrum.  For p = 2 it comes by
+    Parseval from the power of its Hermitian part, with Nyquist-zeroed odd
+    multipliers (see :func:`nsklab.spectral.odd_wavevectors`); otherwise each
+    derivative is one inverse transform of the evolved spectrum times the
+    same multiplier.  Only the trust diagnostics need the real fields: dim + 1
+    inverse transforms per sample at p = 2.
     """
     grid = data.grid
     if cutoff is None:
@@ -429,6 +446,9 @@ def measure_semigroup_decay(
     else:
         raise ValueError("band must be low, high or full")
 
+    if j not in (0, 1):
+        raise ValueError("j in {0, 1} supported")
+    xis = odd_wavevectors(grid)
     times = np.asarray(sorted(float(t) for t in times))
     values = np.empty(times.shape)
     radii = np.empty(times.shape)
@@ -437,18 +457,10 @@ def measure_semigroup_decay(
         evolved = apply_semigroup(part, params, t)
         theta = ifftn(evolved.theta_hat).real
         m = np.stack([ifftn(evolved.m_hat[c]).real for c in range(grid.dim)])
-        k_extra = 1 if w10 else 0
-        if j == 0:
-            th_part = sobolev_norm(theta, grid, k_extra, p) if w10 else lp_norm(theta, grid, p)
-            m_part = lp_norm(m, grid, p)
-        elif j == 1:
-            gth = _all_first_partials(theta, grid)
-            gm = np.concatenate([_all_first_partials(m[c], grid) for c in range(grid.dim)])
-            th_part = sobolev_norm(gth, grid, k_extra, p) if w10 else lp_norm(gth, grid, p)
-            m_part = lp_norm(gm, grid, p)
+        if p == 2:
+            values[it] = _pair_l2_by_parseval(evolved, xis, j, w10)
         else:
-            raise ValueError("j in {0, 1} supported")
-        values[it] = th_part + m_part
+            values[it] = _pair_lp_from_hats(evolved, theta, m, xis, p, j, w10)
         dominant = theta if np.max(np.abs(theta)) > np.max(np.abs(m)) else m
         radii[it] = mass_radius(dominant, grid, center=center, quantile=trust_quantile)
         leaks[it] = edge_leakage(dominant, grid, center=center)
@@ -466,10 +478,37 @@ def measure_semigroup_decay(
     )
 
 
-def _all_first_partials(field_arr: np.ndarray, grid: Grid) -> np.ndarray:
-    fh = fftn(field_arr)
-    xis = grid.wavevectors()
-    return np.stack([ifftn(1j * xis[ax] * fh).real for ax in range(grid.dim)])
+def _pair_l2_by_parseval(evolved: SpectralState, xis: list, j: int, w10: bool) -> float:
+    """L2 value of one decay sample from the evolved spectrum, with no transform."""
+    grid = evolved.grid
+    p_theta = _power(evolved.theta_hat, grid)
+    p_m = _power(evolved.m_hat, grid)
+    if j == 1:
+        # sum_k |i xi_k f_hat|^2 is the power of the stacked gradient
+        xi_sq = sum(x**2 for x in xis)
+        p_theta = xi_sq * p_theta
+        p_m = xi_sq * p_m
+    th_part = spectral_l2_norm(p_theta, grid)
+    if w10:
+        th_part += sum(spectral_l2_norm(p_theta, grid, x**2) for x in xis)
+    return th_part + spectral_l2_norm(p_m, grid)
+
+
+def _pair_lp_from_hats(evolved: SpectralState, theta, m, xis: list, p, j: int, w10: bool) -> float:
+    """L_p value of one decay sample; each derivative is one inverse transform of the evolved spectrum."""
+    grid = evolved.grid
+    if j == 0:
+        th_hats = [evolved.theta_hat]
+        th, mm = theta, m
+    else:
+        th_hats = [1j * x * evolved.theta_hat for x in xis]
+        th = np.stack([ifftn(h).real for h in th_hats])
+        mm = np.stack([ifftn(1j * x * evolved.m_hat[c]).real for c in range(grid.dim) for x in xis])
+    th_part = lp_norm(th, grid, p)
+    if w10:
+        for x in xis:
+            th_part += lp_norm(np.stack([ifftn(1j * x * h).real for h in th_hats]), grid, p)
+    return th_part + lp_norm(mm, grid, p)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +540,8 @@ class AblationResult:
     gap: float | None
     skipped: bool
     reason: str = ""
+    divergence_measurement: DecayMeasurement | None = None
+    generic_measurement: DecayMeasurement | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -518,7 +559,8 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
     Both runs carry theta = 0 and momenta with identical spectral energy and
     envelope; one is Div M0 (whose spectrum vanishes linearly at xi = 0), the
     other generic.  Reports the fitted low-band theta-decay exponents and the
-    gap (generic - divergence, positive = generic decays slower).
+    gap (generic - divergence, positive = generic decays slower), and keeps
+    both measurements for artifact writing.
     """
     from .fields import riesz_momentum_pair
 
@@ -530,10 +572,12 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
     )
     cutoff = CutoffSpec(eps=scn.cutoff_eps) if scn.cutoff_eps else default_cutoff(scn.grid)
     reports = []
+    measurements = []
     for data in (div_data, gen_data):
         meas = theta_low_band_series(data, scn.params, scn.sample_times, cutoff, scn.p)
         if np.all(meas.series.values == 0.0):
             return AblationResult(None, None, None, skipped=True, reason="theta response identically zero")
+        measurements.append(meas)
         reports.append(
             fit_decay(
                 meas.series,
@@ -548,7 +592,14 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
             )
         )
     gap = reports[1].fitted_exponent - reports[0].fitted_exponent
-    return AblationResult(reports[0], reports[1], float(gap), skipped=False)
+    return AblationResult(
+        reports[0],
+        reports[1],
+        float(gap),
+        skipped=False,
+        divergence_measurement=measurements[0],
+        generic_measurement=measurements[1],
+    )
 
 
 def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutoff: CutoffSpec, p) -> DecayMeasurement:

@@ -234,6 +234,31 @@ class Grid:
             out = out + x**2
         return out
 
+    def periodic_r_sq(self, center=None) -> np.ndarray:
+        """Squared minimum-image distance to center (default: the box center).
+
+        The default-center array is computed once per grid and shared, so it
+        is returned read-only.
+        """
+        if center is None:
+            return self._centered_r_sq
+        return self._r_sq_about(center)
+
+    @cached_property
+    def _centered_r_sq(self) -> np.ndarray:
+        r_sq = self._r_sq_about(np.full(self.dim, self.box_len / 2.0))
+        r_sq.flags.writeable = False
+        return r_sq
+
+    def _r_sq_about(self, center) -> np.ndarray:
+        center = np.asarray(center, dtype=float)
+        r_sq = np.zeros(self.shape)
+        for ax, x in enumerate(self.mesh()):
+            d = np.abs(x - center[ax])
+            d = np.minimum(d, self.box_len - d)
+            r_sq = r_sq + d**2
+        return r_sq
+
     def wavevector_of_index(self, idx) -> np.ndarray:
         """Wavevector of a multi-index (bijective with the mode set)."""
         k = self._axis_wavenumbers
@@ -321,10 +346,4 @@ def gaussian_bump(grid: Grid, center, width: float, amplitude: float) -> np.ndar
     center = np.asarray(center, dtype=float)
     if center.shape != (grid.dim,):
         raise GridMismatch(f"center has shape {center.shape}, expected ({grid.dim},)")
-    L = grid.box_len
-    r_sq = np.zeros(grid.shape)
-    for ax, x in enumerate(grid.mesh()):
-        d = np.abs(x - center[ax])
-        d = np.minimum(d, L - d)
-        r_sq = r_sq + d**2
-    return amplitude * np.exp(-r_sq / (2.0 * width**2))
+    return amplitude * np.exp(-grid.periodic_r_sq(center) / (2.0 * width**2))

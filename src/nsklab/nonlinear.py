@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _AGGREGATE_KEYS, NormSeries, lp_norm, multi_indices
+from .analysis import _AGGREGATE_KEYS, NormSeries, lp_norms, multi_indices
 from .errors import NumericsWarning, RangeViolation, StepRejected
 from .model import FluidParams, Grid, SpectralState, State
 from .spectral import dealias_mask, divergence_spectral, fftn, ifftn, to_real, to_spectral
@@ -395,14 +395,19 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
     grad_theta = np.stack([derivs_theta[alpha] for alpha in first])
     grad_m = np.stack([derivs_m[alpha][c] for c in range(dim) for alpha in first])
 
+    # each field's magnitude is formed once for all its exponents
     out = {}
-    for label, q in (("linf", np.inf), ("q1", scn.q1), ("q2", scn.q2)):
-        out[f"pair_{label}_j0"] = lp_norm(theta, grid, q) + lp_norm(m, grid, q)
-        out[f"pair_{label}_j1"] = lp_norm(grad_theta, grid, q) + lp_norm(grad_m, grid, q)
-    for label, q in (("q1", scn.q1), ("q2", scn.q2)):
-        w3 = sum(lp_norm(f, grid, q) for f in derivs_theta.values())
-        w2 = sum(lp_norm(f, grid, q) for f in derivs_m.values())
-        out[f"pair_w32_{label}"] = w3 + w2
+    labels = ("linf", "q1", "q2")
+    qs = (np.inf, scn.q1, scn.q2)
+    j0 = zip(lp_norms(theta, grid, qs), lp_norms(m, grid, qs))
+    j1 = zip(lp_norms(grad_theta, grid, qs), lp_norms(grad_m, grid, qs))
+    for label, (th_n, m_n), (gth_n, gm_n) in zip(labels, j0, j1):
+        out[f"pair_{label}_j0"] = th_n + m_n
+        out[f"pair_{label}_j1"] = gth_n + gm_n
+    w3 = [lp_norms(f, grid, qs[1:]) for f in derivs_theta.values()]
+    w2 = [lp_norms(f, grid, qs[1:]) for f in derivs_m.values()]
+    for i, label in enumerate(labels[1:]):
+        out[f"pair_w32_{label}"] = sum(n[i] for n in w3) + sum(n[i] for n in w2)
 
     # time derivatives from the equations of motion
     xi_dot_m = np.zeros(grid.shape, dtype=complex)
@@ -422,8 +427,9 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
     dtheta = ifftn(dtheta_hat).real
     dm = np.stack([ifftn(dm_hat[a]).real for a in range(dim)])
     grad_dtheta = np.stack([ifftn(1j * xis[a] * dtheta_hat).real for a in range(dim)])
-    for label, q in (("q1", scn.q1), ("q2", scn.q2)):
-        out[f"dt_pair_w10_{label}"] = lp_norm(dtheta, grid, q) + lp_norm(grad_dtheta, grid, q) + lp_norm(dm, grid, q)
+    dt_norms = zip(*(lp_norms(f, grid, qs[1:]) for f in (dtheta, grad_dtheta, dm)))
+    for label, (dth_n, gdth_n, dm_n) in zip(labels[1:], dt_norms):
+        out[f"dt_pair_w10_{label}"] = dth_n + gdth_n + dm_n
     return out
 
 

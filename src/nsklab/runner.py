@@ -219,14 +219,7 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         and result.generic_report.fitted_exponent > result.divergence_report.fitted_exponent
         and result.gap >= cfg.gap_threshold
     )
-    # re-measure series for artifact emission
-    rng = np.random.default_rng(cfg.seed)
-    div_data, gen_data = riesz_momentum_pair(grid, cfg.data.gamma, support, rng=rng, amplitude=cfg.data.amplitude)
-    from .analysis import theta_low_band_series
-
-    cutoff = CutoffSpec(eps=cfg.cutoff_eps) if cfg.cutoff_eps else default_cutoff(grid)
-    for tag, data in (("divergence", div_data), ("generic", gen_data)):
-        meas = theta_low_band_series(data, params, cfg.times.values(), cutoff, cfg.exponents.p)
+    for tag, meas in (("divergence", result.divergence_measurement), ("generic", result.generic_measurement)):
         _write_csv(_series_dir(out_dir) / f"theta_low_{tag}.csv", meas.series.times, meas.series.values)
         fitted = payload[tag]["fitted_exponent"] if payload[tag] else float("nan")
         svg = loglog_svg(

@@ -162,6 +162,29 @@ def spectral_derivative(field: np.ndarray, grid: Grid, alpha) -> np.ndarray:
     return ifftn(_multi_index_power(grid, alpha) * fftn(field)).real
 
 
+def odd_wavevectors(grid: Grid) -> list:
+    """Per-axis wavevectors with the axis's own Nyquist index set to 0.
+
+    ``i xi_k`` with this xi_k is the first-derivative multiplier a real field
+    actually receives: on the Nyquist plane of axis k the mode is its own
+    mirror, so ``ifftn(1j * xi_k * fftn(f)).real`` drops it.  Applied to any
+    spectrum, the multiplier is exactly odd and commutes with
+    :func:`hermitian_part`.
+    """
+    out = []
+    for ax, x in enumerate(grid.wavevectors()):
+        x = x.copy()
+        x[(slice(None),) * ax + (grid.n // 2,)] = 0.0
+        out.append(x)
+    return out
+
+
+def hermitian_part(arr: np.ndarray, grid: Grid) -> np.ndarray:
+    """(g(xi) + conj g(-xi)) / 2 over the trailing grid axes: the DFT of ``ifftn(g).real``."""
+    axes = tuple(range(arr.ndim - grid.dim, arr.ndim))
+    return 0.5 * (arr + np.conj(_reverse_modes(arr, axes)))
+
+
 def gradient(field: np.ndarray, grid: Grid) -> np.ndarray:
     """All first partials, stacked as a vector field; one forward transform."""
     fh = fftn(np.asarray(field))
@@ -236,7 +259,4 @@ def conjugate_symmetry_defect(spectral: SpectralState) -> float:
 
 def _reverse_modes(arr: np.ndarray, axes) -> np.ndarray:
     """Index map k -> -k (mod n) along the given axes."""
-    out = arr
-    for ax in axes:
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
+    return np.roll(np.flip(arr, axis=axes), 1, axis=axes)

@@ -1,7 +1,34 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import nsklab.spectral as spectral_mod
 from nsklab.model import critical_quadratic, make_params
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Live list of the transforms made through nsklab's FFT backend, one name per call.
+
+    ``spectral.fftn``/``ifftn`` are the only transform entry points, and they
+    reach scipy.fft through ``spectral._fft``; the fixture swaps that for a
+    counting wrapper for the duration of the test.
+    """
+    calls = []
+    backend = spectral_mod._fft
+
+    def counted(name):
+        fn = getattr(backend, name)
+
+        def wrapper(arr, **kwargs):
+            calls.append(name)
+            return fn(arr, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(spectral_mod, "_fft", SimpleNamespace(fftn=counted("fftn"), ifftn=counted("ifftn")))
+    return calls
 
 
 @pytest.fixture

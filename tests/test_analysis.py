@@ -7,9 +7,12 @@ from nsklab.analysis import (
     aggregate_N,
     fit_decay,
     in_theorem_scope,
+    edge_leakage,
     lp_norm,
+    lp_norms,
     lp_time_norm,
     mass_radius,
+    measure_semigroup_decay,
     pair_lp_norm,
     predicted_decay_exponent,
     sobolev_norm,
@@ -21,8 +24,8 @@ from nsklab.errors import (
     WindowOutsideTrust,
     WindowUncovered,
 )
-from nsklab.model import Grid, State, gaussian_bump
-from nsklab.spectral import to_spectral
+from nsklab.model import Grid, SpectralState, State, gaussian_bump
+from nsklab.spectral import apply_semigroup, gradient, to_real, to_spectral
 
 
 class TestLpNorm:
@@ -65,6 +68,22 @@ class TestLpNorm:
         assert lp_norm(m, g, np.inf) == pytest.approx(5.0)
 
 
+class TestLpNorms:
+    def test_equals_lp_norm_bitwise(self):
+        rng = np.random.default_rng(21)
+        qs = (np.inf, 1.0, 1.5, 2.0, 4.0)
+        for dim in (1, 2, 3):
+            g = Grid(dim=dim, box_len=5.0, n=8)
+            for lead in ((), (dim,), (dim * dim,)):
+                f = rng.standard_normal(lead + g.shape)
+                assert lp_norms(f, g, qs) == [lp_norm(f, g, q) for q in qs]
+
+    def test_rejects_exponent_below_one(self):
+        g = Grid(dim=1, box_len=1.0, n=8)
+        with pytest.raises(ValueError):
+            lp_norms(np.ones(8), g, (2.0, 0.5))
+
+
 class TestSobolevNorm:
     def test_k0_is_lp(self):
         g = Grid(dim=2, box_len=1.0, n=8)
@@ -97,6 +116,13 @@ class TestMassRadius:
     def test_zero_field(self):
         g = Grid(dim=1, box_len=1.0, n=16)
         assert mass_radius(np.zeros(16), g) == 0.0
+
+    def test_default_center_is_box_center_bitwise(self):
+        g = Grid(dim=3, box_len=9.0, n=16)
+        f = gaussian_bump(g, (3.0, 5.0, 4.0), 1.0, 1.0)
+        center = np.full(3, 4.5)
+        assert mass_radius(f, g) == mass_radius(f, g, center=center)
+        assert edge_leakage(f, g, shell=0.3) == edge_leakage(f, g, center=center, shell=0.3)
 
 
 class TestWeightedSup:
@@ -269,3 +295,47 @@ class TestLpTimeNorm:
         coarse = lp_time_norm(NormSeries(times=tc, values=f(tc)), 4.0, (0.0, 10.0))
         fine = lp_time_norm(NormSeries(times=tf, values=f(tf)), 4.0, (0.0, 10.0))
         assert abs(coarse - fine) <= 0.01 * fine
+
+
+def _random_spectral_state(grid, rng):
+    """Complex spectra with no Hermitian symmetry, Nyquist planes included."""
+    shape = (grid.dim + 1,) + grid.shape
+    hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralState(grid=grid, theta_hat=hats[0], m_hat=hats[1:])
+
+
+def _reference_decay_value(evolved, p, j, w10):
+    """Pair norm from the real fields, every derivative a real-space round trip."""
+    grid = evolved.grid
+    st = to_real(evolved)
+    if j == 0:
+        th, m = st.theta, st.m
+    else:
+        th = gradient(st.theta, grid)
+        m = np.concatenate([gradient(st.m[c], grid) for c in range(grid.dim)])
+    return sobolev_norm(th, grid, 1 if w10 else 0, p) + lp_norm(m, grid, p)
+
+
+class TestDecayMeasurementFromSpectrum:
+    TIMES = (0.05, 0.4, 1.5)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_real_space_reference(self, oscillatory_params, dim, p):
+        """Parseval (p = 2) and hat-derivative (p = 4) values agree with the real-space norms."""
+        rng = np.random.default_rng(300 + dim)
+        g = Grid(dim=dim, box_len=6.0, n=8)
+        data = _random_spectral_state(g, rng)
+        for j in (0, 1):
+            for w10 in (False, True):
+                meas = measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="full", p=p, j=j, w10=w10)
+                for t, got in zip(self.TIMES, meas.series.values):
+                    want = _reference_decay_value(apply_semigroup(data, oscillatory_params, t), p, j, w10)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (j, w10, t)
+
+    def test_l2_transform_budget_dim3(self, oscillatory_params, fft_calls):
+        """At p = 2 only the trust diagnostics transform: dim + 1 inverse FFTs per sample (32 before)."""
+        g = Grid(dim=3, box_len=6.0, n=8)
+        data = _random_spectral_state(g, np.random.default_rng(4))
+        measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="high", p=2.0, j=1, w10=True)
+        assert len(fft_calls) <= (g.dim + 1) * len(self.TIMES)

@@ -121,6 +121,35 @@ class TestGrid:
         assert g.xi_max == pytest.approx(np.pi * 16 / 4.0)
 
 
+class TestPeriodicGeometry:
+    @staticmethod
+    def _minimum_image_r_sq(g, center):
+        r_sq = np.zeros(g.shape)
+        for ax, x in enumerate(g.mesh()):
+            d = np.abs(x - center[ax])
+            d = np.minimum(d, g.box_len - d)
+            r_sq = r_sq + d**2
+        return r_sq
+
+    def test_matches_minimum_image_bitwise(self):
+        for dim in (1, 2, 3):
+            g = Grid(dim=dim, box_len=7.0, n=16)
+            center = np.linspace(0.4, 6.1, dim)
+            assert np.array_equal(g.periodic_r_sq(center), self._minimum_image_r_sq(g, center))
+            assert np.array_equal(g.periodic_r_sq(), self._minimum_image_r_sq(g, np.full(dim, 3.5)))
+
+    def test_default_center_cached_read_only(self):
+        g = Grid(dim=2, box_len=4.0, n=16)
+        assert g.periodic_r_sq() is g.periodic_r_sq()
+        assert not g.periodic_r_sq().flags.writeable
+
+    def test_gaussian_bump_unchanged_bitwise(self):
+        g = Grid(dim=3, box_len=8.0, n=16)
+        center = (1.0, 4.5, 7.5)
+        want = 0.7 * np.exp(-self._minimum_image_r_sq(g, np.asarray(center)) / (2.0 * 1.2**2))
+        assert np.array_equal(gaussian_bump(g, center, 1.2, 0.7), want)
+
+
 class TestState:
     def test_shape_mismatch(self):
         g = Grid(dim=2, box_len=1.0, n=4)

@@ -3,7 +3,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import nsklab.nonlinear as nonlinear_mod
 from nsklab.errors import RangeViolation, StepRejected, ValidityExceeded
 from nsklab.model import Grid, PressureLaw, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import (
@@ -190,23 +189,13 @@ class TestNonlinearityG:
             errs.append(np.max(np.abs(g_spec - g_fd)))
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
 
-    def test_transform_budget_dim3(self, params, monkeypatch):
+    def test_transform_budget_dim3(self, params, fft_calls):
         """One dim-3 g makes at most 35 transforms: products forward once, only needed fields back."""
         g = Grid(dim=3, box_len=4.0, n=8)
         s = small_state(g, np.random.default_rng(9), amp=0.1)
-        calls = []
-
-        def counted(fn):
-            def wrapper(arr):
-                calls.append(fn.__name__)
-                return fn(arr)
-
-            return wrapper
-
-        monkeypatch.setattr(nonlinear_mod, "fftn", counted(nonlinear_mod.fftn))
-        monkeypatch.setattr(nonlinear_mod, "ifftn", counted(nonlinear_mod.ifftn))
+        fft_calls.clear()
         nonlinearity_g_hat(s, params)
-        assert len(calls) <= 35
+        assert len(fft_calls) <= 35
 
 
 class TestStep:

@@ -183,6 +183,44 @@ class TestRunScenario:
         assert (tmp_path / "abl" / "series" / "theta_low_divergence.csv").exists()
         assert (tmp_path / "abl" / "series" / "theta_low_generic.csv").exists()
 
+    def test_ablation_series_measured_once(self, tmp_path, monkeypatch):
+        """The runner writes the ablation's own two measurements: two series, same bytes as a fresh measurement."""
+        import nsklab.analysis as analysis_mod
+        from nsklab.fields import riesz_momentum_pair
+        from nsklab.runner import _grid_from_config, _params_from_config, _write_csv
+        from nsklab.spectral import default_cutoff
+
+        raw = {
+            "kind": "ablation",
+            "seed": 7,
+            "params": {"mu": 1.0, "nu": 0.8, "kappa": 0.7875, "rho_ref": 1.0},
+            "grid": {"dim": 2, "n": 32, "box_len": 48.0},
+            "data": {"kind": "riesz_divergence", "gamma": 1.0, "support_radius": 11.0, "amplitude": 1.0},
+            "times": {"t_min": 0.8, "t_max": 14.0, "count": 8},
+            "exponents": {"p": "inf", "q": 2.0, "j": 0},
+            "fit_window": [1.5, 10.0],
+            "trust_mode": "edge_leak",
+        }
+        cfg = config_from_dict(raw)
+        measured = analysis_mod.theta_low_band_series
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return measured(*args, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "theta_low_band_series", counted)
+        run_scenario(cfg, tmp_path / "abl")
+        assert len(calls) == 2
+
+        grid = _grid_from_config(cfg)
+        pair = riesz_momentum_pair(grid, 1.0, 11.0, rng=np.random.default_rng(7), amplitude=1.0)
+        for tag, data in zip(("divergence", "generic"), pair):
+            meas = measured(data, _params_from_config(cfg), cfg.times.values(), default_cutoff(grid), np.inf)
+            _write_csv(tmp_path / f"{tag}.csv", meas.series.times, meas.series.values)
+            written = (tmp_path / "abl" / "series" / f"theta_low_{tag}.csv").read_bytes()
+            assert written == (tmp_path / f"{tag}.csv").read_bytes()
+
     def test_error_writes_partial_artifacts(self, tmp_path):
         raw = minimal_nonlinear()
         raw["grid"] = {"dim": 2, "n": 12, "box_len": 8.0}  # n not a power of two
