@@ -80,6 +80,7 @@ from .runner import ScenarioOutcome, run_scenario, run_sweep
 from .scenario import ScenarioConfig, parse_config, parse_sweep_config, serialize_config
 from .spectral import (
     CutoffSpec,
+    SemigroupOrbit,
     apply_semigroup,
     conjugate_symmetry_defect,
     dealias,

@@ -34,8 +34,8 @@ from .errors import (
 from .model import FluidParams, Grid, SpectralState, State
 from .spectral import (
     CutoffSpec,
+    SemigroupOrbit,
     _multi_index_power,
-    apply_semigroup,
     default_cutoff,
     fftn,
     frequency_split,
@@ -70,7 +70,11 @@ def lp_norm(field_arr: np.ndarray, grid: Grid, q) -> float:
 
 def lp_norms(field_arr: np.ndarray, grid: Grid, qs) -> list:
     """lp_norm at each exponent in qs, collapsing the field to its magnitude once."""
-    mag = _magnitude(field_arr, grid)
+    return _lp_norms_of_magnitude(_magnitude(field_arr, grid), grid, qs)
+
+
+def _lp_norms_of_magnitude(mag: np.ndarray, grid: Grid, qs) -> list:
+    """lp_norms of a field given its pointwise magnitude."""
     out = []
     for q in qs:
         if np.isinf(q):
@@ -134,25 +138,22 @@ def spectral_l2_norm(power: np.ndarray, grid: Grid, weight=None) -> float:
 
 
 def _power(hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """|hat|^2 of the Hermitian part, summed over any leading component axis."""
-    h = hermitian_part(hat, grid)
-    power = h.real**2 + h.imag**2
-    return power if hat.ndim == grid.dim else power.sum(axis=0)
+    """|hat|^2 of the Hermitian part, summed over any leading component axis.
+
+    Components are taken one at a time, so the temporaries are scalar fields.
+    """
+    comps = hat.reshape((-1,) + grid.shape)
+    total = None
+    for comp in comps:
+        h = hermitian_part(comp, grid)
+        power = h.real**2 + h.imag**2
+        total = power if total is None else total + power
+    return total
 
 
 def mass_radius(field_arr: np.ndarray, grid: Grid, center=None, quantile: float = 0.99) -> float:
     """Smallest periodic radius around center containing the quantile of the |field| mass."""
-    mag = _magnitude(field_arr, grid)
-    total = float(mag.sum())
-    if total == 0.0:
-        return 0.0
-    r = np.sqrt(grid.periodic_r_sq(center))
-    nbins = 4 * grid.n
-    bin_idx = np.minimum((r / (grid.box_len / nbins)).astype(np.int64), nbins - 1)
-    mass = np.bincount(bin_idx.ravel(), weights=mag.ravel(), minlength=nbins)
-    csum = np.cumsum(mass)
-    hit = int(np.searchsorted(csum, quantile * total))
-    return (hit + 1) * grid.box_len / nbins
+    return _TrustGeometry(grid, center).diagnostics(_magnitude(field_arr, grid), quantile)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +369,31 @@ def edge_leakage(field_arr: np.ndarray, grid: Grid, center=None, shell: float = 
     images interact; wrap-around contamination of pointwise measurements is
     of this order.
     """
-    mag = _magnitude(field_arr, grid)
-    peak = float(mag.max())
-    if peak == 0.0:
-        return 0.0
-    mask = grid.periodic_r_sq(center) > (shell * grid.box_len) ** 2
-    if not mask.any():
-        return 0.0
-    return float(mag[mask].max() / peak)
+    return _TrustGeometry(grid, center, shell).diagnostics(_magnitude(field_arr, grid))[1]
+
+
+class _TrustGeometry:
+    """The t-independent part of the trust diagnostics: radial mass bins and the outer shell."""
+
+    def __init__(self, grid: Grid, center=None, shell: float = 0.46):
+        r_sq = grid.periodic_r_sq(center)
+        self.box_len = grid.box_len
+        self.nbins = 4 * grid.n
+        self.bins = np.minimum((np.sqrt(r_sq) / (grid.box_len / self.nbins)).astype(np.int64), self.nbins - 1).ravel()
+        self.shell = r_sq > (shell * grid.box_len) ** 2
+        self.any_shell = bool(self.shell.any())
+
+    def diagnostics(self, mag: np.ndarray, quantile: float = 0.99) -> tuple[float, float]:
+        """(mass_radius, edge_leakage) of a field given its pointwise magnitude."""
+        total = float(mag.sum())
+        radius = 0.0
+        if total != 0.0:
+            mass = np.bincount(self.bins, weights=mag.ravel(), minlength=self.nbins)
+            hit = int(np.searchsorted(np.cumsum(mass), quantile * total))
+            radius = (hit + 1) * self.box_len / self.nbins
+        peak = float(mag.max())
+        leak = float(mag[self.shell].max() / peak) if peak != 0.0 and self.any_shell else 0.0
+        return radius, leak
 
 
 EDGE_LEAK_TOL = 0.02
@@ -449,21 +467,14 @@ def measure_semigroup_decay(
     if j not in (0, 1):
         raise ValueError("j in {0, 1} supported")
     xis = odd_wavevectors(grid)
+    orbit = SemigroupOrbit(part, params)
+    trust = _TrustGeometry(grid, center)
     times = np.asarray(sorted(float(t) for t in times))
     values = np.empty(times.shape)
     radii = np.empty(times.shape)
     leaks = np.empty(times.shape)
     for it, t in enumerate(times):
-        evolved = apply_semigroup(part, params, t)
-        theta = ifftn(evolved.theta_hat).real
-        m = np.stack([ifftn(evolved.m_hat[c]).real for c in range(grid.dim)])
-        if p == 2:
-            values[it] = _pair_l2_by_parseval(evolved, xis, j, w10)
-        else:
-            values[it] = _pair_lp_from_hats(evolved, theta, m, xis, p, j, w10)
-        dominant = theta if np.max(np.abs(theta)) > np.max(np.abs(m)) else m
-        radii[it] = mass_radius(dominant, grid, center=center, quantile=trust_quantile)
-        leaks[it] = edge_leakage(dominant, grid, center=center)
+        values[it], radii[it], leaks[it] = _decay_sample(orbit.at(t), xis, p, j, w10, trust, trust_quantile)
     series = NormSeries(
         times=times,
         values=values,
@@ -476,6 +487,25 @@ def measure_semigroup_decay(
         edge_leaks=leaks,
         band_modes=low_band_mode_count(grid, cutoff),
     )
+
+
+def _decay_sample(evolved: SpectralState, xis: list, p, j: int, w10: bool, trust, quantile: float):
+    """(norm value, mass radius, edge leakage) of one evolved sample.
+
+    A function of its own, so a sample's fields are freed before the next
+    sample is evolved.
+    """
+    grid = evolved.grid
+    theta = ifftn(evolved.theta_hat).real
+    m = np.stack([ifftn(evolved.m_hat[c]).real for c in range(grid.dim)])
+    if p == 2:
+        value = _pair_l2_by_parseval(evolved, xis, j, w10)
+    else:
+        value = _pair_lp_from_hats(evolved, theta, m, xis, p, j, w10)
+    mag = np.abs(theta)
+    if not np.max(mag) > np.max(np.abs(m)):
+        mag = _magnitude(m, grid)
+    return (value, *trust.diagnostics(mag, quantile))
 
 
 def _pair_l2_by_parseval(evolved: SpectralState, xis: list, j: int, w10: bool) -> float:
@@ -605,17 +635,16 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
 def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutoff: CutoffSpec, p) -> DecayMeasurement:
     """Low-band theta-component norm series of the linear flow (ablation measurand)."""
     grid = data.grid
-    low = frequency_split(data, cutoff)[0]
+    orbit = SemigroupOrbit(frequency_split(data, cutoff)[0], params)
+    trust = _TrustGeometry(grid)
     times = np.asarray(sorted(float(t) for t in times))
     vals = np.empty(times.shape)
     radii = np.empty(times.shape)
     leaks = np.empty(times.shape)
     for it, t in enumerate(times):
-        evolved = apply_semigroup(low, params, t)
-        theta = ifftn(evolved.theta_hat).real
-        vals[it] = lp_norm(theta, grid, p)
-        radii[it] = mass_radius(theta, grid)
-        leaks[it] = edge_leakage(theta, grid)
+        mag = np.abs(ifftn(orbit.theta_hat(t)).real)
+        vals[it] = _lp_norms_of_magnitude(mag, grid, (p,))[0]
+        radii[it], leaks[it] = trust.diagnostics(mag)
     series = NormSeries(
         times=times, values=vals, descriptor={"field": "theta", "band": "low", "p": "inf" if np.isinf(p) else p}
     )

@@ -234,6 +234,20 @@ class Grid:
             out = out + x**2
         return out
 
+    @cached_property
+    def radial_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, index): the distinct |xi|^2 and the int32 position of each mode's value.
+
+        ``values[index]`` reproduces :attr:`xi_sq` exactly, so a function of
+        |xi|^2 evaluated on ``values`` and gathered through ``index`` equals
+        its full-grid evaluation.  Both arrays are shared, hence read-only.
+        """
+        values, inverse = np.unique(self.xi_sq, return_inverse=True)
+        index = inverse.reshape(self.shape).astype(np.int32)
+        values.flags.writeable = False
+        index.flags.writeable = False
+        return values, index
+
     def periodic_r_sq(self, center=None) -> np.ndarray:
         """Squared minimum-image distance to center (default: the box center).
 

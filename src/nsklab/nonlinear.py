@@ -35,9 +35,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _AGGREGATE_KEYS, NormSeries, lp_norms, multi_indices
-from .errors import NumericsWarning, RangeViolation, StepRejected
+from .errors import ConstraintViolation, NumericsWarning, RangeViolation, StepRejected
 from .model import FluidParams, Grid, SpectralState, State
-from .spectral import dealias_mask, divergence_spectral, fftn, ifftn, to_real, to_spectral
+from .spectral import (
+    Block,
+    dealias_mask,
+    divergence_spectral,
+    fftn,
+    ifftn,
+    longitudinal_amplitude,
+    semigroup_block,
+    to_real,
+    to_spectral,
+)
+from .symbols import phi_multiplier_tables
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 GL_TAU = 0.5 * (GL_NODES + 1.0)
@@ -200,10 +211,11 @@ class Etd2Stepper:
         a       = S(h) U_n + h phi_1(hA) N(U_n)
         U_{n+1} = a + h phi_2(hA) (N(a) - N(U_n))
 
-    S(h) and the phi_k(hA) multiplier fields are precomputed once per (params,
-    grid, h); the phi weights integrate the stiff linear part exactly, so the
-    third-order capillary term costs no step-size restriction and the scheme
-    holds second order uniformly in the stiffness.
+    S(h) and the h phi_k(hA) weights are precomputed once per (params, grid,
+    h) as blocks (:class:`nsklab.spectral.Block`); the phi weights integrate
+    the stiff linear part exactly, so the third-order capillary term costs no
+    step-size restriction and the scheme holds second order uniformly in the
+    stiffness.
     """
 
     def __init__(self, params: FluidParams, grid: Grid, dt: float):
@@ -213,77 +225,59 @@ class Etd2Stepper:
         self.grid = grid
         self.dt = dt
         self.mask = dealias_mask(grid)
-        from .symbols import phi_multiplier_tables, propagator_kernels
-
-        self._exp = propagator_kernels(params, grid.xi_sq, dt)
-        tabs = phi_multiplier_tables(params, grid.xi_sq, dt)
-        self._phi1 = tabs["phi1"]
-        self._phi2 = tabs["phi2"]
-        self._xis = grid.wavevectors()
-        self._xi_sq_safe = np.where(grid.xi_sq > 0.0, grid.xi_sq, 1.0)
-        self._nonzero = grid.xi_sq > 0.0
+        self._exp = semigroup_block(params, grid, dt)
+        values, index = grid.radial_table
+        tabs = phi_multiplier_tables(params, values, dt)
+        # h phi_k(hA) on (0, g) in block form: d = h^2 D |xi|^2, lg = h (B - T), heat = h T
+        self._phi1, self._phi2 = (
+            Block(d=np.take(dt * dt * D * values, index), lg=np.take(dt * (B - T), index), heat=np.take(dt * T, index))
+            for D, B, T in (tabs["phi1"], tabs["phi2"])
+        )
 
     def propagate(self, spec: SpectralState) -> SpectralState:
-        """S(dt) via the cached propagator kernels."""
-        sig_tf, sig_d, sig_mg, heat = self._exp
-        xi_dot_m = np.zeros(self.grid.shape, dtype=complex)
-        for j in range(self.grid.dim):
-            xi_dot_m += self._xis[j] * spec.m_hat[j]
-        theta_hat = sig_tf * spec.theta_hat - 1j * sig_d * xi_dot_m
-        long_coef = np.where(self._nonzero, (sig_mg - heat) * xi_dot_m / self._xi_sq_safe, 0.0)
-        cap = self.params.kappa_star * self.params.rho_star
-        m_hat = np.empty_like(spec.m_hat)
-        for j in range(self.grid.dim):
-            m_hat[j] = (
-                heat * spec.m_hat[j]
-                + self._xis[j] * long_coef
-                - 1j * cap * sig_d * self.grid.xi_sq * self._xis[j] * spec.theta_hat
-            )
-        return SpectralState(grid=self.grid, theta_hat=theta_hat, m_hat=m_hat)
+        """S(dt) via the cached block."""
+        return self._exp.apply(spec)
 
-    def _forcing(self, table, g_hat):
+    def _forcing(self, block: Block, g_hat):
         """h * phi_k(hA) applied to (0, g)."""
-        D, B, T = table
-        h = self.dt
-        xi_dot_g = np.zeros(self.grid.shape, dtype=complex)
-        for j in range(self.grid.dim):
-            xi_dot_g += self._xis[j] * g_hat[j]
-        theta_add = -1j * h * h * D * xi_dot_g
-        long_coef = np.where(self._nonzero, (B - T) * xi_dot_g / self._xi_sq_safe, 0.0)
-        m_add = np.empty_like(g_hat)
-        for j in range(self.grid.dim):
-            m_add[j] = h * (T * g_hat[j] + self._xis[j] * long_coef)
-        return theta_add, m_add
+        a_hat = longitudinal_amplitude(g_hat, self.grid)
+        return block.theta(None, a_hat), block.momentum(None, a_hat, g_hat, self.grid)
+
+    def _finite(self, theta_hat, m_hat, t: float, what: str) -> tuple[SpectralState, State]:
+        """Both representations of (theta_hat, m_hat); non-finite entries reject the step."""
+        try:
+            spec = SpectralState(grid=self.grid, theta_hat=theta_hat, m_hat=m_hat)
+            return spec, to_real(spec)
+        except ConstraintViolation as exc:
+            raise StepRejected(f"{what} at t={t:.6g} is not finite: {exc}", t=t) from exc
 
     def step(self, state: StepState, nonlinear: bool = True) -> StepState:
-        grid = self.grid
+        t = state.t + self.dt
         if not nonlinear:
             nxt = self.propagate(state.spectral)
-            return StepState(spectral=nxt, real=to_real(nxt), t=state.t + self.dt)
+            return StepState(spectral=nxt, real=to_real(nxt), t=t)
 
         g0_hat = state.g_hat
         if g0_hat is None:
             g0_hat = nonlinearity_g_hat(state.real, self.params, self.mask)
         base = self.propagate(state.spectral)
         th1, m1 = self._forcing(self._phi1, g0_hat)
-        stage = SpectralState(grid=grid, theta_hat=base.theta_hat + th1, m_hat=base.m_hat + m1)
-        stage_real = to_real(stage)
+        stage, stage_real = self._finite(base.theta_hat + th1, base.m_hat + m1, t, "stage")
         try:
             gp_hat = nonlinearity_g_hat(stage_real, self.params, self.mask)
         except RangeViolation as exc:
-            raise StepRejected(f"stage inadmissible at t={state.t + self.dt:.6g}: {exc}", t=state.t + self.dt) from exc
+            raise StepRejected(f"stage inadmissible at t={t:.6g}: {exc}", t=t) from exc
 
         th2, m2 = self._forcing(self._phi2, gp_hat - g0_hat)
-        nxt = SpectralState(grid=grid, theta_hat=stage.theta_hat + th2, m_hat=stage.m_hat + m2)
-        nxt_real = to_real(nxt)
+        nxt, nxt_real = self._finite(stage.theta_hat + th2, stage.m_hat + m2, t, "state")
         if not nxt_real.is_admissible(self.params):
             rho = self.params.rho_star + nxt_real.theta
             raise StepRejected(
-                f"state at t={state.t + self.dt:.6g} violates the range condition "
+                f"state at t={t:.6g} violates the range condition "
                 f"(density range [{rho.min():.6g}, {rho.max():.6g}])",
-                t=state.t + self.dt,
+                t=t,
             )
-        return StepState(spectral=nxt, real=nxt_real, t=state.t + self.dt)
+        return StepState(spectral=nxt, real=nxt_real, t=t)
 
 
 def step(state: StepState, params: FluidParams, dt: float, *, mask: np.ndarray | None = None, nonlinear: bool = True, stepper: Etd2Stepper | None = None) -> StepState:

@@ -1,5 +1,21 @@
 """Transforms, exact semigroup application, frequency splitting and spectral calculus.
 
+Every linear operator of the toolkit that acts on (theta, m) per mode is
+radial, so it is applied in one block form (:class:`Block`).  With the
+longitudinal amplitude a_hat = xi . m_hat / |xi|^2 (zero at xi = 0) the
+semigroup reads
+
+    theta_hat(t) = sig_tf theta_hat - i sig_d |xi|^2 a_hat
+    m_hat_j(t)   = heat m_hat_j + xi_j [(sig_mg - heat) a_hat
+                                        - i kappa* rho* sig_d |xi|^2 theta_hat]
+
+and the ETDRK2 forcing h phi_k(hA) on (0, g) is the same block with
+theta_hat = 0.  The coefficients depend on xi only through |xi|^2, so they
+are evaluated once per distinct |xi|^2 of the grid (``Grid.radial_table``)
+and gathered per mode.  :class:`SemigroupOrbit` forms a_hat once per datum,
+so a series of samples of S(t) data only re-evaluates the time-dependent
+kernels.
+
 Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 (numpy's default).  Norms in :mod:`nsklab.analysis` carry the quadrature
 weights that make Parseval exact under this convention.
@@ -54,29 +70,118 @@ def to_real(spectral: SpectralState) -> State:
     return State(grid=spectral.grid, theta=theta, m=m)
 
 
-def apply_semigroup(spectral: SpectralState, params: FluidParams, t: float) -> SpectralState:
-    """Exact-in-time linear propagation: per-mode multiplication by the solution symbol."""
+def longitudinal_amplitude(m_hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """a_hat = xi . m_hat / |xi|^2, with a_hat = 0 at xi = 0.
+
+    xi a_hat is the longitudinal projection of m_hat.
+    """
+    xis = grid.wavevectors()
+    xi_dot_m = xis[0] * m_hat[0]
+    for j in range(1, grid.dim):
+        xi_dot_m += xis[j] * m_hat[j]
+    xi_sq = grid.xi_sq
+    return np.divide(xi_dot_m, xi_sq, out=np.zeros(grid.shape, dtype=complex), where=xi_sq > 0.0)
+
+
+@dataclass(frozen=True)
+class Block:
+    """Per-mode real coefficients of a radial operator on (theta, m) in block form.
+
+    With a_hat from :func:`longitudinal_amplitude` the operator maps
+
+        theta_hat -> tf theta_hat - i d a_hat
+        m_hat_j   -> heat m_hat_j + xi_j (lg a_hat - i cap d theta_hat)
+
+    This is the one formula of the toolkit's linear operators: the semigroup
+    (:func:`semigroup_block`) and the ETDRK2 forcing weights, which act on
+    (0, g) and so leave ``tf`` unset.
+    """
+
+    d: np.ndarray
+    tf: np.ndarray | None = None
+    lg: np.ndarray | None = None
+    heat: np.ndarray | None = None
+    cap: float = 0.0
+
+    def theta(self, theta_hat: np.ndarray | None, a_hat: np.ndarray) -> np.ndarray:
+        """theta component of the image; theta_hat None stands for a zero theta."""
+        out = -1j * self.d * a_hat
+        if theta_hat is not None:
+            out += self.tf * theta_hat
+        return out
+
+    def momentum(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
+        """Momentum components of the image; theta_hat None stands for a zero theta."""
+        w = self.lg * a_hat
+        if theta_hat is not None:
+            w -= 1j * self.cap * self.d * theta_hat
+        out = self.heat * m_hat
+        for j, x in enumerate(grid.wavevectors()):
+            out[j] += x * w
+        return out
+
+    def apply(self, spectral: SpectralState, a_hat: np.ndarray | None = None) -> SpectralState:
+        """The image of a spectral state; pass its a_hat if already formed."""
+        grid = spectral.grid
+        if a_hat is None:
+            a_hat = longitudinal_amplitude(spectral.m_hat, grid)
+        theta_hat = self.theta(spectral.theta_hat, a_hat)
+        m_hat = self.momentum(spectral.theta_hat, a_hat, spectral.m_hat, grid)
+        return SpectralState(grid=grid, theta_hat=theta_hat, m_hat=m_hat)
+
+
+def semigroup_block(params: FluidParams, grid: Grid, t: float, *, theta_only: bool = False) -> Block:
+    """S(t) in block form, its kernels evaluated once per distinct |xi|^2 and gathered.
+
+    With theta_only the momentum coefficients are not gathered and only
+    :meth:`Block.theta` may be used.
+    """
+    values, index = grid.radial_table
+    sig_tf, sig_d, sig_mg, heat = propagator_kernels(params, values, t)
+    d = np.take(sig_d * values, index)
+    tf = np.take(sig_tf, index)
+    if theta_only:
+        return Block(d=d, tf=tf)
+    cap = params.kappa_star * params.rho_star
+    return Block(d=d, tf=tf, lg=np.take(sig_mg - heat, index), heat=np.take(heat, index), cap=cap)
+
+
+class SemigroupOrbit:
+    """The orbit t -> S(t) data of one datum.
+
+    The t-independent longitudinal amplitude a_hat is formed once; each
+    sample evaluates the kernels on the grid's radial table and applies the
+    block formula.  a_hat is the only field held besides the datum.
+    """
+
+    def __init__(self, data: SpectralState, params: FluidParams):
+        self.data = data
+        self.params = params
+        self._a_hat = longitudinal_amplitude(data.m_hat, data.grid)
+
+    def at(self, t: float) -> SpectralState:
+        """S(t) data."""
+        _check_time(t)
+        return semigroup_block(self.params, self.data.grid, t).apply(self.data, self._a_hat)
+
+    def theta_hat(self, t: float) -> np.ndarray:
+        """The theta component of S(t) data alone, bitwise equal to ``at(t).theta_hat``."""
+        _check_time(t)
+        block = semigroup_block(self.params, self.data.grid, t, theta_only=True)
+        theta_hat = block.theta(self.data.theta_hat, self._a_hat)
+        if not np.all(np.isfinite(theta_hat)):
+            raise ConstraintViolation("spectral entries must be finite")
+        return theta_hat
+
+
+def _check_time(t: float) -> None:
     if t < 0:
         raise ValueError("t >= 0 required")
-    grid = spectral.grid
-    xi_sq = grid.xi_sq
-    sig_tf, sig_d, sig_mg, heat = propagator_kernels(params, xi_sq, t)
 
-    xis = grid.wavevectors()
-    xi_dot_m = np.zeros(grid.shape, dtype=complex)
-    for j in range(grid.dim):
-        xi_dot_m += xis[j] * spectral.m_hat[j]
 
-    theta_hat = sig_tf * spectral.theta_hat - 1j * sig_d * xi_dot_m
-
-    # longitudinal correction (sig_mg - heat) * xi (xi.m)/|xi|^2, zero mode excluded
-    with np.errstate(invalid="ignore", divide="ignore"):
-        long_coef = np.where(xi_sq > 0.0, (sig_mg - heat) * xi_dot_m / np.where(xi_sq > 0.0, xi_sq, 1.0), 0.0)
-    cap = params.kappa_star * params.rho_star
-    m_hat = np.empty_like(spectral.m_hat)
-    for j in range(grid.dim):
-        m_hat[j] = heat * spectral.m_hat[j] + xis[j] * long_coef - 1j * cap * sig_d * xi_sq * xis[j] * spectral.theta_hat
-    return SpectralState(grid=grid, theta_hat=theta_hat, m_hat=m_hat)
+def apply_semigroup(spectral: SpectralState, params: FluidParams, t: float) -> SpectralState:
+    """Exact-in-time linear propagation: per-mode multiplication by the solution symbol."""
+    return SemigroupOrbit(spectral, params).at(t)
 
 
 def _quintic_step(r: np.ndarray) -> np.ndarray:

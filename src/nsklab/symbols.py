@@ -136,6 +136,11 @@ def propagator_kernels(params: FluidParams, xi_sq, t: float):
 
     with m_par the longitudinal projection xi (xi.m)/|xi|^2.  All four are
     real arrays of the shape of xi_sq; at xi = 0 they equal (1, t, 1, 1).
+
+    The kernels are functions of |xi|^2 alone.  The semigroup evaluates them
+    on a grid's distinct |xi|^2 values and gathers the result per mode, which
+    equals the full-grid evaluation bit for bit, and applies them in the
+    block form of :mod:`nsklab.spectral`.
     """
     xi_sq = np.asarray(xi_sq, dtype=float)
     u = xi_sq * t

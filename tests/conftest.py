@@ -32,6 +32,25 @@ def fft_calls(monkeypatch):
 
 
 @pytest.fixture
+def kernel_sizes(monkeypatch):
+    """Live list of the argument sizes of every propagator_kernels evaluation, one per call.
+
+    Every application of the semigroup evaluates its kernels through the name
+    ``spectral.propagator_kernels``; the fixture swaps that for a recording
+    wrapper for the duration of the test.
+    """
+    sizes = []
+    kernels = spectral_mod.propagator_kernels
+
+    def wrapper(params, xi_sq, t):
+        sizes.append(int(np.size(xi_sq)))
+        return kernels(params, xi_sq, t)
+
+    monkeypatch.setattr(spectral_mod, "propagator_kernels", wrapper)
+    return sizes
+
+
+@pytest.fixture
 def unit_params():
     """mu = nu = kappa = rho* = 1; note delta* = 0 exactly (degenerate)."""
     return make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(1.0, 1.0))

@@ -16,6 +16,7 @@ from nsklab.analysis import (
     pair_lp_norm,
     predicted_decay_exponent,
     sobolev_norm,
+    theta_low_band_series,
     weighted_sup,
 )
 from nsklab.errors import (
@@ -25,7 +26,7 @@ from nsklab.errors import (
     WindowUncovered,
 )
 from nsklab.model import Grid, SpectralState, State, gaussian_bump
-from nsklab.spectral import apply_semigroup, gradient, to_real, to_spectral
+from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, gradient, to_real, to_spectral
 
 
 class TestLpNorm:
@@ -339,3 +340,49 @@ class TestDecayMeasurementFromSpectrum:
         data = _random_spectral_state(g, np.random.default_rng(4))
         measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="high", p=2.0, j=1, w10=True)
         assert len(fft_calls) <= (g.dim + 1) * len(self.TIMES)
+
+
+class TestSeriesOnOnePath:
+    """Both series loops apply S(t) through one orbit per series and form each sample's magnitude once."""
+
+    TIMES = (0.05, 0.4, 1.5, 3.0)
+
+    def test_decay_series_matches_per_sample_reference(self, oscillatory_params):
+        g = Grid(dim=3, box_len=6.0, n=8)
+        data = _random_spectral_state(g, np.random.default_rng(41))
+        for p in (2.0, np.inf):
+            meas = measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="full", p=p, j=1, w10=True)
+            for it, t in enumerate(self.TIMES):
+                st = to_real(apply_semigroup(data, oscillatory_params, t))
+                dominant = st.theta if np.max(np.abs(st.theta)) > np.max(np.abs(st.m)) else st.m
+                assert meas.trust_radii[it] == mass_radius(dominant, g)
+                assert meas.edge_leaks[it] == edge_leakage(dominant, g)
+                want = _reference_decay_value(apply_semigroup(data, oscillatory_params, t), p, 1, True)
+                assert meas.series.values[it] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_theta_low_band_series_matches_per_sample_reference_bitwise(self, oscillatory_params):
+        g = Grid(dim=2, box_len=24.0, n=32)
+        data = _random_spectral_state(g, np.random.default_rng(42))
+        cutoff = default_cutoff(g)
+        meas = theta_low_band_series(data, oscillatory_params, self.TIMES, cutoff, np.inf)
+        low = frequency_split(data, cutoff)[0]
+        for it, t in enumerate(self.TIMES):
+            theta = to_real(apply_semigroup(low, oscillatory_params, t)).theta
+            assert meas.series.values[it] == lp_norm(theta, g, np.inf)
+            assert meas.trust_radii[it] == mass_radius(theta, g)
+            assert meas.edge_leaks[it] == edge_leakage(theta, g)
+
+    def test_decay_series_kernel_budget(self, oscillatory_params, kernel_sizes):
+        """One decay series evaluates the kernels on at most the distinct |xi|^2 per sample."""
+        g = Grid(dim=3, box_len=6.0, n=8)
+        data = _random_spectral_state(g, np.random.default_rng(43))
+        measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="high", p=2.0, j=1, w10=True)
+        assert sum(kernel_sizes) <= g.radial_table[0].size * len(self.TIMES)
+
+    def test_theta_low_band_series_budget(self, oscillatory_params, kernel_sizes, fft_calls):
+        """One inverse transform and at most the distinct |xi|^2 kernel values per sample, no forward transform."""
+        g = Grid(dim=2, box_len=24.0, n=32)
+        data = _random_spectral_state(g, np.random.default_rng(44))
+        theta_low_band_series(data, oscillatory_params, self.TIMES, default_cutoff(g), np.inf)
+        assert fft_calls == ["ifftn"] * len(self.TIMES)
+        assert sum(kernel_sizes) <= g.radial_table[0].size * len(self.TIMES)

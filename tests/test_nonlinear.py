@@ -245,6 +245,33 @@ class TestStep:
             for _ in range(50):
                 st = step(st, params, 0.05)
 
+    def test_non_finite_stage_becomes_step_rejection(self, params, monkeypatch):
+        """A NaN nonlinearity rejects the step; the run records the event and keeps the series so far."""
+        import nsklab.nonlinear as nonlinear_mod
+
+        real_g_hat = nonlinear_mod.nonlinearity_g_hat
+        calls = []
+
+        def third_call_nan(*args, **kwargs):
+            calls.append(1)
+            out = real_g_hat(*args, **kwargs)
+            return np.full_like(out, np.nan) if len(calls) == 3 else out
+
+        monkeypatch.setattr(nonlinear_mod, "nonlinearity_g_hat", third_call_nan)
+        g = Grid(dim=3, box_len=4.0, n=8)
+        # g is evaluated by the t = 0 sample, the first step's stage, then as g(U_1) by the
+        # second step, since sampling every second step leaves no cached g on U_1
+        scn = NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=0.8, dt=0.1, seed=3, sample_every=2)
+        res = run(scn)
+        assert res.rejected and not res.success
+        rejected = [e for e in res.events if e["kind"] == "step_rejected"]
+        assert len(rejected) == 1
+        assert rejected[0]["t"] == pytest.approx(0.2)
+        assert "not finite" in rejected[0]["message"]
+        assert np.array_equal(res.aggregate.times, [0.0])
+        assert all(np.array_equal(s.times, [0.0]) for s in res.bundle.values())
+        assert np.all(np.isfinite(res.final.real.theta))
+
     def test_self_convergence_order_two(self, params):
         """Richardson ratio error(dt)/error(dt/2) ~ 2^2 on a smooth nonlinear run."""
         g = Grid(dim=2, box_len=8.0, n=32)

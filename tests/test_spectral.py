@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from nsklab.errors import EmptyLowBand
+import nsklab.spectral as spectral_mod
+from conftest import random_params
+from nsklab.errors import ConstraintViolation, EmptyLowBand
 from nsklab.model import Grid, SpectralState, State, gaussian_bump
 from nsklab.spectral import (
     CutoffSpec,
+    SemigroupOrbit,
     apply_semigroup,
     conjugate_symmetry_defect,
     dealias,
@@ -16,7 +19,7 @@ from nsklab.spectral import (
     to_real,
     to_spectral,
 )
-from nsklab.symbols import solution_symbol
+from nsklab.symbols import propagator_kernels, solution_symbol
 
 
 def random_state(grid, rng, modes=4):
@@ -142,6 +145,91 @@ class TestApplySemigroup:
         scale = np.max(np.abs(sp.theta_hat))
         assert np.max(np.abs(low1.theta_hat - low2.theta_hat)) <= 1e-12 * scale
         assert np.max(np.abs(high1.m_hat - high2.m_hat)) <= 1e-12 * np.max(np.abs(sp.m_hat))
+
+
+def random_spectrum(grid, rng):
+    """Complex spectra with no Hermitian symmetry, Nyquist planes included."""
+    shape = (grid.dim + 1,) + grid.shape
+    hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralState(grid=grid, theta_hat=hats[0], m_hat=hats[1:])
+
+
+REGIMES = ("positive", "negative", "degenerate")
+
+
+class TestSemigroupOrbit:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_semigroup_law(self, regime, dim):
+        """S(t+s) = S(t) S(s) through the orbit, in every regime and dimension."""
+        rng = np.random.default_rng(700 + 10 * dim + REGIMES.index(regime))
+        g = Grid(dim=dim, box_len=rng.uniform(2.0, 8.0), n=8 if dim < 4 else 4)
+        data = random_spectrum(g, rng)
+        for _ in range(3):
+            params = random_params(rng, regime)
+            s, t = rng.uniform(0.0, 0.5, 2)
+            one = SemigroupOrbit(data, params).at(s + t)
+            two = SemigroupOrbit(SemigroupOrbit(data, params).at(s), params).at(t)
+            for a, b in ((one.theta_hat, two.theta_hat), (one.m_hat, two.m_hat)):
+                assert np.max(np.abs(a - b)) <= 1e-10 * max(np.max(np.abs(a)), 1e-300)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_mode_symbol_everywhere(self, regime, dim):
+        """Every mode, Nyquist planes included, of a non-Hermitian spectrum against solution_symbol."""
+        rng = np.random.default_rng(800 + 10 * dim + REGIMES.index(regime))
+        g = Grid(dim=dim, box_len=3.0, n=8 if dim < 3 else 4)
+        data = random_spectrum(g, rng)
+        params = random_params(rng, regime)
+        t = rng.uniform(0.05, 1.5)
+        out = SemigroupOrbit(data, params).at(t)
+        for idx in np.ndindex(*g.shape):
+            col = (slice(None),) + idx
+            vec = np.concatenate([[data.theta_hat[idx]], data.m_hat[col]])
+            want = solution_symbol(params, g.wavevector_of_index(idx), t) @ vec
+            got = np.concatenate([[out.theta_hat[idx]], out.m_hat[col]])
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), idx
+
+    def test_theta_hat_bitwise_equal_to_full_state(self, oscillatory_params, positive_params):
+        rng = np.random.default_rng(17)
+        for dim in (1, 2, 3):
+            g = Grid(dim=dim, box_len=5.0, n=8)
+            orbit = SemigroupOrbit(random_spectrum(g, rng), oscillatory_params)
+            for t in (0.0, 0.3, 2.5):
+                assert np.array_equal(orbit.theta_hat(t), orbit.at(t).theta_hat)
+        orbit = SemigroupOrbit(random_spectrum(g, rng), positive_params)
+        assert np.array_equal(orbit.theta_hat(1.1), apply_semigroup(orbit.data, positive_params, 1.1).theta_hat)
+
+    @pytest.mark.parametrize("dim, n, box_len", [(3, 64, 96.0), (2, 512, 96.0), (3, 32, 16.0)])
+    def test_radial_kernels_bitwise_equal_to_full_grid(self, oscillatory_params, dim, n, box_len):
+        """Kernels on the distinct |xi|^2, gathered per mode, equal the full-grid evaluation bit for bit."""
+        g = Grid(dim=dim, box_len=box_len, n=n)
+        values, index = g.radial_table
+        assert np.array_equal(values[index], g.xi_sq)
+        assert values.size == np.unique(g.xi_sq).size
+        assert not values.flags.writeable and not index.flags.writeable
+        for t in (0.35, 1.7, 6.5, 65.0):
+            radial = propagator_kernels(oscillatory_params, values, t)
+            full = propagator_kernels(oscillatory_params, g.xi_sq, t)
+            for r, f in zip(radial, full):
+                assert np.array_equal(r[index], f)
+
+    def test_rejects_negative_time(self, unit_params):
+        g = Grid(dim=2, box_len=3.0, n=8)
+        orbit = SemigroupOrbit(random_spectrum(g, np.random.default_rng(2)), unit_params)
+        with pytest.raises(ValueError):
+            orbit.at(-0.1)
+        with pytest.raises(ValueError):
+            orbit.theta_hat(-0.1)
+
+    def test_non_finite_image_rejected(self, unit_params, monkeypatch):
+        g = Grid(dim=2, box_len=3.0, n=8)
+        orbit = SemigroupOrbit(random_spectrum(g, np.random.default_rng(3)), unit_params)
+        monkeypatch.setattr(spectral_mod, "propagator_kernels", lambda p, x, t: (np.full(np.shape(x), np.nan),) * 4)
+        with pytest.raises(ConstraintViolation):
+            orbit.theta_hat(1.0)
+        with pytest.raises(ConstraintViolation):
+            orbit.at(1.0)
 
 
 class TestFrequencySplit:
