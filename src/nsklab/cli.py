@@ -10,7 +10,8 @@ Subcommands mirror the scenario kinds plus a sweep runner:
 
 Output directory resolution: --out flag, then the NSKLAB_OUT environment
 variable, then the config's out_dir, then ./out.  Exit codes: 0 all verdicts
-pass, 2 verdict failures, 1 execution error.
+pass, 2 verdict failures, 1 execution error.  A sweep runs every scenario
+even if some raise, and exits 1 if any raised, else 2 if any verdict failed.
 """
 
 from __future__ import annotations
@@ -72,8 +73,11 @@ def main(argv=None) -> int:
             out_root = _resolve_out(args, None)
             outcomes = run_sweep(sweep, out_root, threads=max(1, args.threads))
             for (name, _), outcome in zip(sweep.scenarios, outcomes):
-                print(f"[{'PASS' if outcome.all_pass else 'FAIL'}] {name} -> {outcome.out_dir}")
-            return 0 if all(o.all_pass for o in outcomes) else 2
+                print(f"[{outcome.status.upper()}] {name} -> {outcome.out_dir}")
+                if outcome.status == "error":
+                    print(f"error: {name}: {outcome.report['error']}", file=sys.stderr)
+            statuses = {o.status for o in outcomes}
+            return 1 if "error" in statuses else 2 if "fail" in statuses else 0
 
         cfg = parse_config(text)
         expected = _SUBCOMMAND_KIND[args.command]

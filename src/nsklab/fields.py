@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Grid, SpectralState, State, gaussian_bump
-from .spectral import divergence_form_momentum, fftn
+from .spectral import divergence_form_momentum, fftn, irfftn, rfftn
 
 
 def _center_phase(grid: Grid, center) -> np.ndarray:
@@ -221,8 +221,8 @@ def transverse_packet(grid: Grid, width: float, direction=None, *, amplitude: fl
 def smooth_random_field(grid: Grid, rng: np.random.Generator, smooth_width: float) -> np.ndarray:
     """Unit-scale smooth random field: white noise mollified by a spectral Gaussian."""
     noise = rng.standard_normal(grid.shape)
-    filt = np.exp(-0.5 * smooth_width**2 * grid.xi_sq)
-    out = np.fft.ifftn(filt * fftn(noise)).real
+    filt = np.exp(-0.5 * smooth_width**2 * grid.xi_sq_of(half=True))
+    out = irfftn(filt * rfftn(noise), grid)
     peak = np.max(np.abs(out))
     return out / peak if peak > 0 else out
 

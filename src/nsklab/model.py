@@ -8,7 +8,12 @@ Conventions used throughout the toolkit:
   ``k'`` is the signed alias of ``k`` in ``[-n/2, n/2)``;
 * spectral coefficients are raw unnormalized DFT values (forward transform
   carries no scale, the inverse carries ``1/n^dim``); all norms carry
-  explicit quadrature weights so that Parseval holds exactly on the grid.
+  explicit quadrature weights so that Parseval holds exactly on the grid;
+* a spectrum is stored in one of two layouts: full (``shape``, every mode)
+  or half (``half_shape``, the rfftn layout of a real field: last-axis
+  indices ``0 .. n/2``, the other half implied by conjugate symmetry).  Each
+  half-layout table is its full one with the last axis cut to ``n/2 + 1``,
+  so the last-axis Nyquist index keeps fftfreq's ``-n/2``.
 """
 
 from __future__ import annotations
@@ -183,6 +188,11 @@ class Grid:
         return (self.n,) * self.dim
 
     @property
+    def half_shape(self) -> tuple:
+        """Shape of a half-layout spectrum: the last axis keeps indices 0 .. n/2."""
+        return self.shape[:-1] + (self.n // 2 + 1,)
+
+    @property
     def mode_count(self) -> int:
         return self.n**self.dim
 
@@ -215,14 +225,16 @@ class Grid:
     def _axis_wavenumbers(self) -> np.ndarray:
         return (2.0 * np.pi / self.box_len) * self.axis_aliases().astype(float)
 
-    def wavevectors(self) -> list:
-        """Per-axis wavevector arrays, broadcastable to the full spectral shape."""
+    def wavevectors(self, half: bool = False) -> list:
+        """Per-axis wavevector arrays, broadcastable to the full (or half) spectral shape."""
         k = self._axis_wavenumbers
         out = []
         for ax in range(self.dim):
             shape = [1] * self.dim
             shape[ax] = self.n
             out.append(k.reshape(shape))
+        if half:
+            out[-1] = out[-1][..., : self.n // 2 + 1]
         return out
 
     @cached_property
@@ -247,6 +259,22 @@ class Grid:
         values.flags.writeable = False
         index.flags.writeable = False
         return values, index
+
+    @cached_property
+    def _half_xi_sq(self) -> np.ndarray:
+        return _read_only(self.xi_sq[..., : self.n // 2 + 1])
+
+    @cached_property
+    def _half_radial_index(self) -> np.ndarray:
+        return _read_only(self.radial_table[1][..., : self.n // 2 + 1])
+
+    def xi_sq_of(self, half: bool) -> np.ndarray:
+        """:attr:`xi_sq` on the full or the half layout (shared, read-only)."""
+        return self._half_xi_sq if half else self.xi_sq
+
+    def radial_index(self, half: bool) -> np.ndarray:
+        """The :attr:`radial_table` index on the full or the half layout."""
+        return self._half_radial_index if half else self.radial_table[1]
 
     def periodic_r_sq(self, center=None) -> np.ndarray:
         """Squared minimum-image distance to center (default: the box center).
@@ -279,17 +307,25 @@ class Grid:
         return np.array([k[i] for i in idx])
 
 
-def _as_field(grid: Grid, arr, name: str) -> np.ndarray:
-    arr = np.asarray(arr)
-    if arr.shape != grid.shape:
-        raise GridMismatch(f"{name} has shape {arr.shape}, expected {grid.shape}")
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr = np.ascontiguousarray(arr)
+    arr.flags.writeable = False
     return arr
 
 
-def _as_vector_field(grid: Grid, arr, name: str) -> np.ndarray:
+def _as_field(grid: Grid, arr, name: str, shape=None) -> np.ndarray:
     arr = np.asarray(arr)
-    if arr.shape != (grid.dim,) + grid.shape:
-        raise GridMismatch(f"{name} has shape {arr.shape}, expected {(grid.dim,) + grid.shape}")
+    shape = grid.shape if shape is None else shape
+    if arr.shape != shape:
+        raise GridMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _as_vector_field(grid: Grid, arr, name: str, shape=None) -> np.ndarray:
+    arr = np.asarray(arr)
+    shape = (grid.dim,) + (grid.shape if shape is None else shape)
+    if arr.shape != shape:
+        raise GridMismatch(f"{name} has shape {arr.shape}, expected {shape}")
     return arr
 
 
@@ -320,15 +356,20 @@ class State:
 
 @dataclass(frozen=True)
 class SpectralState:
-    """Complex DFT coefficients of (theta, m); the representation the semigroup acts on."""
+    """Complex DFT coefficients of (theta, m); the representation the semigroup acts on.
+
+    ``half`` marks the half (rfftn) layout of :attr:`Grid.half_shape`.
+    """
 
     grid: Grid
     theta_hat: np.ndarray
     m_hat: np.ndarray
+    half: bool = False
 
     def __post_init__(self):
-        th = _as_field(self.grid, self.theta_hat, "theta_hat").astype(complex, copy=False)
-        mh = _as_vector_field(self.grid, self.m_hat, "m_hat").astype(complex, copy=False)
+        shape = self.grid.half_shape if self.half else self.grid.shape
+        th = _as_field(self.grid, self.theta_hat, "theta_hat", shape).astype(complex, copy=False)
+        mh = _as_vector_field(self.grid, self.m_hat, "m_hat", shape).astype(complex, copy=False)
         if not np.all(np.isfinite(th)) or not np.all(np.isfinite(mh)):
             raise ConstraintViolation("spectral entries must be finite")
         object.__setattr__(self, "theta_hat", th)

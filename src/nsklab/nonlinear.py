@@ -14,6 +14,21 @@ truncated by the 2/3 rule, including the rational factor 1/(rho* + theta);
 the zero mode of g vanishes identically (pure divergence), so the means of
 theta and m are conserved bit for bit.
 
+Layout: every field of the solver is real, so every spectrum here is a half
+spectrum (the rfftn layout, last axis n/2 + 1; see :mod:`nsklab.model`):
+the StepState's spectral state, g-hat, H-hat, the dealias mask and the
+cached S(h) and h phi_k(hA) blocks.  Every transform is
+``spectral.rfftn``/``spectral.irfftn``; none is complex.
+
+Nyquist rule: every odd factor i xi_k (the divergence, grad rho, the
+viscous tensor, the derivatives and time derivatives of a sample) is zero
+on the Nyquist index of axis k (``spectral.odd_wavevectors`` and
+``spectral._multi_index_power``).  There a mode is its own mirror, and a
+half spectrum's implied mirror would otherwise carry the wrong sign; with
+the rule every derivative equals ``.real`` of the full complex round trip
+to rounding.  The S(h) and phi blocks are the linear toolkit's block
+formula, bit for bit per stored mode.
+
 H is assembled in spectral space.  Each dealiased product is transformed
 forward once; only the real fields a later product needs (the dealiased
 1/rho - 1/rho*, the dealiased m_j m_k and grad rho) are transformed back.
@@ -24,7 +39,8 @@ Transform budget in dim N, with P = N(N+1)/2 symmetric pairs:
 * one step: one g and 2(N+1) inverse transforms (43 in dim 3) when a sample
   of U_n has cached g(U_n) on the StepState, else a second g;
 * one sample: one g, cached for the next step, and the inverse transforms of
-  the derivatives in the W^{3,2} and time-derivative norms (53 in dim 3).
+  the derivatives in the W^{3,2} and time-derivative norms (53 in dim 3,
+  88 with the g).
 """
 
 from __future__ import annotations
@@ -39,11 +55,13 @@ from .errors import ConstraintViolation, NumericsWarning, RangeViolation, StepRe
 from .model import FluidParams, Grid, SpectralState, State
 from .spectral import (
     Block,
+    _multi_index_power,
     dealias_mask,
     divergence_spectral,
-    fftn,
-    ifftn,
+    irfftn,
     longitudinal_amplitude,
+    odd_wavevectors,
+    rfftn,
     semigroup_block,
     to_real,
     to_spectral,
@@ -55,25 +73,25 @@ GL_TAU = 0.5 * (GL_NODES + 1.0)
 GL_W = 0.5 * GL_WEIGHTS
 
 
-def _real_tensor(tensor_hat: np.ndarray) -> np.ndarray:
-    """Real-space components of a symmetric tensor given its per-component DFTs."""
-    dim = tensor_hat.shape[0]
-    out = np.empty(tensor_hat.shape)
+def _real_tensor(tensor_hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real-space components of a symmetric tensor given its per-component half spectra."""
+    dim = grid.dim
+    out = np.empty((dim, dim) + grid.shape)
     for j in range(dim):
         for k in range(j, dim):
-            out[j, k] = ifftn(tensor_hat[j, k]).real
+            out[j, k] = irfftn(tensor_hat[j, k], grid)
             out[k, j] = out[j, k]
     return out
 
 
 def _viscous_hat(u_hat: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarray:
-    """Spectral S(u) from the DFTs of the components of u; multipliers only."""
+    """Spectral S(u) from the half spectra of the components of u; multipliers only."""
     dim = grid.dim
-    xis = grid.wavevectors()
-    div_u = np.zeros(grid.shape, dtype=complex)
+    xis = odd_wavevectors(grid, half=True)
+    div_u = np.zeros(grid.half_shape, dtype=complex)
     for j in range(dim):
         div_u += 1j * xis[j] * u_hat[j]
-    out = np.empty((dim, dim) + grid.shape, dtype=complex)
+    out = np.empty((dim, dim) + grid.half_shape, dtype=complex)
     for j in range(dim):
         for k in range(j, dim):
             out[j, k] = params.mu_star * (1j * xis[k] * u_hat[j] + 1j * xis[j] * u_hat[k])
@@ -86,15 +104,15 @@ def _viscous_hat(u_hat: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarr
 def _korteweg_hat(rho: np.ndarray, params: FluidParams, grid: Grid, mask: np.ndarray) -> np.ndarray:
     """Spectral K(rho): transforms of rho, grad rho and the dealiased products only."""
     dim = grid.dim
-    xis = grid.wavevectors()
-    rho_hat = fftn(rho)
-    grad_rho = [ifftn(1j * xis[j] * rho_hat).real for j in range(dim)]
-    lap_rho_sq = -grid.xi_sq * (mask * fftn(rho * rho))
-    grad_sq = np.zeros(grid.shape, dtype=complex)
-    out = np.empty((dim, dim) + grid.shape, dtype=complex)
+    xis = odd_wavevectors(grid, half=True)
+    rho_hat = rfftn(rho)
+    grad_rho = [irfftn(1j * xis[j] * rho_hat, grid) for j in range(dim)]
+    lap_rho_sq = -grid.xi_sq_of(half=True) * (mask * rfftn(rho * rho))
+    grad_sq = np.zeros(grid.half_shape, dtype=complex)
+    out = np.empty((dim, dim) + grid.half_shape, dtype=complex)
     for j in range(dim):
         for k in range(j, dim):
-            prod = mask * fftn(grad_rho[j] * grad_rho[k])
+            prod = mask * rfftn(grad_rho[j] * grad_rho[k])
             out[j, k] = -params.kappa_star * prod
             out[k, j] = out[j, k]
             if j == k:
@@ -107,14 +125,17 @@ def _korteweg_hat(rho: np.ndarray, params: FluidParams, grid: Grid, mask: np.nda
 
 def viscous_tensor(u: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarray:
     """S(u) = mu* (grad u + grad u^T) + (nu* - mu*) div u I, derivatives spectral."""
-    return _real_tensor(_viscous_hat(np.stack([fftn(u[j]) for j in range(grid.dim)]), params, grid))
+    return _real_tensor(_viscous_hat(np.stack([rfftn(u[j]) for j in range(grid.dim)]), params, grid), grid)
 
 
 def korteweg_tensor(rho: np.ndarray, params: FluidParams, grid: Grid, mask: np.ndarray | None = None) -> np.ndarray:
-    """K(rho) = kappa*/2 (Lap(rho^2) - |grad rho|^2) I - kappa* grad rho x grad rho."""
+    """K(rho) = kappa*/2 (Lap(rho^2) - |grad rho|^2) I - kappa* grad rho x grad rho.
+
+    mask is a half-layout dealias mask (``dealias_mask(grid, half=True)``).
+    """
     if mask is None:
-        mask = dealias_mask(grid)
-    return _real_tensor(_korteweg_hat(rho, params, grid, mask))
+        mask = dealias_mask(grid, half=True)
+    return _real_tensor(_korteweg_hat(rho, params, grid, mask), grid)
 
 
 def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
@@ -131,7 +152,7 @@ def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
 
 
 def _bracket_hat(state: State, params: FluidParams, mask: np.ndarray) -> np.ndarray:
-    """Per-component DFTs of the bracket tensor H (see nonlinearity_tensor)."""
+    """Per-component half spectra of the bracket tensor H (see nonlinearity_tensor)."""
     grid = state.grid
     dim = grid.dim
     rho = params.rho_star + state.theta
@@ -140,21 +161,21 @@ def _bracket_hat(state: State, params: FluidParams, mask: np.ndarray) -> np.ndar
             f"density range [{rho.min():.6g}, {rho.max():.6g}] outside "
             f"[{params.rho_star / 4.0:.6g}, {4.0 * params.rho_star:.6g}]"
         )
-    recip = ifftn(mask * fftn(1.0 / rho - 1.0 / params.rho_star)).real
+    recip = irfftn(mask * rfftn(1.0 / rho - 1.0 / params.rho_star), grid)
 
-    H = np.empty((dim, dim) + grid.shape, dtype=complex)
+    H = np.empty((dim, dim) + grid.half_shape, dtype=complex)
     # momentum flux (w + 1/rho*) m x m, products truncated at each stage
     for j in range(dim):
         for k in range(j, dim):
-            mm_hat = mask * fftn(state.m[j] * state.m[k])
-            mm = ifftn(mm_hat).real
-            H[j, k] = mm_hat / params.rho_star + mask * fftn(recip * mm)
+            mm_hat = mask * rfftn(state.m[j] * state.m[k])
+            mm = irfftn(mm_hat, grid)
+            H[j, k] = mm_hat / params.rho_star + mask * rfftn(recip * mm)
             H[k, j] = H[j, k]
     # viscous part of the momentum correction
-    v_hat = np.stack([mask * fftn(recip * state.m[j]) for j in range(dim)])
+    v_hat = np.stack([mask * rfftn(recip * state.m[j]) for j in range(dim)])
     H -= _viscous_hat(v_hat, params, grid)
     H -= _korteweg_hat(state.theta, params, grid, mask)
-    pr_hat = mask * fftn(pressure_remainder(state.theta, params))
+    pr_hat = mask * rfftn(pressure_remainder(state.theta, params))
     for j in range(dim):
         H[j, j] += pr_hat
     return H
@@ -166,28 +187,29 @@ def nonlinearity_tensor(state: State, params: FluidParams, mask: np.ndarray | No
     H = (1/(rho*+theta) - 1/rho*) m x m + (1/rho*) m x m
         - S((1/(rho*+theta) - 1/rho*) m) - K(theta) + pressure_remainder I,
     assembled pseudospectrally with 2/3-rule truncation after every product.
+    mask, here and below, is a half-layout dealias mask.
     """
     if mask is None:
-        mask = dealias_mask(state.grid)
-    return _real_tensor(_bracket_hat(state, params, mask))
+        mask = dealias_mask(state.grid, half=True)
+    return _real_tensor(_bracket_hat(state, params, mask), state.grid)
 
 
 def nonlinearity_g_hat(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
-    """Spectral coefficients of g = -Div H; the zero mode vanishes identically."""
+    """Half spectra of the components of g = -Div H; the zero mode vanishes identically."""
     if mask is None:
-        mask = dealias_mask(state.grid)
+        mask = dealias_mask(state.grid, half=True)
     return -divergence_spectral(_bracket_hat(state, params, mask), state.grid)
 
 
 def nonlinearity_g(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
     """g(theta, m) as a real vector field."""
     g_hat = nonlinearity_g_hat(state, params, mask)
-    return np.stack([ifftn(g_hat[j]).real for j in range(state.grid.dim)])
+    return np.stack([irfftn(g_hat[j], state.grid) for j in range(state.grid.dim)])
 
 
 @dataclass
 class StepState:
-    """Solver state carrying spectral and real representations together.
+    """Solver state carrying spectral (half-layout) and real representations together.
 
     ``g_hat`` caches nonlinearity_g_hat(real) under the run's params and
     dealias mask: a sample fills it and the next step reuses it as g(U_n).
@@ -200,7 +222,7 @@ class StepState:
 
     @classmethod
     def from_state(cls, state: State, t: float = 0.0):
-        return cls(spectral=to_spectral(state), real=state, t=t)
+        return cls(spectral=to_spectral(state, half=True), real=state, t=t)
 
 
 class Etd2Stepper:
@@ -212,7 +234,7 @@ class Etd2Stepper:
         U_{n+1} = a + h phi_2(hA) (N(a) - N(U_n))
 
     S(h) and the h phi_k(hA) weights are precomputed once per (params, grid,
-    h) as blocks (:class:`nsklab.spectral.Block`); the phi weights integrate
+    h) as half-layout blocks (:class:`nsklab.spectral.Block`); the phi weights integrate
     the stiff linear part exactly, so the third-order capillary term costs no
     step-size restriction and the scheme holds second order uniformly in the
     stiffness.
@@ -224,13 +246,19 @@ class Etd2Stepper:
         self.params = params
         self.grid = grid
         self.dt = dt
-        self.mask = dealias_mask(grid)
-        self._exp = semigroup_block(params, grid, dt)
-        values, index = grid.radial_table
+        self.mask = dealias_mask(grid, half=True)
+        self._exp = semigroup_block(params, grid, dt, half=True)
+        values = grid.radial_table[0]
+        index = grid.radial_index(half=True)
         tabs = phi_multiplier_tables(params, values, dt)
         # h phi_k(hA) on (0, g) in block form: d = h^2 D |xi|^2, lg = h (B - T), heat = h T
         self._phi1, self._phi2 = (
-            Block(d=np.take(dt * dt * D * values, index), lg=np.take(dt * (B - T), index), heat=np.take(dt * T, index))
+            Block(
+                d=np.take(dt * dt * D * values, index),
+                lg=np.take(dt * (B - T), index),
+                heat=np.take(dt * T, index),
+                half=True,
+            )
             for D, B, T in (tabs["phi1"], tabs["phi2"])
         )
 
@@ -240,13 +268,13 @@ class Etd2Stepper:
 
     def _forcing(self, block: Block, g_hat):
         """h * phi_k(hA) applied to (0, g)."""
-        a_hat = longitudinal_amplitude(g_hat, self.grid)
+        a_hat = longitudinal_amplitude(g_hat, self.grid, half=True)
         return block.theta(None, a_hat), block.momentum(None, a_hat, g_hat, self.grid)
 
     def _finite(self, theta_hat, m_hat, t: float, what: str) -> tuple[SpectralState, State]:
         """Both representations of (theta_hat, m_hat); non-finite entries reject the step."""
         try:
-            spec = SpectralState(grid=self.grid, theta_hat=theta_hat, m_hat=m_hat)
+            spec = SpectralState(grid=self.grid, theta_hat=theta_hat, m_hat=m_hat, half=True)
             return spec, to_real(spec)
         except ConstraintViolation as exc:
             raise StepRejected(f"{what} at t={t:.6g} is not finite: {exc}", t=t) from exc
@@ -358,9 +386,11 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
     grid = st.spectral.grid
     dim = grid.dim
     theta, m = st.real.theta, st.real.m
-    xis = grid.wavevectors()
     th_hat = st.spectral.theta_hat
     m_hat = st.spectral.m_hat
+
+    def power(alpha):
+        return _multi_index_power(grid, alpha, half=True)
 
     # g(U) before the derivative stack, so its temporaries are freed first
     if scn.nonlinear and st.g_hat is None:
@@ -370,21 +400,15 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
     derivs_theta = {}
     for order in range(0, 4):
         for alpha in multi_indices(dim, order):
-            mult = np.ones((1,) * dim, dtype=complex)
-            for ax, a_ in enumerate(alpha):
-                if a_:
-                    mult = mult * (1j * xis[ax]) ** a_
-            derivs_theta[alpha] = ifftn(mult * th_hat).real if order else theta
+            derivs_theta[alpha] = irfftn(power(alpha) * th_hat, grid) if order else theta
     derivs_m = {}
     for order in range(0, 3):
         for alpha in multi_indices(dim, order):
-            mult = np.ones((1,) * dim, dtype=complex)
-            for ax, a_ in enumerate(alpha):
-                if a_:
-                    mult = mult * (1j * xis[ax]) ** a_
-            derivs_m[alpha] = (
-                np.stack([ifftn(mult * m_hat[c]).real for c in range(dim)]) if order else m
-            )
+            if order:
+                mult = power(alpha)
+                derivs_m[alpha] = np.stack([irfftn(mult * m_hat[c], grid) for c in range(dim)])
+            else:
+                derivs_m[alpha] = m
     first = list(multi_indices(dim, 1))
     grad_theta = np.stack([derivs_theta[alpha] for alpha in first])
     grad_m = np.stack([derivs_m[alpha][c] for c in range(dim) for alpha in first])
@@ -403,24 +427,24 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
     for i, label in enumerate(labels[1:]):
         out[f"pair_w32_{label}"] = sum(n[i] for n in w3) + sum(n[i] for n in w2)
 
-    # time derivatives from the equations of motion
-    xi_dot_m = np.zeros(grid.shape, dtype=complex)
-    for a in range(dim):
-        xi_dot_m += xis[a] * m_hat[a]
-    dtheta_hat = -1j * xi_dot_m
-    xi_sq = grid.xi_sq
+    # time derivatives from the equations of motion: with grad div m as
+    # sum_b d_a d_b m_b, d_t theta = -div m, grad d_t theta = -grad div m and
+    # d_t m = alpha* Lap m + beta* grad div m - kappa* rho* grad Lap theta + g
+    dtheta_hat = -sum(power(e_b) * m_hat[b] for b, e_b in enumerate(first))
+    grad_div = [sum(power(np.add(e_a, e_b)) * m_hat[b] for b, e_b in enumerate(first)) for e_a in first]
+    xi_sq = grid.xi_sq_of(half=True)
     dm_hat = np.empty_like(m_hat)
-    for a in range(dim):
+    for a, e_a in enumerate(first):
         dm_hat[a] = (
             -params.alpha_star * xi_sq * m_hat[a]
-            - params.beta_star * xis[a] * xi_dot_m
-            - 1j * params.kappa_star * params.rho_star * xi_sq * xis[a] * th_hat
+            + params.beta_star * grad_div[a]
+            - params.kappa_star * params.rho_star * xi_sq * power(e_a) * th_hat
         )
         if scn.nonlinear:
             dm_hat[a] += st.g_hat[a]
-    dtheta = ifftn(dtheta_hat).real
-    dm = np.stack([ifftn(dm_hat[a]).real for a in range(dim)])
-    grad_dtheta = np.stack([ifftn(1j * xis[a] * dtheta_hat).real for a in range(dim)])
+    dtheta = irfftn(dtheta_hat, grid)
+    dm = np.stack([irfftn(dm_hat[a], grid) for a in range(dim)])
+    grad_dtheta = np.stack([irfftn(-grad_div[a], grid) for a in range(dim)])
     dt_norms = zip(*(lp_norms(f, grid, qs[1:]) for f in (dtheta, grad_dtheta, dm)))
     for label, (dth_n, gdth_n, dm_n) in zip(labels[1:], dt_norms):
         out[f"dt_pair_w10_{label}"] = dth_n + gdth_n + dm_n

@@ -10,14 +10,20 @@ Every run writes, under its output directory:
 
 Exit-code policy lives in the CLI: 0 all verdicts pass, 2 verdict failures,
 1 execution error (partial artifacts are flushed before the error propagates).
+
+A sweep contains each scenario's execution error in that scenario's outcome
+(status ``error``), so the other scenarios still run and keep their results,
+and writes ``sweep_summary.json`` with every scenario's status and run time.
 """
 
 from __future__ import annotations
 
 import json
+import traceback
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -49,6 +55,13 @@ class ScenarioOutcome:
     all_pass: bool
     report: dict
     out_dir: Path
+
+    @property
+    def status(self) -> str:
+        """``pass``, ``fail`` (a verdict failed) or ``error`` (the execution raised)."""
+        if "error" in self.report:
+            return "error"
+        return "pass" if self.all_pass else "fail"
 
 
 def _write_csv(path: Path, times, values) -> None:
@@ -317,15 +330,55 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioOutcome:
     return ScenarioOutcome(all_pass=bool(report.get("pass", False)), report=report, out_dir=out_dir)
 
 
+def _error_outcome(out_dir: Path, exc: BaseException) -> ScenarioOutcome:
+    report = {
+        "error": f"{type(exc).__name__}: {exc}",
+        "traceback": "".join(traceback.format_exception(exc)),
+        "pass": False,
+    }
+    return ScenarioOutcome(all_pass=False, report=report, out_dir=out_dir)
+
+
+def _run_contained(cfg: ScenarioConfig, out_dir: Path) -> tuple[ScenarioOutcome, float]:
+    """run_scenario with any exception turned into an ``error`` outcome; returns it with the wall time."""
+    start = perf_counter()
+    try:
+        outcome = run_scenario(cfg, out_dir)
+    except Exception as exc:
+        outcome = _error_outcome(out_dir, exc)
+    return outcome, perf_counter() - start
+
+
 def run_sweep(sweep, out_root, threads: int = 1) -> list:
-    """Fan independent scenarios out to a process pool, one subdirectory each."""
+    """Fan independent scenarios out to a process pool, one subdirectory each.
+
+    Returns one outcome per scenario, in sweep order; a scenario that raises
+    yields an ``error`` outcome instead of discarding the others.  Writes
+    ``sweep_summary.json`` (name, status and run_s per scenario, and the error
+    and traceback of each that raised).
+    """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     jobs = [(name, cfg, out_root / name) for name, cfg in sweep.scenarios]
     if threads <= 1:
-        return [run_scenario(cfg, sub) for _, cfg, sub in jobs]
-    import concurrent.futures as cf
+        results = [_run_contained(cfg, sub) for _, cfg, sub in jobs]
+    else:
+        import concurrent.futures as cf
 
-    with cf.ProcessPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(run_scenario, cfg, sub) for _, cfg, sub in jobs]
-        return [f.result() for f in futs]
+        with cf.ProcessPoolExecutor(max_workers=threads) as pool:
+            futs = [pool.submit(_run_contained, cfg, sub) for _, cfg, sub in jobs]
+            results = []
+            for (_, _, sub), fut in zip(jobs, futs):
+                try:
+                    results.append(fut.result())
+                except Exception as exc:  # the worker itself failed
+                    results.append((_error_outcome(sub, exc), None))
+    rows = []
+    for (name, _, _), (outcome, run_s) in zip(jobs, results):
+        row = {"name": name, "status": outcome.status, "run_s": run_s}
+        if outcome.status == "error":
+            row["error"] = outcome.report["error"]
+            row["traceback"] = outcome.report["traceback"]
+        rows.append(row)
+    _write_json(out_root / "sweep_summary.json", {"scenarios": rows})
+    return [outcome for outcome, _ in results]

@@ -20,9 +20,24 @@ Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 (numpy's default).  Norms in :mod:`nsklab.analysis` carry the quadrature
 weights that make Parseval exact under this convention.
 
+Two layouts (see :mod:`nsklab.model`): the linear toolkit works on full
+complex spectra (``fftn``/``ifftn``), whose data may be built in spectral
+space without conjugate symmetry; the nonlinear solver works on half
+spectra of real fields (``rfftn``/``irfftn``).  :class:`Block` acts on
+either.  Functions that need every mode (:class:`SemigroupOrbit`,
+:func:`frequency_split`) reject a half-layout state with ``GridMismatch``.
+
+Nyquist rule: on the Nyquist index of an axis a mode is its own mirror along
+that axis, so a multiplier odd in that axis's xi cannot act on it and keep
+the field real.  A derivative multiplier (i xi)^alpha is therefore zero on
+every mode whose Nyquist axes carry an odd total power of alpha
+(:func:`_multi_index_power`; :func:`odd_wavevectors` for first order).  On a
+full spectrum this drops exactly what ``.real`` of the inverse transform
+drops; on a half spectrum it keeps the implied mirror consistent.
+
 FFT calls go through scipy.fft; ``set_fft_workers`` configures the worker
-count (kept at 1 by default so outputs are reproducible bit for bit across
-hosts regardless of core count).
+count of every entry point (kept at 1 by default so outputs are
+reproducible bit for bit across hosts regardless of core count).
 """
 
 from __future__ import annotations
@@ -56,31 +71,47 @@ def ifftn(arr: np.ndarray) -> np.ndarray:
     return _fft.ifftn(arr, workers=_FFT_WORKERS)
 
 
-def to_spectral(state: State) -> SpectralState:
-    """Forward transform of both fields."""
-    theta_hat = fftn(state.theta)
-    m_hat = np.stack([fftn(state.m[j]) for j in range(state.grid.dim)])
-    return SpectralState(grid=state.grid, theta_hat=theta_hat, m_hat=m_hat)
+def rfftn(arr: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real field (last axis n/2 + 1)."""
+    return _fft.rfftn(arr, workers=_FFT_WORKERS)
+
+
+def irfftn(arr: np.ndarray, grid: Grid) -> np.ndarray:
+    """The real field of a half spectrum."""
+    return _fft.irfftn(arr, s=grid.shape, workers=_FFT_WORKERS)
+
+
+def to_spectral(state: State, *, half: bool = False) -> SpectralState:
+    """Forward transform of both fields, to the full or the half layout."""
+    fwd = rfftn if half else fftn
+    theta_hat = fwd(state.theta)
+    m_hat = np.stack([fwd(state.m[j]) for j in range(state.grid.dim)])
+    return SpectralState(grid=state.grid, theta_hat=theta_hat, m_hat=m_hat, half=half)
 
 
 def to_real(spectral: SpectralState) -> State:
-    """Inverse transform of both fields, discarding the rounding-level imaginary part."""
-    theta = ifftn(spectral.theta_hat).real
-    m = np.stack([ifftn(spectral.m_hat[j]).real for j in range(spectral.grid.dim)])
-    return State(grid=spectral.grid, theta=theta, m=m)
+    """Inverse transform of both fields; a full spectrum's rounding-level imaginary part is dropped."""
+    grid = spectral.grid
+
+    def inverse(arr):
+        return irfftn(arr, grid) if spectral.half else ifftn(arr).real
+
+    theta = inverse(spectral.theta_hat)
+    m = np.stack([inverse(spectral.m_hat[j]) for j in range(grid.dim)])
+    return State(grid=grid, theta=theta, m=m)
 
 
-def longitudinal_amplitude(m_hat: np.ndarray, grid: Grid) -> np.ndarray:
+def longitudinal_amplitude(m_hat: np.ndarray, grid: Grid, half: bool = False) -> np.ndarray:
     """a_hat = xi . m_hat / |xi|^2, with a_hat = 0 at xi = 0.
 
     xi a_hat is the longitudinal projection of m_hat.
     """
-    xis = grid.wavevectors()
+    xis = grid.wavevectors(half)
     xi_dot_m = xis[0] * m_hat[0]
     for j in range(1, grid.dim):
         xi_dot_m += xis[j] * m_hat[j]
-    xi_sq = grid.xi_sq
-    return np.divide(xi_dot_m, xi_sq, out=np.zeros(grid.shape, dtype=complex), where=xi_sq > 0.0)
+    xi_sq = grid.xi_sq_of(half)
+    return np.divide(xi_dot_m, xi_sq, out=np.zeros(xi_sq.shape, dtype=complex), where=xi_sq > 0.0)
 
 
 @dataclass(frozen=True)
@@ -94,7 +125,11 @@ class Block:
 
     This is the one formula of the toolkit's linear operators: the semigroup
     (:func:`semigroup_block`) and the ETDRK2 forcing weights, which act on
-    (0, g) and so leave ``tf`` unset.
+    (0, g) and so leave ``tf`` unset.  The coefficients are gathered on one
+    layout (``half``); per stored mode both layouts compute the same values
+    bit for bit.  :meth:`theta` multiplies the real coefficients into the real
+    and imaginary parts separately, which is faster than promoting them to
+    complex; in :meth:`momentum` the promoted products measured faster.
     """
 
     d: np.ndarray
@@ -102,12 +137,18 @@ class Block:
     lg: np.ndarray | None = None
     heat: np.ndarray | None = None
     cap: float = 0.0
+    half: bool = False
 
     def theta(self, theta_hat: np.ndarray | None, a_hat: np.ndarray) -> np.ndarray:
         """theta component of the image; theta_hat None stands for a zero theta."""
-        out = -1j * self.d * a_hat
+        out = np.empty(a_hat.shape, dtype=complex)
+        re, im = out.real, out.imag
+        np.multiply(self.d, a_hat.imag, out=re)
+        np.multiply(self.d, a_hat.real, out=im)
+        np.negative(im, out=im)
         if theta_hat is not None:
-            out += self.tf * theta_hat
+            re += self.tf * theta_hat.real
+            im += self.tf * theta_hat.imag
         return out
 
     def momentum(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
@@ -116,34 +157,42 @@ class Block:
         if theta_hat is not None:
             w -= 1j * self.cap * self.d * theta_hat
         out = self.heat * m_hat
-        for j, x in enumerate(grid.wavevectors()):
+        for j, x in enumerate(grid.wavevectors(self.half)):
             out[j] += x * w
         return out
 
     def apply(self, spectral: SpectralState, a_hat: np.ndarray | None = None) -> SpectralState:
-        """The image of a spectral state; pass its a_hat if already formed."""
+        """The image of a spectral state of the block's layout; pass its a_hat if already formed."""
         grid = spectral.grid
+        if spectral.half != self.half:
+            raise GridMismatch(f"block layout (half={self.half}) differs from the state's (half={spectral.half})")
         if a_hat is None:
-            a_hat = longitudinal_amplitude(spectral.m_hat, grid)
+            a_hat = longitudinal_amplitude(spectral.m_hat, grid, self.half)
         theta_hat = self.theta(spectral.theta_hat, a_hat)
         m_hat = self.momentum(spectral.theta_hat, a_hat, spectral.m_hat, grid)
-        return SpectralState(grid=grid, theta_hat=theta_hat, m_hat=m_hat)
+        return SpectralState(grid=grid, theta_hat=theta_hat, m_hat=m_hat, half=self.half)
 
 
-def semigroup_block(params: FluidParams, grid: Grid, t: float, *, theta_only: bool = False) -> Block:
+def _require_full(spectral: SpectralState, what: str) -> None:
+    if spectral.half:
+        raise GridMismatch(f"{what} needs a full-layout spectrum, got a half-layout one")
+
+
+def semigroup_block(params: FluidParams, grid: Grid, t: float, *, theta_only: bool = False, half: bool = False) -> Block:
     """S(t) in block form, its kernels evaluated once per distinct |xi|^2 and gathered.
 
     With theta_only the momentum coefficients are not gathered and only
-    :meth:`Block.theta` may be used.
+    :meth:`Block.theta` may be used.  ``half`` gathers on the half layout.
     """
-    values, index = grid.radial_table
+    values = grid.radial_table[0]
+    index = grid.radial_index(half)
     sig_tf, sig_d, sig_mg, heat = propagator_kernels(params, values, t)
     d = np.take(sig_d * values, index)
     tf = np.take(sig_tf, index)
     if theta_only:
         return Block(d=d, tf=tf)
     cap = params.kappa_star * params.rho_star
-    return Block(d=d, tf=tf, lg=np.take(sig_mg - heat, index), heat=np.take(heat, index), cap=cap)
+    return Block(d=d, tf=tf, lg=np.take(sig_mg - heat, index), heat=np.take(heat, index), cap=cap, half=half)
 
 
 class SemigroupOrbit:
@@ -155,6 +204,7 @@ class SemigroupOrbit:
     """
 
     def __init__(self, data: SpectralState, params: FluidParams):
+        _require_full(data, "SemigroupOrbit")
         self.data = data
         self.params = params
         self._a_hat = longitudinal_amplitude(data.m_hat, data.grid)
@@ -223,6 +273,7 @@ def low_band_mode_count(grid: Grid, cutoff: CutoffSpec) -> int:
 
 def frequency_split(spectral: SpectralState, cutoff: CutoffSpec) -> tuple[SpectralState, SpectralState]:
     """Split into (low, high) parts; low + high reproduces the input exactly."""
+    _require_full(spectral, "frequency_split")
     grid = spectral.grid
     if low_band_mode_count(grid, cutoff) == 0:
         raise EmptyLowBand(
@@ -237,14 +288,28 @@ def frequency_split(spectral: SpectralState, cutoff: CutoffSpec) -> tuple[Spectr
     return low, high
 
 
-def _multi_index_power(grid: Grid, alpha) -> np.ndarray:
-    """(i xi)^alpha as a broadcastable spectral multiplier."""
-    xis = grid.wavevectors()
+def _multi_index_power(grid: Grid, alpha, half: bool = False) -> np.ndarray:
+    """(i xi)^alpha as a broadcastable multiplier on the full or half layout.
+
+    Zero on every mode whose Nyquist axes carry an odd total power of alpha
+    (the Nyquist rule of the module docstring).
+    """
+    xis = grid.wavevectors(half)
     mult = np.ones((1,) * grid.dim, dtype=complex)
+    odd = np.zeros((1,) * grid.dim, dtype=bool)
     for ax, a in enumerate(alpha):
         if a:
             mult = mult * (1j * xis[ax]) ** a
-    return mult
+            if a % 2:
+                odd = odd ^ _nyquist_index(grid, ax, xis[ax].shape)
+    return np.where(odd, 0.0, mult)
+
+
+def _nyquist_index(grid: Grid, ax: int, shape: tuple) -> np.ndarray:
+    """Boolean array of the given broadcast shape, true on the Nyquist index of axis ax."""
+    out = np.zeros(shape, dtype=bool)
+    out[(slice(None),) * ax + (grid.n // 2,)] = True
+    return out
 
 
 def spectral_derivative(field: np.ndarray, grid: Grid, alpha) -> np.ndarray:
@@ -267,17 +332,18 @@ def spectral_derivative(field: np.ndarray, grid: Grid, alpha) -> np.ndarray:
     return ifftn(_multi_index_power(grid, alpha) * fftn(field)).real
 
 
-def odd_wavevectors(grid: Grid) -> list:
+def odd_wavevectors(grid: Grid, half: bool = False) -> list:
     """Per-axis wavevectors with the axis's own Nyquist index set to 0.
 
     ``i xi_k`` with this xi_k is the first-derivative multiplier a real field
     actually receives: on the Nyquist plane of axis k the mode is its own
     mirror, so ``ifftn(1j * xi_k * fftn(f)).real`` drops it.  Applied to any
     spectrum, the multiplier is exactly odd and commutes with
-    :func:`hermitian_part`.
+    :func:`hermitian_part`; on a half spectrum it keeps the implied mirror of
+    every stored mode the conjugate of its image.
     """
     out = []
-    for ax, x in enumerate(grid.wavevectors()):
+    for ax, x in enumerate(grid.wavevectors(half)):
         x = x.copy()
         x[(slice(None),) * ax + (grid.n // 2,)] = 0.0
         out.append(x)
@@ -298,34 +364,29 @@ def gradient(field: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def divergence_form_momentum(m0_tensor: np.ndarray, grid: Grid) -> np.ndarray:
-    """m0 = Div M0 computed spectrally: j-th component sum_k d_k M0[j,k]."""
+    """m0 = Div M0 computed spectrally on real transforms: j-th component sum_k d_k M0[j,k]."""
     m0_tensor = np.asarray(m0_tensor)
     expected = (grid.dim, grid.dim) + grid.shape
     if m0_tensor.shape != expected:
         raise GridMismatch(f"tensor field has shape {m0_tensor.shape}, expected {expected}")
-    xis = grid.wavevectors()
-    out = np.empty((grid.dim,) + grid.shape)
-    for j in range(grid.dim):
-        acc = np.zeros(grid.shape, dtype=complex)
-        for k in range(grid.dim):
-            acc += 1j * xis[k] * fftn(m0_tensor[j, k])
-        out[j] = ifftn(acc).real
-    return out
+    tensor_hat = np.stack([np.stack([rfftn(m0_tensor[j, k]) for k in range(grid.dim)]) for j in range(grid.dim)])
+    div_hat = divergence_spectral(tensor_hat, grid)
+    return np.stack([irfftn(div_hat[j], grid) for j in range(grid.dim)])
 
 
 def divergence_spectral(tensor_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral divergence of a tensor field given its per-component DFTs."""
-    xis = grid.wavevectors()
-    out = np.empty((grid.dim,) + grid.shape, dtype=complex)
+    """Spectral divergence of a tensor field given its per-component half spectra (Nyquist rule)."""
+    xis = odd_wavevectors(grid, half=True)
+    out = np.empty((grid.dim,) + grid.half_shape, dtype=complex)
     for j in range(grid.dim):
-        acc = np.zeros(grid.shape, dtype=complex)
+        acc = np.zeros(grid.half_shape, dtype=complex)
         for k in range(grid.dim):
             acc += 1j * xis[k] * tensor_hat[j, k]
         out[j] = acc
     return out
 
 
-def dealias_mask(grid: Grid) -> np.ndarray:
+def dealias_mask(grid: Grid, half: bool = False) -> np.ndarray:
     """2/3-rule mask: keep modes with every axis alias |k'| < n/3."""
     aliases = np.abs(grid.axis_aliases())
     keep = aliases < grid.n / 3.0
@@ -334,7 +395,7 @@ def dealias_mask(grid: Grid) -> np.ndarray:
         shape = [1] * grid.dim
         shape[ax] = grid.n
         mask &= keep.reshape(shape)
-    return mask
+    return np.ascontiguousarray(mask[..., : grid.n // 2 + 1]) if half else mask
 
 
 def dealias(field: np.ndarray, grid: Grid, mask: np.ndarray | None = None) -> np.ndarray:
@@ -345,16 +406,21 @@ def dealias(field: np.ndarray, grid: Grid, mask: np.ndarray | None = None) -> np
 
 
 def conjugate_symmetry_defect(spectral: SpectralState) -> float:
-    """Relative departure from hat(f)(-xi) = conj(hat(f)(xi))."""
+    """Relative departure from hat(f)(-xi) = conj(hat(f)(xi)).
+
+    A half spectrum stores a mode together with its mirror only inside the
+    self-mirror planes, last-axis index 0 and n/2; everywhere else the mirror
+    is implied.  So on the half layout exactly those planes are checked.
+    """
     grid = spectral.grid
-    axes = tuple(range(grid.dim))
+    axes = tuple(range(grid.dim - 1 if spectral.half else grid.dim))
 
     def defect(arr):
-        mirrored = np.conj(_reverse_modes(arr, axes))
         scale = np.max(np.abs(arr))
         if scale == 0.0:
             return 0.0
-        return float(np.max(np.abs(arr - mirrored)) / scale)
+        planes = (arr[..., 0], arr[..., grid.n // 2]) if spectral.half else (arr,)
+        return float(max(np.max(np.abs(p - np.conj(_reverse_modes(p, axes)))) for p in planes) / scale)
 
     worst = defect(spectral.theta_hat)
     for j in range(grid.dim):
@@ -364,4 +430,6 @@ def conjugate_symmetry_defect(spectral: SpectralState) -> float:
 
 def _reverse_modes(arr: np.ndarray, axes) -> np.ndarray:
     """Index map k -> -k (mod n) along the given axes."""
+    if not axes:
+        return arr
     return np.roll(np.flip(arr, axis=axes), 1, axis=axes)

@@ -11,9 +11,10 @@ from nsklab.model import critical_quadratic, make_params
 def fft_calls(monkeypatch):
     """Live list of the transforms made through nsklab's FFT backend, one name per call.
 
-    ``spectral.fftn``/``ifftn`` are the only transform entry points, and they
-    reach scipy.fft through ``spectral._fft``; the fixture swaps that for a
-    counting wrapper for the duration of the test.
+    ``spectral.fftn``/``ifftn`` (complex) and ``spectral.rfftn``/``irfftn``
+    (real) are the only transform entry points, and they reach scipy.fft
+    through ``spectral._fft``; the fixture swaps that for a counting wrapper
+    for the duration of the test.
     """
     calls = []
     backend = spectral_mod._fft
@@ -27,7 +28,8 @@ def fft_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(spectral_mod, "_fft", SimpleNamespace(fftn=counted("fftn"), ifftn=counted("ifftn")))
+    names = ("fftn", "ifftn", "rfftn", "irfftn")
+    monkeypatch.setattr(spectral_mod, "_fft", SimpleNamespace(**{name: counted(name) for name in names}))
     return calls
 
 

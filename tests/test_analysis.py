@@ -105,6 +105,26 @@ class TestSobolevNorm:
         l2 = lp_norm(f, g, 2)
         assert w1 / l2 == pytest.approx(1.0 + k, rel=1e-12)
 
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
+    def test_nyquist_rule_keeps_values(self, dim, n):
+        """Against .real of the bare (i xi)^alpha multiplier, on white noise with full Nyquist content."""
+        from nsklab.analysis import multi_indices
+
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        f = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
+        hats = [np.fft.fftn(c) for c in f]
+        xis = g.wavevectors()
+        for k in (1, 2, 3):
+            for q in (2.0, 3.5, np.inf):
+                want = 0.0
+                for order in range(k + 1):
+                    for alpha in multi_indices(dim, order):
+                        mult = np.ones((1,) * dim, dtype=complex)
+                        for ax, a in enumerate(alpha):
+                            mult = mult * (1j * xis[ax]) ** a
+                        want += lp_norm(np.stack([np.fft.ifftn(mult * h).real for h in hats]), g, q)
+                assert sobolev_norm(f, g, k, q) == pytest.approx(want, rel=1e-14, abs=0.0)
+
 
 class TestMassRadius:
     def test_gaussian_radius(self):

@@ -5,6 +5,7 @@ from nsklab.errors import ConstraintViolation, CriticalityViolation, GridMismatc
 from nsklab.model import (
     Grid,
     PressureLaw,
+    SpectralState,
     State,
     critical_quadratic,
     gaussian_bump,
@@ -119,6 +120,32 @@ class TestGrid:
     def test_xi_max(self):
         g = Grid(dim=3, box_len=4.0, n=16)
         assert g.xi_max == pytest.approx(np.pi * 16 / 4.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_half_layout_tables_are_the_full_ones_cut(self, dim):
+        g = Grid(dim=dim, box_len=3.0, n=8)
+        h = g.n // 2 + 1
+        assert g.half_shape == (g.n,) * (dim - 1) + (h,)
+        full, half = g.wavevectors(), g.wavevectors(half=True)
+        for ax in range(dim - 1):
+            assert np.array_equal(half[ax], full[ax])
+        assert np.array_equal(half[-1], full[-1][..., :h])
+        assert half[-1].ravel()[-1] == -np.pi * g.n / g.box_len  # fftfreq's -n/2 kept at the Nyquist index
+        assert np.array_equal(g.xi_sq_of(half=True), g.xi_sq[..., :h])
+        assert np.array_equal(g.radial_index(half=True), g.radial_table[1][..., :h])
+        for table in (g.xi_sq_of(half=True), g.radial_index(half=True)):
+            assert table.flags.c_contiguous and not table.flags.writeable
+        assert g.xi_sq_of(half=True) is g.xi_sq_of(half=True)
+
+    def test_half_spectral_state_shape_checked(self):
+        g = Grid(dim=2, box_len=1.0, n=8)
+        half = np.zeros(g.half_shape, dtype=complex)
+        m_half = np.zeros((2,) + g.half_shape, dtype=complex)
+        assert SpectralState(grid=g, theta_hat=half, m_hat=m_half, half=True).half
+        with pytest.raises(GridMismatch):
+            SpectralState(grid=g, theta_hat=half, m_hat=m_half)
+        with pytest.raises(GridMismatch):
+            SpectralState(grid=g, theta_hat=np.zeros(g.shape), m_hat=np.zeros((2,) + g.shape), half=True)
 
 
 class TestPeriodicGeometry:

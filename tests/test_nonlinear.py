@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsklab.errors import RangeViolation, StepRejected, ValidityExceeded
-from nsklab.model import Grid, PressureLaw, State, critical_quadratic, gaussian_bump, make_params
+from nsklab.model import Grid, PressureLaw, SpectralState, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import (
     Etd2Stepper,
     NonlinearScenario,
@@ -15,15 +15,58 @@ from nsklab.nonlinear import (
     nonlinearity_tensor,
     pressure_remainder,
     run,
+    _sample_norms,
     step,
     viscous_tensor,
 )
-from nsklab.spectral import apply_semigroup, to_spectral
+from nsklab.spectral import apply_semigroup, dealias_mask, to_spectral
 
 
 @pytest.fixture
 def params():
     return make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(0.5, 1.0))
+
+
+def hermitian_extension(half_arr, grid):
+    """The full-layout spectrum that stores half_arr and, on the other modes, the conjugate mirror."""
+    h = grid.n // 2 + 1
+    axes = tuple(range(half_arr.ndim - grid.dim, half_arr.ndim))
+    full = np.zeros(half_arr.shape[:-1] + (grid.n,), dtype=complex)
+    full[..., :h] = half_arr
+    mirror = np.conj(np.roll(np.flip(full, axis=axes), 1, axis=axes))
+    full[..., h:] = mirror[..., h:]
+    return full
+
+
+def full_layout_g(state, params):
+    """g = -Div H on full complex spectra, every derivative as .real of an ifftn round trip."""
+    grid, dim = state.grid, state.grid.dim
+    fwd = np.fft.fftn
+
+    def inv(arr):
+        return np.fft.ifftn(arr).real
+
+    xis = grid.wavevectors()
+    mask = dealias_mask(grid)
+    recip = inv(mask * fwd(1.0 / (params.rho_star + state.theta) - 1.0 / params.rho_star))
+    v_hat = [mask * fwd(recip * state.m[j]) for j in range(dim)]
+    div_v = sum(1j * xis[j] * v_hat[j] for j in range(dim))
+    grad = [inv(1j * xis[j] * fwd(state.theta)) for j in range(dim)]
+    lap_sq = -grid.xi_sq * (mask * fwd(state.theta**2))
+    grad_sq = sum(mask * fwd(grad[j] ** 2) for j in range(dim))
+    pr = mask * fwd(pressure_remainder(state.theta, params))
+    H = np.empty((dim, dim) + grid.shape, dtype=complex)
+    for j in range(dim):
+        for k in range(dim):
+            mm_hat = mask * fwd(state.m[j] * state.m[k])
+            H[j, k] = (
+                mm_hat / params.rho_star
+                + mask * fwd(recip * inv(mm_hat))
+                - params.mu_star * (1j * xis[k] * v_hat[j] + 1j * xis[j] * v_hat[k])
+                + params.kappa_star * mask * fwd(grad[j] * grad[k])
+            )
+        H[j, j] += -(params.nu_star - params.mu_star) * div_v - 0.5 * params.kappa_star * (lap_sq - grad_sq) + pr
+    return np.stack([inv(-sum(1j * xis[k] * H[j, k] for k in range(dim))) for j in range(dim)])
 
 
 def small_state(grid, rng, amp=0.05):
@@ -197,6 +240,36 @@ class TestNonlinearityG:
         nonlinearity_g_hat(s, params)
         assert len(fft_calls) <= 35
 
+    def test_g_budgets_dim3_are_real_transforms(self, params, fft_calls):
+        """One g, one step (with cached g) and one sample: 35, 43 and 88 transforms, none complex."""
+        g = Grid(dim=3, box_len=4.0, n=8)
+        st = StepState.from_state(small_state(g, np.random.default_rng(9), amp=0.1))
+        stepper = Etd2Stepper(params, g, 0.05)
+        scn = NonlinearScenario(params=params, grid=g, amplitude=0.1, t_end=0.05, dt=0.05, seed=0)
+        made = {}
+        fft_calls.clear()
+        nonlinearity_g_hat(st.real, params, stepper.mask)
+        made["g"] = list(fft_calls)
+        fft_calls.clear()
+        _sample_norms(st, params, scn, stepper.mask)
+        made["sample"] = list(fft_calls)
+        fft_calls.clear()
+        stepper.step(st)
+        made["step"] = list(fft_calls)
+        for key, budget in (("g", 35), ("step", 43), ("sample", 88)):
+            assert len(made[key]) <= budget, key
+            assert set(made[key]) <= {"rfftn", "irfftn"}, key
+
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_g_matches_full_layout_reference(self, params, dim, n):
+        """Half-spectrum g against the complex-transform formula, on fields with full Nyquist content."""
+        g = Grid(dim=dim, box_len=4.0, n=n)
+        rng = np.random.default_rng(40 + dim)
+        s = State(grid=g, theta=0.1 * rng.standard_normal(g.shape), m=0.1 * rng.standard_normal((dim,) + g.shape))
+        want = full_layout_g(s, params)
+        got = nonlinearity_g(s, params)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
 
 class TestStep:
     def test_zero_data_stays_zero(self, params):
@@ -207,12 +280,19 @@ class TestStep:
         assert np.max(np.abs(out.real.m)) <= 1e-15
 
     def test_linear_only_matches_semigroup_exactly(self, params):
+        """The half-layout step equals the full-layout semigroup bit for bit on every stored mode."""
         g = Grid(dim=2, box_len=3.0, n=16)
         st = StepState.from_state(small_state(g, np.random.default_rng(1)))
         out = step(st, params, 0.25, nonlinear=False)
-        want = apply_semigroup(st.spectral, params, 0.25)
-        assert np.array_equal(out.spectral.theta_hat, want.theta_hat)
-        assert np.array_equal(out.spectral.m_hat, want.m_hat)
+        full = SpectralState(
+            grid=g,
+            theta_hat=hermitian_extension(st.spectral.theta_hat, g),
+            m_hat=hermitian_extension(st.spectral.m_hat, g),
+        )
+        want = apply_semigroup(full, params, 0.25)
+        h = g.n // 2 + 1
+        assert np.array_equal(out.spectral.theta_hat, want.theta_hat[..., :h])
+        assert np.array_equal(out.spectral.m_hat, want.m_hat[..., :h])
 
     def test_mean_theta_conserved_exactly(self, params):
         g = Grid(dim=2, box_len=3.0, n=16)
@@ -291,6 +371,35 @@ class TestStep:
         assert 3.2 <= e1 / e2 <= 4.8
 
 
+class TestInitialData:
+    def test_nonlinear_initial_state_uses_real_transforms_only(self, fft_calls):
+        from nsklab.fields import nonlinear_initial_state
+
+        g = Grid(dim=3, box_len=16.0, n=16)
+        fft_calls.clear()
+        nonlinear_initial_state(
+            g,
+            theta_amplitude=0.02,
+            theta_width=1.6,
+            m_amplitude=0.02,
+            m_envelope_width=1.6,
+            m_smooth_width=1.2,
+            rng=np.random.default_rng(42),
+        )
+        assert len(fft_calls) == 24
+        assert set(fft_calls) == {"rfftn", "irfftn"}
+
+    def test_smooth_random_field_matches_complex_formula(self):
+        from nsklab.fields import smooth_random_field
+
+        g = Grid(dim=3, box_len=16.0, n=16)
+        got = smooth_random_field(g, np.random.default_rng(8), 1.2)
+        noise = np.random.default_rng(8).standard_normal(g.shape)
+        want = np.fft.ifftn(np.exp(-0.5 * 1.2**2 * g.xi_sq) * np.fft.fftn(noise)).real
+        want /= np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+
 class TestScenario:
     def test_scope_warnings_flag_bad_exponents(self, params):
         g = Grid(dim=2, box_len=4.0, n=16)
@@ -311,6 +420,24 @@ class TestRun:
         res = run(scn)
         assert res.success
         assert np.all(res.aggregate.values == 0.0)
+
+    def test_half_spectrum_matches_real_state_off_self_mirror_nyquist_modes(self, params):
+        """The state's spectrum and real fields agree on every stored mode but the Nyquist modes of the
+        self-mirror planes (last-axis index 0 and n/2), where the propagator's odd factors act."""
+        from nsklab.spectral import rfftn
+
+        g = Grid(dim=3, box_len=16.0, n=16)
+        widths = dict(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.6)
+        res = run(NonlinearScenario(params=params, grid=g, amplitude=0.02, t_end=1.0, dt=0.1, seed=3, **widths))
+        assert res.success
+        st = res.final
+        nyq = g.n // 2
+        kx, ky, kz = np.ix_(np.arange(g.n), np.arange(g.n), np.arange(nyq + 1))
+        self_mirror_nyquist = ((kz == 0) | (kz == nyq)) & ((kx == nyq) | (ky == nyq) | (kz == nyq))
+        pairs = [(st.real.theta, st.spectral.theta_hat)] + list(zip(st.real.m, st.spectral.m_hat))
+        for real, hat in pairs:
+            err = np.abs(rfftn(real) - hat) / np.max(np.abs(hat))
+            assert np.max(np.where(self_mirror_nyquist, 0.0, err)) <= 1e-14
 
     def test_small_run_bounded_and_conservative(self, params):
         g = Grid(dim=3, box_len=8.0, n=16)

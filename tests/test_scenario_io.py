@@ -302,6 +302,52 @@ class TestCli:
         assert (tmp_path / "sw" / "s1" / "report.json").exists()
         assert (tmp_path / "sw" / "s2" / "report.json").exists()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cli_sweep_contains_a_raising_scenario(self, tmp_path, threads):
+        """The scenario that raises is an error outcome; the others still run and keep their artifacts."""
+        bad = minimal_nonlinear(3)
+        bad["grid"] = {"dim": 2, "n": 12, "box_len": 8.0}  # n not a power of two: raises at run time
+        sweep = {
+            "scenarios": [
+                {"name": "s1", "config": minimal_nonlinear(1)},
+                {"name": "bad", "config": bad},
+                {"name": "s2", "config": minimal_nonlinear(2)},
+            ]
+        }
+        cfg_path = self._write(tmp_path, sweep, "sweep.json")
+        out = tmp_path / "sw"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nsklab", "sweep", "--config", str(cfg_path), "--out", str(out), "--threads", str(threads)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "[ERROR] bad" in proc.stdout
+        summary = json.loads((out / "sweep_summary.json").read_text())["scenarios"]
+        assert [(r["name"], r["status"]) for r in summary] == [("s1", "pass"), ("bad", "error"), ("s2", "pass")]
+        assert all(r["run_s"] > 0 for r in summary)
+        assert "ConstraintViolation" in summary[1]["error"]
+        assert "Traceback" in summary[1]["traceback"]
+        for name in ("s1", "s2"):
+            assert json.loads((out / name / "report.json").read_text())["pass"] is True
+        assert "error" in json.loads((out / "bad" / "report.json").read_text())
+
+    def test_cli_sweep_failed_verdict_exit_two(self, tmp_path):
+        failing = minimal_linear_decay()
+        failing["tol_exp"] = 1e-9  # no fit lands this close to the predicted exponent
+        sweep = {"scenarios": [{"name": "ok", "config": minimal_nonlinear(1)}, {"name": "fails", "config": failing}]}
+        cfg_path = self._write(tmp_path, sweep, "sweep.json")
+        out = tmp_path / "sw"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nsklab", "sweep", "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        summary = json.loads((out / "sweep_summary.json").read_text())["scenarios"]
+        assert [r["status"] for r in summary] == ["pass", "fail"]
+
     def test_cli_bad_config_exit_one(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{ nope")

@@ -340,6 +340,18 @@ class TestDivergenceFormMomentum:
         assert np.allclose(m0[0], k * np.broadcast_to(np.cos(k * x), g.shape), atol=1e-12)
         assert np.max(np.abs(m0[1])) <= 1e-13
 
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_real_transforms_match_complex_formula(self, dim, n):
+        """On white noise, against sum_k .real ifftn(i xi_k fftn(M0[j, k]))."""
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        M0 = np.random.default_rng(dim).standard_normal((dim, dim) + g.shape)
+        xis = g.wavevectors()
+        want = np.stack(
+            [np.fft.ifftn(sum(1j * xis[k] * np.fft.fftn(M0[j, k]) for k in range(dim))).real for j in range(dim)]
+        )
+        got = divergence_form_momentum(M0, g)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_matches_fd4_oracle_at_fd_convergence_rate(self):
         """Spectral divergence treated as truth; FD4 error must shrink ~16x per halving."""
 
@@ -372,3 +384,147 @@ class TestDealias:
         g = Grid(dim=1, box_len=2 * np.pi, n=32)
         f = np.cos(5 * np.arange(32) * g.spacing)
         assert np.allclose(dealias(f, g), f, atol=1e-13)
+
+
+def white_noise_state(grid, rng):
+    """Real fields with O(1) content on every mode, Nyquist planes included."""
+    return State(grid=grid, theta=rng.standard_normal(grid.shape), m=rng.standard_normal((grid.dim,) + grid.shape))
+
+
+def _all_multi_indices(dim, max_order=3):
+    from nsklab.analysis import multi_indices
+
+    return [alpha for order in range(1, max_order + 1) for alpha in multi_indices(dim, order)]
+
+
+class TestHalfLayout:
+    """Real transforms, the Nyquist rule and the block formula on half spectra."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
+    def test_real_transform_round_trip_and_agreement(self, dim, n):
+        g = Grid(dim=dim, box_len=5.0, n=n)
+        f = np.random.default_rng(dim).standard_normal(g.shape)
+        half = spectral_mod.rfftn(f)
+        assert half.shape == g.half_shape
+        assert np.max(np.abs(half - np.fft.fftn(f)[..., : n // 2 + 1])) <= 1e-13 * np.max(np.abs(half))
+        assert np.max(np.abs(spectral_mod.irfftn(half, g) - f)) <= 1e-14 * np.max(np.abs(f))
+
+    def test_real_transforms_use_the_fft_worker_setting(self, monkeypatch):
+        seen = []
+        backend = spectral_mod._fft
+
+        class Recorder:
+            def __getattr__(self, name):
+                fn = getattr(backend, name)
+
+                def wrapper(arr, **kwargs):
+                    seen.append((name, kwargs["workers"]))
+                    return fn(arr, **kwargs)
+
+                return wrapper
+
+        g = Grid(dim=2, box_len=1.0, n=8)
+        monkeypatch.setattr(spectral_mod, "_fft", Recorder())
+        monkeypatch.setattr(spectral_mod, "_FFT_WORKERS", 2)
+        spectral_mod.irfftn(spectral_mod.rfftn(np.ones(g.shape)), g)
+        spectral_mod.ifftn(spectral_mod.fftn(np.ones(g.shape)))
+        assert seen == [("rfftn", 2), ("irfftn", 2), ("fftn", 2), ("ifftn", 2)]
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
+    def test_nyquist_rule_drops_what_real_part_drops(self, dim, n):
+        """On the spectrum of a real field, ifftn(rule * f_hat) is real and equals .real of the bare multiplier."""
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        f = np.random.default_rng(10 + dim).standard_normal(g.shape)
+        f_hat = np.fft.fftn(f)
+        xis = g.wavevectors()
+        for alpha in _all_multi_indices(dim):
+            bare = np.ones((1,) * dim, dtype=complex)
+            for ax, a in enumerate(alpha):
+                bare = bare * (1j * xis[ax]) ** a
+            want = np.fft.ifftn(bare * f_hat).real
+            got = np.fft.ifftn(spectral_mod._multi_index_power(g, alpha) * f_hat)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got.imag)) <= 1e-13 * scale, alpha
+            assert np.max(np.abs(got.real - want)) <= 1e-13 * scale, alpha
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
+    def test_half_layout_derivatives_match_full(self, dim, n):
+        """Every derivative up to order 3 of a white-noise field agrees between the layouts."""
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        f = np.random.default_rng(20 + dim).standard_normal(g.shape)
+        full, half = np.fft.fftn(f), spectral_mod.rfftn(f)
+        for alpha in _all_multi_indices(dim):
+            want = np.fft.ifftn(spectral_mod._multi_index_power(g, alpha) * full).real
+            got = spectral_mod.irfftn(spectral_mod._multi_index_power(g, alpha, half=True) * half, g)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), alpha
+
+    def test_first_order_power_is_odd_wavevector(self):
+        g = Grid(dim=3, box_len=2.0, n=8)
+        for half in (False, True):
+            for ax, x in enumerate(spectral_mod.odd_wavevectors(g, half)):
+                alpha = tuple(int(ax == k) for k in range(3))
+                assert np.array_equal(spectral_mod._multi_index_power(g, alpha, half), np.broadcast_to(1j * x, x.shape))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_half_block_bitwise_equal_to_full_block_per_stored_mode(self, oscillatory_params, dim):
+        """On any spectrum, Nyquist planes and non-Hermitian content included."""
+        g = Grid(dim=dim, box_len=6.0, n=8)
+        rng = np.random.default_rng(30 + dim)
+        shape = (g.dim,) + g.shape
+        full = SpectralState(
+            grid=g,
+            theta_hat=rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape),
+            m_hat=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+        )
+        h = g.n // 2 + 1
+        half = SpectralState(grid=g, theta_hat=full.theta_hat[..., :h], m_hat=full.m_hat[..., :h], half=True)
+        for t in (0.0, 0.3, 2.0):
+            want = spectral_mod.semigroup_block(oscillatory_params, g, t).apply(full)
+            got = spectral_mod.semigroup_block(oscillatory_params, g, t, half=True).apply(half)
+            assert got.half
+            assert np.array_equal(got.theta_hat, want.theta_hat[..., :h])
+            assert np.array_equal(got.m_hat, want.m_hat[..., :h])
+
+    def test_full_layout_only_functions_reject_half_state(self, unit_params):
+        from nsklab.analysis import measure_semigroup_decay
+        from nsklab.errors import GridMismatch
+
+        g = Grid(dim=2, box_len=8.0, n=16)
+        spec = to_spectral(random_state(g, np.random.default_rng(2)), half=True)
+        with pytest.raises(GridMismatch):
+            SemigroupOrbit(spec, unit_params)
+        with pytest.raises(GridMismatch):
+            apply_semigroup(spec, unit_params, 0.5)
+        with pytest.raises(GridMismatch):
+            frequency_split(spec, default_cutoff(g))
+        with pytest.raises(GridMismatch):
+            measure_semigroup_decay(spec, unit_params, [0.5, 1.0], band="full", p=2)
+        with pytest.raises(GridMismatch):
+            spectral_mod.semigroup_block(unit_params, g, 0.5).apply(spec)
+
+    def test_to_real_inverts_to_spectral_on_both_layouts(self):
+        g = Grid(dim=3, box_len=4.0, n=8)
+        s = white_noise_state(g, np.random.default_rng(4))
+        for half in (False, True):
+            back = to_real(to_spectral(s, half=half))
+            assert np.max(np.abs(back.theta - s.theta)) <= 1e-14 * np.max(np.abs(s.theta))
+            assert np.max(np.abs(back.m - s.m)) <= 1e-14 * np.max(np.abs(s.m))
+
+
+class TestSymmetryDefectHalfLayout:
+    def test_real_field_is_symmetric(self):
+        g = Grid(dim=3, box_len=4.0, n=8)
+        spec = to_spectral(white_noise_state(g, np.random.default_rng(5)), half=True)
+        assert conjugate_symmetry_defect(spec) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_checks_exactly_the_self_mirror_planes(self, dim):
+        g = Grid(dim=dim, box_len=4.0, n=8)
+        spec = to_spectral(white_noise_state(g, np.random.default_rng(6 + dim)), half=True)
+        scale = np.max(np.abs(spec.theta_hat))
+        for last, flagged in ((0, True), (g.n // 2, True), (1, False), (g.n // 2 - 1, False)):
+            theta_hat = spec.theta_hat.copy()
+            theta_hat[(1,) * (dim - 1) + (last,)] += 1e-3 * scale * 1j
+            bumped = SpectralState(grid=g, theta_hat=theta_hat, m_hat=spec.m_hat, half=True)
+            # a mode off those planes has its mirror implied, so it cannot break the symmetry
+            assert (conjugate_symmetry_defect(bumped) > 1e-4) == flagged, last
