@@ -19,7 +19,6 @@ from .analysis import (
     mass_radius,
     measure_semigroup_decay,
     pair_lp_norm,
-    pair_sobolev_norm,
     predicted_decay_exponent,
     sobolev_norm,
     weighted_sup,
@@ -49,7 +48,6 @@ from .fields import (
     riesz_divergence_momentum_state,
     riesz_kernel_hat,
     riesz_momentum_pair,
-    riesz_plain_momentum_state,
     scale_mixture_hat,
     transverse_packet,
 )

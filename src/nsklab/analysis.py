@@ -12,7 +12,8 @@ these are the ones recorded in all outputs):
 
 Semigroup decay series at q = 2 are computed by Parseval from the evolved
 spectrum, with no transform: each field's spectrum is first projected onto
-its Hermitian part (what ``.real`` of the inverse transform keeps) and every
+the half spectrum of its real field (``spectral.hermitian_half``), whose
+modes count twice off the self-mirror last-axis planes 0 and n/2, and every
 first-derivative multiplier ``i xi_k`` is zero on the Nyquist index of axis
 k (what ``.real`` of a derivative round trip keeps), so the values equal
 the real-space norms of the same fields to rounding.
@@ -39,8 +40,9 @@ from .spectral import (
     default_cutoff,
     fftn,
     frequency_split,
-    hermitian_part,
+    hermitian_half,
     ifftn,
+    irfftn,
     low_band_mode_count,
     odd_wavevectors,
 )
@@ -121,11 +123,6 @@ def pair_lp_norm(state: State, q) -> float:
     return lp_norm(state.theta, state.grid, q) + lp_norm(state.m, state.grid, q)
 
 
-def pair_sobolev_norm(state: State, k_theta: int, k_m: int, q) -> float:
-    """W^{k_theta, k_m}_q norm of the pair."""
-    return sobolev_norm(state.theta, state.grid, k_theta, q) + sobolev_norm(state.m, state.grid, k_m, q)
-
-
 def spectral_l2_norm(power: np.ndarray, grid: Grid, weight=None) -> float:
     """Grid L2 norm by Parseval from a power spectrum, sum over components of |f_c hat|^2.
 
@@ -137,17 +134,17 @@ def spectral_l2_norm(power: np.ndarray, grid: Grid, weight=None) -> float:
     return float(np.sqrt(grid.cell_volume / grid.mode_count * total))
 
 
-def _power(hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """|hat|^2 of the Hermitian part, summed over any leading component axis.
+def half_power(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """|half|^2 summed over any leading component axis, each mode weighted by its mirror multiplicity.
 
-    Components are taken one at a time, so the temporaries are scalar fields.
+    The weight is 1 on the self-mirror last-axis planes 0 and n/2 and 2
+    elsewhere, so the sum is the power of the full spectrum of the real field.
     """
-    comps = hat.reshape((-1,) + grid.shape)
-    total = None
-    for comp in comps:
-        h = hermitian_part(comp, grid)
-        power = h.real**2 + h.imag**2
-        total = power if total is None else total + power
+    comps = half.reshape((-1,) + grid.half_shape)
+    total = comps[0].real ** 2 + comps[0].imag ** 2
+    for comp in comps[1:]:
+        total += comp.real**2 + comp.imag**2
+    total[..., 1 : grid.n // 2] *= 2.0
     return total
 
 
@@ -445,12 +442,12 @@ def measure_semigroup_decay(
     band).  The trust window ends at the first sample whose 99%-mass radius
     exceeds a quarter of the box.
 
-    Every norm is taken of the evolved spectrum.  For p = 2 it comes by
-    Parseval from the power of its Hermitian part, with Nyquist-zeroed odd
-    multipliers (see :func:`nsklab.spectral.odd_wavevectors`); otherwise each
-    derivative is one inverse transform of the evolved spectrum times the
-    same multiplier.  Only the trust diagnostics need the real fields: dim + 1
-    inverse transforms per sample at p = 2.
+    Every norm is taken of the half spectrum of the evolved real field
+    (:func:`nsklab.spectral.hermitian_half`).  For p = 2 it comes by Parseval
+    from its power (:func:`half_power`), with Nyquist-zeroed odd multipliers
+    (see :func:`nsklab.spectral.odd_wavevectors`); otherwise each derivative
+    is one ``irfftn`` of the half spectrum times the same multiplier.  Only the
+    trust diagnostics need the real fields: dim + 1 ``irfftn`` per sample at p = 2.
     """
     grid = data.grid
     if cutoff is None:
@@ -466,78 +463,84 @@ def measure_semigroup_decay(
 
     if j not in (0, 1):
         raise ValueError("j in {0, 1} supported")
-    xis = odd_wavevectors(grid)
+    xis = odd_wavevectors(grid, half=True)
     orbit = SemigroupOrbit(part, params)
     trust = _TrustGeometry(grid, center)
-    times = np.asarray(sorted(float(t) for t in times))
-    values = np.empty(times.shape)
-    radii = np.empty(times.shape)
-    leaks = np.empty(times.shape)
-    for it, t in enumerate(times):
-        values[it], radii[it], leaks[it] = _decay_sample(orbit.at(t), xis, p, j, w10, trust, trust_quantile)
-    series = NormSeries(
-        times=times,
-        values=values,
-        descriptor={"p": "inf" if np.isinf(p) else p, "j": j, "band": band, "w10": w10, "cutoff_eps": cutoff.eps},
+    return _series_measurement(
+        lambda t: _decay_sample(orbit, t, xis, p, j, w10, trust, trust_quantile),
+        times,
+        {"p": "inf" if np.isinf(p) else p, "j": j, "band": band, "w10": w10, "cutoff_eps": cutoff.eps},
+        grid,
+        cutoff,
     )
+
+
+def _series_measurement(sample, times, descriptor: dict, grid: Grid, cutoff: CutoffSpec) -> DecayMeasurement:
+    """The DecayMeasurement of (value, mass radius, edge leakage) = sample(t) over the sorted times."""
+    times = np.asarray(sorted(float(t) for t in times))
+    rows = np.array([sample(t) for t in times]).reshape(-1, 3)
     return DecayMeasurement(
-        series=series,
-        trust_radii=radii,
+        series=NormSeries(times=times, values=rows[:, 0], descriptor=descriptor),
+        trust_radii=rows[:, 1],
         trust_limit=grid.box_len / 4.0,
-        edge_leaks=leaks,
+        edge_leaks=rows[:, 2],
         band_modes=low_band_mode_count(grid, cutoff),
     )
 
 
-def _decay_sample(evolved: SpectralState, xis: list, p, j: int, w10: bool, trust, quantile: float):
-    """(norm value, mass radius, edge leakage) of one evolved sample.
+def _decay_sample(orbit: SemigroupOrbit, t: float, xis: list, p, j: int, w10: bool, trust, quantile: float):
+    """(norm value, mass radius, edge leakage) of the orbit's sample at t.
 
     A function of its own, so a sample's fields are freed before the next
-    sample is evolved.
+    sample is evolved; the evolved spectrum is freed once projected.
     """
-    grid = evolved.grid
-    theta = ifftn(evolved.theta_hat).real
-    m = np.stack([ifftn(evolved.m_hat[c]).real for c in range(grid.dim)])
+    grid = orbit.data.grid
+    evolved = orbit.at(t)
+    th = hermitian_half(evolved.theta_hat, grid)
+    mh = hermitian_half(evolved.m_hat, grid)
+    del evolved
+    theta = irfftn(th, grid)
+    m = np.empty((grid.dim,) + grid.shape)
+    for c in range(grid.dim):
+        m[c] = irfftn(mh[c], grid)
     if p == 2:
-        value = _pair_l2_by_parseval(evolved, xis, j, w10)
+        value = _pair_l2_by_parseval(th, mh, xis, j, w10, grid)
     else:
-        value = _pair_lp_from_hats(evolved, theta, m, xis, p, j, w10)
+        value = _pair_lp_from_halves(th, mh, theta, m, xis, p, j, w10, grid)
     mag = np.abs(theta)
     if not np.max(mag) > np.max(np.abs(m)):
         mag = _magnitude(m, grid)
     return (value, *trust.diagnostics(mag, quantile))
 
 
-def _pair_l2_by_parseval(evolved: SpectralState, xis: list, j: int, w10: bool) -> float:
-    """L2 value of one decay sample from the evolved spectrum, with no transform."""
-    grid = evolved.grid
-    p_theta = _power(evolved.theta_hat, grid)
-    p_m = _power(evolved.m_hat, grid)
+def _pair_l2_by_parseval(th: np.ndarray, mh: np.ndarray, xis: list, j: int, w10: bool, grid: Grid) -> float:
+    """L2 value of one decay sample from the half spectra of its fields, with no transform."""
+    p_theta = half_power(th, grid)
+    p_m = half_power(mh, grid)
     if j == 1:
         # sum_k |i xi_k f_hat|^2 is the power of the stacked gradient
         xi_sq = sum(x**2 for x in xis)
-        p_theta = xi_sq * p_theta
-        p_m = xi_sq * p_m
+        p_theta *= xi_sq
+        p_m *= xi_sq
     th_part = spectral_l2_norm(p_theta, grid)
     if w10:
         th_part += sum(spectral_l2_norm(p_theta, grid, x**2) for x in xis)
     return th_part + spectral_l2_norm(p_m, grid)
 
 
-def _pair_lp_from_hats(evolved: SpectralState, theta, m, xis: list, p, j: int, w10: bool) -> float:
-    """L_p value of one decay sample; each derivative is one inverse transform of the evolved spectrum."""
-    grid = evolved.grid
+def _pair_lp_from_halves(th, mh, theta, m, xis: list, p, j: int, w10: bool, grid: Grid) -> float:
+    """L_p value of one decay sample; each derivative is one ``irfftn`` of a half spectrum."""
     if j == 0:
-        th_hats = [evolved.theta_hat]
-        th, mm = theta, m
+        th_hats = [th]
+        th_f, mm = theta, m
     else:
-        th_hats = [1j * x * evolved.theta_hat for x in xis]
-        th = np.stack([ifftn(h).real for h in th_hats])
-        mm = np.stack([ifftn(1j * x * evolved.m_hat[c]).real for c in range(grid.dim) for x in xis])
-    th_part = lp_norm(th, grid, p)
+        th_hats = [1j * x * th for x in xis]
+        th_f = np.stack([irfftn(h, grid) for h in th_hats])
+        mm = np.stack([irfftn(1j * x * mh[c], grid) for c in range(grid.dim) for x in xis])
+    th_part = lp_norm(th_f, grid, p)
     if w10:
         for x in xis:
-            th_part += lp_norm(np.stack([ifftn(1j * x * h).real for h in th_hats]), grid, p)
+            th_part += lp_norm(np.stack([irfftn(1j * x * h, grid) for h in th_hats]), grid, p)
     return th_part + lp_norm(mm, grid, p)
 
 
@@ -637,21 +640,10 @@ def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutof
     grid = data.grid
     orbit = SemigroupOrbit(frequency_split(data, cutoff)[0], params)
     trust = _TrustGeometry(grid)
-    times = np.asarray(sorted(float(t) for t in times))
-    vals = np.empty(times.shape)
-    radii = np.empty(times.shape)
-    leaks = np.empty(times.shape)
-    for it, t in enumerate(times):
-        mag = np.abs(ifftn(orbit.theta_hat(t)).real)
-        vals[it] = _lp_norms_of_magnitude(mag, grid, (p,))[0]
-        radii[it], leaks[it] = trust.diagnostics(mag)
-    series = NormSeries(
-        times=times, values=vals, descriptor={"field": "theta", "band": "low", "p": "inf" if np.isinf(p) else p}
-    )
-    return DecayMeasurement(
-        series=series,
-        trust_radii=radii,
-        trust_limit=grid.box_len / 4.0,
-        edge_leaks=leaks,
-        band_modes=low_band_mode_count(grid, cutoff),
-    )
+
+    def sample(t):
+        mag = irfftn(hermitian_half(orbit.theta_hat(t), grid), grid)
+        np.abs(mag, out=mag)
+        return (_lp_norms_of_magnitude(mag, grid, (p,))[0], *trust.diagnostics(mag))
+
+    return _series_measurement(sample, times, {"field": "theta", "band": "low", "p": "inf" if np.isinf(p) else p}, grid, cutoff)

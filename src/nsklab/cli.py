@@ -10,7 +10,8 @@ Subcommands mirror the scenario kinds plus a sweep runner:
 
 Output directory resolution: --out flag, then the NSKLAB_OUT environment
 variable, then the config's out_dir, then ./out.  Exit codes: 0 all verdicts
-pass, 2 verdict failures, 1 execution error.  A sweep runs every scenario
+pass, 2 verdict failures, 1 execution error.  A scenario that raises leaves
+a report.json with the error and its traceback.  A sweep runs every scenario
 even if some raise, and exits 1 if any raised, else 2 if any verdict failed.
 """
 
@@ -22,7 +23,6 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import NsklabError
 from .runner import run_scenario, run_sweep
 from .scenario import parse_config, parse_sweep_config
 from .spectral import set_fft_workers
@@ -92,11 +92,11 @@ def main(argv=None) -> int:
         outcome = run_scenario(cfg, out_dir)
         print(f"[{'PASS' if outcome.all_pass else 'FAIL'}] {cfg.kind} -> {outcome.out_dir}")
         return 0 if outcome.all_pass else 2
-    except NsklabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

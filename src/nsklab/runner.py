@@ -321,7 +321,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioOutcome:
     except Exception as exc:
         _write_json(
             out_dir / "report.json",
-            {"version": __version__, "kind": cfg.kind, "config": config_to_dict(cfg), "error": f"{type(exc).__name__}: {exc}", "pass": False},
+            {"version": __version__, "kind": cfg.kind, "config": config_to_dict(cfg), "error": f"{type(exc).__name__}: {exc}", "traceback": "".join(traceback.format_exception(exc)), "pass": False},
         )
         raise
     report = {"version": __version__, "kind": cfg.kind, "config": config_to_dict(cfg)}

@@ -20,12 +20,13 @@ Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 (numpy's default).  Norms in :mod:`nsklab.analysis` carry the quadrature
 weights that make Parseval exact under this convention.
 
-Two layouts (see :mod:`nsklab.model`): the linear toolkit works on full
-complex spectra (``fftn``/``ifftn``), whose data may be built in spectral
-space without conjugate symmetry; the nonlinear solver works on half
-spectra of real fields (``rfftn``/``irfftn``).  :class:`Block` acts on
-either.  Functions that need every mode (:class:`SemigroupOrbit`,
-:func:`frequency_split`) reject a half-layout state with ``GridMismatch``.
+Two layouts (see :mod:`nsklab.model`): the linear toolkit evolves full
+complex spectra, whose data may be built in spectral space without conjugate
+symmetry; the nonlinear solver works on half spectra of real fields.
+:class:`Block` acts on either; :class:`SemigroupOrbit` and :func:`frequency_split`
+need every mode and reject a half-layout state with ``GridMismatch``.  Every
+real read-out is ``irfftn`` of a half spectrum, a full one projected by
+:func:`hermitian_half`.
 
 Nyquist rule: on the Nyquist index of an axis a mode is its own mirror along
 that axis, so a multiplier odd in that axis's xi cannot act on it and keep
@@ -42,6 +43,7 @@ reproducible bit for bit across hosts regardless of core count).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -89,16 +91,32 @@ def to_spectral(state: State, *, half: bool = False) -> SpectralState:
     return SpectralState(grid=state.grid, theta_hat=theta_hat, m_hat=m_hat, half=half)
 
 
+def hermitian_half(arr: np.ndarray, grid: Grid) -> np.ndarray:
+    """(g(xi) + conj g(-xi)) / 2 on the half layout: the rfftn of ``ifftn(g).real`` over the trailing grid axes.
+
+    The mirror -xi (mod n) of the stored half is gathered by slices, one
+    block per choice of index 0 or the rest on each axis.
+    """
+    n = grid.n
+    out = np.empty(arr.shape[: arr.ndim - grid.dim] + grid.half_shape, dtype=complex)
+    rest = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, 0, -1))]
+    last = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n // 2 - 1, -1))]
+    for pieces in itertools.product(*([rest] * (grid.dim - 1) + [last])):
+        dst, src = zip(*pieces)
+        out[(Ellipsis,) + dst] = arr[(Ellipsis,) + src]
+    np.conjugate(out, out=out)
+    out += arr[..., : n // 2 + 1]
+    out *= 0.5
+    return out
+
+
 def to_real(spectral: SpectralState) -> State:
-    """Inverse transform of both fields; a full spectrum's rounding-level imaginary part is dropped."""
+    """Inverse transform of both fields; a full spectrum is read out through :func:`hermitian_half`."""
     grid = spectral.grid
-
-    def inverse(arr):
-        return irfftn(arr, grid) if spectral.half else ifftn(arr).real
-
-    theta = inverse(spectral.theta_hat)
-    m = np.stack([inverse(spectral.m_hat[j]) for j in range(grid.dim)])
-    return State(grid=grid, theta=theta, m=m)
+    theta_hat, m_hat = spectral.theta_hat, spectral.m_hat
+    if not spectral.half:
+        theta_hat, m_hat = hermitian_half(theta_hat, grid), hermitian_half(m_hat, grid)
+    return State(grid=grid, theta=irfftn(theta_hat, grid), m=np.stack([irfftn(h, grid) for h in m_hat]))
 
 
 def longitudinal_amplitude(m_hat: np.ndarray, grid: Grid, half: bool = False) -> np.ndarray:
@@ -339,7 +357,7 @@ def odd_wavevectors(grid: Grid, half: bool = False) -> list:
     actually receives: on the Nyquist plane of axis k the mode is its own
     mirror, so ``ifftn(1j * xi_k * fftn(f)).real`` drops it.  Applied to any
     spectrum, the multiplier is exactly odd and commutes with
-    :func:`hermitian_part`; on a half spectrum it keeps the implied mirror of
+    :func:`hermitian_half`; on a half spectrum it keeps the implied mirror of
     every stored mode the conjugate of its image.
     """
     out = []
@@ -348,12 +366,6 @@ def odd_wavevectors(grid: Grid, half: bool = False) -> list:
         x[(slice(None),) * ax + (grid.n // 2,)] = 0.0
         out.append(x)
     return out
-
-
-def hermitian_part(arr: np.ndarray, grid: Grid) -> np.ndarray:
-    """(g(xi) + conj g(-xi)) / 2 over the trailing grid axes: the DFT of ``ifftn(g).real``."""
-    axes = tuple(range(arr.ndim - grid.dim, arr.ndim))
-    return 0.5 * (arr + np.conj(_reverse_modes(arr, axes)))
 
 
 def gradient(field: np.ndarray, grid: Grid) -> np.ndarray:

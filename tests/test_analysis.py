@@ -360,6 +360,7 @@ class TestDecayMeasurementFromSpectrum:
         data = _random_spectral_state(g, np.random.default_rng(4))
         measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="high", p=2.0, j=1, w10=True)
         assert len(fft_calls) <= (g.dim + 1) * len(self.TIMES)
+        assert set(fft_calls) == {"irfftn"}
 
 
 class TestSeriesOnOnePath:
@@ -404,5 +405,5 @@ class TestSeriesOnOnePath:
         g = Grid(dim=2, box_len=24.0, n=32)
         data = _random_spectral_state(g, np.random.default_rng(44))
         theta_low_band_series(data, oscillatory_params, self.TIMES, default_cutoff(g), np.inf)
-        assert fft_calls == ["ifftn"] * len(self.TIMES)
+        assert fft_calls == ["irfftn"] * len(self.TIMES)
         assert sum(kernel_sizes) <= g.radial_table[0].size * len(self.TIMES)

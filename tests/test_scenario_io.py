@@ -348,6 +348,23 @@ class TestCli:
         summary = json.loads((out / "sweep_summary.json").read_text())["scenarios"]
         assert [r["status"] for r in summary] == ["pass", "fail"]
 
+    def test_cli_contains_an_unexpected_exception(self, tmp_path, monkeypatch, capsys):
+        """An exception outside NsklabError and OSError exits 1 with a message, not a traceback."""
+        from nsklab import cli, runner
+
+        def boom(cfg, out_dir):
+            raise RuntimeError("kernel exploded")
+
+        monkeypatch.setitem(runner._RUNNERS, "linear-decay", boom)
+        cfg_path = self._write(tmp_path, minimal_linear_decay())
+        out = tmp_path / "o"
+        assert cli.main(["linear-decay", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == "error: RuntimeError: kernel exploded"
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["pass"] is False
+        assert rep["error"] == "RuntimeError: kernel exploded"
+        assert "Traceback" in rep["traceback"]
+
     def test_cli_bad_config_exit_one(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{ nope")

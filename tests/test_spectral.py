@@ -528,3 +528,52 @@ class TestSymmetryDefectHalfLayout:
             bumped = SpectralState(grid=g, theta_hat=theta_hat, m_hat=spec.m_hat, half=True)
             # a mode off those planes has its mirror implied, so it cannot break the symmetry
             assert (conjugate_symmetry_defect(bumped) > 1e-4) == flagged, last
+
+
+def _hermitian_part_reference(arr, grid):
+    """(g(xi) + conj g(-xi)) / 2 over the trailing grid axes, the mirror by np.flip then np.roll."""
+    axes = tuple(range(arr.ndim - grid.dim, arr.ndim))
+    return 0.5 * (arr + np.conj(np.roll(np.flip(arr, axis=axes), 1, axis=axes)))
+
+
+HERMITIAN_GRIDS = [(dim, n) for dim in (1, 2, 3, 4) for n in (2, 4, 8)]
+
+
+class TestHermitianHalf:
+    """The one read-out of a full spectrum: its projection onto the half spectrum of the real field."""
+
+    @pytest.mark.parametrize("dim,n", HERMITIAN_GRIDS)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    def test_bitwise_equal_to_hermitian_part_formula(self, dim, n, lead):
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        rng = np.random.default_rng(600 + 10 * dim + n)
+        arr = rng.standard_normal(lead + g.shape) + 1j * rng.standard_normal(lead + g.shape)
+        got = spectral_mod.hermitian_half(arr, g)
+        assert got.shape == lead + g.half_shape
+        assert np.array_equal(got, _hermitian_part_reference(arr, g)[..., : n // 2 + 1])
+
+    @pytest.mark.parametrize("dim,n", HERMITIAN_GRIDS)
+    def test_half_parseval_with_mirror_multiplicity(self, dim, n):
+        """Multiplicity-weighted half power gives the grid L2 norm of the real field."""
+        from nsklab.analysis import half_power, lp_norm, spectral_l2_norm
+
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        rng = np.random.default_rng(700 + 10 * dim + n)
+        shape = (dim + 1,) + g.shape
+        hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        st = to_real(SpectralState(grid=g, theta_hat=hats[0], m_hat=hats[1:]))
+        for hat, field in ((hats[0], st.theta), (hats[1:], st.m)):
+            got = spectral_l2_norm(half_power(spectral_mod.hermitian_half(hat, g), g), g) ** 2
+            assert got == pytest.approx(lp_norm(field, g, 2) ** 2, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim,n", HERMITIAN_GRIDS)
+    def test_full_layout_to_real_matches_ifftn_real(self, dim, n):
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        rng = np.random.default_rng(800 + 10 * dim + n)
+        shape = (dim + 1,) + g.shape
+        hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        st = to_real(SpectralState(grid=g, theta_hat=hats[0], m_hat=hats[1:]))
+        want = np.fft.ifftn(hats, axes=tuple(range(1, dim + 1))).real
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(st.theta - want[0])) <= 1e-14 * scale
+        assert np.max(np.abs(st.m - want[1:])) <= 1e-14 * scale
