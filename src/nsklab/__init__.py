@@ -18,9 +18,7 @@ from .analysis import (
     lp_time_norm,
     mass_radius,
     measure_semigroup_decay,
-    pair_lp_norm,
     predicted_decay_exponent,
-    sobolev_norm,
     weighted_sup,
 )
 from .errors import (
@@ -45,7 +43,6 @@ from .fields import (
     enveloped_random_tensor,
     gaussian_bump,
     nonlinear_initial_state,
-    riesz_divergence_momentum_state,
     riesz_kernel_hat,
     riesz_momentum_pair,
     scale_mixture_hat,
@@ -65,14 +62,9 @@ from .nonlinear import (
     NonlinearScenario,
     RunResult,
     StepState,
-    korteweg_tensor,
-    nonlinearity_g,
     nonlinearity_g_hat,
-    nonlinearity_tensor,
     pressure_remainder,
     run,
-    step,
-    viscous_tensor,
 )
 from .runner import ScenarioOutcome, run_scenario, run_sweep
 from .scenario import ScenarioConfig, parse_config, parse_sweep_config, serialize_config
@@ -81,15 +73,12 @@ from .spectral import (
     SemigroupOrbit,
     apply_semigroup,
     conjugate_symmetry_defect,
-    dealias,
     dealias_mask,
     default_cutoff,
     divergence_form_momentum,
     frequency_split,
-    gradient,
     low_band_mode_count,
     set_fft_workers,
-    spectral_derivative,
     to_real,
     to_spectral,
 )

@@ -32,16 +32,13 @@ from .errors import (
     WindowOutsideTrust,
     WindowUncovered,
 )
-from .model import FluidParams, Grid, SpectralState, State
+from .model import FluidParams, Grid, SpectralState
 from .spectral import (
     CutoffSpec,
     SemigroupOrbit,
-    _multi_index_power,
     default_cutoff,
-    fftn,
     frequency_split,
     hermitian_half,
-    ifftn,
     irfftn,
     low_band_mode_count,
     odd_wavevectors,
@@ -89,27 +86,6 @@ def _lp_norms_of_magnitude(mag: np.ndarray, grid: Grid, qs) -> list:
     return out
 
 
-def sobolev_norm(field_arr: np.ndarray, grid: Grid, k: int, q) -> float:
-    """W^k_q norm: sum of lp_norm over all partials of order <= k (spectral)."""
-    if not (0 <= k <= 3):
-        raise ValueError("0 <= k <= 3 required")
-    arr = np.asarray(field_arr)
-    if k == 0:
-        return lp_norm(arr, grid, q)
-    comps = arr.reshape((-1,) + grid.shape)
-    hats = [fftn(c) for c in comps]
-    total = 0.0
-    for order in range(0, k + 1):
-        for alpha in multi_indices(grid.dim, order):
-            if order == 0:
-                deriv = comps
-            else:
-                mult = _multi_index_power(grid, alpha)
-                deriv = np.stack([ifftn(mult * h).real for h in hats])
-            total += lp_norm(deriv, grid, q)
-    return float(total)
-
-
 def multi_indices(dim: int, order: int):
     """All multi-indices of the exact total order."""
     for combo in itertools.combinations_with_replacement(range(dim), order):
@@ -117,10 +93,6 @@ def multi_indices(dim: int, order: int):
         for ax in combo:
             alpha[ax] += 1
         yield tuple(alpha)
-
-
-def pair_lp_norm(state: State, q) -> float:
-    return lp_norm(state.theta, state.grid, q) + lp_norm(state.m, state.grid, q)
 
 
 def spectral_l2_norm(power: np.ndarray, grid: Grid, weight=None) -> float:
@@ -262,13 +234,11 @@ def predicted_decay_exponent(dim: int, p, q, j: int) -> float:
     return -0.5 * dim * (iq - ip) - 0.5 * j
 
 
-def in_theorem_scope(p, q, large_time: bool = True) -> bool:
-    """Exponent window of the decay estimates (the t >= 1 branch by default)."""
+def in_theorem_scope(p, q) -> bool:
+    """Exponent window of the large-time (t >= 1) decay estimates."""
     if np.isinf(p) and np.isinf(q):
         return False
-    if large_time:
-        return (1.0 < q <= 2.0) and (2.0 <= p or np.isinf(p)) and q <= (p if not np.isinf(p) else np.inf)
-    return 1.0 < q and q <= (p if not np.isinf(p) else np.inf)
+    return (1.0 < q <= 2.0) and (2.0 <= p or np.isinf(p)) and q <= (p if not np.isinf(p) else np.inf)
 
 
 @dataclass(frozen=True)
@@ -313,22 +283,19 @@ def fit_decay(
     q,
     j: int,
     tol_exp: float = TOL_EXP,
-    trust_upper: float | None = None,
-    trust_ok: bool | None = None,
+    trust_ok: bool = True,
     strict_trust: bool = True,
 ) -> DecayReport:
     """Least-squares slope of log(value) against log(t) over the window.
 
-    Wrap-around trust enters either as trust_upper (end of the trusted time
-    range) or as a precomputed trust_ok flag for this window; violations
-    raise WindowOutsideTrust (or, with strict_trust=False, are reported with
-    trust_window_ok=False and a failing verdict).
+    Wrap-around trust enters as the trust_ok flag of this window (see
+    :meth:`DecayMeasurement.trust_ok`); a violation raises WindowOutsideTrust
+    (or, with strict_trust=False, is reported with trust_window_ok=False and
+    a failing verdict).
     """
     lo, hi = window
     if lo <= 0:
         raise ValueError("fit window must start at t > 0")
-    if trust_ok is None:
-        trust_ok = not (trust_upper is not None and hi > trust_upper + 1e-12)
     if not trust_ok and strict_trust:
         raise WindowOutsideTrust(f"fit window [{lo}, {hi}] is not inside the wrap-around trust window")
     sel = series.window_slice(lo, hi)
@@ -463,7 +430,7 @@ def measure_semigroup_decay(
 
     if j not in (0, 1):
         raise ValueError("j in {0, 1} supported")
-    xis = odd_wavevectors(grid, half=True)
+    xis = odd_wavevectors(grid)
     orbit = SemigroupOrbit(part, params)
     trust = _TrustGeometry(grid, center)
     return _series_measurement(

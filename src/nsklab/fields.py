@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Grid, SpectralState, State, gaussian_bump
-from .spectral import divergence_form_momentum, fftn, irfftn, rfftn
+from .spectral import _quintic_step, divergence_form_momentum, fftn, irfftn, rfftn
 
 
 def _center_phase(grid: Grid, center) -> np.ndarray:
@@ -60,11 +60,6 @@ def scale_mixture_hat(grid: Grid, gamma: float, rho_min: float, rho_max: float, 
     return out
 
 
-def _quintic01(r):
-    r = np.clip(r, 0.0, 1.0)
-    return r**3 * (10.0 + r * (-15.0 + 6.0 * r))
-
-
 def _matern_envelope(z: np.ndarray, nu: float) -> np.ndarray:
     """Normalized UV envelope K_nu(z) z^nu / (2^(nu-1) Gamma(nu)), -> 1 as z -> 0."""
     from scipy.special import gamma as _gamma
@@ -88,22 +83,15 @@ def riesz_kernel_hat(grid: Grid, gamma: float, support_radius: float, *, core: f
     envelope division is floored to avoid amplifying near-Nyquist content.
     The mean mode is cleared.
     """
-    if center is None:
-        center = np.full(grid.dim, grid.box_len / 2.0)
-    center = np.asarray(center, dtype=float)
     if support_radius > grid.box_len / 2.0:
         raise ValueError("support radius exceeds half the box")
     if not (0.0 < gamma < grid.dim):
         raise ValueError("0 < gamma < dim required")
-    r_sq = np.zeros(grid.shape)
-    for ax, x in enumerate(grid.mesh()):
-        d = np.abs(x - center[ax])
-        d = np.minimum(d, grid.box_len - d)
-        r_sq = r_sq + d**2
+    r_sq = grid.periodic_r_sq(center)
     r = np.sqrt(r_sq)
     a = core * grid.spacing
     kernel = (r_sq + a**2) ** (-(grid.dim - gamma) / 2.0)
-    kernel *= 1.0 - _quintic01((r - 0.45 * support_radius) / (0.55 * support_radius))
+    kernel *= 1.0 - _quintic_step((r - 0.45 * support_radius) / (0.55 * support_radius))
     k_hat = fftn(kernel)
     env = _matern_envelope(a * np.sqrt(grid.xi_sq), gamma / 2.0)
     k_hat /= np.maximum(env, 0.02)
@@ -143,11 +131,6 @@ def riesz_momentum_pair(grid: Grid, gamma: float, support_radius: float, *, rng:
         SpectralState(grid=grid, theta_hat=zero, m_hat=m_div),
         SpectralState(grid=grid, theta_hat=zero.copy(), m_hat=m_gen),
     )
-
-
-def riesz_divergence_momentum_state(grid: Grid, gamma: float, support_radius: float, *, rng: np.random.Generator, amplitude: float = 1.0, center=None) -> SpectralState:
-    """Localized divergence-form momentum data (theta = 0, m = Div(T * kernel))."""
-    return riesz_momentum_pair(grid, gamma, support_radius, rng=rng, amplitude=amplitude, center=center)[0]
 
 
 def seeded_symmetric_tensor(dim: int, rng: np.random.Generator) -> np.ndarray:

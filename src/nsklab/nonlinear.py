@@ -73,21 +73,10 @@ GL_TAU = 0.5 * (GL_NODES + 1.0)
 GL_W = 0.5 * GL_WEIGHTS
 
 
-def _real_tensor(tensor_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real-space components of a symmetric tensor given its per-component half spectra."""
-    dim = grid.dim
-    out = np.empty((dim, dim) + grid.shape)
-    for j in range(dim):
-        for k in range(j, dim):
-            out[j, k] = irfftn(tensor_hat[j, k], grid)
-            out[k, j] = out[j, k]
-    return out
-
-
 def _viscous_hat(u_hat: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarray:
     """Spectral S(u) from the half spectra of the components of u; multipliers only."""
     dim = grid.dim
-    xis = odd_wavevectors(grid, half=True)
+    xis = odd_wavevectors(grid)
     div_u = np.zeros(grid.half_shape, dtype=complex)
     for j in range(dim):
         div_u += 1j * xis[j] * u_hat[j]
@@ -104,7 +93,7 @@ def _viscous_hat(u_hat: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarr
 def _korteweg_hat(rho: np.ndarray, params: FluidParams, grid: Grid, mask: np.ndarray) -> np.ndarray:
     """Spectral K(rho): transforms of rho, grad rho and the dealiased products only."""
     dim = grid.dim
-    xis = odd_wavevectors(grid, half=True)
+    xis = odd_wavevectors(grid)
     rho_hat = rfftn(rho)
     grad_rho = [irfftn(1j * xis[j] * rho_hat, grid) for j in range(dim)]
     lap_rho_sq = -grid.xi_sq_of(half=True) * (mask * rfftn(rho * rho))
@@ -123,21 +112,6 @@ def _korteweg_hat(rho: np.ndarray, params: FluidParams, grid: Grid, mask: np.nda
     return out
 
 
-def viscous_tensor(u: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarray:
-    """S(u) = mu* (grad u + grad u^T) + (nu* - mu*) div u I, derivatives spectral."""
-    return _real_tensor(_viscous_hat(np.stack([rfftn(u[j]) for j in range(grid.dim)]), params, grid), grid)
-
-
-def korteweg_tensor(rho: np.ndarray, params: FluidParams, grid: Grid, mask: np.ndarray | None = None) -> np.ndarray:
-    """K(rho) = kappa*/2 (Lap(rho^2) - |grad rho|^2) I - kappa* grad rho x grad rho.
-
-    mask is a half-layout dealias mask (``dealias_mask(grid, half=True)``).
-    """
-    if mask is None:
-        mask = dealias_mask(grid, half=True)
-    return _real_tensor(_korteweg_hat(rho, params, grid, mask), grid)
-
-
 def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
     """Taylor-remainder pressure term: (int_0^1 P''(rho* + tau theta)(1-tau) dtau) theta^2.
 
@@ -152,7 +126,15 @@ def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
 
 
 def _bracket_hat(state: State, params: FluidParams, mask: np.ndarray) -> np.ndarray:
-    """Per-component half spectra of the bracket tensor H (see nonlinearity_tensor)."""
+    """Per-component half spectra of the bracket tensor H with g = -Div H.
+
+    H = (1/(rho*+theta) - 1/rho*) m x m + (1/rho*) m x m
+        - S((1/(rho*+theta) - 1/rho*) m) - K(theta) + pressure_remainder I,
+    assembled pseudospectrally with 2/3-rule truncation after every product,
+    where S(u) = mu* (grad u + grad u^T) + (nu* - mu*) div u I and
+    K(rho) = kappa*/2 (Lap(rho^2) - |grad rho|^2) I - kappa* grad rho x grad rho.
+    mask, here and below, is the dealias mask (``dealias_mask(grid)``).
+    """
     grid = state.grid
     dim = grid.dim
     rho = params.rho_star + state.theta
@@ -181,30 +163,11 @@ def _bracket_hat(state: State, params: FluidParams, mask: np.ndarray) -> np.ndar
     return H
 
 
-def nonlinearity_tensor(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
-    """The bracket tensor H with g = -Div H.
-
-    H = (1/(rho*+theta) - 1/rho*) m x m + (1/rho*) m x m
-        - S((1/(rho*+theta) - 1/rho*) m) - K(theta) + pressure_remainder I,
-    assembled pseudospectrally with 2/3-rule truncation after every product.
-    mask, here and below, is a half-layout dealias mask.
-    """
-    if mask is None:
-        mask = dealias_mask(state.grid, half=True)
-    return _real_tensor(_bracket_hat(state, params, mask), state.grid)
-
-
 def nonlinearity_g_hat(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
     """Half spectra of the components of g = -Div H; the zero mode vanishes identically."""
     if mask is None:
-        mask = dealias_mask(state.grid, half=True)
+        mask = dealias_mask(state.grid)
     return -divergence_spectral(_bracket_hat(state, params, mask), state.grid)
-
-
-def nonlinearity_g(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
-    """g(theta, m) as a real vector field."""
-    g_hat = nonlinearity_g_hat(state, params, mask)
-    return np.stack([irfftn(g_hat[j], state.grid) for j in range(state.grid.dim)])
 
 
 @dataclass
@@ -246,7 +209,7 @@ class Etd2Stepper:
         self.params = params
         self.grid = grid
         self.dt = dt
-        self.mask = dealias_mask(grid, half=True)
+        self.mask = dealias_mask(grid)
         self._exp = semigroup_block(params, grid, dt, half=True)
         values = grid.radial_table[0]
         index = grid.radial_index(half=True)
@@ -306,17 +269,6 @@ class Etd2Stepper:
                 t=t,
             )
         return StepState(spectral=nxt, real=nxt_real, t=t)
-
-
-def step(state: StepState, params: FluidParams, dt: float, *, mask: np.ndarray | None = None, nonlinear: bool = True, stepper: Etd2Stepper | None = None) -> StepState:
-    """One ETD2RK step; raises StepRejected on inadmissible stages.
-
-    Builds a throwaway stepper unless one is supplied; loops should construct
-    an Etd2Stepper once and reuse it.
-    """
-    if stepper is None:
-        stepper = Etd2Stepper(params, state.spectral.grid, dt)
-    return stepper.step(state, nonlinear=nonlinear)
 
 
 @dataclass(frozen=True)
@@ -389,9 +341,6 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
     th_hat = st.spectral.theta_hat
     m_hat = st.spectral.m_hat
 
-    def power(alpha):
-        return _multi_index_power(grid, alpha, half=True)
-
     # g(U) before the derivative stack, so its temporaries are freed first
     if scn.nonlinear and st.g_hat is None:
         st.g_hat = nonlinearity_g_hat(st.real, params, mask)
@@ -400,12 +349,12 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
     derivs_theta = {}
     for order in range(0, 4):
         for alpha in multi_indices(dim, order):
-            derivs_theta[alpha] = irfftn(power(alpha) * th_hat, grid) if order else theta
+            derivs_theta[alpha] = irfftn(_multi_index_power(grid, alpha) * th_hat, grid) if order else theta
     derivs_m = {}
     for order in range(0, 3):
         for alpha in multi_indices(dim, order):
             if order:
-                mult = power(alpha)
+                mult = _multi_index_power(grid, alpha)
                 derivs_m[alpha] = np.stack([irfftn(mult * m_hat[c], grid) for c in range(dim)])
             else:
                 derivs_m[alpha] = m
@@ -430,15 +379,15 @@ def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, ma
     # time derivatives from the equations of motion: with grad div m as
     # sum_b d_a d_b m_b, d_t theta = -div m, grad d_t theta = -grad div m and
     # d_t m = alpha* Lap m + beta* grad div m - kappa* rho* grad Lap theta + g
-    dtheta_hat = -sum(power(e_b) * m_hat[b] for b, e_b in enumerate(first))
-    grad_div = [sum(power(np.add(e_a, e_b)) * m_hat[b] for b, e_b in enumerate(first)) for e_a in first]
+    dtheta_hat = -sum(_multi_index_power(grid, e_b) * m_hat[b] for b, e_b in enumerate(first))
+    grad_div = [sum(_multi_index_power(grid, np.add(e_a, e_b)) * m_hat[b] for b, e_b in enumerate(first)) for e_a in first]
     xi_sq = grid.xi_sq_of(half=True)
     dm_hat = np.empty_like(m_hat)
     for a, e_a in enumerate(first):
         dm_hat[a] = (
             -params.alpha_star * xi_sq * m_hat[a]
             + params.beta_star * grad_div[a]
-            - params.kappa_star * params.rho_star * xi_sq * power(e_a) * th_hat
+            - params.kappa_star * params.rho_star * xi_sq * _multi_index_power(grid, e_a) * th_hat
         )
         if scn.nonlinear:
             dm_hat[a] += st.g_hat[a]

@@ -85,9 +85,15 @@ def _grid_from_config(cfg: ScenarioConfig) -> Grid:
     return Grid(dim=gb.dim, box_len=gb.box_len, n=gb.n)
 
 
+def _support_radius(cfg: ScenarioConfig, grid: Grid) -> float:
+    """The data's support radius, by default just under a quarter of the box."""
+    radius = cfg.data.support_radius
+    return radius if radius is not None else 0.98 * grid.box_len / 4.0
+
+
 def _build_data(cfg: ScenarioConfig, grid: Grid, rng) -> SpectralState:
     db = cfg.data
-    support = db.support_radius if db.support_radius is not None else 0.98 * grid.box_len / 4.0
+    support = _support_radius(cfg, grid)
     if db.kind == "riesz_divergence":
         return riesz_momentum_pair(grid, db.gamma, support, rng=rng, amplitude=db.amplitude)[0]
     if db.kind == "riesz_generic":
@@ -203,12 +209,11 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     params = _params_from_config(cfg)
     grid = _grid_from_config(cfg)
-    support = cfg.data.support_radius if cfg.data.support_radius is not None else 0.98 * grid.box_len / 4.0
     scn = AblationScenario(
         params=params,
         grid=grid,
         gamma=cfg.data.gamma,
-        support_radius=support,
+        support_radius=_support_radius(cfg, grid),
         amplitude=cfg.data.amplitude,
         seed=cfg.seed,
         sample_times=tuple(cfg.times.values()),

@@ -1,4 +1,4 @@
-"""Transforms, exact semigroup application, frequency splitting and spectral calculus.
+"""Transforms, exact semigroup application, frequency splitting and derivative multipliers.
 
 Every linear operator of the toolkit that acts on (theta, m) per mode is
 radial, so it is applied in one block form (:class:`Block`).  With the
@@ -28,13 +28,14 @@ need every mode and reject a half-layout state with ``GridMismatch``.  Every
 real read-out is ``irfftn`` of a half spectrum, a full one projected by
 :func:`hermitian_half`.
 
-Nyquist rule: on the Nyquist index of an axis a mode is its own mirror along
-that axis, so a multiplier odd in that axis's xi cannot act on it and keep
-the field real.  A derivative multiplier (i xi)^alpha is therefore zero on
-every mode whose Nyquist axes carry an odd total power of alpha
-(:func:`_multi_index_power`; :func:`odd_wavevectors` for first order).  On a
-full spectrum this drops exactly what ``.real`` of the inverse transform
-drops; on a half spectrum it keeps the implied mirror consistent.
+Derivative multipliers act on half spectra.  Nyquist rule: on the Nyquist
+index of an axis a mode is its own mirror along that axis, so a multiplier
+odd in that axis's xi cannot act on it and keep the field real.  A
+derivative multiplier (i xi)^alpha is therefore zero on every mode whose
+Nyquist axes carry an odd total power of alpha (:func:`_multi_index_power`;
+:func:`odd_wavevectors` for first order).  This keeps a half spectrum's
+implied mirror consistent, and the derivative equals ``.real`` of the
+complex round trip with the bare multiplier.
 
 FFT calls go through scipy.fft; ``set_fft_workers`` configures the worker
 count of every entry point (kept at 1 by default so outputs are
@@ -44,8 +45,7 @@ reproducible bit for bit across hosts regardless of core count).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as _fft
@@ -56,8 +56,6 @@ from .symbols import propagator_kernels
 
 _FFT_WORKERS = 1
 
-MAX_DERIVATIVE_ORDER = 3
-
 
 def set_fft_workers(workers: int) -> None:
     """Set the scipy.fft worker count used by all transforms."""
@@ -67,10 +65,6 @@ def set_fft_workers(workers: int) -> None:
 
 def fftn(arr: np.ndarray) -> np.ndarray:
     return _fft.fftn(arr, workers=_FFT_WORKERS)
-
-
-def ifftn(arr: np.ndarray) -> np.ndarray:
-    return _fft.ifftn(arr, workers=_FFT_WORKERS)
 
 
 def rfftn(arr: np.ndarray) -> np.ndarray:
@@ -262,12 +256,11 @@ def _quintic_step(r: np.ndarray) -> np.ndarray:
 class CutoffSpec:
     """Radial cutoff: 1 for |xi| <= eps, 0 for |xi| >= 2 eps, smooth between.
 
-    The default transition profile is the quintic smoothstep in
-    r = (|xi| - eps)/eps, a C^2 monotone ramp.
+    The transition is the quintic smoothstep in r = (|xi| - eps)/eps, a C^2
+    monotone ramp.
     """
 
     eps: float
-    profile: Callable = field(default=_quintic_step)
 
     def __post_init__(self):
         if not (self.eps > 0.0):
@@ -275,7 +268,7 @@ class CutoffSpec:
 
     def __call__(self, xi_abs: np.ndarray) -> np.ndarray:
         r = (np.asarray(xi_abs, dtype=float) - self.eps) / self.eps
-        return 1.0 - self.profile(r)
+        return 1.0 - _quintic_step(r)
 
 
 def default_cutoff(grid: Grid) -> CutoffSpec:
@@ -306,13 +299,13 @@ def frequency_split(spectral: SpectralState, cutoff: CutoffSpec) -> tuple[Spectr
     return low, high
 
 
-def _multi_index_power(grid: Grid, alpha, half: bool = False) -> np.ndarray:
-    """(i xi)^alpha as a broadcastable multiplier on the full or half layout.
+def _multi_index_power(grid: Grid, alpha) -> np.ndarray:
+    """(i xi)^alpha as a broadcastable multiplier on the half layout.
 
     Zero on every mode whose Nyquist axes carry an odd total power of alpha
     (the Nyquist rule of the module docstring).
     """
-    xis = grid.wavevectors(half)
+    xis = grid.wavevectors(half=True)
     mult = np.ones((1,) * grid.dim, dtype=complex)
     odd = np.zeros((1,) * grid.dim, dtype=bool)
     for ax, a in enumerate(alpha):
@@ -330,49 +323,21 @@ def _nyquist_index(grid: Grid, ax: int, shape: tuple) -> np.ndarray:
     return out
 
 
-def spectral_derivative(field: np.ndarray, grid: Grid, alpha) -> np.ndarray:
-    """Partial derivative d^alpha by multiplication with (i xi)^alpha.
-
-    alpha is a multi-index of length grid.dim with |alpha| <= 3 (the highest
-    order the W^3_q framework uses; larger orders raise rather than alias).
-    """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != grid.dim or any(a < 0 for a in alpha):
-        raise ValueError(f"alpha must be {grid.dim} nonnegative integers")
-    order = sum(alpha)
-    if order > MAX_DERIVATIVE_ORDER:
-        raise ValueError(f"derivative order {order} exceeds the supported maximum {MAX_DERIVATIVE_ORDER}")
-    field = np.asarray(field)
-    if field.shape != grid.shape:
-        raise GridMismatch(f"field has shape {field.shape}, expected {grid.shape}")
-    if order == 0:
-        return field.astype(float, copy=True)
-    return ifftn(_multi_index_power(grid, alpha) * fftn(field)).real
-
-
-def odd_wavevectors(grid: Grid, half: bool = False) -> list:
-    """Per-axis wavevectors with the axis's own Nyquist index set to 0.
+def odd_wavevectors(grid: Grid) -> list:
+    """Per-axis half-layout wavevectors with the axis's own Nyquist index set to 0.
 
     ``i xi_k`` with this xi_k is the first-derivative multiplier a real field
     actually receives: on the Nyquist plane of axis k the mode is its own
-    mirror, so ``ifftn(1j * xi_k * fftn(f)).real`` drops it.  Applied to any
-    spectrum, the multiplier is exactly odd and commutes with
-    :func:`hermitian_half`; on a half spectrum it keeps the implied mirror of
-    every stored mode the conjugate of its image.
+    mirror, so ``.real`` of the complex round trip drops it.  On a half
+    spectrum the multiplier keeps the implied mirror of every stored mode the
+    conjugate of its image.
     """
     out = []
-    for ax, x in enumerate(grid.wavevectors(half)):
+    for ax, x in enumerate(grid.wavevectors(half=True)):
         x = x.copy()
         x[(slice(None),) * ax + (grid.n // 2,)] = 0.0
         out.append(x)
     return out
-
-
-def gradient(field: np.ndarray, grid: Grid) -> np.ndarray:
-    """All first partials, stacked as a vector field; one forward transform."""
-    fh = fftn(np.asarray(field))
-    xis = grid.wavevectors()
-    return np.stack([ifftn(1j * xis[ax] * fh).real for ax in range(grid.dim)])
 
 
 def divergence_form_momentum(m0_tensor: np.ndarray, grid: Grid) -> np.ndarray:
@@ -388,7 +353,7 @@ def divergence_form_momentum(m0_tensor: np.ndarray, grid: Grid) -> np.ndarray:
 
 def divergence_spectral(tensor_hat: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral divergence of a tensor field given its per-component half spectra (Nyquist rule)."""
-    xis = odd_wavevectors(grid, half=True)
+    xis = odd_wavevectors(grid)
     out = np.empty((grid.dim,) + grid.half_shape, dtype=complex)
     for j in range(grid.dim):
         acc = np.zeros(grid.half_shape, dtype=complex)
@@ -398,23 +363,15 @@ def divergence_spectral(tensor_hat: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def dealias_mask(grid: Grid, half: bool = False) -> np.ndarray:
-    """2/3-rule mask: keep modes with every axis alias |k'| < n/3."""
-    aliases = np.abs(grid.axis_aliases())
-    keep = aliases < grid.n / 3.0
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax in range(grid.dim):
+def dealias_mask(grid: Grid) -> np.ndarray:
+    """2/3-rule mask on the half layout: keep modes with every axis alias |k'| < n/3."""
+    keep = np.abs(grid.axis_aliases()) < grid.n / 3.0
+    mask = np.ones(grid.half_shape, dtype=bool)
+    for ax, size in enumerate(grid.half_shape):
         shape = [1] * grid.dim
-        shape[ax] = grid.n
-        mask &= keep.reshape(shape)
-    return np.ascontiguousarray(mask[..., : grid.n // 2 + 1]) if half else mask
-
-
-def dealias(field: np.ndarray, grid: Grid, mask: np.ndarray | None = None) -> np.ndarray:
-    """Truncate a real-space field to the 2/3 band."""
-    if mask is None:
-        mask = dealias_mask(grid)
-    return ifftn(mask * fftn(field)).real
+        shape[ax] = size
+        mask &= keep[:size].reshape(shape)
+    return mask
 
 
 def conjugate_symmetry_defect(spectral: SpectralState) -> float:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import nsklab.spectral as spectral_mod
-from nsklab.model import critical_quadratic, make_params
+from nsklab.model import SpectralState, critical_quadratic, make_params
 
 
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Live list of the transforms made through nsklab's FFT backend, one name per call.
 
-    ``spectral.fftn``/``ifftn`` (complex) and ``spectral.rfftn``/``irfftn``
-    (real) are the only transform entry points, and they reach scipy.fft
+    ``spectral.fftn`` (complex) and ``spectral.rfftn``/``irfftn`` (real) are
+    the only transform entry points, and they reach scipy.fft
     through ``spectral._fft``; the fixture swaps that for a counting wrapper
     for the duration of the test.
     """
@@ -28,7 +28,7 @@ def fft_calls(monkeypatch):
 
         return wrapper
 
-    names = ("fftn", "ifftn", "rfftn", "irfftn")
+    names = ("fftn", "rfftn", "irfftn")
     monkeypatch.setattr(spectral_mod, "_fft", SimpleNamespace(**{name: counted(name) for name in names}))
     return calls
 
@@ -68,6 +68,18 @@ def positive_params():
 def oscillatory_params():
     """delta* = (1.5)^2/4 - 1 = -0.4375 < 0 (conjugate pair)."""
     return make_params(1.0, 0.5, 1.0, 1.0, critical_quadratic(1.0, 1.0))
+
+
+def random_spectrum(grid, rng):
+    """Complex spectra with no Hermitian symmetry, Nyquist planes included."""
+    shape = (grid.dim + 1,) + grid.shape
+    hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralState(grid=grid, theta_hat=hats[0], m_hat=hats[1:])
+
+
+def fd4(arr, axis, h):
+    """Fourth-order centered first difference on the periodic grid."""
+    return (-np.roll(arr, -2, axis) + 8 * np.roll(arr, -1, axis) - 8 * np.roll(arr, 1, axis) + np.roll(arr, 2, axis)) / (12 * h)
 
 
 def random_params(rng: np.random.Generator, regime: str):

@@ -1,10 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 
+from conftest import random_spectrum
 from nsklab.analysis import (
+    AblationScenario,
     DecayReport,
     NormSeries,
     aggregate_N,
+    divergence_form_ablation,
     fit_decay,
     in_theorem_scope,
     edge_leakage,
@@ -13,9 +18,8 @@ from nsklab.analysis import (
     lp_time_norm,
     mass_radius,
     measure_semigroup_decay,
-    pair_lp_norm,
+    multi_indices,
     predicted_decay_exponent,
-    sobolev_norm,
     theta_low_band_series,
     weighted_sup,
 )
@@ -25,8 +29,30 @@ from nsklab.errors import (
     WindowOutsideTrust,
     WindowUncovered,
 )
-from nsklab.model import Grid, SpectralState, State, gaussian_bump
-from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, gradient, to_real, to_spectral
+from nsklab.model import Grid, State, critical_quadratic, gaussian_bump, make_params
+from nsklab.nonlinear import NonlinearScenario, StepState, _sample_norms
+from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, to_real, to_spectral
+
+
+def partials(f, grid, order):
+    """Every partial of f of the given order, each .real of a bare (i xi)^alpha complex round trip."""
+    axes = tuple(range(-grid.dim, 0))
+    f_hat = np.fft.fftn(f, axes=axes)
+    for alpha in multi_indices(grid.dim, order):
+        mult = functools.reduce(np.multiply, [(1j * x) ** a for x, a in zip(grid.wavevectors(), alpha)])
+        yield np.fft.ifftn(mult * f_hat, axes=axes).real
+
+
+def sobolev_norm(f, grid, k, q):
+    """W^k_q reference: lp_norm summed over every partial of order <= k."""
+    return sum(lp_norm(d, grid, q) for order in range(k + 1) for d in partials(f, grid, order))
+
+
+def solver_norms(grid, theta, m, q1, q2):
+    """The nonlinear solver's sample norms of (theta, m) at the exponents (q1, q2), linear part only."""
+    params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(1.0, 1.0))
+    scn = NonlinearScenario(params=params, grid=grid, amplitude=0.0, t_end=1.0, dt=1.0, seed=0, q1=q1, q2=q2, nonlinear=False)
+    return _sample_norms(StepState.from_state(State(grid=grid, theta=theta, m=m)), params, scn, None)
 
 
 class TestLpNorm:
@@ -86,44 +112,39 @@ class TestLpNorms:
 
 
 class TestSobolevNorm:
+    """The solver's W^{3,2}_q pair norm ||theta||_{W^3_q} + ||m||_{W^2_q}, the toolkit's Sobolev norm."""
+
     def test_k0_is_lp(self):
         g = Grid(dim=2, box_len=1.0, n=8)
-        f = np.random.default_rng(2).standard_normal(g.shape)
-        assert sobolev_norm(f, g, 0, 2) == lp_norm(f, g, 2)
+        rng = np.random.default_rng(2)
+        theta, m = rng.standard_normal(g.shape), rng.standard_normal((2,) + g.shape)
+        assert solver_norms(g, theta, m, 2.0, 3.5)["pair_q1_j0"] == lp_norm(theta, g, 2) + lp_norm(m, g, 2)
 
     def test_constant_any_order(self):
         g = Grid(dim=2, box_len=1.0, n=8)
-        f = np.full(g.shape, 1.3)
-        for k in (1, 2, 3):
-            assert sobolev_norm(f, g, k, 2) == pytest.approx(lp_norm(f, g, 2), abs=1e-12)
+        theta, m = np.full(g.shape, 1.3), np.full((2,) + g.shape, -0.4)
+        out = solver_norms(g, theta, m, 2.0, 3.5)
+        for label, q in (("q1", 2.0), ("q2", 3.5)):
+            assert out[f"pair_w32_{label}"] == pytest.approx(lp_norm(theta, g, q) + lp_norm(m, g, q), abs=1e-12)
 
     def test_plane_wave_derivative_ratio(self):
         g = Grid(dim=1, box_len=5.0, n=64)
         k = 2 * np.pi / g.box_len
         f = np.sin(k * g.axis_coords())
-        w1 = sobolev_norm(f, g, 1, 2)
-        l2 = lp_norm(f, g, 2)
-        assert w1 / l2 == pytest.approx(1.0 + k, rel=1e-12)
+        w3 = solver_norms(g, f, np.zeros((1,) + g.shape), 2.0, 3.5)["pair_w32_q1"]
+        assert w3 / lp_norm(f, g, 2) == pytest.approx(1.0 + k + k**2 + k**3, rel=1e-12)
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
     def test_nyquist_rule_keeps_values(self, dim, n):
         """Against .real of the bare (i xi)^alpha multiplier, on white noise with full Nyquist content."""
-        from nsklab.analysis import multi_indices
-
         g = Grid(dim=dim, box_len=3.0, n=n)
-        f = np.random.default_rng(dim).standard_normal((dim,) + g.shape)
-        hats = [np.fft.fftn(c) for c in f]
-        xis = g.wavevectors()
-        for k in (1, 2, 3):
-            for q in (2.0, 3.5, np.inf):
-                want = 0.0
-                for order in range(k + 1):
-                    for alpha in multi_indices(dim, order):
-                        mult = np.ones((1,) * dim, dtype=complex)
-                        for ax, a in enumerate(alpha):
-                            mult = mult * (1j * xis[ax]) ** a
-                        want += lp_norm(np.stack([np.fft.ifftn(mult * h).real for h in hats]), g, q)
-                assert sobolev_norm(f, g, k, q) == pytest.approx(want, rel=1e-14, abs=0.0)
+        rng = np.random.default_rng(dim)
+        theta, m = rng.standard_normal(g.shape), rng.standard_normal((dim,) + g.shape)
+        for qs in ((2.0, 3.5), (np.inf, 1.5)):
+            out = solver_norms(g, theta, m, *qs)
+            for label, q in zip(("q1", "q2"), qs):
+                want = sobolev_norm(theta, g, 3, q) + sobolev_norm(m, g, 2, q)
+                assert out[f"pair_w32_{label}"] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestMassRadius:
@@ -247,8 +268,8 @@ class TestFitDecay:
         t = np.geomspace(1.0, 100.0, 30)
         s = NormSeries(times=t, values=t ** (-1.0))
         with pytest.raises(WindowOutsideTrust):
-            fit_decay(s, (1.0, 100.0), dim=2, p=2, q=2, j=0, trust_upper=50.0)
-        rep = fit_decay(s, (1.0, 100.0), dim=2, p=2, q=2, j=0, trust_upper=50.0, strict_trust=False)
+            fit_decay(s, (1.0, 100.0), dim=2, p=2, q=2, j=0, trust_ok=False)
+        rep = fit_decay(s, (1.0, 100.0), dim=2, p=2, q=2, j=0, trust_ok=False, strict_trust=False)
         assert not rep.trust_window_ok and not rep.verdict
 
     def test_scope_flag(self):
@@ -260,9 +281,6 @@ class TestFitDecay:
 
 class TestAblation:
     def test_zero_initial_data_skips(self):
-        from nsklab.analysis import AblationScenario, divergence_form_ablation
-        from nsklab.model import critical_quadratic, make_params
-
         p = make_params(1.0, 0.8, 0.7875, 1.0, critical_quadratic(1.0, 1.0))
         g = Grid(dim=2, box_len=24.0, n=32)
         scn = AblationScenario(
@@ -281,9 +299,6 @@ class TestAblation:
 
     def test_small_grid_gap_positive(self):
         """Generic momentum decays strictly slower even at desk scale."""
-        from nsklab.analysis import AblationScenario, divergence_form_ablation
-        from nsklab.model import critical_quadratic, make_params
-
         p = make_params(1.0, 0.8, 0.7875, 1.0, critical_quadratic(1.0, 1.0))
         g = Grid(dim=2, box_len=48.0, n=64)
         scn = AblationScenario(
@@ -318,22 +333,11 @@ class TestLpTimeNorm:
         assert abs(coarse - fine) <= 0.01 * fine
 
 
-def _random_spectral_state(grid, rng):
-    """Complex spectra with no Hermitian symmetry, Nyquist planes included."""
-    shape = (grid.dim + 1,) + grid.shape
-    hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return SpectralState(grid=grid, theta_hat=hats[0], m_hat=hats[1:])
-
-
 def _reference_decay_value(evolved, p, j, w10):
     """Pair norm from the real fields, every derivative a real-space round trip."""
     grid = evolved.grid
     st = to_real(evolved)
-    if j == 0:
-        th, m = st.theta, st.m
-    else:
-        th = gradient(st.theta, grid)
-        m = np.concatenate([gradient(st.m[c], grid) for c in range(grid.dim)])
+    th, m = (st.theta, st.m) if j == 0 else (np.stack(list(partials(f, grid, 1))) for f in (st.theta, st.m))
     return sobolev_norm(th, grid, 1 if w10 else 0, p) + lp_norm(m, grid, p)
 
 
@@ -346,7 +350,7 @@ class TestDecayMeasurementFromSpectrum:
         """Parseval (p = 2) and hat-derivative (p = 4) values agree with the real-space norms."""
         rng = np.random.default_rng(300 + dim)
         g = Grid(dim=dim, box_len=6.0, n=8)
-        data = _random_spectral_state(g, rng)
+        data = random_spectrum(g, rng)
         for j in (0, 1):
             for w10 in (False, True):
                 meas = measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="full", p=p, j=j, w10=w10)
@@ -357,7 +361,7 @@ class TestDecayMeasurementFromSpectrum:
     def test_l2_transform_budget_dim3(self, oscillatory_params, fft_calls):
         """At p = 2 only the trust diagnostics transform: dim + 1 inverse FFTs per sample (32 before)."""
         g = Grid(dim=3, box_len=6.0, n=8)
-        data = _random_spectral_state(g, np.random.default_rng(4))
+        data = random_spectrum(g, np.random.default_rng(4))
         measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="high", p=2.0, j=1, w10=True)
         assert len(fft_calls) <= (g.dim + 1) * len(self.TIMES)
         assert set(fft_calls) == {"irfftn"}
@@ -370,7 +374,7 @@ class TestSeriesOnOnePath:
 
     def test_decay_series_matches_per_sample_reference(self, oscillatory_params):
         g = Grid(dim=3, box_len=6.0, n=8)
-        data = _random_spectral_state(g, np.random.default_rng(41))
+        data = random_spectrum(g, np.random.default_rng(41))
         for p in (2.0, np.inf):
             meas = measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="full", p=p, j=1, w10=True)
             for it, t in enumerate(self.TIMES):
@@ -383,7 +387,7 @@ class TestSeriesOnOnePath:
 
     def test_theta_low_band_series_matches_per_sample_reference_bitwise(self, oscillatory_params):
         g = Grid(dim=2, box_len=24.0, n=32)
-        data = _random_spectral_state(g, np.random.default_rng(42))
+        data = random_spectrum(g, np.random.default_rng(42))
         cutoff = default_cutoff(g)
         meas = theta_low_band_series(data, oscillatory_params, self.TIMES, cutoff, np.inf)
         low = frequency_split(data, cutoff)[0]
@@ -396,14 +400,14 @@ class TestSeriesOnOnePath:
     def test_decay_series_kernel_budget(self, oscillatory_params, kernel_sizes):
         """One decay series evaluates the kernels on at most the distinct |xi|^2 per sample."""
         g = Grid(dim=3, box_len=6.0, n=8)
-        data = _random_spectral_state(g, np.random.default_rng(43))
+        data = random_spectrum(g, np.random.default_rng(43))
         measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="high", p=2.0, j=1, w10=True)
         assert sum(kernel_sizes) <= g.radial_table[0].size * len(self.TIMES)
 
     def test_theta_low_band_series_budget(self, oscillatory_params, kernel_sizes, fft_calls):
         """One inverse transform and at most the distinct |xi|^2 kernel values per sample, no forward transform."""
         g = Grid(dim=2, box_len=24.0, n=32)
-        data = _random_spectral_state(g, np.random.default_rng(44))
+        data = random_spectrum(g, np.random.default_rng(44))
         theta_low_band_series(data, oscillatory_params, self.TIMES, default_cutoff(g), np.inf)
         assert fft_calls == ["irfftn"] * len(self.TIMES)
         assert sum(kernel_sizes) <= g.radial_table[0].size * len(self.TIMES)

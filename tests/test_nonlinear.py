@@ -1,25 +1,27 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from conftest import fd4
+from nsklab.analysis import NormSeries, aggregate_N, fit_decay, measure_semigroup_decay
 from nsklab.errors import RangeViolation, StepRejected, ValidityExceeded
+from nsklab.fields import nonlinear_initial_state, riesz_momentum_pair, smooth_random_field
 from nsklab.model import Grid, PressureLaw, SpectralState, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import (
     Etd2Stepper,
     NonlinearScenario,
     StepState,
-    korteweg_tensor,
-    nonlinearity_g,
+    _bracket_hat,
+    _korteweg_hat,
+    _viscous_hat,
     nonlinearity_g_hat,
-    nonlinearity_tensor,
     pressure_remainder,
     run,
     _sample_norms,
-    step,
-    viscous_tensor,
 )
-from nsklab.spectral import apply_semigroup, dealias_mask, to_spectral
+from nsklab.spectral import apply_semigroup, dealias_mask, rfftn, to_real
 
 
 @pytest.fixture
@@ -38,6 +40,27 @@ def hermitian_extension(half_arr, grid):
     return full
 
 
+def read_out(hat, grid):
+    """Real fields of stacked half spectra: irfftn over the trailing grid axes."""
+    return np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
+
+
+def viscous_tensor(u, params, grid):
+    return read_out(_viscous_hat(np.fft.rfftn(u, axes=tuple(range(1, grid.dim + 1))), params, grid), grid)
+
+
+def korteweg_tensor(rho, params, grid):
+    return read_out(_korteweg_hat(rho, params, grid, dealias_mask(grid)), grid)
+
+
+def nonlinearity_tensor(state, params):
+    return read_out(_bracket_hat(state, params, dealias_mask(state.grid)), state.grid)
+
+
+def nonlinearity_g(state, params):
+    return read_out(nonlinearity_g_hat(state, params), state.grid)
+
+
 def full_layout_g(state, params):
     """g = -Div H on full complex spectra, every derivative as .real of an ifftn round trip."""
     grid, dim = state.grid, state.grid.dim
@@ -47,7 +70,8 @@ def full_layout_g(state, params):
         return np.fft.ifftn(arr).real
 
     xis = grid.wavevectors()
-    mask = dealias_mask(grid)
+    keep = np.abs(grid.axis_aliases()) < grid.n / 3.0
+    mask = functools.reduce(np.logical_and, np.meshgrid(*[keep] * dim, indexing="ij", sparse=True))
     recip = inv(mask * fwd(1.0 / (params.rho_star + state.theta) - 1.0 / params.rho_star))
     v_hat = [mask * fwd(recip * state.m[j]) for j in range(dim)]
     div_v = sum(1j * xis[j] * v_hat[j] for j in range(dim))
@@ -130,11 +154,13 @@ class TestKortewegTensor:
         rho = np.fft.ifftn(rho_hat).real + 0.2 * rng.standard_normal()
         K = korteweg_tensor(rho, p, g)
         trace = K[0, 0] + K[1, 1]
-        from nsklab.spectral import spectral_derivative
+        xis = g.wavevectors()
 
-        lap_rho_sq = spectral_derivative(rho * rho, g, (2, 0)) + spectral_derivative(rho * rho, g, (0, 2))
-        gx = spectral_derivative(rho, g, (1, 0))
-        gy = spectral_derivative(rho, g, (0, 1))
+        def deriv(f, ax, order):
+            return np.fft.ifftn((1j * xis[ax]) ** order * np.fft.fftn(f)).real
+
+        lap_rho_sq = deriv(rho * rho, 0, 2) + deriv(rho * rho, 1, 2)
+        gx, gy = deriv(rho, 0, 1), deriv(rho, 1, 1)
         grad_sq = gx * gx + gy * gy
         want = p.kappa_star * (g.dim / 2.0) * (lap_rho_sq - grad_sq) - p.kappa_star * grad_sq
         assert np.max(np.abs(trace - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
@@ -185,13 +211,11 @@ class TestNonlinearityG:
         s = small_state(g, rng, amp=0.2)
         s = State(grid=g, theta=np.zeros(g.shape), m=s.m)
         H = nonlinearity_tensor(s, params)
-        from nsklab.spectral import dealias, dealias_mask
-
         mask = dealias_mask(g)
         want = np.empty_like(H)
         for j in range(2):
             for k in range(2):
-                want[j, k] = dealias(s.m[j] * s.m[k], g, mask) / params.rho_star
+                want[j, k] = np.fft.irfftn(mask * np.fft.rfftn(s.m[j] * s.m[k]), s=g.shape) / params.rho_star
         assert np.max(np.abs(H - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_g_is_exact_divergence(self, params):
@@ -210,12 +234,6 @@ class TestNonlinearityG:
 
     def test_spectral_divergence_matches_fd4(self, params):
         """-Div H by FD4 converges to the spectral value at fourth order."""
-
-        def fd4(arr, axis, h):
-            return (
-                -np.roll(arr, -2, axis) + 8 * np.roll(arr, -1, axis) - 8 * np.roll(arr, 1, axis) + np.roll(arr, 2, axis)
-            ) / (12 * h)
-
         errs = []
         for n in (32, 64):
             g = Grid(dim=2, box_len=6.0, n=n)
@@ -275,7 +293,7 @@ class TestStep:
     def test_zero_data_stays_zero(self, params):
         g = Grid(dim=2, box_len=2.0, n=16)
         st = StepState.from_state(State(grid=g, theta=np.zeros(g.shape), m=np.zeros((2,) + g.shape)))
-        out = step(st, params, 0.1)
+        out = Etd2Stepper(params, g, 0.1).step(st)
         assert np.max(np.abs(out.real.theta)) <= 1e-15
         assert np.max(np.abs(out.real.m)) <= 1e-15
 
@@ -283,7 +301,7 @@ class TestStep:
         """The half-layout step equals the full-layout semigroup bit for bit on every stored mode."""
         g = Grid(dim=2, box_len=3.0, n=16)
         st = StepState.from_state(small_state(g, np.random.default_rng(1)))
-        out = step(st, params, 0.25, nonlinear=False)
+        out = Etd2Stepper(params, g, 0.25).step(st, nonlinear=False)
         full = SpectralState(
             grid=g,
             theta_hat=hermitian_extension(st.spectral.theta_hat, g),
@@ -300,8 +318,9 @@ class TestStep:
         s = small_state(g, rng, amp=0.2)
         st = StepState.from_state(s)
         mean0 = st.spectral.theta_hat[0, 0]
+        stepper = Etd2Stepper(params, g, 0.05)
         for _ in range(25):
-            st = step(st, params, 0.05)
+            st = stepper.step(st)
         assert st.spectral.theta_hat[0, 0] == mean0
 
     def test_cached_g_reuse_is_bitwise_neutral(self, params):
@@ -321,9 +340,10 @@ class TestStep:
         m = np.zeros((2,) + g.shape)
         m[0] = 40.0 * gaussian_bump(g, (1.0, 1.0), 0.4, 1.0)
         st = StepState.from_state(State(grid=g, theta=theta, m=m))
+        stepper = Etd2Stepper(params, g, 0.05)
         with pytest.raises(StepRejected):
             for _ in range(50):
-                st = step(st, params, 0.05)
+                st = stepper.step(st)
 
     def test_non_finite_stage_becomes_step_rejection(self, params, monkeypatch):
         """A NaN nonlinearity rejects the step; the run records the event and keeps the series so far."""
@@ -360,9 +380,9 @@ class TestStep:
         T = 1.0
 
         def integrate(dt):
-            st = StepState.from_state(s)
+            st, stepper = StepState.from_state(s), Etd2Stepper(params, g, dt)
             for _ in range(int(round(T / dt))):
-                st = step(st, params, dt)
+                st = stepper.step(st)
             return st
 
         sols = [integrate(dt) for dt in (0.05, 0.025, 0.0125)]
@@ -373,8 +393,6 @@ class TestStep:
 
 class TestInitialData:
     def test_nonlinear_initial_state_uses_real_transforms_only(self, fft_calls):
-        from nsklab.fields import nonlinear_initial_state
-
         g = Grid(dim=3, box_len=16.0, n=16)
         fft_calls.clear()
         nonlinear_initial_state(
@@ -390,8 +408,6 @@ class TestInitialData:
         assert set(fft_calls) == {"rfftn", "irfftn"}
 
     def test_smooth_random_field_matches_complex_formula(self):
-        from nsklab.fields import smooth_random_field
-
         g = Grid(dim=3, box_len=16.0, n=16)
         got = smooth_random_field(g, np.random.default_rng(8), 1.2)
         noise = np.random.default_rng(8).standard_normal(g.shape)
@@ -424,8 +440,6 @@ class TestRun:
     def test_half_spectrum_matches_real_state_off_self_mirror_nyquist_modes(self, params):
         """The state's spectrum and real fields agree on every stored mode but the Nyquist modes of the
         self-mirror planes (last-axis index 0 and n/2), where the propagator's odd factors act."""
-        from nsklab.spectral import rfftn
-
         g = Grid(dim=3, box_len=16.0, n=16)
         widths = dict(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.6)
         res = run(NonlinearScenario(params=params, grid=g, amplitude=0.02, t_end=1.0, dt=0.1, seed=3, **widths))
@@ -451,8 +465,6 @@ class TestRun:
 
     def test_aggregate_stable_under_sampling_refinement(self, params):
         """Halving the sample spacing changes the aggregate by under 1%."""
-        from nsklab.analysis import NormSeries, aggregate_N
-
         g = Grid(dim=2, box_len=8.0, n=16)
         scn = NonlinearScenario(
             params=params,
@@ -487,13 +499,9 @@ class TestRun:
 
     def test_linear_only_run_reproduces_semigroup_decay_fit(self, params):
         """With the nonlinearity disabled, run() and the linear harness fit the same exponent."""
-        from nsklab.analysis import fit_decay, measure_semigroup_decay
-        from nsklab.fields import riesz_divergence_momentum_state
-        from nsklab.spectral import to_real
-
         p = make_params(1.0, 0.8, 0.7875, 1.0, critical_quadratic(1.0, 1.0))
         g = Grid(dim=2, box_len=48.0, n=64)
-        data = riesz_divergence_momentum_state(g, 1.0, 11.0, rng=np.random.default_rng(5), amplitude=0.5)
+        data = riesz_momentum_pair(g, 1.0, 11.0, rng=np.random.default_rng(5), amplitude=0.5)[0]
         window = (1.0, 8.0)
         times = np.geomspace(0.5, 10.0, 14)
         meas = measure_semigroup_decay(data, p, times, band="full", p=np.inf, j=0)
@@ -517,9 +525,10 @@ class TestRun:
             s = small_state(g, rng, amp=eps)
             stn = StepState.from_state(s)
             stl = StepState.from_state(s)
+            stepper = Etd2Stepper(params, g, 0.1)
             for _ in range(10):
-                stn = step(stn, params, 0.1)
-                stl = step(stl, params, 0.1, nonlinear=False)
+                stn = stepper.step(stn)
+                stl = stepper.step(stl, nonlinear=False)
             diff = np.max(np.abs(stn.real.theta - stl.real.theta)) + np.max(np.abs(stn.real.m - stl.real.m))
             ratios.append(diff / eps**2)
         assert 0.25 <= ratios[0] / ratios[1] <= 4.0

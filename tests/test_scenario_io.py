@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -239,38 +240,39 @@ class TestCli:
         p.write_text(json.dumps(payload))
         return p
 
+    def _cli(self, *args, **kwargs):
+        """``python -m nsklab *args`` in a fresh interpreter."""
+        return subprocess.run([sys.executable, "-m", "nsklab", *map(str, args)], capture_output=True, text=True, **kwargs)
+
     def test_cli_nonlinear_run_exit_zero(self, tmp_path):
         cfg_path = self._write(tmp_path, minimal_nonlinear())
-        proc = subprocess.run(
-            [sys.executable, "-m", "nsklab", "nonlinear-run", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
-            capture_output=True,
-            text=True,
-        )
+        proc = self._cli("nonlinear-run", "--config", cfg_path, "--out", tmp_path / "o")
         assert proc.returncode == 0, proc.stderr
         assert "PASS" in proc.stdout
 
+    @pytest.mark.parametrize("make", [minimal_nonlinear, minimal_linear_decay])
+    def test_cli_series_identical_across_thread_counts(self, tmp_path, make):
+        """--threads 2 (FFT workers) changes no byte of a single scenario's series CSVs."""
+        cfg_path = self._write(tmp_path, make())
+        series = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = self._cli(make()["kind"], "--config", cfg_path, "--out", out, "--threads", threads)
+            assert proc.returncode in (0, 2), proc.stderr  # a verdict may fail at this size; no error may
+            series.append({p.name: p.read_bytes() for p in (out / "series").glob("*.csv")})
+        assert series[0] and series[0] == series[1]
+
     def test_cli_kind_mismatch(self, tmp_path):
         cfg_path = self._write(tmp_path, minimal_nonlinear())
-        proc = subprocess.run(
-            [sys.executable, "-m", "nsklab", "ablation", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
-            capture_output=True,
-            text=True,
-        )
+        proc = self._cli("ablation", "--config", cfg_path, "--out", tmp_path / "o")
         assert proc.returncode == 1
         assert "does not match" in proc.stderr
 
     def test_cli_env_out_dir(self, tmp_path, monkeypatch):
-        import os
-
         cfg_path = self._write(tmp_path, minimal_nonlinear())
         env = dict(os.environ)
         env["NSKLAB_OUT"] = str(tmp_path / "envout")
-        proc = subprocess.run(
-            [sys.executable, "-m", "nsklab", "nonlinear-run", "--config", str(cfg_path)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = self._cli("nonlinear-run", "--config", cfg_path, env=env)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "envout" / "report.json").exists()
 
@@ -282,22 +284,7 @@ class TestCli:
             ]
         }
         cfg_path = self._write(tmp_path, sweep, "sweep.json")
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "nsklab",
-                "sweep",
-                "--config",
-                str(cfg_path),
-                "--out",
-                str(tmp_path / "sw"),
-                "--threads",
-                "2",
-            ],
-            capture_output=True,
-            text=True,
-        )
+        proc = self._cli("sweep", "--config", cfg_path, "--out", tmp_path / "sw", "--threads", 2)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "sw" / "s1" / "report.json").exists()
         assert (tmp_path / "sw" / "s2" / "report.json").exists()
@@ -316,11 +303,7 @@ class TestCli:
         }
         cfg_path = self._write(tmp_path, sweep, "sweep.json")
         out = tmp_path / "sw"
-        proc = subprocess.run(
-            [sys.executable, "-m", "nsklab", "sweep", "--config", str(cfg_path), "--out", str(out), "--threads", str(threads)],
-            capture_output=True,
-            text=True,
-        )
+        proc = self._cli("sweep", "--config", cfg_path, "--out", out, "--threads", threads)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "[ERROR] bad" in proc.stdout
@@ -339,11 +322,7 @@ class TestCli:
         sweep = {"scenarios": [{"name": "ok", "config": minimal_nonlinear(1)}, {"name": "fails", "config": failing}]}
         cfg_path = self._write(tmp_path, sweep, "sweep.json")
         out = tmp_path / "sw"
-        proc = subprocess.run(
-            [sys.executable, "-m", "nsklab", "sweep", "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = self._cli("sweep", "--config", cfg_path, "--out", out)
         assert proc.returncode == 2, proc.stderr
         summary = json.loads((out / "sweep_summary.json").read_text())["scenarios"]
         assert [r["status"] for r in summary] == ["pass", "fail"]
@@ -368,9 +347,5 @@ class TestCli:
     def test_cli_bad_config_exit_one(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{ nope")
-        proc = subprocess.run(
-            [sys.executable, "-m", "nsklab", "linear-decay", "--config", str(p)],
-            capture_output=True,
-            text=True,
-        )
+        proc = self._cli("linear-decay", "--config", p)
         assert proc.returncode == 1

@@ -1,21 +1,25 @@
+import functools
+
 import numpy as np
 import pytest
 
 import nsklab.spectral as spectral_mod
-from conftest import random_params
-from nsklab.errors import ConstraintViolation, EmptyLowBand
+from conftest import fd4, random_params, random_spectrum
+from nsklab.analysis import half_power, lp_norm, measure_semigroup_decay, multi_indices, spectral_l2_norm
+from nsklab.errors import ConstraintViolation, EmptyLowBand, GridMismatch
 from nsklab.model import Grid, SpectralState, State, gaussian_bump
 from nsklab.spectral import (
     CutoffSpec,
     SemigroupOrbit,
     apply_semigroup,
     conjugate_symmetry_defect,
-    dealias,
+    dealias_mask,
     default_cutoff,
     divergence_form_momentum,
     frequency_split,
-    gradient,
-    spectral_derivative,
+    irfftn,
+    odd_wavevectors,
+    rfftn,
     to_real,
     to_spectral,
 )
@@ -147,13 +151,6 @@ class TestApplySemigroup:
         assert np.max(np.abs(high1.m_hat - high2.m_hat)) <= 1e-12 * np.max(np.abs(sp.m_hat))
 
 
-def random_spectrum(grid, rng):
-    """Complex spectra with no Hermitian symmetry, Nyquist planes included."""
-    shape = (grid.dim + 1,) + grid.shape
-    hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return SpectralState(grid=grid, theta_hat=hats[0], m_hat=hats[1:])
-
-
 REGIMES = ("positive", "negative", "degenerate")
 
 
@@ -282,46 +279,43 @@ class TestFrequencySplit:
         assert np.all(np.diff(phi) <= 1e-15)
 
 
+def derivative(f, grid, alpha):
+    """d^alpha f on the half layout, as the solver takes it."""
+    return irfftn(spectral_mod._multi_index_power(grid, alpha) * rfftn(f), grid)
+
+
 class TestSpectralDerivative:
     def test_order_zero_identity(self):
         g = Grid(dim=2, box_len=1.0, n=8)
         f = np.random.default_rng(0).standard_normal(g.shape)
-        assert np.array_equal(spectral_derivative(f, g, (0, 0)), f)
+        assert np.all(spectral_mod._multi_index_power(g, (0, 0)) == 1.0)
+        assert np.max(np.abs(derivative(f, g, (0, 0)) - f)) <= 1e-14 * np.max(np.abs(f))
 
     def test_sine_derivative(self):
         g = Grid(dim=2, box_len=5.0, n=32)
         x = g.mesh()[0]
         k = 2 * np.pi / g.box_len
         f = np.broadcast_to(np.sin(k * x), g.shape)
-        df = spectral_derivative(f, g, (1, 0))
+        df = derivative(f, g, (1, 0))
         assert np.allclose(df, k * np.broadcast_to(np.cos(k * x), g.shape), atol=1e-12)
 
     def test_gaussian_laplacian_closed_form(self):
         g = Grid(dim=2, box_len=20.0, n=128)
         w = 1.0
         f = gaussian_bump(g, center=(10.0, 10.0), width=w, amplitude=1.0)
-        lap = spectral_derivative(f, g, (2, 0)) + spectral_derivative(f, g, (0, 2))
-        r_sq = np.zeros(g.shape)
-        for ax, x in enumerate(g.mesh()):
-            d = np.abs(x - 10.0)
-            d = np.minimum(d, g.box_len - d)
-            r_sq = r_sq + d**2
+        lap = derivative(f, g, (2, 0)) + derivative(f, g, (0, 2))
+        r_sq = g.periodic_r_sq((10.0, 10.0))
         want = (r_sq / w**4 - g.dim / w**2) * f
         assert np.max(np.abs(lap - want)) <= 1e-8
 
-    def test_order_cap(self):
-        g = Grid(dim=1, box_len=1.0, n=8)
-        with pytest.raises(ValueError, match="order"):
-            spectral_derivative(np.zeros(8), g, (4,))
-
     def test_gradient_matches_componentwise(self):
+        """The half-layout gradient from one rfftn against .real of each complex round trip, Nyquist planes included."""
         g = Grid(dim=3, box_len=3.0, n=8)
         f = np.random.default_rng(3).standard_normal(g.shape)
-        grad = gradient(f, g)
-        for ax in range(3):
-            alpha = [0, 0, 0]
-            alpha[ax] = 1
-            assert np.allclose(grad[ax], spectral_derivative(f, g, alpha), atol=1e-12)
+        f_hat = rfftn(f)
+        for x, x_full in zip(odd_wavevectors(g), g.wavevectors()):
+            want = np.fft.ifftn(1j * x_full * np.fft.fftn(f)).real
+            assert np.allclose(irfftn(1j * x * f_hat, g), want, atol=1e-12)
 
 
 class TestDivergenceFormMomentum:
@@ -354,10 +348,6 @@ class TestDivergenceFormMomentum:
 
     def test_matches_fd4_oracle_at_fd_convergence_rate(self):
         """Spectral divergence treated as truth; FD4 error must shrink ~16x per halving."""
-
-        def fd4(arr, axis, h):
-            return (-np.roll(arr, -2, axis) + 8 * np.roll(arr, -1, axis) - 8 * np.roll(arr, 1, axis) + np.roll(arr, 2, axis)) / (12 * h)
-
         errs = []
         for n in (32, 64):
             g = Grid(dim=2, box_len=6.0, n=n)
@@ -378,12 +368,12 @@ class TestDealias:
     def test_removes_high_third(self):
         g = Grid(dim=1, box_len=2 * np.pi, n=32)
         f = np.cos(12 * np.arange(32) * g.spacing)  # alias 12 > 32/3
-        assert np.max(np.abs(dealias(f, g))) <= 1e-13
+        assert np.max(np.abs(irfftn(dealias_mask(g) * rfftn(f), g))) <= 1e-13
 
     def test_keeps_low_modes(self):
         g = Grid(dim=1, box_len=2 * np.pi, n=32)
         f = np.cos(5 * np.arange(32) * g.spacing)
-        assert np.allclose(dealias(f, g), f, atol=1e-13)
+        assert np.allclose(irfftn(dealias_mask(g) * rfftn(f), g), f, atol=1e-13)
 
 
 def white_noise_state(grid, rng):
@@ -392,8 +382,6 @@ def white_noise_state(grid, rng):
 
 
 def _all_multi_indices(dim, max_order=3):
-    from nsklab.analysis import multi_indices
-
     return [alpha for order in range(1, max_order + 1) for alpha in multi_indices(dim, order)]
 
 
@@ -427,43 +415,34 @@ class TestHalfLayout:
         monkeypatch.setattr(spectral_mod, "_fft", Recorder())
         monkeypatch.setattr(spectral_mod, "_FFT_WORKERS", 2)
         spectral_mod.irfftn(spectral_mod.rfftn(np.ones(g.shape)), g)
-        spectral_mod.ifftn(spectral_mod.fftn(np.ones(g.shape)))
-        assert seen == [("rfftn", 2), ("irfftn", 2), ("fftn", 2), ("ifftn", 2)]
+        spectral_mod.fftn(np.ones(g.shape))
+        assert seen == [("rfftn", 2), ("irfftn", 2), ("fftn", 2)]
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
     def test_nyquist_rule_drops_what_real_part_drops(self, dim, n):
-        """On the spectrum of a real field, ifftn(rule * f_hat) is real and equals .real of the bare multiplier."""
+        """On the half spectrum of a real field, rule * f_hat is again the half spectrum of a real field:
+        irfftn drops nothing of it, as .real of the complex round trip would drop nothing of ifftn(rule * f_hat)."""
         g = Grid(dim=dim, box_len=3.0, n=n)
-        f = np.random.default_rng(10 + dim).standard_normal(g.shape)
-        f_hat = np.fft.fftn(f)
-        xis = g.wavevectors()
+        f_hat = rfftn(np.random.default_rng(10 + dim).standard_normal(g.shape))
         for alpha in _all_multi_indices(dim):
-            bare = np.ones((1,) * dim, dtype=complex)
-            for ax, a in enumerate(alpha):
-                bare = bare * (1j * xis[ax]) ** a
-            want = np.fft.ifftn(bare * f_hat).real
-            got = np.fft.ifftn(spectral_mod._multi_index_power(g, alpha) * f_hat)
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(got.imag)) <= 1e-13 * scale, alpha
-            assert np.max(np.abs(got.real - want)) <= 1e-13 * scale, alpha
+            image = spectral_mod._multi_index_power(g, alpha) * f_hat
+            assert np.max(np.abs(rfftn(irfftn(image, g)) - image)) <= 1e-13 * np.max(np.abs(image)), alpha
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
     def test_half_layout_derivatives_match_full(self, dim, n):
-        """Every derivative up to order 3 of a white-noise field agrees between the layouts."""
+        """Every derivative up to order 3 of a white-noise field equals .real of the bare full-layout multiplier."""
         g = Grid(dim=dim, box_len=3.0, n=n)
         f = np.random.default_rng(20 + dim).standard_normal(g.shape)
-        full, half = np.fft.fftn(f), spectral_mod.rfftn(f)
         for alpha in _all_multi_indices(dim):
-            want = np.fft.ifftn(spectral_mod._multi_index_power(g, alpha) * full).real
-            got = spectral_mod.irfftn(spectral_mod._multi_index_power(g, alpha, half=True) * half, g)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), alpha
+            bare = functools.reduce(np.multiply, [(1j * x) ** a for x, a in zip(g.wavevectors(), alpha)])
+            want = np.fft.ifftn(bare * np.fft.fftn(f)).real
+            assert np.max(np.abs(derivative(f, g, alpha) - want)) <= 1e-13 * np.max(np.abs(want)), alpha
 
     def test_first_order_power_is_odd_wavevector(self):
         g = Grid(dim=3, box_len=2.0, n=8)
-        for half in (False, True):
-            for ax, x in enumerate(spectral_mod.odd_wavevectors(g, half)):
-                alpha = tuple(int(ax == k) for k in range(3))
-                assert np.array_equal(spectral_mod._multi_index_power(g, alpha, half), np.broadcast_to(1j * x, x.shape))
+        for ax, x in enumerate(odd_wavevectors(g)):
+            alpha = tuple(int(ax == k) for k in range(3))
+            assert np.array_equal(spectral_mod._multi_index_power(g, alpha), np.broadcast_to(1j * x, x.shape))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_half_block_bitwise_equal_to_full_block_per_stored_mode(self, oscillatory_params, dim):
@@ -486,9 +465,6 @@ class TestHalfLayout:
             assert np.array_equal(got.m_hat, want.m_hat[..., :h])
 
     def test_full_layout_only_functions_reject_half_state(self, unit_params):
-        from nsklab.analysis import measure_semigroup_decay
-        from nsklab.errors import GridMismatch
-
         g = Grid(dim=2, box_len=8.0, n=16)
         spec = to_spectral(random_state(g, np.random.default_rng(2)), half=True)
         with pytest.raises(GridMismatch):
@@ -555,8 +531,6 @@ class TestHermitianHalf:
     @pytest.mark.parametrize("dim,n", HERMITIAN_GRIDS)
     def test_half_parseval_with_mirror_multiplicity(self, dim, n):
         """Multiplicity-weighted half power gives the grid L2 norm of the real field."""
-        from nsklab.analysis import half_power, lp_norm, spectral_l2_norm
-
         g = Grid(dim=dim, box_len=3.0, n=n)
         rng = np.random.default_rng(700 + 10 * dim + n)
         shape = (dim + 1,) + g.shape
