@@ -29,18 +29,19 @@ the rule every derivative equals ``.real`` of the full complex round trip
 to rounding.  The S(h) and phi blocks are the linear toolkit's block
 formula, bit for bit per stored mode.
 
-H is assembled in spectral space.  Each dealiased product is transformed
-forward once; only the real fields a later product needs (the dealiased
+H is assembled in spectral space.  Transforms are linear, so the pointwise
+products in one component of H are summed in real space and transformed
+once; only the real fields a later product needs (the dealiased
 1/rho - 1/rho*, the dealiased m_j m_k and grad rho) are transformed back.
-The viscous and Korteweg tensors, Lap(rho^2) and -Div H are multipliers.
-Transform budget in dim N, with P = N(N+1)/2 symmetric pairs:
+The viscous tensor, Lap(rho^2) and -Div H are multipliers.  Transform
+budget in dim N, with P = N(N+1)/2 symmetric pairs:
 
-* one g: 4 + N + 3P forward and 1 + N + P inverse transforms, 35 in dim 3;
-* one step: one g and 2(N+1) inverse transforms (43 in dim 3) when a sample
+* one g: 2 + N + 2P forward and 1 + N + P inverse transforms, 27 in dim 3;
+* one step: one g and 2(N+1) inverse transforms (35 in dim 3) when a sample
   of U_n has cached g(U_n) on the StepState, else a second g;
 * one sample: one g, cached for the next step, and the inverse transforms of
-  the derivatives in the W^{3,2} and time-derivative norms (53 in dim 3,
-  88 with the g).
+  the partials in the W^{3,2} norms and of g; the time derivatives are sums
+  of those partials (49 in dim 3, 76 with the g).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _AGGREGATE_KEYS, NormSeries, lp_norms, multi_indices
+from .analysis import _AGGREGATE_KEYS, NormSeries, aggregate_N, lp_norms, multi_indices
 from .errors import ConstraintViolation, NumericsWarning, RangeViolation, StepRejected
 from .model import FluidParams, Grid, SpectralState, State
 from .spectral import (
@@ -90,28 +91,6 @@ def _viscous_hat(u_hat: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarr
     return out
 
 
-def _korteweg_hat(rho: np.ndarray, params: FluidParams, grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """Spectral K(rho): transforms of rho, grad rho and the dealiased products only."""
-    dim = grid.dim
-    xis = odd_wavevectors(grid)
-    rho_hat = rfftn(rho)
-    grad_rho = [irfftn(1j * xis[j] * rho_hat, grid) for j in range(dim)]
-    lap_rho_sq = -grid.xi_sq_of(half=True) * (mask * rfftn(rho * rho))
-    grad_sq = np.zeros(grid.half_shape, dtype=complex)
-    out = np.empty((dim, dim) + grid.half_shape, dtype=complex)
-    for j in range(dim):
-        for k in range(j, dim):
-            prod = mask * rfftn(grad_rho[j] * grad_rho[k])
-            out[j, k] = -params.kappa_star * prod
-            out[k, j] = out[j, k]
-            if j == k:
-                grad_sq += prod
-    iso = 0.5 * params.kappa_star * (lap_rho_sq - grad_sq)
-    for j in range(dim):
-        out[j, j] += iso
-    return out
-
-
 def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
     """Taylor-remainder pressure term: (int_0^1 P''(rho* + tau theta)(1-tau) dtau) theta^2.
 
@@ -125,7 +104,7 @@ def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
     return acc * theta**2
 
 
-def _bracket_hat(state: State, params: FluidParams, mask: np.ndarray) -> np.ndarray:
+def _bracket_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> np.ndarray:
     """Per-component half spectra of the bracket tensor H with g = -Div H.
 
     H = (1/(rho*+theta) - 1/rho*) m x m + (1/rho*) m x m
@@ -134,8 +113,10 @@ def _bracket_hat(state: State, params: FluidParams, mask: np.ndarray) -> np.ndar
     where S(u) = mu* (grad u + grad u^T) + (nu* - mu*) div u I and
     K(rho) = kappa*/2 (Lap(rho^2) - |grad rho|^2) I - kappa* grad rho x grad rho.
     mask, here and below, is the dealias mask (``dealias_mask(grid)``).
+    The mm_jk read back is band-limited, so its 1/rho* part folds into the
+    one transform of H_jk; grad rho comes from the state's theta_hat.
     """
-    grid = state.grid
+    state, grid = st.real, st.real.grid
     dim = grid.dim
     rho = params.rho_star + state.theta
     if rho.min() < params.rho_star / 4.0 or rho.max() > 4.0 * params.rho_star:
@@ -144,37 +125,42 @@ def _bracket_hat(state: State, params: FluidParams, mask: np.ndarray) -> np.ndar
             f"[{params.rho_star / 4.0:.6g}, {4.0 * params.rho_star:.6g}]"
         )
     recip = irfftn(mask * rfftn(1.0 / rho - 1.0 / params.rho_star), grid)
+    weight = recip + 1.0 / params.rho_star
+    xis = odd_wavevectors(grid)
+    grad_rho = [irfftn(1j * xis[j] * st.spectral.theta_hat, grid) for j in range(dim)]
+    iso = pressure_remainder(state.theta, params)
+    for j in range(dim):
+        iso += 0.5 * params.kappa_star * grad_rho[j] * grad_rho[j]
 
     H = np.empty((dim, dim) + grid.half_shape, dtype=complex)
-    # momentum flux (w + 1/rho*) m x m, products truncated at each stage
     for j in range(dim):
         for k in range(j, dim):
-            mm_hat = mask * rfftn(state.m[j] * state.m[k])
-            mm = irfftn(mm_hat, grid)
-            H[j, k] = mm_hat / params.rho_star + mask * rfftn(recip * mm)
+            mm = irfftn(mask * rfftn(state.m[j] * state.m[k]), grid)
+            prod = weight * mm + params.kappa_star * grad_rho[j] * grad_rho[k]
+            if j == k:
+                prod += iso
+            H[j, k] = mask * rfftn(prod)
             H[k, j] = H[j, k]
     # viscous part of the momentum correction
     v_hat = np.stack([mask * rfftn(recip * state.m[j]) for j in range(dim)])
     H -= _viscous_hat(v_hat, params, grid)
-    H -= _korteweg_hat(state.theta, params, grid, mask)
-    pr_hat = mask * rfftn(pressure_remainder(state.theta, params))
+    # -kappa*/2 Lap(rho^2) I, the one Korteweg term that is not a pointwise product
+    lap_part = 0.5 * params.kappa_star * grid.xi_sq_of(half=True) * (mask * rfftn(state.theta * state.theta))
     for j in range(dim):
-        H[j, j] += pr_hat
+        H[j, j] += lap_part
     return H
 
 
-def nonlinearity_g_hat(state: State, params: FluidParams, mask: np.ndarray | None = None) -> np.ndarray:
+def nonlinearity_g_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> np.ndarray:
     """Half spectra of the components of g = -Div H; the zero mode vanishes identically."""
-    if mask is None:
-        mask = dealias_mask(state.grid)
-    return -divergence_spectral(_bracket_hat(state, params, mask), state.grid)
+    return -divergence_spectral(_bracket_hat(st, params, mask), st.real.grid)
 
 
 @dataclass
 class StepState:
     """Solver state carrying spectral (half-layout) and real representations together.
 
-    ``g_hat`` caches nonlinearity_g_hat(real) under the run's params and
+    ``g_hat`` caches nonlinearity_g_hat of the state under the run's params and
     dealias mask: a sample fills it and the next step reuses it as g(U_n).
     """
 
@@ -200,7 +186,8 @@ class Etd2Stepper:
     h) as half-layout blocks (:class:`nsklab.spectral.Block`); the phi weights integrate
     the stiff linear part exactly, so the third-order capillary term costs no
     step-size restriction and the scheme holds second order uniformly in the
-    stiffness.
+    stiffness.  ``powers`` holds the derivative multipliers (i xi)^alpha of
+    the sample norms, every alpha of order 1 to 3, built once with the blocks.
     """
 
     def __init__(self, params: FluidParams, grid: Grid, dt: float):
@@ -211,6 +198,9 @@ class Etd2Stepper:
         self.dt = dt
         self.mask = dealias_mask(grid)
         self._exp = semigroup_block(params, grid, dt, half=True)
+        self.powers = {
+            alpha: _multi_index_power(grid, alpha) for order in (1, 2, 3) for alpha in multi_indices(grid.dim, order)
+        }
         values = grid.radial_table[0]
         index = grid.radial_index(half=True)
         tabs = phi_multiplier_tables(params, values, dt)
@@ -225,50 +215,46 @@ class Etd2Stepper:
             for D, B, T in (tabs["phi1"], tabs["phi2"])
         )
 
-    def propagate(self, spec: SpectralState) -> SpectralState:
-        """S(dt) via the cached block."""
-        return self._exp.apply(spec)
-
     def _forcing(self, block: Block, g_hat):
         """h * phi_k(hA) applied to (0, g)."""
         a_hat = longitudinal_amplitude(g_hat, self.grid, half=True)
         return block.theta(None, a_hat), block.momentum(None, a_hat, g_hat, self.grid)
 
-    def _finite(self, theta_hat, m_hat, t: float, what: str) -> tuple[SpectralState, State]:
-        """Both representations of (theta_hat, m_hat); non-finite entries reject the step."""
+    def _finite(self, theta_hat, m_hat, t: float, what: str) -> StepState:
+        """The StepState of (theta_hat, m_hat); non-finite entries reject the step."""
         try:
             spec = SpectralState(grid=self.grid, theta_hat=theta_hat, m_hat=m_hat, half=True)
-            return spec, to_real(spec)
+            return StepState(spectral=spec, real=to_real(spec), t=t)
         except ConstraintViolation as exc:
             raise StepRejected(f"{what} at t={t:.6g} is not finite: {exc}", t=t) from exc
 
     def step(self, state: StepState, nonlinear: bool = True) -> StepState:
         t = state.t + self.dt
         if not nonlinear:
-            nxt = self.propagate(state.spectral)
+            nxt = self._exp.apply(state.spectral)
             return StepState(spectral=nxt, real=to_real(nxt), t=t)
 
         g0_hat = state.g_hat
         if g0_hat is None:
-            g0_hat = nonlinearity_g_hat(state.real, self.params, self.mask)
-        base = self.propagate(state.spectral)
+            g0_hat = nonlinearity_g_hat(state, self.params, self.mask)
+        base = self._exp.apply(state.spectral)
         th1, m1 = self._forcing(self._phi1, g0_hat)
-        stage, stage_real = self._finite(base.theta_hat + th1, base.m_hat + m1, t, "stage")
+        stage = self._finite(base.theta_hat + th1, base.m_hat + m1, t, "stage")
         try:
-            gp_hat = nonlinearity_g_hat(stage_real, self.params, self.mask)
+            gp_hat = nonlinearity_g_hat(stage, self.params, self.mask)
         except RangeViolation as exc:
             raise StepRejected(f"stage inadmissible at t={t:.6g}: {exc}", t=t) from exc
 
         th2, m2 = self._forcing(self._phi2, gp_hat - g0_hat)
-        nxt, nxt_real = self._finite(stage.theta_hat + th2, stage.m_hat + m2, t, "state")
-        if not nxt_real.is_admissible(self.params):
-            rho = self.params.rho_star + nxt_real.theta
+        nxt = self._finite(stage.spectral.theta_hat + th2, stage.spectral.m_hat + m2, t, "state")
+        if not nxt.real.is_admissible(self.params):
+            rho = self.params.rho_star + nxt.real.theta
             raise StepRejected(
                 f"state at t={t:.6g} violates the range condition "
                 f"(density range [{rho.min():.6g}, {rho.max():.6g}])",
                 t=t,
             )
-        return StepState(spectral=nxt, real=nxt_real, t=t)
+        return nxt
 
 
 @dataclass(frozen=True)
@@ -333,70 +319,86 @@ class RunResult:
         return (not self.rejected) and self.admissible_throughout and np.all(np.isfinite(self.aggregate.values))
 
 
-def _sample_norms(st: StepState, params: FluidParams, scn: NonlinearScenario, mask) -> dict:
-    """All norm constituents of the aggregate at one state; caches g(U) on st."""
-    grid = st.spectral.grid
+def _sample_fields(st: StepState, params: FluidParams, powers: dict, g_hat: np.ndarray | None):
+    """Yield (constituent, real field) for every field one sample measures.
+
+    Constituents: "j0" theta and m, "j1" grad theta and grad m, "w3" theta
+    and every partial up to order 3, "w2" m and every partial up to order 2,
+    "dt" d_t theta, grad d_t theta and d_t m.  The time derivatives come from
+    the equations of motion, d_t theta = -div m, grad d_t theta = -grad div m
+    and d_t m = alpha* Lap m + beta* grad div m + kappa* rho* grad Lap theta + g
+    with (grad div m)_a = sum_b d_a d_b m_b, as sums of partials the W^{3,2}
+    stack has already read back; only g is transformed (g_hat None is g = 0).
+    """
+    grid = st.real.grid
     dim = grid.dim
     theta, m = st.real.theta, st.real.m
-    th_hat = st.spectral.theta_hat
-    m_hat = st.spectral.m_hat
+    th_hat, m_hat = st.spectral.theta_hat, st.spectral.m_hat
+    grad_theta = np.empty((dim,) + grid.shape)
+    grad_m = np.empty((dim, dim) + grid.shape)  # grad_m[c, b] = d_b m_c
+    grad_lap_theta, grad_div, lap_m = np.zeros((3, dim) + grid.shape)
 
-    # g(U) before the derivative stack, so its temporaries are freed first
+    yield "j0", theta
+    yield "j0", m
+    yield "w3", theta
+    for order in (1, 2, 3):
+        for alpha in multi_indices(dim, order):
+            f = irfftn(powers[alpha] * th_hat, grid)
+            if order == 1:
+                grad_theta[alpha.index(1)] = f
+            elif order == 3 and max(alpha) > 1:
+                # alpha = e_a + 2 e_b, a term of (grad Lap theta)_a
+                grad_lap_theta[alpha.index(3) if 3 in alpha else alpha.index(1)] += f
+            yield "w3", f
+    yield "w2", m
+    for order in (1, 2):
+        for alpha in multi_indices(dim, order):
+            f = grad_m[:, alpha.index(1)] if order == 1 else np.empty((dim,) + grid.shape)
+            for c in range(dim):
+                f[c] = irfftn(powers[alpha] * m_hat[c], grid)
+            if order == 2:
+                a, b = (ax for ax, k in enumerate(alpha) for _ in range(k))
+                grad_div[a] += f[b]
+                if a == b:
+                    lap_m += f
+                else:
+                    grad_div[b] += f[a]
+            yield "w2", f
+    yield "j1", grad_theta
+    yield "j1", grad_m
+
+    yield "dt", -np.trace(grad_m)
+    dm = params.alpha_star * lap_m + params.beta_star * grad_div
+    dm += params.kappa_star * params.rho_star * grad_lap_theta
+    if g_hat is not None:
+        for a in range(dim):
+            dm[a] += irfftn(g_hat[a], grid)
+    yield "dt", np.negative(grad_div, out=grad_div)
+    yield "dt", dm
+
+
+def _sample_norms(st: StepState, scn: NonlinearScenario, stepper: Etd2Stepper) -> dict:
+    """All norm constituents of the aggregate at one state; caches g(U) on st."""
+    grid = st.real.grid
     if scn.nonlinear and st.g_hat is None:
-        st.g_hat = nonlinearity_g_hat(st.real, params, mask)
-
-    # W^{3,2}_q of the pair, reusing one spectral representation per field
-    derivs_theta = {}
-    for order in range(0, 4):
-        for alpha in multi_indices(dim, order):
-            derivs_theta[alpha] = irfftn(_multi_index_power(grid, alpha) * th_hat, grid) if order else theta
-    derivs_m = {}
-    for order in range(0, 3):
-        for alpha in multi_indices(dim, order):
-            if order:
-                mult = _multi_index_power(grid, alpha)
-                derivs_m[alpha] = np.stack([irfftn(mult * m_hat[c], grid) for c in range(dim)])
-            else:
-                derivs_m[alpha] = m
-    first = list(multi_indices(dim, 1))
-    grad_theta = np.stack([derivs_theta[alpha] for alpha in first])
-    grad_m = np.stack([derivs_m[alpha][c] for c in range(dim) for alpha in first])
-
-    # each field's magnitude is formed once for all its exponents
-    out = {}
-    labels = ("linf", "q1", "q2")
+        st.g_hat = nonlinearity_g_hat(st, stepper.params, stepper.mask)
+    g_hat = st.g_hat if scn.nonlinear else None
+    # each field's magnitude is formed once for all its exponents; the sup norm only enters j0 and j1
     qs = (np.inf, scn.q1, scn.q2)
-    j0 = zip(lp_norms(theta, grid, qs), lp_norms(m, grid, qs))
-    j1 = zip(lp_norms(grad_theta, grid, qs), lp_norms(grad_m, grid, qs))
-    for label, (th_n, m_n), (gth_n, gm_n) in zip(labels, j0, j1):
-        out[f"pair_{label}_j0"] = th_n + m_n
-        out[f"pair_{label}_j1"] = gth_n + gm_n
-    w3 = [lp_norms(f, grid, qs[1:]) for f in derivs_theta.values()]
-    w2 = [lp_norms(f, grid, qs[1:]) for f in derivs_m.values()]
-    for i, label in enumerate(labels[1:]):
-        out[f"pair_w32_{label}"] = sum(n[i] for n in w3) + sum(n[i] for n in w2)
+    norms = {key: [] for key in ("j0", "j1", "w3", "w2", "dt")}
+    for key, f in _sample_fields(st, stepper.params, stepper.powers, g_hat):
+        norms[key].append(lp_norms(f, grid, qs if key in ("j0", "j1") else qs[1:]))
 
-    # time derivatives from the equations of motion: with grad div m as
-    # sum_b d_a d_b m_b, d_t theta = -div m, grad d_t theta = -grad div m and
-    # d_t m = alpha* Lap m + beta* grad div m - kappa* rho* grad Lap theta + g
-    dtheta_hat = -sum(_multi_index_power(grid, e_b) * m_hat[b] for b, e_b in enumerate(first))
-    grad_div = [sum(_multi_index_power(grid, np.add(e_a, e_b)) * m_hat[b] for b, e_b in enumerate(first)) for e_a in first]
-    xi_sq = grid.xi_sq_of(half=True)
-    dm_hat = np.empty_like(m_hat)
-    for a, e_a in enumerate(first):
-        dm_hat[a] = (
-            -params.alpha_star * xi_sq * m_hat[a]
-            + params.beta_star * grad_div[a]
-            - params.kappa_star * params.rho_star * xi_sq * _multi_index_power(grid, e_a) * th_hat
-        )
-        if scn.nonlinear:
-            dm_hat[a] += st.g_hat[a]
-    dtheta = irfftn(dtheta_hat, grid)
-    dm = np.stack([irfftn(dm_hat[a], grid) for a in range(dim)])
-    grad_dtheta = np.stack([irfftn(-grad_div[a], grid) for a in range(dim)])
-    dt_norms = zip(*(lp_norms(f, grid, qs[1:]) for f in (dtheta, grad_dtheta, dm)))
-    for label, (dth_n, gdth_n, dm_n) in zip(labels[1:], dt_norms):
-        out[f"dt_pair_w10_{label}"] = dth_n + gdth_n + dm_n
+    def total(key, i):
+        return sum(n[i] for n in norms[key])
+
+    out = {}
+    for i, label in enumerate(("linf", "q1", "q2")):
+        out[f"pair_{label}_j0"] = total("j0", i)
+        out[f"pair_{label}_j1"] = total("j1", i)
+    for i, label in enumerate(("q1", "q2")):
+        out[f"pair_w32_{label}"] = total("w3", i) + total("w2", i)
+        out[f"dt_pair_w10_{label}"] = total("dt", i)
     return out
 
 
@@ -407,7 +409,6 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
     rejected.  Mass and mean momentum are tracked against their initial
     values; conjugate symmetry is monitored on the final state.
     """
-    from .analysis import aggregate_N
     from .fields import nonlinear_initial_state
     from .spectral import conjugate_symmetry_defect
 
@@ -428,14 +429,13 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
             rng=rng,
         )
     stepper = Etd2Stepper(scn.params, scn.grid, scn.dt)
-    mask = stepper.mask
     st = StepState.from_state(initial)
     mass0 = complex(st.spectral.theta_hat[(0,) * scn.grid.dim])
     mom0 = np.array([complex(st.spectral.m_hat[(c,) + (0,) * scn.grid.dim]) for c in range(scn.grid.dim)])
 
     n_steps = int(round(scn.t_end / scn.dt))
     times = [0.0]
-    samples = [_sample_norms(st, scn.params, scn, mask)]
+    samples = [_sample_norms(st, scn, stepper)]
     admissible = st.real.is_admissible(scn.params)
     rejected = False
 
@@ -448,7 +448,7 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
             break
         if k % scn.sample_every == 0 or k == n_steps:
             times.append(st.t)
-            samples.append(_sample_norms(st, scn.params, scn, mask))
+            samples.append(_sample_norms(st, scn, stepper))
             admissible = admissible and st.real.is_admissible(scn.params)
 
     times = np.asarray(times)

@@ -9,12 +9,14 @@ from nsklab.model import SpectralState, critical_quadratic, make_params
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Live list of the transforms made through nsklab's FFT backend, one name per call.
+    """Live list of the transforms made through nsklab's FFT backend, one name per transform.
 
     ``spectral.fftn`` (complex) and ``spectral.rfftn``/``irfftn`` (real) are
     the only transform entry points, and they reach scipy.fft
     through ``spectral._fft``; the fixture swaps that for a counting wrapper
-    for the duration of the test.
+    for the duration of the test.  A call over a stack of fields counts one
+    transform per field: the batch is the product of the leading axes that
+    ``axes`` (by default the last ``len(s)`` axes, or all) leaves out.
     """
     calls = []
     backend = spectral_mod._fft
@@ -22,9 +24,15 @@ def fft_calls(monkeypatch):
     def counted(name):
         fn = getattr(backend, name)
 
-        def wrapper(arr, **kwargs):
-            calls.append(name)
-            return fn(arr, **kwargs)
+        def wrapper(arr, s=None, axes=None, **kwargs):
+            ndim = np.ndim(arr)
+            if axes is not None:
+                transformed = {ax % ndim for ax in np.atleast_1d(axes)}
+            else:
+                transformed = set(range(ndim - len(s) if s is not None else 0, ndim))
+            batch = int(np.prod([size for ax, size in enumerate(np.shape(arr)) if ax not in transformed]))
+            calls.extend([name] * batch)
+            return fn(arr, s=s, axes=axes, **kwargs)
 
         return wrapper
 

@@ -30,7 +30,7 @@ from nsklab.errors import (
     WindowUncovered,
 )
 from nsklab.model import Grid, State, critical_quadratic, gaussian_bump, make_params
-from nsklab.nonlinear import NonlinearScenario, StepState, _sample_norms
+from nsklab.nonlinear import Etd2Stepper, NonlinearScenario, StepState, _sample_norms
 from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, to_real, to_spectral
 
 
@@ -52,7 +52,7 @@ def solver_norms(grid, theta, m, q1, q2):
     """The nonlinear solver's sample norms of (theta, m) at the exponents (q1, q2), linear part only."""
     params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(1.0, 1.0))
     scn = NonlinearScenario(params=params, grid=grid, amplitude=0.0, t_end=1.0, dt=1.0, seed=0, q1=q1, q2=q2, nonlinear=False)
-    return _sample_norms(StepState.from_state(State(grid=grid, theta=theta, m=m)), params, scn, None)
+    return _sample_norms(StepState.from_state(State(grid=grid, theta=theta, m=m)), scn, Etd2Stepper(params, grid, 1.0))
 
 
 class TestLpNorm:

@@ -14,14 +14,14 @@ from nsklab.nonlinear import (
     NonlinearScenario,
     StepState,
     _bracket_hat,
-    _korteweg_hat,
+    _sample_fields,
     _viscous_hat,
     nonlinearity_g_hat,
     pressure_remainder,
     run,
     _sample_norms,
 )
-from nsklab.spectral import apply_semigroup, dealias_mask, rfftn, to_real
+from nsklab.spectral import _multi_index_power, apply_semigroup, dealias_mask, rfftn, to_real
 
 
 @pytest.fixture
@@ -50,15 +50,19 @@ def viscous_tensor(u, params, grid):
 
 
 def korteweg_tensor(rho, params, grid):
-    return read_out(_korteweg_hat(rho, params, grid, dealias_mask(grid)), grid)
+    """K(rho) read out of the bracket at m = 0, where H = pr I - K with pr the dealiased pressure remainder."""
+    mask = dealias_mask(grid)
+    H = nonlinearity_tensor(State(grid=grid, theta=rho, m=np.zeros((grid.dim,) + grid.shape)), params)
+    pr = np.fft.irfftn(mask * np.fft.rfftn(pressure_remainder(rho, params)), s=grid.shape)
+    return np.eye(grid.dim).reshape((grid.dim, grid.dim) + (1,) * grid.dim) * pr - H
 
 
 def nonlinearity_tensor(state, params):
-    return read_out(_bracket_hat(state, params, dealias_mask(state.grid)), state.grid)
+    return read_out(_bracket_hat(StepState.from_state(state), params, dealias_mask(state.grid)), state.grid)
 
 
 def nonlinearity_g(state, params):
-    return read_out(nonlinearity_g_hat(state, params), state.grid)
+    return read_out(nonlinearity_g_hat(StepState.from_state(state), params, dealias_mask(state.grid)), state.grid)
 
 
 def full_layout_g(state, params):
@@ -222,7 +226,7 @@ class TestNonlinearityG:
         """Mean of g vanishes bit for bit (zero mode of -Div H)."""
         g = Grid(dim=2, box_len=3.0, n=16)
         s = small_state(g, np.random.default_rng(7), amp=0.3)
-        g_hat = nonlinearity_g_hat(s, params)
+        g_hat = nonlinearity_g_hat(StepState.from_state(s), params, dealias_mask(g))
         for c in range(2):
             assert g_hat[c][0, 0] == 0.0
 
@@ -251,30 +255,30 @@ class TestNonlinearityG:
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
 
     def test_transform_budget_dim3(self, params, fft_calls):
-        """One dim-3 g makes at most 35 transforms: products forward once, only needed fields back."""
+        """One dim-3 g makes at most 27 transforms: each component's products forward once, only needed fields back."""
         g = Grid(dim=3, box_len=4.0, n=8)
-        s = small_state(g, np.random.default_rng(9), amp=0.1)
+        st = StepState.from_state(small_state(g, np.random.default_rng(9), amp=0.1))
         fft_calls.clear()
-        nonlinearity_g_hat(s, params)
-        assert len(fft_calls) <= 35
+        nonlinearity_g_hat(st, params, dealias_mask(g))
+        assert len(fft_calls) <= 27
 
     def test_g_budgets_dim3_are_real_transforms(self, params, fft_calls):
-        """One g, one step (with cached g) and one sample: 35, 43 and 88 transforms, none complex."""
+        """One g, one step (with cached g) and one sample: 27, 35 and 76 transforms, none complex."""
         g = Grid(dim=3, box_len=4.0, n=8)
         st = StepState.from_state(small_state(g, np.random.default_rng(9), amp=0.1))
         stepper = Etd2Stepper(params, g, 0.05)
         scn = NonlinearScenario(params=params, grid=g, amplitude=0.1, t_end=0.05, dt=0.05, seed=0)
         made = {}
         fft_calls.clear()
-        nonlinearity_g_hat(st.real, params, stepper.mask)
+        nonlinearity_g_hat(st, params, stepper.mask)
         made["g"] = list(fft_calls)
         fft_calls.clear()
-        _sample_norms(st, params, scn, stepper.mask)
+        _sample_norms(st, scn, stepper)
         made["sample"] = list(fft_calls)
         fft_calls.clear()
         stepper.step(st)
         made["step"] = list(fft_calls)
-        for key, budget in (("g", 35), ("step", 43), ("sample", 88)):
+        for key, budget in (("g", 27), ("step", 35), ("sample", 76)):
             assert len(made[key]) <= budget, key
             assert set(made[key]) <= {"rfftn", "irfftn"}, key
 
@@ -287,6 +291,75 @@ class TestNonlinearityG:
         want = full_layout_g(s, params)
         got = nonlinearity_g(s, params)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestSample:
+    @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+    def test_time_derivatives_match_spectral_formula(self, dim, n):
+        """d_t theta, grad d_t theta and d_t m summed from the read-back partials equal the equations of
+        motion applied in spectral space, on white-noise half spectra with full Nyquist content."""
+        p = make_params(1.3, 0.7, 0.9, 1.2, critical_quadratic(0.5, 1.2))
+        g = Grid(dim=dim, box_len=4.0, n=n)
+        rng = np.random.default_rng(60 + dim)
+        shape = (dim + 1,) + g.half_shape
+        # the self-mirror planes are not Hermitian either, as after a step
+        hats = 0.05 * n ** (dim / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        spec = SpectralState(grid=g, theta_hat=hats[0], m_hat=hats[1:], half=True)
+        st = StepState(spectral=spec, real=to_real(spec), t=0.0)
+        g_hat = nonlinearity_g_hat(st, p, dealias_mask(g))
+        powers = Etd2Stepper(p, g, 0.1).powers
+        got = [f for key, f in _sample_fields(st, p, powers, g_hat) if key == "dt"]
+
+        th_hat, m_hat = spec.theta_hat, spec.m_hat
+        unit = np.eye(dim, dtype=int)
+
+        def power(*axes):
+            return _multi_index_power(g, tuple(sum(unit[a] for a in axes)))
+
+        def back(hat):
+            return np.fft.irfftn(hat, s=g.shape)
+
+        xi_sq = g.xi_sq_of(half=True)
+        grad_div = [sum(power(a, b) * m_hat[b] for b in range(dim)) for a in range(dim)]
+        dm_hat = [
+            -p.alpha_star * xi_sq * m_hat[a]
+            + p.beta_star * grad_div[a]
+            - p.kappa_star * p.rho_star * xi_sq * power(a) * th_hat
+            + g_hat[a]
+            for a in range(dim)
+        ]
+        want = [
+            back(-sum(power(b) * m_hat[b] for b in range(dim))),
+            np.stack([back(-grad_div[a]) for a in range(dim)]),
+            np.stack([back(dm_hat[a]) for a in range(dim)]),
+        ]
+        assert len(got) == 3
+        for name, f, w in zip(("d_t theta", "grad d_t theta", "d_t m"), got, want):
+            assert np.max(np.abs(f - w)) <= 1e-13 * np.max(np.abs(w)), name
+
+    def test_derivative_multipliers_built_once_per_run(self, params, monkeypatch):
+        """No (i xi)^alpha multiplier is built from the second sample of a run on."""
+        import nsklab.nonlinear as nonlinear_mod
+
+        events = []
+        real_power, real_sample = nonlinear_mod._multi_index_power, nonlinear_mod._sample_norms
+
+        def power(*args):
+            events.append("power")
+            return real_power(*args)
+
+        def sample(*args):
+            events.append("sample")
+            return real_sample(*args)
+
+        monkeypatch.setattr(nonlinear_mod, "_multi_index_power", power)
+        monkeypatch.setattr(nonlinear_mod, "_sample_norms", sample)
+        g = Grid(dim=3, box_len=4.0, n=8)
+        assert run(NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=0.3, dt=0.1, seed=3)).success
+        samples = [i for i, e in enumerate(events) if e == "sample"]
+        assert len(samples) == 4
+        assert "power" in events
+        assert "power" not in events[samples[1] :]
 
 
 class TestStep:
@@ -328,7 +401,7 @@ class TestStep:
         g = Grid(dim=3, box_len=4.0, n=8)
         st = StepState.from_state(small_state(g, np.random.default_rng(6), amp=0.1))
         stepper = Etd2Stepper(params, g, 0.05)
-        cached = dataclasses.replace(st, g_hat=nonlinearity_g_hat(st.real, params, stepper.mask))
+        cached = dataclasses.replace(st, g_hat=nonlinearity_g_hat(st, params, stepper.mask))
         a = stepper.step(cached)
         b = stepper.step(dataclasses.replace(cached, g_hat=None))
         assert np.array_equal(a.spectral.theta_hat, b.spectral.theta_hat)

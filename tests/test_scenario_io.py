@@ -8,7 +8,16 @@ import pytest
 
 from nsklab.errors import ParseError, ValidationError
 from nsklab.runner import run_scenario
-from nsklab.scenario import config_from_dict, parse_config, parse_sweep_config, serialize_config
+from nsklab.scenario import (
+    _ALLOWED,
+    _REQUIRED,
+    DATA_KINDS,
+    KINDS,
+    config_from_dict,
+    parse_config,
+    parse_sweep_config,
+    serialize_config,
+)
 
 
 def minimal_linear_decay(seed=11):
@@ -38,6 +47,62 @@ def minimal_nonlinear(seed=5):
     }
 
 
+def generated_config(kind, rng):
+    """A random raw config of the given kind: every required key, each optional key with probability 1/2."""
+
+    def num():
+        return float(rng.uniform(0.01, 50.0))
+
+    def exponent():
+        return "inf" if rng.random() < 0.3 else num()
+
+    def maybe(block, **optional):
+        block.update({key: value for key, value in optional.items() if rng.random() < 0.5})
+        return block
+
+    values = {
+        "seed": lambda: int(rng.integers(0, 2**31)),
+        "out_dir": lambda: f"out/{int(rng.integers(1000))}",
+        "params": lambda: maybe({"mu": num(), "nu": num(), "kappa": num(), "rho_ref": num()}, pressure_k=num()),
+        "grid": lambda: {"dim": int(rng.integers(1, 5)), "n": int(2 ** rng.integers(2, 8)), "box_len": num()},
+        "data": lambda: maybe(
+            {"kind": str(rng.choice(DATA_KINDS))},
+            amplitude=num(),
+            gamma=num(),
+            support_radius=num(),
+            gamma_potential=num(),
+            rho_min=num(),
+            rho_max=num(),
+            width=num(),
+        ),
+        "times": lambda: {"t_min": num(), "t_max": num(), "count": int(rng.integers(2, 40))},
+        "exponents": lambda: maybe({}, p=exponent(), q=exponent(), j=int(rng.integers(0, 3))),
+        "nonlinear_exponents": lambda: maybe({}, p=exponent(), q1=exponent(), q2=exponent(), tau=num()),
+        "init": lambda: maybe({}, theta_width=num(), m_envelope_width=num(), m_smooth_width=num(), m_relative_amplitude=num()),
+        "band": lambda: str(rng.choice(["low", "high", "full"])),
+        "w10": lambda: bool(rng.random() < 0.5),
+        "cutoff_eps": num,
+        "fit_window": lambda: sorted([num(), num()]),
+        "trust_mode": lambda: str(rng.choice(["mass_radius", "edge_leak"])),
+        "tol_exp": num,
+        "gap_threshold": num,
+        "samples_per_regime": lambda: int(rng.integers(1, 5000)),
+        "xi_scale": num,
+        "t_max": num,
+        "tol_symbol": num,
+        "amplitude": num,
+        "t_end": num,
+        "dt": num,
+        "sample_every": lambda: int(rng.integers(1, 10)),
+        "nonlinear": lambda: bool(rng.random() < 0.5),
+    }
+    raw = {"kind": kind}
+    for key in sorted(_ALLOWED[kind] - {"kind"}):
+        if key in _REQUIRED[kind] or rng.random() < 0.5:
+            raw[key] = values[key]()
+    return raw
+
+
 class TestParseConfig:
     def test_minimal_valid_with_defaults_echoed(self):
         cfg = parse_config(json.dumps(minimal_linear_decay()))
@@ -64,6 +129,14 @@ class TestParseConfig:
         assert again == cfg
         cfg2 = parse_config(json.dumps(minimal_nonlinear()))
         assert parse_config(serialize_config(cfg2)) == cfg2
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_round_trip_identity_on_generated_configs(self, kind):
+        """parse(serialize(cfg)) == cfg over random configs of every scenario kind."""
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(40):
+            cfg = config_from_dict(generated_config(kind, rng))
+            assert parse_config(serialize_config(cfg)) == cfg
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as err:

@@ -269,6 +269,21 @@ class TestFrequencySplit:
         with pytest.raises(EmptyLowBand):
             frequency_split(sp, CutoffSpec(eps=0.4))
 
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8), (4, 4)])
+    def test_low_plus_high_reconstructs_random_spectra(self, dim, n):
+        """low + high is the input to 1e-15 relative on unstructured spectra, at random cutoffs."""
+        rng = np.random.default_rng(90 + dim)
+        for _ in range(5):
+            g = Grid(dim=dim, box_len=float(rng.uniform(1.0, 20.0)), n=n)
+            sp = random_spectrum(g, rng)
+            # the low band holds at least the smallest nonzero |xi| = 2 pi / L
+            eps = float(rng.uniform(np.pi / g.box_len * 1.01, g.xi_max))
+            low, high = frequency_split(sp, CutoffSpec(eps=eps))
+            for part in ("theta_hat", "m_hat"):
+                orig = getattr(sp, part)
+                err = np.max(np.abs(getattr(low, part) + getattr(high, part) - orig))
+                assert err <= 1e-15 * np.max(np.abs(orig)), (part, eps)
+
     def test_profile_properties(self):
         cut = CutoffSpec(eps=2.0)
         r = np.linspace(0.0, 6.0, 400)
@@ -417,6 +432,16 @@ class TestHalfLayout:
         spectral_mod.irfftn(spectral_mod.rfftn(np.ones(g.shape)), g)
         spectral_mod.fftn(np.ones(g.shape))
         assert seen == [("rfftn", 2), ("irfftn", 2), ("fftn", 2)]
+
+    def test_fft_calls_counts_each_transform_of_a_stack(self, fft_calls):
+        """A call over stacked fields counts one transform per field, whichever axes it transforms."""
+        g = Grid(dim=2, box_len=1.0, n=8)
+        backend = spectral_mod._fft
+        backend.rfftn(np.ones((3, 2) + g.shape), axes=(-2, -1))
+        backend.irfftn(np.ones((4,) + g.half_shape, dtype=complex), s=g.shape)
+        backend.rfftn(np.ones((5,) + g.shape), axes=(0,))
+        spectral_mod.irfftn(spectral_mod.rfftn(np.ones(g.shape)), g)
+        assert fft_calls == ["rfftn"] * 6 + ["irfftn"] * 4 + ["rfftn"] * 64 + ["rfftn", "irfftn"]
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
     def test_nyquist_rule_drops_what_real_part_drops(self, dim, n):
