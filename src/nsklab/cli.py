@@ -2,10 +2,10 @@
 
 Subcommands mirror the scenario kinds plus a sweep runner:
 
-    nsklab verify-symbols --config cfg.json [--out DIR] [--seed N]
-    nsklab linear-decay   --config cfg.json [--out DIR] [--seed N]
-    nsklab ablation       --config cfg.json [--out DIR] [--seed N]
-    nsklab nonlinear-run  --config cfg.json [--out DIR] [--seed N]
+    nsklab verify-symbols --config cfg.json [--out DIR] [--seed N] [--threads K]
+    nsklab linear-decay   --config cfg.json [--out DIR] [--seed N] [--threads K]
+    nsklab ablation       --config cfg.json [--out DIR] [--seed N] [--threads K]
+    nsklab nonlinear-run  --config cfg.json [--out DIR] [--seed N] [--threads K]
     nsklab sweep          --config sweep.json [--out DIR] [--threads K]
 
 Output directory resolution: --out flag, then the NSKLAB_OUT environment
@@ -55,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the scenario config (JSON)")
         p.add_argument("--out", default=None, help="output directory (overrides env and config)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name != "sweep":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=1, help="worker count (sweep fan-out / FFT workers)")
     return parser
 

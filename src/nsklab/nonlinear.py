@@ -16,12 +16,12 @@ theta and m are conserved bit for bit.
 
 Layout: every field of the solver is real, so every spectrum here is a half
 spectrum (the rfftn layout, last axis n/2 + 1; see :mod:`nsklab.model`):
-the StepState's spectral state, g-hat, H-hat, the dealias mask and the
-cached S(h) and h phi_k(hA) blocks.  Every transform is
+the StepState's spectral state, g-hat, the dealias mask and the cached
+S(h) and h phi_k(hA) blocks.  Every transform is
 ``spectral.rfftn``/``spectral.irfftn``; none is complex.
 
-Nyquist rule: every odd factor i xi_k (the divergence, grad rho, the
-viscous tensor, the derivatives and time derivatives of a sample) is zero
+Nyquist rule: every odd factor i xi_k (the divergence, grad rho, grad div v,
+the derivatives and time derivatives of a sample) is zero
 on the Nyquist index of axis k (``spectral.odd_wavevectors`` and
 ``spectral._multi_index_power``).  There a mode is its own mirror, and a
 half spectrum's implied mirror would otherwise carry the wrong sign; with
@@ -29,12 +29,12 @@ the rule every derivative equals ``.real`` of the full complex round trip
 to rounding.  The S(h) and phi blocks are the linear toolkit's block
 formula, bit for bit per stored mode.
 
-H is assembled in spectral space.  Transforms are linear, so the pointwise
-products in one component of H are summed in real space and transformed
-once; only the real fields a later product needs (the dealiased
-1/rho - 1/rho*, the dealiased m_j m_k and grad rho) are transformed back.
-The viscous tensor, Lap(rho^2) and -Div H are multipliers.  Transform
-budget in dim N, with P = N(N+1)/2 symmetric pairs:
+g is built as a vector; H is never formed.  The pointwise products of one
+symmetric pair j <= k of H are summed in real space and transformed once;
+only the real fields a later product needs (the dealiased 1/rho - 1/rho*,
+the dealiased m_j m_k and grad rho) are transformed back.  The divergences
+of those pairs, of the viscous part and of the Lap(rho^2) part are
+multipliers.  Transform budget in dim N, with P = N(N+1)/2 symmetric pairs:
 
 * one g: 2 + N + 2P forward and 1 + N + P inverse transforms, 27 in dim 3;
 * one step: one g and 2(N+1) inverse transforms (35 in dim 3) when a sample
@@ -58,7 +58,6 @@ from .spectral import (
     Block,
     _multi_index_power,
     dealias_mask,
-    divergence_spectral,
     irfftn,
     longitudinal_amplitude,
     odd_wavevectors,
@@ -74,23 +73,6 @@ GL_TAU = 0.5 * (GL_NODES + 1.0)
 GL_W = 0.5 * GL_WEIGHTS
 
 
-def _viscous_hat(u_hat: np.ndarray, params: FluidParams, grid: Grid) -> np.ndarray:
-    """Spectral S(u) from the half spectra of the components of u; multipliers only."""
-    dim = grid.dim
-    xis = odd_wavevectors(grid)
-    div_u = np.zeros(grid.half_shape, dtype=complex)
-    for j in range(dim):
-        div_u += 1j * xis[j] * u_hat[j]
-    out = np.empty((dim, dim) + grid.half_shape, dtype=complex)
-    for j in range(dim):
-        for k in range(j, dim):
-            out[j, k] = params.mu_star * (1j * xis[k] * u_hat[j] + 1j * xis[j] * u_hat[k])
-            if j == k:
-                out[j, k] += (params.nu_star - params.mu_star) * div_u
-            out[k, j] = out[j, k]
-    return out
-
-
 def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
     """Taylor-remainder pressure term: (int_0^1 P''(rho* + tau theta)(1-tau) dtau) theta^2.
 
@@ -104,17 +86,21 @@ def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
     return acc * theta**2
 
 
-def _bracket_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> np.ndarray:
-    """Per-component half spectra of the bracket tensor H with g = -Div H.
+def nonlinearity_g_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> np.ndarray:
+    """Half spectra of the components of g = -Div H, built without forming H.
 
     H = (1/(rho*+theta) - 1/rho*) m x m + (1/rho*) m x m
-        - S((1/(rho*+theta) - 1/rho*) m) - K(theta) + pressure_remainder I,
-    assembled pseudospectrally with 2/3-rule truncation after every product,
-    where S(u) = mu* (grad u + grad u^T) + (nu* - mu*) div u I and
+        - S(v) - K(theta) + pressure_remainder I,   v = (1/(rho*+theta) - 1/rho*) m,
+    with 2/3-rule truncation after every product, where
+    S(v) = mu* (grad v + grad v^T) + (nu* - mu*) div v I and
     K(rho) = kappa*/2 (Lap(rho^2) - |grad rho|^2) I - kappa* grad rho x grad rho.
     mask, here and below, is the dealias mask (``dealias_mask(grid)``).
-    The mm_jk read back is band-limited, so its 1/rho* part folds into the
-    one transform of H_jk; grad rho comes from the state's theta_hat.
+    The pointwise products of each symmetric pair j <= k are summed in real
+    space and transformed once into h, which enters g_j as -i xi_k h and g_k
+    as -i xi_j h.  The mm_jk read back is band-limited, so its 1/rho* part
+    folds into h; grad rho comes from the state's theta_hat.  S(v) enters as
+    Div S(v) = mu* Lap v + nu* grad div v, and -kappa*/2 Lap(rho^2) I as its
+    gradient.  The zero mode of g vanishes identically.
     """
     state, grid = st.real, st.real.grid
     dim = grid.dim
@@ -125,35 +111,31 @@ def _bracket_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> np.nda
             f"[{params.rho_star / 4.0:.6g}, {4.0 * params.rho_star:.6g}]"
         )
     recip = irfftn(mask * rfftn(1.0 / rho - 1.0 / params.rho_star), grid)
-    weight = recip + 1.0 / params.rho_star
     xis = odd_wavevectors(grid)
+    # v_hat is dealiased, so zero on every Nyquist index: -xi_sq is its Laplacian
+    xi_sq = grid.xi_sq_of(half=True)
+    v_hat = [mask * rfftn(recip * state.m[j]) for j in range(dim)]
+    div_v = sum(1j * xis[j] * v_hat[j] for j in range(dim))
+    lap_part = 0.5 * params.kappa_star * xi_sq * (mask * rfftn(state.theta * state.theta))
+    grad_part = params.nu_star * div_v - lap_part
+    g = np.stack([1j * xis[j] * grad_part - params.mu_star * xi_sq * v_hat[j] for j in range(dim)])
+
+    weight = recip + 1.0 / params.rho_star
     grad_rho = [irfftn(1j * xis[j] * st.spectral.theta_hat, grid) for j in range(dim)]
     iso = pressure_remainder(state.theta, params)
     for j in range(dim):
         iso += 0.5 * params.kappa_star * grad_rho[j] * grad_rho[j]
-
-    H = np.empty((dim, dim) + grid.half_shape, dtype=complex)
     for j in range(dim):
         for k in range(j, dim):
             mm = irfftn(mask * rfftn(state.m[j] * state.m[k]), grid)
             prod = weight * mm + params.kappa_star * grad_rho[j] * grad_rho[k]
             if j == k:
                 prod += iso
-            H[j, k] = mask * rfftn(prod)
-            H[k, j] = H[j, k]
-    # viscous part of the momentum correction
-    v_hat = np.stack([mask * rfftn(recip * state.m[j]) for j in range(dim)])
-    H -= _viscous_hat(v_hat, params, grid)
-    # -kappa*/2 Lap(rho^2) I, the one Korteweg term that is not a pointwise product
-    lap_part = 0.5 * params.kappa_star * grid.xi_sq_of(half=True) * (mask * rfftn(state.theta * state.theta))
-    for j in range(dim):
-        H[j, j] += lap_part
-    return H
-
-
-def nonlinearity_g_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> np.ndarray:
-    """Half spectra of the components of g = -Div H; the zero mode vanishes identically."""
-    return -divergence_spectral(_bracket_hat(st, params, mask), st.real.grid)
+            h = mask * rfftn(prod)
+            g[j] -= 1j * xis[k] * h
+            if k != j:
+                g[k] -= 1j * xis[j] * h
+    return g
 
 
 @dataclass
@@ -320,13 +302,14 @@ class RunResult:
 
 
 def _sample_fields(st: StepState, params: FluidParams, powers: dict, g_hat: np.ndarray | None):
-    """Yield (constituent, real field) for every field one sample measures.
+    """Yield (constituents, real field) once for every field one sample measures.
 
     Constituents: "j0" theta and m, "j1" grad theta and grad m, "w3" theta
     and every partial up to order 3, "w2" m and every partial up to order 2,
-    "dt" d_t theta, grad d_t theta and d_t m.  The time derivatives come from
-    the equations of motion, d_t theta = -div m, grad d_t theta = -grad div m
-    and d_t m = alpha* Lap m + beta* grad div m + kappa* rho* grad Lap theta + g
+    "dt" d_t theta, grad d_t theta and d_t m; theta and m each belong to two.
+    The time derivatives come from the equations of motion, d_t theta =
+    -div m, grad d_t theta = -grad div m and
+    d_t m = alpha* Lap m + beta* grad div m + kappa* rho* grad Lap theta + g
     with (grad div m)_a = sum_b d_a d_b m_b, as sums of partials the W^{3,2}
     stack has already read back; only g is transformed (g_hat None is g = 0).
     """
@@ -338,9 +321,8 @@ def _sample_fields(st: StepState, params: FluidParams, powers: dict, g_hat: np.n
     grad_m = np.empty((dim, dim) + grid.shape)  # grad_m[c, b] = d_b m_c
     grad_lap_theta, grad_div, lap_m = np.zeros((3, dim) + grid.shape)
 
-    yield "j0", theta
-    yield "j0", m
-    yield "w3", theta
+    yield ("j0", "w3"), theta
+    yield ("j0", "w2"), m
     for order in (1, 2, 3):
         for alpha in multi_indices(dim, order):
             f = irfftn(powers[alpha] * th_hat, grid)
@@ -349,8 +331,7 @@ def _sample_fields(st: StepState, params: FluidParams, powers: dict, g_hat: np.n
             elif order == 3 and max(alpha) > 1:
                 # alpha = e_a + 2 e_b, a term of (grad Lap theta)_a
                 grad_lap_theta[alpha.index(3) if 3 in alpha else alpha.index(1)] += f
-            yield "w3", f
-    yield "w2", m
+            yield ("w3",), f
     for order in (1, 2):
         for alpha in multi_indices(dim, order):
             f = grad_m[:, alpha.index(1)] if order == 1 else np.empty((dim,) + grid.shape)
@@ -363,18 +344,18 @@ def _sample_fields(st: StepState, params: FluidParams, powers: dict, g_hat: np.n
                     lap_m += f
                 else:
                     grad_div[b] += f[a]
-            yield "w2", f
-    yield "j1", grad_theta
-    yield "j1", grad_m
+            yield ("w2",), f
+    yield ("j1",), grad_theta
+    yield ("j1",), grad_m
 
-    yield "dt", -np.trace(grad_m)
+    yield ("dt",), -np.trace(grad_m)
     dm = params.alpha_star * lap_m + params.beta_star * grad_div
     dm += params.kappa_star * params.rho_star * grad_lap_theta
     if g_hat is not None:
         for a in range(dim):
             dm[a] += irfftn(g_hat[a], grid)
-    yield "dt", np.negative(grad_div, out=grad_div)
-    yield "dt", dm
+    yield ("dt",), np.negative(grad_div, out=grad_div)
+    yield ("dt",), dm
 
 
 def _sample_norms(st: StepState, scn: NonlinearScenario, stepper: Etd2Stepper) -> dict:
@@ -383,20 +364,22 @@ def _sample_norms(st: StepState, scn: NonlinearScenario, stepper: Etd2Stepper) -
     if scn.nonlinear and st.g_hat is None:
         st.g_hat = nonlinearity_g_hat(st, stepper.params, stepper.mask)
     g_hat = st.g_hat if scn.nonlinear else None
-    # each field's magnitude is formed once for all its exponents; the sup norm only enters j0 and j1
+    # each field is measured once for all its exponents and constituents; the sup norm only enters j0 and j1
     qs = (np.inf, scn.q1, scn.q2)
     norms = {key: [] for key in ("j0", "j1", "w3", "w2", "dt")}
-    for key, f in _sample_fields(st, stepper.params, stepper.powers, g_hat):
-        norms[key].append(lp_norms(f, grid, qs if key in ("j0", "j1") else qs[1:]))
+    for keys, f in _sample_fields(st, stepper.params, stepper.powers, g_hat):
+        measured = lp_norms(f, grid, qs if keys[0] in ("j0", "j1") else qs[1:])
+        for key in keys:
+            norms[key].append(measured)
 
-    def total(key, i):
+    def total(key, i):  # i counts from the end, so -2 is q1 whether or not the sup norm was taken
         return sum(n[i] for n in norms[key])
 
     out = {}
-    for i, label in enumerate(("linf", "q1", "q2")):
+    for i, label in zip((-3, -2, -1), ("linf", "q1", "q2")):
         out[f"pair_{label}_j0"] = total("j0", i)
         out[f"pair_{label}_j1"] = total("j1", i)
-    for i, label in enumerate(("q1", "q2")):
+    for i, label in zip((-2, -1), ("q1", "q2")):
         out[f"pair_w32_{label}"] = total("w3", i) + total("w2", i)
         out[f"dt_pair_w10_{label}"] = total("dt", i)
     return out

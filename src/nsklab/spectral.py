@@ -341,25 +341,18 @@ def odd_wavevectors(grid: Grid) -> list:
 
 
 def divergence_form_momentum(m0_tensor: np.ndarray, grid: Grid) -> np.ndarray:
-    """m0 = Div M0 computed spectrally on real transforms: j-th component sum_k d_k M0[j,k]."""
+    """m0 = Div M0 computed spectrally on real transforms: j-th component sum_k d_k M0[j,k] (Nyquist rule)."""
     m0_tensor = np.asarray(m0_tensor)
     expected = (grid.dim, grid.dim) + grid.shape
     if m0_tensor.shape != expected:
         raise GridMismatch(f"tensor field has shape {m0_tensor.shape}, expected {expected}")
-    tensor_hat = np.stack([np.stack([rfftn(m0_tensor[j, k]) for k in range(grid.dim)]) for j in range(grid.dim)])
-    div_hat = divergence_spectral(tensor_hat, grid)
-    return np.stack([irfftn(div_hat[j], grid) for j in range(grid.dim)])
-
-
-def divergence_spectral(tensor_hat: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral divergence of a tensor field given its per-component half spectra (Nyquist rule)."""
     xis = odd_wavevectors(grid)
-    out = np.empty((grid.dim,) + grid.half_shape, dtype=complex)
+    out = np.empty((grid.dim,) + grid.shape)
     for j in range(grid.dim):
         acc = np.zeros(grid.half_shape, dtype=complex)
         for k in range(grid.dim):
-            acc += 1j * xis[k] * tensor_hat[j, k]
-        out[j] = acc
+            acc += 1j * xis[k] * rfftn(m0_tensor[j, k])
+        out[j] = irfftn(acc, grid)
     return out
 
 

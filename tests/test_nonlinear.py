@@ -13,9 +13,7 @@ from nsklab.nonlinear import (
     Etd2Stepper,
     NonlinearScenario,
     StepState,
-    _bracket_hat,
     _sample_fields,
-    _viscous_hat,
     nonlinearity_g_hat,
     pressure_remainder,
     run,
@@ -45,28 +43,12 @@ def read_out(hat, grid):
     return np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(-grid.dim, 0)))
 
 
-def viscous_tensor(u, params, grid):
-    return read_out(_viscous_hat(np.fft.rfftn(u, axes=tuple(range(1, grid.dim + 1))), params, grid), grid)
-
-
-def korteweg_tensor(rho, params, grid):
-    """K(rho) read out of the bracket at m = 0, where H = pr I - K with pr the dealiased pressure remainder."""
-    mask = dealias_mask(grid)
-    H = nonlinearity_tensor(State(grid=grid, theta=rho, m=np.zeros((grid.dim,) + grid.shape)), params)
-    pr = np.fft.irfftn(mask * np.fft.rfftn(pressure_remainder(rho, params)), s=grid.shape)
-    return np.eye(grid.dim).reshape((grid.dim, grid.dim) + (1,) * grid.dim) * pr - H
-
-
-def nonlinearity_tensor(state, params):
-    return read_out(_bracket_hat(StepState.from_state(state), params, dealias_mask(state.grid)), state.grid)
-
-
 def nonlinearity_g(state, params):
     return read_out(nonlinearity_g_hat(StepState.from_state(state), params, dealias_mask(state.grid)), state.grid)
 
 
-def full_layout_g(state, params):
-    """g = -Div H on full complex spectra, every derivative as .real of an ifftn round trip."""
+def full_layout_H(state, params):
+    """Full complex spectra of the bracket tensor H, every derivative as .real of an ifftn round trip."""
     grid, dim = state.grid, state.grid.dim
     fwd = np.fft.fftn
 
@@ -94,7 +76,19 @@ def full_layout_g(state, params):
                 + params.kappa_star * mask * fwd(grad[j] * grad[k])
             )
         H[j, j] += -(params.nu_star - params.mu_star) * div_v - 0.5 * params.kappa_star * (lap_sq - grad_sq) + pr
-    return np.stack([inv(-sum(1j * xis[k] * H[j, k] for k in range(dim))) for j in range(dim)])
+    return H
+
+
+def full_layout_g(state, params):
+    """g = -Div H on full complex spectra, with H from full_layout_H."""
+    grid, dim = state.grid, state.grid.dim
+    H, xis = full_layout_H(state, params), grid.wavevectors()
+    return np.stack([np.fft.ifftn(-sum(1j * xis[k] * H[j, k] for k in range(dim))).real for j in range(dim)])
+
+
+def spectral_partial(f, grid, ax, order=1):
+    """d_ax^order f by np.fft on the full layout."""
+    return np.fft.ifftn((1j * grid.wavevectors()[ax]) ** order * np.fft.fftn(f)).real
 
 
 def small_state(grid, rng, amp=0.05):
@@ -106,68 +100,82 @@ def small_state(grid, rng, amp=0.05):
 
 
 class TestViscousTensor:
-    def test_zero_velocity(self, params):
-        g = Grid(dim=2, box_len=1.0, n=16)
-        assert np.max(np.abs(viscous_tensor(np.zeros((2, 16, 16)), params, g))) == 0.0
+    """The viscous part of g, Div S(v) = mu* Lap v + nu* grad div v with v = (1/(rho*+theta) - 1/rho*) m."""
 
     def test_rigid_translation(self, params):
+        """Constant theta and uniform m: no stress, no flux divergence, so g vanishes."""
         g = Grid(dim=3, box_len=1.0, n=8)
-        u = np.ones((3,) + g.shape)
-        assert np.max(np.abs(viscous_tensor(u, params, g))) <= 1e-12
+        s = State(grid=g, theta=np.full(g.shape, 0.3), m=np.ones((3,) + g.shape))
+        assert np.max(np.abs(nonlinearity_g(s, params))) <= 1e-12
 
     def test_shear_flow_analytic(self):
+        """theta = c, m = (a sin ky, 0): v is a divergence-free shear, g = (-mu* r a k^2 sin ky, 0), r = 1/(rho*+c) - 1/rho*."""
         p = make_params(1.3, 0.7, 1.0, 1.0, critical_quadratic(1.0, 1.0))
         g = Grid(dim=2, box_len=4.0, n=32)
         k = 2 * np.pi / g.box_len
         y = g.mesh()[1]
-        u = np.zeros((2,) + g.shape)
-        u[0] = np.broadcast_to(np.sin(k * y), g.shape)
-        S = viscous_tensor(u, p, g)
-        want = p.mu_star * k * np.broadcast_to(np.cos(k * y), g.shape)
-        assert np.allclose(S[0, 1], want, atol=1e-12)
-        assert np.allclose(S[1, 0], want, atol=1e-12)
-        assert np.max(np.abs(S[0, 0])) <= 1e-12  # divergence-free shear
-        assert np.max(np.abs(S[1, 1])) <= 1e-12
+        c, a = 0.3, 0.2
+        m = np.zeros((2,) + g.shape)
+        m[0] = a * np.broadcast_to(np.sin(k * y), g.shape)
+        got = nonlinearity_g(State(grid=g, theta=np.full(g.shape, c), m=m), p)
+        r = 1.0 / (p.rho_star + c) - 1.0 / p.rho_star
+        want = -p.mu_star * r * a * k**2 * np.broadcast_to(np.sin(k * y), g.shape)
+        assert np.allclose(got[0], want, atol=1e-12)
+        assert np.max(np.abs(got[1])) <= 1e-12
+
+    def test_compression_flow_analytic(self):
+        """theta = c, m = (a sin kx, 0): Lap v and grad div v add up, and the flux is (a sin kx)^2/(rho*+c), so
+        g = (-(mu* + nu*) r a k^2 sin kx - a^2 k sin 2kx/(rho*+c), 0)."""
+        p = make_params(1.3, 0.7, 1.0, 1.0, critical_quadratic(1.0, 1.0))
+        g = Grid(dim=2, box_len=4.0, n=32)
+        k = 2 * np.pi / g.box_len
+        x = np.broadcast_to(g.mesh()[0], g.shape)
+        c, a = 0.3, 0.2
+        m = np.zeros((2,) + g.shape)
+        m[0] = a * np.sin(k * x)
+        got = nonlinearity_g(State(grid=g, theta=np.full(g.shape, c), m=m), p)
+        r = 1.0 / (p.rho_star + c) - 1.0 / p.rho_star
+        want = -(p.mu_star + p.nu_star) * r * a * k**2 * np.sin(k * x) - a**2 * k * np.sin(2 * k * x) / (p.rho_star + c)
+        assert np.allclose(got[0], want, atol=1e-12)
+        assert np.max(np.abs(got[1])) <= 1e-12
+
+
+def korteweg_identity(theta, params, grid):
+    """(g, want) at m = 0, where g = -grad pr(theta) + Div K(theta) = -grad pr(theta) + kappa* theta grad Lap theta."""
+    g = nonlinearity_g(State(grid=grid, theta=theta, m=np.zeros((grid.dim,) + grid.shape)), params)
+    pr = pressure_remainder(theta, params)
+    lap = sum(spectral_partial(theta, grid, ax, 2) for ax in range(grid.dim))
+    want = np.stack(
+        [
+            -spectral_partial(pr, grid, j) + params.kappa_star * theta * spectral_partial(lap, grid, j)
+            for j in range(grid.dim)
+        ]
+    )
+    return g, want
 
 
 class TestKortewegTensor:
+    """The capillary part of g at m = 0, against the Korteweg force identity Div K(rho) = kappa* rho grad Lap rho."""
+
     def test_constant_density(self, params):
         g = Grid(dim=2, box_len=1.0, n=16)
-        K = korteweg_tensor(np.full(g.shape, 1.7), params, g)
-        assert np.max(np.abs(K)) <= 1e-12
+        got, want = korteweg_identity(np.full(g.shape, 1.7), params, g)
+        assert np.max(np.abs(want)) <= 1e-12
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
-    def test_symmetry(self, params):
-        g = Grid(dim=3, box_len=2.0, n=8)
-        rho = 1.0 + 0.1 * np.random.default_rng(0).standard_normal(g.shape)
-        K = korteweg_tensor(rho, params, g)
-        for j in range(3):
-            for k in range(3):
-                assert np.array_equal(K[j, k], K[k, j])
-
-    def test_trace_identity_recomputed(self):
-        """trace K = kappa (N/2)(Lap rho^2 - |grad rho|^2) - kappa |grad rho|^2."""
+    def test_force_identity_recomputed(self):
+        """g = -grad pr + kappa* theta grad Lap theta on band-limited theta, where the 2/3 truncation is inert."""
         p = make_params(1.0, 1.0, 0.8, 1.0, critical_quadratic(1.0, 1.0))
         g = Grid(dim=2, box_len=5.0, n=32)
         rng = np.random.default_rng(3)
-        # smooth band-limited field so the 2/3 truncation is inert
-        rho_hat = np.zeros(g.shape, complex)
-        rho_hat[1, 2] = 3.0 + 2.0j
-        rho_hat[-1, -2] = 3.0 - 2.0j
-        rho_hat[2, 0] = 1.0
-        rho_hat[-2, 0] = 1.0
-        rho = np.fft.ifftn(rho_hat).real + 0.2 * rng.standard_normal()
-        K = korteweg_tensor(rho, p, g)
-        trace = K[0, 0] + K[1, 1]
-        xis = g.wavevectors()
-
-        def deriv(f, ax, order):
-            return np.fft.ifftn((1j * xis[ax]) ** order * np.fft.fftn(f)).real
-
-        lap_rho_sq = deriv(rho * rho, 0, 2) + deriv(rho * rho, 1, 2)
-        gx, gy = deriv(rho, 0, 1), deriv(rho, 1, 1)
-        grad_sq = gx * gx + gy * gy
-        want = p.kappa_star * (g.dim / 2.0) * (lap_rho_sq - grad_sq) - p.kappa_star * grad_sq
-        assert np.max(np.abs(trace - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+        theta_hat = np.zeros(g.shape, complex)
+        theta_hat[1, 2] = 3.0 + 2.0j
+        theta_hat[-1, -2] = 3.0 - 2.0j
+        theta_hat[2, 0] = 1.0
+        theta_hat[-2, 0] = 1.0
+        theta = np.fft.ifftn(theta_hat).real + 0.2 * rng.standard_normal()
+        got, want = korteweg_identity(theta, p, g)
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
 class TestPressureRemainder:
@@ -209,18 +217,23 @@ class TestNonlinearityG:
         assert np.max(np.abs(nonlinearity_g(s, params))) <= 1e-14
 
     def test_zero_theta_reduces_to_momentum_flux(self, params):
-        """At theta = 0 the bracket is (1/rho*) m x m only."""
+        """At theta = 0 the bracket is (1/rho*) m x m only: g = -Div(mask mm)/rho*."""
         g = Grid(dim=2, box_len=3.0, n=32)
         rng = np.random.default_rng(5)
         s = small_state(g, rng, amp=0.2)
         s = State(grid=g, theta=np.zeros(g.shape), m=s.m)
-        H = nonlinearity_tensor(s, params)
-        mask = dealias_mask(g)
-        want = np.empty_like(H)
-        for j in range(2):
-            for k in range(2):
-                want[j, k] = np.fft.irfftn(mask * np.fft.rfftn(s.m[j] * s.m[k]), s=g.shape) / params.rho_star
-        assert np.max(np.abs(H - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        got = nonlinearity_g(s, params)
+        keep = np.abs(g.axis_aliases()) < g.n / 3.0
+        mask = keep[:, None] & keep[None, :]
+        xis = g.wavevectors()
+        want = np.stack(
+            [
+                -sum(np.fft.ifftn(1j * xis[k] * mask * np.fft.fftn(s.m[j] * s.m[k])).real for k in range(2))
+                / params.rho_star
+                for j in range(2)
+            ]
+        )
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_g_is_exact_divergence(self, params):
         """Mean of g vanishes bit for bit (zero mode of -Div H)."""
@@ -248,7 +261,7 @@ class TestNonlinearityG:
             m[0] = 0.3 * np.broadcast_to(np.cos(k * x), g.shape)
             m[1] = 0.2 * np.broadcast_to(np.sin(k * y), g.shape)
             s = State(grid=g, theta=theta, m=m)
-            H = nonlinearity_tensor(s, params)
+            H = np.fft.ifftn(full_layout_H(s, params), axes=(-2, -1)).real
             g_spec = nonlinearity_g(s, params)
             g_fd = -np.stack([sum(fd4(H[j, c], c, g.spacing) for c in range(2)) for j in range(2)])
             errs.append(np.max(np.abs(g_spec - g_fd)))
@@ -308,7 +321,7 @@ class TestSample:
         st = StepState(spectral=spec, real=to_real(spec), t=0.0)
         g_hat = nonlinearity_g_hat(st, p, dealias_mask(g))
         powers = Etd2Stepper(p, g, 0.1).powers
-        got = [f for key, f in _sample_fields(st, p, powers, g_hat) if key == "dt"]
+        got = [f for keys, f in _sample_fields(st, p, powers, g_hat) if keys == ("dt",)]
 
         th_hat, m_hat = spec.theta_hat, spec.m_hat
         unit = np.eye(dim, dtype=int)
@@ -336,6 +349,26 @@ class TestSample:
         assert len(got) == 3
         for name, f, w in zip(("d_t theta", "grad d_t theta", "d_t m"), got, want):
             assert np.max(np.abs(f - w)) <= 1e-13 * np.max(np.abs(w)), name
+
+    def test_each_field_measured_once(self, params, monkeypatch):
+        """A dim-3 sample makes one lp_norms call per distinct field: theta and m serve j0 and W^{3,2} alike."""
+        import nsklab.nonlinear as nonlinear_mod
+
+        calls = []
+        real_lp_norms = nonlinear_mod.lp_norms
+
+        def lp_norms(f, grid, qs):
+            calls.append(len(qs))
+            return real_lp_norms(f, grid, qs)
+
+        monkeypatch.setattr(nonlinear_mod, "lp_norms", lp_norms)
+        g = Grid(dim=3, box_len=4.0, n=8)
+        st = StepState.from_state(small_state(g, np.random.default_rng(9), amp=0.1))
+        scn = NonlinearScenario(params=params, grid=g, amplitude=0.1, t_end=0.05, dt=0.05, seed=0)
+        _sample_norms(st, scn, Etd2Stepper(params, g, 0.05))
+        # j0: theta, m; j1: grad theta, grad m; w3: 3 + 6 + 10 partials; w2: 3 + 6 partials; dt: 3 fields
+        assert len(calls) == 35
+        assert calls.count(3) == 4
 
     def test_derivative_multipliers_built_once_per_run(self, params, monkeypatch):
         """No (i xi)^alpha multiplier is built from the second sample of a run on."""

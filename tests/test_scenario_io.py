@@ -400,6 +400,16 @@ class TestCli:
         summary = json.loads((out / "sweep_summary.json").read_text())["scenarios"]
         assert [r["status"] for r in summary] == ["pass", "fail"]
 
+    def test_cli_sweep_rejects_seed(self, capsys):
+        """--seed overrides one scenario's seed; a sweep's scenarios keep their own, so sweep does not take it."""
+        from nsklab import cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["sweep", "--config", "sweep.json", "--seed", "999"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert cli.build_parser().parse_args(["nonlinear-run", "--config", "c.json", "--seed", "999"]).seed == 999
+
     def test_cli_contains_an_unexpected_exception(self, tmp_path, monkeypatch, capsys):
         """An exception outside NsklabError and OSError exits 1 with a message, not a traceback."""
         from nsklab import cli, runner
