@@ -32,7 +32,7 @@ window = (5.0, 50.0)
 meas = measure_semigroup_decay(data, params, times, band="low", p=np.inf, j=0)
 rep = fit_decay(
     meas.series, window, dim=2, p=np.inf, q=2, j=0,
-    trust_ok=meas.trust_ok(window, "edge_leak"), strict_trust=False,
+    trust_ok=meas.trust_ok(window, "edge_leak"),
 )
 
 print(f"low-band pair sup norm, divergence-form data on {grid.n}^2, L = {grid.box_len}")

@@ -35,7 +35,6 @@ from .errors import (
     StepRejected,
     ValidationError,
     ValidityExceeded,
-    WindowOutsideTrust,
     WindowUncovered,
 )
 from .fields import (

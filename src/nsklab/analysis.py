@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     MissingConstituent,
     NonPositiveSeries,
-    WindowOutsideTrust,
     WindowUncovered,
 )
 from .model import FluidParams, Grid, SpectralState
@@ -120,9 +119,9 @@ def half_power(half: np.ndarray, grid: Grid) -> np.ndarray:
     return total
 
 
-def mass_radius(field_arr: np.ndarray, grid: Grid, center=None, quantile: float = 0.99) -> float:
-    """Smallest periodic radius around center containing the quantile of the |field| mass."""
-    return _TrustGeometry(grid, center).diagnostics(_magnitude(field_arr, grid), quantile)[0]
+def mass_radius(field_arr: np.ndarray, grid: Grid) -> float:
+    """Smallest periodic radius around the box center containing 99% of the |field| mass."""
+    return _TrustGeometry(grid).diagnostics(_magnitude(field_arr, grid))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +283,16 @@ def fit_decay(
     j: int,
     tol_exp: float = TOL_EXP,
     trust_ok: bool = True,
-    strict_trust: bool = True,
 ) -> DecayReport:
     """Least-squares slope of log(value) against log(t) over the window.
 
     Wrap-around trust enters as the trust_ok flag of this window (see
-    :meth:`DecayMeasurement.trust_ok`); a violation raises WindowOutsideTrust
-    (or, with strict_trust=False, is reported with trust_window_ok=False and
-    a failing verdict).
+    :meth:`DecayMeasurement.trust_ok`); a violation is reported as
+    trust_window_ok=False, which fails the verdict.
     """
     lo, hi = window
     if lo <= 0:
         raise ValueError("fit window must start at t > 0")
-    if not trust_ok and strict_trust:
-        raise WindowOutsideTrust(f"fit window [{lo}, {hi}] is not inside the wrap-around trust window")
     sel = series.window_slice(lo, hi)
     if int(sel.sum()) < 3:
         raise WindowUncovered(f"only {int(sel.sum())} samples inside [{lo}, {hi}]")
@@ -326,41 +321,46 @@ def fit_decay(
 # semigroup decay measurement
 
 
-def edge_leakage(field_arr: np.ndarray, grid: Grid, center=None, shell: float = 0.46) -> float:
-    """Max |field| on the outer shell (periodic distance > shell*L) over the global max.
+EDGE_SHELL = 0.46  # the outer shell starts at periodic distance EDGE_SHELL * L from the box center
+EDGE_LEAK_TOL = 0.02
+
+
+def edge_leakage(field_arr: np.ndarray, grid: Grid) -> float:
+    """Max |field| on the outer shell (periodic distance > EDGE_SHELL * L) over the global max.
 
     Direct measure of how much of the field reaches the region where periodic
     images interact; wrap-around contamination of pointwise measurements is
     of this order.
     """
-    return _TrustGeometry(grid, center, shell).diagnostics(_magnitude(field_arr, grid))[1]
+    return _TrustGeometry(grid).diagnostics(_magnitude(field_arr, grid))[1]
 
 
 class _TrustGeometry:
-    """The t-independent part of the trust diagnostics: radial mass bins and the outer shell."""
+    """The t-independent part of the trust diagnostics: radial mass bins and the outer shell.
 
-    def __init__(self, grid: Grid, center=None, shell: float = 0.46):
-        r_sq = grid.periodic_r_sq(center)
+    Distances are periodic and measured from the box center, where every
+    generator of :mod:`nsklab.fields` centers its data.
+    """
+
+    def __init__(self, grid: Grid):
+        r_sq = grid.periodic_r_sq()
         self.box_len = grid.box_len
         self.nbins = 4 * grid.n
         self.bins = np.minimum((np.sqrt(r_sq) / (grid.box_len / self.nbins)).astype(np.int64), self.nbins - 1).ravel()
-        self.shell = r_sq > (shell * grid.box_len) ** 2
+        self.shell = r_sq > (EDGE_SHELL * grid.box_len) ** 2
         self.any_shell = bool(self.shell.any())
 
-    def diagnostics(self, mag: np.ndarray, quantile: float = 0.99) -> tuple[float, float]:
-        """(mass_radius, edge_leakage) of a field given its pointwise magnitude."""
+    def diagnostics(self, mag: np.ndarray) -> tuple[float, float]:
+        """(99%-mass radius, edge leakage) of a field given its pointwise magnitude."""
         total = float(mag.sum())
         radius = 0.0
         if total != 0.0:
             mass = np.bincount(self.bins, weights=mag.ravel(), minlength=self.nbins)
-            hit = int(np.searchsorted(np.cumsum(mass), quantile * total))
+            hit = int(np.searchsorted(np.cumsum(mass), 0.99 * total))
             radius = (hit + 1) * self.box_len / self.nbins
         peak = float(mag.max())
         leak = float(mag[self.shell].max() / peak) if peak != 0.0 and self.any_shell else 0.0
         return radius, leak
-
-
-EDGE_LEAK_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -399,15 +399,13 @@ def measure_semigroup_decay(
     p=np.inf,
     j: int = 0,
     w10: bool = False,
-    trust_quantile: float = 0.99,
-    center=None,
 ) -> DecayMeasurement:
     """Norm series of the band-projected semigroup flow t -> S(t) Phi_band data.
 
     Measures the pair norm of (grad^j theta, grad^j m) in L_p (plus first
     derivatives when w10 is set, matching the W^{1,0} estimates for the high
     band).  The trust window ends at the first sample whose 99%-mass radius
-    exceeds a quarter of the box.
+    about the box center exceeds a quarter of the box.
 
     Every norm is taken of the half spectrum of the evolved real field
     (:func:`nsklab.spectral.hermitian_half`).  For p = 2 it comes by Parseval
@@ -432,9 +430,9 @@ def measure_semigroup_decay(
         raise ValueError("j in {0, 1} supported")
     xis = odd_wavevectors(grid)
     orbit = SemigroupOrbit(part, params)
-    trust = _TrustGeometry(grid, center)
+    trust = _TrustGeometry(grid)
     return _series_measurement(
-        lambda t: _decay_sample(orbit, t, xis, p, j, w10, trust, trust_quantile),
+        lambda t: _decay_sample(orbit, t, xis, p, j, w10, trust),
         times,
         {"p": "inf" if np.isinf(p) else p, "j": j, "band": band, "w10": w10, "cutoff_eps": cutoff.eps},
         grid,
@@ -455,7 +453,7 @@ def _series_measurement(sample, times, descriptor: dict, grid: Grid, cutoff: Cut
     )
 
 
-def _decay_sample(orbit: SemigroupOrbit, t: float, xis: list, p, j: int, w10: bool, trust, quantile: float):
+def _decay_sample(orbit: SemigroupOrbit, t: float, xis: list, p, j: int, w10: bool, trust):
     """(norm value, mass radius, edge leakage) of the orbit's sample at t.
 
     A function of its own, so a sample's fields are freed before the next
@@ -477,7 +475,7 @@ def _decay_sample(orbit: SemigroupOrbit, t: float, xis: list, p, j: int, w10: bo
     mag = np.abs(theta)
     if not np.max(mag) > np.max(np.abs(m)):
         mag = _magnitude(m, grid)
-    return (value, *trust.diagnostics(mag, quantile))
+    return (value, *trust.diagnostics(mag))
 
 
 def _pair_l2_by_parseval(th: np.ndarray, mh: np.ndarray, xis: list, j: int, w10: bool, grid: Grid) -> float:
@@ -588,7 +586,6 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
                 j=scn.j,
                 tol_exp=scn.tol_exp,
                 trust_ok=meas.trust_ok(scn.fit_window, scn.trust_mode),
-                strict_trust=False,
             )
         )
     gap = reports[1].fitted_exponent - reports[0].fitted_exponent

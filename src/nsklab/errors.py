@@ -25,10 +25,6 @@ class WindowUncovered(NsklabError):
     """A time series does not cover the requested window."""
 
 
-class WindowOutsideTrust(NsklabError):
-    """A fit window extends beyond the wrap-around trust window."""
-
-
 class NonPositiveSeries(NsklabError):
     """Log-log fitting requires strictly positive values on the window."""
 

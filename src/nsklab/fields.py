@@ -13,6 +13,8 @@ at its own (faster) point-mass rate.  Two constructions provide the needed
   assembled, used as curl potentials for exactly divergence-free data).
 
 ``gamma = dim/2`` is the L_2-critical profile the acceptance scenarios use.
+Every generator centers its data at the box center, the center the
+wrap-around trust diagnostics of :mod:`nsklab.analysis` measure from.
 Radial real coefficients are conjugate-symmetric; the ``i xi`` factors of
 divergence-form and curl data (and the transverse projection) are not on the
 Nyquist planes, where a mode is its own mirror: curl_mixture_momentum_state
@@ -28,28 +30,25 @@ from .model import Grid, SpectralState, State, gaussian_bump
 from .spectral import _quintic_step, divergence_form_momentum, fftn, irfftn, rfftn
 
 
-def _center_phase(grid: Grid, center) -> np.ndarray:
-    """Translation multiplier e^{-i xi . center}."""
-    if center is None:
-        center = np.full(grid.dim, grid.box_len / 2.0)
-    center = np.asarray(center, dtype=float)
+def _center_phase(grid: Grid) -> np.ndarray:
+    """Translation multiplier e^{-i xi . c} to the box center c."""
     phase = np.zeros(grid.shape)
-    for ax, xi in enumerate(grid.wavevectors()):
-        phase = phase + xi * center[ax]
+    for xi in grid.wavevectors():
+        phase = phase + xi * (grid.box_len / 2.0)
     return np.exp(-1j * phase)
 
 
-def scale_mixture_hat(grid: Grid, gamma: float, rho_min: float, rho_max: float, per_octave: int = 2, amplitude: float = 1.0) -> np.ndarray:
+def scale_mixture_hat(grid: Grid, gamma: float, rho_min: float, rho_max: float, amplitude: float = 1.0) -> np.ndarray:
     """Spectral envelope ~ amplitude * |xi|^-gamma realized by a Gaussian scale mixture.
 
     Returns the real nonnegative radial DFT coefficients
-    ``sum_k rho_k^gamma exp(-rho_k^2 |xi|^2 / 2)`` over a dyadic ladder of
-    widths rho_k in [rho_min, rho_max]; the zero mode is cleared so the field
-    has zero mean.
+    ``sum_k rho_k^gamma exp(-rho_k^2 |xi|^2 / 2)`` over a ladder of widths
+    rho_k in [rho_min, rho_max], two per octave; the zero mode is cleared so
+    the field has zero mean.
     """
     if not (0 < rho_min < rho_max):
         raise ValueError("0 < rho_min < rho_max required")
-    n_scales = max(2, int(np.ceil(per_octave * np.log2(rho_max / rho_min))) + 1)
+    n_scales = max(2, int(np.ceil(2 * np.log2(rho_max / rho_min))) + 1)
     rhos = np.geomspace(rho_min, rho_max, n_scales)
     xi_sq = grid.xi_sq
     out = np.zeros(grid.shape)
@@ -72,24 +71,25 @@ def _matern_envelope(z: np.ndarray, nu: float) -> np.ndarray:
     return out
 
 
-def riesz_kernel_hat(grid: Grid, gamma: float, support_radius: float, *, core: float = 0.75, center=None) -> np.ndarray:
+def riesz_kernel_hat(grid: Grid, gamma: float, support_radius: float) -> np.ndarray:
     """DFT of a compactly supported kernel with spectrum ~ |xi|^-gamma.
 
-    Real space: (|x - c|^2 + a^2)^(-(dim-gamma)/2) with a = core*h, ramped to
-    zero over the outer 55% of support_radius, so the field vanishes
-    identically outside support_radius.  The core regularization is a Matern
-    kernel whose exact Bessel-K spectral envelope is divided out again, so the
-    |xi|^-gamma band stays undeformed up to where the grid resolves it; the
-    envelope division is floored to avoid amplifying near-Nyquist content.
+    Real space: (|x - c|^2 + a^2)^(-(dim-gamma)/2) about the box center c with
+    core a = 0.75 h, ramped to zero over the outer 55% of support_radius, so
+    the field vanishes identically outside support_radius.  The core
+    regularization is a Matern kernel whose exact Bessel-K spectral envelope
+    is divided out again, so the |xi|^-gamma band stays undeformed up to where
+    the grid resolves it; the envelope division is floored to avoid
+    amplifying near-Nyquist content.
     The mean mode is cleared.
     """
     if support_radius > grid.box_len / 2.0:
         raise ValueError("support radius exceeds half the box")
     if not (0.0 < gamma < grid.dim):
         raise ValueError("0 < gamma < dim required")
-    r_sq = grid.periodic_r_sq(center)
+    r_sq = grid.periodic_r_sq()
     r = np.sqrt(r_sq)
-    a = core * grid.spacing
+    a = 0.75 * grid.spacing
     kernel = (r_sq + a**2) ** (-(grid.dim - gamma) / 2.0)
     kernel *= 1.0 - _quintic_step((r - 0.45 * support_radius) / (0.55 * support_radius))
     k_hat = fftn(kernel)
@@ -99,7 +99,7 @@ def riesz_kernel_hat(grid: Grid, gamma: float, support_radius: float, *, core: f
     return k_hat
 
 
-def riesz_momentum_pair(grid: Grid, gamma: float, support_radius: float, *, rng: np.random.Generator, amplitude: float = 1.0, center=None) -> tuple[SpectralState, SpectralState]:
+def riesz_momentum_pair(grid: Grid, gamma: float, support_radius: float, *, rng: np.random.Generator, amplitude: float = 1.0) -> tuple[SpectralState, SpectralState]:
     """Localized momentum pair for the divergence-form ablation.
 
     Divergence-form member: m = Div(T * kernel) with T a seeded constant
@@ -107,7 +107,7 @@ def riesz_momentum_pair(grid: Grid, gamma: float, support_radius: float, *, rng:
     scalar kernel (spectrum ~ |xi|^-gamma, support within support_radius) and
     are scaled to the same total spectral energy.
     """
-    k_hat = riesz_kernel_hat(grid, gamma, support_radius, center=center) * amplitude
+    k_hat = riesz_kernel_hat(grid, gamma, support_radius) * amplitude
     T = seeded_symmetric_tensor(grid.dim, rng)
     d = rng.standard_normal(grid.dim)
     d /= np.linalg.norm(d)
@@ -141,27 +141,26 @@ def seeded_symmetric_tensor(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 
-def curl_mixture_momentum_state(grid: Grid, gamma_potential: float, rho_min: float, rho_max: float, *, per_octave: int = 2, direction=None, amplitude: float = 1.0, center=None) -> SpectralState:
+def curl_mixture_momentum_state(grid: Grid, gamma_potential: float, rho_min: float, rho_max: float, *, amplitude: float = 1.0) -> SpectralState:
     """Divergence-free momentum from the curl of a Gaussian scale-mixture potential.
 
     |m_hat| ~ |xi|^(1 - gamma_potential) over the mixture band, assembled
     entirely in spectral space (no sampling aliasing); real-space mass stays
-    within ~3.2 * rho_max of the center.  theta is identically zero under the
-    linear flow of this data.
+    within ~3.2 * rho_max of the box center.  In dim 3 the potential is the
+    scalar profile times the fixed direction (0.36, 0.48, 0.8).  theta is
+    identically zero under the linear flow of this data.
     """
     if grid.dim not in (2, 3):
         raise ValueError("curl construction implemented for dim 2 and 3")
-    a_hat_prof = scale_mixture_hat(grid, gamma_potential, rho_min, rho_max, per_octave, amplitude)
-    a_hat_prof = a_hat_prof * _center_phase(grid, center)
+    a_hat_prof = scale_mixture_hat(grid, gamma_potential, rho_min, rho_max, amplitude)
+    a_hat_prof = a_hat_prof * _center_phase(grid)
     xis = grid.wavevectors()
     m_hat = np.empty((grid.dim,) + grid.shape, dtype=complex)
     if grid.dim == 2:
         m_hat[0] = 1j * xis[1] * a_hat_prof
         m_hat[1] = -1j * xis[0] * a_hat_prof
     else:
-        if direction is None:
-            direction = np.array([0.36, 0.48, 0.8])
-        d = np.asarray(direction, dtype=float)
+        d = np.array([0.36, 0.48, 0.8])
         d /= np.linalg.norm(d)
         m_hat[0] = 1j * (xis[1] * d[2] - xis[2] * d[1]) * a_hat_prof
         m_hat[1] = 1j * (xis[2] * d[0] - xis[0] * d[2]) * a_hat_prof
@@ -169,31 +168,24 @@ def curl_mixture_momentum_state(grid: Grid, gamma_potential: float, rho_min: flo
     return SpectralState(grid=grid, theta_hat=np.zeros(grid.shape, dtype=complex), m_hat=m_hat)
 
 
-def transverse_packet(grid: Grid, width: float, direction=None, *, amplitude: float = 1.0, center=None) -> SpectralState:
+def transverse_packet(grid: Grid, width: float, *, amplitude: float = 1.0) -> SpectralState:
     """Divergence-free momentum packet for the heat-block anchor.
 
-    m_hat(xi) = amplitude * (I - xi xi^T/|xi|^2) v * exp(-width^2 |xi|^2 / 2),
-    zero at the mean mode.  The transverse projection makes the linear flow
-    of this data an exact scalar heat semigroup.
+    m_hat(xi) = amplitude * (I - xi xi^T/|xi|^2) e_0 * exp(-width^2 |xi|^2 / 2),
+    centered at the box center and zero at the mean mode.  The transverse
+    projection makes the linear flow of this data an exact scalar heat
+    semigroup.
     """
     if grid.dim < 2:
         raise ValueError("transverse data needs dim >= 2")
-    if direction is None:
-        direction = np.zeros(grid.dim)
-        direction[0] = 1.0
-    v = np.asarray(direction, dtype=float)
-    v = v / np.linalg.norm(v)
     xi_sq = grid.xi_sq
     prof = amplitude * np.exp(-0.5 * width**2 * xi_sq)
     xis = grid.wavevectors()
-    xi_dot_v = np.zeros(grid.shape)
-    for ax in range(grid.dim):
-        xi_dot_v = xi_dot_v + xis[ax] * v[ax]
-    phase = _center_phase(grid, center)
+    phase = _center_phase(grid)
     safe = np.where(xi_sq > 0.0, xi_sq, 1.0)
     m_hat = np.empty((grid.dim,) + grid.shape, dtype=complex)
     for j in range(grid.dim):
-        comp = prof * (v[j] - xis[j] * xi_dot_v / safe)
+        comp = prof * (float(j == 0) - xis[j] * xis[0] / safe)
         comp[(0,) * grid.dim] = 0.0
         m_hat[j] = comp * phase
     return SpectralState(grid=grid, theta_hat=np.zeros(grid.shape, dtype=complex), m_hat=m_hat)
@@ -208,11 +200,9 @@ def smooth_random_field(grid: Grid, rng: np.random.Generator, smooth_width: floa
     return out / peak if peak > 0 else out
 
 
-def enveloped_random_tensor(grid: Grid, rng: np.random.Generator, *, envelope_width: float, smooth_width: float, amplitude: float, center=None) -> np.ndarray:
-    """Gaussian-enveloped random smooth symmetric tensor field (nonlinear M0 data)."""
-    if center is None:
-        center = np.full(grid.dim, grid.box_len / 2.0)
-    env = gaussian_bump(grid, center, envelope_width, 1.0)
+def enveloped_random_tensor(grid: Grid, rng: np.random.Generator, *, envelope_width: float, smooth_width: float, amplitude: float) -> np.ndarray:
+    """Random smooth symmetric tensor field under a Gaussian envelope at the box center (nonlinear M0 data)."""
+    env = gaussian_bump(grid, np.full(grid.dim, grid.box_len / 2.0), envelope_width, 1.0)
     M0 = np.empty((grid.dim, grid.dim) + grid.shape)
     for j in range(grid.dim):
         for k in range(j, grid.dim):
@@ -222,18 +212,15 @@ def enveloped_random_tensor(grid: Grid, rng: np.random.Generator, *, envelope_wi
     return M0
 
 
-def nonlinear_initial_state(grid: Grid, *, theta_amplitude: float, theta_width: float, m_amplitude: float, m_envelope_width: float, m_smooth_width: float, rng: np.random.Generator, center=None) -> tuple[State, np.ndarray]:
-    """Initial (theta, m) with m = Div M0; returns the state and M0."""
-    if center is None:
-        center = np.full(grid.dim, grid.box_len / 2.0)
-    theta = gaussian_bump(grid, center, theta_width, theta_amplitude)
+def nonlinear_initial_state(grid: Grid, *, theta_amplitude: float, theta_width: float, m_amplitude: float, m_envelope_width: float, m_smooth_width: float, rng: np.random.Generator) -> tuple[State, np.ndarray]:
+    """Initial (theta, m) with m = Div M0, both centered at the box center; returns the state and M0."""
+    theta = gaussian_bump(grid, np.full(grid.dim, grid.box_len / 2.0), theta_width, theta_amplitude)
     M0 = enveloped_random_tensor(
         grid,
         rng,
         envelope_width=m_envelope_width,
         smooth_width=m_smooth_width,
         amplitude=m_amplitude,
-        center=center,
     )
     m = divergence_form_momentum(M0, grid)
     return State(grid=grid, theta=theta, m=m), M0

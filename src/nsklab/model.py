@@ -201,10 +201,6 @@ class Grid:
         return self.spacing**self.dim
 
     @property
-    def volume(self) -> float:
-        return self.box_len**self.dim
-
-    @property
     def xi_max(self) -> float:
         """Largest resolved |xi| along one axis (the Nyquist magnitude pi*n/L)."""
         return np.pi * self.n / self.box_len
@@ -300,11 +296,6 @@ class Grid:
             d = np.minimum(d, self.box_len - d)
             r_sq = r_sq + d**2
         return r_sq
-
-    def wavevector_of_index(self, idx) -> np.ndarray:
-        """Wavevector of a multi-index (bijective with the mode set)."""
-        k = self._axis_wavenumbers
-        return np.array([k[i] for i in idx])
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -152,8 +152,8 @@ class StepState:
     g_hat: np.ndarray | None = None
 
     @classmethod
-    def from_state(cls, state: State, t: float = 0.0):
-        return cls(spectral=to_spectral(state, half=True), real=state, t=t)
+    def from_state(cls, state: State):
+        return cls(spectral=to_spectral(state, half=True), real=state, t=0.0)
 
 
 class Etd2Stepper:

@@ -182,7 +182,6 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         j=cfg.exponents.j,
         tol_exp=cfg.tol_exp,
         trust_ok=meas.trust_ok(cfg.fit_window, cfg.trust_mode),
-        strict_trust=False,
     )
     name = f"pair_{cfg.band}"
     _write_csv(_series_dir(out_dir) / f"{name}.csv", meas.series.times, meas.series.values)

@@ -32,8 +32,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .model import DEGENERACY_RTOL, FluidParams
 
@@ -52,11 +50,11 @@ class Discriminant:
     regime: Regime
 
 
-def discriminant(params: FluidParams, tol_deg: float = DEGENERACY_RTOL) -> Discriminant:
-    """delta* with its regime label; Degenerate within tol_deg relative."""
+def discriminant(params: FluidParams) -> Discriminant:
+    """delta* with its regime label; Degenerate within DEGENERACY_RTOL relative."""
     d = params.delta_star
     scale = (params.alpha_star + params.beta_star) ** 2 / 4.0
-    if abs(d) <= tol_deg * scale:
+    if abs(d) <= DEGENERACY_RTOL * scale:
         regime = Regime.DEGENERATE
     elif d > 0:
         regime = Regime.POSITIVE_REAL
@@ -203,60 +201,27 @@ def _series(z, coeffs):
     return acc
 
 
-_PHI1_COEF = [1.0 / _FACT[k + 1] for k in range(14)]
-_PHI2_COEF = [1.0 / _FACT[k + 2] for k in range(14)]
-_PHI1P_COEF = [(k + 1) / _FACT[k + 2] for k in range(13)]
-_PHI2P_COEF = [(k + 1) / _FACT[k + 3] for k in range(13)]
+def _entire(coeffs, closed, dtype):
+    """The entire function closed(z), elementwise on dtype arrays: its Taylor series with coeffs below |z| = 0.5."""
+
+    def f(z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=dtype)
+        out = np.empty(z.shape, dtype=dtype)
+        small = np.abs(z) < 0.5
+        if small.any():
+            out[small] = _series(z[small], coeffs)
+        if (~small).any():
+            out[~small] = closed(z[~small])
+        return out
+
+    return f
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """phi_1(z) = (e^z - 1)/z, entire; Taylor series below |z| = 0.5."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-    small = np.abs(z) < 0.5
-    if small.any():
-        out[small] = _series(z[small], _PHI1_COEF)
-    if (~small).any():
-        zb = z[~small]
-        out[~small] = (np.exp(zb) - 1.0) / zb
-    return out
-
-
-def _phi2(z: np.ndarray) -> np.ndarray:
-    """phi_2(z) = (e^z - 1 - z)/z^2, entire; Taylor series below |z| = 0.5."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty(z.shape, dtype=complex)
-    small = np.abs(z) < 0.5
-    if small.any():
-        out[small] = _series(z[small], _PHI2_COEF)
-    if (~small).any():
-        zb = z[~small]
-        out[~small] = (np.exp(zb) - 1.0 - zb) / zb**2
-    return out
-
-
-def _phi1_prime(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    small = np.abs(x) < 0.5
-    if small.any():
-        out[small] = _series(x[small], _PHI1P_COEF)
-    if (~small).any():
-        xb = x[~small]
-        out[~small] = ((xb - 1.0) * np.exp(xb) + 1.0) / xb**2
-    return out
-
-
-def _phi2_prime(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    small = np.abs(x) < 0.5
-    if small.any():
-        out[small] = _series(x[small], _PHI2P_COEF)
-    if (~small).any():
-        xb = x[~small]
-        out[~small] = ((xb - 2.0) * np.exp(xb) + xb + 2.0) / xb**3
-    return out
+# phi_1(z) = (e^z - 1)/z and phi_2(z) = (e^z - 1 - z)/z^2, and their derivatives on real arguments
+_phi1 = _entire([1.0 / _FACT[k + 1] for k in range(14)], lambda z: (np.exp(z) - 1.0) / z, complex)
+_phi2 = _entire([1.0 / _FACT[k + 2] for k in range(14)], lambda z: (np.exp(z) - 1.0 - z) / z**2, complex)
+_phi1_prime = _entire([(k + 1) / _FACT[k + 2] for k in range(13)], lambda x: ((x - 1.0) * np.exp(x) + 1.0) / x**2, float)
+_phi2_prime = _entire([(k + 1) / _FACT[k + 3] for k in range(13)], lambda x: ((x - 2.0) * np.exp(x) + x + 2.0) / x**3, float)
 
 
 def phi_multiplier_tables(params: FluidParams, xi_sq, h: float) -> dict:
@@ -303,13 +268,17 @@ def phi_multiplier_tables(params: FluidParams, xi_sq, h: float) -> dict:
 
 def matexp_oracle(params: FluidParams, xi, t: float) -> np.ndarray:
     """Brute-force ground truth exp(t A(xi)) by scaling-and-squaring."""
+    from scipy.linalg import expm
+
     if t < 0:
         raise ValueError("t >= 0 required")
     return expm(t * generator_matrix(params, xi))
 
 
-def matexp_oracle_ode(params: FluidParams, xi, t: float, rtol: float = 1e-12, atol: float = 1e-14) -> np.ndarray:
-    """Cross-check oracle: adaptive high-order integration of dM/dt = A M."""
+def matexp_oracle_ode(params: FluidParams, xi, t: float) -> np.ndarray:
+    """Cross-check oracle: adaptive high-order integration of dM/dt = A M (rtol 1e-12, atol 1e-14)."""
+    from scipy.integrate import solve_ivp
+
     if t < 0:
         raise ValueError("t >= 0 required")
     A = generator_matrix(params, xi)
@@ -322,8 +291,8 @@ def matexp_oracle_ode(params: FluidParams, xi, t: float, rtol: float = 1e-12, at
         (0.0, t),
         ident.ravel(),
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=1e-12,
+        atol=1e-14,
     )
     if not sol.success:
         raise RuntimeError(f"ODE oracle failed: {sol.message}")

@@ -85,6 +85,17 @@ def random_spectrum(grid, rng):
     return SpectralState(grid=grid, theta_hat=hats[0], m_hat=hats[1:])
 
 
+def volume(grid):
+    """Volume L^dim of the periodic box."""
+    return grid.box_len**grid.dim
+
+
+def wavevector_of_index(grid, idx):
+    """Wavevector of a multi-index of the full spectral grid (bijective with the mode set)."""
+    k = grid.wavevectors()[0].ravel()
+    return np.array([k[i] for i in idx])
+
+
 def fd4(arr, axis, h):
     """Fourth-order centered first difference on the periodic grid."""
     return (-np.roll(arr, -2, axis) + 8 * np.roll(arr, -1, axis) - 8 * np.roll(arr, 1, axis) + np.roll(arr, 2, axis)) / (12 * h)

@@ -128,7 +128,6 @@ class TestCriterion3LowBandDecay:
             q=2,
             j=0,
             trust_ok=meas.trust_ok(DECAY_WINDOW, "edge_leak"),
-            strict_trust=False,
         )
         ok = rep.verdict
         _report(
@@ -165,7 +164,6 @@ class TestCriterion4DivergenceFormAblation:
                     q=2,
                     j=0,
                     trust_ok=meas.trust_ok(DECAY_WINDOW, "edge_leak"),
-                    strict_trust=False,
                 )
             )
         div_rep, gen_rep = reports
@@ -204,7 +202,6 @@ class TestCriterion5HighBandDecay:
             q=2,
             j=1,
             trust_ok=meas.trust_ok(window, "edge_leak"),
-            strict_trust=False,
         )
         ok = rep.verdict
         _report(
@@ -243,7 +240,6 @@ class TestCriterion6HeatBlockAnchor:
             j=0,
             tol_exp=0.05,
             trust_ok=meas.trust_ok(window, "edge_leak"),
-            strict_trust=False,
         )
         # closed-form check: sup norm of the heat flow of a width-w packet
         # scales like (w^2 + 2 alpha t)^(-N/2)

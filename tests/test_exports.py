@@ -43,3 +43,53 @@ def test_every_private_helper_has_a_caller():
                     refs.add((path.stem, owner, node.attr))
     used = {name: {(module, owner) for module, owner, n in refs if n == name} for _, name in helpers}
     assert [f"{module}.{name}" for module, name in helpers if not used[name] - {(module, name)}] == []
+
+
+# Defaulted parameters no call passes, kept on purpose as test seams.
+OPTION_SEAMS = {
+    # tests hand a run its initial state instead of the seeded generator's
+    ("nonlinear", "run", "initial"),
+    # tests build pressure laws with a narrowed validity interval to reach ValidityExceeded
+    ("model", "critical_quadratic", "validity"),
+    # tests drive the CLI in-process with an argument list instead of sys.argv
+    ("cli", "main", "argv"),
+}
+
+
+def test_every_option_has_a_caller():
+    """Each defaulted parameter of a package function (a class's __init__ included) is passed, by keyword or
+    by position, by some call in the package, a demo or the README's code; import aliases are resolved."""
+    options = []
+    for path in PKG.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owners = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = owners[fn] if fn.name == "__init__" and fn in owners else fn.name
+            bound = fn in owners and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][int(bound):]
+            defaulted = positional[len(positional) - len(fn.args.defaults) :] if fn.args.defaults else []
+            defaulted += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            options += [(path.stem, name, arg, positional.index(arg) if arg in positional else None) for arg in defaulted]
+    sources = [p.read_text() for p in [*PKG.glob("*.py"), *(ROOT / "demos").glob("*.py")]]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    passed, reach = set(), {}
+    for source in sources:
+        tree = ast.parse(source)
+        aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names if a.asname}
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            name = aliases.get(name, name)
+            n_pos = float("inf") if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+            reach[name] = max(reach.get(name, 0), n_pos)
+            passed.update((name, kw.arg) for kw in call.keywords)  # kw.arg is None for a **mapping
+    unset = [
+        f"{module}.{name}({arg})"
+        for module, name, arg, index in options
+        if (name, arg) not in passed
+        and (name, None) not in passed
+        and (index is None or reach.get(name, 0) <= index)
+        and (module, name, arg) not in OPTION_SEAMS
+    ]
+    assert unset == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import wavevector_of_index
 from nsklab.errors import ConstraintViolation, CriticalityViolation, GridMismatch, NumericsWarning
 from nsklab.model import (
     Grid,
@@ -114,7 +115,7 @@ class TestGrid:
         seen = set()
         for i in range(g.n):
             for j in range(g.n):
-                seen.add(tuple(np.round(g.wavevector_of_index((i, j)), 12)))
+                seen.add(tuple(np.round(wavevector_of_index(g, (i, j)), 12)))
         assert len(seen) == g.mode_count
 
     def test_xi_max(self):

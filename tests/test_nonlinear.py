@@ -611,14 +611,14 @@ class TestRun:
         window = (1.0, 8.0)
         times = np.geomspace(0.5, 10.0, 14)
         meas = measure_semigroup_decay(data, p, times, band="full", p=np.inf, j=0)
-        rep_harness = fit_decay(meas.series, window, dim=2, p=np.inf, q=2, j=0, strict_trust=False, trust_ok=True)
+        rep_harness = fit_decay(meas.series, window, dim=2, p=np.inf, q=2, j=0, trust_ok=True)
 
         scn = NonlinearScenario(
             params=p, grid=g, amplitude=1.0, t_end=10.0, dt=0.1, seed=5, sample_every=2, nonlinear=False
         )
         res = run(scn, initial=to_real(data))
         rep_solver = fit_decay(
-            res.bundle["pair_linf_j0"], window, dim=2, p=np.inf, q=2, j=0, strict_trust=False, trust_ok=True
+            res.bundle["pair_linf_j0"], window, dim=2, p=np.inf, q=2, j=0, trust_ok=True
         )
         assert abs(rep_solver.fitted_exponent - rep_harness.fitted_exponent) <= 0.1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nsklab.spectral as spectral_mod
-from conftest import fd4, random_params, random_spectrum
+from conftest import fd4, random_params, random_spectrum, wavevector_of_index
 from nsklab.analysis import half_power, lp_norm, measure_semigroup_decay, multi_indices, spectral_l2_norm
 from nsklab.errors import ConstraintViolation, EmptyLowBand, GridMismatch
 from nsklab.model import Grid, SpectralState, State, gaussian_bump
@@ -94,7 +94,7 @@ class TestApplySemigroup:
             t = 0.37
             out = apply_semigroup(sp, params, t)
             for idx in [(0, 0), (1, 2), (3, 5), (4, 4), (7, 1)]:
-                xi = g.wavevector_of_index(idx)
+                xi = wavevector_of_index(g, idx)
                 vec = np.concatenate([[sp.theta_hat[idx]], sp.m_hat[(slice(None),) + idx]])
                 want = solution_symbol(params, xi, t) @ vec
                 got = np.concatenate([[out.theta_hat[idx]], out.m_hat[(slice(None),) + idx]])
@@ -183,7 +183,7 @@ class TestSemigroupOrbit:
         for idx in np.ndindex(*g.shape):
             col = (slice(None),) + idx
             vec = np.concatenate([[data.theta_hat[idx]], data.m_hat[col]])
-            want = solution_symbol(params, g.wavevector_of_index(idx), t) @ vec
+            want = solution_symbol(params, wavevector_of_index(g, idx), t) @ vec
             got = np.concatenate([[out.theta_hat[idx]], out.m_hat[col]])
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), idx
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -261,3 +266,13 @@ class TestSolutionSymbol:
         # m <- theta coupling: -i t e^{l0 t} lam0^2/|xi|^2 xi with lam0^2 = kappa rho |xi|^4
         want = -1j * t * np.exp(lam0 * t) * p.kappa_star * p.rho_star * xi_sq * xi
         assert np.allclose(M[1:, 0], want, rtol=1e-13)
+
+
+def test_oracle_only_scipy_modules_load_on_first_use():
+    """Importing the runner (and so every solver module) loads neither scipy.integrate nor scipy.linalg;
+    only the two matrix-exponential oracles need them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, nsklab.runner; print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
