@@ -17,6 +17,9 @@ modes count twice off the self-mirror last-axis planes 0 and n/2, and every
 first-derivative multiplier ``i xi_k`` is zero on the Nyquist index of axis
 k (what ``.real`` of a derivative round trip keeps), so the values equal
 the real-space norms of the same fields to rounding.
+
+A series forms only the band it measures and reads every sample, one evolved
+component at a time, into the buffers of one :class:`nsklab.spectral.Workspace`.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from .model import FluidParams, Grid, SpectralState
 from .spectral import (
     CutoffSpec,
     SemigroupOrbit,
+    Workspace,
     default_cutoff,
-    frequency_split,
-    hermitian_half,
+    frequency_band,
     irfftn,
     low_band_mode_count,
     odd_wavevectors,
@@ -59,6 +62,14 @@ def _magnitude(field_arr: np.ndarray, grid: Grid) -> np.ndarray:
         return np.abs(arr)
     flat = arr.reshape((-1,) + grid.shape)
     return np.sqrt(np.sum(np.abs(flat) ** 2, axis=0))
+
+
+def _magnitude_in_place(stack: np.ndarray) -> np.ndarray:
+    """:func:`_magnitude` of a stack of real fields bit for bit (squares summed in np.sum's axis-0 order), in ``stack[0]``."""
+    mag = np.square(stack[0], out=stack[0])
+    for comp in stack[1:]:
+        mag += np.square(comp, out=comp)
+    return np.sqrt(mag, out=mag)
 
 
 def lp_norm(field_arr: np.ndarray, grid: Grid, q) -> float:
@@ -407,7 +418,8 @@ def measure_semigroup_decay(
     band).  The trust window ends at the first sample whose 99%-mass radius
     about the box center exceeds a quarter of the box.
 
-    Every norm is taken of the half spectrum of the evolved real field
+    Only the kept band of the datum is formed.  Every norm is taken of the
+    half spectrum of the evolved real field
     (:func:`nsklab.spectral.hermitian_half`).  For p = 2 it comes by Parseval
     from its power (:func:`half_power`), with Nyquist-zeroed odd multipliers
     (see :func:`nsklab.spectral.odd_wavevectors`); otherwise each derivative
@@ -417,22 +429,19 @@ def measure_semigroup_decay(
     grid = data.grid
     if cutoff is None:
         cutoff = default_cutoff(grid)
-    if band == "low":
-        part = frequency_split(data, cutoff)[0]
-    elif band == "high":
-        part = frequency_split(data, cutoff)[1]
-    elif band == "full":
-        part = data
-    else:
+    if band not in ("low", "high", "full"):
         raise ValueError("band must be low, high or full")
-
     if j not in (0, 1):
         raise ValueError("j in {0, 1} supported")
+    orbit = SemigroupOrbit(data if band == "full" else frequency_band(data, cutoff, band), params)
+    # CPython moves call arguments into the callee's frame: for a caller that passes its datum
+    # straight in (runner._linear_decay_report) this drops the last reference and frees it
+    del data
     xis = odd_wavevectors(grid)
-    orbit = SemigroupOrbit(part, params)
     trust = _TrustGeometry(grid)
+    ws = Workspace(grid)
     return _series_measurement(
-        lambda t: _decay_sample(orbit, t, xis, p, j, w10, trust),
+        lambda t: _decay_sample(orbit, ws, t, xis, p, j, w10, trust),
         times,
         {"p": "inf" if np.isinf(p) else p, "j": j, "band": band, "w10": w10, "cutoff_eps": cutoff.eps},
         grid,
@@ -453,28 +462,24 @@ def _series_measurement(sample, times, descriptor: dict, grid: Grid, cutoff: Cut
     )
 
 
-def _decay_sample(orbit: SemigroupOrbit, t: float, xis: list, p, j: int, w10: bool, trust):
-    """(norm value, mass radius, edge leakage) of the orbit's sample at t.
+def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, xis: list, p, j: int, w10: bool, trust):
+    """(norm value, mass radius, edge leakage) of the orbit's sample at t, read out into the series' workspace.
 
-    A function of its own, so a sample's fields are freed before the next
-    sample is evolved; the evolved spectrum is freed once projected.
+    |theta| and |m| are formed in place (in theta and m[0]); the trust diagnostics take the one whose components peak higher.
     """
     grid = orbit.data.grid
-    evolved = orbit.at(t)
-    th = hermitian_half(evolved.theta_hat, grid)
-    mh = hermitian_half(evolved.m_hat, grid)
-    del evolved
+    th, mh = orbit.halves(t, ws)
     theta = irfftn(th, grid)
-    m = np.empty((grid.dim,) + grid.shape)
     for c in range(grid.dim):
-        m[c] = irfftn(mh[c], grid)
+        ws.m[c] = irfftn(mh[c], grid)
+    m_max = max(np.max(ws.m), -np.min(ws.m))
+    theta_mag = np.abs(theta, out=theta)
+    m_mag = _magnitude_in_place(ws.m)
     if p == 2:
         value = _pair_l2_by_parseval(th, mh, xis, j, w10, grid)
     else:
-        value = _pair_lp_from_halves(th, mh, theta, m, xis, p, j, w10, grid)
-    mag = np.abs(theta)
-    if not np.max(mag) > np.max(np.abs(m)):
-        mag = _magnitude(m, grid)
+        value = _pair_lp_from_halves(th, mh, theta_mag, m_mag, xis, p, j, w10, grid)
+    mag = theta_mag if np.max(theta_mag) > m_max else m_mag
     return (value, *trust.diagnostics(mag))
 
 
@@ -493,20 +498,20 @@ def _pair_l2_by_parseval(th: np.ndarray, mh: np.ndarray, xis: list, j: int, w10:
     return th_part + spectral_l2_norm(p_m, grid)
 
 
-def _pair_lp_from_halves(th, mh, theta, m, xis: list, p, j: int, w10: bool, grid: Grid) -> float:
-    """L_p value of one decay sample; each derivative is one ``irfftn`` of a half spectrum."""
+def _pair_lp_from_halves(th, mh, theta_mag, m_mag, xis: list, p, j: int, w10: bool, grid: Grid) -> float:
+    """L_p value of one decay sample, given its fields' magnitudes; each derivative is one ``irfftn`` of a half spectrum."""
     if j == 0:
         th_hats = [th]
-        th_f, mm = theta, m
+        th_part = _lp_norms_of_magnitude(theta_mag, grid, (p,))[0]
+        m_part = _lp_norms_of_magnitude(m_mag, grid, (p,))[0]
     else:
         th_hats = [1j * x * th for x in xis]
-        th_f = np.stack([irfftn(h, grid) for h in th_hats])
-        mm = np.stack([irfftn(1j * x * mh[c], grid) for c in range(grid.dim) for x in xis])
-    th_part = lp_norm(th_f, grid, p)
+        th_part = lp_norm(np.stack([irfftn(h, grid) for h in th_hats]), grid, p)
+        m_part = lp_norm(np.stack([irfftn(1j * x * mh[c], grid) for c in range(grid.dim) for x in xis]), grid, p)
     if w10:
         for x in xis:
             th_part += lp_norm(np.stack([irfftn(1j * x * h, grid) for h in th_hats]), grid, p)
-    return th_part + lp_norm(mm, grid, p)
+    return th_part + m_part
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +570,14 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
     if scn.amplitude == 0.0:
         return AblationResult(None, None, None, skipped=True, reason="zero initial data")
     rng = np.random.default_rng(scn.seed)
-    div_data, gen_data = riesz_momentum_pair(
-        scn.grid, scn.gamma, scn.support_radius, rng=rng, amplitude=scn.amplitude
-    )
+    # (divergence, generic), each handed over to its series, which frees it once its band is formed
+    pair = list(riesz_momentum_pair(scn.grid, scn.gamma, scn.support_radius, rng=rng, amplitude=scn.amplitude))
     cutoff = CutoffSpec(eps=scn.cutoff_eps) if scn.cutoff_eps else default_cutoff(scn.grid)
+    ws = Workspace(scn.grid, theta_only=True)
     reports = []
     measurements = []
-    for data in (div_data, gen_data):
-        meas = theta_low_band_series(data, scn.params, scn.sample_times, cutoff, scn.p)
+    while pair:
+        meas = theta_low_band_series(pair.pop(0), scn.params, scn.sample_times, cutoff, scn.p, ws)
         if np.all(meas.series.values == 0.0):
             return AblationResult(None, None, None, skipped=True, reason="theta response identically zero")
         measurements.append(meas)
@@ -599,14 +604,19 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
     )
 
 
-def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutoff: CutoffSpec, p) -> DecayMeasurement:
-    """Low-band theta-component norm series of the linear flow (ablation measurand)."""
+def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutoff: CutoffSpec, p, ws=None) -> DecayMeasurement:
+    """Low-band theta-component norm series of the linear flow (ablation measurand).
+
+    ``ws``, a theta-only :class:`nsklab.spectral.Workspace`, lets series share buffers; by default it is made here.
+    """
     grid = data.grid
-    orbit = SemigroupOrbit(frequency_split(data, cutoff)[0], params)
+    orbit = SemigroupOrbit(frequency_band(data, cutoff, "low"), params)
+    del data  # the last reference when the caller handed the datum over, as divergence_form_ablation does
     trust = _TrustGeometry(grid)
+    ws = ws or Workspace(grid, theta_only=True)
 
     def sample(t):
-        mag = irfftn(hermitian_half(orbit.theta_hat(t), grid), grid)
+        mag = irfftn(orbit.halves(t, ws)[0], grid)
         np.abs(mag, out=mag)
         return (_lp_norms_of_magnitude(mag, grid, (p,))[0], *trust.diagnostics(mag))
 

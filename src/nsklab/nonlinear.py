@@ -200,7 +200,7 @@ class Etd2Stepper:
     def _forcing(self, block: Block, g_hat):
         """h * phi_k(hA) applied to (0, g)."""
         a_hat = longitudinal_amplitude(g_hat, self.grid, half=True)
-        return block.theta(None, a_hat), block.momentum(None, a_hat, g_hat, self.grid)
+        return block.theta(None, a_hat), block.momenta(None, a_hat, g_hat, self.grid)
 
     def _finite(self, theta_hat, m_hat, t: float, what: str) -> StepState:
         """The StepState of (theta_hat, m_hat); non-finite entries reject the step."""

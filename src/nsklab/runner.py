@@ -161,10 +161,10 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     params = _params_from_config(cfg)
     grid = _grid_from_config(cfg)
     rng = np.random.default_rng(cfg.seed)
-    data = _build_data(cfg, grid, rng)
     cutoff = CutoffSpec(eps=cfg.cutoff_eps) if cfg.cutoff_eps else default_cutoff(grid)
+    # the datum is passed straight in: the measurement holds its only reference and frees it once its band is formed
     meas: DecayMeasurement = measure_semigroup_decay(
-        data,
+        _build_data(cfg, grid, rng),
         params,
         cfg.times.values(),
         band=cfg.band,

@@ -14,7 +14,8 @@ theta_hat = 0.  The coefficients depend on xi only through |xi|^2, so they
 are evaluated once per distinct |xi|^2 of the grid (``Grid.radial_table``)
 and gathered per mode.  :class:`SemigroupOrbit` forms a_hat once per datum,
 so a series of samples of S(t) data only re-evaluates the time-dependent
-kernels.
+kernels, and reads each sample out into the buffers of one
+:class:`Workspace` per series.
 
 Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 (numpy's default).  Norms in :mod:`nsklab.analysis` carry the quadrature
@@ -85,14 +86,14 @@ def to_spectral(state: State, *, half: bool = False) -> SpectralState:
     return SpectralState(grid=state.grid, theta_hat=theta_hat, m_hat=m_hat, half=half)
 
 
-def hermitian_half(arr: np.ndarray, grid: Grid) -> np.ndarray:
+def hermitian_half(arr: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """(g(xi) + conj g(-xi)) / 2 on the half layout: the rfftn of ``ifftn(g).real`` over the trailing grid axes.
 
     The mirror -xi (mod n) of the stored half is gathered by slices, one
-    block per choice of index 0 or the rest on each axis.
+    block per choice of index 0 or the rest on each axis, into ``out`` if given.
     """
     n = grid.n
-    out = np.empty(arr.shape[: arr.ndim - grid.dim] + grid.half_shape, dtype=complex)
+    out = np.empty(arr.shape[: arr.ndim - grid.dim] + grid.half_shape, dtype=complex) if out is None else out
     rest = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, 0, -1))]
     last = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n // 2 - 1, -1))]
     for pieces in itertools.product(*([rest] * (grid.dim - 1) + [last])):
@@ -151,9 +152,9 @@ class Block:
     cap: float = 0.0
     half: bool = False
 
-    def theta(self, theta_hat: np.ndarray | None, a_hat: np.ndarray) -> np.ndarray:
-        """theta component of the image; theta_hat None stands for a zero theta."""
-        out = np.empty(a_hat.shape, dtype=complex)
+    def theta(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """theta component of the image, into ``out`` if given; theta_hat None stands for a zero theta."""
+        out = np.empty(a_hat.shape, dtype=complex) if out is None else out
         re, im = out.real, out.imag
         np.multiply(self.d, a_hat.imag, out=re)
         np.multiply(self.d, a_hat.real, out=im)
@@ -163,14 +164,25 @@ class Block:
             im += self.tf * theta_hat.imag
         return out
 
-    def momentum(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
-        """Momentum components of the image; theta_hat None stands for a zero theta."""
-        w = self.lg * a_hat
+    def weight(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """w = lg a_hat - i cap d theta_hat, the factor of xi_j shared by every momentum component."""
+        w = np.multiply(self.lg, a_hat, out=out)
         if theta_hat is not None:
             w -= 1j * self.cap * self.d * theta_hat
-        out = self.heat * m_hat
-        for j, x in enumerate(grid.wavevectors(self.half)):
-            out[j] += x * w
+        return w
+
+    def momentum(self, j: int, w: np.ndarray, m_hat_j: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
+        """Momentum component j of the image, heat m_hat_j + xi_j w, into ``out``; w from :meth:`weight`."""
+        np.multiply(self.heat, m_hat_j, out=out)
+        out += grid.wavevectors(self.half)[j] * w
+        return out
+
+    def momenta(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
+        """Every momentum component of the image; theta_hat None stands for a zero theta."""
+        w = self.weight(theta_hat, a_hat)
+        out = np.empty(m_hat.shape, dtype=complex)
+        for j in range(grid.dim):
+            self.momentum(j, w, m_hat[j], grid, out[j])
         return out
 
     def apply(self, spectral: SpectralState, a_hat: np.ndarray | None = None) -> SpectralState:
@@ -181,7 +193,7 @@ class Block:
         if a_hat is None:
             a_hat = longitudinal_amplitude(spectral.m_hat, grid, self.half)
         theta_hat = self.theta(spectral.theta_hat, a_hat)
-        m_hat = self.momentum(spectral.theta_hat, a_hat, spectral.m_hat, grid)
+        m_hat = self.momenta(spectral.theta_hat, a_hat, spectral.m_hat, grid)
         return SpectralState(grid=grid, theta_hat=theta_hat, m_hat=m_hat, half=self.half)
 
 
@@ -190,21 +202,36 @@ def _require_full(spectral: SpectralState, what: str) -> None:
         raise GridMismatch(f"{what} needs a full-layout spectrum, got a half-layout one")
 
 
-def semigroup_block(params: FluidParams, grid: Grid, t: float, *, theta_only: bool = False, half: bool = False) -> Block:
+def semigroup_block(params: FluidParams, grid: Grid, t: float, *, theta_only: bool = False, half: bool = False, out=None) -> Block:
     """S(t) in block form, its kernels evaluated once per distinct |xi|^2 and gathered.
 
     With theta_only the momentum coefficients are not gathered and only
-    :meth:`Block.theta` may be used.  ``half`` gathers on the half layout.
+    :meth:`Block.theta` may be used.  ``half`` gathers on the half layout,
+    ``out`` (one array per coefficient: d, tf, then lg, heat) receives them.
     """
     values = grid.radial_table[0]
     index = grid.radial_index(half)
     sig_tf, sig_d, sig_mg, heat = propagator_kernels(params, values, t)
-    d = np.take(sig_d * values, index)
-    tf = np.take(sig_tf, index)
+    tables = (sig_d * values, sig_tf) if theta_only else (sig_d * values, sig_tf, sig_mg - heat, heat)
+    # every index is in range; mode="clip" skips the buffered copy mode="raise" makes of an out array
+    coeffs = [np.take(tab, index, out=None if out is None else out[i], mode="clip") for i, tab in enumerate(tables)]
     if theta_only:
-        return Block(d=d, tf=tf)
-    cap = params.kappa_star * params.rho_star
-    return Block(d=d, tf=tf, lg=np.take(sig_mg - heat, index), heat=np.take(heat, index), cap=cap, half=half)
+        return Block(*coeffs)
+    return Block(*coeffs, cap=params.kappa_star * params.rho_star, half=half)
+
+
+class Workspace:
+    """Buffers reused by a series of :meth:`SemigroupOrbit.halves` read-outs on one grid."""
+
+    def __init__(self, grid: Grid, *, theta_only: bool = False):
+        self.theta_only = theta_only
+        self.coeffs = np.empty((2 if theta_only else 4,) + grid.shape)
+        self.full = np.empty(grid.shape, dtype=complex)
+        self.th = np.empty(grid.half_shape, dtype=complex)
+        if not theta_only:
+            self.w = np.empty(grid.shape, dtype=complex)
+            self.mh = np.empty((grid.dim,) + grid.half_shape, dtype=complex)
+            self.m = self.coeffs[: grid.dim]  # the caller's real momentum; a read-out is done with its coefficients
 
 
 class SemigroupOrbit:
@@ -212,7 +239,8 @@ class SemigroupOrbit:
 
     The t-independent longitudinal amplitude a_hat is formed once; each
     sample evaluates the kernels on the grid's radial table and applies the
-    block formula.  a_hat is the only field held besides the datum.
+    block formula.  :meth:`halves` reads a sample out into the buffers of a
+    :class:`Workspace`, which every sample of a series reuses.
     """
 
     def __init__(self, data: SpectralState, params: FluidParams):
@@ -226,14 +254,28 @@ class SemigroupOrbit:
         _check_time(t)
         return semigroup_block(self.params, self.data.grid, t).apply(self.data, self._a_hat)
 
-    def theta_hat(self, t: float) -> np.ndarray:
-        """The theta component of S(t) data alone, bitwise equal to ``at(t).theta_hat``."""
+    def halves(self, t: float, ws: Workspace) -> tuple[np.ndarray, np.ndarray | None]:
+        """(theta, m) halves of S(t) data: ``hermitian_half`` of each component of ``at(t)`` bit for bit.
+
+        Each component is formed in one full-layout buffer in turn and checked finite.  The halves are workspace
+        buffers that the next call overwrites; m is None for a theta-only workspace.
+        """
         _check_time(t)
-        block = semigroup_block(self.params, self.data.grid, t, theta_only=True)
-        theta_hat = block.theta(self.data.theta_hat, self._a_hat)
-        if not np.all(np.isfinite(theta_hat)):
-            raise ConstraintViolation("spectral entries must be finite")
-        return theta_hat
+        grid, data = self.data.grid, self.data
+        block = semigroup_block(self.params, grid, t, theta_only=ws.theta_only, out=ws.coeffs)
+        hermitian_half(_finite(block.theta(data.theta_hat, self._a_hat, out=ws.full)), grid, out=ws.th)
+        if ws.theta_only:
+            return ws.th, None
+        w = block.weight(data.theta_hat, self._a_hat, out=ws.w)
+        for j in range(grid.dim):
+            hermitian_half(_finite(block.momentum(j, w, data.m_hat[j], grid, ws.full)), grid, out=ws.mh[j])
+        return ws.th, ws.mh
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(arr)):
+        raise ConstraintViolation("spectral entries must be finite")
+    return arr
 
 
 def _check_time(t: float) -> None:
@@ -282,8 +324,8 @@ def low_band_mode_count(grid: Grid, cutoff: CutoffSpec) -> int:
     return int(np.count_nonzero((xi_abs <= 2.0 * cutoff.eps) & (xi_abs > 0.0)))
 
 
-def frequency_split(spectral: SpectralState, cutoff: CutoffSpec) -> tuple[SpectralState, SpectralState]:
-    """Split into (low, high) parts; low + high reproduces the input exactly."""
+def frequency_band(spectral: SpectralState, cutoff: CutoffSpec, band: str) -> SpectralState:
+    """The low part phi * spectral or the high part spectral - phi * spectral, formed alone."""
     _require_full(spectral, "frequency_split")
     grid = spectral.grid
     if low_band_mode_count(grid, cutoff) == 0:
@@ -292,11 +334,17 @@ def frequency_split(spectral: SpectralState, cutoff: CutoffSpec) -> tuple[Spectr
             f"(smallest nonzero |xi| is {2 * np.pi / grid.box_len:g})"
         )
     phi = cutoff(np.sqrt(grid.xi_sq))
-    low_theta = phi * spectral.theta_hat
-    low_m = phi * spectral.m_hat
-    low = SpectralState(grid=grid, theta_hat=low_theta, m_hat=low_m)
-    high = SpectralState(grid=grid, theta_hat=spectral.theta_hat - low_theta, m_hat=spectral.m_hat - low_m)
-    return low, high
+    theta_hat = phi * spectral.theta_hat
+    m_hat = phi * spectral.m_hat
+    if band == "high":
+        np.subtract(spectral.theta_hat, theta_hat, out=theta_hat)
+        np.subtract(spectral.m_hat, m_hat, out=m_hat)
+    return SpectralState(grid=grid, theta_hat=theta_hat, m_hat=m_hat)
+
+
+def frequency_split(spectral: SpectralState, cutoff: CutoffSpec) -> tuple[SpectralState, SpectralState]:
+    """Split into (low, high) parts; low + high reproduces the input exactly."""
+    return frequency_band(spectral, cutoff, "low"), frequency_band(spectral, cutoff, "high")
 
 
 def _multi_index_power(grid: Grid, alpha) -> np.ndarray:

@@ -3,6 +3,8 @@ import functools
 import numpy as np
 import pytest
 
+import nsklab.analysis as analysis_mod
+import nsklab.spectral as spectral_mod
 from conftest import random_spectrum, volume
 from nsklab.analysis import (
     AblationScenario,
@@ -410,6 +412,36 @@ class TestSeriesOnOnePath:
             assert meas.series.values[it] == lp_norm(theta, g, np.inf)
             assert meas.trust_radii[it] == mass_radius(theta, g)
             assert meas.edge_leaks[it] == edge_leakage(theta, g)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_magnitude_in_place_bitwise_equal(self, dim):
+        g = Grid(dim=dim, box_len=5.0, n=8 if dim < 4 else 4)
+        m = np.random.default_rng(45 + dim).standard_normal((dim,) + g.shape)
+        want = analysis_mod._magnitude(m, g)
+        assert np.array_equal(analysis_mod._magnitude_in_place(m.copy()), want)
+
+    def test_series_never_alias_workspace(self, oscillatory_params, monkeypatch):
+        """Every array a measurement returns is its own, whatever the workspace buffers hold later."""
+        made = []
+
+        class Recorded(spectral_mod.Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(analysis_mod, "Workspace", Recorded)
+        g = Grid(dim=2, box_len=24.0, n=32)
+        data = random_spectrum(g, np.random.default_rng(46))
+        measurements = [
+            measure_semigroup_decay(data, oscillatory_params, self.TIMES, band=band, p=p, j=j, w10=True)
+            for band, p, j in (("full", 2.0, 1), ("high", np.inf, 0))
+        ]
+        measurements.append(theta_low_band_series(data, oscillatory_params, self.TIMES, default_cutoff(g), np.inf))
+        assert len(made) == 3
+        buffers = [b for ws in made for b in vars(ws).values() if isinstance(b, np.ndarray)]
+        for meas in measurements:
+            for arr in (meas.series.times, meas.series.values, meas.trust_radii, meas.edge_leaks):
+                assert not any(np.shares_memory(arr, b) for b in buffers)
 
     def test_decay_series_kernel_budget(self, oscillatory_params, kernel_sizes):
         """One decay series evaluates the kernels on at most the distinct |xi|^2 per sample."""

@@ -330,7 +330,7 @@ class TestSample:
             return _multi_index_power(g, tuple(sum(unit[a] for a in axes)))
 
         def back(hat):
-            return np.fft.irfftn(hat, s=g.shape)
+            return np.fft.irfftn(hat, s=g.shape, axes=tuple(range(-g.dim, 0)))
 
         xi_sq = g.xi_sq_of(half=True)
         grad_div = [sum(power(a, b) * m_hat[b] for b in range(dim)) for a in range(dim)]

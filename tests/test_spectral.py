@@ -11,12 +11,14 @@ from nsklab.model import Grid, SpectralState, State, gaussian_bump
 from nsklab.spectral import (
     CutoffSpec,
     SemigroupOrbit,
+    Workspace,
     apply_semigroup,
     conjugate_symmetry_defect,
     dealias_mask,
     default_cutoff,
     divergence_form_momentum,
     frequency_split,
+    hermitian_half,
     irfftn,
     odd_wavevectors,
     rfftn,
@@ -188,14 +190,19 @@ class TestSemigroupOrbit:
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), idx
 
     def test_theta_hat_bitwise_equal_to_full_state(self, oscillatory_params, positive_params):
+        """The theta-only read-out is the projected theta of the full state, bit for bit."""
         rng = np.random.default_rng(17)
         for dim in (1, 2, 3):
             g = Grid(dim=dim, box_len=5.0, n=8)
             orbit = SemigroupOrbit(random_spectrum(g, rng), oscillatory_params)
+            ws = Workspace(g, theta_only=True)
             for t in (0.0, 0.3, 2.5):
-                assert np.array_equal(orbit.theta_hat(t), orbit.at(t).theta_hat)
+                th, mh = orbit.halves(t, ws)
+                assert mh is None
+                assert np.array_equal(th, hermitian_half(orbit.at(t).theta_hat, g))
         orbit = SemigroupOrbit(random_spectrum(g, rng), positive_params)
-        assert np.array_equal(orbit.theta_hat(1.1), apply_semigroup(orbit.data, positive_params, 1.1).theta_hat)
+        want = hermitian_half(apply_semigroup(orbit.data, positive_params, 1.1).theta_hat, g)
+        assert np.array_equal(orbit.halves(1.1, Workspace(g, theta_only=True))[0], want)
 
     @pytest.mark.parametrize("dim, n, box_len", [(3, 64, 96.0), (2, 512, 96.0), (3, 32, 16.0)])
     def test_radial_kernels_bitwise_equal_to_full_grid(self, oscillatory_params, dim, n, box_len):
@@ -216,17 +223,92 @@ class TestSemigroupOrbit:
         orbit = SemigroupOrbit(random_spectrum(g, np.random.default_rng(2)), unit_params)
         with pytest.raises(ValueError):
             orbit.at(-0.1)
-        with pytest.raises(ValueError):
-            orbit.theta_hat(-0.1)
+        for theta_only in (False, True):
+            with pytest.raises(ValueError):
+                orbit.halves(-0.1, Workspace(g, theta_only=theta_only))
 
     def test_non_finite_image_rejected(self, unit_params, monkeypatch):
         g = Grid(dim=2, box_len=3.0, n=8)
         orbit = SemigroupOrbit(random_spectrum(g, np.random.default_rng(3)), unit_params)
         monkeypatch.setattr(spectral_mod, "propagator_kernels", lambda p, x, t: (np.full(np.shape(x), np.nan),) * 4)
-        with pytest.raises(ConstraintViolation):
-            orbit.theta_hat(1.0)
+        for theta_only in (False, True):
+            with pytest.raises(ConstraintViolation):
+                orbit.halves(1.0, Workspace(g, theta_only=theta_only))
         with pytest.raises(ConstraintViolation):
             orbit.at(1.0)
+
+    def test_non_finite_momentum_rejected(self, unit_params):
+        """Each momentum component is checked before it is projected, not only theta."""
+        g = Grid(dim=2, box_len=3.0, n=8)
+        data = random_spectrum(g, np.random.default_rng(4))
+        m_hat = data.m_hat.copy()
+        orbit = SemigroupOrbit(SpectralState(grid=g, theta_hat=data.theta_hat, m_hat=m_hat), unit_params)
+        m_hat[1, 1, 2] = np.inf  # after validation, so only the read-out sees it
+        with pytest.raises(ConstraintViolation), np.errstate(invalid="ignore"):
+            orbit.halves(0.5, Workspace(g))
+        assert np.all(np.isfinite(orbit.halves(0.5, Workspace(g, theta_only=True))[0]))
+
+
+READOUT_GRIDS = [(1, 16), (2, 8), (3, 8), (4, 4)]
+
+
+class TestWorkspaceReadOut:
+    """SemigroupOrbit.halves: S(t) samples read out into reused buffers, bitwise equal to the projected orbit."""
+
+    TIMES = (0.7, 0.0, 2.3, 0.05)
+
+    @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_halves_bitwise_equal_to_projected_orbit(self, dim, n, regime):
+        """Both modes, at several t in one workspace, on non-Hermitian spectra with Nyquist content."""
+        rng = np.random.default_rng(900 + 10 * dim + REGIMES.index(regime))
+        g = Grid(dim=dim, box_len=float(rng.uniform(2.0, 8.0)), n=n)
+        orbit = SemigroupOrbit(random_spectrum(g, rng), random_params(rng, regime))
+        full, theta_only = Workspace(g), Workspace(g, theta_only=True)
+        for t in self.TIMES:
+            want = orbit.at(t)
+            th, mh = orbit.halves(t, full)
+            assert np.array_equal(th, hermitian_half(want.theta_hat, g))
+            assert np.array_equal(mh, hermitian_half(want.m_hat, g))
+            assert np.array_equal(orbit.halves(t, theta_only)[0], hermitian_half(want.theta_hat, g))
+
+    @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
+    def test_reused_workspace_equals_fresh_one(self, dim, n, oscillatory_params):
+        """No state of an earlier sample, or of another orbit, leaks into the next read-out."""
+        rng = np.random.default_rng(950 + dim)
+        g = Grid(dim=dim, box_len=5.0, n=n)
+        orbits = [SemigroupOrbit(random_spectrum(g, rng), oscillatory_params) for _ in range(2)]
+        for theta_only in (False, True):
+            ws = Workspace(g, theta_only=theta_only)
+            for buf in vars(ws).values():
+                if isinstance(buf, np.ndarray):
+                    buf.fill(np.nan)
+            for t in self.TIMES:
+                for orbit in orbits:
+                    got = [None if h is None else h.copy() for h in orbit.halves(t, ws)]
+                    want = orbit.halves(t, Workspace(g, theta_only=theta_only))
+                    for a, b in zip(got, want):
+                        assert (a is None and b is None) or np.array_equal(a, b)
+
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
+    def test_block_momenta_bitwise_equal_to_stacked_formula(self, dim, n, half, oscillatory_params):
+        """Per-component momentum images equal heat m_hat + xi_j w formed on the whole stack."""
+        rng = np.random.default_rng(980 + dim)
+        g = Grid(dim=dim, box_len=5.0, n=n)
+        shape = g.half_shape if half else g.shape
+        th = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m_hat = rng.standard_normal((dim,) + shape) + 1j * rng.standard_normal((dim,) + shape)
+        block = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, half=half)
+        a_hat = spectral_mod.longitudinal_amplitude(m_hat, g, half)
+        for theta_hat in (th, None):
+            w = block.lg * a_hat
+            if theta_hat is not None:
+                w -= 1j * block.cap * block.d * theta_hat
+            want = block.heat * m_hat
+            for j, x in enumerate(g.wavevectors(half)):
+                want[j] += x * w
+            assert np.array_equal(block.momenta(theta_hat, a_hat, m_hat, g), want)
 
 
 class TestFrequencySplit:
