@@ -112,25 +112,17 @@ def riesz_momentum_pair(grid: Grid, gamma: float, support_radius: float, *, rng:
     d = rng.standard_normal(grid.dim)
     d /= np.linalg.norm(d)
     xis = grid.wavevectors()
-
-    m_div = np.empty((grid.dim,) + grid.shape, dtype=complex)
+    # one allocation per member, not two views of one array: a caller that keeps one member frees the other
+    div, gen = (np.zeros((grid.dim + 1,) + grid.shape, dtype=complex) for _ in range(2))
     for j in range(grid.dim):
-        acc = np.zeros(grid.shape, dtype=complex)
         for k in range(grid.dim):
-            acc += 1j * xis[k] * (T[j, k] * k_hat)
-        m_div[j] = acc
-
-    m_gen = np.stack([d[j] * k_hat for j in range(grid.dim)])
-    e_div = np.sqrt(np.sum(np.abs(m_div) ** 2))
-    e_gen = np.sqrt(np.sum(np.abs(m_gen) ** 2))
+            div[1 + j] += 1j * xis[k] * (T[j, k] * k_hat)
+        gen[1 + j] = d[j] * k_hat
+    e_div = np.sqrt(np.sum(np.abs(div[1:]) ** 2))
+    e_gen = np.sqrt(np.sum(np.abs(gen[1:]) ** 2))
     if e_gen > 0:
-        m_gen *= e_div / e_gen
-
-    zero = np.zeros(grid.shape, dtype=complex)
-    return (
-        SpectralState(grid=grid, theta_hat=zero, m_hat=m_div),
-        SpectralState(grid=grid, theta_hat=zero.copy(), m_hat=m_gen),
-    )
+        gen[1:] *= e_div / e_gen
+    return SpectralState(grid=grid, hat=div), SpectralState(grid=grid, hat=gen)
 
 
 def seeded_symmetric_tensor(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -155,17 +147,17 @@ def curl_mixture_momentum_state(grid: Grid, gamma_potential: float, rho_min: flo
     a_hat_prof = scale_mixture_hat(grid, gamma_potential, rho_min, rho_max, amplitude)
     a_hat_prof = a_hat_prof * _center_phase(grid)
     xis = grid.wavevectors()
-    m_hat = np.empty((grid.dim,) + grid.shape, dtype=complex)
+    hat = np.zeros((grid.dim + 1,) + grid.shape, dtype=complex)
     if grid.dim == 2:
-        m_hat[0] = 1j * xis[1] * a_hat_prof
-        m_hat[1] = -1j * xis[0] * a_hat_prof
+        hat[1] = 1j * xis[1] * a_hat_prof
+        hat[2] = -1j * xis[0] * a_hat_prof
     else:
         d = np.array([0.36, 0.48, 0.8])
         d /= np.linalg.norm(d)
-        m_hat[0] = 1j * (xis[1] * d[2] - xis[2] * d[1]) * a_hat_prof
-        m_hat[1] = 1j * (xis[2] * d[0] - xis[0] * d[2]) * a_hat_prof
-        m_hat[2] = 1j * (xis[0] * d[1] - xis[1] * d[0]) * a_hat_prof
-    return SpectralState(grid=grid, theta_hat=np.zeros(grid.shape, dtype=complex), m_hat=m_hat)
+        hat[1] = 1j * (xis[1] * d[2] - xis[2] * d[1]) * a_hat_prof
+        hat[2] = 1j * (xis[2] * d[0] - xis[0] * d[2]) * a_hat_prof
+        hat[3] = 1j * (xis[0] * d[1] - xis[1] * d[0]) * a_hat_prof
+    return SpectralState(grid=grid, hat=hat)
 
 
 def transverse_packet(grid: Grid, width: float, *, amplitude: float = 1.0) -> SpectralState:
@@ -183,12 +175,12 @@ def transverse_packet(grid: Grid, width: float, *, amplitude: float = 1.0) -> Sp
     xis = grid.wavevectors()
     phase = _center_phase(grid)
     safe = np.where(xi_sq > 0.0, xi_sq, 1.0)
-    m_hat = np.empty((grid.dim,) + grid.shape, dtype=complex)
+    hat = np.zeros((grid.dim + 1,) + grid.shape, dtype=complex)
     for j in range(grid.dim):
         comp = prof * (float(j == 0) - xis[j] * xis[0] / safe)
         comp[(0,) * grid.dim] = 0.0
-        m_hat[j] = comp * phase
-    return SpectralState(grid=grid, theta_hat=np.zeros(grid.shape, dtype=complex), m_hat=m_hat)
+        hat[1 + j] = comp * phase
+    return SpectralState(grid=grid, hat=hat)
 
 
 def smooth_random_field(grid: Grid, rng: np.random.Generator, smooth_width: float) -> np.ndarray:

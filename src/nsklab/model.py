@@ -9,7 +9,10 @@ Conventions used throughout the toolkit:
 * spectral coefficients are raw unnormalized DFT values (forward transform
   carries no scale, the inverse carries ``1/n^dim``); all norms carry
   explicit quadrature weights so that Parseval holds exactly on the grid;
-* a spectrum is stored in one of two layouts: full (``shape``, every mode)
+* the spectrum of a state (theta, m) is one stack of ``dim + 1`` rows,
+  theta in row 0 and m_j in row 1 + j, the order of the solution symbol's
+  (N+1)x(N+1) block;
+* each row is stored in one of two layouts: full (``shape``, every mode)
   or half (``half_shape``, the rfftn layout of a real field: last-axis
   indices ``0 .. n/2``, the other half implied by conjugate symmetry).  Each
   half-layout table is its full one with the last axis cut to ``n/2 + 1``,
@@ -312,14 +315,6 @@ def _as_field(grid: Grid, arr, name: str, shape=None) -> np.ndarray:
     return arr
 
 
-def _as_vector_field(grid: Grid, arr, name: str, shape=None) -> np.ndarray:
-    arr = np.asarray(arr)
-    shape = (grid.dim,) + (grid.shape if shape is None else shape)
-    if arr.shape != shape:
-        raise GridMismatch(f"{name} has shape {arr.shape}, expected {shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class State:
     """Real-space fields: scalar density perturbation theta and momentum m."""
@@ -330,7 +325,7 @@ class State:
 
     def __post_init__(self):
         theta = _as_field(self.grid, self.theta, "theta").astype(float, copy=False)
-        m = _as_vector_field(self.grid, self.m, "m").astype(float, copy=False)
+        m = _as_field(self.grid, self.m, "m", (self.grid.dim,) + self.grid.shape).astype(float, copy=False)
         if not np.all(np.isfinite(theta)) or not np.all(np.isfinite(m)):
             raise ConstraintViolation("state entries must be finite")
         object.__setattr__(self, "theta", theta)
@@ -349,22 +344,30 @@ class State:
 class SpectralState:
     """Complex DFT coefficients of (theta, m); the representation the semigroup acts on.
 
-    ``half`` marks the half (rfftn) layout of :attr:`Grid.half_shape`.
+    ``hat`` is one stack of shape ``(dim + 1, *layout)``: theta_hat in row 0
+    and m_hat_j in row 1 + j, which the properties ``theta_hat`` and ``m_hat``
+    return as views.  ``half`` marks the half (rfftn) layout of
+    :attr:`Grid.half_shape`; the full layout is :attr:`Grid.shape`.
     """
 
     grid: Grid
-    theta_hat: np.ndarray
-    m_hat: np.ndarray
+    hat: np.ndarray
     half: bool = False
 
     def __post_init__(self):
-        shape = self.grid.half_shape if self.half else self.grid.shape
-        th = _as_field(self.grid, self.theta_hat, "theta_hat", shape).astype(complex, copy=False)
-        mh = _as_vector_field(self.grid, self.m_hat, "m_hat", shape).astype(complex, copy=False)
-        if not np.all(np.isfinite(th)) or not np.all(np.isfinite(mh)):
+        shape = (self.grid.dim + 1,) + (self.grid.half_shape if self.half else self.grid.shape)
+        hat = _as_field(self.grid, self.hat, "hat", shape).astype(complex, copy=False)
+        if not np.all(np.isfinite(hat)):
             raise ConstraintViolation("spectral entries must be finite")
-        object.__setattr__(self, "theta_hat", th)
-        object.__setattr__(self, "m_hat", mh)
+        object.__setattr__(self, "hat", hat)
+
+    @property
+    def theta_hat(self) -> np.ndarray:
+        return self.hat[0]
+
+    @property
+    def m_hat(self) -> np.ndarray:
+        return self.hat[1:]
 
 
 def gaussian_bump(grid: Grid, center, width: float, amplitude: float) -> np.ndarray:

@@ -17,7 +17,9 @@ theta and m are conserved bit for bit.
 Layout: every field of the solver is real, so every spectrum here is a half
 spectrum (the rfftn layout, last axis n/2 + 1; see :mod:`nsklab.model`):
 the StepState's spectral state, g-hat, the dealias mask and the cached
-S(h) and h phi_k(hA) blocks.  Every transform is
+S(h) and h phi_k(hA) blocks.  U is one stack of dim + 1 rows, theta in row 0
+and m_j in row 1 + j; each stage adds the image stack of (0, g) to the
+image stack of U_n, and is validated once.  Every transform is
 ``spectral.rfftn``/``spectral.irfftn``; none is complex.
 
 Nyquist rule: every odd factor i xi_k (the divergence, grad rho, grad div v,
@@ -59,7 +61,6 @@ from .spectral import (
     _multi_index_power,
     dealias_mask,
     irfftn,
-    longitudinal_amplitude,
     odd_wavevectors,
     rfftn,
     semigroup_block,
@@ -197,38 +198,30 @@ class Etd2Stepper:
             for D, B, T in (tabs["phi1"], tabs["phi2"])
         )
 
-    def _forcing(self, block: Block, g_hat):
-        """h * phi_k(hA) applied to (0, g)."""
-        a_hat = longitudinal_amplitude(g_hat, self.grid, half=True)
-        return block.theta(None, a_hat), block.momenta(None, a_hat, g_hat, self.grid)
-
-    def _finite(self, theta_hat, m_hat, t: float, what: str) -> StepState:
-        """The StepState of (theta_hat, m_hat); non-finite entries reject the step."""
+    def _finite(self, hat: np.ndarray, t: float, what: str) -> StepState:
+        """The StepState of a half-layout stack; non-finite entries reject the step."""
         try:
-            spec = SpectralState(grid=self.grid, theta_hat=theta_hat, m_hat=m_hat, half=True)
+            spec = SpectralState(grid=self.grid, hat=hat, half=True)
             return StepState(spectral=spec, real=to_real(spec), t=t)
         except ConstraintViolation as exc:
             raise StepRejected(f"{what} at t={t:.6g} is not finite: {exc}", t=t) from exc
 
     def step(self, state: StepState, nonlinear: bool = True) -> StepState:
         t = state.t + self.dt
+        base = self._exp.image(state.spectral.theta_hat, state.spectral.m_hat, self.grid)
         if not nonlinear:
-            nxt = self._exp.apply(state.spectral)
-            return StepState(spectral=nxt, real=to_real(nxt), t=t)
+            return self._finite(base, t, "state")
 
         g0_hat = state.g_hat
         if g0_hat is None:
             g0_hat = nonlinearity_g_hat(state, self.params, self.mask)
-        base = self._exp.apply(state.spectral)
-        th1, m1 = self._forcing(self._phi1, g0_hat)
-        stage = self._finite(base.theta_hat + th1, base.m_hat + m1, t, "stage")
+        stage = self._finite(base + self._phi1.image(None, g0_hat, self.grid), t, "stage")
         try:
             gp_hat = nonlinearity_g_hat(stage, self.params, self.mask)
         except RangeViolation as exc:
             raise StepRejected(f"stage inadmissible at t={t:.6g}: {exc}", t=t) from exc
 
-        th2, m2 = self._forcing(self._phi2, gp_hat - g0_hat)
-        nxt = self._finite(stage.spectral.theta_hat + th2, stage.spectral.m_hat + m2, t, "state")
+        nxt = self._finite(stage.spectral.hat + self._phi2.image(None, gp_hat - g0_hat, self.grid), t, "state")
         if not nxt.real.is_admissible(self.params):
             rho = self.params.rho_star + nxt.real.theta
             raise StepRejected(
@@ -413,8 +406,8 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
         )
     stepper = Etd2Stepper(scn.params, scn.grid, scn.dt)
     st = StepState.from_state(initial)
-    mass0 = complex(st.spectral.theta_hat[(0,) * scn.grid.dim])
-    mom0 = np.array([complex(st.spectral.m_hat[(c,) + (0,) * scn.grid.dim]) for c in range(scn.grid.dim)])
+    origin = (slice(None),) + (0,) * scn.grid.dim  # the zero mode of every row: the means of theta and m
+    mean0 = st.spectral.hat[origin].copy()
 
     n_steps = int(round(scn.t_end / scn.dt))
     times = [0.0]
@@ -447,11 +440,10 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
     )
     aggregate = NormSeries(times=times, values=agg_vals, descriptor={"name": "aggregate_N"})
 
-    mass1 = complex(st.spectral.theta_hat[(0,) * scn.grid.dim])
-    mom1 = np.array([complex(st.spectral.m_hat[(c,) + (0,) * scn.grid.dim]) for c in range(scn.grid.dim)])
-    mass_scale = max(abs(mass0), scn.grid.mode_count * 1e-3)
-    mass_drift = abs(mass1 - mass0) / mass_scale
-    mom_drift = float(np.max(np.abs(mom1 - mom0))) / max(float(np.max(np.abs(mom0))), mass_scale)
+    mean1 = st.spectral.hat[origin]
+    mass_scale = max(abs(mean0[0]), scn.grid.mode_count * 1e-3)
+    mass_drift = abs(mean1[0] - mean0[0]) / mass_scale
+    mom_drift = float(np.max(np.abs(mean1[1:] - mean0[1:]))) / max(float(np.max(np.abs(mean0[1:]))), mass_scale)
     sym = conjugate_symmetry_defect(st.spectral)
 
     return RunResult(

@@ -99,8 +99,9 @@ def _build_data(cfg: ScenarioConfig, grid: Grid, rng) -> SpectralState:
     if db.kind == "riesz_generic":
         return riesz_momentum_pair(grid, db.gamma, support, rng=rng, amplitude=db.amplitude)[1]
     if db.kind == "scalar_riesz":
-        theta_hat = riesz_kernel_hat(grid, db.gamma, support) * db.amplitude
-        return SpectralState(grid=grid, theta_hat=theta_hat, m_hat=np.zeros((grid.dim,) + grid.shape, complex))
+        hat = np.zeros((grid.dim + 1,) + grid.shape, complex)
+        np.multiply(riesz_kernel_hat(grid, db.gamma, support), db.amplitude, out=hat[0])
+        return SpectralState(grid=grid, hat=hat)
     if db.kind == "curl_mixture":
         return curl_mixture_momentum_state(grid, db.gamma_potential, db.rho_min, db.rho_max, amplitude=db.amplitude)
     if db.kind == "transverse_packet":

@@ -21,13 +21,14 @@ Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 (numpy's default).  Norms in :mod:`nsklab.analysis` carry the quadrature
 weights that make Parseval exact under this convention.
 
-Two layouts (see :mod:`nsklab.model`): the linear toolkit evolves full
-complex spectra, whose data may be built in spectral space without conjugate
-symmetry; the nonlinear solver works on half spectra of real fields.
-:class:`Block` acts on either; :class:`SemigroupOrbit` and :func:`frequency_split`
-need every mode and reject a half-layout state with ``GridMismatch``.  Every
-real read-out is ``irfftn`` of a half spectrum, a full one projected by
-:func:`hermitian_half`.
+A spectrum is one stack of dim + 1 rows, theta in row 0 and m_j in row 1 + j
+(see :mod:`nsklab.model`), in one of two layouts: the linear toolkit evolves
+full complex spectra, whose data may be built in spectral space without
+conjugate symmetry; the nonlinear solver works on half spectra of real fields.
+:meth:`Block.image` returns a stack of either layout; :class:`SemigroupOrbit`
+and :func:`frequency_split` need every mode and reject a half-layout state
+with ``GridMismatch``.  Every real read-out is ``irfftn`` of a half spectrum,
+a full one projected by :func:`hermitian_half`.
 
 Derivative multipliers act on half spectra.  Nyquist rule: on the Nyquist
 index of an axis a mode is its own mirror along that axis, so a multiplier
@@ -81,9 +82,7 @@ def irfftn(arr: np.ndarray, grid: Grid) -> np.ndarray:
 def to_spectral(state: State, *, half: bool = False) -> SpectralState:
     """Forward transform of both fields, to the full or the half layout."""
     fwd = rfftn if half else fftn
-    theta_hat = fwd(state.theta)
-    m_hat = np.stack([fwd(state.m[j]) for j in range(state.grid.dim)])
-    return SpectralState(grid=state.grid, theta_hat=theta_hat, m_hat=m_hat, half=half)
+    return SpectralState(grid=state.grid, hat=np.stack([fwd(f) for f in (state.theta, *state.m)]), half=half)
 
 
 def hermitian_half(arr: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
@@ -108,10 +107,8 @@ def hermitian_half(arr: np.ndarray, grid: Grid, out: np.ndarray | None = None) -
 def to_real(spectral: SpectralState) -> State:
     """Inverse transform of both fields; a full spectrum is read out through :func:`hermitian_half`."""
     grid = spectral.grid
-    theta_hat, m_hat = spectral.theta_hat, spectral.m_hat
-    if not spectral.half:
-        theta_hat, m_hat = hermitian_half(theta_hat, grid), hermitian_half(m_hat, grid)
-    return State(grid=grid, theta=irfftn(theta_hat, grid), m=np.stack([irfftn(h, grid) for h in m_hat]))
+    hat = spectral.hat if spectral.half else hermitian_half(spectral.hat, grid)
+    return State(grid=grid, theta=irfftn(hat[0], grid), m=np.stack([irfftn(h, grid) for h in hat[1:]]))
 
 
 def longitudinal_amplitude(m_hat: np.ndarray, grid: Grid, half: bool = False) -> np.ndarray:
@@ -177,24 +174,23 @@ class Block:
         out += grid.wavevectors(self.half)[j] * w
         return out
 
-    def momenta(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
-        """Every momentum component of the image; theta_hat None stands for a zero theta."""
+    def image(self, theta_hat: np.ndarray | None, m_hat: np.ndarray, grid: Grid, a_hat: np.ndarray | None = None) -> np.ndarray:
+        """The image stack (theta, m_1 .. m_N), not validated; theta_hat None stands for a zero theta; pass m_hat's a_hat if formed."""
+        if a_hat is None:
+            a_hat = longitudinal_amplitude(m_hat, grid, self.half)
+        out = np.empty((grid.dim + 1,) + a_hat.shape, dtype=complex)
+        self.theta(theta_hat, a_hat, out=out[0])
         w = self.weight(theta_hat, a_hat)
-        out = np.empty(m_hat.shape, dtype=complex)
         for j in range(grid.dim):
-            self.momentum(j, w, m_hat[j], grid, out[j])
+            self.momentum(j, w, m_hat[j], grid, out[1 + j])
         return out
 
     def apply(self, spectral: SpectralState, a_hat: np.ndarray | None = None) -> SpectralState:
         """The image of a spectral state of the block's layout; pass its a_hat if already formed."""
-        grid = spectral.grid
         if spectral.half != self.half:
             raise GridMismatch(f"block layout (half={self.half}) differs from the state's (half={spectral.half})")
-        if a_hat is None:
-            a_hat = longitudinal_amplitude(spectral.m_hat, grid, self.half)
-        theta_hat = self.theta(spectral.theta_hat, a_hat)
-        m_hat = self.momenta(spectral.theta_hat, a_hat, spectral.m_hat, grid)
-        return SpectralState(grid=grid, theta_hat=theta_hat, m_hat=m_hat, half=self.half)
+        hat = self.image(spectral.theta_hat, spectral.m_hat, spectral.grid, a_hat)
+        return SpectralState(grid=spectral.grid, hat=hat, half=self.half)
 
 
 def _require_full(spectral: SpectralState, what: str) -> None:
@@ -333,13 +329,10 @@ def frequency_band(spectral: SpectralState, cutoff: CutoffSpec, band: str) -> Sp
             f"no nonzero mode satisfies |xi| <= 2*eps = {2 * cutoff.eps:g} "
             f"(smallest nonzero |xi| is {2 * np.pi / grid.box_len:g})"
         )
-    phi = cutoff(np.sqrt(grid.xi_sq))
-    theta_hat = phi * spectral.theta_hat
-    m_hat = phi * spectral.m_hat
+    hat = cutoff(np.sqrt(grid.xi_sq)) * spectral.hat
     if band == "high":
-        np.subtract(spectral.theta_hat, theta_hat, out=theta_hat)
-        np.subtract(spectral.m_hat, m_hat, out=m_hat)
-    return SpectralState(grid=grid, theta_hat=theta_hat, m_hat=m_hat)
+        np.subtract(spectral.hat, hat, out=hat)
+    return SpectralState(grid=grid, hat=hat)
 
 
 def frequency_split(spectral: SpectralState, cutoff: CutoffSpec) -> tuple[SpectralState, SpectralState]:
@@ -432,10 +425,7 @@ def conjugate_symmetry_defect(spectral: SpectralState) -> float:
         planes = (arr[..., 0], arr[..., grid.n // 2]) if spectral.half else (arr,)
         return float(max(np.max(np.abs(p - np.conj(_reverse_modes(p, axes)))) for p in planes) / scale)
 
-    worst = defect(spectral.theta_hat)
-    for j in range(grid.dim):
-        worst = max(worst, defect(spectral.m_hat[j]))
-    return worst
+    return max(defect(row) for row in spectral.hat)
 
 
 def _reverse_modes(arr: np.ndarray, axes) -> np.ndarray:

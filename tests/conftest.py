@@ -82,7 +82,7 @@ def random_spectrum(grid, rng):
     """Complex spectra with no Hermitian symmetry, Nyquist planes included."""
     shape = (grid.dim + 1,) + grid.shape
     hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return SpectralState(grid=grid, theta_hat=hats[0], m_hat=hats[1:])
+    return SpectralState(grid=grid, hat=hats)
 
 
 def volume(grid):

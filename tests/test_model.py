@@ -3,6 +3,7 @@ import pytest
 
 from conftest import wavevector_of_index
 from nsklab.errors import ConstraintViolation, CriticalityViolation, GridMismatch, NumericsWarning
+from nsklab.fields import riesz_momentum_pair
 from nsklab.model import (
     Grid,
     PressureLaw,
@@ -140,13 +141,24 @@ class TestGrid:
 
     def test_half_spectral_state_shape_checked(self):
         g = Grid(dim=2, box_len=1.0, n=8)
-        half = np.zeros(g.half_shape, dtype=complex)
-        m_half = np.zeros((2,) + g.half_shape, dtype=complex)
-        assert SpectralState(grid=g, theta_hat=half, m_hat=m_half, half=True).half
+        half = np.zeros((3,) + g.half_shape, dtype=complex)
+        assert SpectralState(grid=g, hat=half, half=True).half
         with pytest.raises(GridMismatch):
-            SpectralState(grid=g, theta_hat=half, m_hat=m_half)
+            SpectralState(grid=g, hat=half)
         with pytest.raises(GridMismatch):
-            SpectralState(grid=g, theta_hat=np.zeros(g.shape), m_hat=np.zeros((2,) + g.shape), half=True)
+            SpectralState(grid=g, hat=np.zeros((3,) + g.shape), half=True)
+        with pytest.raises(GridMismatch):
+            SpectralState(grid=g, hat=half[1:], half=True)
+
+    def test_spectral_rows_are_views_and_pair_members_separate(self):
+        """theta_hat and m_hat are views of the one stack; the two riesz_momentum_pair members own separate
+        allocations, so a caller that keeps one member frees the other."""
+        g = Grid(dim=2, box_len=8.0, n=16)
+        pair = riesz_momentum_pair(g, 1.0, 3.0, rng=np.random.default_rng(1))
+        for spec in pair:
+            assert np.shares_memory(spec.theta_hat, spec.hat)
+            assert np.shares_memory(spec.m_hat, spec.hat)
+        assert not np.shares_memory(pair[0].hat, pair[1].hat)
 
 
 class TestPeriodicGeometry:

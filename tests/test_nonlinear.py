@@ -317,7 +317,7 @@ class TestSample:
         shape = (dim + 1,) + g.half_shape
         # the self-mirror planes are not Hermitian either, as after a step
         hats = 0.05 * n ** (dim / 2) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        spec = SpectralState(grid=g, theta_hat=hats[0], m_hat=hats[1:], half=True)
+        spec = SpectralState(grid=g, hat=hats, half=True)
         st = StepState(spectral=spec, real=to_real(spec), t=0.0)
         g_hat = nonlinearity_g_hat(st, p, dealias_mask(g))
         powers = Etd2Stepper(p, g, 0.1).powers
@@ -408,11 +408,7 @@ class TestStep:
         g = Grid(dim=2, box_len=3.0, n=16)
         st = StepState.from_state(small_state(g, np.random.default_rng(1)))
         out = Etd2Stepper(params, g, 0.25).step(st, nonlinear=False)
-        full = SpectralState(
-            grid=g,
-            theta_hat=hermitian_extension(st.spectral.theta_hat, g),
-            m_hat=hermitian_extension(st.spectral.m_hat, g),
-        )
+        full = SpectralState(grid=g, hat=hermitian_extension(st.spectral.hat, g))
         want = apply_semigroup(full, params, 0.25)
         h = g.n // 2 + 1
         assert np.array_equal(out.spectral.theta_hat, want.theta_hat[..., :h])
@@ -477,6 +473,32 @@ class TestStep:
         assert np.array_equal(res.aggregate.times, [0.0])
         assert all(np.array_equal(s.times, [0.0]) for s in res.bundle.values())
         assert np.all(np.isfinite(res.final.real.theta))
+
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_non_finite_propagator_becomes_step_rejection(self, params, monkeypatch, nonlinear):
+        """An inf in the S(h) heat coefficient rejects the first step on both paths; the t = 0 sample is kept."""
+        import nsklab.nonlinear as nonlinear_mod
+
+        real_block = nonlinear_mod.semigroup_block
+
+        def inf_heat(*args, **kwargs):
+            block = real_block(*args, **kwargs)
+            heat = block.heat.copy()
+            heat[(1,) * heat.ndim] = np.inf
+            return dataclasses.replace(block, heat=heat)
+
+        monkeypatch.setattr(nonlinear_mod, "semigroup_block", inf_heat)
+        g = Grid(dim=3, box_len=8.0, n=16)
+        scn = NonlinearScenario(params=params, grid=g, amplitude=0.02, t_end=0.3, dt=0.1, seed=3, nonlinear=nonlinear)
+        with np.errstate(invalid="ignore"):
+            res = run(scn)
+        assert res.rejected and not res.success
+        rejected = [e for e in res.events if e["kind"] == "step_rejected"]
+        assert len(rejected) == 1
+        assert rejected[0]["t"] == pytest.approx(0.1)
+        assert "not finite" in rejected[0]["message"]
+        assert np.array_equal(res.aggregate.times, [0.0])
+        assert all(np.array_equal(s.times, [0.0]) for s in res.bundle.values())
 
     def test_self_convergence_order_two(self, params):
         """Richardson ratio error(dt)/error(dt/2) ~ 2^2 on a smooth nonlinear run."""

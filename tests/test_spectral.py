@@ -241,9 +241,9 @@ class TestSemigroupOrbit:
         """Each momentum component is checked before it is projected, not only theta."""
         g = Grid(dim=2, box_len=3.0, n=8)
         data = random_spectrum(g, np.random.default_rng(4))
-        m_hat = data.m_hat.copy()
-        orbit = SemigroupOrbit(SpectralState(grid=g, theta_hat=data.theta_hat, m_hat=m_hat), unit_params)
-        m_hat[1, 1, 2] = np.inf  # after validation, so only the read-out sees it
+        hat = data.hat.copy()
+        orbit = SemigroupOrbit(SpectralState(grid=g, hat=hat), unit_params)
+        hat[2, 1, 2] = np.inf  # m_1, after validation, so only the read-out sees it
         with pytest.raises(ConstraintViolation), np.errstate(invalid="ignore"):
             orbit.halves(0.5, Workspace(g))
         assert np.all(np.isfinite(orbit.halves(0.5, Workspace(g, theta_only=True))[0]))
@@ -293,7 +293,7 @@ class TestWorkspaceReadOut:
     @pytest.mark.parametrize("half", [False, True])
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     def test_block_momenta_bitwise_equal_to_stacked_formula(self, dim, n, half, oscillatory_params):
-        """Per-component momentum images equal heat m_hat + xi_j w formed on the whole stack."""
+        """The momentum rows of the image stack equal heat m_hat + xi_j w formed on the whole stack; row 0 is Block.theta."""
         rng = np.random.default_rng(980 + dim)
         g = Grid(dim=dim, box_len=5.0, n=n)
         shape = g.half_shape if half else g.shape
@@ -308,7 +308,9 @@ class TestWorkspaceReadOut:
             want = block.heat * m_hat
             for j, x in enumerate(g.wavevectors(half)):
                 want[j] += x * w
-            assert np.array_equal(block.momenta(theta_hat, a_hat, m_hat, g), want)
+            got = block.image(theta_hat, m_hat, g, a_hat)
+            assert np.array_equal(got[1:], want)
+            assert np.array_equal(got[0], block.theta(theta_hat, a_hat))
 
 
 class TestFrequencySplit:
@@ -557,13 +559,11 @@ class TestHalfLayout:
         g = Grid(dim=dim, box_len=6.0, n=8)
         rng = np.random.default_rng(30 + dim)
         shape = (g.dim,) + g.shape
-        full = SpectralState(
-            grid=g,
-            theta_hat=rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape),
-            m_hat=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        )
+        theta_hat = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        m_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        full = SpectralState(grid=g, hat=np.concatenate([theta_hat[None], m_hat]))
         h = g.n // 2 + 1
-        half = SpectralState(grid=g, theta_hat=full.theta_hat[..., :h], m_hat=full.m_hat[..., :h], half=True)
+        half = SpectralState(grid=g, hat=full.hat[..., :h], half=True)
         for t in (0.0, 0.3, 2.0):
             want = spectral_mod.semigroup_block(oscillatory_params, g, t).apply(full)
             got = spectral_mod.semigroup_block(oscillatory_params, g, t, half=True).apply(half)
@@ -606,9 +606,9 @@ class TestSymmetryDefectHalfLayout:
         spec = to_spectral(white_noise_state(g, np.random.default_rng(6 + dim)), half=True)
         scale = np.max(np.abs(spec.theta_hat))
         for last, flagged in ((0, True), (g.n // 2, True), (1, False), (g.n // 2 - 1, False)):
-            theta_hat = spec.theta_hat.copy()
-            theta_hat[(1,) * (dim - 1) + (last,)] += 1e-3 * scale * 1j
-            bumped = SpectralState(grid=g, theta_hat=theta_hat, m_hat=spec.m_hat, half=True)
+            hat = spec.hat.copy()
+            hat[(0,) + (1,) * (dim - 1) + (last,)] += 1e-3 * scale * 1j
+            bumped = SpectralState(grid=g, hat=hat, half=True)
             # a mode off those planes has its mirror implied, so it cannot break the symmetry
             assert (conjugate_symmetry_defect(bumped) > 1e-4) == flagged, last
 
@@ -642,7 +642,7 @@ class TestHermitianHalf:
         rng = np.random.default_rng(700 + 10 * dim + n)
         shape = (dim + 1,) + g.shape
         hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        st = to_real(SpectralState(grid=g, theta_hat=hats[0], m_hat=hats[1:]))
+        st = to_real(SpectralState(grid=g, hat=hats))
         for hat, field in ((hats[0], st.theta), (hats[1:], st.m)):
             got = spectral_l2_norm(half_power(spectral_mod.hermitian_half(hat, g), g), g) ** 2
             assert got == pytest.approx(lp_norm(field, g, 2) ** 2, rel=1e-12, abs=0.0)
@@ -653,7 +653,7 @@ class TestHermitianHalf:
         rng = np.random.default_rng(800 + 10 * dim + n)
         shape = (dim + 1,) + g.shape
         hats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        st = to_real(SpectralState(grid=g, theta_hat=hats[0], m_hat=hats[1:]))
+        st = to_real(SpectralState(grid=g, hat=hats))
         want = np.fft.ifftn(hats, axes=tuple(range(1, dim + 1))).real
         scale = np.max(np.abs(want))
         assert np.max(np.abs(st.theta - want[0])) <= 1e-14 * scale
