@@ -14,9 +14,10 @@ Semigroup decay series at q = 2 are computed by Parseval from the evolved
 spectrum, with no transform: each field's spectrum is first projected onto
 the half spectrum of its real field (``spectral.hermitian_half``), whose
 modes count twice off the self-mirror last-axis planes 0 and n/2, and every
-first-derivative multiplier ``i xi_k`` is zero on the Nyquist index of axis
-k (what ``.real`` of a derivative round trip keeps), so the values equal
-the real-space norms of the same fields to rounding.
+first-derivative multiplier is ``spectral.derivative``'s ``i xi_k``, zero
+on the Nyquist index of axis k (what ``.real`` of a derivative round trip
+keeps), so the values equal the real-space norms of the same fields to
+rounding.
 
 A series forms only the band it measures and reads every sample, one evolved
 component at a time, into the buffers of one :class:`nsklab.spectral.Workspace`.
@@ -24,8 +25,7 @@ component at a time, into the buffers of one :class:`nsklab.spectral.Workspace`.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,10 +40,11 @@ from .spectral import (
     SemigroupOrbit,
     Workspace,
     default_cutoff,
+    derivative,
     frequency_band,
     irfftn,
     low_band_mode_count,
-    odd_wavevectors,
+    multi_indices,
 )
 
 TOL_EXP = 0.1  # absolute tolerance on fitted decay exponents
@@ -94,15 +95,6 @@ def _lp_norms_of_magnitude(mag: np.ndarray, grid: Grid, qs) -> list:
             raise ValueError("q in [1, inf] required")
         out.append(float(np.sum(mag**q) ** (1.0 / q) * grid.cell_volume ** (1.0 / q)))
     return out
-
-
-def multi_indices(dim: int, order: int):
-    """All multi-indices of the exact total order."""
-    for combo in itertools.combinations_with_replacement(range(dim), order):
-        alpha = [0] * dim
-        for ax in combo:
-            alpha[ax] += 1
-        yield tuple(alpha)
 
 
 def spectral_l2_norm(power: np.ndarray, grid: Grid, weight=None) -> float:
@@ -270,18 +262,7 @@ class DecayReport:
         return bool(abs(self.fitted_exponent - self.predicted_exponent) <= self.tol_exp and self.trust_window_ok)
 
     def to_dict(self) -> dict:
-        return {
-            "fitted_exponent": self.fitted_exponent,
-            "predicted_exponent": self.predicted_exponent,
-            "fit_window": list(self.fit_window),
-            "residual": self.residual,
-            "tol_exp": self.tol_exp,
-            "trust_window_ok": self.trust_window_ok,
-            "n_samples": self.n_samples,
-            "in_scope": self.in_scope,
-            "verdict": self.verdict,
-            "descriptor": dict(self.descriptor),
-        }
+        return dict(asdict(self), fit_window=list(self.fit_window), verdict=self.verdict)
 
 
 def fit_decay(
@@ -421,10 +402,11 @@ def measure_semigroup_decay(
     Only the kept band of the datum is formed.  Every norm is taken of the
     half spectrum of the evolved real field
     (:func:`nsklab.spectral.hermitian_half`).  For p = 2 it comes by Parseval
-    from its power (:func:`half_power`), with Nyquist-zeroed odd multipliers
-    (see :func:`nsklab.spectral.odd_wavevectors`); otherwise each derivative
-    is one ``irfftn`` of the half spectrum times the same multiplier.  Only the
-    trust diagnostics need the real fields: dim + 1 ``irfftn`` per sample at p = 2.
+    from its power (:func:`half_power`), with the Nyquist-zeroed first-order
+    multipliers of :func:`nsklab.spectral.derivative`; otherwise each
+    derivative is one ``irfftn`` of the half spectrum times the same
+    multiplier.  Only the trust diagnostics need the real fields: dim + 1
+    ``irfftn`` per sample at p = 2.
     """
     grid = data.grid
     if cutoff is None:
@@ -437,11 +419,10 @@ def measure_semigroup_decay(
     # CPython moves call arguments into the callee's frame: for a caller that passes its datum
     # straight in (runner._linear_decay_report) this drops the last reference and frees it
     del data
-    xis = odd_wavevectors(grid)
     trust = _TrustGeometry(grid)
     ws = Workspace(grid)
     return _series_measurement(
-        lambda t: _decay_sample(orbit, ws, t, xis, p, j, w10, trust),
+        lambda t: _decay_sample(orbit, ws, t, p, j, w10, trust),
         times,
         {"p": "inf" if np.isinf(p) else p, "j": j, "band": band, "w10": w10, "cutoff_eps": cutoff.eps},
         grid,
@@ -462,7 +443,7 @@ def _series_measurement(sample, times, descriptor: dict, grid: Grid, cutoff: Cut
     )
 
 
-def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, xis: list, p, j: int, w10: bool, trust):
+def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, p, j: int, w10: bool, trust):
     """(norm value, mass radius, edge leakage) of the orbit's sample at t, read out into the series' workspace.
 
     |theta| and |m| are formed in place (in theta and m[0]); the trust diagnostics take the one whose components peak higher.
@@ -476,41 +457,43 @@ def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, xis: list, p, 
     theta_mag = np.abs(theta, out=theta)
     m_mag = _magnitude_in_place(ws.m)
     if p == 2:
-        value = _pair_l2_by_parseval(th, mh, xis, j, w10, grid)
+        value = _pair_l2_by_parseval(th, mh, j, w10, grid)
     else:
-        value = _pair_lp_from_halves(th, mh, theta_mag, m_mag, xis, p, j, w10, grid)
+        value = _pair_lp_from_halves(th, mh, theta_mag, m_mag, p, j, w10, grid)
     mag = theta_mag if np.max(theta_mag) > m_max else m_mag
     return (value, *trust.diagnostics(mag))
 
 
-def _pair_l2_by_parseval(th: np.ndarray, mh: np.ndarray, xis: list, j: int, w10: bool, grid: Grid) -> float:
+def _pair_l2_by_parseval(th: np.ndarray, mh: np.ndarray, j: int, w10: bool, grid: Grid) -> float:
     """L2 value of one decay sample from the half spectra of its fields, with no transform."""
+    weights = [abs(derivative(grid, e)) ** 2 for e in multi_indices(grid.dim, 1)]
     p_theta = half_power(th, grid)
     p_m = half_power(mh, grid)
     if j == 1:
-        # sum_k |i xi_k f_hat|^2 is the power of the stacked gradient
-        xi_sq = sum(x**2 for x in xis)
+        # sum_k |d_k f_hat|^2 is the power of the stacked gradient
+        xi_sq = sum(weights)
         p_theta *= xi_sq
         p_m *= xi_sq
     th_part = spectral_l2_norm(p_theta, grid)
     if w10:
-        th_part += sum(spectral_l2_norm(p_theta, grid, x**2) for x in xis)
+        th_part += sum(spectral_l2_norm(p_theta, grid, w) for w in weights)
     return th_part + spectral_l2_norm(p_m, grid)
 
 
-def _pair_lp_from_halves(th, mh, theta_mag, m_mag, xis: list, p, j: int, w10: bool, grid: Grid) -> float:
+def _pair_lp_from_halves(th, mh, theta_mag, m_mag, p, j: int, w10: bool, grid: Grid) -> float:
     """L_p value of one decay sample, given its fields' magnitudes; each derivative is one ``irfftn`` of a half spectrum."""
+    grad = [derivative(grid, e) for e in multi_indices(grid.dim, 1)]
     if j == 0:
         th_hats = [th]
         th_part = _lp_norms_of_magnitude(theta_mag, grid, (p,))[0]
         m_part = _lp_norms_of_magnitude(m_mag, grid, (p,))[0]
     else:
-        th_hats = [1j * x * th for x in xis]
+        th_hats = [d * th for d in grad]
         th_part = lp_norm(np.stack([irfftn(h, grid) for h in th_hats]), grid, p)
-        m_part = lp_norm(np.stack([irfftn(1j * x * mh[c], grid) for c in range(grid.dim) for x in xis]), grid, p)
+        m_part = lp_norm(np.stack([irfftn(d * mh[c], grid) for c in range(grid.dim) for d in grad]), grid, p)
     if w10:
-        for x in xis:
-            th_part += lp_norm(np.stack([irfftn(1j * x * h, grid) for h in th_hats]), grid, p)
+        for d in grad:
+            th_part += lp_norm(np.stack([irfftn(d * h, grid) for h in th_hats]), grid, p)
     return th_part + m_part
 
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintViolation, CriticalityViolation, GridMismatch, NumericsWarning
+from .errors import ConstraintViolation, CriticalityViolation, GridMismatch, NumericsWarning, RangeViolation
 
 CRITICALITY_RTOL = 1e-12
 DEGENERACY_RTOL = 1e-9
@@ -331,13 +331,18 @@ class State:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "m", m)
 
-    def density(self, params: FluidParams) -> np.ndarray:
-        return params.rho_star + self.theta
-
     def is_admissible(self, params: FluidParams) -> bool:
         """Range condition rho*/4 <= rho* + theta <= 4 rho* at every point."""
-        rho = self.density(params)
-        return bool(rho.min() >= params.rho_star / 4.0 and rho.max() <= 4.0 * params.rho_star)
+        lo, hi = params.rho_star + self.theta.min(), params.rho_star + self.theta.max()
+        return bool(lo >= params.rho_star / 4.0 and hi <= 4.0 * params.rho_star)
+
+    def check_range(self, params: FluidParams) -> None:
+        """Raise RangeViolation, with the density range, unless :meth:`is_admissible`."""
+        if not self.is_admissible(params):
+            lo, hi = params.rho_star + self.theta.min(), params.rho_star + self.theta.max()
+            raise RangeViolation(
+                f"density range [{lo:.6g}, {hi:.6g}] outside [{params.rho_star / 4.0:.6g}, {4.0 * params.rho_star:.6g}]"
+            )
 
 
 @dataclass(frozen=True)

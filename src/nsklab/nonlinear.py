@@ -23,13 +23,13 @@ image stack of U_n, and is validated once.  Every transform is
 ``spectral.rfftn``/``spectral.irfftn``; none is complex.
 
 Nyquist rule: every odd factor i xi_k (the divergence, grad rho, grad div v,
-the derivatives and time derivatives of a sample) is zero
-on the Nyquist index of axis k (``spectral.odd_wavevectors`` and
-``spectral._multi_index_power``).  There a mode is its own mirror, and a
-half spectrum's implied mirror would otherwise carry the wrong sign; with
-the rule every derivative equals ``.real`` of the full complex round trip
-to rounding.  The S(h) and phi blocks are the linear toolkit's block
-formula, bit for bit per stored mode.
+the derivatives and time derivatives of a sample) is zero on the Nyquist
+index of axis k.  There a mode is its own mirror, and a half spectrum's
+implied mirror would otherwise carry the wrong sign; with the rule every
+derivative equals ``.real`` of the full complex round trip to rounding.
+Every multiplier (i xi)^alpha is the shared table ``spectral.derivative``.
+The S(h) and phi blocks are the linear toolkit's block formula, bit for bit
+per stored mode.
 
 g is built as a vector; H is never formed.  The pointwise products of one
 symmetric pair j <= k of H are summed in real space and transformed once;
@@ -53,15 +53,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _AGGREGATE_KEYS, NormSeries, aggregate_N, lp_norms, multi_indices
+from .analysis import _AGGREGATE_KEYS, NormSeries, aggregate_N, lp_norms
 from .errors import ConstraintViolation, NumericsWarning, RangeViolation, StepRejected
 from .model import FluidParams, Grid, SpectralState, State
 from .spectral import (
     Block,
-    _multi_index_power,
     dealias_mask,
+    derivative,
     irfftn,
-    odd_wavevectors,
+    multi_indices,
     rfftn,
     semigroup_block,
     to_real,
@@ -97,32 +97,29 @@ def nonlinearity_g_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> 
     K(rho) = kappa*/2 (Lap(rho^2) - |grad rho|^2) I - kappa* grad rho x grad rho.
     mask, here and below, is the dealias mask (``dealias_mask(grid)``).
     The pointwise products of each symmetric pair j <= k are summed in real
-    space and transformed once into h, which enters g_j as -i xi_k h and g_k
-    as -i xi_j h.  The mm_jk read back is band-limited, so its 1/rho* part
-    folds into h; grad rho comes from the state's theta_hat.  S(v) enters as
+    space and transformed once into h, which enters g_j as -d_k h and g_k
+    as -d_j h, with d_k = i xi_k from ``spectral.derivative``.  The mm_jk
+    read back is band-limited, so its 1/rho* part folds into h; grad rho
+    comes from the state's theta_hat.  S(v) enters as
     Div S(v) = mu* Lap v + nu* grad div v, and -kappa*/2 Lap(rho^2) I as its
     gradient.  The zero mode of g vanishes identically.
     """
     state, grid = st.real, st.real.grid
     dim = grid.dim
+    state.check_range(params)
     rho = params.rho_star + state.theta
-    if rho.min() < params.rho_star / 4.0 or rho.max() > 4.0 * params.rho_star:
-        raise RangeViolation(
-            f"density range [{rho.min():.6g}, {rho.max():.6g}] outside "
-            f"[{params.rho_star / 4.0:.6g}, {4.0 * params.rho_star:.6g}]"
-        )
     recip = irfftn(mask * rfftn(1.0 / rho - 1.0 / params.rho_star), grid)
-    xis = odd_wavevectors(grid)
+    d = [derivative(grid, e) for e in multi_indices(dim, 1)]
     # v_hat is dealiased, so zero on every Nyquist index: -xi_sq is its Laplacian
     xi_sq = grid.xi_sq_of(half=True)
     v_hat = [mask * rfftn(recip * state.m[j]) for j in range(dim)]
-    div_v = sum(1j * xis[j] * v_hat[j] for j in range(dim))
+    div_v = sum(d[j] * v_hat[j] for j in range(dim))
     lap_part = 0.5 * params.kappa_star * xi_sq * (mask * rfftn(state.theta * state.theta))
     grad_part = params.nu_star * div_v - lap_part
-    g = np.stack([1j * xis[j] * grad_part - params.mu_star * xi_sq * v_hat[j] for j in range(dim)])
+    g = np.stack([d[j] * grad_part - params.mu_star * xi_sq * v_hat[j] for j in range(dim)])
 
     weight = recip + 1.0 / params.rho_star
-    grad_rho = [irfftn(1j * xis[j] * st.spectral.theta_hat, grid) for j in range(dim)]
+    grad_rho = [irfftn(d[j] * st.spectral.theta_hat, grid) for j in range(dim)]
     iso = pressure_remainder(state.theta, params)
     for j in range(dim):
         iso += 0.5 * params.kappa_star * grad_rho[j] * grad_rho[j]
@@ -133,9 +130,9 @@ def nonlinearity_g_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> 
             if j == k:
                 prod += iso
             h = mask * rfftn(prod)
-            g[j] -= 1j * xis[k] * h
+            g[j] -= d[k] * h
             if k != j:
-                g[k] -= 1j * xis[j] * h
+                g[k] -= d[j] * h
     return g
 
 
@@ -169,8 +166,8 @@ class Etd2Stepper:
     h) as half-layout blocks (:class:`nsklab.spectral.Block`); the phi weights integrate
     the stiff linear part exactly, so the third-order capillary term costs no
     step-size restriction and the scheme holds second order uniformly in the
-    stiffness.  ``powers`` holds the derivative multipliers (i xi)^alpha of
-    the sample norms, every alpha of order 1 to 3, built once with the blocks.
+    stiffness.  The sample norms' multipliers (every alpha of order 1 to 3) enter
+    the shared :func:`nsklab.spectral.derivative` table with the blocks.
     """
 
     def __init__(self, params: FluidParams, grid: Grid, dt: float):
@@ -181,9 +178,9 @@ class Etd2Stepper:
         self.dt = dt
         self.mask = dealias_mask(grid)
         self._exp = semigroup_block(params, grid, dt, half=True)
-        self.powers = {
-            alpha: _multi_index_power(grid, alpha) for order in (1, 2, 3) for alpha in multi_indices(grid.dim, order)
-        }
+        for order in (1, 2, 3):
+            for alpha in multi_indices(grid.dim, order):
+                derivative(grid, alpha)
         values = grid.radial_table[0]
         index = grid.radial_index(half=True)
         tabs = phi_multiplier_tables(params, values, dt)
@@ -222,13 +219,10 @@ class Etd2Stepper:
             raise StepRejected(f"stage inadmissible at t={t:.6g}: {exc}", t=t) from exc
 
         nxt = self._finite(stage.spectral.hat + self._phi2.image(None, gp_hat - g0_hat, self.grid), t, "state")
-        if not nxt.real.is_admissible(self.params):
-            rho = self.params.rho_star + nxt.real.theta
-            raise StepRejected(
-                f"state at t={t:.6g} violates the range condition "
-                f"(density range [{rho.min():.6g}, {rho.max():.6g}])",
-                t=t,
-            )
+        try:
+            nxt.real.check_range(self.params)
+        except RangeViolation as exc:
+            raise StepRejected(f"state inadmissible at t={t:.6g}: {exc}", t=t) from exc
         return nxt
 
 
@@ -256,6 +250,13 @@ class NonlinearScenario:
     m_relative_amplitude: float = 1.0
     sample_every: int = 1
     nonlinear: bool = True
+
+    def __post_init__(self):
+        steps = self.t_end / self.dt if self.dt > 0 else 0.0
+        if not (steps > 0.5 and abs(steps - np.rint(steps)) <= 1e-9):
+            raise ConstraintViolation(f"t_end={self.t_end} and dt={self.dt} do not make a positive whole number of steps")
+        if not self.sample_every >= 1:
+            raise ConstraintViolation(f"sample_every = {self.sample_every} < 1")
 
     def scope_warnings(self) -> list:
         out = []
@@ -294,7 +295,7 @@ class RunResult:
         return (not self.rejected) and self.admissible_throughout and np.all(np.isfinite(self.aggregate.values))
 
 
-def _sample_fields(st: StepState, params: FluidParams, powers: dict, g_hat: np.ndarray | None):
+def _sample_fields(st: StepState, params: FluidParams, g_hat: np.ndarray | None):
     """Yield (constituents, real field) once for every field one sample measures.
 
     Constituents: "j0" theta and m, "j1" grad theta and grad m, "w3" theta
@@ -318,7 +319,7 @@ def _sample_fields(st: StepState, params: FluidParams, powers: dict, g_hat: np.n
     yield ("j0", "w2"), m
     for order in (1, 2, 3):
         for alpha in multi_indices(dim, order):
-            f = irfftn(powers[alpha] * th_hat, grid)
+            f = irfftn(derivative(grid, alpha) * th_hat, grid)
             if order == 1:
                 grad_theta[alpha.index(1)] = f
             elif order == 3 and max(alpha) > 1:
@@ -329,7 +330,7 @@ def _sample_fields(st: StepState, params: FluidParams, powers: dict, g_hat: np.n
         for alpha in multi_indices(dim, order):
             f = grad_m[:, alpha.index(1)] if order == 1 else np.empty((dim,) + grid.shape)
             for c in range(dim):
-                f[c] = irfftn(powers[alpha] * m_hat[c], grid)
+                f[c] = irfftn(derivative(grid, alpha) * m_hat[c], grid)
             if order == 2:
                 a, b = (ax for ax, k in enumerate(alpha) for _ in range(k))
                 grad_div[a] += f[b]
@@ -360,7 +361,7 @@ def _sample_norms(st: StepState, scn: NonlinearScenario, stepper: Etd2Stepper) -
     # each field is measured once for all its exponents and constituents; the sup norm only enters j0 and j1
     qs = (np.inf, scn.q1, scn.q2)
     norms = {key: [] for key in ("j0", "j1", "w3", "w2", "dt")}
-    for keys, f in _sample_fields(st, stepper.params, stepper.powers, g_hat):
+    for keys, f in _sample_fields(st, stepper.params, g_hat):
         measured = lp_norms(f, grid, qs if keys[0] in ("j0", "j1") else qs[1:])
         for key in keys:
             norms[key].append(measured)

@@ -34,10 +34,11 @@ Derivative multipliers act on half spectra.  Nyquist rule: on the Nyquist
 index of an axis a mode is its own mirror along that axis, so a multiplier
 odd in that axis's xi cannot act on it and keep the field real.  A
 derivative multiplier (i xi)^alpha is therefore zero on every mode whose
-Nyquist axes carry an odd total power of alpha (:func:`_multi_index_power`;
-:func:`odd_wavevectors` for first order).  This keeps a half spectrum's
-implied mirror consistent, and the derivative equals ``.real`` of the
-complex round trip with the bare multiplier.
+Nyquist axes carry an odd total power of alpha.  :func:`derivative` builds
+every such multiplier of the toolkit, once per (grid, alpha); the first
+order ones are ``i xi_k`` with the Nyquist index of axis k zeroed.  This
+keeps a half spectrum's implied mirror consistent, and the derivative
+equals ``.real`` of the complex round trip with the bare multiplier.
 
 FFT calls go through scipy.fft; ``set_fft_workers`` configures the worker
 count of every entry point (kept at 1 by default so outputs are
@@ -46,6 +47,7 @@ reproducible bit for bit across hosts regardless of core count).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -340,44 +342,31 @@ def frequency_split(spectral: SpectralState, cutoff: CutoffSpec) -> tuple[Spectr
     return frequency_band(spectral, cutoff, "low"), frequency_band(spectral, cutoff, "high")
 
 
-def _multi_index_power(grid: Grid, alpha) -> np.ndarray:
-    """(i xi)^alpha as a broadcastable multiplier on the half layout.
+def multi_indices(dim: int, order: int):
+    """All multi-indices of the exact total order."""
+    for combo in itertools.combinations_with_replacement(range(dim), order):
+        alpha = [0] * dim
+        for ax in combo:
+            alpha[ax] += 1
+        yield tuple(alpha)
+
+
+@functools.cache
+def derivative(grid: Grid, alpha: tuple) -> np.ndarray:
+    """(i xi)^alpha as a broadcastable multiplier on the half layout, built once per (grid, alpha).
 
     Zero on every mode whose Nyquist axes carry an odd total power of alpha
-    (the Nyquist rule of the module docstring).
+    (the Nyquist rule of the module docstring).  Shared, hence read-only.
     """
-    xis = grid.wavevectors(half=True)
     mult = np.ones((1,) * grid.dim, dtype=complex)
     odd = np.zeros((1,) * grid.dim, dtype=bool)
-    for ax, a in enumerate(alpha):
+    for ax, (x, a) in enumerate(zip(grid.wavevectors(half=True), alpha)):
         if a:
-            mult = mult * (1j * xis[ax]) ** a
-            if a % 2:
-                odd = odd ^ _nyquist_index(grid, ax, xis[ax].shape)
-    return np.where(odd, 0.0, mult)
-
-
-def _nyquist_index(grid: Grid, ax: int, shape: tuple) -> np.ndarray:
-    """Boolean array of the given broadcast shape, true on the Nyquist index of axis ax."""
-    out = np.zeros(shape, dtype=bool)
-    out[(slice(None),) * ax + (grid.n // 2,)] = True
-    return out
-
-
-def odd_wavevectors(grid: Grid) -> list:
-    """Per-axis half-layout wavevectors with the axis's own Nyquist index set to 0.
-
-    ``i xi_k`` with this xi_k is the first-derivative multiplier a real field
-    actually receives: on the Nyquist plane of axis k the mode is its own
-    mirror, so ``.real`` of the complex round trip drops it.  On a half
-    spectrum the multiplier keeps the implied mirror of every stored mode the
-    conjugate of its image.
-    """
-    out = []
-    for ax, x in enumerate(grid.wavevectors(half=True)):
-        x = x.copy()
-        x[(slice(None),) * ax + (grid.n // 2,)] = 0.0
-        out.append(x)
+            mult = mult * (1j * x) ** a
+        if a % 2:
+            odd = odd ^ (np.arange(x.size).reshape(x.shape) == grid.n // 2)
+    out = np.where(odd, 0.0, mult)
+    out.flags.writeable = False
     return out
 
 
@@ -387,12 +376,12 @@ def divergence_form_momentum(m0_tensor: np.ndarray, grid: Grid) -> np.ndarray:
     expected = (grid.dim, grid.dim) + grid.shape
     if m0_tensor.shape != expected:
         raise GridMismatch(f"tensor field has shape {m0_tensor.shape}, expected {expected}")
-    xis = odd_wavevectors(grid)
+    grad = [derivative(grid, e) for e in multi_indices(grid.dim, 1)]
     out = np.empty((grid.dim,) + grid.shape)
     for j in range(grid.dim):
         acc = np.zeros(grid.half_shape, dtype=complex)
         for k in range(grid.dim):
-            acc += 1j * xis[k] * rfftn(m0_tensor[j, k])
+            acc += grad[k] * rfftn(m0_tensor[j, k])
         out[j] = irfftn(acc, grid)
     return out
 

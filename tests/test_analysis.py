@@ -20,7 +20,6 @@ from nsklab.analysis import (
     lp_time_norm,
     mass_radius,
     measure_semigroup_decay,
-    multi_indices,
     predicted_decay_exponent,
     theta_low_band_series,
     weighted_sup,
@@ -33,7 +32,7 @@ from nsklab.errors import (
 from nsklab.fields import curl_mixture_momentum_state, nonlinear_initial_state, riesz_momentum_pair, transverse_packet
 from nsklab.model import Grid, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import Etd2Stepper, NonlinearScenario, StepState, _sample_norms
-from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, to_real, to_spectral
+from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, multi_indices, to_real, to_spectral
 
 
 def partials(f, grid, order):
@@ -287,6 +286,32 @@ class TestFitDecay:
         s = NormSeries(times=t, values=t ** (-1.0))
         rep = fit_decay(s, (1.0, 100.0), dim=2, p=2, q=2, j=0, trust_ok=False)
         assert not rep.trust_window_ok and not rep.verdict
+
+    def test_to_dict_lists_every_field_and_the_verdict(self):
+        rep = DecayReport(
+            fitted_exponent=-1.02,
+            predicted_exponent=-1.0,
+            fit_window=(5.0, 50.0),
+            residual=0.01,
+            tol_exp=0.1,
+            trust_window_ok=True,
+            n_samples=12,
+            in_scope=False,
+            descriptor={"p": "inf", "j": 0},
+        )
+        assert rep.to_dict() == {
+            "fitted_exponent": -1.02,
+            "predicted_exponent": -1.0,
+            "fit_window": [5.0, 50.0],
+            "residual": 0.01,
+            "tol_exp": 0.1,
+            "trust_window_ok": True,
+            "n_samples": 12,
+            "in_scope": False,
+            "verdict": True,
+            "descriptor": {"p": "inf", "j": 0},
+        }
+        assert rep.to_dict()["descriptor"] is not rep.descriptor
 
     def test_scope_flag(self):
         assert in_theorem_scope(np.inf, 2.0)

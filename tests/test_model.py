@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import wavevector_of_index
-from nsklab.errors import ConstraintViolation, CriticalityViolation, GridMismatch, NumericsWarning
+from nsklab.errors import ConstraintViolation, CriticalityViolation, GridMismatch, NumericsWarning, RangeViolation
 from nsklab.fields import riesz_momentum_pair
 from nsklab.model import (
     Grid,
@@ -209,6 +209,9 @@ class TestState:
         bad = State(grid=g, theta=np.full(8, 3.5), m=np.zeros((1, 8)))
         assert ok.is_admissible(p)
         assert not bad.is_admissible(p)
+        ok.check_range(p)
+        with pytest.raises(RangeViolation, match=r"density range \[4.5, 4.5\] outside \[0.25, 4\]"):
+            bad.check_range(p)
 
 
 class TestGaussianBump:

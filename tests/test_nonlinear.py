@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fd4
 from nsklab.analysis import NormSeries, aggregate_N, fit_decay, measure_semigroup_decay
-from nsklab.errors import RangeViolation, StepRejected, ValidityExceeded
+from nsklab.errors import ConstraintViolation, RangeViolation, StepRejected, ValidityExceeded
 from nsklab.fields import nonlinear_initial_state, riesz_momentum_pair, smooth_random_field
 from nsklab.model import Grid, PressureLaw, SpectralState, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import (
@@ -19,7 +19,7 @@ from nsklab.nonlinear import (
     run,
     _sample_norms,
 )
-from nsklab.spectral import _multi_index_power, apply_semigroup, dealias_mask, rfftn, to_real
+from nsklab.spectral import apply_semigroup, dealias_mask, derivative, rfftn, to_real
 
 
 @pytest.fixture
@@ -320,14 +320,13 @@ class TestSample:
         spec = SpectralState(grid=g, hat=hats, half=True)
         st = StepState(spectral=spec, real=to_real(spec), t=0.0)
         g_hat = nonlinearity_g_hat(st, p, dealias_mask(g))
-        powers = Etd2Stepper(p, g, 0.1).powers
-        got = [f for keys, f in _sample_fields(st, p, powers, g_hat) if keys == ("dt",)]
+        got = [f for keys, f in _sample_fields(st, p, g_hat) if keys == ("dt",)]
 
         th_hat, m_hat = spec.theta_hat, spec.m_hat
         unit = np.eye(dim, dtype=int)
 
         def power(*axes):
-            return _multi_index_power(g, tuple(sum(unit[a] for a in axes)))
+            return derivative(g, tuple(sum(unit[a] for a in axes)))
 
         def back(hat):
             return np.fft.irfftn(hat, s=g.shape, axes=tuple(range(-g.dim, 0)))
@@ -371,28 +370,23 @@ class TestSample:
         assert calls.count(3) == 4
 
     def test_derivative_multipliers_built_once_per_run(self, params, monkeypatch):
-        """No (i xi)^alpha multiplier is built from the second sample of a run on."""
+        """No (i xi)^alpha multiplier is built after the first sample of a run."""
         import nsklab.nonlinear as nonlinear_mod
 
-        events = []
-        real_power, real_sample = nonlinear_mod._multi_index_power, nonlinear_mod._sample_norms
-
-        def power(*args):
-            events.append("power")
-            return real_power(*args)
+        built = []
+        real_sample = nonlinear_mod._sample_norms
 
         def sample(*args):
-            events.append("sample")
-            return real_sample(*args)
+            out = real_sample(*args)
+            built.append(derivative.cache_info().misses)
+            return out
 
-        monkeypatch.setattr(nonlinear_mod, "_multi_index_power", power)
+        derivative.cache_clear()
         monkeypatch.setattr(nonlinear_mod, "_sample_norms", sample)
         g = Grid(dim=3, box_len=4.0, n=8)
         assert run(NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=0.3, dt=0.1, seed=3)).success
-        samples = [i for i, e in enumerate(events) if e == "sample"]
-        assert len(samples) == 4
-        assert "power" in events
-        assert "power" not in events[samples[1] :]
+        # every alpha of order 1 to 3 in dim 3: 3 + 6 + 10
+        assert built == [19] * 4
 
 
 class TestStep:
@@ -555,6 +549,16 @@ class TestScenario:
         g = Grid(dim=3, box_len=4.0, n=8)
         scn = NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=0.1, dt=0.05, seed=0)
         assert scn.scope_warnings() == []
+
+    @pytest.mark.parametrize(
+        "t_end,dt,sample_every",
+        [(0.25, 0.1, 1), (0.0, 0.1, 1), (-0.2, 0.1, 1), (0.3, 0.0, 1), (0.3, -0.1, 1), (0.3, 0.1, 0), (0.3, 0.1, -1)],
+    )
+    def test_bad_step_count_or_sample_interval_rejected(self, params, t_end, dt, sample_every):
+        """A run must take a positive whole number of steps and sample at least every step it takes."""
+        g = Grid(dim=2, box_len=4.0, n=16)
+        with pytest.raises(ConstraintViolation):
+            NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=t_end, dt=dt, seed=0, sample_every=sample_every)
 
 
 class TestRun:

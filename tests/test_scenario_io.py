@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,7 +104,23 @@ def generated_config(kind, rng):
     return raw
 
 
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+
+
 class TestParseConfig:
+    def test_demo_configs_found(self):
+        assert len(DEMO_CONFIGS) >= 6
+
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda path: path.name)
+    def test_demo_config_parses_and_round_trips(self, path):
+        """Every shipped config is valid, a sweep scenario by scenario, and survives serialize -> parse."""
+        text = path.read_text()
+        if "scenarios" in json.loads(text):
+            configs = [cfg for _, cfg in parse_sweep_config(text).scenarios]
+        else:
+            configs = [parse_config(text)]
+        for cfg in configs:
+            assert parse_config(serialize_config(cfg)) == cfg
     def test_minimal_valid_with_defaults_echoed(self):
         cfg = parse_config(json.dumps(minimal_linear_decay()))
         assert cfg.kind == "linear-decay"

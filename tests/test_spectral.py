@@ -5,7 +5,7 @@ import pytest
 
 import nsklab.spectral as spectral_mod
 from conftest import fd4, random_params, random_spectrum, wavevector_of_index
-from nsklab.analysis import half_power, lp_norm, measure_semigroup_decay, multi_indices, spectral_l2_norm
+from nsklab.analysis import half_power, lp_norm, measure_semigroup_decay, spectral_l2_norm
 from nsklab.errors import ConstraintViolation, EmptyLowBand, GridMismatch
 from nsklab.model import Grid, SpectralState, State, gaussian_bump
 from nsklab.spectral import (
@@ -16,11 +16,12 @@ from nsklab.spectral import (
     conjugate_symmetry_defect,
     dealias_mask,
     default_cutoff,
+    derivative,
     divergence_form_momentum,
     frequency_split,
     hermitian_half,
     irfftn,
-    odd_wavevectors,
+    multi_indices,
     rfftn,
     to_real,
     to_spectral,
@@ -378,31 +379,31 @@ class TestFrequencySplit:
         assert np.all(np.diff(phi) <= 1e-15)
 
 
-def derivative(f, grid, alpha):
+def apply_derivative(f, grid, alpha):
     """d^alpha f on the half layout, as the solver takes it."""
-    return irfftn(spectral_mod._multi_index_power(grid, alpha) * rfftn(f), grid)
+    return irfftn(derivative(grid, alpha) * rfftn(f), grid)
 
 
 class TestSpectralDerivative:
     def test_order_zero_identity(self):
         g = Grid(dim=2, box_len=1.0, n=8)
         f = np.random.default_rng(0).standard_normal(g.shape)
-        assert np.all(spectral_mod._multi_index_power(g, (0, 0)) == 1.0)
-        assert np.max(np.abs(derivative(f, g, (0, 0)) - f)) <= 1e-14 * np.max(np.abs(f))
+        assert np.all(derivative(g, (0, 0)) == 1.0)
+        assert np.max(np.abs(apply_derivative(f, g, (0, 0)) - f)) <= 1e-14 * np.max(np.abs(f))
 
     def test_sine_derivative(self):
         g = Grid(dim=2, box_len=5.0, n=32)
         x = g.mesh()[0]
         k = 2 * np.pi / g.box_len
         f = np.broadcast_to(np.sin(k * x), g.shape)
-        df = derivative(f, g, (1, 0))
+        df = apply_derivative(f, g, (1, 0))
         assert np.allclose(df, k * np.broadcast_to(np.cos(k * x), g.shape), atol=1e-12)
 
     def test_gaussian_laplacian_closed_form(self):
         g = Grid(dim=2, box_len=20.0, n=128)
         w = 1.0
         f = gaussian_bump(g, center=(10.0, 10.0), width=w, amplitude=1.0)
-        lap = derivative(f, g, (2, 0)) + derivative(f, g, (0, 2))
+        lap = apply_derivative(f, g, (2, 0)) + apply_derivative(f, g, (0, 2))
         r_sq = g.periodic_r_sq((10.0, 10.0))
         want = (r_sq / w**4 - g.dim / w**2) * f
         assert np.max(np.abs(lap - want)) <= 1e-8
@@ -412,9 +413,19 @@ class TestSpectralDerivative:
         g = Grid(dim=3, box_len=3.0, n=8)
         f = np.random.default_rng(3).standard_normal(g.shape)
         f_hat = rfftn(f)
-        for x, x_full in zip(odd_wavevectors(g), g.wavevectors()):
+        for e, x_full in zip(multi_indices(g.dim, 1), g.wavevectors()):
             want = np.fft.ifftn(1j * x_full * np.fft.fftn(f)).real
-            assert np.allclose(irfftn(1j * x * f_hat, g), want, atol=1e-12)
+            assert np.allclose(irfftn(derivative(g, e) * f_hat, g), want, atol=1e-12)
+
+    def test_table_is_shared_and_read_only(self):
+        """Repeated calls, on equal grids too, return the one array built for (grid, alpha), and it cannot be written."""
+        g = Grid(dim=3, box_len=3.0, n=8)
+        d = derivative(g, (1, 0, 2))
+        assert derivative(g, (1, 0, 2)) is d
+        assert derivative(Grid(dim=3, box_len=3.0, n=8), (1, 0, 2)) is d
+        assert not d.flags.writeable
+        with pytest.raises(ValueError):
+            d[...] = 0.0
 
 
 class TestDivergenceFormMomentum:
@@ -534,7 +545,7 @@ class TestHalfLayout:
         g = Grid(dim=dim, box_len=3.0, n=n)
         f_hat = rfftn(np.random.default_rng(10 + dim).standard_normal(g.shape))
         for alpha in _all_multi_indices(dim):
-            image = spectral_mod._multi_index_power(g, alpha) * f_hat
+            image = derivative(g, alpha) * f_hat
             assert np.max(np.abs(rfftn(irfftn(image, g)) - image)) <= 1e-13 * np.max(np.abs(image)), alpha
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
@@ -545,13 +556,15 @@ class TestHalfLayout:
         for alpha in _all_multi_indices(dim):
             bare = functools.reduce(np.multiply, [(1j * x) ** a for x, a in zip(g.wavevectors(), alpha)])
             want = np.fft.ifftn(bare * np.fft.fftn(f)).real
-            assert np.max(np.abs(derivative(f, g, alpha) - want)) <= 1e-13 * np.max(np.abs(want)), alpha
+            assert np.max(np.abs(apply_derivative(f, g, alpha) - want)) <= 1e-13 * np.max(np.abs(want)), alpha
 
     def test_first_order_power_is_odd_wavevector(self):
         g = Grid(dim=3, box_len=2.0, n=8)
-        for ax, x in enumerate(odd_wavevectors(g)):
+        for ax, x in enumerate(g.wavevectors(half=True)):
+            x = x.copy()
+            x[(slice(None),) * ax + (g.n // 2,)] = 0.0
             alpha = tuple(int(ax == k) for k in range(3))
-            assert np.array_equal(spectral_mod._multi_index_power(g, alpha), np.broadcast_to(1j * x, x.shape))
+            assert np.array_equal(derivative(g, alpha), np.broadcast_to(1j * x, x.shape))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_half_block_bitwise_equal_to_full_block_per_stored_mode(self, oscillatory_params, dim):
