@@ -10,8 +10,6 @@ the structural conservation laws to machine precision.
 
 import warnings
 
-import numpy as np
-
 from nsklab import Grid, NonlinearScenario, critical_quadratic, make_params, run
 
 params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(0.5, 1.0))

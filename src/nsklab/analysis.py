@@ -19,8 +19,8 @@ on the Nyquist index of axis k (what ``.real`` of a derivative round trip
 keeps), so the values equal the real-space norms of the same fields to
 rounding.
 
-A series forms only the band it measures and reads every sample, one evolved
-component at a time, into the buffers of one :class:`nsklab.spectral.Workspace`.
+A series forms only the band it measures and reads every sample, row by row,
+into the half stack of one :class:`nsklab.spectral.Workspace`.
 """
 
 from __future__ import annotations
@@ -449,26 +449,26 @@ def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, p, j: int, w10
     |theta| and |m| are formed in place (in theta and m[0]); the trust diagnostics take the one whose components peak higher.
     """
     grid = orbit.data.grid
-    th, mh = orbit.halves(t, ws)
-    theta = irfftn(th, grid)
+    hat = orbit.halves(t, ws)
+    theta = irfftn(hat[0], grid)
     for c in range(grid.dim):
-        ws.m[c] = irfftn(mh[c], grid)
+        ws.m[c] = irfftn(hat[1 + c], grid)
     m_max = max(np.max(ws.m), -np.min(ws.m))
     theta_mag = np.abs(theta, out=theta)
     m_mag = _magnitude_in_place(ws.m)
     if p == 2:
-        value = _pair_l2_by_parseval(th, mh, j, w10, grid)
+        value = _pair_l2_by_parseval(hat, j, w10, grid)
     else:
-        value = _pair_lp_from_halves(th, mh, theta_mag, m_mag, p, j, w10, grid)
+        value = _pair_lp_from_halves(hat, theta_mag, m_mag, p, j, w10, grid)
     mag = theta_mag if np.max(theta_mag) > m_max else m_mag
     return (value, *trust.diagnostics(mag))
 
 
-def _pair_l2_by_parseval(th: np.ndarray, mh: np.ndarray, j: int, w10: bool, grid: Grid) -> float:
-    """L2 value of one decay sample from the half spectra of its fields, with no transform."""
+def _pair_l2_by_parseval(hat: np.ndarray, j: int, w10: bool, grid: Grid) -> float:
+    """L2 value of one decay sample from the half-spectrum stack of its fields, with no transform."""
     weights = [abs(derivative(grid, e)) ** 2 for e in multi_indices(grid.dim, 1)]
-    p_theta = half_power(th, grid)
-    p_m = half_power(mh, grid)
+    p_theta = half_power(hat[0], grid)
+    p_m = half_power(hat[1:], grid)
     if j == 1:
         # sum_k |d_k f_hat|^2 is the power of the stacked gradient
         xi_sq = sum(weights)
@@ -480,17 +480,17 @@ def _pair_l2_by_parseval(th: np.ndarray, mh: np.ndarray, j: int, w10: bool, grid
     return th_part + spectral_l2_norm(p_m, grid)
 
 
-def _pair_lp_from_halves(th, mh, theta_mag, m_mag, p, j: int, w10: bool, grid: Grid) -> float:
-    """L_p value of one decay sample, given its fields' magnitudes; each derivative is one ``irfftn`` of a half spectrum."""
+def _pair_lp_from_halves(hat, theta_mag, m_mag, p, j: int, w10: bool, grid: Grid) -> float:
+    """L_p value of one decay sample from its half stack and its fields' magnitudes; each derivative is one ``irfftn`` of a row."""
     grad = [derivative(grid, e) for e in multi_indices(grid.dim, 1)]
     if j == 0:
-        th_hats = [th]
+        th_hats = [hat[0]]
         th_part = _lp_norms_of_magnitude(theta_mag, grid, (p,))[0]
         m_part = _lp_norms_of_magnitude(m_mag, grid, (p,))[0]
     else:
-        th_hats = [d * th for d in grad]
+        th_hats = [d * hat[0] for d in grad]
         th_part = lp_norm(np.stack([irfftn(h, grid) for h in th_hats]), grid, p)
-        m_part = lp_norm(np.stack([irfftn(d * mh[c], grid) for c in range(grid.dim) for d in grad]), grid, p)
+        m_part = lp_norm(np.stack([irfftn(d * mh, grid) for mh in hat[1:] for d in grad]), grid, p)
     if w10:
         for d in grad:
             th_part += lp_norm(np.stack([irfftn(d * h, grid) for h in th_hats]), grid, p)

@@ -206,7 +206,8 @@ def enveloped_random_tensor(grid: Grid, rng: np.random.Generator, *, envelope_wi
 
 def nonlinear_initial_state(grid: Grid, *, theta_amplitude: float, theta_width: float, m_amplitude: float, m_envelope_width: float, m_smooth_width: float, rng: np.random.Generator) -> tuple[State, np.ndarray]:
     """Initial (theta, m) with m = Div M0, both centered at the box center; returns the state and M0."""
-    theta = gaussian_bump(grid, np.full(grid.dim, grid.box_len / 2.0), theta_width, theta_amplitude)
+    fields = np.empty((grid.dim + 1,) + grid.shape)
+    fields[0] = gaussian_bump(grid, np.full(grid.dim, grid.box_len / 2.0), theta_width, theta_amplitude)
     M0 = enveloped_random_tensor(
         grid,
         rng,
@@ -214,7 +215,7 @@ def nonlinear_initial_state(grid: Grid, *, theta_amplitude: float, theta_width: 
         smooth_width=m_smooth_width,
         amplitude=m_amplitude,
     )
-    m = divergence_form_momentum(M0, grid)
-    return State(grid=grid, theta=theta, m=m), M0
+    fields[1:] = divergence_form_momentum(M0, grid)
+    return State(grid=grid, fields=fields), M0
 
 

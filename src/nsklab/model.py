@@ -9,9 +9,9 @@ Conventions used throughout the toolkit:
 * spectral coefficients are raw unnormalized DFT values (forward transform
   carries no scale, the inverse carries ``1/n^dim``); all norms carry
   explicit quadrature weights so that Parseval holds exactly on the grid;
-* the spectrum of a state (theta, m) is one stack of ``dim + 1`` rows,
-  theta in row 0 and m_j in row 1 + j, the order of the solution symbol's
-  (N+1)x(N+1) block;
+* the real fields and the spectrum of a state (theta, m) are each one stack
+  of ``dim + 1`` rows, theta in row 0 and m_j in row 1 + j, the order of the
+  solution symbol's (N+1)x(N+1) block;
 * each row is stored in one of two layouts: full (``shape``, every mode)
   or half (``half_shape``, the rfftn layout of a real field: last-axis
   indices ``0 .. n/2``, the other half implied by conjugate symmetry).  Each
@@ -307,39 +307,49 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_field(grid: Grid, arr, name: str, shape=None) -> np.ndarray:
+def _checked_stack(grid: Grid, arr, name: str, layout: tuple, dtype) -> np.ndarray:
+    """``arr`` as a ``(dim + 1, *layout)`` stack of ``dtype``; GridMismatch on another shape, ConstraintViolation on a non-finite entry."""
     arr = np.asarray(arr)
-    shape = grid.shape if shape is None else shape
+    shape = (grid.dim + 1,) + layout
     if arr.shape != shape:
         raise GridMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+    arr = arr.astype(dtype, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise ConstraintViolation(f"{name} must be finite")
     return arr
 
 
 @dataclass(frozen=True)
 class State:
-    """Real-space fields: scalar density perturbation theta and momentum m."""
+    """Real-space fields: one ``(dim + 1, *grid.shape)`` stack, density perturbation theta in row 0 and momentum
+    m_j in row 1 + j (the rows of :attr:`SpectralState.hat`), which ``theta`` and ``m`` return as views."""
 
     grid: Grid
-    theta: np.ndarray
-    m: np.ndarray
+    fields: np.ndarray
 
     def __post_init__(self):
-        theta = _as_field(self.grid, self.theta, "theta").astype(float, copy=False)
-        m = _as_field(self.grid, self.m, "m", (self.grid.dim,) + self.grid.shape).astype(float, copy=False)
-        if not np.all(np.isfinite(theta)) or not np.all(np.isfinite(m)):
-            raise ConstraintViolation("state entries must be finite")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "fields", _checked_stack(self.grid, self.fields, "fields", self.grid.shape, float))
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.fields[0]
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.fields[1:]
 
     def is_admissible(self, params: FluidParams) -> bool:
-        """Range condition rho*/4 <= rho* + theta <= 4 rho* at every point."""
-        lo, hi = params.rho_star + self.theta.min(), params.rho_star + self.theta.max()
-        return bool(lo >= params.rho_star / 4.0 and hi <= 4.0 * params.rho_star)
+        """Whether :meth:`check_range` passes."""
+        try:
+            self.check_range(params)
+        except RangeViolation:
+            return False
+        return True
 
     def check_range(self, params: FluidParams) -> None:
-        """Raise RangeViolation, with the density range, unless :meth:`is_admissible`."""
-        if not self.is_admissible(params):
-            lo, hi = params.rho_star + self.theta.min(), params.rho_star + self.theta.max()
+        """Raise RangeViolation, with the density range, unless rho*/4 <= rho* + theta <= 4 rho* at every point."""
+        lo, hi = params.rho_star + self.theta.min(), params.rho_star + self.theta.max()
+        if not (lo >= params.rho_star / 4.0 and hi <= 4.0 * params.rho_star):
             raise RangeViolation(
                 f"density range [{lo:.6g}, {hi:.6g}] outside [{params.rho_star / 4.0:.6g}, {4.0 * params.rho_star:.6g}]"
             )
@@ -360,11 +370,8 @@ class SpectralState:
     half: bool = False
 
     def __post_init__(self):
-        shape = (self.grid.dim + 1,) + (self.grid.half_shape if self.half else self.grid.shape)
-        hat = _as_field(self.grid, self.hat, "hat", shape).astype(complex, copy=False)
-        if not np.all(np.isfinite(hat)):
-            raise ConstraintViolation("spectral entries must be finite")
-        object.__setattr__(self, "hat", hat)
+        layout = self.grid.half_shape if self.half else self.grid.shape
+        object.__setattr__(self, "hat", _checked_stack(self.grid, self.hat, "hat", layout, complex))
 
     @property
     def theta_hat(self) -> np.ndarray:

@@ -18,9 +18,9 @@ Layout: every field of the solver is real, so every spectrum here is a half
 spectrum (the rfftn layout, last axis n/2 + 1; see :mod:`nsklab.model`):
 the StepState's spectral state, g-hat, the dealias mask and the cached
 S(h) and h phi_k(hA) blocks.  U is one stack of dim + 1 rows, theta in row 0
-and m_j in row 1 + j; each stage adds the image stack of (0, g) to the
-image stack of U_n, and is validated once.  Every transform is
-``spectral.rfftn``/``spectral.irfftn``; none is complex.
+and m_j in row 1 + j, as a half spectrum and as real fields; each stage adds
+the image stack of (0, g) to the image stack of U_n, and is validated once.
+Every transform is ``spectral.rfftn``/``spectral.irfftn``; none is complex.
 
 Nyquist rule: every odd factor i xi_k (the divergence, grad rho, grad div v,
 the derivatives and time derivatives of a sample) is zero on the Nyquist

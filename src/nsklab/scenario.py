@@ -7,8 +7,9 @@ an infinite exponent.  parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -208,8 +209,6 @@ def _encode_value(v):
 
 
 def _build_block(name: str, cls, raw: dict):
-    import dataclasses
-
     if not isinstance(raw, dict):
         raise ValidationError(f"block '{name}' must be an object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -271,8 +270,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     out = {"kind": cfg.kind}
     allowed = _ALLOWED[cfg.kind]
     d = asdict(cfg)
-    import dataclasses
-
     defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
     for key in sorted(allowed - {"kind"}):
         value = d.get(key)

@@ -14,21 +14,21 @@ theta_hat = 0.  The coefficients depend on xi only through |xi|^2, so they
 are evaluated once per distinct |xi|^2 of the grid (``Grid.radial_table``)
 and gathered per mode.  :class:`SemigroupOrbit` forms a_hat once per datum,
 so a series of samples of S(t) data only re-evaluates the time-dependent
-kernels, and reads each sample out into the buffers of one
+kernels, and reads each sample out into the half-spectrum stack of one
 :class:`Workspace` per series.
 
 Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 (numpy's default).  Norms in :mod:`nsklab.analysis` carry the quadrature
 weights that make Parseval exact under this convention.
 
-A spectrum is one stack of dim + 1 rows, theta in row 0 and m_j in row 1 + j
-(see :mod:`nsklab.model`), in one of two layouts: the linear toolkit evolves
-full complex spectra, whose data may be built in spectral space without
-conjugate symmetry; the nonlinear solver works on half spectra of real fields.
-:meth:`Block.image` returns a stack of either layout; :class:`SemigroupOrbit`
+Real fields and spectra are stacks of dim + 1 rows, theta then m_1 .. m_N
+(see :mod:`nsklab.model`).  The linear toolkit evolves full complex spectra,
+whose data may be built in spectral space without conjugate symmetry; the
+nonlinear solver works on half spectra of real fields.  :meth:`Block.image`
+applies a block on its layout; :func:`apply_semigroup`, :class:`SemigroupOrbit`
 and :func:`frequency_split` need every mode and reject a half-layout state
 with ``GridMismatch``.  Every real read-out is ``irfftn`` of a half spectrum,
-a full one projected by :func:`hermitian_half`.
+row by row, a full one projected by :func:`hermitian_half`.
 
 Derivative multipliers act on half spectra.  Nyquist rule: on the Nyquist
 index of an axis a mode is its own mirror along that axis, so a multiplier
@@ -84,7 +84,7 @@ def irfftn(arr: np.ndarray, grid: Grid) -> np.ndarray:
 def to_spectral(state: State, *, half: bool = False) -> SpectralState:
     """Forward transform of both fields, to the full or the half layout."""
     fwd = rfftn if half else fftn
-    return SpectralState(grid=state.grid, hat=np.stack([fwd(f) for f in (state.theta, *state.m)]), half=half)
+    return SpectralState(grid=state.grid, hat=np.stack([fwd(f) for f in state.fields]), half=half)
 
 
 def hermitian_half(arr: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
@@ -107,10 +107,13 @@ def hermitian_half(arr: np.ndarray, grid: Grid, out: np.ndarray | None = None) -
 
 
 def to_real(spectral: SpectralState) -> State:
-    """Inverse transform of both fields; a full spectrum is read out through :func:`hermitian_half`."""
+    """Inverse transform of each row into one real stack; a full spectrum is read out through :func:`hermitian_half`."""
     grid = spectral.grid
     hat = spectral.hat if spectral.half else hermitian_half(spectral.hat, grid)
-    return State(grid=grid, theta=irfftn(hat[0], grid), m=np.stack([irfftn(h, grid) for h in hat[1:]]))
+    fields = np.empty((grid.dim + 1,) + grid.shape)
+    for row, h in zip(fields, hat):
+        row[...] = irfftn(h, grid)
+    return State(grid=grid, fields=fields)
 
 
 def longitudinal_amplitude(m_hat: np.ndarray, grid: Grid, half: bool = False) -> np.ndarray:
@@ -151,9 +154,8 @@ class Block:
     cap: float = 0.0
     half: bool = False
 
-    def theta(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """theta component of the image, into ``out`` if given; theta_hat None stands for a zero theta."""
-        out = np.empty(a_hat.shape, dtype=complex) if out is None else out
+    def theta(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """theta component of the image, into ``out``; theta_hat None stands for a zero theta."""
         re, im = out.real, out.imag
         np.multiply(self.d, a_hat.imag, out=re)
         np.multiply(self.d, a_hat.real, out=im)
@@ -176,23 +178,15 @@ class Block:
         out += grid.wavevectors(self.half)[j] * w
         return out
 
-    def image(self, theta_hat: np.ndarray | None, m_hat: np.ndarray, grid: Grid, a_hat: np.ndarray | None = None) -> np.ndarray:
-        """The image stack (theta, m_1 .. m_N), not validated; theta_hat None stands for a zero theta; pass m_hat's a_hat if formed."""
-        if a_hat is None:
-            a_hat = longitudinal_amplitude(m_hat, grid, self.half)
+    def image(self, theta_hat: np.ndarray | None, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
+        """The image stack (theta, m_1 .. m_N) on the block's layout, not validated; theta_hat None stands for a zero theta."""
+        a_hat = longitudinal_amplitude(m_hat, grid, self.half)
         out = np.empty((grid.dim + 1,) + a_hat.shape, dtype=complex)
         self.theta(theta_hat, a_hat, out=out[0])
         w = self.weight(theta_hat, a_hat)
         for j in range(grid.dim):
             self.momentum(j, w, m_hat[j], grid, out[1 + j])
         return out
-
-    def apply(self, spectral: SpectralState, a_hat: np.ndarray | None = None) -> SpectralState:
-        """The image of a spectral state of the block's layout; pass its a_hat if already formed."""
-        if spectral.half != self.half:
-            raise GridMismatch(f"block layout (half={self.half}) differs from the state's (half={spectral.half})")
-        hat = self.image(spectral.theta_hat, spectral.m_hat, spectral.grid, a_hat)
-        return SpectralState(grid=spectral.grid, hat=hat, half=self.half)
 
 
 def _require_full(spectral: SpectralState, what: str) -> None:
@@ -219,16 +213,18 @@ def semigroup_block(params: FluidParams, grid: Grid, t: float, *, theta_only: bo
 
 
 class Workspace:
-    """Buffers reused by a series of :meth:`SemigroupOrbit.halves` read-outs on one grid."""
+    """Buffers reused by a series of :meth:`SemigroupOrbit.halves` read-outs on one grid.
+
+    ``hat`` is the half-spectrum stack a read-out fills: the theta row alone if theta_only, else all dim + 1 rows.
+    """
 
     def __init__(self, grid: Grid, *, theta_only: bool = False):
         self.theta_only = theta_only
         self.coeffs = np.empty((2 if theta_only else 4,) + grid.shape)
         self.full = np.empty(grid.shape, dtype=complex)
-        self.th = np.empty(grid.half_shape, dtype=complex)
+        self.hat = np.empty((1 if theta_only else grid.dim + 1,) + grid.half_shape, dtype=complex)
         if not theta_only:
             self.w = np.empty(grid.shape, dtype=complex)
-            self.mh = np.empty((grid.dim,) + grid.half_shape, dtype=complex)
             self.m = self.coeffs[: grid.dim]  # the caller's real momentum; a read-out is done with its coefficients
 
 
@@ -236,8 +232,8 @@ class SemigroupOrbit:
     """The orbit t -> S(t) data of one datum.
 
     The t-independent longitudinal amplitude a_hat is formed once; each
-    sample evaluates the kernels on the grid's radial table and applies the
-    block formula.  :meth:`halves` reads a sample out into the buffers of a
+    sample evaluates the kernels on the grid's radial table, applies the
+    block formula and is read out by :meth:`halves` into the buffers of a
     :class:`Workspace`, which every sample of a series reuses.
     """
 
@@ -247,27 +243,22 @@ class SemigroupOrbit:
         self.params = params
         self._a_hat = longitudinal_amplitude(data.m_hat, data.grid)
 
-    def at(self, t: float) -> SpectralState:
-        """S(t) data."""
-        _check_time(t)
-        return semigroup_block(self.params, self.data.grid, t).apply(self.data, self._a_hat)
+    def halves(self, t: float, ws: Workspace) -> np.ndarray:
+        """``ws.hat`` filled with S(t) data's half spectra: ``hermitian_half`` of the rows of :func:`apply_semigroup`
+        bit for bit.
 
-    def halves(self, t: float, ws: Workspace) -> tuple[np.ndarray, np.ndarray | None]:
-        """(theta, m) halves of S(t) data: ``hermitian_half`` of each component of ``at(t)`` bit for bit.
-
-        Each component is formed in one full-layout buffer in turn and checked finite.  The halves are workspace
-        buffers that the next call overwrites; m is None for a theta-only workspace.
+        Each row is formed in one full-layout buffer in turn and checked finite.  The stack is the workspace's,
+        and the next call overwrites it.
         """
         _check_time(t)
         grid, data = self.data.grid, self.data
         block = semigroup_block(self.params, grid, t, theta_only=ws.theta_only, out=ws.coeffs)
-        hermitian_half(_finite(block.theta(data.theta_hat, self._a_hat, out=ws.full)), grid, out=ws.th)
-        if ws.theta_only:
-            return ws.th, None
-        w = block.weight(data.theta_hat, self._a_hat, out=ws.w)
-        for j in range(grid.dim):
-            hermitian_half(_finite(block.momentum(j, w, data.m_hat[j], grid, ws.full)), grid, out=ws.mh[j])
-        return ws.th, ws.mh
+        hermitian_half(_finite(block.theta(data.theta_hat, self._a_hat, out=ws.full)), grid, out=ws.hat[0])
+        if not ws.theta_only:
+            w = block.weight(data.theta_hat, self._a_hat, out=ws.w)
+            for j in range(grid.dim):
+                hermitian_half(_finite(block.momentum(j, w, data.m_hat[j], grid, ws.full)), grid, out=ws.hat[1 + j])
+        return ws.hat
 
 
 def _finite(arr: np.ndarray) -> np.ndarray:
@@ -282,8 +273,11 @@ def _check_time(t: float) -> None:
 
 
 def apply_semigroup(spectral: SpectralState, params: FluidParams, t: float) -> SpectralState:
-    """Exact-in-time linear propagation: per-mode multiplication by the solution symbol."""
-    return SemigroupOrbit(spectral, params).at(t)
+    """Exact-in-time linear propagation of a full-layout spectrum: per-mode multiplication by the solution symbol."""
+    _require_full(spectral, "apply_semigroup")
+    _check_time(t)
+    block = semigroup_block(params, spectral.grid, t)
+    return SpectralState(grid=spectral.grid, hat=block.image(spectral.theta_hat, spectral.m_hat, spectral.grid))
 
 
 def _quintic_step(r: np.ndarray) -> np.ndarray:

@@ -266,7 +266,7 @@ class TestCriterion7Conservation:
         m = np.zeros((2,) + grid.shape)
         m[0] = 0.05 * gaussian_bump(grid, (3.0, 5.0), 1.0, 1.0)
         m[1] = 0.05 * gaussian_bump(grid, (5.0, 3.0), 1.0, 1.0)
-        st = StepState.from_state(State(grid=grid, theta=theta, m=m))
+        st = StepState.from_state(State(grid=grid, fields=np.concatenate([theta[None], m])))
         stepper = Etd2Stepper(params, grid, 0.01)
         mean0 = st.spectral.theta_hat[0, 0]
         for _ in range(10_000):
@@ -360,7 +360,7 @@ class TestCriterion9SchemeOrder:
         m = np.zeros((2,) + grid.shape)
         m[0] = 0.3 * gaussian_bump(grid, (3.0, 5.0), 1.0, 1.0)
         m[1] = 0.3 * gaussian_bump(grid, (5.0, 3.0), 1.0, 1.0)
-        s = State(grid=grid, theta=theta, m=m)
+        s = State(grid=grid, fields=np.concatenate([theta[None], m]))
         T = 1.0
 
         def integrate(dt):

@@ -53,7 +53,7 @@ def solver_norms(grid, theta, m, q1, q2):
     """The nonlinear solver's sample norms of (theta, m) at the exponents (q1, q2), linear part only."""
     params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(1.0, 1.0))
     scn = NonlinearScenario(params=params, grid=grid, amplitude=0.0, t_end=1.0, dt=1.0, seed=0, q1=q1, q2=q2, nonlinear=False)
-    return _sample_norms(StepState.from_state(State(grid=grid, theta=theta, m=m)), scn, Etd2Stepper(params, grid, 1.0))
+    return _sample_norms(StepState.from_state(State(grid=grid, fields=np.concatenate([theta[None], m]))), scn, Etd2Stepper(params, grid, 1.0))
 
 
 class TestLpNorm:
@@ -71,7 +71,7 @@ class TestLpNorm:
         rng = np.random.default_rng(0)
         g = Grid(dim=2, box_len=2.0, n=16)
         theta = rng.standard_normal(g.shape)
-        s = State(grid=g, theta=theta, m=np.zeros((2,) + g.shape))
+        s = State(grid=g, fields=np.concatenate([theta[None], np.zeros((2,) + g.shape)]))
         sp = to_spectral(s)
         direct = lp_norm(theta, g, 2) ** 2
         spectral = g.cell_volume / g.mode_count * np.sum(np.abs(sp.theta_hat) ** 2)

@@ -93,3 +93,21 @@ def test_every_option_has_a_caller():
         and (module, name, arg) not in OPTION_SEAMS
     ]
     assert unset == []
+
+
+def test_no_unused_imports():
+    """Each name a package module (bar __init__.py, whose imports are the export list) or a demo imports,
+    at module level or inside a function, is used as code in that module; a mention in a docstring is not a use."""
+    unused = []
+    for path in [*PKG.glob("*.py"), *(ROOT / "demos").glob("*.py")]:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+                unused += [f"{path.relative_to(ROOT)}: {name}" for name in bound if name not in used]
+    assert unused == []

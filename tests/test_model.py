@@ -13,6 +13,7 @@ from nsklab.model import (
     gaussian_bump,
     make_params,
 )
+from nsklab.spectral import irfftn, to_real
 
 
 class TestMakeParams:
@@ -194,19 +195,32 @@ class TestState:
     def test_shape_mismatch(self):
         g = Grid(dim=2, box_len=1.0, n=4)
         with pytest.raises(GridMismatch):
-            State(grid=g, theta=np.zeros((4, 4)), m=np.zeros((3, 4, 4)))
+            State(grid=g, fields=np.zeros((4, 4, 4)))
+        with pytest.raises(GridMismatch):  # the momentum rows without the theta row
+            State(grid=g, fields=np.zeros((2, 4, 4)))
 
     def test_nonfinite_rejected(self):
         g = Grid(dim=1, box_len=1.0, n=4)
-        theta = np.array([0.0, np.inf, 0.0, 0.0])
-        with pytest.raises(ConstraintViolation):
-            State(grid=g, theta=theta, m=np.zeros((1, 4)))
+        for row in (0, 1):  # theta, then m_0
+            fields = np.zeros((2, 4))
+            fields[row, 1] = np.inf
+            with pytest.raises(ConstraintViolation):
+                State(grid=g, fields=fields)
+
+    def test_rows_are_views_and_to_real_fills_them_row_by_row(self):
+        """theta and m are views of the one stack; to_real of a half spectrum is irfftn of each row, bit for bit."""
+        g = Grid(dim=3, box_len=6.0, n=8)
+        hat = np.fft.rfftn(np.random.default_rng(3).standard_normal((4,) + g.shape), axes=(1, 2, 3))
+        st = to_real(SpectralState(grid=g, hat=hat, half=True))
+        assert np.shares_memory(st.theta, st.fields) and np.shares_memory(st.m, st.fields)
+        for row, h in zip(st.fields, hat):
+            assert np.array_equal(row, irfftn(h, g))
 
     def test_admissibility_window(self):
         g = Grid(dim=1, box_len=1.0, n=8)
         p = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(1.0, 1.0))
-        ok = State(grid=g, theta=np.full(8, 0.5), m=np.zeros((1, 8)))
-        bad = State(grid=g, theta=np.full(8, 3.5), m=np.zeros((1, 8)))
+        ok = State(grid=g, fields=np.stack([np.full(8, 0.5), np.zeros(8)]))
+        bad = State(grid=g, fields=np.stack([np.full(8, 3.5), np.zeros(8)]))
         assert ok.is_admissible(p)
         assert not bad.is_admissible(p)
         ok.check_range(p)

@@ -96,7 +96,7 @@ def small_state(grid, rng, amp=0.05):
     m = np.zeros((grid.dim,) + grid.shape)
     for j in range(grid.dim):
         m[j] = amp * gaussian_bump(grid, rng.uniform(0.3, 0.7, grid.dim) * grid.box_len, grid.box_len / 8, 1.0)
-    return State(grid=grid, theta=theta, m=m)
+    return State(grid=grid, fields=np.concatenate([theta[None], m]))
 
 
 class TestViscousTensor:
@@ -105,7 +105,7 @@ class TestViscousTensor:
     def test_rigid_translation(self, params):
         """Constant theta and uniform m: no stress, no flux divergence, so g vanishes."""
         g = Grid(dim=3, box_len=1.0, n=8)
-        s = State(grid=g, theta=np.full(g.shape, 0.3), m=np.ones((3,) + g.shape))
+        s = State(grid=g, fields=np.concatenate([np.full((1,) + g.shape, 0.3), np.ones((3,) + g.shape)]))
         assert np.max(np.abs(nonlinearity_g(s, params))) <= 1e-12
 
     def test_shear_flow_analytic(self):
@@ -117,7 +117,7 @@ class TestViscousTensor:
         c, a = 0.3, 0.2
         m = np.zeros((2,) + g.shape)
         m[0] = a * np.broadcast_to(np.sin(k * y), g.shape)
-        got = nonlinearity_g(State(grid=g, theta=np.full(g.shape, c), m=m), p)
+        got = nonlinearity_g(State(grid=g, fields=np.concatenate([np.full((1,) + g.shape, c), m])), p)
         r = 1.0 / (p.rho_star + c) - 1.0 / p.rho_star
         want = -p.mu_star * r * a * k**2 * np.broadcast_to(np.sin(k * y), g.shape)
         assert np.allclose(got[0], want, atol=1e-12)
@@ -133,7 +133,7 @@ class TestViscousTensor:
         c, a = 0.3, 0.2
         m = np.zeros((2,) + g.shape)
         m[0] = a * np.sin(k * x)
-        got = nonlinearity_g(State(grid=g, theta=np.full(g.shape, c), m=m), p)
+        got = nonlinearity_g(State(grid=g, fields=np.concatenate([np.full((1,) + g.shape, c), m])), p)
         r = 1.0 / (p.rho_star + c) - 1.0 / p.rho_star
         want = -(p.mu_star + p.nu_star) * r * a * k**2 * np.sin(k * x) - a**2 * k * np.sin(2 * k * x) / (p.rho_star + c)
         assert np.allclose(got[0], want, atol=1e-12)
@@ -142,7 +142,7 @@ class TestViscousTensor:
 
 def korteweg_identity(theta, params, grid):
     """(g, want) at m = 0, where g = -grad pr(theta) + Div K(theta) = -grad pr(theta) + kappa* theta grad Lap theta."""
-    g = nonlinearity_g(State(grid=grid, theta=theta, m=np.zeros((grid.dim,) + grid.shape)), params)
+    g = nonlinearity_g(State(grid=grid, fields=np.concatenate([theta[None], np.zeros((grid.dim,) + grid.shape)])), params)
     pr = pressure_remainder(theta, params)
     lap = sum(spectral_partial(theta, grid, ax, 2) for ax in range(grid.dim))
     want = np.stack(
@@ -213,7 +213,7 @@ class TestPressureRemainder:
 class TestNonlinearityG:
     def test_zero_state(self, params):
         g = Grid(dim=2, box_len=2.0, n=16)
-        s = State(grid=g, theta=np.zeros(g.shape), m=np.zeros((2,) + g.shape))
+        s = State(grid=g, fields=np.zeros((3,) + g.shape))
         assert np.max(np.abs(nonlinearity_g(s, params))) <= 1e-14
 
     def test_zero_theta_reduces_to_momentum_flux(self, params):
@@ -221,7 +221,7 @@ class TestNonlinearityG:
         g = Grid(dim=2, box_len=3.0, n=32)
         rng = np.random.default_rng(5)
         s = small_state(g, rng, amp=0.2)
-        s = State(grid=g, theta=np.zeros(g.shape), m=s.m)
+        s = State(grid=g, fields=np.concatenate([np.zeros((1,) + g.shape), s.m]))
         got = nonlinearity_g(s, params)
         keep = np.abs(g.axis_aliases()) < g.n / 3.0
         mask = keep[:, None] & keep[None, :]
@@ -245,7 +245,7 @@ class TestNonlinearityG:
 
     def test_range_violation(self, params):
         g = Grid(dim=1, box_len=1.0, n=16)
-        s = State(grid=g, theta=np.full(16, 3.5), m=np.zeros((1, 16)))
+        s = State(grid=g, fields=np.stack([np.full(16, 3.5), np.zeros(16)]))
         with pytest.raises(RangeViolation):
             nonlinearity_g(s, params)
 
@@ -260,7 +260,7 @@ class TestNonlinearityG:
             m = np.zeros((2,) + g.shape)
             m[0] = 0.3 * np.broadcast_to(np.cos(k * x), g.shape)
             m[1] = 0.2 * np.broadcast_to(np.sin(k * y), g.shape)
-            s = State(grid=g, theta=theta, m=m)
+            s = State(grid=g, fields=np.concatenate([theta[None], m]))
             H = np.fft.ifftn(full_layout_H(s, params), axes=(-2, -1)).real
             g_spec = nonlinearity_g(s, params)
             g_fd = -np.stack([sum(fd4(H[j, c], c, g.spacing) for c in range(2)) for j in range(2)])
@@ -300,7 +300,7 @@ class TestNonlinearityG:
         """Half-spectrum g against the complex-transform formula, on fields with full Nyquist content."""
         g = Grid(dim=dim, box_len=4.0, n=n)
         rng = np.random.default_rng(40 + dim)
-        s = State(grid=g, theta=0.1 * rng.standard_normal(g.shape), m=0.1 * rng.standard_normal((dim,) + g.shape))
+        s = State(grid=g, fields=0.1 * rng.standard_normal((dim + 1,) + g.shape))
         want = full_layout_g(s, params)
         got = nonlinearity_g(s, params)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -392,7 +392,7 @@ class TestSample:
 class TestStep:
     def test_zero_data_stays_zero(self, params):
         g = Grid(dim=2, box_len=2.0, n=16)
-        st = StepState.from_state(State(grid=g, theta=np.zeros(g.shape), m=np.zeros((2,) + g.shape)))
+        st = StepState.from_state(State(grid=g, fields=np.zeros((3,) + g.shape)))
         out = Etd2Stepper(params, g, 0.1).step(st)
         assert np.max(np.abs(out.real.theta)) <= 1e-15
         assert np.max(np.abs(out.real.m)) <= 1e-15
@@ -435,7 +435,7 @@ class TestStep:
         theta = gaussian_bump(g, (1.0, 1.0), 0.4, 2.9)  # close to the 4 rho* ceiling
         m = np.zeros((2,) + g.shape)
         m[0] = 40.0 * gaussian_bump(g, (1.0, 1.0), 0.4, 1.0)
-        st = StepState.from_state(State(grid=g, theta=theta, m=m))
+        st = StepState.from_state(State(grid=g, fields=np.concatenate([theta[None], m])))
         stepper = Etd2Stepper(params, g, 0.05)
         with pytest.raises(StepRejected):
             for _ in range(50):
