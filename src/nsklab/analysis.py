@@ -19,8 +19,8 @@ on the Nyquist index of axis k (what ``.real`` of a derivative round trip
 keeps), so the values equal the real-space norms of the same fields to
 rounding.
 
-A series forms only the band it measures and reads every sample, row by row,
-into the half stack of one :class:`nsklab.spectral.Workspace`.
+A series forms only the band it measures, evolves it on the coarsest grid that
+holds it and reads every sample into one :class:`nsklab.spectral.Workspace`.
 """
 
 from __future__ import annotations
@@ -399,8 +399,10 @@ def measure_semigroup_decay(
     band).  The trust window ends at the first sample whose 99%-mass radius
     about the box center exceeds a quarter of the box.
 
-    Only the kept band of the datum is formed.  Every norm is taken of the
-    half spectrum of the evolved real field
+    Only the kept band of the datum is formed, and S(t) runs on the coarsest
+    grid that holds it (:class:`nsklab.spectral.SemigroupOrbit`): n/2 for the
+    low band under the default cutoff, n for the high band.  Every norm is
+    taken on the data's grid, of the half spectrum of the evolved real field
     (:func:`nsklab.spectral.hermitian_half`).  For p = 2 it comes by Parseval
     from its power (:func:`half_power`), with the Nyquist-zeroed first-order
     multipliers of :func:`nsklab.spectral.derivative`; otherwise each
@@ -448,7 +450,7 @@ def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, p, j: int, w10
 
     |theta| and |m| are formed in place (in theta and m[0]); the trust diagnostics take the one whose components peak higher.
     """
-    grid = orbit.data.grid
+    grid = orbit.grid
     hat = orbit.halves(t, ws)
     theta = irfftn(hat[0], grid)
     for c in range(grid.dim):
@@ -590,6 +592,7 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
 def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutoff: CutoffSpec, p, ws=None) -> DecayMeasurement:
     """Low-band theta-component norm series of the linear flow (ablation measurand).
 
+    S(t) runs on the coarsest grid that holds the band (n/2 under the default cutoff); samples are read out on n.
     ``ws``, a theta-only :class:`nsklab.spectral.Workspace`, lets series share buffers; by default it is made here.
     """
     grid = data.grid

@@ -28,7 +28,9 @@ nonlinear solver works on half spectra of real fields.  :meth:`Block.image`
 applies a block on its layout; :func:`apply_semigroup`, :class:`SemigroupOrbit`
 and :func:`frequency_split` need every mode and reject a half-layout state
 with ``GridMismatch``.  Every real read-out is ``irfftn`` of a half spectrum,
-row by row, a full one projected by :func:`hermitian_half`.
+row by row, a full one projected by :func:`hermitian_half`.  An orbit runs
+on the coarsest grid that holds its datum and zero-pads its projected stack
+back, which is exact for a band-limited spectrum (trigonometric interpolation).
 
 Derivative multipliers act on half spectra.  Nyquist rule: on the Nyquist
 index of an axis a mode is its own mirror along that axis, so a multiplier
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +219,7 @@ class Workspace:
     """Buffers reused by a series of :meth:`SemigroupOrbit.halves` read-outs on one grid.
 
     ``hat`` is the half-spectrum stack a read-out fills: the theta row alone if theta_only, else all dim + 1 rows.
+    A sample's block work runs in the leading elements of the other buffers, sized on its orbit's evaluation grid.
     """
 
     def __init__(self, grid: Grid, *, theta_only: bool = False):
@@ -228,36 +232,68 @@ class Workspace:
             self.m = self.coeffs[: grid.dim]  # the caller's real momentum; a read-out is done with its coefficients
 
 
-class SemigroupOrbit:
-    """The orbit t -> S(t) data of one datum.
+def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) elements of a contiguous buffer, viewed with ``shape``; the rest is never touched."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
-    The t-independent longitudinal amplitude a_hat is formed once; each
-    sample evaluates the kernels on the grid's radial table, applies the
-    block formula and is read out by :meth:`halves` into the buffers of a
-    :class:`Workspace`, which every sample of a series reuses.
+
+def _band_grid(data: SpectralState) -> Grid:
+    """The coarsest grid of the box whose full spectrum holds every nonzero mode of ``data``: the smallest power of
+    two m with |alias| < m/2 on every axis of every such mode, or ``data.grid`` if m is not below its n."""
+    grid, support = data.grid, np.any(data.hat, axis=0)
+    spans = [np.any(np.moveaxis(support, ax, 0).reshape(grid.n, -1), axis=1) for ax in range(grid.dim)]
+    reach = max(int(np.abs(grid.axis_aliases())[span].max(initial=0)) for span in spans)
+    m = 2 << reach.bit_length()
+    return grid if m >= grid.n else Grid(dim=grid.dim, box_len=grid.box_len, n=m)
+
+
+class SemigroupOrbit:
+    """The orbit t -> S(t) data of one datum, evaluated on the coarsest grid that holds the datum (:func:`_band_grid`).
+
+    A low band under the default cutoff (|alias| < n/4) runs on n/2; a datum with content at the Nyquist alias, such
+    as a high band, on its own grid.  ``data`` is the datum restricted to the evaluation grid, whose full spectrum it
+    is; that grid's wavevectors, |xi|^2 and radial table are the fine grid's floats, so kernels, coefficients and
+    image are the fine ones bit for bit.  The fine band is not kept; ``grid`` is the fine grid of the read-outs.
+    a_hat is formed once; each sample evaluates the kernels on the radial table, applies the block formula and is read
+    out by :meth:`halves` into a :class:`Workspace`, which every sample of a series reuses.
     """
 
     def __init__(self, data: SpectralState, params: FluidParams):
         _require_full(data, "SemigroupOrbit")
-        self.data = data
+        self.grid = data.grid
         self.params = params
-        self._a_hat = longitudinal_amplitude(data.m_hat, data.grid)
+        coarse = _band_grid(data)
+        if coarse is not self.grid:
+            modes = coarse.axis_aliases() % self.grid.n  # the fine index of each coarse one
+            data = SpectralState(grid=coarse, hat=data.hat[(slice(None),) + np.ix_(*[modes] * coarse.dim)])
+            self._hat = np.empty((coarse.dim + 1,) + coarse.half_shape, dtype=complex)
+            self._half_modes = (Ellipsis,) + np.ix_(*[modes] * (coarse.dim - 1), np.arange(coarse.n // 2 + 1))
+        self.data = data
+        self._a_hat = longitudinal_amplitude(data.m_hat, coarse)
 
     def halves(self, t: float, ws: Workspace) -> np.ndarray:
         """``ws.hat`` filled with S(t) data's half spectra: ``hermitian_half`` of the rows of :func:`apply_semigroup`
-        bit for bit.
+        on the fine grid, bit for bit up to the sign of zeros.
 
-        Each row is formed in one full-layout buffer in turn and checked finite.  The stack is the workspace's,
-        and the next call overwrites it.
+        Each row is formed on the evaluation grid in one buffer in turn, checked finite and projected.  On a coarser
+        grid the projected stack is zero-padded into ``ws.hat``: the modes outside it, where the fine image is +-0,
+        read +0.  Only the evaluation grid's modes are checked, so a kernel that is non-finite only outside them no
+        longer rejects a sample.  The stack is the workspace's; the next call overwrites it.
         """
         _check_time(t)
         grid, data = self.data.grid, self.data
-        block = semigroup_block(self.params, grid, t, theta_only=ws.theta_only, out=ws.coeffs)
-        hermitian_half(_finite(block.theta(data.theta_hat, self._a_hat, out=ws.full)), grid, out=ws.hat[0])
+        hat = ws.hat if grid is self.grid else self._hat[: len(ws.hat)]
+        coeffs = _leading(ws.coeffs, (len(ws.coeffs),) + grid.shape)
+        block = semigroup_block(self.params, grid, t, theta_only=ws.theta_only, out=coeffs)
+        row = _leading(ws.full, grid.shape)
+        hermitian_half(_finite(block.theta(data.theta_hat, self._a_hat, out=row)), grid, out=hat[0])
         if not ws.theta_only:
-            w = block.weight(data.theta_hat, self._a_hat, out=ws.w)
+            w = block.weight(data.theta_hat, self._a_hat, out=_leading(ws.w, grid.shape))
             for j in range(grid.dim):
-                hermitian_half(_finite(block.momentum(j, w, data.m_hat[j], grid, ws.full)), grid, out=ws.hat[1 + j])
+                hermitian_half(_finite(block.momentum(j, w, data.m_hat[j], grid, row)), grid, out=hat[1 + j])
+        if hat is not ws.hat:
+            ws.hat.fill(0.0)
+            ws.hat[self._half_modes] = hat
         return ws.hat
 
 

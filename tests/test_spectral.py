@@ -18,6 +18,7 @@ from nsklab.spectral import (
     default_cutoff,
     derivative,
     divergence_form_momentum,
+    frequency_band,
     frequency_split,
     hermitian_half,
     irfftn,
@@ -229,14 +230,18 @@ class TestSemigroupOrbit:
                 orbit.halves(-0.1, Workspace(g, theta_only=theta_only))
 
     def test_non_finite_image_rejected(self, unit_params, monkeypatch):
+        """NaN kernels reject a sample of a full-support orbit and of a band-limited one on its coarse grid."""
         g = Grid(dim=2, box_len=3.0, n=8)
-        orbit = SemigroupOrbit(random_spectrum(g, np.random.default_rng(3)), unit_params)
+        data = random_spectrum(g, np.random.default_rng(3))
+        orbits = [SemigroupOrbit(data, unit_params), SemigroupOrbit(frequency_band(data, default_cutoff(g), "low"), unit_params)]
+        assert orbits[1].data.grid.n == 4
         monkeypatch.setattr(spectral_mod, "propagator_kernels", lambda p, x, t: (np.full(np.shape(x), np.nan),) * 4)
-        for theta_only in (False, True):
-            with pytest.raises(ConstraintViolation):
-                orbit.halves(1.0, Workspace(g, theta_only=theta_only))
+        for orbit in orbits:
+            for theta_only in (False, True):
+                with pytest.raises(ConstraintViolation):
+                    orbit.halves(1.0, Workspace(g, theta_only=theta_only))
         with pytest.raises(ConstraintViolation):
-            apply_semigroup(orbit.data, unit_params, 1.0)
+            apply_semigroup(data, unit_params, 1.0)
 
     def test_non_finite_momentum_rejected(self, unit_params):
         """Each momentum component is checked before it is projected, not only theta."""
@@ -261,24 +266,32 @@ class TestWorkspaceReadOut:
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     @pytest.mark.parametrize("regime", REGIMES)
     def test_halves_bitwise_equal_to_projected_orbit(self, dim, n, regime):
-        """Both modes, at several t in one workspace, on non-Hermitian spectra with Nyquist content."""
+        """Both modes, at several t in one workspace, on non-Hermitian spectra with Nyquist content and on their
+        low band under the default cutoff, which runs on a coarser grid."""
         rng = np.random.default_rng(900 + 10 * dim + REGIMES.index(regime))
         g = Grid(dim=dim, box_len=float(rng.uniform(2.0, 8.0)), n=n)
-        orbit = SemigroupOrbit(random_spectrum(g, rng), random_params(rng, regime))
+        params = random_params(rng, regime)
+        data = random_spectrum(g, rng)
         full, theta_only = Workspace(g), Workspace(g, theta_only=True)
-        for t in self.TIMES:
-            want = apply_semigroup(orbit.data, orbit.params, t)
-            hat = orbit.halves(t, full)
-            assert np.array_equal(hat[0], hermitian_half(want.theta_hat, g))
-            assert np.array_equal(hat[1:], hermitian_half(want.m_hat, g))
-            assert np.array_equal(orbit.halves(t, theta_only)[0], hermitian_half(want.theta_hat, g))
+        for data in (data, frequency_band(data, default_cutoff(g), "low")):
+            orbit = SemigroupOrbit(data, params)
+            for t in self.TIMES:
+                want = apply_semigroup(data, params, t)
+                hat = orbit.halves(t, full)
+                assert np.array_equal(hat[0], hermitian_half(want.theta_hat, g))
+                assert np.array_equal(hat[1:], hermitian_half(want.m_hat, g))
+                assert np.array_equal(orbit.halves(t, theta_only)[0], hermitian_half(want.theta_hat, g))
+        assert orbit.data.grid.n == n // 2
 
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     def test_reused_workspace_equals_fresh_one(self, dim, n, oscillatory_params):
-        """No state of an earlier sample, or of another orbit, leaks into the next read-out."""
+        """No state of an earlier sample, or of another orbit, coarse or not, leaks into the next read-out."""
         rng = np.random.default_rng(950 + dim)
         g = Grid(dim=dim, box_len=5.0, n=n)
-        orbits = [SemigroupOrbit(random_spectrum(g, rng), oscillatory_params) for _ in range(2)]
+        data = [random_spectrum(g, rng) for _ in range(2)]
+        data.append(frequency_band(data[0], default_cutoff(g), "low"))
+        orbits = [SemigroupOrbit(d, oscillatory_params) for d in data]
+        assert orbits[2].data.grid.n < n
         for theta_only in (False, True):
             ws = Workspace(g, theta_only=theta_only)
             for buf in vars(ws).values():
@@ -310,6 +323,32 @@ class TestWorkspaceReadOut:
             got = block.image(theta_hat, m_hat, g)
             assert np.array_equal(got[1:], want)
             assert np.array_equal(got[0], block.theta(theta_hat, a_hat, np.empty(a_hat.shape, dtype=complex)))
+
+
+class TestEvaluationGrid:
+    """An orbit runs on the coarsest grid of its box that holds every nonzero mode of its datum."""
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_default_low_band_runs_on_half_grid(self, dim, n, unit_params):
+        g = Grid(dim=dim, box_len=6.0, n=n)
+        band = frequency_band(random_spectrum(g, np.random.default_rng(40 + dim)), default_cutoff(g), "low")
+        orbit = SemigroupOrbit(band, unit_params)
+        assert orbit.data.grid == Grid(dim=dim, box_len=6.0, n=n // 2) and orbit.grid is g
+        assert np.count_nonzero(orbit.data.hat) == np.count_nonzero(band.hat)
+
+    @pytest.mark.parametrize("index, coarse_n", [(-4, 16), (4, 16), (-3, 8), (3, 8)])
+    def test_mode_at_half_the_coarse_grid_is_not_coarsened(self, index, coarse_n, unit_params):
+        """A mode at alias +-m/2 is not a mode of the m grid's full spectrum: the next finer grid holds it."""
+        g = Grid(dim=2, box_len=6.0, n=32)
+        hat = np.zeros((3,) + g.shape, dtype=complex)
+        hat[1, 0, index % g.n] = 1.0 - 2.0j
+        assert SemigroupOrbit(SpectralState(grid=g, hat=hat), unit_params).data.grid.n == coarse_n
+
+    def test_high_band_runs_on_its_own_grid(self, unit_params):
+        g = Grid(dim=3, box_len=6.0, n=16)
+        data = frequency_band(random_spectrum(g, np.random.default_rng(5)), default_cutoff(g), "high")
+        orbit = SemigroupOrbit(data, unit_params)
+        assert orbit.data is data and orbit.data.grid is g
 
 
 class TestFrequencySplit:
