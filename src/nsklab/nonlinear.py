@@ -383,8 +383,11 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
     """Integrate to t_end, sampling every constituent of the weighted aggregate.
 
     Partial results are retained up to the failure time if a step is
-    rejected.  Mass and mean momentum are tracked against their initial
-    values; conjugate symmetry is monitored on the final state.
+    rejected.  Initial data outside the range condition take no step: the
+    run returns with a ``range_violation`` event at t = 0, no samples and
+    ``admissible_throughout`` False.  Mass and mean momentum are tracked
+    against their initial values; conjugate symmetry is monitored on the
+    final state.
     """
     from .fields import nonlinear_initial_state
     from .spectral import conjugate_symmetry_defect
@@ -410,10 +413,15 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
     origin = (slice(None),) + (0,) * scn.grid.dim  # the zero mode of every row: the means of theta and m
     mean0 = st.spectral.hat[origin].copy()
 
-    n_steps = int(round(scn.t_end / scn.dt))
-    times = [0.0]
-    samples = [_sample_norms(st, scn, stepper)]
-    admissible = st.real.is_admissible(scn.params)
+    try:
+        st.real.check_range(scn.params)
+        admissible = True
+    except RangeViolation as exc:  # an inadmissible start is recorded, and neither sampled nor stepped
+        events.append({"t": 0.0, "kind": "range_violation", "message": str(exc)})
+        admissible = False
+    n_steps = int(round(scn.t_end / scn.dt)) if admissible else 0
+    times = [0.0] if admissible else []
+    samples = [_sample_norms(st, scn, stepper)] if admissible else []
     rejected = False
 
     for k in range(1, n_steps + 1):

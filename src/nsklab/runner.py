@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import traceback
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -207,10 +207,9 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
 
 def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    params = _params_from_config(cfg)
     grid = _grid_from_config(cfg)
     scn = AblationScenario(
-        params=params,
+        params=_params_from_config(cfg),
         grid=grid,
         gamma=cfg.data.gamma,
         support_radius=_support_radius(cfg, grid),
@@ -218,12 +217,10 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         seed=cfg.seed,
         sample_times=tuple(cfg.times.values()),
         fit_window=cfg.fit_window,
-        p=cfg.exponents.p,
-        q=cfg.exponents.q,
-        j=cfg.exponents.j,
         cutoff_eps=cfg.cutoff_eps,
         tol_exp=cfg.tol_exp,
         trust_mode=cfg.trust_mode,
+        **asdict(cfg.exponents),
     )
     result = divergence_form_ablation(scn)
     payload = result.to_dict()
@@ -252,27 +249,17 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
 
 def _nonlinear_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    params = _params_from_config(cfg)
-    grid = _grid_from_config(cfg)
-    ne = cfg.nonlinear_exponents or NonlinearExponentsBlock()
-    init = cfg.init or NonlinearInitBlock()
     scn = NonlinearScenario(
-        params=params,
-        grid=grid,
+        params=_params_from_config(cfg),
+        grid=_grid_from_config(cfg),
         amplitude=cfg.amplitude,
         t_end=cfg.t_end,
         dt=cfg.dt,
         seed=cfg.seed,
-        p=ne.p,
-        q1=ne.q1,
-        q2=ne.q2,
-        tau=ne.tau,
-        theta_width=init.theta_width,
-        m_envelope_width=init.m_envelope_width,
-        m_smooth_width=init.m_smooth_width,
-        m_relative_amplitude=init.m_relative_amplitude,
         sample_every=cfg.sample_every,
         nonlinear=cfg.nonlinear,
+        **asdict(cfg.nonlinear_exponents or NonlinearExponentsBlock()),
+        **asdict(cfg.init or NonlinearInitBlock()),
     )
     # NumericsWarnings become report events without a time, since a warning
     # carries none; other categories are dropped
@@ -301,7 +288,7 @@ def _nonlinear_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         "mass_drift": result.mass_drift,
         "momentum_drift": result.momentum_drift,
         "symmetry_defect": result.symmetry_defect,
-        "aggregate_final": float(result.aggregate.values[-1]),
+        "aggregate_final": float(result.aggregate.values[-1]) if result.aggregate.values.size else None,
         "events": events,
         "pass": bool(result.success),
     }

@@ -1,29 +1,31 @@
 """Scenario configuration: strict JSON schema, lossless round trip.
 
-The config format is a JSON tree with one block per concern.  Unknown keys
-anywhere in the tree are errors (no silent typos); "inf" is the spelling of
-an infinite exponent.  parse -> serialize -> parse is the identity.
+The config format is a JSON tree with one block per concern.  Each scenario
+kind has one frozen record (:class:`SymbolVerifyConfig`,
+:class:`LinearDecayConfig`, :class:`AblationConfig`,
+:class:`NonlinearRunConfig`), and the records are the schema: a record's
+fields are the keys its kind accepts, and the fields without a default are
+the keys it requires.  A field whose type is a block record is a nested
+object, parsed the same way.  Unknown keys anywhere in the tree are errors
+(no silent typos); "inf" is the spelling of an infinite exponent.
+parse -> serialize -> parse is the identity.
 """
 
-from __future__ import annotations
-
+# Annotations are evaluated here (no ``from __future__ import annotations``):
+# `_build` decodes each value by its field's type.
 import dataclasses
 import json
 from dataclasses import asdict, dataclass
+from typing import ClassVar, NewType, get_args
 
 import numpy as np
 
+from .analysis import TOL_EXP
 from .errors import ParseError, ValidationError
 
-KINDS = ("symbol-verify", "linear-decay", "ablation", "nonlinear-run")
+DATA_KINDS = ("riesz_divergence", "riesz_generic", "scalar_riesz", "curl_mixture", "transverse_packet")
 
-DATA_KINDS = (
-    "riesz_divergence",
-    "riesz_generic",
-    "scalar_riesz",
-    "curl_mixture",
-    "transverse_packet",
-)
+Exponent = NewType("Exponent", float)  # a Lebesgue exponent; JSON spells infinity "inf"
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,16 @@ class TimesBlock:
 
 @dataclass(frozen=True)
 class ExponentsBlock:
-    p: float = np.inf
-    q: float = 2.0
+    p: Exponent = np.inf
+    q: Exponent = 2.0
     j: int = 0
 
 
 @dataclass(frozen=True)
 class NonlinearExponentsBlock:
-    p: float = 4.0
-    q1: float = 2.5
-    q2: float = 15.0
+    p: Exponent = 4.0
+    q1: Exponent = 2.5
+    q2: Exponent = 15.0
     tau: float = 0.35
 
 
@@ -91,29 +93,79 @@ class NonlinearInitBlock:
     m_relative_amplitude: float = 1.0
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    kind: str
-    seed: int | None = None
+@dataclass(frozen=True, kw_only=True)
+class _Record:
+    """The keys of every kind: the seed, which is required, and an output directory."""
+
+    seed: int
     out_dir: str | None = None
-    params: ParamsBlock | None = None
-    grid: GridBlock | None = None
-    data: DataBlock | None = None
-    times: TimesBlock | None = None
-    exponents: ExponentsBlock | None = None
-    nonlinear_exponents: NonlinearExponentsBlock | None = None
-    init: NonlinearInitBlock | None = None
-    band: str = "low"
-    w10: bool = False
-    cutoff_eps: float | None = None
-    fit_window: tuple | None = None
-    trust_mode: str = "mass_radius"
-    tol_exp: float = 0.1
-    gap_threshold: float = 0.5
+
+    def __post_init__(self):
+        if self.seed is None:
+            raise ValidationError("seed is mandatory (determinism contract)")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SymbolVerifyConfig(_Record):
+    kind: ClassVar[str] = "symbol-verify"
     samples_per_regime: int = 1000
     xi_scale: float = 3.0
     t_max: float = 10.0
     tol_symbol: float = 1e-10
+
+
+@dataclass(frozen=True, kw_only=True)
+class _DecayConfig(_Record):
+    """The keys the two decay-fit kinds share."""
+
+    params: ParamsBlock
+    grid: GridBlock
+    data: DataBlock
+    times: TimesBlock
+    exponents: ExponentsBlock
+    fit_window: tuple
+    cutoff_eps: float | None = None
+    trust_mode: str = "mass_radius"
+    tol_exp: float = TOL_EXP
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.trust_mode not in ("mass_radius", "edge_leak"):
+            raise ValidationError(f"trust_mode must be 'mass_radius' or 'edge_leak', got '{self.trust_mode}'")
+
+
+@dataclass(frozen=True, kw_only=True)
+class LinearDecayConfig(_DecayConfig):
+    kind: ClassVar[str] = "linear-decay"
+    band: str = "low"
+    w10: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.band not in ("low", "high", "full"):
+            raise ValidationError(f"band must be low, high or full, got '{self.band}'")
+
+
+@dataclass(frozen=True, kw_only=True)
+class AblationConfig(_DecayConfig):
+    """The ablation builds its own Riesz pair, so riesz_divergence is the one data kind it takes."""
+
+    kind: ClassVar[str] = "ablation"
+    gap_threshold: float = 0.5
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.data.kind != "riesz_divergence":
+            raise ValidationError(f"ablation data kind must be 'riesz_divergence', got '{self.data.kind}'")
+
+
+@dataclass(frozen=True, kw_only=True)
+class NonlinearRunConfig(_Record):
+    kind: ClassVar[str] = "nonlinear-run"
+    params: ParamsBlock
+    grid: GridBlock
+    nonlinear_exponents: NonlinearExponentsBlock | None = None
+    init: NonlinearInitBlock | None = None
     amplitude: float = 0.05
     t_end: float = 10.0
     dt: float = 0.1
@@ -121,79 +173,41 @@ class ScenarioConfig:
     nonlinear: bool = True
 
 
-_REQUIRED = {
-    "symbol-verify": ("seed",),
-    "linear-decay": ("seed", "params", "grid", "data", "times", "exponents", "fit_window"),
-    "ablation": ("seed", "params", "grid", "data", "times", "exponents", "fit_window"),
-    "nonlinear-run": ("seed", "params", "grid"),
-}
-
-_ALLOWED = {
-    "symbol-verify": {"kind", "seed", "out_dir", "samples_per_regime", "xi_scale", "t_max", "tol_symbol"},
-    "linear-decay": {
-        "kind",
-        "seed",
-        "out_dir",
-        "params",
-        "grid",
-        "data",
-        "times",
-        "exponents",
-        "band",
-        "w10",
-        "cutoff_eps",
-        "fit_window",
-        "trust_mode",
-        "tol_exp",
-    },
-    "ablation": {
-        "kind",
-        "seed",
-        "out_dir",
-        "params",
-        "grid",
-        "data",
-        "times",
-        "exponents",
-        "cutoff_eps",
-        "fit_window",
-        "trust_mode",
-        "tol_exp",
-        "gap_threshold",
-    },
-    "nonlinear-run": {
-        "kind",
-        "seed",
-        "out_dir",
-        "params",
-        "grid",
-        "nonlinear_exponents",
-        "init",
-        "amplitude",
-        "t_end",
-        "dt",
-        "sample_every",
-        "nonlinear",
-    },
-}
-
-_BLOCK_TYPES = {
-    "params": ParamsBlock,
-    "grid": GridBlock,
-    "data": DataBlock,
-    "times": TimesBlock,
-    "exponents": ExponentsBlock,
-    "nonlinear_exponents": NonlinearExponentsBlock,
-    "init": NonlinearInitBlock,
-}
+ScenarioConfig = SymbolVerifyConfig | LinearDecayConfig | AblationConfig | NonlinearRunConfig
+RECORDS = {cls.kind: cls for cls in get_args(ScenarioConfig)}
+KINDS = tuple(RECORDS)
 
 
-def _decode_exponent(v):
-    if isinstance(v, str):
-        if v == "inf":
+def _decode(tp, value, key: str):
+    """A JSON value as a field of type tp: blocks are built, exponents and the fit window converted."""
+    tp = next((a for a in get_args(tp) if a is not type(None)), tp)  # an optional block is a block
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, f"block '{key}'")
+    if tp is Exponent:
+        if value == "inf":
             return np.inf
-        raise ValidationError(f"exponent must be a number or 'inf', got '{v}'")
-    return float(v)
+        if isinstance(value, str):
+            raise ValidationError(f"exponent must be a number or 'inf', got '{value}'")
+        return float(value)
+    if tp is tuple:
+        if not (isinstance(value, list) and len(value) == 2):
+            raise ValidationError(f"{key} must be a [lo, hi] pair")
+        return (float(value[0]), float(value[1]))
+    return value
+
+
+def _build(cls, raw, label: str):
+    """The record cls from a JSON object: an unknown key, then a missing one, is an error."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{label} must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for key in raw:
+        if key not in fields:
+            raise ValidationError(f"unknown key '{key}' for {label}")
+    for name, f in fields.items():
+        if f.default is dataclasses.MISSING and name not in raw:
+            raise ValidationError(f"{label} requires key '{name}'")
+    return cls(**{key: _decode(fields[key].type, value, key) for key, value in raw.items()})
 
 
 def _encode_value(v):
@@ -208,76 +222,22 @@ def _encode_value(v):
     return v
 
 
-def _build_block(name: str, cls, raw: dict):
-    if not isinstance(raw, dict):
-        raise ValidationError(f"block '{name}' must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for key in raw:
-        if key not in fields:
-            raise ValidationError(f"unknown key '{key}' in block '{name}'")
-    kwargs = {}
-    for key, value in raw.items():
-        if name in ("exponents", "nonlinear_exponents") and key in ("p", "q", "q1", "q2"):
-            kwargs[key] = _decode_exponent(value)
-        else:
-            kwargs[key] = value
-    missing = [
-        f.name
-        for f in fields.values()
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING and f.name not in kwargs
-    ]
-    if missing:
-        raise ValidationError(f"block '{name}' is missing required keys: {', '.join(missing)}")
-    return cls(**kwargs)
-
-
 def config_from_dict(raw: dict) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config root must be an object")
     kind = raw.get("kind")
     if kind not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, got {kind!r}")
-    allowed = _ALLOWED[kind]
-    for key in raw:
-        if key not in allowed:
-            raise ValidationError(f"unknown key '{key}' for kind '{kind}'")
-    for req in _REQUIRED[kind]:
-        if req not in raw:
-            raise ValidationError(f"kind '{kind}' requires key '{req}'")
-    kwargs = {"kind": kind}
-    for key, value in raw.items():
-        if key == "kind":
-            continue
-        if key in _BLOCK_TYPES:
-            kwargs[key] = _build_block(key, _BLOCK_TYPES[key], value)
-        elif key == "fit_window":
-            if not (isinstance(value, list) and len(value) == 2):
-                raise ValidationError("fit_window must be a [lo, hi] pair")
-            kwargs[key] = (float(value[0]), float(value[1]))
-        else:
-            kwargs[key] = value
-    cfg = ScenarioConfig(**kwargs)
-    if cfg.trust_mode not in ("mass_radius", "edge_leak"):
-        raise ValidationError(f"trust_mode must be 'mass_radius' or 'edge_leak', got '{cfg.trust_mode}'")
-    if cfg.band not in ("low", "high", "full"):
-        raise ValidationError(f"band must be low, high or full, got '{cfg.band}'")
-    if cfg.seed is None:
-        raise ValidationError("seed is mandatory (determinism contract)")
-    return cfg
+    return _build(RECORDS[kind], {key: value for key, value in raw.items() if key != "kind"}, f"kind '{kind}'")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
+    """kind, then every option in key order; a block keeps its field order, and a None (unset) is left out."""
     out = {"kind": cfg.kind}
-    allowed = _ALLOWED[cfg.kind]
-    d = asdict(cfg)
-    defaults = {f.name: f.default for f in dataclasses.fields(ScenarioConfig)}
-    for key in sorted(allowed - {"kind"}):
-        value = d.get(key)
-        if value is None and defaults.get(key) is None:
-            continue
+    for key, value in sorted(asdict(cfg).items()):
         if isinstance(value, dict):
             out[key] = {k: _encode_value(v) for k, v in value.items() if v is not None}
-        else:
+        elif value is not None:
             out[key] = _encode_value(value)
     return out
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,10 +11,9 @@ import pytest
 from nsklab.errors import ParseError, ValidationError
 from nsklab.runner import run_scenario
 from nsklab.scenario import (
-    _ALLOWED,
-    _REQUIRED,
     DATA_KINDS,
     KINDS,
+    RECORDS,
     config_from_dict,
     parse_config,
     parse_sweep_config,
@@ -49,7 +49,10 @@ def minimal_nonlinear(seed=5):
 
 
 def generated_config(kind, rng):
-    """A random raw config of the given kind: every required key, each optional key with probability 1/2."""
+    """A random raw config of the given kind: every required key, each optional key with probability 1/2.
+
+    Keys come from the kind's record, in sorted order.
+    """
 
     def num():
         return float(rng.uniform(0.01, 50.0))
@@ -61,13 +64,17 @@ def generated_config(kind, rng):
         block.update({key: value for key, value in optional.items() if rng.random() < 0.5})
         return block
 
+    def data_kind():  # the ablation takes riesz_divergence only; the draw is made anyway, so later keys keep theirs
+        drawn = str(rng.choice(DATA_KINDS))
+        return "riesz_divergence" if kind == "ablation" else drawn
+
     values = {
         "seed": lambda: int(rng.integers(0, 2**31)),
         "out_dir": lambda: f"out/{int(rng.integers(1000))}",
         "params": lambda: maybe({"mu": num(), "nu": num(), "kappa": num(), "rho_ref": num()}, pressure_k=num()),
         "grid": lambda: {"dim": int(rng.integers(1, 5)), "n": int(2 ** rng.integers(2, 8)), "box_len": num()},
         "data": lambda: maybe(
-            {"kind": str(rng.choice(DATA_KINDS))},
+            {"kind": data_kind()},
             amplitude=num(),
             gamma=num(),
             support_radius=num(),
@@ -98,10 +105,31 @@ def generated_config(kind, rng):
         "nonlinear": lambda: bool(rng.random() < 0.5),
     }
     raw = {"kind": kind}
-    for key in sorted(_ALLOWED[kind] - {"kind"}):
-        if key in _REQUIRED[kind] or rng.random() < 0.5:
-            raw[key] = values[key]()
+    for field in sorted(dataclasses.fields(RECORDS[kind]), key=lambda field: field.name):
+        if field.default is dataclasses.MISSING or rng.random() < 0.5:
+            raw[field.name] = values[field.name]()
     return raw
+
+
+# The keys each kind accepts and requires, spelled out; a change to a record's fields must show here.
+SCHEMA = {
+    "symbol-verify": ({"kind", "seed", "out_dir", "samples_per_regime", "xi_scale", "t_max", "tol_symbol"}, {"seed"}),
+    "linear-decay": (
+        {"kind", "seed", "out_dir", "params", "grid", "data", "times", "exponents", "band", "w10", "cutoff_eps"}
+        | {"fit_window", "trust_mode", "tol_exp"},
+        {"seed", "params", "grid", "data", "times", "exponents", "fit_window"},
+    ),
+    "ablation": (
+        {"kind", "seed", "out_dir", "params", "grid", "data", "times", "exponents", "cutoff_eps", "fit_window"}
+        | {"trust_mode", "tol_exp", "gap_threshold"},
+        {"seed", "params", "grid", "data", "times", "exponents", "fit_window"},
+    ),
+    "nonlinear-run": (
+        {"kind", "seed", "out_dir", "params", "grid", "nonlinear_exponents", "init", "amplitude", "t_end", "dt"}
+        | {"sample_every", "nonlinear"},
+        {"seed", "params", "grid"},
+    ),
+}
 
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
@@ -167,6 +195,33 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="seed"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_null_seed_rejected(self, kind):
+        raw = generated_config(kind, np.random.default_rng(3))
+        raw["seed"] = None
+        with pytest.raises(ValidationError, match="seed is mandatory"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_record_fields_are_the_schema(self, kind):
+        """A kind's record accepts exactly its pinned keys, and requires the fields without a default."""
+        accepted, required = SCHEMA[kind]
+        fields = dataclasses.fields(RECORDS[kind])
+        assert RECORDS[kind].kind == kind
+        assert {field.name for field in fields} | {"kind"} == accepted
+        assert {field.name for field in fields if field.default is dataclasses.MISSING} == required
+
+    @pytest.mark.parametrize("data_kind", [k for k in DATA_KINDS if k != "riesz_divergence"])
+    def test_ablation_rejects_data_it_does_not_run(self, data_kind):
+        """The ablation always builds a Riesz pair, so any other data kind is an error, not a silent substitute."""
+        raw = minimal_linear_decay()
+        del raw["band"]
+        raw["kind"] = "ablation"
+        config_from_dict(raw)
+        raw["data"]["kind"] = data_kind
+        with pytest.raises(ValidationError, match=f"ablation data kind must be 'riesz_divergence', got '{data_kind}'"):
+            config_from_dict(raw)
+
     def test_infinite_exponent_round_trip(self):
         cfg = parse_config(json.dumps(minimal_linear_decay()))
         assert np.isinf(cfg.exponents.p)
@@ -176,6 +231,10 @@ class TestParseConfig:
         raw = minimal_linear_decay()
         del raw["grid"]
         with pytest.raises(ValidationError, match="requires key 'grid'"):
+            config_from_dict(raw)
+        raw = minimal_linear_decay()
+        del raw["grid"]["n"]
+        with pytest.raises(ValidationError, match="block 'grid' requires key 'n'"):
             config_from_dict(raw)
 
     def test_sweep_parsing(self):
@@ -311,6 +370,26 @@ class TestRunScenario:
             _write_csv(tmp_path / f"{tag}.csv", meas.series.times, meas.series.values)
             written = (tmp_path / "abl" / "series" / f"theta_low_{tag}.csv").read_bytes()
             assert written == (tmp_path / f"{tag}.csv").read_bytes()
+
+    def test_inadmissible_start_is_a_failed_verdict(self, tmp_path):
+        """Initial density outside [rho*/4, 4 rho*] is recorded at t = 0 and takes no step; the CLI exits 2."""
+        from nsklab import cli
+
+        raw = minimal_nonlinear()
+        raw["amplitude"] = 4.0
+        outcome = run_scenario(config_from_dict(raw), tmp_path / "run")
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert outcome.status == "fail" and report == outcome.report
+        assert report["pass"] is False and report["success"] is False
+        assert report["admissible_throughout"] is False and report["rejected"] is False
+        assert report["aggregate_final"] is None
+        violations = [e for e in report["events"] if e["kind"] == "range_violation"]
+        assert len(violations) == 1 and violations[0]["t"] == 0.0
+        assert violations[0]["message"].startswith("density range [")
+        assert (tmp_path / "run" / "series" / "aggregate_N.csv").read_text() == "t,value\n"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["nonlinear-run", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
 
     def test_error_writes_partial_artifacts(self, tmp_path):
         raw = minimal_nonlinear()
