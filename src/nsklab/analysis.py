@@ -11,13 +11,13 @@ these are the ones recorded in all outputs):
 * ``W^{m,l}`` of a pair is ``||theta||_{W^m} + ||m||_{W^l}``.
 
 Semigroup decay series at q = 2 are computed by Parseval from the evolved
-spectrum, with no transform: each field's spectrum is first projected onto
-the half spectrum of its real field (``spectral.hermitian_half``), whose
-modes count twice off the self-mirror last-axis planes 0 and n/2, and every
-first-derivative multiplier is ``spectral.derivative``'s ``i xi_k``, zero
-on the Nyquist index of axis k (what ``.real`` of a derivative round trip
-keeps), so the values equal the real-space norms of the same fields to
-rounding.
+spectrum, with no transform: each field's spectrum is the half spectrum of
+its real field (``spectral.SemigroupOrbit.halves``, the Hermitian projection
+of the evolved full spectrum), whose modes count twice off the self-mirror
+last-axis planes 0 and n/2, and every first-derivative multiplier is
+``spectral.derivative``'s ``i xi_k``, zero on the Nyquist index of axis k
+(what ``.real`` of a derivative round trip keeps), so the values equal the
+real-space norms of the same fields to rounding.
 
 A series forms only the band it measures, evolves it on the coarsest grid that
 holds it and reads every sample into one :class:`nsklab.spectral.Workspace`.
@@ -402,8 +402,9 @@ def measure_semigroup_decay(
     Only the kept band of the datum is formed, and S(t) runs on the coarsest
     grid that holds it (:class:`nsklab.spectral.SemigroupOrbit`): n/2 for the
     low band under the default cutoff, n for the high band.  Every norm is
-    taken on the data's grid, of the half spectrum of the evolved real field
-    (:func:`nsklab.spectral.hermitian_half`).  For p = 2 it comes by Parseval
+    taken on the data's grid, of the half spectrum of the evolved real field,
+    which :meth:`nsklab.spectral.SemigroupOrbit.halves` forms on the half
+    layout, its mirror set included.  For p = 2 it comes by Parseval
     from its power (:func:`half_power`), with the Nyquist-zeroed first-order
     multipliers of :func:`nsklab.spectral.derivative`; otherwise each
     derivative is one ``irfftn`` of the half spectrum times the same

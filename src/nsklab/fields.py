@@ -19,7 +19,9 @@ Radial real coefficients are conjugate-symmetric; the ``i xi`` factors of
 divergence-form and curl data (and the transverse projection) are not on the
 Nyquist planes, where a mode is its own mirror: curl_mixture_momentum_state
 has defect 7.8e-2 at 64^3, 0.50% of its energy on those planes.  Every
-read-out projects that away through :func:`nsklab.spectral.hermitian_half`.
+read-out projects that away: a semigroup orbit applies the block to the
+mirror of each Nyquist mode as well (``spectral.SemigroupOrbit``), and
+``spectral.to_real`` goes through :func:`nsklab.spectral.hermitian_half`.
 """
 
 from __future__ import annotations

@@ -178,21 +178,39 @@ RECORDS = {cls.kind: cls for cls in get_args(ScenarioConfig)}
 KINDS = tuple(RECORDS)
 
 
-def _decode(tp, value, key: str):
-    """A JSON value as a field of type tp: blocks are built, exponents and the fit window converted."""
-    tp = next((a for a in get_args(tp) if a is not type(None)), tp)  # an optional block is a block
+_SCALARS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _decode(f: dataclasses.Field, value, key: str):
+    """A JSON value as the field f: its type checked, blocks built, exponents and the fit window converted.
+
+    null is accepted only for an optional (``| None``) field; a bool is not an int, and an int is a float
+    (kept as it is, so a config serializes back to the same text).
+    """
+    args = get_args(f.type)
+    if value is None:
+        if type(None) in args:
+            return None
+        raise ValidationError(f"{key} is mandatory, got null" if f.default is dataclasses.MISSING else f"{key} must not be null")
+    tp = next((a for a in args if a is not type(None)), f.type)  # an optional block is a block
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, f"block '{key}'")
     if tp is Exponent:
         if value == "inf":
             return np.inf
-        if isinstance(value, str):
-            raise ValidationError(f"exponent must be a number or 'inf', got '{value}'")
+        if not _is_number(value):
+            raise ValidationError(f"exponent must be a number or 'inf', got {value!r}")
         return float(value)
     if tp is tuple:
-        if not (isinstance(value, list) and len(value) == 2):
+        if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
             raise ValidationError(f"{key} must be a [lo, hi] pair")
         return (float(value[0]), float(value[1]))
+    if not (_is_number(value) if tp is float else isinstance(value, tp) and isinstance(value, bool) == (tp is bool)):
+        raise ValidationError(f"{key} must be {_SCALARS[tp]}, got {value!r}")
     return value
 
 
@@ -207,7 +225,7 @@ def _build(cls, raw, label: str):
     for name, f in fields.items():
         if f.default is dataclasses.MISSING and name not in raw:
             raise ValidationError(f"{label} requires key '{name}'")
-    return cls(**{key: _decode(fields[key].type, value, key) for key, value in raw.items()})
+    return cls(**{key: _decode(fields[key], value, key) for key, value in raw.items()})
 
 
 def _encode_value(v):

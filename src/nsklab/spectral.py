@@ -22,15 +22,19 @@ Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 weights that make Parseval exact under this convention.
 
 Real fields and spectra are stacks of dim + 1 rows, theta then m_1 .. m_N
-(see :mod:`nsklab.model`).  The linear toolkit evolves full complex spectra,
+(see :mod:`nsklab.model`).  The linear toolkit takes full complex spectra,
 whose data may be built in spectral space without conjugate symmetry; the
 nonlinear solver works on half spectra of real fields.  :meth:`Block.image`
 applies a block on its layout; :func:`apply_semigroup`, :class:`SemigroupOrbit`
-and :func:`frequency_split` need every mode and reject a half-layout state
+and :func:`frequency_split` take every mode and reject a half-layout state
 with ``GridMismatch``.  Every real read-out is ``irfftn`` of a half spectrum,
-row by row, a full one projected by :func:`hermitian_half`.  An orbit runs
-on the coarsest grid that holds its datum and zero-pads its projected stack
-back, which is exact for a band-limited spectrum (trigonometric interpolation).
+row by row; a full spectrum g is first projected by :func:`hermitian_half`,
+(g(xi) + conj g(-xi)) / 2.  An orbit evaluates S(t) on the half layout of
+the coarsest grid that holds its datum.  Off its mirror set, the Nyquist
+indices and the modes where the datum is not Hermitian, that projection of
+the image is the image itself; on the set the orbit also applies the block
+to the mirror modes and projects.  It zero-pads the stack back, which is
+exact for a band-limited spectrum (trigonometric interpolation).
 
 Derivative multipliers act on half spectra.  Nyquist rule: on the Nyquist
 index of an axis a mode is its own mirror along that axis, so a multiplier
@@ -52,7 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft as _fft
@@ -90,23 +94,32 @@ def to_spectral(state: State, *, half: bool = False) -> SpectralState:
     return SpectralState(grid=state.grid, hat=np.stack([fwd(f) for f in state.fields]), half=half)
 
 
-def hermitian_half(arr: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
-    """(g(xi) + conj g(-xi)) / 2 on the half layout: the rfftn of ``ifftn(g).real`` over the trailing grid axes.
+def _mirror(arr: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
+    """``arr`` at -xi (mod n) for every mode of the half layout, over the trailing grid axes, into ``out``.
 
-    The mirror -xi (mod n) of the stored half is gathered by slices, one
-    block per choice of index 0 or the rest on each axis, into ``out`` if given.
+    The mirror is gathered by slices, one block per choice of index 0 or the rest on each axis.
     """
     n = grid.n
-    out = np.empty(arr.shape[: arr.ndim - grid.dim] + grid.half_shape, dtype=complex) if out is None else out
     rest = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, 0, -1))]
     last = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n // 2 - 1, -1))]
     for pieces in itertools.product(*([rest] * (grid.dim - 1) + [last])):
         dst, src = zip(*pieces)
         out[(Ellipsis,) + dst] = arr[(Ellipsis,) + src]
-    np.conjugate(out, out=out)
-    out += arr[..., : n // 2 + 1]
-    out *= 0.5
     return out
+
+
+def _project(mirrored: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """(conj g(-xi) + g(xi)) / 2, formed in ``mirrored``, which holds g(-xi)."""
+    np.conjugate(mirrored, out=mirrored)
+    mirrored += own
+    mirrored *= 0.5
+    return mirrored
+
+
+def hermitian_half(arr: np.ndarray, grid: Grid) -> np.ndarray:
+    """(g(xi) + conj g(-xi)) / 2 on the half layout: the rfftn of ``ifftn(g).real`` over the trailing grid axes."""
+    out = np.empty(arr.shape[: arr.ndim - grid.dim] + grid.half_shape, dtype=complex)
+    return _project(_mirror(arr, grid, out), arr[..., : grid.n // 2 + 1])
 
 
 def to_real(spectral: SpectralState) -> State:
@@ -119,16 +132,14 @@ def to_real(spectral: SpectralState) -> State:
     return State(grid=grid, fields=fields)
 
 
-def longitudinal_amplitude(m_hat: np.ndarray, grid: Grid, half: bool = False) -> np.ndarray:
-    """a_hat = xi . m_hat / |xi|^2, with a_hat = 0 at xi = 0.
+def longitudinal_amplitude(m_hat: np.ndarray, xis, xi_sq: np.ndarray) -> np.ndarray:
+    """a_hat = xi . m_hat / |xi|^2, with a_hat = 0 at xi = 0, on the modes of the wavevectors ``xis`` and |xi|^2 ``xi_sq``.
 
     xi a_hat is the longitudinal projection of m_hat.
     """
-    xis = grid.wavevectors(half)
     xi_dot_m = xis[0] * m_hat[0]
-    for j in range(1, grid.dim):
+    for j in range(1, len(xis)):
         xi_dot_m += xis[j] * m_hat[j]
-    xi_sq = grid.xi_sq_of(half)
     return np.divide(xi_dot_m, xi_sq, out=np.zeros(xi_sq.shape, dtype=complex), where=xi_sq > 0.0)
 
 
@@ -145,8 +156,9 @@ class Block:
     (:func:`semigroup_block`) and the ETDRK2 forcing weights, which act on
     (0, g) and so leave ``tf`` unset.  The coefficients are gathered on one
     layout (``half``); per stored mode both layouts compute the same values
-    bit for bit.  :meth:`theta` multiplies the real coefficients into the real
-    and imaginary parts separately, which is faster than promoting them to
+    bit for bit, and so does the block :meth:`at` a list of modes.
+    :meth:`theta` multiplies the real coefficients into the real and
+    imaginary parts separately, which is faster than promoting them to
     complex; in :meth:`momentum` the promoted products measured faster.
     """
 
@@ -175,21 +187,26 @@ class Block:
             w -= 1j * self.cap * self.d * theta_hat
         return w
 
-    def momentum(self, j: int, w: np.ndarray, m_hat_j: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
+    def momentum(self, xi_j: np.ndarray, w: np.ndarray, m_hat_j: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Momentum component j of the image, heat m_hat_j + xi_j w, into ``out``; w from :meth:`weight`."""
         np.multiply(self.heat, m_hat_j, out=out)
-        out += grid.wavevectors(self.half)[j] * w
+        out += xi_j * w
         return out
 
     def image(self, theta_hat: np.ndarray | None, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
         """The image stack (theta, m_1 .. m_N) on the block's layout, not validated; theta_hat None stands for a zero theta."""
-        a_hat = longitudinal_amplitude(m_hat, grid, self.half)
+        xis = grid.wavevectors(self.half)
+        a_hat = longitudinal_amplitude(m_hat, xis, grid.xi_sq_of(self.half))
         out = np.empty((grid.dim + 1,) + a_hat.shape, dtype=complex)
         self.theta(theta_hat, a_hat, out=out[0])
         w = self.weight(theta_hat, a_hat)
         for j in range(grid.dim):
-            self.momentum(j, w, m_hat[j], grid, out[1 + j])
+            self.momentum(xis[j], w, m_hat[j], out[1 + j])
         return out
+
+    def at(self, index: np.ndarray) -> Block:
+        """The block on the modes of a flat index into its (contiguous) layout."""
+        return replace(self, **{f: c.reshape(-1)[index] for f in ("d", "tf", "lg", "heat") if (c := getattr(self, f)) is not None})
 
 
 def _require_full(spectral: SpectralState, what: str) -> None:
@@ -219,17 +236,21 @@ class Workspace:
     """Buffers reused by a series of :meth:`SemigroupOrbit.halves` read-outs on one grid.
 
     ``hat`` is the half-spectrum stack a read-out fills: the theta row alone if theta_only, else all dim + 1 rows.
-    A sample's block work runs in the leading elements of the other buffers, sized on its orbit's evaluation grid.
+    A sample's block coefficients (and w) run in the leading elements of the half-layout buffers ``coeffs`` (and
+    ``w``), sized on its orbit's evaluation grid.  ``m``, the caller's real momentum, shares the coefficients'
+    memory: a read-out is done with its coefficients once it returns.
     """
 
     def __init__(self, grid: Grid, *, theta_only: bool = False):
         self.theta_only = theta_only
-        self.coeffs = np.empty((2 if theta_only else 4,) + grid.shape)
-        self.full = np.empty(grid.shape, dtype=complex)
         self.hat = np.empty((1 if theta_only else grid.dim + 1,) + grid.half_shape, dtype=complex)
-        if not theta_only:
-            self.w = np.empty(grid.shape, dtype=complex)
-            self.m = self.coeffs[: grid.dim]  # the caller's real momentum; a read-out is done with its coefficients
+        coeffs = (2 if theta_only else 4,) + grid.half_shape
+        if theta_only:
+            self.coeffs = np.empty(coeffs)
+        else:
+            shared = np.empty(max(math.prod(coeffs), grid.dim * grid.mode_count))
+            self.coeffs, self.m = _leading(shared, coeffs), _leading(shared, (grid.dim,) + grid.shape)
+            self.w = np.empty(grid.half_shape, dtype=complex)
 
 
 def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
@@ -248,49 +269,78 @@ def _band_grid(data: SpectralState) -> Grid:
 
 
 class SemigroupOrbit:
-    """The orbit t -> S(t) data of one datum, evaluated on the coarsest grid that holds the datum (:func:`_band_grid`).
+    """The orbit t -> S(t) data of one datum, evaluated on the half layout of the coarsest grid that holds the datum.
 
-    A low band under the default cutoff (|alias| < n/4) runs on n/2; a datum with content at the Nyquist alias, such
-    as a high band, on its own grid.  ``data`` is the datum restricted to the evaluation grid, whose full spectrum it
-    is; that grid's wavevectors, |xi|^2 and radial table are the fine grid's floats, so kernels, coefficients and
-    image are the fine ones bit for bit.  The fine band is not kept; ``grid`` is the fine grid of the read-outs.
-    a_hat is formed once; each sample evaluates the kernels on the radial table, applies the block formula and is read
-    out by :meth:`halves` into a :class:`Workspace`, which every sample of a series reuses.
+    ``eval_grid`` (:func:`_band_grid`): a low band under the default cutoff (|alias| < n/4) runs on n/2; a datum with
+    content at the Nyquist alias, such as a high band, on its own grid.  That grid's wavevectors, |xi|^2 and radial
+    table are the fine grid's floats, so kernels, coefficients and image are the fine ones bit for bit; ``grid`` is
+    the fine grid of the read-outs.
+
+    The orbit keeps the datum's half stack and its a_hat on the evaluation grid's half layout, and, on the mirror
+    set ``mirror`` (flat indices into that layout), the datum, wavevectors and a_hat of the mirror modes -xi.  A half
+    mode is in the mirror set if it lies on a Nyquist index of some axis, or if the datum is not Hermitian there
+    (U(-xi) != conj U(xi) in some row).  Off the mirror set the datum is Hermitian and the block is mirror-symmetric
+    (its coefficients are functions of |xi|^2 and its odd xi factors change sign), so the image's Hermitian
+    projection is the image itself; on a Nyquist index the odd factors do not change sign.  The full-layout datum
+    is not kept.  Each sample evaluates the kernels on the radial table and is read out by :meth:`halves` into a
+    :class:`Workspace`, which every sample of a series reuses.
     """
 
     def __init__(self, data: SpectralState, params: FluidParams):
         _require_full(data, "SemigroupOrbit")
         self.grid = data.grid
         self.params = params
-        coarse = _band_grid(data)
-        if coarse is not self.grid:
-            modes = coarse.axis_aliases() % self.grid.n  # the fine index of each coarse one
-            data = SpectralState(grid=coarse, hat=data.hat[(slice(None),) + np.ix_(*[modes] * coarse.dim)])
-            self._hat = np.empty((coarse.dim + 1,) + coarse.half_shape, dtype=complex)
-            self._half_modes = (Ellipsis,) + np.ix_(*[modes] * (coarse.dim - 1), np.arange(coarse.n // 2 + 1))
-        self.data = data
-        self._a_hat = longitudinal_amplitude(data.m_hat, coarse)
+        grid = self.eval_grid = _band_grid(data)
+        hat = data.hat
+        if grid is not self.grid:
+            modes = grid.axis_aliases() % self.grid.n  # the fine index of each coarse one
+            hat = hat[(slice(None),) + np.ix_(*[modes] * grid.dim)]
+            self._padded = np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex)
+            self._half_modes = (Ellipsis,) + np.ix_(*[modes] * (grid.dim - 1), np.arange(grid.n // 2 + 1))
+        del data  # with hat below, the last references to the full-layout datum: it is freed before a_hat is formed
+        self._datum = np.ascontiguousarray(hat[..., : grid.n // 2 + 1])
+        mirrored = _mirror(hat, grid, np.empty_like(self._datum))
+        del hat
+        carries = functools.reduce(np.logical_or, (i == grid.n // 2 for i in np.indices(grid.half_shape, sparse=True)))
+        for own, mir in zip(self._datum, mirrored):
+            carries |= own != np.conj(mir)
+        self.mirror = np.flatnonzero(carries)
+        self._mirror_datum = mirrored.reshape(grid.dim + 1, -1)[:, self.mirror]
+        k = grid.wavevectors()[0].ravel()
+        self._mirror_xis = [k[-i % grid.n] for i in np.unravel_index(self.mirror, grid.half_shape)]
+        xi_sq = grid.xi_sq_of(half=True).reshape(-1)[self.mirror]  # |xi|^2 is even, bit for bit
+        self._mirror_a_hat = longitudinal_amplitude(self._mirror_datum[1:], self._mirror_xis, xi_sq)
+        self._a_hat = longitudinal_amplitude(self._datum[1:], grid.wavevectors(half=True), grid.xi_sq_of(half=True))
 
     def halves(self, t: float, ws: Workspace) -> np.ndarray:
         """``ws.hat`` filled with S(t) data's half spectra: ``hermitian_half`` of the rows of :func:`apply_semigroup`
         on the fine grid, bit for bit up to the sign of zeros.
 
-        Each row is formed on the evaluation grid in one buffer in turn, checked finite and projected.  On a coarser
-        grid the projected stack is zero-padded into ``ws.hat``: the modes outside it, where the fine image is +-0,
-        read +0.  Only the evaluation grid's modes are checked, so a kernel that is non-finite only outside them no
-        longer rejects a sample.  The stack is the workspace's; the next call overwrites it.
+        Each row is formed on the evaluation grid's half layout in place, then projected on the mirror set with the
+        image of the mirror modes, in :func:`hermitian_half`'s operation order, and checked finite.  On a coarser grid
+        the projected stack is zero-padded into ``ws.hat``: the modes outside it, where the fine image is +-0, read
+        +0.  Only the evaluation grid's modes are checked, so a kernel that is non-finite only outside them does not
+        reject a sample.  The stack is the workspace's; the next call overwrites it.
         """
         _check_time(t)
-        grid, data = self.data.grid, self.data
-        hat = ws.hat if grid is self.grid else self._hat[: len(ws.hat)]
-        coeffs = _leading(ws.coeffs, (len(ws.coeffs),) + grid.shape)
-        block = semigroup_block(self.params, grid, t, theta_only=ws.theta_only, out=coeffs)
-        row = _leading(ws.full, grid.shape)
-        hermitian_half(_finite(block.theta(data.theta_hat, self._a_hat, out=row)), grid, out=hat[0])
+        grid, datum, mirror_datum = self.eval_grid, self._datum, self._mirror_datum
+        hat = ws.hat if grid is self.grid else self._padded[: len(ws.hat)]
+        coeffs = _leading(ws.coeffs, (len(ws.coeffs),) + grid.half_shape)
+        block = semigroup_block(self.params, grid, t, theta_only=ws.theta_only, half=True, out=coeffs)
+        mirror_block = block.at(self.mirror)
+        mirrored = np.empty((len(hat), self.mirror.size), dtype=complex)
+        block.theta(datum[0], self._a_hat, out=hat[0])
+        mirror_block.theta(mirror_datum[0], self._mirror_a_hat, out=mirrored[0])
         if not ws.theta_only:
-            w = block.weight(data.theta_hat, self._a_hat, out=_leading(ws.w, grid.shape))
-            for j in range(grid.dim):
-                hermitian_half(_finite(block.momentum(j, w, data.m_hat[j], grid, row)), grid, out=hat[1 + j])
+            w = block.weight(datum[0], self._a_hat, out=_leading(ws.w, grid.half_shape))
+            mirror_w = mirror_block.weight(mirror_datum[0], self._mirror_a_hat)
+            for j, xi_j in enumerate(grid.wavevectors(half=True)):
+                block.momentum(xi_j, w, datum[1 + j], out=hat[1 + j])
+                mirror_block.momentum(self._mirror_xis[j], mirror_w, mirror_datum[1 + j], out=mirrored[1 + j])
+        for row, mir in zip(hat, mirrored):
+            flat = row.reshape(-1)
+            flat[self.mirror] = _project(mir, flat[self.mirror])
+            _finite(row)
         if hat is not ws.hat:
             ws.hat.fill(0.0)
             ws.hat[self._half_modes] = hat

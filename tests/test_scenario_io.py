@@ -202,6 +202,58 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="seed is mandatory"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("samples_per_regime", "many", "samples_per_regime must be an integer, got 'many'"),
+            ("samples_per_regime", True, "samples_per_regime must be an integer, got True"),
+            ("samples_per_regime", 2.0, "samples_per_regime must be an integer, got 2.0"),
+            ("xi_scale", "3", "xi_scale must be a number, got '3'"),
+            ("xi_scale", False, "xi_scale must be a number, got False"),
+            ("out_dir", 7, "out_dir must be a string, got 7"),
+        ],
+    )
+    def test_wrong_scalar_type_rejected_at_parse_time(self, key, value, message):
+        """A value of the wrong type is a ValidationError when the config is parsed, not a TypeError in the run."""
+        with pytest.raises(ValidationError, match=message):
+            config_from_dict({"kind": "symbol-verify", "seed": 1, key: value})
+
+    def test_null_only_for_optional_fields(self):
+        raw = minimal_linear_decay()
+        raw["tol_exp"] = None
+        with pytest.raises(ValidationError, match="tol_exp must not be null"):
+            config_from_dict(raw)
+        raw = minimal_linear_decay()
+        raw["grid"]["n"] = None
+        with pytest.raises(ValidationError, match="n is mandatory, got null"):
+            config_from_dict(raw)
+        raw = minimal_linear_decay()
+        raw["w10"] = 1
+        with pytest.raises(ValidationError, match="w10 must be true or false, got 1"):
+            config_from_dict(raw)
+        raw = minimal_linear_decay()
+        raw["cutoff_eps"] = raw["data"]["support_radius"] = raw["out_dir"] = None
+        cfg = config_from_dict(raw)
+        assert cfg.cutoff_eps is None and cfg.data.support_radius is None and cfg.out_dir is None
+
+    def test_int_accepted_for_float_and_kept(self):
+        """A JSON int in a float field parses unconverted, so the config serializes back to the same text."""
+        raw = minimal_linear_decay()
+        raw["params"]["mu"] = 1
+        raw["fit_window"] = [1, 6]
+        cfg = config_from_dict(raw)
+        assert type(cfg.params.mu) is int and cfg.fit_window == (1.0, 6.0)
+        assert '"mu": 1,' in serialize_config(cfg)
+        assert config_from_dict(json.loads(serialize_config(cfg))) == cfg
+        for window in ([1.0, "6"], [True, 6.0]):
+            raw["fit_window"] = window
+            with pytest.raises(ValidationError, match=r"fit_window must be a \[lo, hi\] pair"):
+                config_from_dict(raw)
+        raw = minimal_linear_decay()
+        raw["exponents"]["q"] = None
+        with pytest.raises(ValidationError, match="q must not be null"):
+            config_from_dict(raw)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_record_fields_are_the_schema(self, kind):
         """A kind's record accepts exactly its pinned keys, and requires the fields without a default."""

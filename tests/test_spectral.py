@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import nsklab.spectral as spectral_mod
 from conftest import fd4, random_params, random_spectrum, wavevector_of_index
 from nsklab.analysis import half_power, lp_norm, measure_semigroup_decay, spectral_l2_norm
 from nsklab.errors import ConstraintViolation, EmptyLowBand, GridMismatch
+from nsklab.fields import curl_mixture_momentum_state, riesz_momentum_pair, transverse_packet
 from nsklab.model import Grid, SpectralState, State, gaussian_bump
 from nsklab.spectral import (
     CutoffSpec,
@@ -196,14 +198,16 @@ class TestSemigroupOrbit:
         rng = np.random.default_rng(17)
         for dim in (1, 2, 3):
             g = Grid(dim=dim, box_len=5.0, n=8)
-            orbit = SemigroupOrbit(random_spectrum(g, rng), oscillatory_params)
+            data = random_spectrum(g, rng)
+            orbit = SemigroupOrbit(data, oscillatory_params)
             ws = Workspace(g, theta_only=True)
             for t in (0.0, 0.3, 2.5):
                 hat = orbit.halves(t, ws)
                 assert hat.shape == (1,) + g.half_shape  # the theta row alone
-                assert np.array_equal(hat[0], hermitian_half(apply_semigroup(orbit.data, oscillatory_params, t).theta_hat, g))
-        orbit = SemigroupOrbit(random_spectrum(g, rng), positive_params)
-        want = hermitian_half(apply_semigroup(orbit.data, positive_params, 1.1).theta_hat, g)
+                assert np.array_equal(hat[0], hermitian_half(apply_semigroup(data, oscillatory_params, t).theta_hat, g))
+        data = random_spectrum(g, rng)
+        orbit = SemigroupOrbit(data, positive_params)
+        want = hermitian_half(apply_semigroup(data, positive_params, 1.1).theta_hat, g)
         assert np.array_equal(orbit.halves(1.1, Workspace(g, theta_only=True))[0], want)
 
     @pytest.mark.parametrize("dim, n, box_len", [(3, 64, 96.0), (2, 512, 96.0), (3, 32, 16.0)])
@@ -222,9 +226,10 @@ class TestSemigroupOrbit:
 
     def test_rejects_negative_time(self, unit_params):
         g = Grid(dim=2, box_len=3.0, n=8)
-        orbit = SemigroupOrbit(random_spectrum(g, np.random.default_rng(2)), unit_params)
+        data = random_spectrum(g, np.random.default_rng(2))
+        orbit = SemigroupOrbit(data, unit_params)
         with pytest.raises(ValueError):
-            apply_semigroup(orbit.data, unit_params, -0.1)
+            apply_semigroup(data, unit_params, -0.1)
         for theta_only in (False, True):
             with pytest.raises(ValueError):
                 orbit.halves(-0.1, Workspace(g, theta_only=theta_only))
@@ -234,7 +239,7 @@ class TestSemigroupOrbit:
         g = Grid(dim=2, box_len=3.0, n=8)
         data = random_spectrum(g, np.random.default_rng(3))
         orbits = [SemigroupOrbit(data, unit_params), SemigroupOrbit(frequency_band(data, default_cutoff(g), "low"), unit_params)]
-        assert orbits[1].data.grid.n == 4
+        assert orbits[1].eval_grid.n == 4
         monkeypatch.setattr(spectral_mod, "propagator_kernels", lambda p, x, t: (np.full(np.shape(x), np.nan),) * 4)
         for orbit in orbits:
             for theta_only in (False, True):
@@ -243,19 +248,46 @@ class TestSemigroupOrbit:
         with pytest.raises(ConstraintViolation):
             apply_semigroup(data, unit_params, 1.0)
 
-    def test_non_finite_momentum_rejected(self, unit_params):
-        """Each momentum component is checked before it is projected, not only theta."""
+    def test_non_finite_momentum_rejected(self, unit_params, monkeypatch):
+        """Each momentum component is checked, not only theta: a heat kernel that is infinite at one |xi|^2 only
+        reaches the momentum rows."""
         g = Grid(dim=2, box_len=3.0, n=8)
-        data = random_spectrum(g, np.random.default_rng(4))
-        hat = data.hat.copy()
-        orbit = SemigroupOrbit(SpectralState(grid=g, hat=hat), unit_params)
-        hat[2, 1, 2] = np.inf  # m_1, after validation, so only the read-out sees it
+        orbit = SemigroupOrbit(random_spectrum(g, np.random.default_rng(4)), unit_params)
+        kernels = spectral_mod.propagator_kernels
+
+        def heat_blows_up(params, xi_sq, t):
+            *rest, heat = kernels(params, xi_sq, t)
+            return (*rest, np.where(xi_sq == xi_sq[1], np.inf, heat))
+
+        monkeypatch.setattr(spectral_mod, "propagator_kernels", heat_blows_up)
         with pytest.raises(ConstraintViolation), np.errstate(invalid="ignore"):
             orbit.halves(0.5, Workspace(g))
         assert np.all(np.isfinite(orbit.halves(0.5, Workspace(g, theta_only=True))[0]))
 
 
 READOUT_GRIDS = [(1, 16), (2, 8), (3, 8), (4, 4)]
+
+
+def real_field_spectrum(grid, rng):
+    """The full spectrum of random real rows: Hermitian, Nyquist planes included."""
+    rows = rng.standard_normal((grid.dim + 1,) + grid.shape)
+    return SpectralState(grid=grid, hat=np.stack([spectral_mod.fftn(row) for row in rows]))
+
+
+def readout_inputs(grid, rng):
+    """A non-Hermitian spectrum with Nyquist content; the spectrum of a real field, and that spectrum with about
+    10% of its modes perturbed; and the output of every generator that builds data on the grid's dimension."""
+    real = real_field_spectrum(grid, rng)
+    hat = real.hat.copy()
+    hit = rng.random(hat.shape) < 0.1
+    hat[hit] += rng.standard_normal(np.count_nonzero(hit)) + 1j * rng.standard_normal(np.count_nonzero(hit))
+    inputs = [random_spectrum(grid, rng), real, SpectralState(grid=grid, hat=hat)]
+    inputs += riesz_momentum_pair(grid, grid.dim / 2, 0.98 * grid.box_len / 4, rng=rng)
+    if grid.dim >= 2:
+        inputs.append(transverse_packet(grid, grid.box_len / 8))
+    if grid.dim in (2, 3):
+        inputs.append(curl_mixture_momentum_state(grid, 2.5, 0.3 * grid.box_len / 8, grid.box_len / 8))
+    return inputs
 
 
 class TestWorkspaceReadOut:
@@ -266,22 +298,41 @@ class TestWorkspaceReadOut:
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     @pytest.mark.parametrize("regime", REGIMES)
     def test_halves_bitwise_equal_to_projected_orbit(self, dim, n, regime):
-        """Both modes, at several t in one workspace, on non-Hermitian spectra with Nyquist content and on their
-        low band under the default cutoff, which runs on a coarser grid."""
+        """Both modes, at several t in one workspace, on every input of :func:`readout_inputs` and on its low band
+        under the default cutoff, which runs on a coarser grid."""
         rng = np.random.default_rng(900 + 10 * dim + REGIMES.index(regime))
         g = Grid(dim=dim, box_len=float(rng.uniform(2.0, 8.0)), n=n)
         params = random_params(rng, regime)
-        data = random_spectrum(g, rng)
         full, theta_only = Workspace(g), Workspace(g, theta_only=True)
-        for data in (data, frequency_band(data, default_cutoff(g), "low")):
-            orbit = SemigroupOrbit(data, params)
-            for t in self.TIMES:
-                want = apply_semigroup(data, params, t)
-                hat = orbit.halves(t, full)
-                assert np.array_equal(hat[0], hermitian_half(want.theta_hat, g))
-                assert np.array_equal(hat[1:], hermitian_half(want.m_hat, g))
-                assert np.array_equal(orbit.halves(t, theta_only)[0], hermitian_half(want.theta_hat, g))
-        assert orbit.data.grid.n == n // 2
+        for datum in readout_inputs(g, rng):
+            for data in (datum, frequency_band(datum, default_cutoff(g), "low")):
+                orbit = SemigroupOrbit(data, params)
+                for t in self.TIMES:
+                    want = apply_semigroup(data, params, t)
+                    hat = orbit.halves(t, full)
+                    assert np.array_equal(hat[0], hermitian_half(want.theta_hat, g))
+                    assert np.array_equal(hat[1:], hermitian_half(want.m_hat, g))
+                    assert np.array_equal(orbit.halves(t, theta_only)[0], hermitian_half(want.theta_hat, g))
+            assert orbit.eval_grid.n == n // 2  # the low band's
+
+    @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
+    def test_mirror_set_of_a_real_field_is_its_nyquist_modes(self, dim, n, unit_params):
+        """The spectrum of a real field is Hermitian, so only its Nyquist-index modes carry their mirror; a mode
+        bumped off them joins the set (its half-layout representative), and a non-Hermitian spectrum mirrors all."""
+        rng = np.random.default_rng(960 + dim)
+        g = Grid(dim=dim, box_len=4.0, n=n)
+        nyquist = np.flatnonzero(np.any(np.indices(g.half_shape) == n // 2, axis=0))
+        real = real_field_spectrum(g, rng)
+        assert np.array_equal(SemigroupOrbit(real, unit_params).mirror, nyquist)
+        hat = real.hat.copy()
+        # (1, .., 1) is a half mode; (1, .., 1, n - 1) is not, and its mirror (n - 1, .., n - 1, 1) is
+        inside, outside = (1,) * dim, (1,) * (dim - 1) + (n - 1,)
+        hat[(rng.integers(dim + 1),) + inside] += 0.5j
+        hat[(rng.integers(dim + 1),) + outside] += 0.25
+        bumped = [np.ravel_multi_index(k, g.half_shape) for k in (inside, (n - 1,) * (dim - 1) + (1,))]
+        got = SemigroupOrbit(SpectralState(grid=g, hat=hat), unit_params).mirror
+        assert np.array_equal(got, np.union1d(nyquist, bumped))
+        assert SemigroupOrbit(random_spectrum(g, rng), unit_params).mirror.size == math.prod(g.half_shape)
 
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     def test_reused_workspace_equals_fresh_one(self, dim, n, oscillatory_params):
@@ -291,7 +342,7 @@ class TestWorkspaceReadOut:
         data = [random_spectrum(g, rng) for _ in range(2)]
         data.append(frequency_band(data[0], default_cutoff(g), "low"))
         orbits = [SemigroupOrbit(d, oscillatory_params) for d in data]
-        assert orbits[2].data.grid.n < n
+        assert orbits[2].eval_grid.n < n
         for theta_only in (False, True):
             ws = Workspace(g, theta_only=theta_only)
             for buf in vars(ws).values():
@@ -312,7 +363,7 @@ class TestWorkspaceReadOut:
         th = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         m_hat = rng.standard_normal((dim,) + shape) + 1j * rng.standard_normal((dim,) + shape)
         block = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, half=half)
-        a_hat = spectral_mod.longitudinal_amplitude(m_hat, g, half)
+        a_hat = spectral_mod.longitudinal_amplitude(m_hat, g.wavevectors(half), g.xi_sq_of(half))
         for theta_hat in (th, None):
             w = block.lg * a_hat
             if theta_hat is not None:
@@ -333,8 +384,11 @@ class TestEvaluationGrid:
         g = Grid(dim=dim, box_len=6.0, n=n)
         band = frequency_band(random_spectrum(g, np.random.default_rng(40 + dim)), default_cutoff(g), "low")
         orbit = SemigroupOrbit(band, unit_params)
-        assert orbit.data.grid == Grid(dim=dim, box_len=6.0, n=n // 2) and orbit.grid is g
-        assert np.count_nonzero(orbit.data.hat) == np.count_nonzero(band.hat)
+        assert orbit.eval_grid == Grid(dim=dim, box_len=6.0, n=n // 2) and orbit.grid is g
+        # no nonzero mode is lost: S(0) reads the band's projection back, every nonzero mode of it
+        back = orbit.halves(0.0, Workspace(g))
+        assert np.count_nonzero(back) == np.count_nonzero(hermitian_half(band.hat, g))
+        assert np.array_equal(back, hermitian_half(apply_semigroup(band, unit_params, 0.0).hat, g))
 
     @pytest.mark.parametrize("index, coarse_n", [(-4, 16), (4, 16), (-3, 8), (3, 8)])
     def test_mode_at_half_the_coarse_grid_is_not_coarsened(self, index, coarse_n, unit_params):
@@ -342,13 +396,12 @@ class TestEvaluationGrid:
         g = Grid(dim=2, box_len=6.0, n=32)
         hat = np.zeros((3,) + g.shape, dtype=complex)
         hat[1, 0, index % g.n] = 1.0 - 2.0j
-        assert SemigroupOrbit(SpectralState(grid=g, hat=hat), unit_params).data.grid.n == coarse_n
+        assert SemigroupOrbit(SpectralState(grid=g, hat=hat), unit_params).eval_grid.n == coarse_n
 
     def test_high_band_runs_on_its_own_grid(self, unit_params):
         g = Grid(dim=3, box_len=6.0, n=16)
         data = frequency_band(random_spectrum(g, np.random.default_rng(5)), default_cutoff(g), "high")
-        orbit = SemigroupOrbit(data, unit_params)
-        assert orbit.data is data and orbit.data.grid is g
+        assert SemigroupOrbit(data, unit_params).eval_grid is g
 
 
 class TestFrequencySplit:
