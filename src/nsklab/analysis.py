@@ -19,8 +19,10 @@ last-axis planes 0 and n/2, and every first-derivative multiplier is
 (what ``.real`` of a derivative round trip keeps), so the values equal the
 real-space norms of the same fields to rounding.
 
-A series forms only the band it measures, evolves it on the coarsest grid that
-holds it and reads every sample into one :class:`nsklab.spectral.Workspace`.
+A series hands its datum to a :class:`nsklab.spectral.SemigroupOrbit`, which
+forms only the band it measures, on the half layout of the coarsest grid that
+holds it; the datum is freed once the orbit is built, and every sample is read
+into one :class:`nsklab.spectral.Workspace`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .spectral import (
     Workspace,
     default_cutoff,
     derivative,
-    frequency_band,
     irfftn,
     low_band_mode_count,
     multi_indices,
@@ -56,13 +57,20 @@ DEFAULT_FIT_WINDOW = (5.0, 50.0)
 
 
 def _magnitude(field_arr: np.ndarray, grid: Grid) -> np.ndarray:
-    """Collapse leading component axes to the pointwise Euclidean magnitude."""
+    """Collapse leading component axes to the pointwise Euclidean magnitude, the input untouched.
+
+    The squares are added into one buffer in component order, the order of np.sum over the leading axis.
+    """
     arr = np.asarray(field_arr)
-    extra = arr.ndim - grid.dim
-    if extra == 0:
+    if arr.ndim == grid.dim:
         return np.abs(arr)
-    flat = arr.reshape((-1,) + grid.shape)
-    return np.sqrt(np.sum(np.abs(flat) ** 2, axis=0))
+    comps = arr.reshape((-1,) + grid.shape)
+    mag = np.abs(comps[0])
+    np.square(mag, out=mag)
+    square = np.empty_like(mag)
+    for comp in comps[1:]:
+        mag += np.square(np.abs(comp, out=square), out=square)
+    return np.sqrt(mag, out=mag)
 
 
 def _magnitude_in_place(stack: np.ndarray) -> np.ndarray:
@@ -84,8 +92,9 @@ def lp_norms(field_arr: np.ndarray, grid: Grid, qs) -> list:
 
 
 def _lp_norms_of_magnitude(mag: np.ndarray, grid: Grid, qs) -> list:
-    """lp_norms of a field given its pointwise magnitude."""
+    """lp_norms of a field given its pointwise magnitude; every mag**q is formed in one scratch buffer."""
     out = []
+    power = None
     for q in qs:
         if np.isinf(q):
             out.append(float(np.max(mag)))
@@ -93,31 +102,38 @@ def _lp_norms_of_magnitude(mag: np.ndarray, grid: Grid, qs) -> list:
         q = float(q)
         if q < 1.0:
             raise ValueError("q in [1, inf] required")
-        out.append(float(np.sum(mag**q) ** (1.0 / q) * grid.cell_volume ** (1.0 / q)))
+        power = np.power(mag, q, out=power)
+        out.append(float(np.sum(power) ** (1.0 / q) * grid.cell_volume ** (1.0 / q)))
     return out
 
 
-def spectral_l2_norm(power: np.ndarray, grid: Grid, weight=None) -> float:
+def spectral_l2_norm(power: np.ndarray, grid: Grid, weight=None, out=None) -> float:
     """Grid L2 norm by Parseval from a power spectrum, sum over components of |f_c hat|^2.
 
     weight (broadcastable, e.g. xi_k^2 for the partial d_k) multiplies the
-    power mode by mode.  The DFT weight cell_volume / mode_count makes the
+    power mode by mode, into ``out`` if given.  The DFT weight cell_volume / mode_count makes the
     result equal lp_norm(f, grid, 2) of the real field whose DFT has that power.
     """
-    total = np.sum(power) if weight is None else np.sum(weight * power)
+    total = np.sum(power) if weight is None else np.sum(np.multiply(weight, power, out=out))
     return float(np.sqrt(grid.cell_volume / grid.mode_count * total))
 
 
-def half_power(half: np.ndarray, grid: Grid) -> np.ndarray:
+def half_power(half: np.ndarray, grid: Grid, out=None) -> np.ndarray:
     """|half|^2 summed over any leading component axis, each mode weighted by its mirror multiplicity.
 
     The weight is 1 on the self-mirror last-axis planes 0 and n/2 and 2
     elsewhere, so the sum is the power of the full spectrum of the real field.
+    ``out``, three half-layout real rows (made here by default), receives it
+    in its first row; the other two are scratch.
     """
+    total, sq_re, sq_im = np.empty((3,) + grid.half_shape) if out is None else out[:3]
     comps = half.reshape((-1,) + grid.half_shape)
-    total = comps[0].real ** 2 + comps[0].imag ** 2
+    np.square(comps[0].real, out=total)
+    total += np.square(comps[0].imag, out=sq_im)
     for comp in comps[1:]:
-        total += comp.real**2 + comp.imag**2
+        np.square(comp.real, out=sq_re)
+        sq_re += np.square(comp.imag, out=sq_im)
+        total += sq_re
     total[..., 1 : grid.n // 2] *= 2.0
     return total
 
@@ -351,7 +367,7 @@ class _TrustGeometry:
             hit = int(np.searchsorted(np.cumsum(mass), 0.99 * total))
             radius = (hit + 1) * self.box_len / self.nbins
         peak = float(mag.max())
-        leak = float(mag[self.shell].max() / peak) if peak != 0.0 and self.any_shell else 0.0
+        leak = float(np.max(mag, where=self.shell, initial=0.0) / peak) if peak != 0.0 and self.any_shell else 0.0
         return radius, leak
 
 
@@ -399,28 +415,29 @@ def measure_semigroup_decay(
     band).  The trust window ends at the first sample whose 99%-mass radius
     about the box center exceeds a quarter of the box.
 
-    Only the kept band of the datum is formed, and S(t) runs on the coarsest
-    grid that holds it (:class:`nsklab.spectral.SemigroupOrbit`): n/2 for the
-    low band under the default cutoff, n for the high band.  Every norm is
-    taken on the data's grid, of the half spectrum of the evolved real field,
-    which :meth:`nsklab.spectral.SemigroupOrbit.halves` forms on the half
-    layout, its mirror set included.  For p = 2 it comes by Parseval
-    from its power (:func:`half_power`), with the Nyquist-zeroed first-order
-    multipliers of :func:`nsklab.spectral.derivative`; otherwise each
-    derivative is one ``irfftn`` of the half spectrum times the same
-    multiplier.  Only the trust diagnostics need the real fields: dim + 1
-    ``irfftn`` per sample at p = 2.
+    The datum goes to a :class:`nsklab.spectral.SemigroupOrbit`, which forms
+    only the kept band, a row at a time and never on the full layout, and runs
+    S(t) on the coarsest grid that holds it: n/2 for the low band under the
+    default cutoff, n for the high band.  A caller that hands the datum over
+    and keeps no reference has it freed once the orbit is built, before the
+    series' workspace is allocated.  Every norm is taken on the data's grid,
+    of the half spectrum of the evolved real field, which
+    :meth:`nsklab.spectral.SemigroupOrbit.halves` forms on the half layout,
+    its mirror set included.  For p = 2 it comes by Parseval from its power
+    (:func:`half_power`, summed in the workspace's coefficient rows), with the
+    Nyquist-zeroed first-order multipliers of
+    :func:`nsklab.spectral.derivative`; otherwise each derivative is one
+    ``irfftn`` of the half spectrum times the same multiplier.  Only the trust
+    diagnostics need the real fields: dim + 1 ``irfftn`` per sample at p = 2.
     """
     grid = data.grid
     if cutoff is None:
         cutoff = default_cutoff(grid)
-    if band not in ("low", "high", "full"):
-        raise ValueError("band must be low, high or full")
     if j not in (0, 1):
         raise ValueError("j in {0, 1} supported")
-    orbit = SemigroupOrbit(data if band == "full" else frequency_band(data, cutoff, band), params)
-    # CPython moves call arguments into the callee's frame: for a caller that passes its datum
-    # straight in (runner._linear_decay_report) this drops the last reference and frees it
+    orbit = SemigroupOrbit(data, params, band, cutoff)
+    # CPython moves call arguments into the callee's frame: for a caller that passes its datum straight in
+    # (runner._linear_decay_report) this drops the last reference, so the datum is freed before the workspace exists
     del data
     trust = _TrustGeometry(grid)
     ws = Workspace(grid)
@@ -449,38 +466,43 @@ def _series_measurement(sample, times, descriptor: dict, grid: Grid, cutoff: Cut
 def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, p, j: int, w10: bool, trust):
     """(norm value, mass radius, edge leakage) of the orbit's sample at t, read out into the series' workspace.
 
-    |theta| and |m| are formed in place (in theta and m[0]); the trust diagnostics take the one whose components peak higher.
+    |theta| and |m| are formed in place (in theta and m[0]); the trust diagnostics take the one whose components peak
+    higher.  At p = 2 the value is then summed in ``ws.coeffs``, whose memory m shares.
     """
     grid = orbit.grid
     hat = orbit.halves(t, ws)
-    theta = irfftn(hat[0], grid)
     for c in range(grid.dim):
         ws.m[c] = irfftn(hat[1 + c], grid)
+    theta = irfftn(hat[0], grid)  # after m: one transform's output at a time is held outside the workspace
     m_max = max(np.max(ws.m), -np.min(ws.m))
     theta_mag = np.abs(theta, out=theta)
     m_mag = _magnitude_in_place(ws.m)
+    diagnostics = trust.diagnostics(theta_mag if np.max(theta_mag) > m_max else m_mag)
     if p == 2:
-        value = _pair_l2_by_parseval(hat, j, w10, grid)
+        value = _pair_l2_by_parseval(hat, j, w10, grid, ws.coeffs)
     else:
         value = _pair_lp_from_halves(hat, theta_mag, m_mag, p, j, w10, grid)
-    mag = theta_mag if np.max(theta_mag) > m_max else m_mag
-    return (value, *trust.diagnostics(mag))
+    return (value, *diagnostics)
 
 
-def _pair_l2_by_parseval(hat: np.ndarray, j: int, w10: bool, grid: Grid) -> float:
-    """L2 value of one decay sample from the half-spectrum stack of its fields, with no transform."""
+def _pair_l2_by_parseval(hat: np.ndarray, j: int, w10: bool, grid: Grid, buf: np.ndarray) -> float:
+    """L2 value of one decay sample from the half-spectrum stack of its fields, with no transform.
+
+    Every power runs in ``buf``, four half-layout real rows: three for :func:`half_power`, one for |xi|^2.
+    """
     weights = [abs(derivative(grid, e)) ** 2 for e in multi_indices(grid.dim, 1)]
-    p_theta = half_power(hat[0], grid)
-    p_m = half_power(hat[1:], grid)
-    if j == 1:
-        # sum_k |d_k f_hat|^2 is the power of the stacked gradient
-        xi_sq = sum(weights)
-        p_theta *= xi_sq
-        p_m *= xi_sq
+    # sum_k |d_k f_hat|^2 is the power of the stacked gradient; the partial sums broadcast to a row only at the end
+    xi_sq = np.add(sum(weights[:-1]), weights[-1], out=buf[3]) if j == 1 else None
+
+    def power(rows):
+        p = half_power(rows, grid, buf)
+        return p if xi_sq is None else np.multiply(p, xi_sq, out=p)
+
+    p_theta = power(hat[0])
     th_part = spectral_l2_norm(p_theta, grid)
     if w10:
-        th_part += sum(spectral_l2_norm(p_theta, grid, w) for w in weights)
-    return th_part + spectral_l2_norm(p_m, grid)
+        th_part += sum(spectral_l2_norm(p_theta, grid, w, out=buf[1]) for w in weights)
+    return th_part + spectral_l2_norm(power(hat[1:]), grid)
 
 
 def _pair_lp_from_halves(hat, theta_mag, m_mag, p, j: int, w10: bool, grid: Grid) -> float:
@@ -556,7 +578,7 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
     if scn.amplitude == 0.0:
         return AblationResult(None, None, None, skipped=True, reason="zero initial data")
     rng = np.random.default_rng(scn.seed)
-    # (divergence, generic), each handed over to its series, which frees it once its band is formed
+    # (divergence, generic), each handed over to its series, which frees it once its orbit is built
     pair = list(riesz_momentum_pair(scn.grid, scn.gamma, scn.support_radius, rng=rng, amplitude=scn.amplitude))
     cutoff = CutoffSpec(eps=scn.cutoff_eps) if scn.cutoff_eps else default_cutoff(scn.grid)
     ws = Workspace(scn.grid, theta_only=True)
@@ -593,12 +615,13 @@ def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
 def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutoff: CutoffSpec, p, ws=None) -> DecayMeasurement:
     """Low-band theta-component norm series of the linear flow (ablation measurand).
 
-    S(t) runs on the coarsest grid that holds the band (n/2 under the default cutoff); samples are read out on n.
-    ``ws``, a theta-only :class:`nsklab.spectral.Workspace`, lets series share buffers; by default it is made here.
+    The orbit forms the low band of the datum and runs S(t) on the coarsest grid that holds it (n/2 under the
+    default cutoff); samples are read out on n.  A datum handed over is freed once the orbit is built.  ``ws``, a
+    theta-only :class:`nsklab.spectral.Workspace`, lets series share buffers; by default it is made here.
     """
     grid = data.grid
-    orbit = SemigroupOrbit(frequency_band(data, cutoff, "low"), params)
-    del data  # the last reference when the caller handed the datum over, as divergence_form_ablation does
+    orbit = SemigroupOrbit(data, params, "low", cutoff)
+    del data  # the last reference when the caller handed the datum over, as divergence_form_ablation does: freed here
     trust = _TrustGeometry(grid)
     ws = ws or Workspace(grid, theta_only=True)
 

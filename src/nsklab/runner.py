@@ -163,7 +163,7 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     grid = _grid_from_config(cfg)
     rng = np.random.default_rng(cfg.seed)
     cutoff = CutoffSpec(eps=cfg.cutoff_eps) if cfg.cutoff_eps else default_cutoff(grid)
-    # the datum is passed straight in: the measurement holds its only reference and frees it once its band is formed
+    # the datum is passed straight in: the measurement holds its only reference and frees it once its orbit is built
     meas: DecayMeasurement = measure_semigroup_decay(
         _build_data(cfg, grid, rng),
         params,

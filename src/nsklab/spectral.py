@@ -12,10 +12,10 @@ semigroup reads
 and the ETDRK2 forcing h phi_k(hA) on (0, g) is the same block with
 theta_hat = 0.  The coefficients depend on xi only through |xi|^2, so they
 are evaluated once per distinct |xi|^2 of the grid (``Grid.radial_table``)
-and gathered per mode.  :class:`SemigroupOrbit` forms a_hat once per datum,
-so a series of samples of S(t) data only re-evaluates the time-dependent
-kernels, and reads each sample out into the half-spectrum stack of one
-:class:`Workspace` per series.
+and gathered per mode.  :class:`SemigroupOrbit` forms the band of a datum
+(low, high or full under a cutoff) and its a_hat once, so a series of samples
+of S(t) Phi data only re-evaluates the time-dependent kernels, and reads each
+sample out into the half-spectrum stack of one :class:`Workspace` per series.
 
 Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 (numpy's default).  Norms in :mod:`nsklab.analysis` carry the quadrature
@@ -29,9 +29,10 @@ applies a block on its layout; :func:`apply_semigroup`, :class:`SemigroupOrbit`
 and :func:`frequency_split` take every mode and reject a half-layout state
 with ``GridMismatch``.  Every real read-out is ``irfftn`` of a half spectrum,
 row by row; a full spectrum g is first projected by :func:`hermitian_half`,
-(g(xi) + conj g(-xi)) / 2.  An orbit evaluates S(t) on the half layout of
-the coarsest grid that holds its datum.  Off its mirror set, the Nyquist
-indices and the modes where the datum is not Hermitian, that projection of
+(g(xi) + conj g(-xi)) / 2.  An orbit forms its band a row at a time, never on
+the full layout, and evaluates S(t) on the half layout of the coarsest grid
+that holds the band.  Off its mirror set, the Nyquist indices and the modes
+where the band is not Hermitian, that projection of
 the image is the image itself; on the set the orbit also applies the block
 to the mirror modes and projects.  It zero-pads the stack back, which is
 exact for a band-limited spectrum (trigonometric interpolation).
@@ -237,8 +238,9 @@ class Workspace:
 
     ``hat`` is the half-spectrum stack a read-out fills: the theta row alone if theta_only, else all dim + 1 rows.
     A sample's block coefficients (and w) run in the leading elements of the half-layout buffers ``coeffs`` (and
-    ``w``), sized on its orbit's evaluation grid.  ``m``, the caller's real momentum, shares the coefficients'
-    memory: a read-out is done with its coefficients once it returns.
+    ``w``, which follows them in one buffer), sized on its orbit's evaluation grid.  ``m``, the caller's real
+    momentum, shares that memory, and so may the caller's own rows in ``coeffs`` once it is done with m: a read-out
+    is done with its coefficients and w once it returns.
     """
 
     def __init__(self, grid: Grid, *, theta_only: bool = False):
@@ -248,9 +250,10 @@ class Workspace:
         if theta_only:
             self.coeffs = np.empty(coeffs)
         else:
-            shared = np.empty(max(math.prod(coeffs), grid.dim * grid.mode_count))
+            size, w_size = math.prod(coeffs), 2 * math.prod(grid.half_shape)
+            shared = np.empty(max(size + w_size, grid.dim * grid.mode_count))
             self.coeffs, self.m = _leading(shared, coeffs), _leading(shared, (grid.dim,) + grid.shape)
-            self.w = np.empty(grid.half_shape, dtype=complex)
+            self.w = shared[size : size + w_size].view(complex).reshape(grid.half_shape)
 
 
 def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
@@ -258,54 +261,110 @@ def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _band_grid(data: SpectralState) -> Grid:
-    """The coarsest grid of the box whose full spectrum holds every nonzero mode of ``data``: the smallest power of
-    two m with |alias| < m/2 on every axis of every such mode, or ``data.grid`` if m is not below its n."""
-    grid, support = data.grid, np.any(data.hat, axis=0)
+def _band_values(values: np.ndarray, phi: np.ndarray | None, band: str, out: np.ndarray) -> np.ndarray:
+    """The band of spectrum ``values`` whose cutoff values are ``phi``, into ``out``: phi U (low), U - phi U (high), or
+    U where ``phi`` is None (full); the per-mode operations of :func:`frequency_band`."""
+    if phi is None:
+        np.copyto(out, values)
+        return out
+    np.multiply(phi, values, out=out)
+    if band == "high":
+        np.subtract(values, out, out=out)
+    return out
+
+
+def _cutoff_values(cutoff: CutoffSpec | None, xi_sq: np.ndarray) -> np.ndarray | None:
+    return None if cutoff is None else cutoff(np.sqrt(xi_sq))
+
+
+def _band_grid(hat: np.ndarray, grid: Grid, band: str, cutoff: CutoffSpec | None) -> Grid:
+    """The coarsest grid of the box whose full spectrum holds every nonzero mode of the band of ``hat``: the smallest
+    power of two m with |alias| < m/2 on every axis of every such mode, or ``grid`` if m is not below its n.
+
+    The band's nonzero modes are found a row and a half of the last axis at a time.
+    """
+    support = np.zeros(grid.shape, dtype=bool)
+    for cut in (slice(0, grid.n // 2 + 1), slice(grid.n // 2 + 1, None)):
+        part = (Ellipsis, cut)
+        phi = _cutoff_values(cutoff, grid.xi_sq[part])
+        buf = np.empty(support[part].shape, dtype=complex)
+        for row in hat:
+            support[part] |= _band_values(row[part], phi, band, buf) != 0.0
     spans = [np.any(np.moveaxis(support, ax, 0).reshape(grid.n, -1), axis=1) for ax in range(grid.dim)]
     reach = max(int(np.abs(grid.axis_aliases())[span].max(initial=0)) for span in spans)
     m = 2 << reach.bit_length()
     return grid if m >= grid.n else Grid(dim=grid.dim, box_len=grid.box_len, n=m)
 
 
-class SemigroupOrbit:
-    """The orbit t -> S(t) data of one datum, evaluated on the half layout of the coarsest grid that holds the datum.
+def _band_halves(hat: np.ndarray, fine: Grid, grid: Grid, band: str, cutoff: CutoffSpec | None):
+    """(half stack, mirror set, mirror values) of the band of ``hat``, a full-layout stack on ``fine``, on the half
+    layout of ``grid``, a grid of the same box that holds the band.
 
-    ``eval_grid`` (:func:`_band_grid`): a low band under the default cutoff (|alias| < n/4) runs on n/2; a datum with
+    The band is formed a row at a time, at those modes and their mirrors -xi, with one half-layout row of mirror
+    values; the mirror set holds every half mode on a Nyquist index of some axis, and every one where the band is not
+    Hermitian in some row, and the mirror values are formed again there.  |xi|^2 is even bit for bit, so one table
+    of cutoff values serves a mode and its mirror.
+    """
+    # per axis, the fine index of each index i of grid, and of its mirror -i mod m
+    modes = grid.axis_aliases() % fine.n
+    own, mirror = ([ax] * (grid.dim - 1) + [ax[: grid.n // 2 + 1]] for ax in (modes, modes[-np.arange(grid.n) % grid.n]))
+    phi = _cutoff_values(cutoff, grid.xi_sq_of(half=True))
+    half = (Ellipsis, slice(0, grid.n // 2 + 1)) if grid is fine else np.ix_(*own)
+    mirrored = np.ix_(*mirror)
+    datum = np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex)
+    buf = np.empty(grid.half_shape, dtype=complex)
+    carries = functools.reduce(np.logical_or, (i == grid.n // 2 for i in np.indices(grid.half_shape, sparse=True)))
+    for row, own_row in zip(hat, datum):
+        _band_values(row[half], phi, band, own_row)
+        carries |= own_row != np.conjugate(_band_values(row[mirrored], phi, band, buf), out=buf)
+    at = np.flatnonzero(carries)
+    fine_at = tuple(ax[i] for ax, i in zip(mirror, np.unravel_index(at, grid.half_shape)))
+    phi_at = None if phi is None else phi.reshape(-1)[at]
+    mirror_datum = np.empty((grid.dim + 1, at.size), dtype=complex)
+    for row, mir in zip(hat, mirror_datum):
+        _band_values(row[fine_at], phi_at, band, mir)
+    return datum, at, mirror_datum
+
+
+class SemigroupOrbit:
+    """The orbit t -> S(t) Phi data of the band Phi data of one datum (``band`` low, high or full, under ``cutoff``,
+    by default :func:`default_cutoff`), evaluated on the half layout of the coarsest grid that holds the band.
+
+    ``eval_grid`` (:func:`_band_grid`): a low band under the default cutoff (|alias| < n/4) runs on n/2; a band with
     content at the Nyquist alias, such as a high band, on its own grid.  That grid's wavevectors, |xi|^2 and radial
     table are the fine grid's floats, so kernels, coefficients and image are the fine ones bit for bit; ``grid`` is
-    the fine grid of the read-outs.
+    the fine grid of the datum and of the read-outs.
 
-    The orbit keeps the datum's half stack and its a_hat on the evaluation grid's half layout, and, on the mirror
-    set ``mirror`` (flat indices into that layout), the datum, wavevectors and a_hat of the mirror modes -xi.  A half
-    mode is in the mirror set if it lies on a Nyquist index of some axis, or if the datum is not Hermitian there
-    (U(-xi) != conj U(xi) in some row).  Off the mirror set the datum is Hermitian and the block is mirror-symmetric
-    (its coefficients are functions of |xi|^2 and its odd xi factors change sign), so the image's Hermitian
-    projection is the image itself; on a Nyquist index the odd factors do not change sign.  The full-layout datum
-    is not kept.  Each sample evaluates the kernels on the radial table and is read out by :meth:`halves` into a
+    The band is never formed on the full layout.  The orbit forms it from the datum a row at a time, with the per-mode
+    operations of :func:`frequency_band`: first on each half of the last axis, for the nonzero modes that choose
+    ``eval_grid``; then on that grid's half layout, which it keeps with its a_hat, and at the mirrors -xi of those
+    modes, which it keeps on the mirror set ``mirror`` (flat indices into that layout) with the wavevectors and a_hat
+    there (:func:`_band_halves`).  A half mode is in the mirror set if it lies on a Nyquist index of some axis, or if
+    the band is not Hermitian there (U(-xi) != conj U(xi) in some row).  Off the mirror set the band is Hermitian and
+    the block is mirror-symmetric (its coefficients are functions of |xi|^2 and its odd xi factors change sign), so
+    the image's Hermitian projection is the image itself; on a Nyquist index the odd factors do not change sign.  The
+    datum is not kept: a caller that hands it over and drops its own reference once the orbit is built frees it.
+    Each sample evaluates the kernels on the radial table and is read out by :meth:`halves` into a
     :class:`Workspace`, which every sample of a series reuses.
     """
 
-    def __init__(self, data: SpectralState, params: FluidParams):
+    def __init__(self, data: SpectralState, params: FluidParams, band: str = "full", cutoff: CutoffSpec | None = None):
         _require_full(data, "SemigroupOrbit")
-        self.grid = data.grid
+        if band not in ("low", "high", "full"):
+            raise ValueError("band must be low, high or full")
+        fine = self.grid = data.grid
         self.params = params
-        grid = self.eval_grid = _band_grid(data)
-        hat = data.hat
-        if grid is not self.grid:
-            modes = grid.axis_aliases() % self.grid.n  # the fine index of each coarse one
-            hat = hat[(slice(None),) + np.ix_(*[modes] * grid.dim)]
+        if band == "full":
+            cutoff = None
+        else:
+            cutoff = cutoff or default_cutoff(fine)
+            _require_low_band(fine, cutoff)
+        grid = self.eval_grid = _band_grid(data.hat, fine, band, cutoff)
+        if grid is not fine:
+            modes = grid.axis_aliases() % fine.n  # the fine index of each coarse one
             self._padded = np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex)
             self._half_modes = (Ellipsis,) + np.ix_(*[modes] * (grid.dim - 1), np.arange(grid.n // 2 + 1))
-        del data  # with hat below, the last references to the full-layout datum: it is freed before a_hat is formed
-        self._datum = np.ascontiguousarray(hat[..., : grid.n // 2 + 1])
-        mirrored = _mirror(hat, grid, np.empty_like(self._datum))
-        del hat
-        carries = functools.reduce(np.logical_or, (i == grid.n // 2 for i in np.indices(grid.half_shape, sparse=True)))
-        for own, mir in zip(self._datum, mirrored):
-            carries |= own != np.conj(mir)
-        self.mirror = np.flatnonzero(carries)
-        self._mirror_datum = mirrored.reshape(grid.dim + 1, -1)[:, self.mirror]
+        self._datum, self.mirror, self._mirror_datum = _band_halves(data.hat, fine, grid, band, cutoff)
         k = grid.wavevectors()[0].ravel()
         self._mirror_xis = [k[-i % grid.n] for i in np.unravel_index(self.mirror, grid.half_shape)]
         xi_sq = grid.xi_sq_of(half=True).reshape(-1)[self.mirror]  # |xi|^2 is even, bit for bit
@@ -402,18 +461,20 @@ def low_band_mode_count(grid: Grid, cutoff: CutoffSpec) -> int:
     return int(np.count_nonzero((xi_abs <= 2.0 * cutoff.eps) & (xi_abs > 0.0)))
 
 
-def frequency_band(spectral: SpectralState, cutoff: CutoffSpec, band: str) -> SpectralState:
-    """The low part phi * spectral or the high part spectral - phi * spectral, formed alone."""
-    _require_full(spectral, "frequency_split")
-    grid = spectral.grid
+def _require_low_band(grid: Grid, cutoff: CutoffSpec) -> None:
     if low_band_mode_count(grid, cutoff) == 0:
         raise EmptyLowBand(
             f"no nonzero mode satisfies |xi| <= 2*eps = {2 * cutoff.eps:g} "
             f"(smallest nonzero |xi| is {2 * np.pi / grid.box_len:g})"
         )
-    hat = cutoff(np.sqrt(grid.xi_sq)) * spectral.hat
-    if band == "high":
-        np.subtract(spectral.hat, hat, out=hat)
+
+
+def frequency_band(spectral: SpectralState, cutoff: CutoffSpec, band: str) -> SpectralState:
+    """The low part phi * spectral or the high part spectral - phi * spectral, formed alone."""
+    _require_full(spectral, "frequency_split")
+    grid = spectral.grid
+    _require_low_band(grid, cutoff)
+    hat = _band_values(spectral.hat, _cutoff_values(cutoff, grid.xi_sq), band, np.empty_like(spectral.hat))
     return SpectralState(grid=grid, hat=hat)
 
 

@@ -1,4 +1,6 @@
 import functools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from nsklab.errors import (
     WindowUncovered,
 )
 from nsklab.fields import curl_mixture_momentum_state, nonlinear_initial_state, riesz_momentum_pair, transverse_packet
-from nsklab.model import Grid, State, critical_quadratic, gaussian_bump, make_params
+from nsklab.model import Grid, SpectralState, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import Etd2Stepper, NonlinearScenario, StepState, _sample_norms
 from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, multi_indices, to_real, to_spectral
 
@@ -110,6 +112,28 @@ class TestLpNorms:
         g = Grid(dim=1, box_len=1.0, n=8)
         with pytest.raises(ValueError):
             lp_norms(np.ones(8), g, (2.0, 0.5))
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (3, 3), (4, 4)])
+    def test_magnitude_bitwise_equal_to_summed_squares_and_input_untouched(self, lead):
+        """The squares are added in np.sum's axis-0 order, of a strided view too, and the field is left as it was."""
+        rng = np.random.default_rng(22 + len(lead))
+        g = Grid(dim=3, box_len=5.0, n=8)
+        f = rng.standard_normal(lead + (2,) + g.shape)[..., 1, :, :, :]  # every component a strided view
+        before = f.copy()
+        want = np.abs(f) if not lead else np.sqrt(np.sum(np.abs(f.reshape((-1,) + g.shape)) ** 2, axis=0))
+        assert np.array_equal(analysis_mod._magnitude(f, g), want)
+        assert np.array_equal(f, before)
+
+    def test_norms_of_magnitude_bitwise_equal_to_powers(self):
+        """mag**q formed in one scratch buffer sums to the same value as a fresh power at every exponent the
+        toolkit measures, the ones the power loop handles as special cases (1, 2) among them."""
+        g = Grid(dim=3, box_len=5.0, n=8)
+        mag = np.abs(np.random.default_rng(23).standard_normal(g.shape))
+        qs = (1.0, 1.5, 2.0, 2.5, 4.0, 15.0, np.inf)
+        want = [
+            float(np.max(mag)) if np.isinf(q) else float(np.sum(mag**q) ** (1.0 / q) * g.cell_volume ** (1.0 / q)) for q in qs
+        ]
+        assert analysis_mod._lp_norms_of_magnitude(mag, g, qs) == want
 
 
 class TestSobolevNorm:
@@ -482,3 +506,50 @@ class TestSeriesOnOnePath:
         theta_low_band_series(data, oscillatory_params, self.TIMES, default_cutoff(g), np.inf)
         assert fft_calls == ["irfftn"] * len(self.TIMES)
         assert sum(kernel_sizes) <= g.radial_table[0].size * len(self.TIMES)
+
+
+class TestDecayMemoryBudget:
+    """A series holds at most the datum and the orbit while it forms the orbit, and the orbit and its workspace
+    while it samples: the datum handed over is freed once the orbit is built, and no full-layout band is formed.
+    Each call's tracemalloc peak, its datum included, is pinned in half stacks, (dim + 1) complex half-layout rows;
+    the full datum is n / (n/2 + 1) of them.  Forming the full-layout band, or keeping the datum while sampling,
+    adds about 1.9 half stacks to the peak."""
+
+    TIMES = (0.35, 0.8, 1.7, 3.5, 6.5)
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        """The traced peak of call(), after a first untraced call fills every per-grid cache."""
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def half_stack(grid) -> int:
+        return (grid.dim + 1) * math.prod(grid.half_shape) * np.dtype(complex).itemsize
+
+    def test_high_band_decay_series(self, oscillatory_params):
+        g = Grid(dim=3, box_len=24.0, n=32)
+        datum = curl_mixture_momentum_state(g, 2.5, 0.9, 1.75)
+
+        def call():  # the copy is made inside the trace and handed over, so no frame but the series' holds it
+            measure_semigroup_decay(
+                SpectralState(grid=g, hat=datum.hat.copy()), oscillatory_params, self.TIMES, band="high", p=2.0, j=1, w10=True
+            )
+
+        assert self.traced_peak(call) <= 5.0 * self.half_stack(g)
+
+    def test_low_band_theta_series(self, oscillatory_params):
+        g = Grid(dim=2, box_len=24.0, n=64)
+        datum = riesz_momentum_pair(g, 1.0, 0.98 * g.box_len / 4, rng=np.random.default_rng(3))[0]
+
+        def call():
+            theta_low_band_series(
+                SpectralState(grid=g, hat=datum.hat.copy()), oscillatory_params, self.TIMES, default_cutoff(g), np.inf
+            )
+
+        assert self.traced_peak(call) <= 4.5 * self.half_stack(g)

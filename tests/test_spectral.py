@@ -290,6 +290,35 @@ def readout_inputs(grid, rng):
     return inputs
 
 
+BANDS = ("full", "low", "high")
+
+
+def full_layout_band(datum, band):
+    """The band of a datum as the full-layout state it was before the orbit formed its own: frequency_band."""
+    return datum if band == "full" else frequency_band(datum, default_cutoff(datum.grid), band)
+
+
+def reference_eval_grid(band):
+    """The smallest power of two m with |alias| < m/2 on every axis of every nonzero mode of a full-layout band, or
+    the band's own grid if m is not below its n."""
+    g = band.grid
+    nonzero = np.nonzero(np.any(band.hat, axis=0))
+    reach = max(int(np.abs(g.axis_aliases()[idx]).max(initial=0)) for idx in nonzero)
+    m = 2 << reach.bit_length()
+    return g if m >= g.n else Grid(dim=g.dim, box_len=g.box_len, n=m)
+
+
+def reference_mirror_set(band, grid):
+    """Flat half-layout indices on ``grid`` of the modes on a Nyquist index of some axis and of those where the
+    full-layout band, restricted to ``grid``, is not Hermitian in some row (the mirror by np.flip then np.roll)."""
+    modes = grid.axis_aliases() % band.grid.n
+    hat = band.hat[(slice(None),) + np.ix_(*[modes] * grid.dim)]
+    axes = tuple(range(1, grid.dim + 1))
+    off = np.any(hat != np.conj(np.roll(np.flip(hat, axis=axes), 1, axis=axes)), axis=0)[..., : grid.n // 2 + 1]
+    nyquist = np.any(np.indices(grid.half_shape) == grid.n // 2, axis=0)
+    return np.flatnonzero(off | nyquist)
+
+
 class TestWorkspaceReadOut:
     """SemigroupOrbit.halves: S(t) samples read out into reused buffers, bitwise equal to the projected orbit."""
 
@@ -298,41 +327,83 @@ class TestWorkspaceReadOut:
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     @pytest.mark.parametrize("regime", REGIMES)
     def test_halves_bitwise_equal_to_projected_orbit(self, dim, n, regime):
-        """Both modes, at several t in one workspace, on every input of :func:`readout_inputs` and on its low band
-        under the default cutoff, which runs on a coarser grid."""
+        """The orbit formed from a datum and a band (full, low and high under the default cutoff), in both modes, at
+        several t in one workspace, on every input of :func:`readout_inputs`: its evaluation grid and mirror set are
+        those of the full-layout band from :func:`frequency_band`, and its read-outs are that band's projected
+        :func:`apply_semigroup`, bit for bit."""
         rng = np.random.default_rng(900 + 10 * dim + REGIMES.index(regime))
         g = Grid(dim=dim, box_len=float(rng.uniform(2.0, 8.0)), n=n)
         params = random_params(rng, regime)
         full, theta_only = Workspace(g), Workspace(g, theta_only=True)
         for datum in readout_inputs(g, rng):
-            for data in (datum, frequency_band(datum, default_cutoff(g), "low")):
-                orbit = SemigroupOrbit(data, params)
+            for band in BANDS:
+                ref = full_layout_band(datum, band)
+                orbit = SemigroupOrbit(datum, params, band, default_cutoff(g))
+                assert orbit.eval_grid == reference_eval_grid(ref)
+                assert np.array_equal(orbit.mirror, reference_mirror_set(ref, orbit.eval_grid))
                 for t in self.TIMES:
-                    want = apply_semigroup(data, params, t)
+                    want = apply_semigroup(ref, params, t)
                     hat = orbit.halves(t, full)
                     assert np.array_equal(hat[0], hermitian_half(want.theta_hat, g))
                     assert np.array_equal(hat[1:], hermitian_half(want.m_hat, g))
                     assert np.array_equal(orbit.halves(t, theta_only)[0], hermitian_half(want.theta_hat, g))
-            assert orbit.eval_grid.n == n // 2  # the low band's
+            assert orbit.eval_grid is g  # the high band's
+            assert SemigroupOrbit(datum, params, "low", default_cutoff(g)).eval_grid.n == n // 2
 
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     def test_mirror_set_of_a_real_field_is_its_nyquist_modes(self, dim, n, unit_params):
-        """The spectrum of a real field is Hermitian, so only its Nyquist-index modes carry their mirror; a mode
-        bumped off them joins the set (its half-layout representative), and a non-Hermitian spectrum mirrors all."""
+        """The spectrum of a real field is Hermitian, and so is each of its bands (the cutoff is even), so only the
+        Nyquist-index modes of the evaluation grid carry their mirror; a mode bumped off them joins the set (its
+        half-layout representative) where its band keeps it, and a non-Hermitian spectrum mirrors all."""
         rng = np.random.default_rng(960 + dim)
         g = Grid(dim=dim, box_len=4.0, n=n)
         nyquist = np.flatnonzero(np.any(np.indices(g.half_shape) == n // 2, axis=0))
         real = real_field_spectrum(g, rng)
         assert np.array_equal(SemigroupOrbit(real, unit_params).mirror, nyquist)
+        for band in ("low", "high"):
+            orbit = SemigroupOrbit(real, unit_params, band, default_cutoff(g))
+            coarse = orbit.eval_grid
+            on_nyquist = np.any(np.indices(coarse.half_shape) == coarse.n // 2, axis=0)
+            assert np.array_equal(orbit.mirror, np.flatnonzero(on_nyquist))
         hat = real.hat.copy()
         # (1, .., 1) is a half mode; (1, .., 1, n - 1) is not, and its mirror (n - 1, .., n - 1, 1) is
         inside, outside = (1,) * dim, (1,) * (dim - 1) + (n - 1,)
         hat[(rng.integers(dim + 1),) + inside] += 0.5j
         hat[(rng.integers(dim + 1),) + outside] += 0.25
+        bumped_state = SpectralState(grid=g, hat=hat)
         bumped = [np.ravel_multi_index(k, g.half_shape) for k in (inside, (n - 1,) * (dim - 1) + (1,))]
-        got = SemigroupOrbit(SpectralState(grid=g, hat=hat), unit_params).mirror
+        got = SemigroupOrbit(bumped_state, unit_params).mirror
         assert np.array_equal(got, np.union1d(nyquist, bumped))
+        for band in ("low", "high"):
+            orbit = SemigroupOrbit(bumped_state, unit_params, band, default_cutoff(g))
+            want = reference_mirror_set(full_layout_band(bumped_state, band), orbit.eval_grid)
+            assert np.array_equal(orbit.mirror, want)
         assert SemigroupOrbit(random_spectrum(g, rng), unit_params).mirror.size == math.prod(g.half_shape)
+
+    @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
+    def test_orbit_of_a_band_equals_orbit_of_its_full_layout_band(self, dim, n, oscillatory_params):
+        """Forming the band inside the orbit keeps, bit for bit, what an orbit of the full-layout band keeps: the
+        evaluation grid, the half stack and a_hat, the mirror set and the values, wavevectors and a_hat there."""
+        rng = np.random.default_rng(970 + dim)
+        g = Grid(dim=dim, box_len=5.0, n=n)
+        for datum in readout_inputs(g, rng):
+            for band in BANDS:
+                got = SemigroupOrbit(datum, oscillatory_params, band, default_cutoff(g))
+                want = SemigroupOrbit(full_layout_band(datum, band), oscillatory_params)
+                assert got.eval_grid == want.eval_grid
+                for name in ("mirror", "_datum", "_a_hat", "_mirror_datum", "_mirror_a_hat", "_mirror_xis"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_band_is_validated_like_frequency_band(self, unit_params):
+        g = Grid(dim=2, box_len=4.0, n=8)
+        data = random_spectrum(g, np.random.default_rng(975))
+        with pytest.raises(ValueError):
+            SemigroupOrbit(data, unit_params, "middle")
+        with pytest.raises(EmptyLowBand):
+            SemigroupOrbit(data, unit_params, "high", CutoffSpec(eps=1e-3))
+        half = SpectralState(grid=g, hat=np.zeros((3,) + g.half_shape, complex), half=True)
+        with pytest.raises(GridMismatch):
+            SemigroupOrbit(half, unit_params, "low")
 
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     def test_reused_workspace_equals_fresh_one(self, dim, n, oscillatory_params):
