@@ -44,7 +44,6 @@ from .spectral import (
     default_cutoff,
     derivative,
     irfftn,
-    low_band_mode_count,
     multi_indices,
 )
 
@@ -446,11 +445,11 @@ def measure_semigroup_decay(
         times,
         {"p": "inf" if np.isinf(p) else p, "j": j, "band": band, "w10": w10, "cutoff_eps": cutoff.eps},
         grid,
-        cutoff,
+        orbit.band_modes,
     )
 
 
-def _series_measurement(sample, times, descriptor: dict, grid: Grid, cutoff: CutoffSpec) -> DecayMeasurement:
+def _series_measurement(sample, times, descriptor: dict, grid: Grid, band_modes: int) -> DecayMeasurement:
     """The DecayMeasurement of (value, mass radius, edge leakage) = sample(t) over the sorted times."""
     times = np.asarray(sorted(float(t) for t in times))
     rows = np.array([sample(t) for t in times]).reshape(-1, 3)
@@ -459,7 +458,7 @@ def _series_measurement(sample, times, descriptor: dict, grid: Grid, cutoff: Cut
         trust_radii=rows[:, 1],
         trust_limit=grid.box_len / 4.0,
         edge_leaks=rows[:, 2],
-        band_modes=low_band_mode_count(grid, cutoff),
+        band_modes=band_modes,
     )
 
 
@@ -630,4 +629,4 @@ def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutof
         np.abs(mag, out=mag)
         return (_lp_norms_of_magnitude(mag, grid, (p,))[0], *trust.diagnostics(mag))
 
-    return _series_measurement(sample, times, {"field": "theta", "band": "low", "p": "inf" if np.isinf(p) else p}, grid, cutoff)
+    return _series_measurement(sample, times, {"field": "theta", "band": "low", "p": "inf" if np.isinf(p) else p}, grid, orbit.band_modes)

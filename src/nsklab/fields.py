@@ -34,10 +34,7 @@ from .spectral import _quintic_step, divergence_form_momentum, fftn, irfftn, rff
 
 def _center_phase(grid: Grid) -> np.ndarray:
     """Translation multiplier e^{-i xi . c} to the box center c."""
-    phase = np.zeros(grid.shape)
-    for xi in grid.wavevectors():
-        phase = phase + xi * (grid.box_len / 2.0)
-    return np.exp(-1j * phase)
+    return np.exp(-1j * sum(xi * (grid.box_len / 2.0) for xi in grid.wavevectors()))
 
 
 def scale_mixture_hat(grid: Grid, gamma: float, rho_min: float, rho_max: float, amplitude: float = 1.0) -> np.ndarray:

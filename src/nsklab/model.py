@@ -16,7 +16,10 @@ Conventions used throughout the toolkit:
   or half (``half_shape``, the rfftn layout of a real field: last-axis
   indices ``0 .. n/2``, the other half implied by conjugate symmetry).  Each
   half-layout table is its full one with the last axis cut to ``n/2 + 1``,
-  so the last-axis Nyquist index keeps fftfreq's ``-n/2``.
+  so the last-axis Nyquist index keeps fftfreq's ``-n/2``;
+* every per-axis lookup on the modes (the wavevectors, the mirror ``-k mod n``,
+  the Nyquist index ``n/2``, the embedding of a coarser grid of the box) is
+  one table laid on either layout by :meth:`Grid.lay`, and is built only here.
 """
 
 from __future__ import annotations
@@ -211,37 +214,45 @@ class Grid:
     def axis_coords(self) -> np.ndarray:
         return np.arange(self.n) * self.spacing
 
-    def mesh(self) -> list:
+    def mesh(self) -> tuple:
         """Real-space coordinate arrays, open-meshgrid (broadcastable)."""
-        x = self.axis_coords()
-        return list(np.ix_(*([x] * self.dim)))
+        return self.lay(self.axis_coords(), half=False)
 
     def axis_aliases(self) -> np.ndarray:
         """Signed integer aliases k' in [-n/2, n/2) in DFT storage order."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
 
+    def lay(self, table, half: bool) -> tuple:
+        """A per-axis ``table`` (entry k for index k of an axis) laid along every axis: one array per axis, shaped to
+        broadcast against the others to the full layout or, with ``half``, to the half layout (last axis 0 .. n/2)."""
+        laid = tuple(np.reshape(table, (1,) * ax + (self.n,) + (1,) * (self.dim - 1 - ax)) for ax in range(self.dim))
+        return laid[:-1] + (laid[-1][..., : self.n // 2 + 1],) if half else laid
+
+    def wavevectors(self, half: bool = False) -> tuple:
+        """Per-axis wavevector arrays, broadcastable to the full (or half) spectral shape (shared, read-only)."""
+        return self.lay(self._axis_wavenumbers, half)
+
+    def mirrors(self, half: bool) -> tuple:
+        """Per axis, the full-layout index -k mod n of the mirror -xi of each mode of the layout."""
+        return self.lay(_read_only(-np.arange(self.n) % self.n), half)
+
+    def nyquist(self, half: bool) -> tuple:
+        """Per axis, whether each mode of the layout lies on the Nyquist index n/2 of the axis, its own mirror there."""
+        return self.lay(_read_only(np.arange(self.n) == self.n // 2), half)
+
+    def embedding(self, fine: Grid, half: bool) -> tuple:
+        """Per axis, the full-layout index on ``fine``, a grid of the same box, of the alias of each mode of the layout."""
+        return self.lay(_read_only(self.axis_aliases() % fine.n), half)
+
     @cached_property
     def _axis_wavenumbers(self) -> np.ndarray:
-        return (2.0 * np.pi / self.box_len) * self.axis_aliases().astype(float)
-
-    def wavevectors(self, half: bool = False) -> list:
-        """Per-axis wavevector arrays, broadcastable to the full (or half) spectral shape."""
-        k = self._axis_wavenumbers
-        out = []
-        for ax in range(self.dim):
-            shape = [1] * self.dim
-            shape[ax] = self.n
-            out.append(k.reshape(shape))
-        if half:
-            out[-1] = out[-1][..., : self.n // 2 + 1]
-        return out
+        return _read_only((2.0 * np.pi / self.box_len) * self.axis_aliases().astype(float))
 
     @cached_property
     def xi_sq(self) -> np.ndarray:
         """|xi|^2 on the full spectral grid."""
-        xs = self.wavevectors()
         out = np.zeros(self.shape)
-        for x in xs:
+        for x in self.wavevectors():
             out = out + x**2
         return out
 

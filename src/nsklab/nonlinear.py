@@ -62,6 +62,7 @@ from .spectral import (
     derivative,
     irfftn,
     multi_indices,
+    radial_gather,
     rfftn,
     semigroup_block,
     to_real,
@@ -151,7 +152,7 @@ class StepState:
 
     @classmethod
     def from_state(cls, state: State):
-        return cls(spectral=to_spectral(state, half=True), real=state, t=0.0)
+        return cls(spectral=to_spectral(state), real=state, t=0.0)
 
 
 class Etd2Stepper:
@@ -182,18 +183,13 @@ class Etd2Stepper:
             for alpha in multi_indices(grid.dim, order):
                 derivative(grid, alpha)
         values = grid.radial_table[0]
-        index = grid.radial_index(half=True)
         tabs = phi_multiplier_tables(params, values, dt)
         # h phi_k(hA) on (0, g) in block form: d = h^2 D |xi|^2, lg = h (B - T), heat = h T
-        self._phi1, self._phi2 = (
-            Block(
-                d=np.take(dt * dt * D * values, index),
-                lg=np.take(dt * (B - T), index),
-                heat=np.take(dt * T, index),
-                half=True,
-            )
-            for D, B, T in (tabs["phi1"], tabs["phi2"])
-        )
+        phi = []
+        for D, B, T in (tabs["phi1"], tabs["phi2"]):
+            d, lg, heat = radial_gather(grid, (dt * dt * D * values, dt * (B - T), dt * T), half=True, out=None)
+            phi.append(Block(d=d, lg=lg, heat=heat, half=True))
+        self._phi1, self._phi2 = phi
 
     def _finite(self, hat: np.ndarray, t: float, what: str) -> StepState:
         """The StepState of a half-layout stack; non-finite entries reject the step."""

@@ -12,40 +12,34 @@ semigroup reads
 and the ETDRK2 forcing h phi_k(hA) on (0, g) is the same block with
 theta_hat = 0.  The coefficients depend on xi only through |xi|^2, so they
 are evaluated once per distinct |xi|^2 of the grid (``Grid.radial_table``)
-and gathered per mode.  :class:`SemigroupOrbit` forms the band of a datum
-(low, high or full under a cutoff) and its a_hat once, so a series of samples
-of S(t) Phi data only re-evaluates the time-dependent kernels, and reads each
-sample out into the half-spectrum stack of one :class:`Workspace` per series.
+and gathered per mode by :func:`radial_gather`.
 
 Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 (numpy's default).  Norms in :mod:`nsklab.analysis` carry the quadrature
 weights that make Parseval exact under this convention.
 
-Real fields and spectra are stacks of dim + 1 rows, theta then m_1 .. m_N
-(see :mod:`nsklab.model`).  The linear toolkit takes full complex spectra,
-whose data may be built in spectral space without conjugate symmetry; the
-nonlinear solver works on half spectra of real fields.  :meth:`Block.image`
-applies a block on its layout; :func:`apply_semigroup`, :class:`SemigroupOrbit`
-and :func:`frequency_split` take every mode and reject a half-layout state
-with ``GridMismatch``.  Every real read-out is ``irfftn`` of a half spectrum,
-row by row; a full spectrum g is first projected by :func:`hermitian_half`,
-(g(xi) + conj g(-xi)) / 2.  An orbit forms its band a row at a time, never on
-the full layout, and evaluates S(t) on the half layout of the coarsest grid
-that holds the band.  Off its mirror set, the Nyquist indices and the modes
-where the band is not Hermitian, that projection of
-the image is the image itself; on the set the orbit also applies the block
-to the mirror modes and projects.  It zero-pads the stack back, which is
-exact for a band-limited spectrum (trigonometric interpolation).
+Layouts (see :mod:`nsklab.model`): every lookup on the modes here (the
+wavevectors, the mirror -xi, the Nyquist indices, the dealias band, the
+embedding of a coarser grid) goes through the per-axis tables of ``Grid``.
+The linear toolkit takes full complex spectra, whose data may be built in
+spectral space without conjugate symmetry; :func:`apply_semigroup`,
+:class:`SemigroupOrbit` and :func:`frequency_split` reject a half-layout
+state with ``GridMismatch``.  The nonlinear solver works on half spectra of
+real fields (:func:`to_spectral`).  Every real read-out is ``irfftn`` of a
+half spectrum, row by row; a full spectrum g is first projected by
+:func:`hermitian_half`, (g(xi) + conj g(-xi)) / 2.  A :class:`SemigroupOrbit`
+forms the band of its datum a row at a time and evaluates S(t) on the half
+layout of the coarsest grid that holds it; it zero-pads each sample back,
+which is exact for a band-limited spectrum (trigonometric interpolation).
 
 Derivative multipliers act on half spectra.  Nyquist rule: on the Nyquist
 index of an axis a mode is its own mirror along that axis, so a multiplier
 odd in that axis's xi cannot act on it and keep the field real.  A
 derivative multiplier (i xi)^alpha is therefore zero on every mode whose
 Nyquist axes carry an odd total power of alpha.  :func:`derivative` builds
-every such multiplier of the toolkit, once per (grid, alpha); the first
-order ones are ``i xi_k`` with the Nyquist index of axis k zeroed.  This
-keeps a half spectrum's implied mirror consistent, and the derivative
-equals ``.real`` of the complex round trip with the bare multiplier.
+every such multiplier of the toolkit, once per (grid, alpha), which keeps a
+half spectrum's implied mirror consistent; the derivative equals ``.real`` of
+the complex round trip with the bare multiplier.
 
 FFT calls go through scipy.fft; ``set_fft_workers`` configures the worker
 count of every entry point (kept at 1 by default so outputs are
@@ -89,24 +83,9 @@ def irfftn(arr: np.ndarray, grid: Grid) -> np.ndarray:
     return _fft.irfftn(arr, s=grid.shape, workers=_FFT_WORKERS)
 
 
-def to_spectral(state: State, *, half: bool = False) -> SpectralState:
-    """Forward transform of both fields, to the full or the half layout."""
-    fwd = rfftn if half else fftn
-    return SpectralState(grid=state.grid, hat=np.stack([fwd(f) for f in state.fields]), half=half)
-
-
-def _mirror(arr: np.ndarray, grid: Grid, out: np.ndarray) -> np.ndarray:
-    """``arr`` at -xi (mod n) for every mode of the half layout, over the trailing grid axes, into ``out``.
-
-    The mirror is gathered by slices, one block per choice of index 0 or the rest on each axis.
-    """
-    n = grid.n
-    rest = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, 0, -1))]
-    last = [(slice(0, 1), slice(0, 1)), (slice(1, None), slice(n - 1, n // 2 - 1, -1))]
-    for pieces in itertools.product(*([rest] * (grid.dim - 1) + [last])):
-        dst, src = zip(*pieces)
-        out[(Ellipsis,) + dst] = arr[(Ellipsis,) + src]
-    return out
+def to_spectral(state: State) -> SpectralState:
+    """Forward transform of every row, to the half layout."""
+    return SpectralState(grid=state.grid, hat=np.stack([rfftn(f) for f in state.fields]), half=True)
 
 
 def _project(mirrored: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -119,8 +98,7 @@ def _project(mirrored: np.ndarray, own: np.ndarray) -> np.ndarray:
 
 def hermitian_half(arr: np.ndarray, grid: Grid) -> np.ndarray:
     """(g(xi) + conj g(-xi)) / 2 on the half layout: the rfftn of ``ifftn(g).real`` over the trailing grid axes."""
-    out = np.empty(arr.shape[: arr.ndim - grid.dim] + grid.half_shape, dtype=complex)
-    return _project(_mirror(arr, grid, out), arr[..., : grid.n // 2 + 1])
+    return _project(arr[(Ellipsis,) + grid.mirrors(half=True)], arr[..., : grid.n // 2 + 1])
 
 
 def to_real(spectral: SpectralState) -> State:
@@ -215,19 +193,25 @@ def _require_full(spectral: SpectralState, what: str) -> None:
         raise GridMismatch(f"{what} needs a full-layout spectrum, got a half-layout one")
 
 
+def radial_gather(grid: Grid, tables, half: bool, out) -> list:
+    """Each of ``tables``, a function of |xi|^2 on the distinct values ``grid.radial_table[0]``, gathered per mode of
+    the full or the half layout, into ``out[i]`` (one array per table) unless ``out`` is None."""
+    index = grid.radial_index(half)
+    # every index is in range; mode="clip" skips the buffered copy mode="raise" makes of an out array
+    return [np.take(tab, index, out=None if out is None else out[i], mode="clip") for i, tab in enumerate(tables)]
+
+
 def semigroup_block(params: FluidParams, grid: Grid, t: float, *, theta_only: bool = False, half: bool = False, out=None) -> Block:
-    """S(t) in block form, its kernels evaluated once per distinct |xi|^2 and gathered.
+    """S(t) in block form, its kernels evaluated once per distinct |xi|^2 and gathered (:func:`radial_gather`).
 
     With theta_only the momentum coefficients are not gathered and only
     :meth:`Block.theta` may be used.  ``half`` gathers on the half layout,
     ``out`` (one array per coefficient: d, tf, then lg, heat) receives them.
     """
     values = grid.radial_table[0]
-    index = grid.radial_index(half)
     sig_tf, sig_d, sig_mg, heat = propagator_kernels(params, values, t)
     tables = (sig_d * values, sig_tf) if theta_only else (sig_d * values, sig_tf, sig_mg - heat, heat)
-    # every index is in range; mode="clip" skips the buffered copy mode="raise" makes of an out array
-    coeffs = [np.take(tab, index, out=None if out is None else out[i], mode="clip") for i, tab in enumerate(tables)]
+    coeffs = radial_gather(grid, tables, half, out)
     if theta_only:
         return Block(*coeffs)
     return Block(*coeffs, cap=params.kappa_star * params.rho_star, half=half)
@@ -305,20 +289,19 @@ def _band_halves(hat: np.ndarray, fine: Grid, grid: Grid, band: str, cutoff: Cut
     Hermitian in some row, and the mirror values are formed again there.  |xi|^2 is even bit for bit, so one table
     of cutoff values serves a mode and its mirror.
     """
-    # per axis, the fine index of each index i of grid, and of its mirror -i mod m
-    modes = grid.axis_aliases() % fine.n
-    own, mirror = ([ax] * (grid.dim - 1) + [ax[: grid.n // 2 + 1]] for ax in (modes, modes[-np.arange(grid.n) % grid.n]))
+    # per axis, the fine index of each half mode of grid, and of its mirror on grid
+    own = grid.embedding(fine, half=True)
+    mirror = tuple(np.take(e, m) for e, m in zip(grid.embedding(fine, half=False), grid.mirrors(half=True)))
     phi = _cutoff_values(cutoff, grid.xi_sq_of(half=True))
-    half = (Ellipsis, slice(0, grid.n // 2 + 1)) if grid is fine else np.ix_(*own)
-    mirrored = np.ix_(*mirror)
+    half = (Ellipsis, slice(0, grid.n // 2 + 1)) if grid is fine else (Ellipsis,) + own
     datum = np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex)
     buf = np.empty(grid.half_shape, dtype=complex)
-    carries = functools.reduce(np.logical_or, (i == grid.n // 2 for i in np.indices(grid.half_shape, sparse=True)))
+    carries = functools.reduce(np.logical_or, grid.nyquist(half=True), np.zeros(grid.half_shape, dtype=bool))
     for row, own_row in zip(hat, datum):
         _band_values(row[half], phi, band, own_row)
-        carries |= own_row != np.conjugate(_band_values(row[mirrored], phi, band, buf), out=buf)
+        carries |= own_row != np.conjugate(_band_values(row[(Ellipsis,) + mirror], phi, band, buf), out=buf)
     at = np.flatnonzero(carries)
-    fine_at = tuple(ax[i] for ax, i in zip(mirror, np.unravel_index(at, grid.half_shape)))
+    fine_at = tuple(np.take(ax, i) for ax, i in zip(mirror, np.unravel_index(at, grid.half_shape)))
     phi_at = None if phi is None else phi.reshape(-1)[at]
     mirror_datum = np.empty((grid.dim + 1, at.size), dtype=complex)
     for row, mir in zip(hat, mirror_datum):
@@ -333,18 +316,18 @@ class SemigroupOrbit:
     ``eval_grid`` (:func:`_band_grid`): a low band under the default cutoff (|alias| < n/4) runs on n/2; a band with
     content at the Nyquist alias, such as a high band, on its own grid.  That grid's wavevectors, |xi|^2 and radial
     table are the fine grid's floats, so kernels, coefficients and image are the fine ones bit for bit; ``grid`` is
-    the fine grid of the datum and of the read-outs.
+    the fine grid of the datum and of the read-outs.  ``band_modes``, which a series records, is the
+    :func:`low_band_mode_count` of the cutoff, counted once.
 
-    The band is never formed on the full layout.  The orbit forms it from the datum a row at a time, with the per-mode
-    operations of :func:`frequency_band`: first on each half of the last axis, for the nonzero modes that choose
-    ``eval_grid``; then on that grid's half layout, which it keeps with its a_hat, and at the mirrors -xi of those
-    modes, which it keeps on the mirror set ``mirror`` (flat indices into that layout) with the wavevectors and a_hat
-    there (:func:`_band_halves`).  A half mode is in the mirror set if it lies on a Nyquist index of some axis, or if
-    the band is not Hermitian there (U(-xi) != conj U(xi) in some row).  Off the mirror set the band is Hermitian and
-    the block is mirror-symmetric (its coefficients are functions of |xi|^2 and its odd xi factors change sign), so
-    the image's Hermitian projection is the image itself; on a Nyquist index the odd factors do not change sign.  The
-    datum is not kept: a caller that hands it over and drops its own reference once the orbit is built frees it.
-    Each sample evaluates the kernels on the radial table and is read out by :meth:`halves` into a
+    The band is formed from the datum a row at a time, never on the full layout, with the per-mode operations of
+    :func:`frequency_band`: on each half of the last axis, for the nonzero modes that choose ``eval_grid``; then on
+    that grid's half layout, kept with its a_hat, and at the mirrors -xi of those modes, kept with their wavevectors
+    and a_hat on the mirror set ``mirror`` (flat indices into that layout; :func:`_band_halves`).  A half mode is in
+    the mirror set if it lies on a Nyquist index of some axis, or if the band is not Hermitian there (U(-xi) != conj
+    U(xi) in some row).  Off the set the band is Hermitian and the block mirror-symmetric (its coefficients are
+    functions of |xi|^2 and its odd xi factors change sign), so the image's Hermitian projection is the image itself;
+    on a Nyquist index the odd factors do not change sign.  The datum is not kept: a caller that hands it over and
+    drops its own reference once the orbit is built frees it.  :meth:`halves` reads each sample out into a
     :class:`Workspace`, which every sample of a series reuses.
     """
 
@@ -354,19 +337,20 @@ class SemigroupOrbit:
             raise ValueError("band must be low, high or full")
         fine = self.grid = data.grid
         self.params = params
+        cutoff = cutoff or default_cutoff(fine)
         if band == "full":
+            self.band_modes = low_band_mode_count(fine, cutoff)
             cutoff = None
         else:
-            cutoff = cutoff or default_cutoff(fine)
-            _require_low_band(fine, cutoff)
+            self.band_modes = _require_low_band(fine, cutoff)
         grid = self.eval_grid = _band_grid(data.hat, fine, band, cutoff)
         if grid is not fine:
-            modes = grid.axis_aliases() % fine.n  # the fine index of each coarse one
             self._padded = np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex)
-            self._half_modes = (Ellipsis,) + np.ix_(*[modes] * (grid.dim - 1), np.arange(grid.n // 2 + 1))
+            # the fine half index of each coarse half mode: the two half layouts share the last axis's 0 .. m/2
+            self._half_modes = (Ellipsis,) + grid.embedding(fine, half=True)[:-1] + (np.arange(grid.n // 2 + 1),)
         self._datum, self.mirror, self._mirror_datum = _band_halves(data.hat, fine, grid, band, cutoff)
-        k = grid.wavevectors()[0].ravel()
-        self._mirror_xis = [k[-i % grid.n] for i in np.unravel_index(self.mirror, grid.half_shape)]
+        at = np.unravel_index(self.mirror, grid.half_shape)
+        self._mirror_xis = [np.take(x, np.take(m, i)) for x, m, i in zip(grid.wavevectors(), grid.mirrors(half=False), at)]
         xi_sq = grid.xi_sq_of(half=True).reshape(-1)[self.mirror]  # |xi|^2 is even, bit for bit
         self._mirror_a_hat = longitudinal_amplitude(self._mirror_datum[1:], self._mirror_xis, xi_sq)
         self._a_hat = longitudinal_amplitude(self._datum[1:], grid.wavevectors(half=True), grid.xi_sq_of(half=True))
@@ -456,17 +440,24 @@ def default_cutoff(grid: Grid) -> CutoffSpec:
 
 
 def low_band_mode_count(grid: Grid, cutoff: CutoffSpec) -> int:
-    """Number of nonzero modes with |xi| <= 2 eps (the band the paper's epsilon isolates)."""
-    xi_abs = np.sqrt(grid.xi_sq)
-    return int(np.count_nonzero((xi_abs <= 2.0 * cutoff.eps) & (xi_abs > 0.0)))
+    """Number of nonzero modes with |xi| <= 2 eps (the band the paper's epsilon isolates), counted 2^15 modes at a
+    time, so no temporary spans the full layout."""
+    xi_sq, count = grid.xi_sq.reshape(-1), 0
+    for lo in range(0, xi_sq.size, 1 << 15):
+        xi_abs = np.sqrt(xi_sq[lo : lo + (1 << 15)])
+        count += np.count_nonzero((xi_abs <= 2.0 * cutoff.eps) & (xi_abs > 0.0))
+    return int(count)
 
 
-def _require_low_band(grid: Grid, cutoff: CutoffSpec) -> None:
-    if low_band_mode_count(grid, cutoff) == 0:
+def _require_low_band(grid: Grid, cutoff: CutoffSpec) -> int:
+    """:func:`low_band_mode_count`, which must not be zero (``EmptyLowBand``)."""
+    count = low_band_mode_count(grid, cutoff)
+    if count == 0:
         raise EmptyLowBand(
             f"no nonzero mode satisfies |xi| <= 2*eps = {2 * cutoff.eps:g} "
             f"(smallest nonzero |xi| is {2 * np.pi / grid.box_len:g})"
         )
+    return count
 
 
 def frequency_band(spectral: SpectralState, cutoff: CutoffSpec, band: str) -> SpectralState:
@@ -501,11 +492,11 @@ def derivative(grid: Grid, alpha: tuple) -> np.ndarray:
     """
     mult = np.ones((1,) * grid.dim, dtype=complex)
     odd = np.zeros((1,) * grid.dim, dtype=bool)
-    for ax, (x, a) in enumerate(zip(grid.wavevectors(half=True), alpha)):
+    for x, nyquist, a in zip(grid.wavevectors(half=True), grid.nyquist(half=True), alpha):
         if a:
             mult = mult * (1j * x) ** a
         if a % 2:
-            odd = odd ^ (np.arange(x.size).reshape(x.shape) == grid.n // 2)
+            odd = odd ^ nyquist
     out = np.where(odd, 0.0, mult)
     out.flags.writeable = False
     return out
@@ -530,12 +521,7 @@ def divergence_form_momentum(m0_tensor: np.ndarray, grid: Grid) -> np.ndarray:
 def dealias_mask(grid: Grid) -> np.ndarray:
     """2/3-rule mask on the half layout: keep modes with every axis alias |k'| < n/3."""
     keep = np.abs(grid.axis_aliases()) < grid.n / 3.0
-    mask = np.ones(grid.half_shape, dtype=bool)
-    for ax, size in enumerate(grid.half_shape):
-        shape = [1] * grid.dim
-        shape[ax] = size
-        mask &= keep[:size].reshape(shape)
-    return mask
+    return functools.reduce(np.logical_and, grid.lay(keep, half=True), np.ones(grid.half_shape, dtype=bool))
 
 
 def conjugate_symmetry_defect(spectral: SpectralState) -> float:
@@ -546,20 +532,10 @@ def conjugate_symmetry_defect(spectral: SpectralState) -> float:
     is implied.  So on the half layout exactly those planes are checked.
     """
     grid = spectral.grid
-    axes = tuple(range(grid.dim - 1 if spectral.half else grid.dim))
-
-    def defect(arr):
-        scale = np.max(np.abs(arr))
-        if scale == 0.0:
-            return 0.0
-        planes = (arr[..., 0], arr[..., grid.n // 2]) if spectral.half else (arr,)
-        return float(max(np.max(np.abs(p - np.conj(_reverse_modes(p, axes)))) for p in planes) / scale)
-
-    return max(defect(row) for row in spectral.hat)
-
-
-def _reverse_modes(arr: np.ndarray, axes) -> np.ndarray:
-    """Index map k -> -k (mod n) along the given axes."""
-    if not axes:
-        return arr
-    return np.roll(np.flip(arr, axis=axes), 1, axis=axes)
+    planes = (Ellipsis, [0, grid.n // 2]) if spectral.half else (Ellipsis,)
+    mirror = grid.mirrors(spectral.half)
+    mirror = mirror[:-1] + (mirror[-1][planes],)  # a self-mirror plane's last-axis index is its own mirror
+    scales = [np.max(np.abs(row)) for row in spectral.hat]
+    return max(
+        float(np.max(np.abs(row[planes] - np.conj(row[mirror]))) / s) if s else 0.0 for row, s in zip(spectral.hat, scales)
+    )

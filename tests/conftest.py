@@ -85,6 +85,11 @@ def random_spectrum(grid, rng):
     return SpectralState(grid=grid, hat=hats)
 
 
+def full_spectrum(state):
+    """The full-layout spectrum of a real state: the complex forward transform of each row."""
+    return SpectralState(grid=state.grid, hat=np.stack([spectral_mod.fftn(f) for f in state.fields]))
+
+
 def volume(grid):
     """Volume L^dim of the periodic box."""
     return grid.box_len**grid.dim

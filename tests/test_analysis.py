@@ -7,7 +7,7 @@ import pytest
 
 import nsklab.analysis as analysis_mod
 import nsklab.spectral as spectral_mod
-from conftest import random_spectrum, volume
+from conftest import full_spectrum, random_spectrum, volume
 from nsklab.analysis import (
     AblationScenario,
     DecayReport,
@@ -34,7 +34,7 @@ from nsklab.errors import (
 from nsklab.fields import curl_mixture_momentum_state, nonlinear_initial_state, riesz_momentum_pair, transverse_packet
 from nsklab.model import Grid, SpectralState, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import Etd2Stepper, NonlinearScenario, StepState, _sample_norms
-from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, multi_indices, to_real, to_spectral
+from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, multi_indices, to_real
 
 
 def partials(f, grid, order):
@@ -74,7 +74,7 @@ class TestLpNorm:
         g = Grid(dim=2, box_len=2.0, n=16)
         theta = rng.standard_normal(g.shape)
         s = State(grid=g, fields=np.concatenate([theta[None], np.zeros((2,) + g.shape)]))
-        sp = to_spectral(s)
+        sp = full_spectrum(s)
         direct = lp_norm(theta, g, 2) ** 2
         spectral = g.cell_volume / g.mode_count * np.sum(np.abs(sp.theta_hat) ** 2)
         assert abs(direct - spectral) <= 1e-12 * direct
@@ -553,3 +553,61 @@ class TestDecayMemoryBudget:
             )
 
         assert self.traced_peak(call) <= 4.5 * self.half_stack(g)
+
+
+class TestLowBandCount:
+    """A series counts the modes of its low band once, with no full-layout float temporary, and records the
+    count of the full-layout formula."""
+
+    TIMES = (0.35, 1.7)
+
+    @staticmethod
+    def reference(grid, cutoff) -> int:
+        xi_abs = np.sqrt(grid.xi_sq)
+        return int(np.count_nonzero((xi_abs <= 2.0 * cutoff.eps) & (xi_abs > 0.0)))
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+    def test_count_equals_full_layout_formula(self, dim, n):
+        g = Grid(dim=dim, box_len=24.0, n=n)
+        for eps in (0.1, 0.3, g.xi_max / 4.0, g.xi_max):
+            cut = spectral_mod.CutoffSpec(eps=eps)
+            assert spectral_mod.low_band_mode_count(g, cut) == self.reference(g, cut), eps
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        count = spectral_mod.low_band_mode_count
+
+        def wrapper(grid, cutoff):
+            calls.append(grid)
+            return count(grid, cutoff)
+
+        monkeypatch.setattr(spectral_mod, "low_band_mode_count", wrapper)
+        monkeypatch.setattr(analysis_mod, "low_band_mode_count", wrapper, raising=False)  # an imported name counts too
+        return calls
+
+    @pytest.mark.parametrize("band", ["low", "high", "full"])
+    def test_decay_series_counts_once(self, oscillatory_params, counted, band):
+        g = Grid(dim=2, box_len=24.0, n=32)
+        data = random_spectrum(g, np.random.default_rng(5))
+        meas = measure_semigroup_decay(data, oscillatory_params, self.TIMES, band=band, p=2.0)
+        assert counted == [g]
+        assert meas.band_modes == self.reference(g, default_cutoff(g))
+
+    def test_theta_series_counts_once(self, oscillatory_params, counted):
+        g = Grid(dim=2, box_len=24.0, n=32)
+        data = random_spectrum(g, np.random.default_rng(6))
+        meas = theta_low_band_series(data, oscillatory_params, self.TIMES, default_cutoff(g), np.inf)
+        assert counted == [g]
+        assert meas.band_modes == self.reference(g, default_cutoff(g))
+
+    def test_count_makes_no_full_layout_float_temporary(self):
+        g = Grid(dim=3, box_len=24.0, n=64)
+        assert g.xi_sq.nbytes == 8 * g.mode_count  # cached before the trace
+        tracemalloc.start()
+        try:
+            spectral_mod.low_band_mode_count(g, default_cutoff(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.xi_sq.nbytes / 2

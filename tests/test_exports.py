@@ -27,22 +27,32 @@ def test_every_export_has_a_user():
 
 def test_every_private_helper_has_a_caller():
     """Each module-level function the package keeps to itself (a `_name`, or any name __init__.py does not
-    export) is referenced as code somewhere in the package outside its own body; an import alone is not a use."""
+    export), and each method, property or cached property of a package class (bar dunder methods), is referenced
+    as code somewhere in the package outside its own body; an import alone is not a use."""
     init = ast.parse((PKG / "__init__.py").read_text()).body
     exports = {a.asname or a.name for node in init if isinstance(node, ast.ImportFrom) for a in node.names}
     helpers, refs = [], set()
     for path in PKG.glob("*.py"):
         for stmt in ast.parse(path.read_text()).body:
-            owner = getattr(stmt, "name", None)
+            bodies = [(getattr(stmt, "name", None), stmt)]
             if isinstance(stmt, ast.FunctionDef) and stmt.name not in exports:
-                helpers.append((path.stem, stmt.name))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    refs.add((path.stem, owner, node.id))
-                elif isinstance(node, ast.Attribute):
-                    refs.add((path.stem, owner, node.attr))
-    used = {name: {(module, owner) for module, owner, n in refs if n == name} for _, name in helpers}
-    assert [f"{module}.{name}" for module, name in helpers if not used[name] - {(module, name)}] == []
+                helpers.append((path.stem, stmt.name, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                methods = [f for f in stmt.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
+                helpers += [(path.stem, f"{stmt.name}.{f.name}", f.name) for f in methods]
+                bodies = [(f"{stmt.name}.{f.name}" if f in methods else stmt.name, f) for f in stmt.body]
+            for owner, body in bodies:
+                for node in ast.walk(body):
+                    if isinstance(node, ast.Name):
+                        refs.add((path.stem, owner, node.id))
+                    elif isinstance(node, ast.Attribute):
+                        refs.add((path.stem, owner, node.attr))
+    unused = [
+        f"{module}.{owner}"
+        for module, owner, name in helpers
+        if not {(m, o) for m, o, n in refs if n == name} - {(module, owner)}
+    ]
+    assert unused == []
 
 
 # Defaulted parameters no call passes, kept on purpose as test seams.

@@ -56,6 +56,18 @@ CASES = {
     },
     "linear-decay-high-w10-p2-32": _DECAY_HIGH,
     "linear-decay-high-w10-pinf-32": dict(_DECAY_HIGH, exponents={"p": "inf", "q": 2.0, "j": 1}),
+    "linear-decay-full-transverse-32": {
+        "kind": "linear-decay",
+        "seed": 42,
+        "params": {"mu": 0.5, "nu": 0.1, "kappa": 0.07, "rho_ref": 1.0},
+        "grid": {"dim": 3, "n": 32, "box_len": 48.0},
+        "data": {"kind": "transverse_packet", "width": 1.5, "amplitude": 1.0},
+        "times": {"t_min": 0.35, "t_max": 6.5, "count": 22},
+        "exponents": {"p": "inf", "q": 2.0, "j": 0},
+        "band": "full",
+        "fit_window": [0.5, 5.0],
+        "trust_mode": "edge_leak",
+    },
     "linear-decay-low-pinf-128x128": {
         "kind": "linear-decay",
         "seed": 42,

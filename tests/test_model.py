@@ -191,6 +191,71 @@ class TestPeriodicGeometry:
         assert np.array_equal(gaussian_bump(g, center, 1.2, 0.7), want)
 
 
+GEOMETRY_GRIDS = [(dim, n) for dim in (1, 2, 3, 4) for n in (2, 4, 16)]
+LAYOUTS = pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+
+
+class TestSpectralGeometry:
+    """Grid.lay and the per-axis tables laid with it, against references built without it."""
+
+    @LAYOUTS
+    @pytest.mark.parametrize("dim,n", GEOMETRY_GRIDS)
+    def test_lay_is_the_reshaped_table_cut_on_the_half_layout(self, dim, n, half):
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        layout = g.half_shape if half else g.shape
+        table = np.random.default_rng(10 * dim + n).standard_normal(n)
+        laid = g.lay(table, half)
+        assert len(laid) == dim
+        assert np.broadcast_shapes(*(arr.shape for arr in laid)) == layout
+        for ax, arr in enumerate(laid):
+            full = np.broadcast_to(table.reshape([n if k == ax else 1 for k in range(dim)]), g.shape)
+            assert np.array_equal(np.broadcast_to(arr, layout), full[..., : layout[-1]]), ax
+
+    @LAYOUTS
+    @pytest.mark.parametrize("dim,n", GEOMETRY_GRIDS)
+    def test_mirror_gathers_what_flip_and_roll_give(self, dim, n, half):
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        rng = np.random.default_rng(20 * dim + n)
+        arr = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
+        axes = tuple(range(1, dim + 1))
+        want = np.roll(np.flip(arr, axis=axes), 1, axis=axes)
+        got = arr[(Ellipsis,) + g.mirrors(half)]
+        assert np.array_equal(got, want[..., : (g.half_shape if half else g.shape)[-1]])
+
+    @pytest.mark.parametrize("dim,n", GEOMETRY_GRIDS)
+    def test_mirror_is_an_involution_that_negates_off_nyquist(self, dim, n):
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        arr = np.random.default_rng(30 * dim + n).standard_normal(g.shape)
+        mirror = (Ellipsis,) + g.mirrors(half=False)
+        assert np.array_equal(arr[mirror][mirror], arr)
+        for x, nyq in zip(g.wavevectors(), g.nyquist(half=False)):
+            x = np.broadcast_to(x, g.shape)
+            assert np.array_equal(x[mirror], np.where(np.broadcast_to(nyq, g.shape), x, -x))
+
+    @LAYOUTS
+    @pytest.mark.parametrize("dim,n", GEOMETRY_GRIDS)
+    def test_nyquist_is_index_n_over_2(self, dim, n, half):
+        g = Grid(dim=dim, box_len=3.0, n=n)
+        layout = g.half_shape if half else g.shape
+        for ax, nyq in enumerate(g.nyquist(half)):
+            assert np.array_equal(np.broadcast_to(nyq, layout), np.indices(layout)[ax] == n // 2), ax
+
+    @LAYOUTS
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_embedding_keeps_each_wavevector(self, dim, half):
+        """Every mode of a coarser grid of the box lands on the fine mode of the same wavevector, bit for bit."""
+        fine = Grid(dim=dim, box_len=3.0, n=16)
+        for m in (2, 4, 16):
+            g = Grid(dim=dim, box_len=3.0, n=m)
+            for x, index, fine_x in zip(g.wavevectors(half), g.embedding(fine, half), fine.wavevectors()):
+                assert np.array_equal(np.take(fine_x, index), x), m
+
+    def test_shared_tables_are_read_only(self):
+        g = Grid(dim=3, box_len=3.0, n=8)
+        tables = [g.wavevectors(), g.mirrors(False), g.nyquist(True), g.embedding(Grid(dim=3, box_len=3.0, n=16), True)]
+        assert not any(arr.flags.writeable for laid in tables for arr in laid)
+
+
 class TestState:
     def test_shape_mismatch(self):
         g = Grid(dim=2, box_len=1.0, n=4)

@@ -20,6 +20,7 @@ from nsklab.nonlinear import (
     _sample_norms,
 )
 from nsklab.spectral import apply_semigroup, dealias_mask, derivative, rfftn, to_real
+from nsklab.symbols import phi_multiplier_tables
 
 
 @pytest.fixture
@@ -407,6 +408,21 @@ class TestStep:
         h = g.n // 2 + 1
         assert np.array_equal(out.spectral.theta_hat, want.theta_hat[..., :h])
         assert np.array_equal(out.spectral.m_hat, want.m_hat[..., :h])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_phi_blocks_are_the_phi_tables_gathered_per_mode(self, params, dim):
+        """h phi_k(hA) in block form: d = h^2 D |xi|^2, lg = h (B - T), heat = h T, each evaluated on the distinct
+        |xi|^2 and gathered through the half-layout radial index, bit for bit."""
+        g = Grid(dim=dim, box_len=3.0, n=8)
+        dt = 0.15
+        stepper = Etd2Stepper(params, g, dt)
+        values, index = g.radial_table[0], g.radial_index(half=True)
+        tabs = phi_multiplier_tables(params, values, dt)
+        for block, (D, B, T) in ((stepper._phi1, tabs["phi1"]), (stepper._phi2, tabs["phi2"])):
+            assert block.tf is None and block.half
+            assert np.array_equal(block.d, (dt * dt * D * values)[index])
+            assert np.array_equal(block.lg, (dt * (B - T))[index])
+            assert np.array_equal(block.heat, (dt * T)[index])
 
     def test_mean_theta_conserved_exactly(self, params):
         g = Grid(dim=2, box_len=3.0, n=16)

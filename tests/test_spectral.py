@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nsklab.spectral as spectral_mod
-from conftest import fd4, random_params, random_spectrum, wavevector_of_index
+from conftest import fd4, full_spectrum, random_params, random_spectrum, wavevector_of_index
 from nsklab.analysis import half_power, lp_norm, measure_semigroup_decay, spectral_l2_norm
 from nsklab.errors import ConstraintViolation, EmptyLowBand, GridMismatch
 from nsklab.fields import curl_mixture_momentum_state, riesz_momentum_pair, transverse_packet
@@ -87,7 +87,7 @@ class TestTransforms:
 class TestApplySemigroup:
     def test_time_zero_is_identity(self, oscillatory_params):
         g = Grid(dim=2, box_len=3.0, n=8)
-        sp = to_spectral(random_state(g, np.random.default_rng(1)))
+        sp = full_spectrum(random_state(g, np.random.default_rng(1)))
         out = apply_semigroup(sp, oscillatory_params, 0.0)
         assert np.allclose(out.theta_hat, sp.theta_hat, atol=1e-14)
         assert np.allclose(out.m_hat, sp.m_hat, atol=1e-14)
@@ -95,7 +95,7 @@ class TestApplySemigroup:
     def test_matches_per_mode_symbol(self, positive_params, oscillatory_params, unit_params):
         rng = np.random.default_rng(3)
         g = Grid(dim=2, box_len=3.0, n=8)
-        sp = to_spectral(random_state(g, rng))
+        sp = full_spectrum(random_state(g, rng))
         for params in (positive_params, oscillatory_params, unit_params):
             t = 0.37
             out = apply_semigroup(sp, params, t)
@@ -112,7 +112,7 @@ class TestApplySemigroup:
         y = g.mesh()[1]
         m = np.zeros((2,) + g.shape)
         m[0] = np.broadcast_to(np.sin(y), g.shape)
-        sp = to_spectral(State(grid=g, fields=np.concatenate([np.zeros((1,) + g.shape), m])))
+        sp = full_spectrum(State(grid=g, fields=np.concatenate([np.zeros((1,) + g.shape), m])))
         t = 0.9
         out = apply_semigroup(sp, positive_params, t)
         assert np.max(np.abs(out.theta_hat)) <= 1e-12 * g.mode_count
@@ -121,7 +121,7 @@ class TestApplySemigroup:
 
     def test_semigroup_property_on_grid(self, oscillatory_params):
         g = Grid(dim=2, box_len=5.0, n=16)
-        sp = to_spectral(random_state(g, np.random.default_rng(5)))
+        sp = full_spectrum(random_state(g, np.random.default_rng(5)))
         one = apply_semigroup(sp, oscillatory_params, 1.1)
         two = apply_semigroup(apply_semigroup(sp, oscillatory_params, 0.4), oscillatory_params, 0.7)
         scale = np.max(np.abs(one.theta_hat))
@@ -133,7 +133,7 @@ class TestApplySemigroup:
         rng = np.random.default_rng(9)
         s = random_state(g, rng)
         s = State(grid=g, fields=np.concatenate([s.theta[None] + 0.3, s.m + rng.standard_normal((3, 1, 1, 1))]))
-        sp = to_spectral(s)
+        sp = full_spectrum(s)
         out = apply_semigroup(sp, unit_params, 2.3)
         assert out.theta_hat[0, 0, 0] == sp.theta_hat[0, 0, 0]
         for j in range(3):
@@ -141,13 +141,13 @@ class TestApplySemigroup:
 
     def test_realness_preserved(self, oscillatory_params):
         g = Grid(dim=2, box_len=3.0, n=32)
-        sp = to_spectral(random_state(g, np.random.default_rng(13), modes=10))
+        sp = full_spectrum(random_state(g, np.random.default_rng(13), modes=10))
         out = apply_semigroup(sp, oscillatory_params, 1.5)
         assert conjugate_symmetry_defect(out) <= 1e-13
 
     def test_commutes_with_frequency_split(self, positive_params):
         g = Grid(dim=2, box_len=3.0, n=16)
-        sp = to_spectral(random_state(g, np.random.default_rng(21), modes=7))
+        sp = full_spectrum(random_state(g, np.random.default_rng(21), modes=7))
         cut = default_cutoff(g)
         low1, high1 = frequency_split(apply_semigroup(sp, positive_params, 0.8), cut)
         low2 = apply_semigroup(frequency_split(sp, cut)[0], positive_params, 0.8)
@@ -478,14 +478,14 @@ class TestEvaluationGrid:
 class TestFrequencySplit:
     def test_partition_of_unity(self):
         g = Grid(dim=2, box_len=2.0, n=16)
-        sp = to_spectral(random_state(g, np.random.default_rng(2), modes=8))
+        sp = full_spectrum(random_state(g, np.random.default_rng(2), modes=8))
         low, high = frequency_split(sp, default_cutoff(g))
         assert np.max(np.abs(low.theta_hat + high.theta_hat - sp.theta_hat)) <= 1e-15 * np.max(np.abs(sp.theta_hat))
         assert np.max(np.abs(low.m_hat + high.m_hat - sp.m_hat)) <= 1e-15 * np.max(np.abs(sp.m_hat))
 
     def test_band_supports(self):
         g = Grid(dim=2, box_len=2 * np.pi, n=32)
-        sp = to_spectral(random_state(g, np.random.default_rng(4), modes=12))
+        sp = full_spectrum(random_state(g, np.random.default_rng(4), modes=12))
         eps = 3.2
         low, high = frequency_split(sp, CutoffSpec(eps=eps))
         xi_abs = np.sqrt(g.xi_sq)
@@ -494,7 +494,7 @@ class TestFrequencySplit:
 
     def test_wide_cutoff_keeps_everything_low(self):
         g = Grid(dim=1, box_len=2 * np.pi, n=16)
-        sp = to_spectral(random_state(g, np.random.default_rng(6), modes=7))
+        sp = full_spectrum(random_state(g, np.random.default_rng(6), modes=7))
         low, high = frequency_split(sp, CutoffSpec(eps=g.xi_max))
         assert np.all(high.theta_hat == 0.0)
         assert np.allclose(low.theta_hat, sp.theta_hat)
@@ -504,14 +504,14 @@ class TestFrequencySplit:
         eps = 1.0
         theta_hat = np.zeros(16, dtype=complex)
         theta = np.cos(3 * np.arange(32) * g.spacing)  # |xi| = 3 = 3 eps
-        sp = to_spectral(State(grid=g, fields=np.stack([theta, np.zeros(32)])))
+        sp = full_spectrum(State(grid=g, fields=np.stack([theta, np.zeros(32)])))
         low, high = frequency_split(sp, CutoffSpec(eps=eps))
         assert np.max(np.abs(low.theta_hat)) <= 1e-13 * g.mode_count
         assert np.max(np.abs(high.theta_hat)) == pytest.approx(g.mode_count / 2)
 
     def test_empty_low_band_raises(self):
         g = Grid(dim=1, box_len=2 * np.pi, n=8)  # smallest nonzero |xi| = 1
-        sp = to_spectral(random_state(g, np.random.default_rng(7), modes=3))
+        sp = full_spectrum(random_state(g, np.random.default_rng(7), modes=3))
         with pytest.raises(EmptyLowBand):
             frequency_split(sp, CutoffSpec(eps=0.4))
 
@@ -747,7 +747,7 @@ class TestHalfLayout:
 
     def test_full_layout_only_functions_reject_half_state(self, unit_params):
         g = Grid(dim=2, box_len=8.0, n=16)
-        spec = to_spectral(random_state(g, np.random.default_rng(2)), half=True)
+        spec = to_spectral(random_state(g, np.random.default_rng(2)))
         with pytest.raises(GridMismatch):
             SemigroupOrbit(spec, unit_params)
         with pytest.raises(GridMismatch):
@@ -760,8 +760,8 @@ class TestHalfLayout:
     def test_to_real_inverts_to_spectral_on_both_layouts(self):
         g = Grid(dim=3, box_len=4.0, n=8)
         s = white_noise_state(g, np.random.default_rng(4))
-        for half in (False, True):
-            back = to_real(to_spectral(s, half=half))
+        for spec in (full_spectrum(s), to_spectral(s)):
+            back = to_real(spec)
             assert np.max(np.abs(back.theta - s.theta)) <= 1e-14 * np.max(np.abs(s.theta))
             assert np.max(np.abs(back.m - s.m)) <= 1e-14 * np.max(np.abs(s.m))
 
@@ -769,13 +769,13 @@ class TestHalfLayout:
 class TestSymmetryDefectHalfLayout:
     def test_real_field_is_symmetric(self):
         g = Grid(dim=3, box_len=4.0, n=8)
-        spec = to_spectral(white_noise_state(g, np.random.default_rng(5)), half=True)
+        spec = to_spectral(white_noise_state(g, np.random.default_rng(5)))
         assert conjugate_symmetry_defect(spec) <= 1e-15
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_checks_exactly_the_self_mirror_planes(self, dim):
         g = Grid(dim=dim, box_len=4.0, n=8)
-        spec = to_spectral(white_noise_state(g, np.random.default_rng(6 + dim)), half=True)
+        spec = to_spectral(white_noise_state(g, np.random.default_rng(6 + dim)))
         scale = np.max(np.abs(spec.theta_hat))
         for last, flagged in ((0, True), (g.n // 2, True), (1, False), (g.n // 2 - 1, False)):
             hat = spec.hat.copy()
