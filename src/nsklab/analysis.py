@@ -23,6 +23,13 @@ A series hands its datum to a :class:`nsklab.spectral.SemigroupOrbit`, which
 forms only the band it measures, on the half layout of the coarsest grid that
 holds it; the datum is freed once the orbit is built, and every sample is read
 into one :class:`nsklab.spectral.Workspace`.
+
+The trust diagnostics of a decay sample measure whichever of theta and m
+peaks higher, so only they need real fields at q = 2.  m is read out a row at
+a time into its magnitude, and theta is transformed only if the sum of its
+spectrum's magnitudes, a bound on its peak, reaches m's peak: data whose theta
+stays far below m, such as divergence-free momenta, cost dim inverse
+transforms per sample, not dim + 1.
 """
 
 from __future__ import annotations
@@ -69,14 +76,6 @@ def _magnitude(field_arr: np.ndarray, grid: Grid) -> np.ndarray:
     square = np.empty_like(mag)
     for comp in comps[1:]:
         mag += np.square(np.abs(comp, out=square), out=square)
-    return np.sqrt(mag, out=mag)
-
-
-def _magnitude_in_place(stack: np.ndarray) -> np.ndarray:
-    """:func:`_magnitude` of a stack of real fields bit for bit (squares summed in np.sum's axis-0 order), in ``stack[0]``."""
-    mag = np.square(stack[0], out=stack[0])
-    for comp in stack[1:]:
-        mag += np.square(comp, out=comp)
     return np.sqrt(mag, out=mag)
 
 
@@ -330,6 +329,7 @@ def fit_decay(
 
 EDGE_SHELL = 0.46  # the outer shell starts at periodic distance EDGE_SHELL * L from the box center
 EDGE_LEAK_TOL = 0.02
+PEAK_MARGIN = 1e-9  # relative slack on a peak bound: far above the rounding of an inverse transform and of a sum
 
 
 def edge_leakage(field_arr: np.ndarray, grid: Grid) -> float:
@@ -427,7 +427,9 @@ def measure_semigroup_decay(
     Nyquist-zeroed first-order multipliers of
     :func:`nsklab.spectral.derivative`; otherwise each derivative is one
     ``irfftn`` of the half spectrum times the same multiplier.  Only the trust
-    diagnostics need the real fields: dim + 1 ``irfftn`` per sample at p = 2.
+    diagnostics need the real fields at p = 2: dim ``irfftn`` per sample for
+    m, and one more for theta only when a bound on its peak from the sum of
+    its spectrum's magnitudes reaches m's peak (:func:`_decay_sample`).
     """
     grid = data.grid
     if cutoff is None:
@@ -465,23 +467,54 @@ def _series_measurement(sample, times, descriptor: dict, grid: Grid, band_modes:
 def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, p, j: int, w10: bool, trust):
     """(norm value, mass radius, edge leakage) of the orbit's sample at t, read out into the series' workspace.
 
-    |theta| and |m| are formed in place (in theta and m[0]); the trust diagnostics take the one whose components peak
-    higher.  At p = 2 the value is then summed in ``ws.coeffs``, whose memory m shares.
+    The trust diagnostics take the field whose components peak higher: theta only if max |theta| > max_j max |m_j|.
+    m is read out first, a row at a time, into |m| in ``ws.m`` (:func:`_momentum_magnitude`), so one transform's
+    output at a time is held outside the workspace.  At p = 2 theta is read out only if its peak bound
+    (:func:`_peak_bound`, raised by ``PEAK_MARGIN``) exceeds m's peak, since otherwise the diagnostics cannot pick it;
+    the value is then summed by Parseval in ``ws.coeffs``, whose memory |m| shares.  At any other p theta is always
+    read out: it enters the norm.
     """
     grid = orbit.grid
     hat = orbit.halves(t, ws)
-    for c in range(grid.dim):
-        ws.m[c] = irfftn(hat[1 + c], grid)
-    theta = irfftn(hat[0], grid)  # after m: one transform's output at a time is held outside the workspace
-    m_max = max(np.max(ws.m), -np.min(ws.m))
-    theta_mag = np.abs(theta, out=theta)
-    m_mag = _magnitude_in_place(ws.m)
-    diagnostics = trust.diagnostics(theta_mag if np.max(theta_mag) > m_max else m_mag)
+    m_mag, m_max = _momentum_magnitude(hat[1:], grid, ws.m)
+    theta_mag = None
+    if p != 2 or _peak_bound(hat[0], grid, ws.coeffs[-1]) * (1.0 + PEAK_MARGIN) > m_max:
+        theta_mag = irfftn(hat[0], grid)
+        np.abs(theta_mag, out=theta_mag)
+    diagnostics = trust.diagnostics(theta_mag if theta_mag is not None and np.max(theta_mag) > m_max else m_mag)
     if p == 2:
         value = _pair_l2_by_parseval(hat, j, w10, grid, ws.coeffs)
     else:
         value = _pair_lp_from_halves(hat, theta_mag, m_mag, p, j, w10, grid)
     return (value, *diagnostics)
+
+
+def _momentum_magnitude(rows: np.ndarray, grid: Grid, out: np.ndarray) -> tuple[np.ndarray, float]:
+    """(|m|, max_j max |m_j|) of the real fields of m's half-spectrum ``rows``, |m| in ``out``, one real row.
+
+    The rows are read out one at a time: each output's max and -min go into the peak, and its square into ``out``,
+    added in component order as :func:`_magnitude` adds them, so |m| is its value bit for bit and m is never copied.
+    """
+    peak = -np.inf
+    for c, row in enumerate(rows):
+        comp = irfftn(row, grid)
+        peak = max(peak, np.max(comp), -np.min(comp))
+        if c:
+            out += np.square(comp, out=comp)
+        else:
+            np.square(comp, out=out)
+        del comp  # freed before the next transform: two outputs held at once make the heap shrink and re-fault
+    return np.sqrt(out, out=out), peak
+
+
+def _peak_bound(row: np.ndarray, grid: Grid, buf: np.ndarray) -> float:
+    """An upper bound on max |irfftn(row)|: the sum of |row| over the full spectrum it stands for, over the mode count.
+
+    A half-layout mode stands for itself and its mirror, except on the self-mirror last-axis planes 0 and n/2; the
+    inverse transform is a sum of unit-modulus multiples of these values.  |row| is formed in ``buf``, a real row.
+    """
+    mag = np.abs(row, out=buf)
+    return float(2.0 * np.sum(mag) - np.sum(mag[..., 0]) - np.sum(mag[..., grid.n // 2])) / grid.mode_count
 
 
 def _pair_l2_by_parseval(hat: np.ndarray, j: int, w10: bool, grid: Grid, buf: np.ndarray) -> float:

@@ -257,18 +257,14 @@ class Grid:
         return out
 
     @cached_property
-    def radial_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, index): the distinct |xi|^2 and the int32 position of each mode's value.
+    def radial_values(self) -> np.ndarray:
+        """The distinct |xi|^2 of the grid, ascending (shared, read-only).
 
-        ``values[index]`` reproduces :attr:`xi_sq` exactly, so a function of
-        |xi|^2 evaluated on ``values`` and gathered through ``index`` equals
-        its full-grid evaluation.  Both arrays are shared, hence read-only.
+        They are taken from the half layout alone: |xi|^2 is even bit for bit
+        and the mirror -xi of every mode lies on the half layout, so both
+        layouts hold the same set of values.
         """
-        values, inverse = np.unique(self.xi_sq, return_inverse=True)
-        index = inverse.reshape(self.shape).astype(np.int32)
-        values.flags.writeable = False
-        index.flags.writeable = False
-        return values, index
+        return _read_only(np.unique(self._half_xi_sq))
 
     @cached_property
     def _half_xi_sq(self) -> np.ndarray:
@@ -276,15 +272,26 @@ class Grid:
 
     @cached_property
     def _half_radial_index(self) -> np.ndarray:
-        return _read_only(self.radial_table[1][..., : self.n // 2 + 1])
+        return _read_only(np.searchsorted(self.radial_values, self._half_xi_sq).astype(np.int32))
+
+    @cached_property
+    def _full_radial_index(self) -> np.ndarray:
+        return _read_only(np.searchsorted(self.radial_values, self.xi_sq).astype(np.int32))
 
     def xi_sq_of(self, half: bool) -> np.ndarray:
         """:attr:`xi_sq` on the full or the half layout (shared, read-only)."""
         return self._half_xi_sq if half else self.xi_sq
 
     def radial_index(self, half: bool) -> np.ndarray:
-        """The :attr:`radial_table` index on the full or the half layout."""
-        return self._half_radial_index if half else self.radial_table[1]
+        """The int32 position in :attr:`radial_values` of each mode's |xi|^2, on the full or the half layout.
+
+        ``radial_values[index]`` reproduces :meth:`xi_sq_of` exactly, so a
+        function of |xi|^2 evaluated on the values and gathered through the
+        index equals its per-mode evaluation.  Each layout's index is built
+        on first request, by binary search in the values, with no sort of
+        that layout; it is shared, hence read-only.
+        """
+        return self._half_radial_index if half else self._full_radial_index
 
     def periodic_r_sq(self, center=None) -> np.ndarray:
         """Squared minimum-image distance to center (default: the box center).

@@ -182,7 +182,7 @@ class Etd2Stepper:
         for order in (1, 2, 3):
             for alpha in multi_indices(grid.dim, order):
                 derivative(grid, alpha)
-        values = grid.radial_table[0]
+        values = grid.radial_values
         tabs = phi_multiplier_tables(params, values, dt)
         # h phi_k(hA) on (0, g) in block form: d = h^2 D |xi|^2, lg = h (B - T), heat = h T
         phi = []

@@ -11,7 +11,7 @@ semigroup reads
 
 and the ETDRK2 forcing h phi_k(hA) on (0, g) is the same block with
 theta_hat = 0.  The coefficients depend on xi only through |xi|^2, so they
-are evaluated once per distinct |xi|^2 of the grid (``Grid.radial_table``)
+are evaluated once per distinct |xi|^2 of the grid (``Grid.radial_values``)
 and gathered per mode by :func:`radial_gather`.
 
 Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
@@ -138,7 +138,9 @@ class Block:
     bit for bit, and so does the block :meth:`at` a list of modes.
     :meth:`theta` multiplies the real coefficients into the real and
     imaginary parts separately, which is faster than promoting them to
-    complex; in :meth:`momentum` the promoted products measured faster.
+    complex; in :meth:`momenta` the promoted products measured faster.
+    :meth:`weight` and :meth:`momenta` form their complex products in free
+    rows of the caller's arrays, not in temporaries.
     """
 
     d: np.ndarray
@@ -159,17 +161,22 @@ class Block:
             im += self.tf * theta_hat.imag
         return out
 
-    def weight(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """w = lg a_hat - i cap d theta_hat, the factor of xi_j shared by every momentum component."""
+    def weight(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, out: np.ndarray | None, scratch: np.ndarray) -> np.ndarray:
+        """w = lg a_hat - i cap d theta_hat, the factor of xi_j shared by every momentum component, into ``out`` (made
+        here if None); ``scratch``, a free complex array of w's shape, receives i cap d theta_hat."""
         w = np.multiply(self.lg, a_hat, out=out)
         if theta_hat is not None:
-            w -= 1j * self.cap * self.d * theta_hat
+            w -= np.multiply(np.multiply(1j * self.cap, self.d, out=scratch), theta_hat, out=scratch)
         return w
 
-    def momentum(self, xi_j: np.ndarray, w: np.ndarray, m_hat_j: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Momentum component j of the image, heat m_hat_j + xi_j w, into ``out``; w from :meth:`weight`."""
-        np.multiply(self.heat, m_hat_j, out=out)
-        out += xi_j * w
+    def momenta(self, xis, w: np.ndarray, m_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The momentum rows of the image, heat m_hat_j + xi_j w, into the rows of ``out``; w from :meth:`weight`.
+
+        Each xi_j w is formed in the next row of ``out``, not yet written, and the last one in w, which it spends.
+        """
+        for j, xi_j in enumerate(xis):
+            np.multiply(self.heat, m_hat[j], out=out[j])
+            out[j] += np.multiply(xi_j, w, out=out[j + 1] if j + 1 < len(out) else w)
         return out
 
     def image(self, theta_hat: np.ndarray | None, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
@@ -178,9 +185,7 @@ class Block:
         a_hat = longitudinal_amplitude(m_hat, xis, grid.xi_sq_of(self.half))
         out = np.empty((grid.dim + 1,) + a_hat.shape, dtype=complex)
         self.theta(theta_hat, a_hat, out=out[0])
-        w = self.weight(theta_hat, a_hat)
-        for j in range(grid.dim):
-            self.momentum(xis[j], w, m_hat[j], out[1 + j])
+        self.momenta(xis, self.weight(theta_hat, a_hat, None, out[1]), m_hat, out[1:])
         return out
 
     def at(self, index: np.ndarray) -> Block:
@@ -194,7 +199,7 @@ def _require_full(spectral: SpectralState, what: str) -> None:
 
 
 def radial_gather(grid: Grid, tables, half: bool, out) -> list:
-    """Each of ``tables``, a function of |xi|^2 on the distinct values ``grid.radial_table[0]``, gathered per mode of
+    """Each of ``tables``, a function of |xi|^2 on the distinct values ``grid.radial_values``, gathered per mode of
     the full or the half layout, into ``out[i]`` (one array per table) unless ``out`` is None."""
     index = grid.radial_index(half)
     # every index is in range; mode="clip" skips the buffered copy mode="raise" makes of an out array
@@ -208,7 +213,7 @@ def semigroup_block(params: FluidParams, grid: Grid, t: float, *, theta_only: bo
     :meth:`Block.theta` may be used.  ``half`` gathers on the half layout,
     ``out`` (one array per coefficient: d, tf, then lg, heat) receives them.
     """
-    values = grid.radial_table[0]
+    values = grid.radial_values
     sig_tf, sig_d, sig_mg, heat = propagator_kernels(params, values, t)
     tables = (sig_d * values, sig_tf) if theta_only else (sig_d * values, sig_tf, sig_mg - heat, heat)
     coeffs = radial_gather(grid, tables, half, out)
@@ -222,9 +227,10 @@ class Workspace:
 
     ``hat`` is the half-spectrum stack a read-out fills: the theta row alone if theta_only, else all dim + 1 rows.
     A sample's block coefficients (and w) run in the leading elements of the half-layout buffers ``coeffs`` (and
-    ``w``, which follows them in one buffer), sized on its orbit's evaluation grid.  ``m``, the caller's real
-    momentum, shares that memory, and so may the caller's own rows in ``coeffs`` once it is done with m: a read-out
-    is done with its coefficients and w once it returns.
+    ``w``, which follows them in one buffer), sized on its orbit's evaluation grid.  ``m``, one real row for the
+    caller's momentum magnitude, shares the memory of the first two ``coeffs`` rows (a real row is shorter than two
+    half-layout rows), and the caller may use the other rows, and all of them once it is done with m: a read-out is
+    done with its coefficients and w once it returns.
     """
 
     def __init__(self, grid: Grid, *, theta_only: bool = False):
@@ -234,10 +240,10 @@ class Workspace:
         if theta_only:
             self.coeffs = np.empty(coeffs)
         else:
-            size, w_size = math.prod(coeffs), 2 * math.prod(grid.half_shape)
-            shared = np.empty(max(size + w_size, grid.dim * grid.mode_count))
-            self.coeffs, self.m = _leading(shared, coeffs), _leading(shared, (grid.dim,) + grid.shape)
-            self.w = shared[size : size + w_size].view(complex).reshape(grid.half_shape)
+            size = math.prod(coeffs)
+            shared = np.empty(size + 2 * math.prod(grid.half_shape))
+            self.coeffs, self.m = _leading(shared, coeffs), _leading(shared, grid.shape)
+            self.w = shared[size:].view(complex).reshape(grid.half_shape)
 
 
 def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
@@ -327,8 +333,9 @@ class SemigroupOrbit:
     U(xi) in some row).  Off the set the band is Hermitian and the block mirror-symmetric (its coefficients are
     functions of |xi|^2 and its odd xi factors change sign), so the image's Hermitian projection is the image itself;
     on a Nyquist index the odd factors do not change sign.  The datum is not kept: a caller that hands it over and
-    drops its own reference once the orbit is built frees it.  :meth:`halves` reads each sample out into a
-    :class:`Workspace`, which every sample of a series reuses.
+    drops its own reference once the orbit is built frees it.  A band whose theta row is zero, on the half stack
+    and the mirror set, enters the block as its zero theta (None), so no sample multiplies it.  :meth:`halves` reads
+    each sample out into a :class:`Workspace`, which every sample of a series reuses.
     """
 
     def __init__(self, data: SpectralState, params: FluidParams, band: str = "full", cutoff: CutoffSpec | None = None):
@@ -354,6 +361,9 @@ class SemigroupOrbit:
         xi_sq = grid.xi_sq_of(half=True).reshape(-1)[self.mirror]  # |xi|^2 is even, bit for bit
         self._mirror_a_hat = longitudinal_amplitude(self._mirror_datum[1:], self._mirror_xis, xi_sq)
         self._a_hat = longitudinal_amplitude(self._datum[1:], grid.wavevectors(half=True), grid.xi_sq_of(half=True))
+        zero_theta = not (self._datum[0].any() or self._mirror_datum[0].any())
+        self._theta = (None, None) if zero_theta else (self._datum[0], self._mirror_datum[0])
+        grid.radial_index(half=True)  # built here, before the series allocates its workspace
 
     def halves(self, t: float, ws: Workspace) -> np.ndarray:
         """``ws.hat`` filled with S(t) data's half spectra: ``hermitian_half`` of the rows of :func:`apply_semigroup`
@@ -372,14 +382,14 @@ class SemigroupOrbit:
         block = semigroup_block(self.params, grid, t, theta_only=ws.theta_only, half=True, out=coeffs)
         mirror_block = block.at(self.mirror)
         mirrored = np.empty((len(hat), self.mirror.size), dtype=complex)
-        block.theta(datum[0], self._a_hat, out=hat[0])
-        mirror_block.theta(mirror_datum[0], self._mirror_a_hat, out=mirrored[0])
+        theta, mirror_theta = self._theta
+        block.theta(theta, self._a_hat, out=hat[0])
+        mirror_block.theta(mirror_theta, self._mirror_a_hat, out=mirrored[0])
         if not ws.theta_only:
-            w = block.weight(datum[0], self._a_hat, out=_leading(ws.w, grid.half_shape))
-            mirror_w = mirror_block.weight(mirror_datum[0], self._mirror_a_hat)
-            for j, xi_j in enumerate(grid.wavevectors(half=True)):
-                block.momentum(xi_j, w, datum[1 + j], out=hat[1 + j])
-                mirror_block.momentum(self._mirror_xis[j], mirror_w, mirror_datum[1 + j], out=mirrored[1 + j])
+            w = block.weight(theta, self._a_hat, _leading(ws.w, grid.half_shape), hat[1])
+            block.momenta(grid.wavevectors(half=True), w, datum[1:], hat[1:])
+            mirror_w = mirror_block.weight(mirror_theta, self._mirror_a_hat, None, mirrored[1])
+            mirror_block.momenta(self._mirror_xis, mirror_w, mirror_datum[1:], mirrored[1:])
         for row, mir in zip(hat, mirrored):
             flat = row.reshape(-1)
             flat[self.mirror] = _project(mir, flat[self.mirror])

@@ -34,7 +34,7 @@ from nsklab.errors import (
 from nsklab.fields import curl_mixture_momentum_state, nonlinear_initial_state, riesz_momentum_pair, transverse_packet
 from nsklab.model import Grid, SpectralState, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import Etd2Stepper, NonlinearScenario, StepState, _sample_norms
-from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, multi_indices, to_real
+from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, irfftn, multi_indices, to_real
 
 
 def partials(f, grid, order):
@@ -432,6 +432,60 @@ class TestDecayMeasurementFromSpectrum:
         assert set(fft_calls) == {"irfftn"}
 
 
+class TestTrustReadOut:
+    """A decay sample transforms theta only where its trust diagnostics can pick it: at p = 2 when the bound on its
+    peak reaches m's peak, and always at any other p, where it enters the norm."""
+
+    TIMES = (0.05, 0.4, 1.5)
+
+    @staticmethod
+    def _assert_dominant_diagnostics(meas, data, params, times, theta_dominant):
+        g = data.grid
+        for it, t in enumerate(times):
+            st = to_real(apply_semigroup(data, params, t))
+            assert (np.max(np.abs(st.theta)) > np.max(np.abs(st.m))) == theta_dominant
+            dominant = st.theta if theta_dominant else st.m
+            assert meas.trust_radii[it] == mass_radius(dominant, g)
+            assert meas.edge_leaks[it] == edge_leakage(dominant, g)
+
+    def test_divergence_free_datum_reads_m_alone(self, oscillatory_params, fft_calls):
+        g = Grid(dim=3, box_len=12.0, n=16)
+        data = curl_mixture_momentum_state(g, 2.5, 0.3, 1.5)
+        meas = measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="full", p=2.0, j=1, w10=True)
+        assert fft_calls == ["irfftn"] * g.dim * len(self.TIMES)
+        self._assert_dominant_diagnostics(meas, data, oscillatory_params, self.TIMES, theta_dominant=False)
+
+    def test_theta_dominated_datum_reads_theta(self, oscillatory_params, fft_calls):
+        g = Grid(dim=3, box_len=12.0, n=16)
+        theta = gaussian_bump(g, np.full(3, 6.0), 1.6, 1.0)
+        data = full_spectrum(State(grid=g, fields=np.stack([theta] + [np.zeros(g.shape)] * 3)))
+        fft_calls.clear()
+        meas = measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="full", p=2.0, j=1, w10=True)
+        assert fft_calls == ["irfftn"] * (g.dim + 1) * len(self.TIMES)
+        self._assert_dominant_diagnostics(meas, data, oscillatory_params, self.TIMES, theta_dominant=True)
+
+    def test_p_inf_always_reads_theta(self, oscillatory_params, fft_calls):
+        g = Grid(dim=3, box_len=12.0, n=16)
+        data = curl_mixture_momentum_state(g, 2.5, 0.3, 1.5)
+        meas = measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="full", p=np.inf, j=0)
+        assert fft_calls == ["irfftn"] * (g.dim + 1) * len(self.TIMES)
+        self._assert_dominant_diagnostics(meas, data, oscillatory_params, self.TIMES, theta_dominant=False)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_peak_bound_bounds_the_read_out(self, dim):
+        """The bound holds for any half row, its self-mirror planes not Hermitian included, and is reached by a
+        single mode."""
+        g = Grid(dim=dim, box_len=5.0, n=8)
+        rng = np.random.default_rng(60 + dim)
+        buf = np.empty(g.half_shape)
+        for _ in range(20):
+            row = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
+            assert np.max(np.abs(irfftn(row, g))) <= analysis_mod._peak_bound(row, g, buf)
+        spike = np.zeros(g.half_shape, dtype=complex)
+        spike[(0,) * dim] = g.mode_count
+        assert analysis_mod._peak_bound(spike, g, buf) == np.max(irfftn(spike, g)) == 1.0
+
+
 class TestSeriesOnOnePath:
     """Both series loops apply S(t) through one orbit per series and form each sample's magnitude once."""
 
@@ -464,10 +518,16 @@ class TestSeriesOnOnePath:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_magnitude_in_place_bitwise_equal(self, dim):
+        """A decay sample's momentum read-out, one row at a time into one real row, is :func:`_magnitude` of the
+        stacked real fields, and its peak their largest |m_j|, bit for bit."""
         g = Grid(dim=dim, box_len=5.0, n=8 if dim < 4 else 4)
-        m = np.random.default_rng(45 + dim).standard_normal((dim,) + g.shape)
-        want = analysis_mod._magnitude(m, g)
-        assert np.array_equal(analysis_mod._magnitude_in_place(m.copy()), want)
+        rng = np.random.default_rng(45 + dim)
+        rows = rng.standard_normal((dim,) + g.half_shape) + 1j * rng.standard_normal((dim,) + g.half_shape)
+        m = np.stack([irfftn(row, g) for row in rows])
+        out = np.empty(g.shape)
+        mag, peak = analysis_mod._momentum_magnitude(rows, g, out)
+        assert mag is out and np.array_equal(mag, analysis_mod._magnitude(m, g))
+        assert peak == max(np.max(m), -np.min(m))
 
     def test_series_never_alias_workspace(self, oscillatory_params, monkeypatch):
         """Every array a measurement returns is its own, whatever the workspace buffers hold later."""
@@ -497,7 +557,7 @@ class TestSeriesOnOnePath:
         g = Grid(dim=3, box_len=6.0, n=8)
         data = random_spectrum(g, np.random.default_rng(43))
         measure_semigroup_decay(data, oscillatory_params, self.TIMES, band="high", p=2.0, j=1, w10=True)
-        assert sum(kernel_sizes) <= g.radial_table[0].size * len(self.TIMES)
+        assert sum(kernel_sizes) <= g.radial_values.size * len(self.TIMES)
 
     def test_theta_low_band_series_budget(self, oscillatory_params, kernel_sizes, fft_calls):
         """One inverse transform and at most the distinct |xi|^2 kernel values per sample, no forward transform."""
@@ -505,7 +565,7 @@ class TestSeriesOnOnePath:
         data = random_spectrum(g, np.random.default_rng(44))
         theta_low_band_series(data, oscillatory_params, self.TIMES, default_cutoff(g), np.inf)
         assert fft_calls == ["irfftn"] * len(self.TIMES)
-        assert sum(kernel_sizes) <= g.radial_table[0].size * len(self.TIMES)
+        assert sum(kernel_sizes) <= g.radial_values.size * len(self.TIMES)
 
 
 class TestDecayMemoryBudget:

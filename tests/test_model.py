@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import wavevector_of_index
 from nsklab.errors import ConstraintViolation, CriticalityViolation, GridMismatch, NumericsWarning, RangeViolation
@@ -135,7 +138,7 @@ class TestGrid:
         assert np.array_equal(half[-1], full[-1][..., :h])
         assert half[-1].ravel()[-1] == -np.pi * g.n / g.box_len  # fftfreq's -n/2 kept at the Nyquist index
         assert np.array_equal(g.xi_sq_of(half=True), g.xi_sq[..., :h])
-        assert np.array_equal(g.radial_index(half=True), g.radial_table[1][..., :h])
+        assert np.array_equal(g.radial_index(half=True), g.radial_index(half=False)[..., :h])
         for table in (g.xi_sq_of(half=True), g.radial_index(half=True)):
             assert table.flags.c_contiguous and not table.flags.writeable
         assert g.xi_sq_of(half=True) is g.xi_sq_of(half=True)
@@ -254,6 +257,36 @@ class TestSpectralGeometry:
         g = Grid(dim=3, box_len=3.0, n=8)
         tables = [g.wavevectors(), g.mirrors(False), g.nyquist(True), g.embedding(Grid(dim=3, box_len=3.0, n=16), True)]
         assert not any(arr.flags.writeable for laid in tables for arr in laid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 4), log_n=st.integers(1, 6), box_len=st.floats(0.1, 1000.0))
+    def test_radial_table_is_numpy_unique_of_xi_sq(self, dim, log_n, box_len):
+        """The values, taken from the half layout, and both indices, found by binary search, are what np.unique of
+        the full |xi|^2 returns, bit for bit."""
+        n = 1 << log_n
+        assume(n**dim <= 1 << 18)
+        g = Grid(dim=dim, box_len=box_len, n=n)
+        values, inverse = np.unique(g.xi_sq, return_inverse=True)
+        inverse = inverse.reshape(g.shape)
+        assert g.radial_values.tobytes() == values.tobytes()
+        assert np.array_equal(g.radial_index(half=False), inverse)
+        assert np.array_equal(g.radial_index(half=True), inverse[..., : n // 2 + 1])
+        for table in (g.radial_values, g.radial_index(half=False), g.radial_index(half=True)):
+            assert not table.flags.writeable
+        assert g.radial_index(half=True).dtype == g.radial_index(half=False).dtype == np.int32
+
+    def test_half_radial_index_peaks_below_one_xi_sq(self):
+        """Building the values and the half index touches no full-layout sort or index: at 64^3 its peak stays under
+        the 2 MiB of one full-layout |xi|^2."""
+        g = Grid(dim=3, box_len=96.0, n=64)
+        g.xi_sq_of(half=True)  # |xi|^2 cached on both layouts, as every orbit has it before its first sample
+        tracemalloc.start()
+        try:
+            g.radial_index(half=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.xi_sq.nbytes
 
 
 class TestState:

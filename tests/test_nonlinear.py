@@ -416,7 +416,7 @@ class TestStep:
         g = Grid(dim=dim, box_len=3.0, n=8)
         dt = 0.15
         stepper = Etd2Stepper(params, g, dt)
-        values, index = g.radial_table[0], g.radial_index(half=True)
+        values, index = g.radial_values, g.radial_index(half=True)
         tabs = phi_multiplier_tables(params, values, dt)
         for block, (D, B, T) in ((stepper._phi1, tabs["phi1"]), (stepper._phi2, tabs["phi2"])):
             assert block.tf is None and block.half

@@ -214,7 +214,7 @@ class TestSemigroupOrbit:
     def test_radial_kernels_bitwise_equal_to_full_grid(self, oscillatory_params, dim, n, box_len):
         """Kernels on the distinct |xi|^2, gathered per mode, equal the full-grid evaluation bit for bit."""
         g = Grid(dim=dim, box_len=box_len, n=n)
-        values, index = g.radial_table
+        values, index = g.radial_values, g.radial_index(half=False)
         assert np.array_equal(values[index], g.xi_sq)
         assert values.size == np.unique(g.xi_sq).size
         assert not values.flags.writeable and not index.flags.writeable
