@@ -10,7 +10,7 @@ the structural conservation laws to machine precision.
 
 import warnings
 
-from nsklab import Grid, NonlinearScenario, critical_quadratic, make_params, run
+from nsklab import Grid, NonlinearInitBlock, NonlinearScenario, critical_quadratic, make_params, run
 
 params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(0.5, 1.0))
 grid = Grid(dim=3, box_len=8.0, n=16)
@@ -27,9 +27,7 @@ with warnings.catch_warnings():
                 dt=0.1,
                 seed=12,
                 sample_every=10,
-                theta_width=1.6,
-                m_envelope_width=1.6,
-                m_smooth_width=1.2,
+                init=NonlinearInitBlock(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.2),
             )
         )
         for eps in (0.02, 0.04)

@@ -5,13 +5,10 @@ Lp-Lq decay-rate verification, and a small-data nonlinear solver."""
 from ._version import __version__
 
 from .analysis import (
-    AblationResult,
-    AblationScenario,
     DecayMeasurement,
     DecayReport,
     NormSeries,
     aggregate_N,
-    divergence_form_ablation,
     edge_leakage,
     fit_decay,
     lp_norm,
@@ -19,6 +16,7 @@ from .analysis import (
     mass_radius,
     measure_semigroup_decay,
     predicted_decay_exponent,
+    theta_low_band_series,
     weighted_sup,
 )
 from .errors import (
@@ -66,7 +64,14 @@ from .nonlinear import (
     run,
 )
 from .runner import ScenarioOutcome, run_scenario, run_sweep
-from .scenario import ScenarioConfig, parse_config, parse_sweep_config, serialize_config
+from .scenario import (
+    NonlinearExponentsBlock,
+    NonlinearInitBlock,
+    ScenarioConfig,
+    parse_config,
+    parse_sweep_config,
+    serialize_config,
+)
 from .spectral import (
     CutoffSpec,
     SemigroupOrbit,

@@ -30,6 +30,9 @@ a time into its magnitude, and theta is transformed only if the sum of its
 spectrum's magnitudes, a bound on its peak, reaches m's peak: data whose theta
 stays far below m, such as divergence-free momenta, cost dim inverse
 transforms per sample, not dim + 1.
+
+The divergence-form ablation measures :func:`theta_low_band_series` of both
+members of ``fields.riesz_momentum_pair``; the runner pairs the two fits.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .spectral import (
 )
 
 TOL_EXP = 0.1  # absolute tolerance on fitted decay exponents
-DEFAULT_FIT_WINDOW = (5.0, 50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -554,96 +556,6 @@ def _pair_lp_from_halves(hat, theta_mag, m_mag, p, j: int, w10: bool, grid: Grid
     return th_part + m_part
 
 
-# ---------------------------------------------------------------------------
-# divergence-form ablation
-
-
-@dataclass(frozen=True)
-class AblationScenario:
-    params: FluidParams
-    grid: Grid
-    gamma: float
-    support_radius: float
-    amplitude: float
-    seed: int
-    sample_times: tuple
-    fit_window: tuple = DEFAULT_FIT_WINDOW
-    p: float = np.inf
-    q: float = 2.0
-    j: int = 0
-    cutoff_eps: float | None = None
-    tol_exp: float = TOL_EXP
-    trust_mode: str = "edge_leak"
-
-
-@dataclass(frozen=True)
-class AblationResult:
-    divergence_report: DecayReport | None
-    generic_report: DecayReport | None
-    gap: float | None
-    skipped: bool
-    reason: str = ""
-    divergence_measurement: DecayMeasurement | None = None
-    generic_measurement: DecayMeasurement | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "skipped": self.skipped,
-            "reason": self.reason,
-            "gap": self.gap,
-            "divergence": self.divergence_report.to_dict() if self.divergence_report else None,
-            "generic": self.generic_report.to_dict() if self.generic_report else None,
-        }
-
-
-def divergence_form_ablation(scn: AblationScenario) -> AblationResult:
-    """Paired decay fits quantifying what the divergence-form condition buys.
-
-    Both runs carry theta = 0 and momenta with identical spectral energy and
-    envelope; one is Div M0 (whose spectrum vanishes linearly at xi = 0), the
-    other generic.  Reports the fitted low-band theta-decay exponents and the
-    gap (generic - divergence, positive = generic decays slower), and keeps
-    both measurements for artifact writing.
-    """
-    from .fields import riesz_momentum_pair
-
-    if scn.amplitude == 0.0:
-        return AblationResult(None, None, None, skipped=True, reason="zero initial data")
-    rng = np.random.default_rng(scn.seed)
-    # (divergence, generic), each handed over to its series, which frees it once its orbit is built
-    pair = list(riesz_momentum_pair(scn.grid, scn.gamma, scn.support_radius, rng=rng, amplitude=scn.amplitude))
-    cutoff = CutoffSpec(eps=scn.cutoff_eps) if scn.cutoff_eps else default_cutoff(scn.grid)
-    ws = Workspace(scn.grid, theta_only=True)
-    reports = []
-    measurements = []
-    while pair:
-        meas = theta_low_band_series(pair.pop(0), scn.params, scn.sample_times, cutoff, scn.p, ws)
-        if np.all(meas.series.values == 0.0):
-            return AblationResult(None, None, None, skipped=True, reason="theta response identically zero")
-        measurements.append(meas)
-        reports.append(
-            fit_decay(
-                meas.series,
-                scn.fit_window,
-                dim=scn.grid.dim,
-                p=scn.p,
-                q=scn.q,
-                j=scn.j,
-                tol_exp=scn.tol_exp,
-                trust_ok=meas.trust_ok(scn.fit_window, scn.trust_mode),
-            )
-        )
-    gap = reports[1].fitted_exponent - reports[0].fitted_exponent
-    return AblationResult(
-        reports[0],
-        reports[1],
-        float(gap),
-        skipped=False,
-        divergence_measurement=measurements[0],
-        generic_measurement=measurements[1],
-    )
-
-
 def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutoff: CutoffSpec, p, ws=None) -> DecayMeasurement:
     """Low-band theta-component norm series of the linear flow (ablation measurand).
 
@@ -653,7 +565,7 @@ def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutof
     """
     grid = data.grid
     orbit = SemigroupOrbit(data, params, "low", cutoff)
-    del data  # the last reference when the caller handed the datum over, as divergence_form_ablation does: freed here
+    del data  # the last reference when the caller handed the datum over, as the runner's ablation does: freed here
     trust = _TrustGeometry(grid)
     ws = ws or Workspace(grid, theta_only=True)
 

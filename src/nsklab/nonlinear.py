@@ -56,6 +56,7 @@ import numpy as np
 from .analysis import _AGGREGATE_KEYS, NormSeries, aggregate_N, lp_norms
 from .errors import ConstraintViolation, NumericsWarning, RangeViolation, StepRejected
 from .model import FluidParams, Grid, SpectralState, State
+from .scenario import NonlinearExponentsBlock, NonlinearInitBlock
 from .spectral import (
     Block,
     dealias_mask,
@@ -226,8 +227,9 @@ class Etd2Stepper:
 class NonlinearScenario:
     """Nonlinear run configuration with the exponent bookkeeping of the theory.
 
-    Violated exponent constraints produce 'outside theorem scope' warnings,
-    never errors: the solver is happy to integrate any admissible data.
+    The exponents and initial-data widths are the config's blocks, defaults
+    included.  Violated exponent constraints produce 'outside theorem scope'
+    warnings, never errors: the solver integrates any admissible data.
     """
 
     params: FluidParams
@@ -236,14 +238,8 @@ class NonlinearScenario:
     t_end: float
     dt: float
     seed: int
-    p: float = 4.0
-    q1: float = 2.5
-    q2: float = 15.0
-    tau: float = 0.35
-    theta_width: float = 2.0
-    m_envelope_width: float = 2.0
-    m_smooth_width: float = 1.0
-    m_relative_amplitude: float = 1.0
+    exponents: NonlinearExponentsBlock = NonlinearExponentsBlock()
+    init: NonlinearInitBlock = NonlinearInitBlock()
     sample_every: int = 1
     nonlinear: bool = True
 
@@ -256,7 +252,8 @@ class NonlinearScenario:
 
     def scope_warnings(self) -> list:
         out = []
-        n, p, q1, q2, tau = self.grid.dim, self.p, self.q1, self.q2, self.tau
+        e = self.exponents
+        n, p, q1, q2, tau = self.grid.dim, e.p, e.q1, e.q2, e.tau
         if not (3 <= n <= 7):
             out.append(f"dimension N={n} outside theorem scope 3 <= N <= 7")
         if not (2.0 < p < np.inf):
@@ -355,7 +352,7 @@ def _sample_norms(st: StepState, scn: NonlinearScenario, stepper: Etd2Stepper) -
         st.g_hat = nonlinearity_g_hat(st, stepper.params, stepper.mask)
     g_hat = st.g_hat if scn.nonlinear else None
     # each field is measured once for all its exponents and constituents; the sup norm only enters j0 and j1
-    qs = (np.inf, scn.q1, scn.q2)
+    qs = (np.inf, scn.exponents.q1, scn.exponents.q2)
     norms = {key: [] for key in ("j0", "j1", "w3", "w2", "dt")}
     for keys, f in _sample_fields(st, stepper.params, g_hat):
         measured = lp_norms(f, grid, qs if keys[0] in ("j0", "j1") else qs[1:])
@@ -398,10 +395,10 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
         initial, _ = nonlinear_initial_state(
             scn.grid,
             theta_amplitude=scn.amplitude,
-            theta_width=scn.theta_width,
-            m_amplitude=scn.amplitude * scn.m_relative_amplitude,
-            m_envelope_width=scn.m_envelope_width,
-            m_smooth_width=scn.m_smooth_width,
+            theta_width=scn.init.theta_width,
+            m_amplitude=scn.amplitude * scn.init.m_relative_amplitude,
+            m_envelope_width=scn.init.m_envelope_width,
+            m_smooth_width=scn.init.m_smooth_width,
             rng=rng,
         )
     stepper = Etd2Stepper(scn.params, scn.grid, scn.dt)
@@ -437,12 +434,8 @@ def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
         key: NormSeries(times=times, values=np.array([s[key] for s in samples]), descriptor={"name": key})
         for key in _AGGREGATE_KEYS
     }
-    agg_vals = np.array(
-        [
-            aggregate_N(bundle, scn.grid.dim, scn.p, scn.q1, scn.q2, scn.tau, t) if t > 0 else 0.0
-            for t in times
-        ]
-    )
+    e = scn.exponents
+    agg_vals = np.array([aggregate_N(bundle, scn.grid.dim, e.p, e.q1, e.q2, e.tau, t) if t > 0 else 0.0 for t in times])
     aggregate = NormSeries(times=times, values=agg_vals, descriptor={"name": "aggregate_N"})
 
     mean1 = st.spectral.hat[origin]

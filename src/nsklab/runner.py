@@ -8,6 +8,11 @@ Every run writes, under its output directory:
 * ``report.json``     - verdicts and diagnostics, embedding the config again;
 * ``plots/*.svg``     - log-log curves with the predicted-slope guide line.
 
+Each kind builds its report from the config itself.  A decay kind measures
+its seeded datum and fits the series with the config's window, exponents and
+trust mode; the ablation does so for each member of ``riesz_momentum_pair``,
+one ``theta_low_band_series`` each, and compares the two fitted exponents.
+
 Exit-code policy lives in the CLI: 0 all verdicts pass, 2 verdict failures,
 1 execution error (partial artifacts are flushed before the error propagates).
 
@@ -21,20 +26,14 @@ from __future__ import annotations
 import json
 import traceback
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from ._version import __version__
-from .analysis import (
-    AblationScenario,
-    DecayMeasurement,
-    divergence_form_ablation,
-    fit_decay,
-    measure_semigroup_decay,
-)
+from .analysis import DecayMeasurement, fit_decay, measure_semigroup_decay, theta_low_band_series
 from .errors import NumericsWarning, ValidationError
 from .fields import (
     curl_mixture_momentum_state,
@@ -45,7 +44,7 @@ from .fields import (
 from .model import Grid, SpectralState, critical_quadratic, make_params
 from .nonlinear import NonlinearScenario, run as run_nonlinear
 from .scenario import NonlinearExponentsBlock, NonlinearInitBlock, ScenarioConfig, config_to_dict
-from .spectral import CutoffSpec, default_cutoff
+from .spectral import CutoffSpec, Workspace, default_cutoff
 from .svgplot import loglog_svg
 from .symbols import matexp_oracle, solution_symbol
 
@@ -121,6 +120,13 @@ def _plots_dir(out_dir: Path) -> Path:
     return d
 
 
+def _fit(cfg: ScenarioConfig, meas: DecayMeasurement, dim: int):
+    """The decay fit of a measurement over the config's window, with its exponents, tolerance and trust mode."""
+    e = cfg.exponents
+    trust_ok = meas.trust_ok(cfg.fit_window, cfg.trust_mode)
+    return fit_decay(meas.series, cfg.fit_window, dim=dim, p=e.p, q=e.q, j=e.j, tol_exp=cfg.tol_exp, trust_ok=trust_ok)
+
+
 def _symbol_verify_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     rng = np.random.default_rng(cfg.seed)
     regimes = {"positive": (0.05, 0.95), "negative": (1.05, 6.0), "degenerate": (1.0 - 0.9e-9, 1.0 + 0.9e-9)}
@@ -164,7 +170,7 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     rng = np.random.default_rng(cfg.seed)
     cutoff = CutoffSpec(eps=cfg.cutoff_eps) if cfg.cutoff_eps else default_cutoff(grid)
     # the datum is passed straight in: the measurement holds its only reference and frees it once its orbit is built
-    meas: DecayMeasurement = measure_semigroup_decay(
+    meas = measure_semigroup_decay(
         _build_data(cfg, grid, rng),
         params,
         cfg.times.values(),
@@ -174,16 +180,7 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         j=cfg.exponents.j,
         w10=cfg.w10,
     )
-    report = fit_decay(
-        meas.series,
-        cfg.fit_window,
-        dim=grid.dim,
-        p=cfg.exponents.p,
-        q=cfg.exponents.q,
-        j=cfg.exponents.j,
-        tol_exp=cfg.tol_exp,
-        trust_ok=meas.trust_ok(cfg.fit_window, cfg.trust_mode),
-    )
+    report = _fit(cfg, meas, grid.dim)
     name = f"pair_{cfg.band}"
     _write_csv(_series_dir(out_dir) / f"{name}.csv", meas.series.times, meas.series.values)
     _write_csv(_series_dir(out_dir) / "trust_mass_radius.csv", meas.series.times, meas.trust_radii)
@@ -207,44 +204,45 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
 
 def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
+    """What the divergence form buys: the low-band theta decay of a Div M0 momentum against a generic one.
+
+    Both data of ``riesz_momentum_pair`` carry theta = 0 and momenta of identical spectral energy and envelope;
+    the gap, generic minus divergence-form fitted exponent, is positive when the generic datum decays slower.
+    """
+    payload = {"skipped": True, "gap": None, "divergence": None, "generic": None, "gap_threshold": cfg.gap_threshold, "pass": False}
+    if cfg.data.amplitude == 0.0:
+        return dict(payload, reason="zero initial data")
+    params = _params_from_config(cfg)
     grid = _grid_from_config(cfg)
-    scn = AblationScenario(
-        params=_params_from_config(cfg),
-        grid=grid,
-        gamma=cfg.data.gamma,
-        support_radius=_support_radius(cfg, grid),
-        amplitude=cfg.data.amplitude,
-        seed=cfg.seed,
-        sample_times=tuple(cfg.times.values()),
-        fit_window=cfg.fit_window,
-        cutoff_eps=cfg.cutoff_eps,
-        tol_exp=cfg.tol_exp,
-        trust_mode=cfg.trust_mode,
-        **asdict(cfg.exponents),
-    )
-    result = divergence_form_ablation(scn)
-    payload = result.to_dict()
-    payload["gap_threshold"] = cfg.gap_threshold
-    if result.skipped:
-        payload["pass"] = False
-        payload["skipped"] = True
-        return payload
-    payload["pass"] = bool(
-        result.divergence_report.verdict
-        and result.generic_report.fitted_exponent > result.divergence_report.fitted_exponent
-        and result.gap >= cfg.gap_threshold
-    )
-    for tag, meas in (("divergence", result.divergence_measurement), ("generic", result.generic_measurement)):
-        _write_csv(_series_dir(out_dir) / f"theta_low_{tag}.csv", meas.series.times, meas.series.values)
-        fitted = payload[tag]["fitted_exponent"] if payload[tag] else float("nan")
+    rng = np.random.default_rng(cfg.seed)
+    # (divergence, generic), each handed over to its series, which frees it once its orbit is built
+    pair = list(riesz_momentum_pair(grid, cfg.data.gamma, _support_radius(cfg, grid), rng=rng, amplitude=cfg.data.amplitude))
+    cutoff = CutoffSpec(eps=cfg.cutoff_eps) if cfg.cutoff_eps else default_cutoff(grid)
+    ws = Workspace(grid, theta_only=True)
+    times = cfg.times.values()
+    fits = {}
+    for tag in ("divergence", "generic"):
+        meas = theta_low_band_series(pair.pop(0), params, times, cutoff, cfg.exponents.p, ws)
+        if np.all(meas.series.values == 0.0):
+            return dict(payload, reason="theta response identically zero")
+        fits[tag] = meas.series, _fit(cfg, meas, grid.dim)
+    divergence, generic = fits["divergence"][1], fits["generic"][1]
+    guide = divergence.predicted_exponent
+    for tag, (series, report) in fits.items():
+        _write_csv(_series_dir(out_dir) / f"theta_low_{tag}.csv", series.times, series.values)
         svg = loglog_svg(
-            meas.series.times,
-            meas.series.values,
-            title=f"theta low band ({tag}): fitted {fitted:+.3f}",
-            guide_slope=payload["divergence"]["predicted_exponent"],
-            guide_label=f"guide slope {payload['divergence']['predicted_exponent']:+.3f}",
+            series.times,
+            series.values,
+            title=f"theta low band ({tag}): fitted {report.fitted_exponent:+.3f}",
+            guide_slope=guide,
+            guide_label=f"guide slope {guide:+.3f}",
         )
         (_plots_dir(out_dir) / f"theta_low_{tag}.svg").write_text(svg)
+    gap = generic.fitted_exponent - divergence.fitted_exponent
+    payload.update(skipped=False, reason="", gap=gap, divergence=divergence.to_dict(), generic=generic.to_dict())
+    payload["pass"] = bool(
+        divergence.verdict and generic.fitted_exponent > divergence.fitted_exponent and gap >= cfg.gap_threshold
+    )
     return payload
 
 
@@ -258,8 +256,8 @@ def _nonlinear_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         seed=cfg.seed,
         sample_every=cfg.sample_every,
         nonlinear=cfg.nonlinear,
-        **asdict(cfg.nonlinear_exponents or NonlinearExponentsBlock()),
-        **asdict(cfg.init or NonlinearInitBlock()),
+        exponents=cfg.nonlinear_exponents or NonlinearExponentsBlock(),
+        init=cfg.init or NonlinearInitBlock(),
     )
     # NumericsWarnings become report events without a time, since a warning
     # carries none; other categories are dropped

@@ -24,7 +24,7 @@ from nsklab.fields import (
 from nsklab.model import Grid, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import Etd2Stepper, NonlinearScenario, StepState, run
 from nsklab.runner import run_scenario
-from nsklab.scenario import config_from_dict
+from nsklab.scenario import NonlinearInitBlock, config_from_dict
 from nsklab.spectral import (
     CutoffSpec,
     conjugate_symmetry_defect,
@@ -280,7 +280,7 @@ class TestCriterion7Conservation:
 
 
 class TestCriterion8NonlinearSmallData:
-    WIDTHS = dict(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.2)
+    INIT = NonlinearInitBlock(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.2)
 
     def test_small_data_boundedness_and_scaling(self):
         params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(0.5, 1.0))
@@ -297,7 +297,7 @@ class TestCriterion8NonlinearSmallData:
                     dt=0.1,
                     seed=12,
                     sample_every=20,
-                    **self.WIDTHS,
+                    init=self.INIT,
                 )
                 results[eps] = run(scn)
         base, doubled = results[0.02], results[0.04]
@@ -339,7 +339,7 @@ class TestCriterion8NonlinearSmallData:
                 dt=0.025,
                 seed=12,
                 sample_every=1,
-                **self.WIDTHS,
+                init=self.INIT,
             )
             r = run(scn)
         vals = {}

@@ -9,11 +9,10 @@ import nsklab.analysis as analysis_mod
 import nsklab.spectral as spectral_mod
 from conftest import full_spectrum, random_spectrum, volume
 from nsklab.analysis import (
-    AblationScenario,
+    DecayMeasurement,
     DecayReport,
     NormSeries,
     aggregate_N,
-    divergence_form_ablation,
     fit_decay,
     in_theorem_scope,
     edge_leakage,
@@ -34,6 +33,8 @@ from nsklab.errors import (
 from nsklab.fields import curl_mixture_momentum_state, nonlinear_initial_state, riesz_momentum_pair, transverse_packet
 from nsklab.model import Grid, SpectralState, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import Etd2Stepper, NonlinearScenario, StepState, _sample_norms
+from nsklab.runner import run_scenario
+from nsklab.scenario import NonlinearExponentsBlock, config_from_dict
 from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, irfftn, multi_indices, to_real
 
 
@@ -54,7 +55,7 @@ def sobolev_norm(f, grid, k, q):
 def solver_norms(grid, theta, m, q1, q2):
     """The nonlinear solver's sample norms of (theta, m) at the exponents (q1, q2), linear part only."""
     params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(1.0, 1.0))
-    scn = NonlinearScenario(params=params, grid=grid, amplitude=0.0, t_end=1.0, dt=1.0, seed=0, q1=q1, q2=q2, nonlinear=False)
+    scn = NonlinearScenario(params=params, grid=grid, amplitude=0.0, t_end=1.0, dt=1.0, seed=0, exponents=NonlinearExponentsBlock(q1=q1, q2=q2), nonlinear=False)
     return _sample_norms(StepState.from_state(State(grid=grid, fields=np.concatenate([theta[None], m]))), scn, Etd2Stepper(params, grid, 1.0))
 
 
@@ -183,6 +184,40 @@ class TestMassRadius:
     def test_zero_field(self):
         g = Grid(dim=1, box_len=1.0, n=16)
         assert mass_radius(np.zeros(16), g) == 0.0
+
+
+class TestMassRadiusTrust:
+    """The default trust mode: every sample in the fit window has its 99%-mass radius within a quarter of the box."""
+
+    def test_measurement_trusts_radii_within_a_quarter_box(self, oscillatory_params):
+        g = Grid(dim=2, box_len=40.0, n=64)
+        theta = gaussian_bump(g, (20.0, 20.0), 2.0, 1.0)
+        data = full_spectrum(State(grid=g, fields=np.concatenate([theta[None], np.zeros((2,) + g.shape)])))
+        times = np.geomspace(0.1, 20.0, 10)
+        meas = measure_semigroup_decay(data, oscillatory_params, times, band="full", p=2.0)
+        assert meas.trust_limit == g.box_len / 4
+        verdicts = set()
+        for lo, hi in [(0.1, 20.0), (0.1, 2.0), (1.0, 3.5), (1.0, 12.0), (5.0, 20.0)]:
+            want = bool(np.all(meas.trust_radii[(times >= lo) & (times <= hi)] <= g.box_len / 4))
+            assert meas.trust_ok((lo, hi)) is want
+            assert meas.trust_ok((lo, hi), "mass_radius") is want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_radius_on_the_limit_is_trusted(self):
+        limit = 6.0
+        meas = DecayMeasurement(
+            series=NormSeries(times=np.arange(1.0, 6.0), values=np.ones(5)),
+            trust_radii=np.array([1.0, limit, limit, np.nextafter(limit, np.inf), 1.0]),
+            trust_limit=limit,
+            edge_leaks=np.zeros(5),
+            band_modes=1,
+        )
+        assert meas.trust_ok((1.0, 3.0))
+        assert not meas.trust_ok((1.0, 4.0))
+        assert not meas.trust_ok((4.0, 5.0))
+        assert meas.trust_ok((5.0, 5.0))
+        assert meas.trust_ok((1.0, 5.0), "edge_leak")
 
 
 
@@ -345,40 +380,34 @@ class TestFitDecay:
 
 
 class TestAblation:
-    def test_zero_initial_data_skips(self):
-        p = make_params(1.0, 0.8, 0.7875, 1.0, critical_quadratic(1.0, 1.0))
-        g = Grid(dim=2, box_len=24.0, n=32)
-        scn = AblationScenario(
-            params=p,
-            grid=g,
-            gamma=1.0,
-            support_radius=5.0,
-            amplitude=0.0,
-            seed=1,
-            sample_times=tuple(np.geomspace(0.5, 8.0, 8)),
-            fit_window=(1.0, 6.0),
+    @staticmethod
+    def ablation(seed, n, box_len, support_radius, amplitude, times, fit_window):
+        return config_from_dict(
+            {
+                "kind": "ablation",
+                "seed": seed,
+                "params": {"mu": 1.0, "nu": 0.8, "kappa": 0.7875, "rho_ref": 1.0},
+                "grid": {"dim": 2, "n": n, "box_len": box_len},
+                "data": {"kind": "riesz_divergence", "gamma": 1.0, "support_radius": support_radius, "amplitude": amplitude},
+                "times": times,
+                "exponents": {"p": "inf", "q": 2.0, "j": 0},
+                "fit_window": fit_window,
+                "trust_mode": "edge_leak",
+            }
         )
-        res = divergence_form_ablation(scn)
-        assert res.skipped
-        assert res.gap is None
 
-    def test_small_grid_gap_positive(self):
+    def test_zero_initial_data_skips(self, tmp_path):
+        cfg = self.ablation(1, 32, 24.0, 5.0, 0.0, {"t_min": 0.5, "t_max": 8.0, "count": 8}, [1.0, 6.0])
+        report = run_scenario(cfg, tmp_path).report
+        assert report["skipped"]
+        assert report["gap"] is None
+
+    def test_small_grid_gap_positive(self, tmp_path):
         """Generic momentum decays strictly slower even at desk scale."""
-        p = make_params(1.0, 0.8, 0.7875, 1.0, critical_quadratic(1.0, 1.0))
-        g = Grid(dim=2, box_len=48.0, n=64)
-        scn = AblationScenario(
-            params=p,
-            grid=g,
-            gamma=1.0,
-            support_radius=11.0,
-            amplitude=1.0,
-            seed=3,
-            sample_times=tuple(np.geomspace(0.8, 14.0, 12)),
-            fit_window=(1.5, 10.0),
-        )
-        res = divergence_form_ablation(scn)
-        assert not res.skipped
-        assert res.generic_report.fitted_exponent > res.divergence_report.fitted_exponent
+        cfg = self.ablation(3, 64, 48.0, 11.0, 1.0, {"t_min": 0.8, "t_max": 14.0, "count": 12}, [1.5, 10.0])
+        report = run_scenario(cfg, tmp_path).report
+        assert not report["skipped"]
+        assert report["generic"]["fitted_exponent"] > report["divergence"]["fitted_exponent"]
 
 
 class TestLpTimeNorm:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -121,3 +122,14 @@ def test_no_unused_imports():
                 bound = [a.asname or a.name.split(".")[0] for a in node.names]
                 unused += [f"{path.relative_to(ROOT)}: {name}" for name in bound if name not in used]
     assert unused == []
+
+
+def test_every_demo_import_exists():
+    """Each name a demo imports from nsklab, or from one of its modules, is defined there."""
+    missing = []
+    for path in (ROOT / "demos").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nsklab":
+                module = importlib.import_module(node.module)
+                missing += [f"{path.name}: {node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert missing == []

@@ -80,6 +80,29 @@ CASES = {
         "fit_window": [5.0, 50.0],
         "trust_mode": "edge_leak",
     },
+    "linear-decay-low-riesz-generic-64x64": {
+        "kind": "linear-decay",
+        "seed": 42,
+        "params": {"mu": 1.0, "nu": 0.8, "kappa": 0.7875, "rho_ref": 1.0},
+        "grid": {"dim": 2, "n": 64, "box_len": 48.0},
+        "data": {"kind": "riesz_generic", "gamma": 1.0, "amplitude": 1.0},
+        "times": {"t_min": 1.0, "t_max": 20.0, "count": 12},
+        "exponents": {"p": "inf", "q": 2.0, "j": 0},
+        "band": "low",
+        "fit_window": [2.0, 15.0],
+        "trust_mode": "edge_leak",
+    },
+    "linear-decay-full-scalar-riesz-p2-64x64": {
+        "kind": "linear-decay",
+        "seed": 42,
+        "params": {"mu": 1.0, "nu": 0.8, "kappa": 0.7875, "rho_ref": 1.0},
+        "grid": {"dim": 2, "n": 64, "box_len": 48.0},
+        "data": {"kind": "scalar_riesz", "gamma": 1.5, "amplitude": 0.5},
+        "times": {"t_min": 1.0, "t_max": 20.0, "count": 12},
+        "exponents": {"p": 2.0, "q": 2.0, "j": 1},
+        "band": "full",
+        "fit_window": [2.0, 15.0],
+    },
     "ablation-128x128": {
         "kind": "ablation",
         "seed": 42,

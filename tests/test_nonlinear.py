@@ -19,6 +19,7 @@ from nsklab.nonlinear import (
     run,
     _sample_norms,
 )
+from nsklab.scenario import NonlinearInitBlock
 from nsklab.spectral import apply_semigroup, dealias_mask, derivative, rfftn, to_real
 from nsklab.symbols import phi_multiplier_tables
 
@@ -589,8 +590,8 @@ class TestRun:
         """The state's spectrum and real fields agree on every stored mode but the Nyquist modes of the
         self-mirror planes (last-axis index 0 and n/2), where the propagator's odd factors act."""
         g = Grid(dim=3, box_len=16.0, n=16)
-        widths = dict(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.6)
-        res = run(NonlinearScenario(params=params, grid=g, amplitude=0.02, t_end=1.0, dt=0.1, seed=3, **widths))
+        init = NonlinearInitBlock(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.6)
+        res = run(NonlinearScenario(params=params, grid=g, amplitude=0.02, t_end=1.0, dt=0.1, seed=3, init=init))
         assert res.success
         st = res.final
         nyq = g.n // 2
@@ -622,9 +623,7 @@ class TestRun:
             dt=0.025,
             seed=3,
             sample_every=1,
-            theta_width=1.8,
-            m_envelope_width=1.8,
-            m_smooth_width=1.6,
+            init=NonlinearInitBlock(theta_width=1.8, m_envelope_width=1.8, m_smooth_width=1.6),
         )
         r = run(scn)
         vals = {}

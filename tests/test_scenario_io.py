@@ -324,6 +324,24 @@ class TestRunScenario:
             b = (tmp_path / "b" / "series" / name).read_bytes()
             assert a == b
 
+    def test_default_trust_mode_is_mass_radius(self, tmp_path):
+        """A config without trust_mode reports mass_radius, and its verdict follows the mass radii in the window:
+        here they exceed a quarter of the box while the edge leakage stays under its tolerance."""
+        raw = dict(minimal_linear_decay(), fit_window=[1.0, 4.0])
+        del raw["trust_mode"]
+        report = run_scenario(config_from_dict(raw), tmp_path / "default").report
+        assert report["trust_mode"] == "mass_radius"
+        rows = np.loadtxt(tmp_path / "default" / "series" / "trust_mass_radius.csv", delimiter=",", skiprows=1)
+        in_window = (rows[:, 0] >= 1.0) & (rows[:, 0] <= 4.0)
+        trusted = bool(np.all(rows[in_window, 1] <= raw["grid"]["box_len"] / 4))
+        decay = report["decay"]
+        assert decay["trust_window_ok"] is trusted is False
+        assert abs(decay["fitted_exponent"] - decay["predicted_exponent"]) <= decay["tol_exp"]
+        assert report["pass"] is False
+        edge = run_scenario(config_from_dict(dict(raw, trust_mode="edge_leak")), tmp_path / "edge").report
+        assert edge["decay"]["trust_window_ok"] is True
+        assert edge["pass"] is True
+
     def test_nonlinear_warnings_recorded_as_events(self, tmp_path):
         """A dim-2 run is outside theorem scope; its NumericsWarnings land in report.json."""
         cfg = config_from_dict(minimal_nonlinear())
@@ -387,7 +405,7 @@ class TestRunScenario:
 
     def test_ablation_series_measured_once(self, tmp_path, monkeypatch):
         """The runner writes the ablation's own two measurements: two series, same bytes as a fresh measurement."""
-        import nsklab.analysis as analysis_mod
+        import nsklab.runner as runner_mod
         from nsklab.fields import riesz_momentum_pair
         from nsklab.runner import _grid_from_config, _params_from_config, _write_csv
         from nsklab.spectral import default_cutoff
@@ -404,14 +422,14 @@ class TestRunScenario:
             "trust_mode": "edge_leak",
         }
         cfg = config_from_dict(raw)
-        measured = analysis_mod.theta_low_band_series
+        measured = runner_mod.theta_low_band_series
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return measured(*args, **kwargs)
 
-        monkeypatch.setattr(analysis_mod, "theta_low_band_series", counted)
+        monkeypatch.setattr(runner_mod, "theta_low_band_series", counted)
         run_scenario(cfg, tmp_path / "abl")
         assert len(calls) == 2
 
@@ -472,16 +490,23 @@ class TestCli:
         assert "PASS" in proc.stdout
 
     @pytest.mark.parametrize("make", [minimal_nonlinear, minimal_linear_decay])
-    def test_cli_series_identical_across_thread_counts(self, tmp_path, make):
-        """--threads 2 (FFT workers) changes no byte of a single scenario's series CSVs."""
+    def test_cli_series_identical_across_thread_counts(self, tmp_path, make, monkeypatch):
+        """cli.main with --threads 2 runs every transform on two FFT workers and writes every artifact (series
+        CSVs, plots, report and manifest) byte for byte as --threads 1 does: C10 with threads."""
+        import nsklab.spectral as spectral_mod
+        from nsklab import cli
+
+        monkeypatch.setattr(spectral_mod, "_FFT_WORKERS", 1)  # back to the module's value after the test
         cfg_path = self._write(tmp_path, make())
-        series = []
+        artifacts = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            proc = self._cli(make()["kind"], "--config", cfg_path, "--out", out, "--threads", threads)
-            assert proc.returncode in (0, 2), proc.stderr  # a verdict may fail at this size; no error may
-            series.append({p.name: p.read_bytes() for p in (out / "series").glob("*.csv")})
-        assert series[0] and series[0] == series[1]
+            assert cli.main([make()["kind"], "--config", str(cfg_path), "--out", str(out), "--threads", threads]) in (0, 2)
+            assert spectral_mod._FFT_WORKERS == int(threads)
+            artifacts.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert {"manifest.json", "report.json"} <= set(artifacts[0])
+        assert any(name.startswith("series") for name in artifacts[0])
+        assert artifacts[0] == artifacts[1]
 
     def test_cli_kind_mismatch(self, tmp_path):
         cfg_path = self._write(tmp_path, minimal_nonlinear())
