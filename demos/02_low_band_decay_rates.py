@@ -25,7 +25,7 @@ from nsklab.svgplot import loglog_svg
 
 params = make_params(1.0, 0.8, 0.7875, 1.0, critical_quadratic(1.0, 1.0))
 grid = Grid(dim=2, box_len=96.0, n=128)
-data = riesz_momentum_pair(grid, 1.0, 0.98 * grid.box_len / 4, rng=np.random.default_rng(42), amplitude=1.0)[0]
+data = next(riesz_momentum_pair(grid, 1.0, 0.98 * grid.box_len / 4, rng=np.random.default_rng(42), amplitude=1.0))
 
 times = np.geomspace(3.5, 65.0, 20)
 window = (5.0, 50.0)

@@ -13,6 +13,9 @@ at its own (faster) point-mass rate.  Two constructions provide the needed
   assembled, used as curl potentials for exactly divergence-free data).
 
 ``gamma = dim/2`` is the L_2-critical profile the acceptance scenarios use.
+The Riesz pair of the divergence-form ablation is an iterator that forms its
+members one at a time, in place: a caller that hands each member on never
+holds both.
 Every generator centers its data at the box center, the center the
 wrap-around trust diagnostics of :mod:`nsklab.analysis` measure from.
 Radial real coefficients are conjugate-symmetric; the ``i xi`` factors of
@@ -25,6 +28,8 @@ mirror of each Nyquist mode as well (``spectral.SemigroupOrbit``), and
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -59,14 +64,16 @@ def scale_mixture_hat(grid: Grid, gamma: float, rho_min: float, rho_max: float, 
 
 
 def _matern_envelope(z: np.ndarray, nu: float) -> np.ndarray:
-    """Normalized UV envelope K_nu(z) z^nu / (2^(nu-1) Gamma(nu)), -> 1 as z -> 0."""
+    """Normalized UV envelope K_nu(z) z^nu / (2^(nu-1) Gamma(nu)), -> 1 as z -> 0; overwrites z with z^nu."""
     from scipy.special import gamma as _gamma
     from scipy.special import kv
 
-    z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
     pos = z > 1e-8
-    out[pos] = kv(nu, z[pos]) * z[pos] ** nu / (2.0 ** (nu - 1.0) * _gamma(nu))
+    out = np.ones_like(z)
+    kv(nu, z, out=out, where=pos)
+    z **= nu
+    np.multiply(out, z, out=out, where=pos)
+    np.divide(out, 2.0 ** (nu - 1.0) * _gamma(nu), out=out, where=pos)
     return out
 
 
@@ -87,41 +94,81 @@ def riesz_kernel_hat(grid: Grid, gamma: float, support_radius: float) -> np.ndar
     if not (0.0 < gamma < grid.dim):
         raise ValueError("0 < gamma < dim required")
     r_sq = grid.periodic_r_sq()
-    r = np.sqrt(r_sq)
     a = 0.75 * grid.spacing
-    kernel = (r_sq + a**2) ** (-(grid.dim - gamma) / 2.0)
-    kernel *= 1.0 - _quintic_step((r - 0.45 * support_radius) / (0.55 * support_radius))
+    kernel = r_sq + a**2
+    kernel **= -(grid.dim - gamma) / 2.0
+    ramp = np.sqrt(r_sq)
+    ramp -= 0.45 * support_radius
+    ramp /= 0.55 * support_radius
+    ramp = _quintic_step(ramp)
+    np.subtract(1.0, ramp, out=ramp)
+    kernel *= ramp
+    del ramp
     k_hat = fftn(kernel)
-    env = _matern_envelope(a * np.sqrt(grid.xi_sq), gamma / 2.0)
-    k_hat /= np.maximum(env, 0.02)
+    del kernel
+    z = np.sqrt(grid.xi_sq)
+    z *= a
+    env = _matern_envelope(z, gamma / 2.0)
+    del z
+    np.maximum(env, 0.02, out=env)
+    k_hat /= env
     k_hat[(0,) * grid.dim] = 0.0
     return k_hat
 
 
-def riesz_momentum_pair(grid: Grid, gamma: float, support_radius: float, *, rng: np.random.Generator, amplitude: float = 1.0) -> tuple[SpectralState, SpectralState]:
-    """Localized momentum pair for the divergence-form ablation.
+def riesz_momentum_pair(grid: Grid, gamma: float, support_radius: float, *, rng: np.random.Generator, amplitude: float = 1.0) -> Iterator[SpectralState]:
+    """Localized momentum pair for the divergence-form ablation, one member at a time.
 
-    Divergence-form member: m = Div(T * kernel) with T a seeded constant
-    symmetric tensor; generic member: m = d * kernel.  Both share the same
-    scalar kernel (spectrum ~ |xi|^-gamma, support within support_radius) and
-    are scaled to the same total spectral energy.
+    Returns an iterator over two members, in this order: the divergence-form
+    member m = Div(T * kernel), with T a seeded constant symmetric tensor,
+    then the generic member m = d * kernel, with d a seeded unit vector.
+    Both share the same scalar kernel (spectrum ~ |xi|^-gamma, support within
+    support_radius), and the generic member is scaled to the total spectral
+    energy of the divergence member.
+
+    The kernel and the rng draws are made at the call; each member is formed
+    only when it is asked for.  Between the two members the iterator holds
+    the kernel, T, d and the divergence member's energy, and no reference to
+    the member it has yielded: a caller that hands the divergence member on
+    frees it before the generic one is formed.  Once the generic member is
+    formed, the iterator drops the kernel too.
     """
-    k_hat = riesz_kernel_hat(grid, gamma, support_radius) * amplitude
+    k_hat = riesz_kernel_hat(grid, gamma, support_radius)
+    k_hat *= amplitude
     T = seeded_symmetric_tensor(grid.dim, rng)
     d = rng.standard_normal(grid.dim)
     d /= np.linalg.norm(d)
+    return _riesz_members(grid, k_hat, T, d)
+
+
+def _riesz_members(grid: Grid, k_hat: np.ndarray, T: np.ndarray, d: np.ndarray) -> Iterator[SpectralState]:
+    # each member leaves through a one-slot list, so no local of this frame holds it across its yield
     xis = grid.wavevectors()
-    # one allocation per member, not two views of one array: a caller that keeps one member frees the other
-    div, gen = (np.zeros((grid.dim + 1,) + grid.shape, dtype=complex) for _ in range(2))
+    slot = [np.zeros((grid.dim + 1,) + grid.shape, dtype=complex)]
+    row = np.empty(grid.shape, dtype=complex)
     for j in range(grid.dim):
         for k in range(grid.dim):
-            div[1 + j] += 1j * xis[k] * (T[j, k] * k_hat)
-        gen[1 + j] = d[j] * k_hat
-    e_div = np.sqrt(np.sum(np.abs(div[1:]) ** 2))
-    e_gen = np.sqrt(np.sum(np.abs(gen[1:]) ** 2))
+            np.multiply(T[j, k], k_hat, out=row)
+            np.multiply(1j * xis[k], row, out=row)
+            slot[0][1 + j] += row
+    del row
+    e_div = _momentum_energy(slot[0])
+    yield SpectralState(grid=grid, hat=slot.pop())
+    slot.append(np.zeros((grid.dim + 1,) + grid.shape, dtype=complex))
+    for j in range(grid.dim):
+        np.multiply(d[j], k_hat, out=slot[0][1 + j])
+    del k_hat
+    e_gen = _momentum_energy(slot[0])
     if e_gen > 0:
-        gen[1:] *= e_div / e_gen
-    return SpectralState(grid=grid, hat=div), SpectralState(grid=grid, hat=gen)
+        slot[0][1:] *= e_div / e_gen
+    yield SpectralState(grid=grid, hat=slot.pop())
+
+
+def _momentum_energy(hat: np.ndarray) -> float:
+    """sqrt(sum |m_hat|^2), summed over one (dim, *shape) buffer so the sum's order is fixed."""
+    sq = np.abs(hat[1:])
+    sq **= 2
+    return np.sqrt(np.sum(sq))
 
 
 def seeded_symmetric_tensor(dim: int, rng: np.random.Generator) -> np.ndarray:

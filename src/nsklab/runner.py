@@ -12,6 +12,8 @@ Each kind builds its report from the config itself.  A decay kind measures
 its seeded datum and fits the series with the config's window, exponents and
 trust mode; the ablation does so for each member of ``riesz_momentum_pair``,
 one ``theta_low_band_series`` each, and compares the two fitted exponents.
+A datum goes straight into its measurement, which frees it once its orbit is
+built; the ablation's generic member is formed only after that.
 
 Exit-code policy lives in the CLI: 0 all verdicts pass, 2 verdict failures,
 1 execution error (partial artifacts are flushed before the error propagates).
@@ -93,10 +95,11 @@ def _support_radius(cfg: ScenarioConfig, grid: Grid) -> float:
 def _build_data(cfg: ScenarioConfig, grid: Grid, rng) -> SpectralState:
     db = cfg.data
     support = _support_radius(cfg, grid)
-    if db.kind == "riesz_divergence":
-        return riesz_momentum_pair(grid, db.gamma, support, rng=rng, amplitude=db.amplitude)[0]
-    if db.kind == "riesz_generic":
-        return riesz_momentum_pair(grid, db.gamma, support, rng=rng, amplitude=db.amplitude)[1]
+    if db.kind in ("riesz_divergence", "riesz_generic"):
+        pair = riesz_momentum_pair(grid, db.gamma, support, rng=rng, amplitude=db.amplitude)
+        if db.kind == "riesz_generic":
+            next(pair)  # the divergence member sets the generic one's energy, and is dropped before it is formed
+        return next(pair)
     if db.kind == "scalar_riesz":
         hat = np.zeros((grid.dim + 1,) + grid.shape, complex)
         np.multiply(riesz_kernel_hat(grid, db.gamma, support), db.amplitude, out=hat[0])
@@ -215,14 +218,15 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     params = _params_from_config(cfg)
     grid = _grid_from_config(cfg)
     rng = np.random.default_rng(cfg.seed)
-    # (divergence, generic), each handed over to its series, which frees it once its orbit is built
-    pair = list(riesz_momentum_pair(grid, cfg.data.gamma, _support_radius(cfg, grid), rng=rng, amplitude=cfg.data.amplitude))
+    # divergence, then generic: each member goes straight to its series, which frees it once its orbit is built,
+    # and the generic member is formed only after that
+    pair = riesz_momentum_pair(grid, cfg.data.gamma, _support_radius(cfg, grid), rng=rng, amplitude=cfg.data.amplitude)
     cutoff = CutoffSpec(eps=cfg.cutoff_eps) if cfg.cutoff_eps else default_cutoff(grid)
     ws = Workspace(grid, theta_only=True)
     times = cfg.times.values()
     fits = {}
     for tag in ("divergence", "generic"):
-        meas = theta_low_band_series(pair.pop(0), params, times, cutoff, cfg.exponents.p, ws)
+        meas = theta_low_band_series(next(pair), params, times, cutoff, cfg.exponents.p, ws)
         if np.all(meas.series.values == 0.0):
             return dict(payload, reason="theta response identically zero")
         fits[tag] = meas.series, _fit(cfg, meas, grid.dim)

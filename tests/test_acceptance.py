@@ -112,14 +112,14 @@ def _decay_setup():
     p = make_params(DECAY_PARAMS["mu"], DECAY_PARAMS["nu"], DECAY_PARAMS["kappa"], DECAY_PARAMS["rho_ref"], critical_quadratic(1.0, 1.0))
     g = Grid(**DECAY_GRID)
     rng = np.random.default_rng(DECAY_SEED)
-    div_data, gen_data = riesz_momentum_pair(g, 1.5, 0.98 * g.box_len / 4.0, rng=rng, amplitude=1.0)
-    return p, g, div_data, gen_data
+    # the divergence member, then the generic one, each formed when it is asked for
+    return p, g, riesz_momentum_pair(g, 1.5, 0.98 * g.box_len / 4.0, rng=rng, amplitude=1.0)
 
 
 class TestCriterion3LowBandDecay:
     def test_low_band_divergence_form_rate(self):
-        params, grid, div_data = _decay_setup()[:3]  # the generic member is freed at once
-        meas = measure_semigroup_decay(div_data, params, DECAY_TIMES, band="low", p=np.inf, j=0)
+        params, grid, pair = _decay_setup()  # the generic member is never formed
+        meas = measure_semigroup_decay(next(pair), params, DECAY_TIMES, band="low", p=np.inf, j=0)
         rep = fit_decay(
             meas.series,
             DECAY_WINDOW,
@@ -150,11 +150,11 @@ class TestCriterion3LowBandDecay:
 
 class TestCriterion4DivergenceFormAblation:
     def test_gap_between_generic_and_divergence_form(self):
-        params, grid, div_data, gen_data = _decay_setup()
+        params, grid, pair = _decay_setup()
         cutoff = default_cutoff(grid)
         reports = []
-        for data in (div_data, gen_data):
-            meas = theta_low_band_series(data, params, DECAY_TIMES, cutoff, np.inf)
+        for _ in ("divergence", "generic"):  # the generic member is formed after the divergence series
+            meas = theta_low_band_series(next(pair), params, DECAY_TIMES, cutoff, np.inf)
             reports.append(
                 fit_decay(
                     meas.series,

@@ -634,7 +634,7 @@ class TestDecayMemoryBudget:
 
     def test_low_band_theta_series(self, oscillatory_params):
         g = Grid(dim=2, box_len=24.0, n=64)
-        datum = riesz_momentum_pair(g, 1.0, 0.98 * g.box_len / 4, rng=np.random.default_rng(3))[0]
+        datum = next(riesz_momentum_pair(g, 1.0, 0.98 * g.box_len / 4, rng=np.random.default_rng(3)))
 
         def call():
             theta_low_band_series(
@@ -642,6 +642,37 @@ class TestDecayMemoryBudget:
             )
 
         assert self.traced_peak(call) <= 4.5 * self.half_stack(g)
+
+    def test_riesz_pair_first_member(self):
+        """Forming the divergence member holds that member, the kernel and one scratch row: 3.62 half stacks.
+        Forming both members at once, out of place, peaks at 6.25."""
+        g = Grid(dim=2, box_len=24.0, n=128)
+
+        def call():
+            next(riesz_momentum_pair(g, 1.0, 0.98 * g.box_len / 4, rng=np.random.default_rng(3)))
+
+        assert self.traced_peak(call) <= 4.0 * self.half_stack(g)
+
+    @pytest.mark.parametrize("dim,n,budget", [(2, 128, 6.0), (3, 32, 5.0)])
+    def test_ablation_run(self, tmp_path, dim, n, budget):
+        """An ablation run holds one member of the pair at a time: 5.49 half stacks at dim 2 and 4.40 at dim 3.
+        Building both members before either series peaks at 6.93 and 5.81; keeping the divergence member
+        through the generic series costs about another 1.9."""
+        cfg = config_from_dict(
+            {
+                "kind": "ablation",
+                "seed": 7,
+                "params": {"mu": 1.0, "nu": 0.8, "kappa": 0.7875, "rho_ref": 1.0},
+                "grid": {"dim": dim, "n": n, "box_len": 48.0},
+                "data": {"kind": "riesz_divergence", "gamma": dim / 2, "amplitude": 1.0},
+                "times": {"t_min": 0.8, "t_max": 14.0, "count": 5},
+                "exponents": {"p": "inf", "q": 2.0, "j": 0},
+                "fit_window": [1.5, 10.0],
+                "trust_mode": "edge_leak",
+            }
+        )
+        g = Grid(dim=dim, box_len=48.0, n=n)
+        assert self.traced_peak(lambda: run_scenario(cfg, tmp_path)) <= budget * self.half_stack(g)
 
 
 class TestLowBandCount:

@@ -158,11 +158,88 @@ class TestGrid:
         """theta_hat and m_hat are views of the one stack; the two riesz_momentum_pair members own separate
         allocations, so a caller that keeps one member frees the other."""
         g = Grid(dim=2, box_len=8.0, n=16)
-        pair = riesz_momentum_pair(g, 1.0, 3.0, rng=np.random.default_rng(1))
+        pair = tuple(riesz_momentum_pair(g, 1.0, 3.0, rng=np.random.default_rng(1)))
         for spec in pair:
             assert np.shares_memory(spec.theta_hat, spec.hat)
             assert np.shares_memory(spec.m_hat, spec.hat)
         assert not np.shares_memory(pair[0].hat, pair[1].hat)
+
+
+class TestRieszPair:
+    @staticmethod
+    def reference_pair(g, gamma, support, rng, amplitude):
+        """Both members at once, every step out of place (the kernel, its Matern envelope, the member loops and
+        the energy match): the reference the lazy, in-place construction matches bit for bit."""
+        from scipy.special import gamma as gamma_fn
+        from scipy.special import kv
+
+        from nsklab.fields import seeded_symmetric_tensor
+        from nsklab.spectral import _quintic_step, fftn
+
+        r_sq = g.periodic_r_sq()
+        a = 0.75 * g.spacing
+        kernel = (r_sq + a**2) ** (-(g.dim - gamma) / 2.0)
+        kernel *= 1.0 - _quintic_step((np.sqrt(r_sq) - 0.45 * support) / (0.55 * support))
+        k_hat = fftn(kernel)
+        z, nu = a * np.sqrt(g.xi_sq), gamma / 2.0
+        env = np.ones_like(z)
+        pos = z > 1e-8
+        env[pos] = kv(nu, z[pos]) * z[pos] ** nu / (2.0 ** (nu - 1.0) * gamma_fn(nu))
+        k_hat /= np.maximum(env, 0.02)
+        k_hat[(0,) * g.dim] = 0.0
+        k_hat = k_hat * amplitude
+        T = seeded_symmetric_tensor(g.dim, rng)
+        d = rng.standard_normal(g.dim)
+        d /= np.linalg.norm(d)
+        xis = g.wavevectors()
+        div, gen = (np.zeros((g.dim + 1,) + g.shape, dtype=complex) for _ in range(2))
+        for j in range(g.dim):
+            for k in range(g.dim):
+                div[1 + j] += 1j * xis[k] * (T[j, k] * k_hat)
+            gen[1 + j] = d[j] * k_hat
+        e_div = np.sqrt(np.sum(np.abs(div[1:]) ** 2))
+        e_gen = np.sqrt(np.sum(np.abs(gen[1:]) ** 2))
+        if e_gen > 0:
+            gen[1:] *= e_div / e_gen
+        return div, gen
+
+    @pytest.mark.parametrize("dim,n,gamma", [(2, 64, 1.0), (3, 32, 1.5)])
+    def test_members_equal_reference_bitwise(self, dim, n, gamma):
+        """Divergence member first, then the generic one, each equal to the reference bit for bit (signed zeros
+        included) at amplitude 0.5."""
+        g = Grid(dim=dim, box_len=24.0, n=n)
+        support = 0.98 * g.box_len / 4
+        members = riesz_momentum_pair(g, gamma, support, rng=np.random.default_rng(11), amplitude=0.5)
+        reference = self.reference_pair(g, gamma, support, np.random.default_rng(11), 0.5)
+        for member, ref in zip(members, reference, strict=True):
+            assert member.hat.tobytes() == ref.tobytes()
+
+    def test_pair_keeps_no_member_it_yielded(self):
+        """Between its members the iterator holds the kernel, one full-layout row, and no member it has yielded;
+        once the generic member is formed it holds nothing of full layout."""
+        g = Grid(dim=2, box_len=24.0, n=128)
+        row = np.dtype(complex).itemsize * g.mode_count
+        tuple(riesz_momentum_pair(g, 1.0, 5.8, rng=np.random.default_rng(3)))  # fills the grid's caches
+        tracemalloc.start()
+        try:
+            pair = riesz_momentum_pair(g, 1.0, 5.8, rng=np.random.default_rng(3))
+            next(pair)
+            between = tracemalloc.get_traced_memory()[0]
+            generic = next(pair)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert row <= between < 1.1 * row
+        assert generic.hat.nbytes <= after < generic.hat.nbytes + 0.1 * row
+
+    def test_rng_draws_are_made_at_the_call(self):
+        """T and d are drawn before the pair returns, so a caller's later draws never shift the members."""
+        g = Grid(dim=2, box_len=12.0, n=16)
+        rng = np.random.default_rng(2)
+        pair = riesz_momentum_pair(g, 1.0, 2.9, rng=rng)
+        rng.standard_normal(5)
+        for member, ref in zip(pair, self.reference_pair(g, 1.0, 2.9, np.random.default_rng(2), 1.0), strict=True):
+            assert member.hat.tobytes() == ref.tobytes()
 
 
 class TestPeriodicGeometry:

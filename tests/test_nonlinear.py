@@ -648,7 +648,7 @@ class TestRun:
         """With the nonlinearity disabled, run() and the linear harness fit the same exponent."""
         p = make_params(1.0, 0.8, 0.7875, 1.0, critical_quadratic(1.0, 1.0))
         g = Grid(dim=2, box_len=48.0, n=64)
-        data = riesz_momentum_pair(g, 1.0, 11.0, rng=np.random.default_rng(5), amplitude=0.5)[0]
+        data = next(riesz_momentum_pair(g, 1.0, 11.0, rng=np.random.default_rng(5), amplitude=0.5))
         window = (1.0, 8.0)
         times = np.geomspace(0.5, 10.0, 14)
         meas = measure_semigroup_decay(data, p, times, band="full", p=np.inf, j=0)
