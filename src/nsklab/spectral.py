@@ -41,46 +41,116 @@ every such multiplier of the toolkit, once per (grid, alpha), which keeps a
 half spectrum's implied mirror consistent; the derivative equals ``.real`` of
 the complex round trip with the bare multiplier.
 
-FFT calls go through scipy.fft; ``set_fft_workers`` configures the worker
-count of every entry point (kept at 1 by default so outputs are
+Every transform goes through ``_fft``, which calls scipy's pocketfft
+kernels (``r2c``, ``c2r``, ``c2c``) with the axes, norm and worker count
+that scipy.fft passes them, so the output is scipy.fft's bit for bit.  The
+kernel module is loaded from its file: importing it by name would run
+scipy.fft's package init, which loads array-API support, numpy.f2py and
+scipy.special, and costs more than the rest of the import.  Where the file
+is not there, ``_fft`` is scipy.fft itself.  ``set_fft_workers`` configures
+the worker count of every entry point (kept at 1 by default so outputs are
 reproducible bit for bit across hosts regardless of core count).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.fft as _fft
 
 from .errors import ConstraintViolation, EmptyLowBand, GridMismatch
 from .model import FluidParams, Grid, SpectralState, State
 from .symbols import propagator_kernels
 
+
+class _Pocketfft:
+    """scipy.fft's ``fftn``, ``rfftn`` and ``irfftn``, as this toolkit calls them, made straight to the kernels.
+
+    ``s`` and ``axes`` mean what they mean to scipy.fft, and the kernels get
+    the axes, norm codes (0 forward, 2 inverse) and worker count scipy.fft
+    gives them.  Unlike scipy.fft, nothing is padded or cut (:func:`_axes`)
+    and nothing is converted: the input is a float or complex array, complex
+    for ``irfftn``, as every caller here passes.
+    """
+
+    def __init__(self, kernels):
+        self._kernels = kernels
+
+    def fftn(self, x, s=None, axes=None, workers=1):
+        return self._kernels.c2c(x, _axes(x, s, axes), True, 0, None, workers)
+
+    def rfftn(self, x, s=None, axes=None, workers=1):
+        return self._kernels.r2c(x, _axes(x, s, axes), True, 0, None, workers)
+
+    def irfftn(self, x, s=None, axes=None, workers=1):
+        axes = _axes(x, s, axes, real_inverse=True)
+        last = 2 * x.shape[axes[-1]] - 2 if s is None else s[-1]
+        return self._kernels.c2r(x, axes, last, False, 2, None, workers)
+
+
+def _axes(x: np.ndarray, s, axes, real_inverse: bool = False) -> list:
+    """The transformed axes of ``x``, nonnegative, read as scipy.fft reads ``s`` and a sequence ``axes`` (by default
+    the last len(s) axes, or all).  ``s`` must be the lengths ``x`` holds on them, bar a real inverse's last axis, whose
+    n // 2 + 1 entries hold length n."""
+    if axes is None:
+        axes = range(x.ndim - (x.ndim if s is None else len(s)), x.ndim)
+    axes = [a % x.ndim for a in axes]
+    if s is not None:
+        held = list(s)
+        if real_inverse:
+            held[-1] = held[-1] // 2 + 1
+        if held != [x.shape[a] for a in axes]:
+            raise ValueError(f"transform lengths {tuple(s)} do not fit an input of shape {x.shape}")
+    return axes
+
+
+def _load_fft():
+    """:class:`_Pocketfft` over scipy's pocketfft extension, loaded from its file, or scipy.fft where the file is not
+    there.  The file is found without importing scipy, and the module keeps its dotted name, so a later import of
+    scipy.fft reuses it."""
+    name = "scipy.fft._pocketfft.pypocketfft"
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(scipy_dir, "fft", "_pocketfft", "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_loader(name, importlib.machinery.ExtensionFileLoader(name, path))
+            kernels = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(kernels)
+            return _Pocketfft(kernels)
+    return importlib.import_module("scipy.fft")
+
+
+_fft = _load_fft()
 _FFT_WORKERS = 1
 
 
 def set_fft_workers(workers: int) -> None:
-    """Set the scipy.fft worker count used by all transforms."""
+    """Set the worker count of every transform; below 1 is a ValueError (the kernels would read 0 as every core)."""
     global _FFT_WORKERS
-    _FFT_WORKERS = int(workers)
+    workers = int(workers)
+    if workers < 1:
+        raise ValueError(f"FFT workers must be at least 1, got {workers}")
+    _FFT_WORKERS = workers
 
 
 def fftn(arr: np.ndarray) -> np.ndarray:
-    return _fft.fftn(arr, workers=_FFT_WORKERS)
+    return _fft.fftn(arr, s=None, axes=None, workers=_FFT_WORKERS)
 
 
 def rfftn(arr: np.ndarray) -> np.ndarray:
     """Half spectrum of a real field (last axis n/2 + 1)."""
-    return _fft.rfftn(arr, workers=_FFT_WORKERS)
+    return _fft.rfftn(arr, s=None, axes=None, workers=_FFT_WORKERS)
 
 
 def irfftn(arr: np.ndarray, grid: Grid) -> np.ndarray:
     """The real field of a half spectrum."""
-    return _fft.irfftn(arr, s=grid.shape, workers=_FFT_WORKERS)
+    return _fft.irfftn(arr, s=grid.shape, axes=None, workers=_FFT_WORKERS)
 
 
 def to_spectral(state: State) -> SpectralState:

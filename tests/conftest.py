@@ -12,9 +12,9 @@ def fft_calls(monkeypatch):
     """Live list of the transforms made through nsklab's FFT backend, one name per transform.
 
     ``spectral.fftn`` (complex) and ``spectral.rfftn``/``irfftn`` (real) are
-    the only transform entry points, and they reach scipy.fft
-    through ``spectral._fft``; the fixture swaps that for a counting wrapper
-    for the duration of the test.  A call over a stack of fields counts one
+    the only transform entry points, and they reach scipy's pocketfft kernels
+    (or scipy.fft, where the kernel file is absent) through ``spectral._fft``;
+    the fixture swaps that for a counting wrapper for the duration of the test.  A call over a stack of fields counts one
     transform per field: the batch is the product of the leading axes that
     ``axes`` (by default the last ``len(s)`` axes, or all) leaves out.
     """

@@ -168,12 +168,10 @@ class TestGrid:
 class TestRieszPair:
     @staticmethod
     def reference_pair(g, gamma, support, rng, amplitude):
-        """Both members at once, every step out of place (the kernel, its Matern envelope, the member loops and
-        the energy match): the reference the lazy, in-place construction matches bit for bit."""
-        from scipy.special import gamma as gamma_fn
-        from scipy.special import kv
-
-        from nsklab.fields import seeded_symmetric_tensor
+        """Both members at once, every step out of place (the kernel, its Matern envelope evaluated per mode of
+        the full grid, the member loops and the energy match): the reference the lazy, in-place construction, which
+        gathers the envelope from its values on the distinct |xi|^2, matches bit for bit."""
+        from nsklab.fields import _matern_envelope, seeded_symmetric_tensor
         from nsklab.spectral import _quintic_step, fftn
 
         r_sq = g.periodic_r_sq()
@@ -181,11 +179,7 @@ class TestRieszPair:
         kernel = (r_sq + a**2) ** (-(g.dim - gamma) / 2.0)
         kernel *= 1.0 - _quintic_step((np.sqrt(r_sq) - 0.45 * support) / (0.55 * support))
         k_hat = fftn(kernel)
-        z, nu = a * np.sqrt(g.xi_sq), gamma / 2.0
-        env = np.ones_like(z)
-        pos = z > 1e-8
-        env[pos] = kv(nu, z[pos]) * z[pos] ** nu / (2.0 ** (nu - 1.0) * gamma_fn(nu))
-        k_hat /= np.maximum(env, 0.02)
+        k_hat /= np.maximum(_matern_envelope(a * np.sqrt(g.xi_sq), gamma / 2.0), 0.02)
         k_hat[(0,) * g.dim] = 0.0
         k_hat = k_hat * amplitude
         T = seeded_symmetric_tensor(g.dim, rng)
@@ -202,6 +196,24 @@ class TestRieszPair:
         if e_gen > 0:
             gen[1:] *= e_div / e_gen
         return div, gen
+
+    @pytest.mark.parametrize("dim,n", [(1, 4096), (2, 512), (3, 64), (4, 16)])
+    def test_matern_envelope_matches_the_bessel_formula(self, dim, n):
+        """The quadrature envelope on the |xi| of a Riesz kernel's grid is z^nu K_nu(z) / (2^(nu-1) Gamma(nu)) to
+        1e-13 relative, and 1 exactly at z = 0."""
+        from scipy.special import gamma as gamma_fn
+        from scipy.special import kv
+
+        from nsklab.fields import _matern_envelope
+
+        g = Grid(dim=dim, box_len=24.0, n=n)
+        z = 0.75 * g.spacing * np.sqrt(g.radial_values)
+        assert z[0] == 0.0 and z[1] > 1e-8
+        for nu in (0.05, 0.25, 0.5, 1.0, 1.45, 1.9):
+            env = _matern_envelope(z, nu)
+            want = kv(nu, z[1:]) * z[1:] ** nu / (2.0 ** (nu - 1.0) * gamma_fn(nu))
+            assert env[0] == 1.0
+            assert np.max(np.abs(env[1:] - want) / want) <= 1e-13, nu
 
     @pytest.mark.parametrize("dim,n,gamma", [(2, 64, 1.0), (3, 32, 1.5)])
     def test_members_equal_reference_bitwise(self, dim, n, gamma):

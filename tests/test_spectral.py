@@ -689,6 +689,65 @@ class TestHalfLayout:
         spectral_mod.fftn(np.ones(g.shape))
         assert seen == [("rfftn", 2), ("irfftn", 2), ("fftn", 2)]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_seam_equals_scipy_fft_bitwise(self, workers):
+        """spectral._fft's rfftn, irfftn and fftn give scipy.fft's output bit for bit: dims 1-4, even and odd n,
+        contiguous inputs and strided rows of a stack, whole stacks over explicit axes, 1 and 2 workers."""
+        import scipy.fft
+
+        seam, rng = spectral_mod._fft, np.random.default_rng(8)
+        for dim, ns in [(1, (2, 7, 32)), (2, (2, 5, 16)), (3, (4, 9)), (4, (2, 6))]:
+            for n in ns:
+                shape = (n,) * dim
+                real = rng.standard_normal((3,) + shape)
+                half_shape = (3,) + shape[:-1] + (n // 2 + 1,)
+                half = rng.standard_normal(half_shape) + 1j * rng.standard_normal(half_shape)
+                strided = np.moveaxis(np.repeat(real, 2, axis=0), 0, -1)[..., 3]  # a row read across a stack
+                strided_half = np.moveaxis(np.repeat(half, 2, axis=0), 0, -1)[..., 3]
+                lead = tuple(range(1, dim + 1))
+                cases = [
+                    ("rfftn", real[1], {}),
+                    ("rfftn", strided, {}),
+                    ("rfftn", real, {"axes": lead}),
+                    ("rfftn", real, {"axes": (0,)}),
+                    ("irfftn", half[2], {"s": shape}),
+                    ("irfftn", strided_half, {"s": shape}),
+                    ("irfftn", half, {"s": shape, "axes": lead}),
+                    ("fftn", real[0], {}),
+                    ("fftn", half[0], {}),
+                    ("fftn", strided_half, {}),
+                    ("fftn", half, {"axes": lead}),
+                ]
+                for name, x, kwargs in cases:
+                    got = getattr(seam, name)(x, workers=workers, **kwargs)
+                    want = getattr(scipy.fft, name)(x, workers=workers, **kwargs)
+                    assert got.dtype == want.dtype and got.shape == want.shape, (name, dim, n, kwargs)
+                    assert got.tobytes() == want.tobytes(), (name, dim, n, kwargs)
+
+    def test_seam_calls_the_kernels_directly(self):
+        """On this install the seam found scipy's pocketfft extension and did not fall back to scipy.fft."""
+        assert isinstance(spectral_mod._fft, spectral_mod._Pocketfft)
+
+    def test_seam_refuses_lengths_it_would_pad_or_cut(self):
+        """scipy.fft pads or cuts an input to ``s``; the seam does neither, so a mismatch is an error."""
+        seam = spectral_mod._fft
+        with pytest.raises(ValueError):
+            seam.rfftn(np.ones((4, 8)), s=(4, 6))
+        with pytest.raises(ValueError):
+            seam.irfftn(np.ones((4, 5), dtype=complex), s=(4, 6))
+        with pytest.raises(ValueError):
+            seam.irfftn(np.ones((4, 5), dtype=complex), s=(6, 8))
+
+    def test_set_fft_workers_rejects_counts_below_one(self, monkeypatch):
+        """The kernels read 0 workers as every core, so a count below 1 is refused and the setting kept."""
+        monkeypatch.setattr(spectral_mod, "_FFT_WORKERS", 1)  # back to the module's value after the test
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                spectral_mod.set_fft_workers(bad)
+        assert spectral_mod._FFT_WORKERS == 1
+        spectral_mod.set_fft_workers(2)
+        assert spectral_mod._FFT_WORKERS == 2
+
     def test_fft_calls_counts_each_transform_of_a_stack(self, fft_calls):
         """A call over stacked fields counts one transform per field, whichever axes it transforms."""
         g = Grid(dim=2, box_len=1.0, n=8)

@@ -268,11 +268,31 @@ class TestSolutionSymbol:
         assert np.allclose(M[1:, 0], want, rtol=1e-13)
 
 
-def test_oracle_only_scipy_modules_load_on_first_use():
-    """Importing the runner (and so every solver module) loads neither scipy.integrate nor scipy.linalg;
-    only the two matrix-exponential oracles need them."""
+def test_oracle_only_scipy_modules_load_on_first_use(tmp_path):
+    """Importing the runner (and so every solver module) loads none of scipy.integrate, scipy.linalg, scipy.fft,
+    scipy.special or scipy._lib._array_api: only the two matrix-exponential oracles need the first two, the
+    transforms load scipy's pocketfft kernels from their file, and the Riesz data's Matern envelope is a quadrature.
+    A small ablation run, which builds Riesz data, still loads no scipy.special."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, nsklab.runner; print(sorted(m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules))"
+    watched = ("scipy.integrate", "scipy.linalg", "scipy.fft", "scipy.special", "scipy._lib._array_api")
+    code = f"import sys, nsklab.runner; print(sorted(m for m in {watched!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    raw = {
+        "kind": "ablation",
+        "seed": 7,
+        "params": {"mu": 1.0, "nu": 0.8, "kappa": 0.7875, "rho_ref": 1.0},
+        "grid": {"dim": 2, "n": 32, "box_len": 48.0},
+        "data": {"kind": "riesz_divergence", "gamma": 1.0, "support_radius": 11.0, "amplitude": 1.0},
+        "times": {"t_min": 0.8, "t_max": 14.0, "count": 8},
+        "exponents": {"p": "inf", "q": 2.0, "j": 0},
+        "fit_window": [1.5, 10.0],
+        "trust_mode": "edge_leak",
+    }
+    code = (
+        "import sys; from nsklab.runner import run_scenario; from nsklab.scenario import config_from_dict; "
+        f"run_scenario(config_from_dict({raw!r}), {str(tmp_path / 'abl')!r}); print('scipy.special' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "False"
