@@ -220,7 +220,7 @@ class Grid:
 
     def axis_aliases(self) -> np.ndarray:
         """Signed integer aliases k' in [-n/2, n/2) in DFT storage order."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
+        return (np.arange(self.n, dtype=np.int64) + self.n // 2) % self.n - self.n // 2
 
     def lay(self, table, half: bool) -> tuple:
         """A per-axis ``table`` (entry k for index k of an axis) laid along every axis: one array per axis, shaped to
@@ -262,9 +262,11 @@ class Grid:
 
         They are taken from the half layout alone: |xi|^2 is even bit for bit
         and the mirror -xi of every mode lies on the half layout, so both
-        layouts hold the same set of values.
+        layouts hold the same set of values.  They are deduplicated by a sort
+        and a neighbour compare, as np.unique does, without its numpy.ma import.
         """
-        return _read_only(np.unique(self._half_xi_sq))
+        values = np.sort(self._half_xi_sq, axis=None)
+        return _read_only(values[np.concatenate(([True], values[1:] != values[:-1]))])
 
     @cached_property
     def _half_xi_sq(self) -> np.ndarray:

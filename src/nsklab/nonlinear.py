@@ -61,6 +61,7 @@ from .spectral import (
     Block,
     dealias_mask,
     derivative,
+    image_of,
     irfftn,
     multi_indices,
     radial_gather,
@@ -189,7 +190,7 @@ class Etd2Stepper:
         phi = []
         for D, B, T in (tabs["phi1"], tabs["phi2"]):
             d, lg, heat = radial_gather(grid, (dt * dt * D * values, dt * (B - T), dt * T), half=True, out=None)
-            phi.append(Block(d=d, lg=lg, heat=heat, half=True))
+            phi.append(Block(d=d, lg=lg, heat=heat))
         self._phi1, self._phi2 = phi
 
     def _finite(self, hat: np.ndarray, t: float, what: str) -> StepState:
@@ -202,20 +203,20 @@ class Etd2Stepper:
 
     def step(self, state: StepState, nonlinear: bool = True) -> StepState:
         t = state.t + self.dt
-        base = self._exp.image(state.spectral.theta_hat, state.spectral.m_hat, self.grid)
+        base = image_of(self._exp, state.spectral.theta_hat, state.spectral.m_hat, self.grid, True)
         if not nonlinear:
             return self._finite(base, t, "state")
 
         g0_hat = state.g_hat
         if g0_hat is None:
             g0_hat = nonlinearity_g_hat(state, self.params, self.mask)
-        stage = self._finite(base + self._phi1.image(None, g0_hat, self.grid), t, "stage")
+        stage = self._finite(base + image_of(self._phi1, None, g0_hat, self.grid, True), t, "stage")
         try:
             gp_hat = nonlinearity_g_hat(stage, self.params, self.mask)
         except RangeViolation as exc:
             raise StepRejected(f"stage inadmissible at t={t:.6g}: {exc}", t=t) from exc
 
-        nxt = self._finite(stage.spectral.hat + self._phi2.image(None, gp_hat - g0_hat, self.grid), t, "state")
+        nxt = self._finite(stage.spectral.hat + image_of(self._phi2, None, gp_hat - g0_hat, self.grid, True), t, "state")
         try:
             nxt.real.check_range(self.params)
         except RangeViolation as exc:

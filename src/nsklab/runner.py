@@ -92,11 +92,12 @@ def _support_radius(cfg: ScenarioConfig, grid: Grid) -> float:
     return radius if radius is not None else 0.98 * grid.box_len / 4.0
 
 
-def _build_data(cfg: ScenarioConfig, grid: Grid, rng) -> SpectralState:
+def _build_data(cfg: ScenarioConfig, grid: Grid) -> SpectralState:
     db = cfg.data
     support = _support_radius(cfg, grid)
     if db.kind in ("riesz_divergence", "riesz_generic"):
-        pair = riesz_momentum_pair(grid, db.gamma, support, rng=rng, amplitude=db.amplitude)
+        # the only kind that draws: the generator, and numpy.random with it, is made here
+        pair = riesz_momentum_pair(grid, db.gamma, support, rng=np.random.default_rng(cfg.seed), amplitude=db.amplitude)
         if db.kind == "riesz_generic":
             next(pair)  # the divergence member sets the generic one's energy, and is dropped before it is formed
         return next(pair)
@@ -170,11 +171,10 @@ def _symbol_verify_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     params = _params_from_config(cfg)
     grid = _grid_from_config(cfg)
-    rng = np.random.default_rng(cfg.seed)
     cutoff = CutoffSpec(eps=cfg.cutoff_eps) if cfg.cutoff_eps else default_cutoff(grid)
     # the datum is passed straight in: the measurement holds its only reference and frees it once its orbit is built
     meas = measure_semigroup_decay(
-        _build_data(cfg, grid, rng),
+        _build_data(cfg, grid),
         params,
         cfg.times.values(),
         band=cfg.band,

@@ -66,6 +66,10 @@ class TimesBlock:
     t_max: float
     count: int
 
+    def __post_init__(self):
+        if not (0.0 < self.t_min < self.t_max and self.count >= 3):
+            raise ValidationError(f"times need 0 < t_min < t_max and count >= 3, got {self.t_min}, {self.t_max}, {self.count}")
+
     def values(self):
         return np.geomspace(self.t_min, self.t_max, self.count)
 
@@ -130,6 +134,8 @@ class _DecayConfig(_Record):
 
     def __post_init__(self):
         super().__post_init__()
+        if not (0.0 < self.fit_window[0] < self.fit_window[1]):
+            raise ValidationError(f"fit_window needs 0 < lo < hi, got {list(self.fit_window)}")
         if self.trust_mode not in ("mass_radius", "edge_leak"):
             raise ValidationError(f"trust_mode must be 'mass_radius' or 'edge_leak', got '{self.trust_mode}'")
 

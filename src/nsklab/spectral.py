@@ -1,7 +1,10 @@
 """Transforms, exact semigroup application, frequency splitting and derivative multipliers.
 
 Every linear operator of the toolkit that acts on (theta, m) per mode is
-radial, so it is applied in one block form (:class:`Block`).  With the
+radial, so it is applied in one block form (:class:`Block`) by one method,
+:meth:`Block.image`, into the caller's rows.  The theta-only mode is read off
+the arrays: a one-row output gets the theta row alone, and a
+:func:`semigroup_block` gathered into two arrays holds d and tf alone.  With the
 longitudinal amplitude a_hat = xi . m_hat / |xi|^2 (zero at xi = 0) the
 semigroup reads
 
@@ -203,14 +206,11 @@ class Block:
 
     This is the one formula of the toolkit's linear operators: the semigroup
     (:func:`semigroup_block`) and the ETDRK2 forcing weights, which act on
-    (0, g) and so leave ``tf`` unset.  The coefficients are gathered on one
-    layout (``half``); per stored mode both layouts compute the same values
+    (0, g) and so leave ``tf`` unset.  The coefficients are gathered on the
+    full or the half layout; per stored mode both compute the same values
     bit for bit, and so does the block :meth:`at` a list of modes.
-    :meth:`theta` multiplies the real coefficients into the real and
-    imaginary parts separately, which is faster than promoting them to
-    complex; in :meth:`momenta` the promoted products measured faster.
-    :meth:`weight` and :meth:`momenta` form their complex products in free
-    rows of the caller's arrays, not in temporaries.
+    :meth:`image` is the one way to apply a block; a block whose momentum
+    coefficients are not gathered serves only a one-row ``out``.
     """
 
     d: np.ndarray
@@ -218,44 +218,33 @@ class Block:
     lg: np.ndarray | None = None
     heat: np.ndarray | None = None
     cap: float = 0.0
-    half: bool = False
 
-    def theta(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """theta component of the image, into ``out``; theta_hat None stands for a zero theta."""
-        re, im = out.real, out.imag
+    def image(self, theta_hat: np.ndarray | None, m_hat: np.ndarray, a_hat: np.ndarray, xis, out: np.ndarray, w: np.ndarray | None):
+        """The image stack (theta, m_1 .. m_N), not validated, into the rows of ``out``: the theta row alone if ``out``
+        has one row.  ``a_hat`` is m_hat's :func:`longitudinal_amplitude` on the modes of the wavevectors ``xis``, and
+        theta_hat None stands for a zero theta.
+
+        The theta row multiplies the real coefficients into the real and imaginary parts separately, which is faster
+        than promoting them to complex; in the momentum rows the promoted products measured faster.  Those rows need
+        w = lg a_hat - i cap d theta_hat, the factor of xi_j shared by every momentum component, formed in ``w`` (made
+        here if None): i cap d theta_hat goes in out[1], and each xi_j w in the next row of ``out``, not yet written,
+        the last one in w, which it spends.
+        """
+        re, im = out[0].real, out[0].imag
         np.multiply(self.d, a_hat.imag, out=re)
         np.multiply(self.d, a_hat.real, out=im)
         np.negative(im, out=im)
         if theta_hat is not None:
             re += self.tf * theta_hat.real
             im += self.tf * theta_hat.imag
-        return out
-
-    def weight(self, theta_hat: np.ndarray | None, a_hat: np.ndarray, out: np.ndarray | None, scratch: np.ndarray) -> np.ndarray:
-        """w = lg a_hat - i cap d theta_hat, the factor of xi_j shared by every momentum component, into ``out`` (made
-        here if None); ``scratch``, a free complex array of w's shape, receives i cap d theta_hat."""
-        w = np.multiply(self.lg, a_hat, out=out)
+        if len(out) == 1:
+            return out
+        w = np.multiply(self.lg, a_hat, out=w)
         if theta_hat is not None:
-            w -= np.multiply(np.multiply(1j * self.cap, self.d, out=scratch), theta_hat, out=scratch)
-        return w
-
-    def momenta(self, xis, w: np.ndarray, m_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The momentum rows of the image, heat m_hat_j + xi_j w, into the rows of ``out``; w from :meth:`weight`.
-
-        Each xi_j w is formed in the next row of ``out``, not yet written, and the last one in w, which it spends.
-        """
-        for j, xi_j in enumerate(xis):
-            np.multiply(self.heat, m_hat[j], out=out[j])
+            w -= np.multiply(np.multiply(1j * self.cap, self.d, out=out[1]), theta_hat, out=out[1])
+        for j, xi_j in enumerate(xis, start=1):
+            np.multiply(self.heat, m_hat[j - 1], out=out[j])
             out[j] += np.multiply(xi_j, w, out=out[j + 1] if j + 1 < len(out) else w)
-        return out
-
-    def image(self, theta_hat: np.ndarray | None, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
-        """The image stack (theta, m_1 .. m_N) on the block's layout, not validated; theta_hat None stands for a zero theta."""
-        xis = grid.wavevectors(self.half)
-        a_hat = longitudinal_amplitude(m_hat, xis, grid.xi_sq_of(self.half))
-        out = np.empty((grid.dim + 1,) + a_hat.shape, dtype=complex)
-        self.theta(theta_hat, a_hat, out=out[0])
-        self.momenta(xis, self.weight(theta_hat, a_hat, None, out[1]), m_hat, out[1:])
         return out
 
     def at(self, index: np.ndarray) -> Block:
@@ -276,20 +265,23 @@ def radial_gather(grid: Grid, tables, half: bool, out) -> list:
     return [np.take(tab, index, out=None if out is None else out[i], mode="clip") for i, tab in enumerate(tables)]
 
 
-def semigroup_block(params: FluidParams, grid: Grid, t: float, *, theta_only: bool = False, half: bool = False, out=None) -> Block:
+def semigroup_block(params: FluidParams, grid: Grid, t: float, *, half: bool = False, out=None) -> Block:
     """S(t) in block form, its kernels evaluated once per distinct |xi|^2 and gathered (:func:`radial_gather`).
 
-    With theta_only the momentum coefficients are not gathered and only
-    :meth:`Block.theta` may be used.  ``half`` gathers on the half layout,
-    ``out`` (one array per coefficient: d, tf, then lg, heat) receives them.
+    ``half`` gathers on the half layout.  ``out``, one array per coefficient (d, tf, then lg, heat), receives them; an
+    ``out`` of two arrays gathers d and tf alone, a block for the theta row of :meth:`Block.image`.
     """
     values = grid.radial_values
     sig_tf, sig_d, sig_mg, heat = propagator_kernels(params, values, t)
-    tables = (sig_d * values, sig_tf) if theta_only else (sig_d * values, sig_tf, sig_mg - heat, heat)
-    coeffs = radial_gather(grid, tables, half, out)
-    if theta_only:
-        return Block(*coeffs)
-    return Block(*coeffs, cap=params.kappa_star * params.rho_star, half=half)
+    tables = (sig_d * values, sig_tf, sig_mg - heat, heat)[: 4 if out is None else len(out)]
+    return Block(*radial_gather(grid, tables, half, out), cap=params.kappa_star * params.rho_star)
+
+
+def image_of(block: Block, theta_hat: np.ndarray | None, m_hat: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
+    """:meth:`Block.image` of a block gathered on the full or the half layout (``half``), into a new stack."""
+    xis = grid.wavevectors(half)
+    a_hat = longitudinal_amplitude(m_hat, xis, grid.xi_sq_of(half))
+    return block.image(theta_hat, m_hat, a_hat, xis, np.empty((grid.dim + 1,) + a_hat.shape, dtype=complex), None)
 
 
 class Workspace:
@@ -304,7 +296,6 @@ class Workspace:
     """
 
     def __init__(self, grid: Grid, *, theta_only: bool = False):
-        self.theta_only = theta_only
         self.hat = np.empty((1 if theta_only else grid.dim + 1,) + grid.half_shape, dtype=complex)
         coeffs = (2 if theta_only else 4,) + grid.half_shape
         if theta_only:
@@ -446,20 +437,15 @@ class SemigroupOrbit:
         reject a sample.  The stack is the workspace's; the next call overwrites it.
         """
         _check_time(t)
-        grid, datum, mirror_datum = self.eval_grid, self._datum, self._mirror_datum
+        grid = self.eval_grid
         hat = ws.hat if grid is self.grid else self._padded[: len(ws.hat)]
         coeffs = _leading(ws.coeffs, (len(ws.coeffs),) + grid.half_shape)
-        block = semigroup_block(self.params, grid, t, theta_only=ws.theta_only, half=True, out=coeffs)
-        mirror_block = block.at(self.mirror)
-        mirrored = np.empty((len(hat), self.mirror.size), dtype=complex)
+        block = semigroup_block(self.params, grid, t, half=True, out=coeffs)
         theta, mirror_theta = self._theta
-        block.theta(theta, self._a_hat, out=hat[0])
-        mirror_block.theta(mirror_theta, self._mirror_a_hat, out=mirrored[0])
-        if not ws.theta_only:
-            w = block.weight(theta, self._a_hat, _leading(ws.w, grid.half_shape), hat[1])
-            block.momenta(grid.wavevectors(half=True), w, datum[1:], hat[1:])
-            mirror_w = mirror_block.weight(mirror_theta, self._mirror_a_hat, None, mirrored[1])
-            mirror_block.momenta(self._mirror_xis, mirror_w, mirror_datum[1:], mirrored[1:])
+        w = _leading(ws.w, grid.half_shape) if len(hat) > 1 else None
+        block.image(theta, self._datum[1:], self._a_hat, grid.wavevectors(half=True), hat, w)
+        mirrored = np.empty((len(hat), self.mirror.size), dtype=complex)
+        block.at(self.mirror).image(mirror_theta, self._mirror_datum[1:], self._mirror_a_hat, self._mirror_xis, mirrored, None)
         for row, mir in zip(hat, mirrored):
             flat = row.reshape(-1)
             flat[self.mirror] = _project(mir, flat[self.mirror])
@@ -486,7 +472,7 @@ def apply_semigroup(spectral: SpectralState, params: FluidParams, t: float) -> S
     _require_full(spectral, "apply_semigroup")
     _check_time(t)
     block = semigroup_block(params, spectral.grid, t)
-    return SpectralState(grid=spectral.grid, hat=block.image(spectral.theta_hat, spectral.m_hat, spectral.grid))
+    return SpectralState(grid=spectral.grid, hat=image_of(block, spectral.theta_hat, spectral.m_hat, spectral.grid, False))
 
 
 def _quintic_step(r: np.ndarray) -> np.ndarray:

@@ -420,7 +420,7 @@ class TestStep:
         values, index = g.radial_values, g.radial_index(half=True)
         tabs = phi_multiplier_tables(params, values, dt)
         for block, (D, B, T) in ((stepper._phi1, tabs["phi1"]), (stepper._phi2, tabs["phi2"])):
-            assert block.tf is None and block.half
+            assert block.tf is None
             assert np.array_equal(block.d, (dt * dt * D * values)[index])
             assert np.array_equal(block.lg, (dt * (B - T))[index])
             assert np.array_equal(block.heat, (dt * T)[index])

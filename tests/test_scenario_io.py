@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -83,7 +84,7 @@ def generated_config(kind, rng):
             rho_max=num(),
             width=num(),
         ),
-        "times": lambda: {"t_min": num(), "t_max": num(), "count": int(rng.integers(2, 40))},
+        "times": lambda: dict(zip(("t_min", "t_max"), sorted([num(), num()])), count=int(rng.integers(3, 40))),
         "exponents": lambda: maybe({}, p=exponent(), q=exponent(), j=int(rng.integers(0, 3))),
         "nonlinear_exponents": lambda: maybe({}, p=exponent(), q1=exponent(), q2=exponent(), tau=num()),
         "init": lambda: maybe({}, theta_width=num(), m_envelope_width=num(), m_smooth_width=num(), m_relative_amplitude=num()),
@@ -133,6 +134,13 @@ SCHEMA = {
 
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
+BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def minimal_ablation(seed=11):
+    raw = dict(minimal_linear_decay(seed), kind="ablation")
+    del raw["band"]
+    return raw
 
 
 class TestParseConfig:
@@ -235,6 +243,39 @@ class TestParseConfig:
         raw["cutoff_eps"] = raw["data"]["support_radius"] = raw["out_dir"] = None
         cfg = config_from_dict(raw)
         assert cfg.cutoff_eps is None and cfg.data.support_radius is None and cfg.out_dir is None
+
+    @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation])
+    @pytest.mark.parametrize(
+        "times",
+        [
+            {"t_min": 0.0, "t_max": 8.0, "count": 10},
+            {"t_min": -0.5, "t_max": 8.0, "count": 10},
+            {"t_min": 8.0, "t_max": 0.5, "count": 10},
+            {"t_min": 0.5, "t_max": 0.5, "count": 10},
+            {"t_min": 0.5, "t_max": 8.0, "count": 0},
+            {"t_min": 0.5, "t_max": 8.0, "count": 2},
+        ],
+    )
+    def test_times_checked_at_parse_time(self, make, times):
+        """Sample times that could not be measured and fitted are a ValidationError when the config is parsed, not a
+        numpy ValueError or a WindowUncovered once the series has run."""
+        with pytest.raises(ValidationError, match=r"times need 0 < t_min < t_max and count >= 3"):
+            config_from_dict(dict(make(), times=times))
+
+    @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation])
+    @pytest.mark.parametrize("window", [[0.0, 6.0], [-1.0, 6.0], [6.0, 1.0], [3.0, 3.0]])
+    def test_fit_window_checked_at_parse_time(self, make, window):
+        with pytest.raises(ValidationError, match=r"fit_window needs 0 < lo < hi"):
+            config_from_dict(dict(make(), fit_window=window))
+
+    @pytest.mark.parametrize("seed", [42, 1201])
+    def test_benchmark_workload_configs_parse(self, seed):
+        """Every workload config of the benchmark is a valid config, at its default seed and another; the workloads
+        file is run from its source, so nothing is written next to it."""
+        workloads = runpy.run_path(str(BENCHMARK_WORKLOADS))["WORKLOADS"]
+        assert workloads
+        for name, workload in workloads.items():
+            assert config_from_dict(workload["config"](seed)).seed == seed, name
 
     def test_int_accepted_for_float_and_kept(self):
         """A JSON int in a float field parses unconverted, so the config serializes back to the same text."""
@@ -440,6 +481,31 @@ class TestRunScenario:
             _write_csv(tmp_path / f"{tag}.csv", meas.series.times, meas.series.values)
             written = (tmp_path / "abl" / "series" / f"theta_low_{tag}.csv").read_bytes()
             assert written == (tmp_path / f"{tag}.csv").read_bytes()
+
+    def test_runs_load_no_numpy_submodule_they_do_not_use(self, tmp_path):
+        """A run of each measured kind loads neither numpy.ma nor numpy.fft, and a curl_mixture linear decay, which
+        draws nothing, loads no numpy.random either; each costs a fresh interpreter over 1 ms to import, numpy.ma and
+        numpy.random over 10 ms.  (symbol-verify is left out: its oracle is scipy.linalg, which loads all three.)"""
+        curl = dict(
+            minimal_linear_decay(),
+            data={"kind": "curl_mixture", "rho_min": 0.3, "rho_max": 3.0},
+            band="high",
+            exponents={"p": 2.0, "q": 2.0, "j": 1},
+            w10=True,
+        )
+        script = (
+            "import json, sys\n"
+            "from nsklab.runner import run_scenario\n"
+            "from nsklab.scenario import config_from_dict\n"
+            "for i, raw in enumerate(json.loads(sys.argv[1])):\n"
+            "    run_scenario(config_from_dict(raw), f'{sys.argv[2]}/{i}')\n"
+            "    print(json.dumps([m for m in ('numpy.ma', 'numpy.fft', 'numpy.random') if m in sys.modules]))\n"
+        )
+        configs = [curl, minimal_linear_decay(), minimal_ablation(), minimal_nonlinear()]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(configs), str(tmp_path)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert loaded == [[], ["numpy.random"], ["numpy.random"], ["numpy.random"]]
 
     def test_inadmissible_start_is_a_failed_verdict(self, tmp_path):
         """Initial density outside [rho*/4, 4 rho*] is recorded at t = 0 and takes no step; the CLI exits 2."""

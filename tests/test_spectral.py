@@ -427,24 +427,48 @@ class TestWorkspaceReadOut:
     @pytest.mark.parametrize("half", [False, True])
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     def test_block_momenta_bitwise_equal_to_stacked_formula(self, dim, n, half, oscillatory_params):
-        """The momentum rows of the image stack equal heat m_hat + xi_j w formed on the whole stack; row 0 is Block.theta."""
+        """The momentum rows of the image stack equal heat m_hat + xi_j w formed on the whole stack; row 0 is the
+        image into a one-row stack."""
         rng = np.random.default_rng(980 + dim)
         g = Grid(dim=dim, box_len=5.0, n=n)
         shape = g.half_shape if half else g.shape
         th = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         m_hat = rng.standard_normal((dim,) + shape) + 1j * rng.standard_normal((dim,) + shape)
         block = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, half=half)
-        a_hat = spectral_mod.longitudinal_amplitude(m_hat, g.wavevectors(half), g.xi_sq_of(half))
+        xis = g.wavevectors(half)
+        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.xi_sq_of(half))
         for theta_hat in (th, None):
             w = block.lg * a_hat
             if theta_hat is not None:
                 w -= 1j * block.cap * block.d * theta_hat
             want = block.heat * m_hat
-            for j, x in enumerate(g.wavevectors(half)):
+            for j, x in enumerate(xis):
                 want[j] += x * w
-            got = block.image(theta_hat, m_hat, g)
+            got = block.image(theta_hat, m_hat, a_hat, xis, np.empty((dim + 1,) + shape, dtype=complex), None)
             assert np.array_equal(got[1:], want)
-            assert np.array_equal(got[0], block.theta(theta_hat, a_hat, np.empty(a_hat.shape, dtype=complex)))
+            row = block.image(theta_hat, m_hat, a_hat, xis, np.empty((1,) + shape, dtype=complex), None)
+            assert np.array_equal(got[0], row[0])
+
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
+    def test_theta_block_gathers_d_and_tf_alone(self, dim, n, half, oscillatory_params):
+        """An ``out`` of two arrays gathers d and tf alone, and that block's one-row image is row 0 of the full
+        block's image, bit for bit, with and without theta."""
+        rng = np.random.default_rng(990 + dim)
+        g = Grid(dim=dim, box_len=5.0, n=n)
+        shape = g.half_shape if half else g.shape
+        th = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m_hat = rng.standard_normal((dim,) + shape) + 1j * rng.standard_normal((dim,) + shape)
+        full = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, half=half)
+        theta = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, half=half, out=np.empty((2,) + shape))
+        assert theta.lg is None and theta.heat is None
+        assert np.array_equal(theta.d, full.d) and np.array_equal(theta.tf, full.tf)
+        xis = g.wavevectors(half)
+        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.xi_sq_of(half))
+        for theta_hat in (th, None):
+            want = full.image(theta_hat, m_hat, a_hat, xis, np.empty((dim + 1,) + shape, dtype=complex), None)
+            got = theta.image(theta_hat, m_hat, a_hat, xis, np.empty((1,) + shape, dtype=complex), None)
+            assert np.array_equal(got[0], want[0])
 
 
 class TestEvaluationGrid:
@@ -798,8 +822,9 @@ class TestHalfLayout:
         h = g.n // 2 + 1
         half = SpectralState(grid=g, hat=full.hat[..., :h], half=True)
         for t in (0.0, 0.3, 2.0):
-            want = spectral_mod.semigroup_block(oscillatory_params, g, t).image(full.theta_hat, full.m_hat, g)
-            got = spectral_mod.semigroup_block(oscillatory_params, g, t, half=True).image(half.theta_hat, half.m_hat, g)
+            want = spectral_mod.image_of(spectral_mod.semigroup_block(oscillatory_params, g, t), full.theta_hat, full.m_hat, g, False)
+            block = spectral_mod.semigroup_block(oscillatory_params, g, t, half=True)
+            got = spectral_mod.image_of(block, half.theta_hat, half.m_hat, g, True)
             assert got.shape == (g.dim + 1,) + g.half_shape
             assert np.array_equal(got[0], want[0][..., :h])
             assert np.array_equal(got[1:], want[1:][..., :h])
