@@ -117,6 +117,11 @@ class SymbolVerifyConfig(_Record):
     t_max: float = 10.0
     tol_symbol: float = 1e-10
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.samples_per_regime < 1 or not self.t_max > 0.0:
+            raise ValidationError(f"symbol-verify needs samples_per_regime >= 1 and t_max > 0, got {self.samples_per_regime}, {self.t_max}")
+
 
 @dataclass(frozen=True, kw_only=True)
 class _DecayConfig(_Record):
@@ -150,6 +155,8 @@ class LinearDecayConfig(_DecayConfig):
         super().__post_init__()
         if self.band not in ("low", "high", "full"):
             raise ValidationError(f"band must be low, high or full, got '{self.band}'")
+        if self.exponents.j not in (0, 1):
+            raise ValidationError(f"linear-decay measures derivative order j = 0 or 1, got {self.exponents.j}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -163,6 +170,8 @@ class AblationConfig(_DecayConfig):
         super().__post_init__()
         if self.data.kind != "riesz_divergence":
             raise ValidationError(f"ablation data kind must be 'riesz_divergence', got '{self.data.kind}'")
+        if self.exponents.j != 0:
+            raise ValidationError(f"the ablation measures theta itself, so j must be 0, got {self.exponents.j}")
 
 
 @dataclass(frozen=True, kw_only=True)

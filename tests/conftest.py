@@ -9,35 +9,28 @@ from nsklab.model import SpectralState, critical_quadratic, make_params
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Live list of the transforms made through nsklab's FFT backend, one name per transform.
+    """Live list of the transforms made through nsklab's FFT kernels, one name per transform.
 
     ``spectral.fftn`` (complex) and ``spectral.rfftn``/``irfftn`` (real) are
-    the only transform entry points, and they reach scipy's pocketfft kernels
-    (or scipy.fft, where the kernel file is absent) through ``spectral._fft``;
-    the fixture swaps that for a counting wrapper for the duration of the test.  A call over a stack of fields counts one
-    transform per field: the batch is the product of the leading axes that
-    ``axes`` (by default the last ``len(s)`` axes, or all) leaves out.
+    the only transform entry points.  Each transforms one whole field through
+    one kernel of scipy's pocketfft module ``spectral._fft`` (``c2c``,
+    ``r2c``, ``c2r``); the fixture swaps that module for one whose kernels
+    record the entry point's name, for the duration of the test.
     """
     calls = []
-    backend = spectral_mod._fft
+    kernels = spectral_mod._fft
 
-    def counted(name):
-        fn = getattr(backend, name)
-
-        def wrapper(arr, s=None, axes=None, **kwargs):
-            ndim = np.ndim(arr)
-            if axes is not None:
-                transformed = {ax % ndim for ax in np.atleast_1d(axes)}
-            else:
-                transformed = set(range(ndim - len(s) if s is not None else 0, ndim))
-            batch = int(np.prod([size for ax, size in enumerate(np.shape(arr)) if ax not in transformed]))
-            calls.extend([name] * batch)
-            return fn(arr, s=s, axes=axes, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
 
         return wrapper
 
-    names = ("fftn", "rfftn", "irfftn")
-    monkeypatch.setattr(spectral_mod, "_fft", SimpleNamespace(**{name: counted(name) for name in names}))
+    names = {"c2c": "fftn", "r2c": "rfftn", "c2r": "irfftn"}
+    monkeypatch.setattr(
+        spectral_mod, "_fft", SimpleNamespace(**{k: counted(name, getattr(kernels, k)) for k, name in names.items()})
+    )
     return calls
 
 

@@ -85,7 +85,7 @@ def generated_config(kind, rng):
             width=num(),
         ),
         "times": lambda: dict(zip(("t_min", "t_max"), sorted([num(), num()])), count=int(rng.integers(3, 40))),
-        "exponents": lambda: maybe({}, p=exponent(), q=exponent(), j=int(rng.integers(0, 3))),
+        "exponents": lambda: maybe({}, p=exponent(), q=exponent(), j=0 if kind == "ablation" else int(rng.integers(0, 2))),
         "nonlinear_exponents": lambda: maybe({}, p=exponent(), q1=exponent(), q2=exponent(), tau=num()),
         "init": lambda: maybe({}, theta_width=num(), m_envelope_width=num(), m_smooth_width=num(), m_relative_amplitude=num()),
         "band": lambda: str(rng.choice(["low", "high", "full"])),
@@ -261,6 +261,24 @@ class TestParseConfig:
         numpy ValueError or a WindowUncovered once the series has run."""
         with pytest.raises(ValidationError, match=r"times need 0 < t_min < t_max and count >= 3"):
             config_from_dict(dict(make(), times=times))
+
+    @pytest.mark.parametrize("key, value", [("samples_per_regime", 0), ("samples_per_regime", -3), ("t_max", 0.0), ("t_max", -1.0)])
+    def test_symbol_verify_counts_checked_at_parse_time(self, key, value):
+        """A symbol check of no samples would pass having tested nothing, and a negative count or t_max <= 0 would fail
+        in numpy after the manifest is written: each is a ValidationError when the config is parsed."""
+        with pytest.raises(ValidationError, match=r"samples_per_regime >= 1 and t_max > 0"):
+            config_from_dict({"kind": "symbol-verify", "seed": 1, key: value})
+
+    @pytest.mark.parametrize("make, j", [(minimal_linear_decay, 2), (minimal_linear_decay, -1), (minimal_ablation, 1), (minimal_ablation, 2)])
+    def test_derivative_order_checked_at_parse_time(self, make, j):
+        """A linear-decay measures j = 0 or 1 and the ablation measures theta itself (j = 0); any other j would build the
+        datum before failing, or fit the ablation's theta series against the rate of a derivative."""
+        raw = make()
+        raw["exponents"]["j"] = j
+        with pytest.raises(ValidationError, match=r"\bj\b"):
+            config_from_dict(raw)
+        raw["exponents"]["j"] = 0
+        assert config_from_dict(raw).exponents.j == 0
 
     @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation])
     @pytest.mark.parametrize("window", [[0.0, 6.0], [-1.0, 6.0], [6.0, 1.0], [3.0, 3.0]])

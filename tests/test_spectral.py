@@ -1,5 +1,11 @@
 import functools
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -694,73 +700,75 @@ class TestHalfLayout:
 
     def test_real_transforms_use_the_fft_worker_setting(self, monkeypatch):
         seen = []
-        backend = spectral_mod._fft
+        kernels = spectral_mod._fft
 
-        class Recorder:
-            def __getattr__(self, name):
-                fn = getattr(backend, name)
+        def recorded(name):
+            def wrapper(*args):
+                seen.append((name, args[-1]))
+                return getattr(kernels, name)(*args)
 
-                def wrapper(arr, **kwargs):
-                    seen.append((name, kwargs["workers"]))
-                    return fn(arr, **kwargs)
-
-                return wrapper
+            return wrapper
 
         g = Grid(dim=2, box_len=1.0, n=8)
-        monkeypatch.setattr(spectral_mod, "_fft", Recorder())
+        monkeypatch.setattr(spectral_mod, "_fft", SimpleNamespace(**{k: recorded(k) for k in ("c2c", "r2c", "c2r")}))
         monkeypatch.setattr(spectral_mod, "_FFT_WORKERS", 2)
         spectral_mod.irfftn(spectral_mod.rfftn(np.ones(g.shape)), g)
         spectral_mod.fftn(np.ones(g.shape))
-        assert seen == [("rfftn", 2), ("irfftn", 2), ("fftn", 2)]
+        assert seen == [("r2c", 2), ("c2r", 2), ("c2c", 2)]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_seam_equals_scipy_fft_bitwise(self, workers):
-        """spectral._fft's rfftn, irfftn and fftn give scipy.fft's output bit for bit: dims 1-4, even and odd n,
-        contiguous inputs and strided rows of a stack, whole stacks over explicit axes, 1 and 2 workers."""
+    def test_seam_equals_scipy_fft_bitwise(self, workers, monkeypatch):
+        """rfftn, irfftn and fftn give scipy.fft's output bit for bit on one whole field: dims 1-4, contiguous fields
+        and strided rows of a stack, 1 and 2 workers."""
         import scipy.fft
 
-        seam, rng = spectral_mod._fft, np.random.default_rng(8)
-        for dim, ns in [(1, (2, 7, 32)), (2, (2, 5, 16)), (3, (4, 9)), (4, (2, 6))]:
+        monkeypatch.setattr(spectral_mod, "_FFT_WORKERS", workers)
+        rng = np.random.default_rng(8)
+        for dim, ns in [(1, (2, 32)), (2, (2, 16)), (3, (4, 8)), (4, (2, 4))]:
             for n in ns:
-                shape = (n,) * dim
-                real = rng.standard_normal((3,) + shape)
-                half_shape = (3,) + shape[:-1] + (n // 2 + 1,)
-                half = rng.standard_normal(half_shape) + 1j * rng.standard_normal(half_shape)
+                g = Grid(dim=dim, box_len=1.0, n=n)
+                real = rng.standard_normal((3,) + g.shape)
+                half = rng.standard_normal((3,) + g.half_shape) + 1j * rng.standard_normal((3,) + g.half_shape)
                 strided = np.moveaxis(np.repeat(real, 2, axis=0), 0, -1)[..., 3]  # a row read across a stack
                 strided_half = np.moveaxis(np.repeat(half, 2, axis=0), 0, -1)[..., 3]
-                lead = tuple(range(1, dim + 1))
                 cases = [
-                    ("rfftn", real[1], {}),
-                    ("rfftn", strided, {}),
-                    ("rfftn", real, {"axes": lead}),
-                    ("rfftn", real, {"axes": (0,)}),
-                    ("irfftn", half[2], {"s": shape}),
-                    ("irfftn", strided_half, {"s": shape}),
-                    ("irfftn", half, {"s": shape, "axes": lead}),
-                    ("fftn", real[0], {}),
-                    ("fftn", half[0], {}),
-                    ("fftn", strided_half, {}),
-                    ("fftn", half, {"axes": lead}),
+                    (spectral_mod.rfftn(real[1]), scipy.fft.rfftn(real[1], workers=workers)),
+                    (spectral_mod.rfftn(strided), scipy.fft.rfftn(strided, workers=workers)),
+                    (spectral_mod.irfftn(half[2], g), scipy.fft.irfftn(half[2], s=g.shape, workers=workers)),
+                    (spectral_mod.irfftn(strided_half, g), scipy.fft.irfftn(strided_half, s=g.shape, workers=workers)),
+                    (spectral_mod.fftn(real[0]), scipy.fft.fftn(real[0], workers=workers)),
+                    (spectral_mod.fftn(half[0]), scipy.fft.fftn(half[0], workers=workers)),
+                    (spectral_mod.fftn(strided_half), scipy.fft.fftn(strided_half, workers=workers)),
                 ]
-                for name, x, kwargs in cases:
-                    got = getattr(seam, name)(x, workers=workers, **kwargs)
-                    want = getattr(scipy.fft, name)(x, workers=workers, **kwargs)
-                    assert got.dtype == want.dtype and got.shape == want.shape, (name, dim, n, kwargs)
-                    assert got.tobytes() == want.tobytes(), (name, dim, n, kwargs)
+                for case, (got, want) in enumerate(cases):
+                    assert got.dtype == want.dtype and got.shape == want.shape, (case, dim, n)
+                    assert got.tobytes() == want.tobytes(), (case, dim, n)
 
-    def test_seam_calls_the_kernels_directly(self):
-        """On this install the seam found scipy's pocketfft extension and did not fall back to scipy.fft."""
-        assert isinstance(spectral_mod._fft, spectral_mod._Pocketfft)
+    def test_seam_falls_back_to_the_kernel_module_by_name(self):
+        """Where no kernel file is found, the loader imports the same module by its dotted name (through scipy.fft's
+        package), and rfftn and irfftn give the same bytes as through the module loaded from its file."""
+        g = Grid(dim=3, box_len=1.0, n=8)
+        half = spectral_mod.rfftn(np.random.default_rng(4).standard_normal(g.shape))
+        want = [hashlib.sha256(a.tobytes()).hexdigest() for a in (half, spectral_mod.irfftn(half, g))]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import hashlib, importlib.machinery; importlib.machinery.EXTENSION_SUFFIXES.clear(); import numpy as np; "
+            "from nsklab import spectral; from nsklab.model import Grid; g = Grid(dim=3, box_len=1.0, n=8); "
+            "half = spectral.rfftn(np.random.default_rng(4).standard_normal(g.shape)); print(spectral._fft.__name__); "
+            "[print(hashlib.sha256(a.tobytes()).hexdigest()) for a in (half, spectral.irfftn(half, g))]"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["scipy.fft._pocketfft.pypocketfft"] + want
 
-    def test_seam_refuses_lengths_it_would_pad_or_cut(self):
-        """scipy.fft pads or cuts an input to ``s``; the seam does neither, so a mismatch is an error."""
-        seam = spectral_mod._fft
-        with pytest.raises(ValueError):
-            seam.rfftn(np.ones((4, 8)), s=(4, 6))
-        with pytest.raises(ValueError):
-            seam.irfftn(np.ones((4, 5), dtype=complex), s=(4, 6))
-        with pytest.raises(ValueError):
-            seam.irfftn(np.ones((4, 5), dtype=complex), s=(6, 8))
+    def test_irfftn_refuses_a_spectrum_off_the_half_layout(self):
+        """irfftn reads only a spectrum of the grid's half shape: a longer or shorter axis, or a full-layout spectrum,
+        is a GridMismatch, not a field of some other shape."""
+        g = Grid(dim=2, box_len=1.0, n=8)
+        assert spectral_mod.irfftn(np.ones(g.half_shape, dtype=complex), g).shape == g.shape
+        for shape in [(8, 6), (8, 4), (16, 5), (4, 5), g.shape, (8,), (2, 8, 5)]:
+            with pytest.raises(GridMismatch):
+                spectral_mod.irfftn(np.ones(shape, dtype=complex), g)
 
     def test_set_fft_workers_rejects_counts_below_one(self, monkeypatch):
         """The kernels read 0 workers as every core, so a count below 1 is refused and the setting kept."""
@@ -771,16 +779,6 @@ class TestHalfLayout:
         assert spectral_mod._FFT_WORKERS == 1
         spectral_mod.set_fft_workers(2)
         assert spectral_mod._FFT_WORKERS == 2
-
-    def test_fft_calls_counts_each_transform_of_a_stack(self, fft_calls):
-        """A call over stacked fields counts one transform per field, whichever axes it transforms."""
-        g = Grid(dim=2, box_len=1.0, n=8)
-        backend = spectral_mod._fft
-        backend.rfftn(np.ones((3, 2) + g.shape), axes=(-2, -1))
-        backend.irfftn(np.ones((4,) + g.half_shape, dtype=complex), s=g.shape)
-        backend.rfftn(np.ones((5,) + g.shape), axes=(0,))
-        spectral_mod.irfftn(spectral_mod.rfftn(np.ones(g.shape)), g)
-        assert fft_calls == ["rfftn"] * 6 + ["irfftn"] * 4 + ["rfftn"] * 64 + ["rfftn", "irfftn"]
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (2, 8), (3, 8)])
     def test_nyquist_rule_drops_what_real_part_drops(self, dim, n):
