@@ -20,9 +20,9 @@ last-axis planes 0 and n/2, and every first-derivative multiplier is
 real-space norms of the same fields to rounding.
 
 A series hands its datum to a :class:`nsklab.spectral.SemigroupOrbit`, which
-forms only the band it measures, on the half layout of the coarsest grid that
-holds it; the datum is freed once the orbit is built, and every sample is read
-into one :class:`nsklab.spectral.Workspace`.
+forms only the band it measures, on the half layout of the grid its band and
+cutoff imply; the datum is freed once the orbit is built, and every sample is
+read into one :class:`nsklab.spectral.Workspace`.
 
 The trust diagnostics of a decay sample measure whichever of theta and m
 peaks higher, so only they need real fields at q = 2.  m is read out a row at
@@ -418,7 +418,7 @@ def measure_semigroup_decay(
 
     The datum goes to a :class:`nsklab.spectral.SemigroupOrbit`, which forms
     only the kept band, a row at a time and never on the full layout, and runs
-    S(t) on the coarsest grid that holds it: n/2 for the low band under the
+    S(t) on the grid the band and cutoff imply: n/2 for the low band under the
     default cutoff, n for the high band.  A caller that hands the datum over
     and keeps no reference has it freed once the orbit is built, before the
     series' workspace is allocated.  Every norm is taken on the data's grid,
@@ -559,7 +559,7 @@ def _pair_lp_from_halves(hat, theta_mag, m_mag, p, j: int, w10: bool, grid: Grid
 def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutoff: CutoffSpec, p, ws=None) -> DecayMeasurement:
     """Low-band theta-component norm series of the linear flow (ablation measurand).
 
-    The orbit forms the low band of the datum and runs S(t) on the coarsest grid that holds it (n/2 under the
+    The orbit forms the low band of the datum and runs S(t) on the coarsest grid that holds the cutoff (n/2 under the
     default cutoff); samples are read out on n.  A datum handed over is freed once the orbit is built.  ``ws``, a
     theta-only :class:`nsklab.spectral.Workspace`, lets series share buffers; by default it is made here.
     """

@@ -9,10 +9,11 @@ Subcommands mirror the scenario kinds plus a sweep runner:
     nsklab sweep          --config sweep.json [--out DIR] [--threads K]
 
 Output directory resolution: --out flag, then the NSKLAB_OUT environment
-variable, then the config's out_dir, then ./out.  Exit codes: 0 all verdicts
-pass, 2 verdict failures, 1 execution error.  A scenario that raises leaves
-a report.json with the error and its traceback.  A sweep runs every scenario
-even if some raise, and exits 1 if any raised, else 2 if any verdict failed.
+variable, then the config's out_dir, then ./out.  --threads must be at least
+1.  Exit codes: 0 all verdicts pass (and --help), 2 verdict failures, 1
+execution or usage error.  A scenario that raises leaves a report.json with
+the error and its traceback.  A sweep runs every scenario even if some raise
+or fail validation, and exits 1 if any did, else 2 if any verdict failed.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ def _resolve_out(args, cfg_out_dir) -> Path:
     return Path("out")
 
 
+def _worker_count(text: str) -> int:
+    """The value of --threads: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nsklab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -57,12 +65,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides env and config)")
         if name != "sweep":
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker count (sweep fan-out / FFT workers)")
+        p.add_argument("--threads", type=_worker_count, default=1, help="worker count, at least 1 (sweep fan-out / FFT workers)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error, the code of a failed verdict
+        return 1 if exc.code else 0
     try:
         text = Path(args.config).read_text()
     except OSError as exc:
@@ -72,7 +83,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             sweep = parse_sweep_config(text)
             out_root = _resolve_out(args, None)
-            outcomes = run_sweep(sweep, out_root, threads=max(1, args.threads))
+            outcomes = run_sweep(sweep, out_root, threads=args.threads)
             for (name, _), outcome in zip(sweep.scenarios, outcomes):
                 print(f"[{outcome.status.upper()}] {name} -> {outcome.out_dir}")
                 if outcome.status == "error":
@@ -87,8 +98,7 @@ def main(argv=None) -> int:
             return 1
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.threads and args.threads > 1:
-            set_fft_workers(args.threads)
+        set_fft_workers(args.threads)
         out_dir = _resolve_out(args, cfg.out_dir)
         outcome = run_scenario(cfg, out_dir)
         print(f"[{'PASS' if outcome.all_pass else 'FAIL'}] {cfg.kind} -> {outcome.out_dir}")

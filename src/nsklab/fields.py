@@ -103,8 +103,8 @@ def riesz_kernel_hat(grid: Grid, gamma: float, support_radius: float) -> np.ndar
     amplifying near-Nyquist content.  The envelope is a function of |xi|^2:
     it is evaluated by quadrature (:func:`_matern_envelope`) once per distinct
     value (``Grid.radial_values``) and looked up 2^15 modes at a time, by the
-    binary search that builds ``Grid.radial_index``, so neither a full-layout
-    envelope nor the full-layout index is held.
+    binary search that builds ``Grid.radial_index``, so no full-layout
+    envelope or index is held.
     The mean mode is cleared.
     """
     if support_radius > grid.box_len / 2.0:
@@ -250,7 +250,7 @@ def transverse_packet(grid: Grid, width: float, *, amplitude: float = 1.0) -> Sp
 def smooth_random_field(grid: Grid, rng: np.random.Generator, smooth_width: float) -> np.ndarray:
     """Unit-scale smooth random field: white noise mollified by a spectral Gaussian."""
     noise = rng.standard_normal(grid.shape)
-    filt = np.exp(-0.5 * smooth_width**2 * grid.xi_sq_of(half=True))
+    filt = np.exp(-0.5 * smooth_width**2 * grid.half_xi_sq)
     out = irfftn(filt * rfftn(noise), grid)
     peak = np.max(np.abs(out))
     return out / peak if peak > 0 else out

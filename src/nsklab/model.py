@@ -19,7 +19,8 @@ Conventions used throughout the toolkit:
   so the last-axis Nyquist index keeps fftfreq's ``-n/2``;
 * every per-axis lookup on the modes (the wavevectors, the mirror ``-k mod n``,
   the Nyquist index ``n/2``, the embedding of a coarser grid of the box) is
-  one table laid on either layout by :meth:`Grid.lay`, and is built only here.
+  one table laid by :meth:`Grid.lay`, and is built only here; the Nyquist
+  table and the radial index exist on the half layout alone.
 """
 
 from __future__ import annotations
@@ -236,9 +237,9 @@ class Grid:
         """Per axis, the full-layout index -k mod n of the mirror -xi of each mode of the layout."""
         return self.lay(_read_only(-np.arange(self.n) % self.n), half)
 
-    def nyquist(self, half: bool) -> tuple:
-        """Per axis, whether each mode of the layout lies on the Nyquist index n/2 of the axis, its own mirror there."""
-        return self.lay(_read_only(np.arange(self.n) == self.n // 2), half)
+    def nyquist(self) -> tuple:
+        """Per axis, whether each half-layout mode lies on the Nyquist index n/2 of the axis, its own mirror there."""
+        return self.lay(_read_only(np.arange(self.n) == self.n // 2), half=True)
 
     def embedding(self, fine: Grid, half: bool) -> tuple:
         """Per axis, the full-layout index on ``fine``, a grid of the same box, of the alias of each mode of the layout."""
@@ -265,35 +266,25 @@ class Grid:
         layouts hold the same set of values.  They are deduplicated by a sort
         and a neighbour compare, as np.unique does, without its numpy.ma import.
         """
-        values = np.sort(self._half_xi_sq, axis=None)
+        values = np.sort(self.half_xi_sq, axis=None)
         return _read_only(values[np.concatenate(([True], values[1:] != values[:-1]))])
 
     @cached_property
-    def _half_xi_sq(self) -> np.ndarray:
+    def half_xi_sq(self) -> np.ndarray:
+        """:attr:`xi_sq` on the half layout (shared, read-only)."""
         return _read_only(self.xi_sq[..., : self.n // 2 + 1])
 
     @cached_property
-    def _half_radial_index(self) -> np.ndarray:
-        return _read_only(np.searchsorted(self.radial_values, self._half_xi_sq).astype(np.int32))
+    def radial_index(self) -> np.ndarray:
+        """The int32 position in :attr:`radial_values` of each half-layout mode's |xi|^2.
 
-    @cached_property
-    def _full_radial_index(self) -> np.ndarray:
-        return _read_only(np.searchsorted(self.radial_values, self.xi_sq).astype(np.int32))
-
-    def xi_sq_of(self, half: bool) -> np.ndarray:
-        """:attr:`xi_sq` on the full or the half layout (shared, read-only)."""
-        return self._half_xi_sq if half else self.xi_sq
-
-    def radial_index(self, half: bool) -> np.ndarray:
-        """The int32 position in :attr:`radial_values` of each mode's |xi|^2, on the full or the half layout.
-
-        ``radial_values[index]`` reproduces :meth:`xi_sq_of` exactly, so a
+        ``radial_values[index]`` reproduces :attr:`half_xi_sq` exactly, so a
         function of |xi|^2 evaluated on the values and gathered through the
-        index equals its per-mode evaluation.  Each layout's index is built
-        on first request, by binary search in the values, with no sort of
-        that layout; it is shared, hence read-only.
+        index equals its per-mode evaluation.  It is built on first request,
+        by binary search in the values, with no sort of the layout; it is
+        shared, hence read-only.
         """
-        return self._half_radial_index if half else self._full_radial_index
+        return _read_only(np.searchsorted(self.radial_values, self.half_xi_sq).astype(np.int32))
 
     def periodic_r_sq(self, center=None) -> np.ndarray:
         """Squared minimum-image distance to center (default: the box center).

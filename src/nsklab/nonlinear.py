@@ -114,7 +114,7 @@ def nonlinearity_g_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> 
     recip = irfftn(mask * rfftn(1.0 / rho - 1.0 / params.rho_star), grid)
     d = [derivative(grid, e) for e in multi_indices(dim, 1)]
     # v_hat is dealiased, so zero on every Nyquist index: -xi_sq is its Laplacian
-    xi_sq = grid.xi_sq_of(half=True)
+    xi_sq = grid.half_xi_sq
     v_hat = [mask * rfftn(recip * state.m[j]) for j in range(dim)]
     div_v = sum(d[j] * v_hat[j] for j in range(dim))
     lap_part = 0.5 * params.kappa_star * xi_sq * (mask * rfftn(state.theta * state.theta))
@@ -180,7 +180,7 @@ class Etd2Stepper:
         self.grid = grid
         self.dt = dt
         self.mask = dealias_mask(grid)
-        self._exp = semigroup_block(params, grid, dt, half=True)
+        self._exp = semigroup_block(params, grid, dt)
         for order in (1, 2, 3):
             for alpha in multi_indices(grid.dim, order):
                 derivative(grid, alpha)
@@ -189,7 +189,7 @@ class Etd2Stepper:
         # h phi_k(hA) on (0, g) in block form: d = h^2 D |xi|^2, lg = h (B - T), heat = h T
         phi = []
         for D, B, T in (tabs["phi1"], tabs["phi2"]):
-            d, lg, heat = radial_gather(grid, (dt * dt * D * values, dt * (B - T), dt * T), half=True, out=None)
+            d, lg, heat = radial_gather(grid, (dt * dt * D * values, dt * (B - T), dt * T), out=None)
             phi.append(Block(d=d, lg=lg, heat=heat))
         self._phi1, self._phi2 = phi
 
@@ -203,20 +203,20 @@ class Etd2Stepper:
 
     def step(self, state: StepState, nonlinear: bool = True) -> StepState:
         t = state.t + self.dt
-        base = image_of(self._exp, state.spectral.theta_hat, state.spectral.m_hat, self.grid, True)
+        base = image_of(self._exp, state.spectral.theta_hat, state.spectral.m_hat, self.grid)
         if not nonlinear:
             return self._finite(base, t, "state")
 
         g0_hat = state.g_hat
         if g0_hat is None:
             g0_hat = nonlinearity_g_hat(state, self.params, self.mask)
-        stage = self._finite(base + image_of(self._phi1, None, g0_hat, self.grid, True), t, "stage")
+        stage = self._finite(base + image_of(self._phi1, None, g0_hat, self.grid), t, "stage")
         try:
             gp_hat = nonlinearity_g_hat(stage, self.params, self.mask)
         except RangeViolation as exc:
             raise StepRejected(f"stage inadmissible at t={t:.6g}: {exc}", t=t) from exc
 
-        nxt = self._finite(stage.spectral.hat + image_of(self._phi2, None, gp_hat - g0_hat, self.grid, True), t, "state")
+        nxt = self._finite(stage.spectral.hat + image_of(self._phi2, None, gp_hat - g0_hat, self.grid), t, "state")
         try:
             nxt.real.check_range(self.params)
         except RangeViolation as exc:

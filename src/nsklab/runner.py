@@ -18,9 +18,11 @@ built; the ablation's generic member is formed only after that.
 Exit-code policy lives in the CLI: 0 all verdicts pass, 2 verdict failures,
 1 execution error (partial artifacts are flushed before the error propagates).
 
-A sweep contains each scenario's execution error in that scenario's outcome
-(status ``error``), so the other scenarios still run and keep their results,
-and writes ``sweep_summary.json`` with every scenario's status and run time.
+A sweep contains each scenario's execution error, and each entry whose
+config fails validation, in that scenario's outcome (status ``error``, with a
+``report.json`` of the error), so the other scenarios still run and keep
+their results, and writes ``sweep_summary.json`` with every scenario's status
+and run time.
 """
 
 from __future__ import annotations
@@ -124,6 +126,11 @@ def _plots_dir(out_dir: Path) -> Path:
     return d
 
 
+def _cutoff(cfg: ScenarioConfig, grid: Grid) -> CutoffSpec:
+    """The config's cutoff, or the grid's default cutoff where the config sets none."""
+    return default_cutoff(grid) if cfg.cutoff_eps is None else CutoffSpec(eps=cfg.cutoff_eps)
+
+
 def _fit(cfg: ScenarioConfig, meas: DecayMeasurement, dim: int):
     """The decay fit of a measurement over the config's window, with its exponents, tolerance and trust mode."""
     e = cfg.exponents
@@ -171,7 +178,7 @@ def _symbol_verify_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     params = _params_from_config(cfg)
     grid = _grid_from_config(cfg)
-    cutoff = CutoffSpec(eps=cfg.cutoff_eps) if cfg.cutoff_eps else default_cutoff(grid)
+    cutoff = _cutoff(cfg, grid)
     # the datum is passed straight in: the measurement holds its only reference and frees it once its orbit is built
     meas = measure_semigroup_decay(
         _build_data(cfg, grid),
@@ -221,7 +228,7 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     # divergence, then generic: each member goes straight to its series, which frees it once its orbit is built,
     # and the generic member is formed only after that
     pair = riesz_momentum_pair(grid, cfg.data.gamma, _support_radius(cfg, grid), rng=rng, amplitude=cfg.data.amplitude)
-    cutoff = CutoffSpec(eps=cfg.cutoff_eps) if cfg.cutoff_eps else default_cutoff(grid)
+    cutoff = _cutoff(cfg, grid)
     ws = Workspace(grid, theta_only=True)
     times = cfg.times.values()
     fits = {}
@@ -333,9 +340,15 @@ def _error_outcome(out_dir: Path, exc: BaseException) -> ScenarioOutcome:
     return ScenarioOutcome(all_pass=False, report=report, out_dir=out_dir)
 
 
-def _run_contained(cfg: ScenarioConfig, out_dir: Path) -> tuple[ScenarioOutcome, float]:
-    """run_scenario with any exception turned into an ``error`` outcome; returns it with the wall time."""
+def _run_contained(cfg: ScenarioConfig | ValidationError, out_dir: Path) -> tuple[ScenarioOutcome, float]:
+    """run_scenario with any exception turned into an ``error`` outcome; returns it with the wall time.  A config
+    that failed validation (its ValidationError) is such an outcome, with a report.json of the error written here."""
     start = perf_counter()
+    if isinstance(cfg, ValidationError):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        outcome = _error_outcome(out_dir, cfg)
+        _write_json(out_dir / "report.json", {"version": __version__, **outcome.report})
+        return outcome, perf_counter() - start
     try:
         outcome = run_scenario(cfg, out_dir)
     except Exception as exc:
@@ -346,10 +359,10 @@ def _run_contained(cfg: ScenarioConfig, out_dir: Path) -> tuple[ScenarioOutcome,
 def run_sweep(sweep, out_root, threads: int = 1) -> list:
     """Fan independent scenarios out to a process pool, one subdirectory each.
 
-    Returns one outcome per scenario, in sweep order; a scenario that raises
-    yields an ``error`` outcome instead of discarding the others.  Writes
-    ``sweep_summary.json`` (name, status and run_s per scenario, and the error
-    and traceback of each that raised).
+    Returns one outcome per scenario, in sweep order; a scenario that raises,
+    or whose config failed validation, yields an ``error`` outcome instead of
+    discarding the others.  Writes ``sweep_summary.json`` (name, status and
+    run_s per scenario, and the error and traceback of each error).
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -360,11 +373,12 @@ def run_sweep(sweep, out_root, threads: int = 1) -> list:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_run_contained, cfg, sub) for _, cfg, sub in jobs]
+            # an invalid config is recorded here: a worker would get its error without the traceback
+            futs = [None if isinstance(cfg, ValidationError) else pool.submit(_run_contained, cfg, sub) for _, cfg, sub in jobs]
             results = []
-            for (_, _, sub), fut in zip(jobs, futs):
+            for (_, cfg, sub), fut in zip(jobs, futs):
                 try:
-                    results.append(fut.result())
+                    results.append(_run_contained(cfg, sub) if fut is None else fut.result())
                 except Exception as exc:  # the worker itself failed
                     results.append((_error_outcome(sub, exc), None))
     rows = []

@@ -143,6 +143,8 @@ class _DecayConfig(_Record):
             raise ValidationError(f"fit_window needs 0 < lo < hi, got {list(self.fit_window)}")
         if self.trust_mode not in ("mass_radius", "edge_leak"):
             raise ValidationError(f"trust_mode must be 'mass_radius' or 'edge_leak', got '{self.trust_mode}'")
+        if self.cutoff_eps is not None and not self.cutoff_eps > 0.0:
+            raise ValidationError(f"cutoff_eps must be > 0, got {self.cutoff_eps}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -291,10 +293,14 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """``scenarios``: (name, config) pairs in file order; an entry whose config failed validation holds its
+    ValidationError in place of the config, so it becomes that scenario's error outcome and the others still run."""
+
     scenarios: tuple
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
+    """Parse a sweep file; a malformed file (its root, the scenarios list or an entry's keys) is an error."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -314,5 +320,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
         for key in entry:
             if key not in ("name", "config"):
                 raise ValidationError(f"unknown key '{key}' in scenario #{i}")
-        out.append((str(entry["name"]), config_from_dict(entry["config"])))
+        try:
+            cfg = config_from_dict(entry["config"])
+        except ValidationError as exc:
+            cfg = exc
+        out.append((str(entry["name"]), cfg))
     return SweepConfig(scenarios=tuple(out))

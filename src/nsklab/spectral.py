@@ -15,7 +15,8 @@ semigroup reads
 and the ETDRK2 forcing h phi_k(hA) on (0, g) is the same block with
 theta_hat = 0.  The coefficients depend on xi only through |xi|^2, so they
 are evaluated once per distinct |xi|^2 of the grid (``Grid.radial_values``)
-and gathered per mode by :func:`radial_gather`.
+and gathered per half-layout mode by :func:`radial_gather`; the reference
+:func:`apply_semigroup` evaluates them per mode, to the same values.
 
 Transform convention: unnormalized forward DFT, ``1/n^dim`` on the inverse
 (numpy's default).  Norms in :mod:`nsklab.analysis` carry the quadrature
@@ -32,8 +33,8 @@ real fields (:func:`to_spectral`).  Every real read-out is ``irfftn`` of a
 half spectrum, row by row; a full spectrum g is first projected by
 :func:`hermitian_half`, (g(xi) + conj g(-xi)) / 2.  A :class:`SemigroupOrbit`
 forms the band of its datum a row at a time and evaluates S(t) on the half
-layout of the coarsest grid that holds it; it zero-pads each sample back,
-which is exact for a band-limited spectrum (trigonometric interpolation).
+layout of the grid its band and cutoff imply (:func:`_band_grid`); it
+zero-pads each sample back, which is exact for a band-limited spectrum.
 
 Derivative multipliers act on half spectra.  Nyquist rule: on the Nyquist
 index of an axis a mode is its own mirror along that axis, so a multiplier
@@ -167,8 +168,8 @@ class Block:
     This is the one formula of the toolkit's linear operators: the semigroup
     (:func:`semigroup_block`) and the ETDRK2 forcing weights, which act on
     (0, g) and so leave ``tf`` unset.  The coefficients are gathered on the
-    full or the half layout; per stored mode both compute the same values
-    bit for bit, and so does the block :meth:`at` a list of modes.
+    half layout, and equal their per-mode values bit for bit, as does the
+    block :meth:`at` a list of modes.
     :meth:`image` is the one way to apply a block; a block whose momentum
     coefficients are not gathered serves only a one-row ``out``.
     """
@@ -217,31 +218,35 @@ def _require_full(spectral: SpectralState, what: str) -> None:
         raise GridMismatch(f"{what} needs a full-layout spectrum, got a half-layout one")
 
 
-def radial_gather(grid: Grid, tables, half: bool, out) -> list:
+def radial_gather(grid: Grid, tables, out) -> list:
     """Each of ``tables``, a function of |xi|^2 on the distinct values ``grid.radial_values``, gathered per mode of
-    the full or the half layout, into ``out[i]`` (one array per table) unless ``out`` is None."""
-    index = grid.radial_index(half)
+    the half layout, into ``out[i]`` (one array per table) unless ``out`` is None."""
+    index = grid.radial_index
     # every index is in range; mode="clip" skips the buffered copy mode="raise" makes of an out array
     return [np.take(tab, index, out=None if out is None else out[i], mode="clip") for i, tab in enumerate(tables)]
 
 
-def semigroup_block(params: FluidParams, grid: Grid, t: float, *, half: bool = False, out=None) -> Block:
+def _semigroup_tables(params: FluidParams, xi_sq: np.ndarray, t: float) -> tuple:
+    """S(t)'s block coefficients (d, tf, lg, heat) on the |xi|^2 values ``xi_sq``."""
+    sig_tf, sig_d, sig_mg, heat = propagator_kernels(params, xi_sq, t)
+    return sig_d * xi_sq, sig_tf, sig_mg - heat, heat
+
+
+def semigroup_block(params: FluidParams, grid: Grid, t: float, *, out=None) -> Block:
     """S(t) in block form, its kernels evaluated once per distinct |xi|^2 and gathered (:func:`radial_gather`).
 
-    ``half`` gathers on the half layout.  ``out``, one array per coefficient (d, tf, then lg, heat), receives them; an
-    ``out`` of two arrays gathers d and tf alone, a block for the theta row of :meth:`Block.image`.
+    ``out``, one array per coefficient (d, tf, then lg, heat), receives them; an ``out`` of two arrays gathers d and
+    tf alone, a block for the theta row of :meth:`Block.image`.
     """
-    values = grid.radial_values
-    sig_tf, sig_d, sig_mg, heat = propagator_kernels(params, values, t)
-    tables = (sig_d * values, sig_tf, sig_mg - heat, heat)[: 4 if out is None else len(out)]
-    return Block(*radial_gather(grid, tables, half, out), cap=params.kappa_star * params.rho_star)
+    tables = _semigroup_tables(params, grid.radial_values, t)[: 4 if out is None else len(out)]
+    return Block(*radial_gather(grid, tables, out), cap=params.kappa_star * params.rho_star)
 
 
-def image_of(block: Block, theta_hat: np.ndarray | None, m_hat: np.ndarray, grid: Grid, half: bool) -> np.ndarray:
-    """:meth:`Block.image` of a block gathered on the full or the half layout (``half``), into a new stack."""
-    xis = grid.wavevectors(half)
-    a_hat = longitudinal_amplitude(m_hat, xis, grid.xi_sq_of(half))
-    return block.image(theta_hat, m_hat, a_hat, xis, np.empty((grid.dim + 1,) + a_hat.shape, dtype=complex), None)
+def image_of(block: Block, theta_hat: np.ndarray | None, m_hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """:meth:`Block.image` of a block gathered on the half layout, into a new stack."""
+    xis = grid.wavevectors(half=True)
+    a_hat = longitudinal_amplitude(m_hat, xis, grid.half_xi_sq)
+    return block.image(theta_hat, m_hat, a_hat, xis, np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex), None)
 
 
 class Workspace:
@@ -288,21 +293,16 @@ def _cutoff_values(cutoff: CutoffSpec | None, xi_sq: np.ndarray) -> np.ndarray |
     return None if cutoff is None else cutoff(np.sqrt(xi_sq))
 
 
-def _band_grid(hat: np.ndarray, grid: Grid, band: str, cutoff: CutoffSpec | None) -> Grid:
-    """The coarsest grid of the box whose full spectrum holds every nonzero mode of the band of ``hat``: the smallest
-    power of two m with |alias| < m/2 on every axis of every such mode, or ``grid`` if m is not below its n.
-
-    The band's nonzero modes are found a row and a half of the last axis at a time.
+def _band_grid(grid: Grid, band: str, cutoff: CutoffSpec | None) -> Grid:
+    """The grid of the box that a band under ``cutoff`` is evaluated on: ``grid`` for a high or full band; for a low
+    band, the coarsest grid whose full spectrum holds every mode where the cutoff is nonzero, that is the smallest
+    power of two m with |alias| < m/2 on every index where the cutoff of one axis's |xi| is nonzero, or ``grid`` if m
+    is not below its n.  No axis component of a wavevector exceeds its |xi|, so those indices hold every such mode.
     """
-    support = np.zeros(grid.shape, dtype=bool)
-    for cut in (slice(0, grid.n // 2 + 1), slice(grid.n // 2 + 1, None)):
-        part = (Ellipsis, cut)
-        phi = _cutoff_values(cutoff, grid.xi_sq[part])
-        buf = np.empty(support[part].shape, dtype=complex)
-        for row in hat:
-            support[part] |= _band_values(row[part], phi, band, buf) != 0.0
-    spans = [np.any(np.moveaxis(support, ax, 0).reshape(grid.n, -1), axis=1) for ax in range(grid.dim)]
-    reach = max(int(np.abs(grid.axis_aliases())[span].max(initial=0)) for span in spans)
+    if band != "low":
+        return grid
+    support = cutoff(np.abs(grid.wavevectors()[0].reshape(-1))) != 0.0
+    reach = int(np.abs(grid.axis_aliases())[support].max(initial=0))
     m = 2 << reach.bit_length()
     return grid if m >= grid.n else Grid(dim=grid.dim, box_len=grid.box_len, n=m)
 
@@ -319,11 +319,11 @@ def _band_halves(hat: np.ndarray, fine: Grid, grid: Grid, band: str, cutoff: Cut
     # per axis, the fine index of each half mode of grid, and of its mirror on grid
     own = grid.embedding(fine, half=True)
     mirror = tuple(np.take(e, m) for e, m in zip(grid.embedding(fine, half=False), grid.mirrors(half=True)))
-    phi = _cutoff_values(cutoff, grid.xi_sq_of(half=True))
+    phi = _cutoff_values(cutoff, grid.half_xi_sq)
     half = (Ellipsis, slice(0, grid.n // 2 + 1)) if grid is fine else (Ellipsis,) + own
     datum = np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex)
     buf = np.empty(grid.half_shape, dtype=complex)
-    carries = functools.reduce(np.logical_or, grid.nyquist(half=True), np.zeros(grid.half_shape, dtype=bool))
+    carries = functools.reduce(np.logical_or, grid.nyquist(), np.zeros(grid.half_shape, dtype=bool))
     for row, own_row in zip(hat, datum):
         _band_values(row[half], phi, band, own_row)
         carries |= own_row != np.conjugate(_band_values(row[(Ellipsis,) + mirror], phi, band, buf), out=buf)
@@ -338,25 +338,24 @@ def _band_halves(hat: np.ndarray, fine: Grid, grid: Grid, band: str, cutoff: Cut
 
 class SemigroupOrbit:
     """The orbit t -> S(t) Phi data of the band Phi data of one datum (``band`` low, high or full, under ``cutoff``,
-    by default :func:`default_cutoff`), evaluated on the half layout of the coarsest grid that holds the band.
+    by default :func:`default_cutoff`), evaluated on the half layout of the grid that its band and cutoff imply.
 
-    ``eval_grid`` (:func:`_band_grid`): a low band under the default cutoff (|alias| < n/4) runs on n/2; a band with
-    content at the Nyquist alias, such as a high band, on its own grid.  That grid's wavevectors, |xi|^2 and radial
-    table are the fine grid's floats, so kernels, coefficients and image are the fine ones bit for bit; ``grid`` is
-    the fine grid of the datum and of the read-outs.  ``band_modes``, which a series records, is the
+    ``eval_grid`` (:func:`_band_grid`) depends on the fine grid, the band and the cutoff alone: a low band under the
+    default cutoff (|alias| < n/4) runs on n/2; a high or full band on its own grid.  That grid's wavevectors, |xi|^2
+    and radial table are the fine grid's floats, so kernels, coefficients and image are the fine ones bit for bit;
+    ``grid`` is the fine grid of the datum and of the read-outs.  ``band_modes``, which a series records, is the
     :func:`low_band_mode_count` of the cutoff, counted once.
 
     The band is formed from the datum a row at a time, never on the full layout, with the per-mode operations of
-    :func:`frequency_band`: on each half of the last axis, for the nonzero modes that choose ``eval_grid``; then on
-    that grid's half layout, kept with its a_hat, and at the mirrors -xi of those modes, kept with their wavevectors
-    and a_hat on the mirror set ``mirror`` (flat indices into that layout; :func:`_band_halves`).  A half mode is in
-    the mirror set if it lies on a Nyquist index of some axis, or if the band is not Hermitian there (U(-xi) != conj
-    U(xi) in some row).  Off the set the band is Hermitian and the block mirror-symmetric (its coefficients are
-    functions of |xi|^2 and its odd xi factors change sign), so the image's Hermitian projection is the image itself;
-    on a Nyquist index the odd factors do not change sign.  The datum is not kept: a caller that hands it over and
-    drops its own reference once the orbit is built frees it.  A band whose theta row is zero, on the half stack
-    and the mirror set, enters the block as its zero theta (None), so no sample multiplies it.  :meth:`halves` reads
-    each sample out into a :class:`Workspace`, which every sample of a series reuses.
+    :func:`frequency_band`: on ``eval_grid``'s half layout, kept with its a_hat, and at the mirrors -xi of those modes,
+    kept with their wavevectors and a_hat on the mirror set ``mirror`` (flat indices into that layout;
+    :func:`_band_halves`).  A half mode is in the mirror set if it lies on a Nyquist index of some axis, or if the band
+    is not Hermitian there (U(-xi) != conj U(xi) in some row).  Off the set the band is Hermitian and the block
+    mirror-symmetric (its coefficients are functions of |xi|^2 and its odd xi factors change sign), so the image's
+    Hermitian projection is the image itself; on a Nyquist index the odd factors do not change sign.  The datum is not
+    kept: a caller that hands it over and drops its own reference once the orbit is built frees it.  A band whose theta
+    row is zero, on the half stack and the mirror set, enters the block as its zero theta (None), so no sample
+    multiplies it.  :meth:`halves` reads each sample out into a :class:`Workspace` that a series reuses.
     """
 
     def __init__(self, data: SpectralState, params: FluidParams, band: str = "full", cutoff: CutoffSpec | None = None):
@@ -371,7 +370,7 @@ class SemigroupOrbit:
             cutoff = None
         else:
             self.band_modes = _require_low_band(fine, cutoff)
-        grid = self.eval_grid = _band_grid(data.hat, fine, band, cutoff)
+        grid = self.eval_grid = _band_grid(fine, band, cutoff)
         if grid is not fine:
             self._padded = np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex)
             # the fine half index of each coarse half mode: the two half layouts share the last axis's 0 .. m/2
@@ -379,12 +378,12 @@ class SemigroupOrbit:
         self._datum, self.mirror, self._mirror_datum = _band_halves(data.hat, fine, grid, band, cutoff)
         at = np.unravel_index(self.mirror, grid.half_shape)
         self._mirror_xis = [np.take(x, np.take(m, i)) for x, m, i in zip(grid.wavevectors(), grid.mirrors(half=False), at)]
-        xi_sq = grid.xi_sq_of(half=True).reshape(-1)[self.mirror]  # |xi|^2 is even, bit for bit
+        xi_sq = grid.half_xi_sq.reshape(-1)[self.mirror]  # |xi|^2 is even, bit for bit
         self._mirror_a_hat = longitudinal_amplitude(self._mirror_datum[1:], self._mirror_xis, xi_sq)
-        self._a_hat = longitudinal_amplitude(self._datum[1:], grid.wavevectors(half=True), grid.xi_sq_of(half=True))
+        self._a_hat = longitudinal_amplitude(self._datum[1:], grid.wavevectors(half=True), grid.half_xi_sq)
         zero_theta = not (self._datum[0].any() or self._mirror_datum[0].any())
         self._theta = (None, None) if zero_theta else (self._datum[0], self._mirror_datum[0])
-        grid.radial_index(half=True)  # built here, before the series allocates its workspace
+        grid.radial_index  # built here, before the series allocates its workspace
 
     def halves(self, t: float, ws: Workspace) -> np.ndarray:
         """``ws.hat`` filled with S(t) data's half spectra: ``hermitian_half`` of the rows of :func:`apply_semigroup`
@@ -400,7 +399,7 @@ class SemigroupOrbit:
         grid = self.eval_grid
         hat = ws.hat if grid is self.grid else self._padded[: len(ws.hat)]
         coeffs = _leading(ws.coeffs, (len(ws.coeffs),) + grid.half_shape)
-        block = semigroup_block(self.params, grid, t, half=True, out=coeffs)
+        block = semigroup_block(self.params, grid, t, out=coeffs)
         theta, mirror_theta = self._theta
         w = _leading(ws.w, grid.half_shape) if len(hat) > 1 else None
         block.image(theta, self._datum[1:], self._a_hat, grid.wavevectors(half=True), hat, w)
@@ -431,8 +430,11 @@ def apply_semigroup(spectral: SpectralState, params: FluidParams, t: float) -> S
     """Exact-in-time linear propagation of a full-layout spectrum: per-mode multiplication by the solution symbol."""
     _require_full(spectral, "apply_semigroup")
     _check_time(t)
-    block = semigroup_block(params, spectral.grid, t)
-    return SpectralState(grid=spectral.grid, hat=image_of(block, spectral.theta_hat, spectral.m_hat, spectral.grid, False))
+    grid, xis = spectral.grid, spectral.grid.wavevectors()
+    block = Block(*_semigroup_tables(params, grid.xi_sq, t), cap=params.kappa_star * params.rho_star)
+    a_hat = longitudinal_amplitude(spectral.m_hat, xis, grid.xi_sq)
+    hat = block.image(spectral.theta_hat, spectral.m_hat, a_hat, xis, np.empty_like(spectral.hat), None)
+    return SpectralState(grid=grid, hat=hat)
 
 
 def _quintic_step(r: np.ndarray) -> np.ndarray:
@@ -518,7 +520,7 @@ def derivative(grid: Grid, alpha: tuple) -> np.ndarray:
     """
     mult = np.ones((1,) * grid.dim, dtype=complex)
     odd = np.zeros((1,) * grid.dim, dtype=bool)
-    for x, nyquist, a in zip(grid.wavevectors(half=True), grid.nyquist(half=True), alpha):
+    for x, nyquist, a in zip(grid.wavevectors(half=True), grid.nyquist(), alpha):
         if a:
             mult = mult * (1j * x) ** a
         if a % 2:

@@ -137,11 +137,11 @@ class TestGrid:
             assert np.array_equal(half[ax], full[ax])
         assert np.array_equal(half[-1], full[-1][..., :h])
         assert half[-1].ravel()[-1] == -np.pi * g.n / g.box_len  # fftfreq's -n/2 kept at the Nyquist index
-        assert np.array_equal(g.xi_sq_of(half=True), g.xi_sq[..., :h])
-        assert np.array_equal(g.radial_index(half=True), g.radial_index(half=False)[..., :h])
-        for table in (g.xi_sq_of(half=True), g.radial_index(half=True)):
+        assert np.array_equal(g.half_xi_sq, g.xi_sq[..., :h])
+        assert np.array_equal(g.radial_index, np.searchsorted(g.radial_values, g.xi_sq)[..., :h])
+        for table in (g.half_xi_sq, g.radial_index):
             assert table.flags.c_contiguous and not table.flags.writeable
-        assert g.xi_sq_of(half=True) is g.xi_sq_of(half=True)
+        assert g.half_xi_sq is g.half_xi_sq
 
     def test_half_spectral_state_shape_checked(self):
         g = Grid(dim=2, box_len=1.0, n=8)
@@ -320,17 +320,15 @@ class TestSpectralGeometry:
         arr = np.random.default_rng(30 * dim + n).standard_normal(g.shape)
         mirror = (Ellipsis,) + g.mirrors(half=False)
         assert np.array_equal(arr[mirror][mirror], arr)
-        for x, nyq in zip(g.wavevectors(), g.nyquist(half=False)):
+        for x, nyq in zip(g.wavevectors(), g.lay(np.arange(n) == n // 2, half=False)):
             x = np.broadcast_to(x, g.shape)
             assert np.array_equal(x[mirror], np.where(np.broadcast_to(nyq, g.shape), x, -x))
 
-    @LAYOUTS
     @pytest.mark.parametrize("dim,n", GEOMETRY_GRIDS)
-    def test_nyquist_is_index_n_over_2(self, dim, n, half):
+    def test_nyquist_is_index_n_over_2(self, dim, n):
         g = Grid(dim=dim, box_len=3.0, n=n)
-        layout = g.half_shape if half else g.shape
-        for ax, nyq in enumerate(g.nyquist(half)):
-            assert np.array_equal(np.broadcast_to(nyq, layout), np.indices(layout)[ax] == n // 2), ax
+        for ax, nyq in enumerate(g.nyquist()):
+            assert np.array_equal(np.broadcast_to(nyq, g.half_shape), np.indices(g.half_shape)[ax] == n // 2), ax
 
     @LAYOUTS
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -344,13 +342,13 @@ class TestSpectralGeometry:
 
     def test_shared_tables_are_read_only(self):
         g = Grid(dim=3, box_len=3.0, n=8)
-        tables = [g.wavevectors(), g.mirrors(False), g.nyquist(True), g.embedding(Grid(dim=3, box_len=3.0, n=16), True)]
+        tables = [g.wavevectors(), g.mirrors(False), g.nyquist(), g.embedding(Grid(dim=3, box_len=3.0, n=16), True)]
         assert not any(arr.flags.writeable for laid in tables for arr in laid)
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 4), log_n=st.integers(1, 6), box_len=st.floats(0.1, 1000.0))
     def test_radial_table_is_numpy_unique_of_xi_sq(self, dim, log_n, box_len):
-        """The values, taken from the half layout, and both indices, found by binary search, are what np.unique of
+        """The values, taken from the half layout, and the half index, found by binary search, are what np.unique of
         the full |xi|^2 returns, bit for bit."""
         n = 1 << log_n
         assume(n**dim <= 1 << 18)
@@ -358,20 +356,20 @@ class TestSpectralGeometry:
         values, inverse = np.unique(g.xi_sq, return_inverse=True)
         inverse = inverse.reshape(g.shape)
         assert g.radial_values.tobytes() == values.tobytes()
-        assert np.array_equal(g.radial_index(half=False), inverse)
-        assert np.array_equal(g.radial_index(half=True), inverse[..., : n // 2 + 1])
-        for table in (g.radial_values, g.radial_index(half=False), g.radial_index(half=True)):
+        assert np.array_equal(g.radial_values[inverse], g.xi_sq)
+        assert np.array_equal(g.radial_index, inverse[..., : n // 2 + 1])
+        for table in (g.radial_values, g.radial_index):
             assert not table.flags.writeable
-        assert g.radial_index(half=True).dtype == g.radial_index(half=False).dtype == np.int32
+        assert g.radial_index.dtype == np.int32
 
     def test_half_radial_index_peaks_below_one_xi_sq(self):
         """Building the values and the half index touches no full-layout sort or index: at 64^3 its peak stays under
         the 2 MiB of one full-layout |xi|^2."""
         g = Grid(dim=3, box_len=96.0, n=64)
-        g.xi_sq_of(half=True)  # |xi|^2 cached on both layouts, as every orbit has it before its first sample
+        g.half_xi_sq  # |xi|^2 cached on both layouts, as every orbit has it before its first sample
         tracemalloc.start()
         try:
-            g.radial_index(half=True)
+            g.radial_index
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

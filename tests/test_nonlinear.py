@@ -333,7 +333,7 @@ class TestSample:
         def back(hat):
             return np.fft.irfftn(hat, s=g.shape, axes=tuple(range(-g.dim, 0)))
 
-        xi_sq = g.xi_sq_of(half=True)
+        xi_sq = g.half_xi_sq
         grad_div = [sum(power(a, b) * m_hat[b] for b in range(dim)) for a in range(dim)]
         dm_hat = [
             -p.alpha_star * xi_sq * m_hat[a]
@@ -417,7 +417,7 @@ class TestStep:
         g = Grid(dim=dim, box_len=3.0, n=8)
         dt = 0.15
         stepper = Etd2Stepper(params, g, dt)
-        values, index = g.radial_values, g.radial_index(half=True)
+        values, index = g.radial_values, g.radial_index
         tabs = phi_multiplier_tables(params, values, dt)
         for block, (D, B, T) in ((stepper._phi1, tabs["phi1"]), (stepper._phi2, tabs["phi2"])):
             assert block.tf is None

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nsklab.runner as runner_mod
 from nsklab.errors import ParseError, ValidationError
+from nsklab.model import Grid
 from nsklab.runner import run_scenario
 from nsklab.scenario import (
     DATA_KINDS,
@@ -281,6 +283,16 @@ class TestParseConfig:
         assert config_from_dict(raw).exponents.j == 0
 
     @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation])
+    @pytest.mark.parametrize("eps", [0.0, 0, -0.5])
+    def test_cutoff_eps_checked_at_parse_time(self, make, eps):
+        """A cutoff_eps of 0 or below is a ValidationError, not the default cutoff run under a manifest that echoes
+        it; a positive one is the cutoff the run reports."""
+        with pytest.raises(ValidationError, match=r"cutoff_eps must be > 0"):
+            config_from_dict(dict(make(), cutoff_eps=eps))
+        cfg = config_from_dict(dict(make(), cutoff_eps=0.5))
+        assert runner_mod._cutoff(cfg, Grid(dim=2, n=32, box_len=24.0)).eps == 0.5
+
+    @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation])
     @pytest.mark.parametrize("window", [[0.0, 6.0], [-1.0, 6.0], [6.0, 1.0], [3.0, 3.0]])
     def test_fit_window_checked_at_parse_time(self, make, window):
         with pytest.raises(ValidationError, match=r"fit_window needs 0 < lo < hi"):
@@ -359,6 +371,19 @@ class TestParseConfig:
         assert [n for n, _ in parsed.scenarios] == ["a", "b"]
         with pytest.raises(ValidationError):
             parse_sweep_config(json.dumps({"scenarios": [], "x": 1}))
+
+    def test_sweep_entry_failing_validation_is_kept_as_its_error(self):
+        """An entry whose config fails validation holds its ValidationError, so the sweep can still run the others;
+        a malformed sweep file (root, scenarios list, entry keys) still fails the parse."""
+        bad = minimal_linear_decay()
+        bad["times"]["count"] = 2
+        sweep = {"scenarios": [{"name": "a", "config": minimal_nonlinear(1)}, {"name": "bad", "config": bad}]}
+        (_, good), (name, err) = parse_sweep_config(json.dumps(sweep)).scenarios
+        assert good == config_from_dict(minimal_nonlinear(1))
+        assert name == "bad" and isinstance(err, ValidationError) and "count >= 3" in str(err)
+        for malformed in ([], {"scenarios": {}}, {"scenarios": [{"name": "a"}]}, {"scenarios": [dict(sweep["scenarios"][0], x=1)]}):
+            with pytest.raises(ValidationError):
+                parse_sweep_config(json.dumps(malformed))
 
 
 class TestRunScenario:
@@ -645,6 +670,52 @@ class TestCli:
         for name in ("s1", "s2"):
             assert json.loads((out / name / "report.json").read_text())["pass"] is True
         assert "error" in json.loads((out / "bad" / "report.json").read_text())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cli_sweep_contains_an_invalid_scenario(self, tmp_path, threads):
+        """An entry whose config fails validation is an error outcome with a report.json of the error and its
+        traceback; the others still run, the summary lists it, and the sweep exits 1."""
+        bad = minimal_linear_decay()
+        bad["times"]["count"] = 2
+        sweep = {
+            "scenarios": [
+                {"name": "s1", "config": minimal_nonlinear(1)},
+                {"name": "bad", "config": bad},
+                {"name": "s2", "config": minimal_nonlinear(2)},
+            ]
+        }
+        cfg_path = self._write(tmp_path, sweep, "sweep.json")
+        out = tmp_path / "sw"
+        proc = self._cli("sweep", "--config", cfg_path, "--out", out, "--threads", threads)
+        assert proc.returncode == 1, proc.stderr
+        assert "[ERROR] bad" in proc.stdout
+        summary = json.loads((out / "sweep_summary.json").read_text())["scenarios"]
+        assert [(r["name"], r["status"]) for r in summary] == [("s1", "pass"), ("bad", "error"), ("s2", "pass")]
+        assert summary[1]["error"].startswith("ValidationError: times need")
+        report = json.loads((out / "bad" / "report.json").read_text())
+        assert report["pass"] is False and report["error"] == summary[1]["error"]
+        assert "Traceback" in report["traceback"] and "parse_sweep_config" in report["traceback"]
+        for name in ("s1", "s2"):
+            assert json.loads((out / name / "report.json").read_text())["pass"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["linear-decay"],
+            ["linear-decay", "--config", "c.json", "--threads", "abc"],
+            ["linear-decay", "--config", "c.json", "--threads", "0"],
+            ["sweep", "--config", "s.json", "--threads", "-1"],
+            ["no-such-command"],
+        ],
+    )
+    def test_cli_usage_error_exits_one(self, argv, capsys):
+        """A usage error is an execution error (1), not a failed verdict (2), and reads no config; --help exits 0."""
+        from nsklab import cli
+
+        assert cli.main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert cli.main(["--help"]) == 0
+        assert cli.main(["sweep", "--help"]) == 0
 
     def test_cli_sweep_failed_verdict_exit_two(self, tmp_path):
         failing = minimal_linear_decay()

@@ -218,17 +218,23 @@ class TestSemigroupOrbit:
 
     @pytest.mark.parametrize("dim, n, box_len", [(3, 64, 96.0), (2, 512, 96.0), (3, 32, 16.0)])
     def test_radial_kernels_bitwise_equal_to_full_grid(self, oscillatory_params, dim, n, box_len):
-        """Kernels on the distinct |xi|^2, gathered per mode, equal the full-grid evaluation bit for bit."""
+        """Kernels on the distinct |xi|^2, gathered per half-layout mode, equal their per-mode evaluation on the full
+        grid bit for bit, and so do the gathered block coefficients and the ones apply_semigroup evaluates per mode."""
         g = Grid(dim=dim, box_len=box_len, n=n)
-        values, index = g.radial_values, g.radial_index(half=False)
-        assert np.array_equal(values[index], g.xi_sq)
+        h = n // 2 + 1
+        values, index = g.radial_values, g.radial_index
+        assert np.array_equal(values[index], g.half_xi_sq)
         assert values.size == np.unique(g.xi_sq).size
         assert not values.flags.writeable and not index.flags.writeable
         for t in (0.35, 1.7, 6.5, 65.0):
             radial = propagator_kernels(oscillatory_params, values, t)
             full = propagator_kernels(oscillatory_params, g.xi_sq, t)
             for r, f in zip(radial, full):
-                assert np.array_equal(r[index], f)
+                assert np.array_equal(r[index], f[..., :h])
+            block = spectral_mod.semigroup_block(oscillatory_params, g, t)
+            per_mode = spectral_mod._semigroup_tables(oscillatory_params, g.xi_sq, t)
+            for name, f in zip(("d", "tf", "lg", "heat"), per_mode):
+                assert np.array_equal(getattr(block, name), f[..., :h]), name
 
     def test_rejects_negative_time(self, unit_params):
         g = Grid(dim=2, box_len=3.0, n=8)
@@ -244,7 +250,7 @@ class TestSemigroupOrbit:
         """NaN kernels reject a sample of a full-support orbit and of a band-limited one on its coarse grid."""
         g = Grid(dim=2, box_len=3.0, n=8)
         data = random_spectrum(g, np.random.default_rng(3))
-        orbits = [SemigroupOrbit(data, unit_params), SemigroupOrbit(frequency_band(data, default_cutoff(g), "low"), unit_params)]
+        orbits = [SemigroupOrbit(data, unit_params), SemigroupOrbit(data, unit_params, "low", default_cutoff(g))]
         assert orbits[1].eval_grid.n == 4
         monkeypatch.setattr(spectral_mod, "propagator_kernels", lambda p, x, t: (np.full(np.shape(x), np.nan),) * 4)
         for orbit in orbits:
@@ -388,17 +394,22 @@ class TestWorkspaceReadOut:
 
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
     def test_orbit_of_a_band_equals_orbit_of_its_full_layout_band(self, dim, n, oscillatory_params):
-        """Forming the band inside the orbit keeps, bit for bit, what an orbit of the full-layout band keeps: the
-        evaluation grid, the half stack and a_hat, the mirror set and the values, wavevectors and a_hat there."""
+        """Forming the band inside the orbit reads out, bit for bit, what an orbit of the full-layout band reads out.
+        The latter runs on the fine grid; where both run on one grid, they keep the same half stack and a_hat, mirror
+        set and values, wavevectors and a_hat there."""
         rng = np.random.default_rng(970 + dim)
         g = Grid(dim=dim, box_len=5.0, n=n)
+        ws = Workspace(g)
         for datum in readout_inputs(g, rng):
             for band in BANDS:
                 got = SemigroupOrbit(datum, oscillatory_params, band, default_cutoff(g))
                 want = SemigroupOrbit(full_layout_band(datum, band), oscillatory_params)
-                assert got.eval_grid == want.eval_grid
-                for name in ("mirror", "_datum", "_a_hat", "_mirror_datum", "_mirror_a_hat", "_mirror_xis"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                assert want.eval_grid is g
+                for t in (0.0, 0.7):
+                    assert np.array_equal(got.halves(t, ws).copy(), want.halves(t, ws)), (band, t)
+                if got.eval_grid == want.eval_grid:
+                    for name in ("mirror", "_datum", "_a_hat", "_mirror_datum", "_mirror_a_hat", "_mirror_xis"):
+                        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_band_is_validated_like_frequency_band(self, unit_params):
         g = Grid(dim=2, box_len=4.0, n=8)
@@ -417,8 +428,8 @@ class TestWorkspaceReadOut:
         rng = np.random.default_rng(950 + dim)
         g = Grid(dim=dim, box_len=5.0, n=n)
         data = [random_spectrum(g, rng) for _ in range(2)]
-        data.append(frequency_band(data[0], default_cutoff(g), "low"))
         orbits = [SemigroupOrbit(d, oscillatory_params) for d in data]
+        orbits.append(SemigroupOrbit(data[0], oscillatory_params, "low", default_cutoff(g)))
         assert orbits[2].eval_grid.n < n
         for theta_only in (False, True):
             ws = Workspace(g, theta_only=theta_only)
@@ -430,19 +441,18 @@ class TestWorkspaceReadOut:
                     got = orbit.halves(t, ws).copy()
                     assert np.array_equal(got, orbit.halves(t, Workspace(g, theta_only=theta_only)))
 
-    @pytest.mark.parametrize("half", [False, True])
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
-    def test_block_momenta_bitwise_equal_to_stacked_formula(self, dim, n, half, oscillatory_params):
+    def test_block_momenta_bitwise_equal_to_stacked_formula(self, dim, n, oscillatory_params):
         """The momentum rows of the image stack equal heat m_hat + xi_j w formed on the whole stack; row 0 is the
         image into a one-row stack."""
         rng = np.random.default_rng(980 + dim)
         g = Grid(dim=dim, box_len=5.0, n=n)
-        shape = g.half_shape if half else g.shape
+        shape = g.half_shape
         th = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         m_hat = rng.standard_normal((dim,) + shape) + 1j * rng.standard_normal((dim,) + shape)
-        block = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, half=half)
-        xis = g.wavevectors(half)
-        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.xi_sq_of(half))
+        block = spectral_mod.semigroup_block(oscillatory_params, g, 0.4)
+        xis = g.wavevectors(half=True)
+        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.half_xi_sq)
         for theta_hat in (th, None):
             w = block.lg * a_hat
             if theta_hat is not None:
@@ -455,22 +465,21 @@ class TestWorkspaceReadOut:
             row = block.image(theta_hat, m_hat, a_hat, xis, np.empty((1,) + shape, dtype=complex), None)
             assert np.array_equal(got[0], row[0])
 
-    @pytest.mark.parametrize("half", [False, True])
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
-    def test_theta_block_gathers_d_and_tf_alone(self, dim, n, half, oscillatory_params):
+    def test_theta_block_gathers_d_and_tf_alone(self, dim, n, oscillatory_params):
         """An ``out`` of two arrays gathers d and tf alone, and that block's one-row image is row 0 of the full
         block's image, bit for bit, with and without theta."""
         rng = np.random.default_rng(990 + dim)
         g = Grid(dim=dim, box_len=5.0, n=n)
-        shape = g.half_shape if half else g.shape
+        shape = g.half_shape
         th = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         m_hat = rng.standard_normal((dim,) + shape) + 1j * rng.standard_normal((dim,) + shape)
-        full = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, half=half)
-        theta = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, half=half, out=np.empty((2,) + shape))
+        full = spectral_mod.semigroup_block(oscillatory_params, g, 0.4)
+        theta = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, out=np.empty((2,) + shape))
         assert theta.lg is None and theta.heat is None
         assert np.array_equal(theta.d, full.d) and np.array_equal(theta.tf, full.tf)
-        xis = g.wavevectors(half)
-        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.xi_sq_of(half))
+        xis = g.wavevectors(half=True)
+        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.half_xi_sq)
         for theta_hat in (th, None):
             want = full.image(theta_hat, m_hat, a_hat, xis, np.empty((dim + 1,) + shape, dtype=complex), None)
             got = theta.image(theta_hat, m_hat, a_hat, xis, np.empty((1,) + shape, dtype=complex), None)
@@ -478,13 +487,15 @@ class TestWorkspaceReadOut:
 
 
 class TestEvaluationGrid:
-    """An orbit runs on the coarsest grid of its box that holds every nonzero mode of its datum."""
+    """An orbit of a low band runs on the coarsest grid of its box that holds every mode where its cutoff is nonzero;
+    an orbit of a high or full band on its datum's grid."""
 
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_default_low_band_runs_on_half_grid(self, dim, n, unit_params):
         g = Grid(dim=dim, box_len=6.0, n=n)
-        band = frequency_band(random_spectrum(g, np.random.default_rng(40 + dim)), default_cutoff(g), "low")
-        orbit = SemigroupOrbit(band, unit_params)
+        datum = random_spectrum(g, np.random.default_rng(40 + dim))
+        band = frequency_band(datum, default_cutoff(g), "low")
+        orbit = SemigroupOrbit(datum, unit_params, "low", default_cutoff(g))
         assert orbit.eval_grid == Grid(dim=dim, box_len=6.0, n=n // 2) and orbit.grid is g
         # no nonzero mode is lost: S(0) reads the band's projection back, every nonzero mode of it
         back = orbit.halves(0.0, Workspace(g))
@@ -492,17 +503,36 @@ class TestEvaluationGrid:
         assert np.array_equal(back, hermitian_half(apply_semigroup(band, unit_params, 0.0).hat, g))
 
     @pytest.mark.parametrize("index, coarse_n", [(-4, 16), (4, 16), (-3, 8), (3, 8)])
-    def test_mode_at_half_the_coarse_grid_is_not_coarsened(self, index, coarse_n, unit_params):
-        """A mode at alias +-m/2 is not a mode of the m grid's full spectrum: the next finer grid holds it."""
+    def test_cutoff_reaching_half_the_coarse_grid_is_not_coarsened(self, index, coarse_n, unit_params):
+        """A cutoff whose support reaches alias +-m/2 is not held by the m grid's full spectrum: the next finer grid
+        holds it, and the orbit reads a mode at that alias back at S(0)."""
         g = Grid(dim=2, box_len=6.0, n=32)
+        cutoff = CutoffSpec(eps=(abs(index) + 0.5) * np.pi / g.box_len)  # nonzero up to alias |index| alone
         hat = np.zeros((3,) + g.shape, dtype=complex)
         hat[1, 0, index % g.n] = 1.0 - 2.0j
-        assert SemigroupOrbit(SpectralState(grid=g, hat=hat), unit_params).eval_grid.n == coarse_n
+        datum = SpectralState(grid=g, hat=hat)
+        orbit = SemigroupOrbit(datum, unit_params, "low", cutoff)
+        assert orbit.eval_grid.n == coarse_n
+        band = frequency_band(datum, cutoff, "low")
+        assert np.count_nonzero(hermitian_half(band.hat, g)) > 0
+        assert np.array_equal(orbit.halves(0.0, Workspace(g)), hermitian_half(apply_semigroup(band, unit_params, 0.0).hat, g))
 
     def test_high_band_runs_on_its_own_grid(self, unit_params):
         g = Grid(dim=3, box_len=6.0, n=16)
-        data = frequency_band(random_spectrum(g, np.random.default_rng(5)), default_cutoff(g), "high")
-        assert SemigroupOrbit(data, unit_params).eval_grid is g
+        data = random_spectrum(g, np.random.default_rng(5))
+        assert SemigroupOrbit(data, unit_params, "high", default_cutoff(g)).eval_grid is g
+
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_eval_grid_depends_on_grid_band_and_cutoff_alone(self, dim, n, unit_params):
+        """Data with full support, with one low mode and with none give one evaluation grid per (band, cutoff)."""
+        g = Grid(dim=dim, box_len=6.0, n=n)
+        one_mode = np.zeros((dim + 1,) + g.shape, dtype=complex)
+        one_mode[(1,) + (1,) + (0,) * (dim - 1)] = 1.0
+        data = [random_spectrum(g, np.random.default_rng(45 + dim)), SpectralState(grid=g, hat=one_mode)]
+        data.append(SpectralState(grid=g, hat=np.zeros_like(one_mode)))
+        wide = CutoffSpec(eps=g.xi_max / 2.0)
+        for band, cutoff, want in [("low", default_cutoff(g), n // 2), ("low", wide, n), ("high", default_cutoff(g), n), ("full", None, n)]:
+            assert [SemigroupOrbit(d, unit_params, band, cutoff).eval_grid.n for d in data] == [want] * len(data), band
 
 
 class TestFrequencySplit:
@@ -810,7 +840,8 @@ class TestHalfLayout:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_half_block_bitwise_equal_to_full_block_per_stored_mode(self, oscillatory_params, dim):
-        """On any spectrum, Nyquist planes and non-Hermitian content included."""
+        """The gathered half block's image equals apply_semigroup's per-mode image on every stored mode, on any
+        spectrum, Nyquist planes and non-Hermitian content included."""
         g = Grid(dim=dim, box_len=6.0, n=8)
         rng = np.random.default_rng(30 + dim)
         shape = (g.dim,) + g.shape
@@ -820,9 +851,9 @@ class TestHalfLayout:
         h = g.n // 2 + 1
         half = SpectralState(grid=g, hat=full.hat[..., :h], half=True)
         for t in (0.0, 0.3, 2.0):
-            want = spectral_mod.image_of(spectral_mod.semigroup_block(oscillatory_params, g, t), full.theta_hat, full.m_hat, g, False)
-            block = spectral_mod.semigroup_block(oscillatory_params, g, t, half=True)
-            got = spectral_mod.image_of(block, half.theta_hat, half.m_hat, g, True)
+            want = apply_semigroup(full, oscillatory_params, t).hat
+            block = spectral_mod.semigroup_block(oscillatory_params, g, t)
+            got = spectral_mod.image_of(block, half.theta_hat, half.m_hat, g)
             assert got.shape == (g.dim + 1,) + g.half_shape
             assert np.array_equal(got[0], want[0][..., :h])
             assert np.array_equal(got[1:], want[1:][..., :h])
