@@ -280,6 +280,14 @@ class TestSemigroupOrbit:
 READOUT_GRIDS = [(1, 16), (2, 8), (3, 8), (4, 4)]
 
 
+def layout_block(params, g, t, half, rows=4):
+    """S(t)'s block on one layout: semigroup_block's gather on the half layout, on the full layout the per-mode block
+    apply_semigroup applies.  ``rows`` 2 keeps d and tf alone."""
+    if half:
+        return spectral_mod.semigroup_block(params, g, t, out=None if rows == 4 else np.empty((rows,) + g.half_shape))
+    return spectral_mod.Block(*spectral_mod._semigroup_tables(params, g.xi_sq, t)[:rows], cap=params.kappa_star * params.rho_star)
+
+
 def real_field_spectrum(grid, rng):
     """The full spectrum of random real rows: Hermitian, Nyquist planes included."""
     rows = rng.standard_normal((grid.dim + 1,) + grid.shape)
@@ -441,18 +449,23 @@ class TestWorkspaceReadOut:
                     got = orbit.halves(t, ws).copy()
                     assert np.array_equal(got, orbit.halves(t, Workspace(g, theta_only=theta_only)))
 
+    @pytest.mark.parametrize("half", [False, True])
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
-    def test_block_momenta_bitwise_equal_to_stacked_formula(self, dim, n, oscillatory_params):
+    def test_block_momenta_bitwise_equal_to_stacked_formula(self, dim, n, half, oscillatory_params):
         """The momentum rows of the image stack equal heat m_hat + xi_j w formed on the whole stack; row 0 is the
-        image into a one-row stack."""
+        image into a one-row stack.  On the full layout the stack is apply_semigroup's image."""
         rng = np.random.default_rng(980 + dim)
         g = Grid(dim=dim, box_len=5.0, n=n)
-        shape = g.half_shape
+        shape = g.half_shape if half else g.shape
         th = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         m_hat = rng.standard_normal((dim,) + shape) + 1j * rng.standard_normal((dim,) + shape)
-        block = spectral_mod.semigroup_block(oscillatory_params, g, 0.4)
-        xis = g.wavevectors(half=True)
-        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.half_xi_sq)
+        block = layout_block(oscillatory_params, g, 0.4, half)
+        xis = g.wavevectors(half)
+        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.half_xi_sq if half else g.xi_sq)
+        if not half:
+            hat = np.concatenate([th[None], m_hat])
+            image = block.image(th, m_hat, a_hat, xis, np.empty_like(hat), None)
+            assert np.array_equal(apply_semigroup(SpectralState(grid=g, hat=hat), oscillatory_params, 0.4).hat, image)
         for theta_hat in (th, None):
             w = block.lg * a_hat
             if theta_hat is not None:
@@ -465,21 +478,23 @@ class TestWorkspaceReadOut:
             row = block.image(theta_hat, m_hat, a_hat, xis, np.empty((1,) + shape, dtype=complex), None)
             assert np.array_equal(got[0], row[0])
 
+    @pytest.mark.parametrize("half", [False, True])
     @pytest.mark.parametrize("dim,n", READOUT_GRIDS)
-    def test_theta_block_gathers_d_and_tf_alone(self, dim, n, oscillatory_params):
+    def test_theta_block_gathers_d_and_tf_alone(self, dim, n, half, oscillatory_params):
         """An ``out`` of two arrays gathers d and tf alone, and that block's one-row image is row 0 of the full
-        block's image, bit for bit, with and without theta."""
+        block's image, bit for bit, with and without theta.  On the full layout the blocks are per mode, as
+        apply_semigroup evaluates them."""
         rng = np.random.default_rng(990 + dim)
         g = Grid(dim=dim, box_len=5.0, n=n)
-        shape = g.half_shape
+        shape = g.half_shape if half else g.shape
         th = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         m_hat = rng.standard_normal((dim,) + shape) + 1j * rng.standard_normal((dim,) + shape)
-        full = spectral_mod.semigroup_block(oscillatory_params, g, 0.4)
-        theta = spectral_mod.semigroup_block(oscillatory_params, g, 0.4, out=np.empty((2,) + shape))
+        full = layout_block(oscillatory_params, g, 0.4, half)
+        theta = layout_block(oscillatory_params, g, 0.4, half, rows=2)
         assert theta.lg is None and theta.heat is None
         assert np.array_equal(theta.d, full.d) and np.array_equal(theta.tf, full.tf)
-        xis = g.wavevectors(half=True)
-        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.half_xi_sq)
+        xis = g.wavevectors(half)
+        a_hat = spectral_mod.longitudinal_amplitude(m_hat, xis, g.half_xi_sq if half else g.xi_sq)
         for theta_hat in (th, None):
             want = full.image(theta_hat, m_hat, a_hat, xis, np.empty((dim + 1,) + shape, dtype=complex), None)
             got = theta.image(theta_hat, m_hat, a_hat, xis, np.empty((1,) + shape, dtype=complex), None)
