@@ -29,7 +29,8 @@ peaks higher, so only they need real fields at q = 2.  m is read out a row at
 a time into its magnitude, and theta is transformed only if the sum of its
 spectrum's magnitudes, a bound on its peak, reaches m's peak: data whose theta
 stays far below m, such as divergence-free momenta, cost dim inverse
-transforms per sample, not dim + 1.
+transforms per sample, not dim + 1.  Every inverse transform of a sample lands
+in the workspace, so no sample allocates a real row.
 
 The divergence-form ablation measures :func:`theta_low_band_series` of both
 members of ``fields.riesz_momentum_pair``; the runner pairs the two fits.
@@ -470,19 +471,19 @@ def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, p, j: int, w10
     """(norm value, mass radius, edge leakage) of the orbit's sample at t, read out into the series' workspace.
 
     The trust diagnostics take the field whose components peak higher: theta only if max |theta| > max_j max |m_j|.
-    m is read out first, a row at a time, into |m| in ``ws.m`` (:func:`_momentum_magnitude`), so one transform's
-    output at a time is held outside the workspace.  At p = 2 theta is read out only if its peak bound
-    (:func:`_peak_bound`, raised by ``PEAK_MARGIN``) exceeds m's peak, since otherwise the diagnostics cannot pick it;
-    the value is then summed by Parseval in ``ws.coeffs``, whose memory |m| shares.  At any other p theta is always
-    read out: it enters the norm.
+    m is read out first, each row into ``ws.real_row`` and its square added into |m| in ``ws.m``
+    (:func:`_momentum_magnitude`).
+    At p = 2 theta is read out only if its peak bound (:func:`_peak_bound`, raised by ``PEAK_MARGIN``) exceeds m's
+    peak, since otherwise the diagnostics cannot pick it; the value is then summed by Parseval in ``ws.coeffs``,
+    whose memory |m| and |theta| share.  At any other p theta is always read out: it enters the norm.  theta is read
+    out into ``ws.real_row``, so every real field of the sample lies in the workspace.
     """
     grid = orbit.grid
     hat = orbit.halves(t, ws)
-    m_mag, m_max = _momentum_magnitude(hat[1:], grid, ws.m)
+    m_mag, m_max = _momentum_magnitude(hat[1:], grid, ws.m, ws.real_row)
     theta_mag = None
     if p != 2 or _peak_bound(hat[0], grid, ws.coeffs[-1]) * (1.0 + PEAK_MARGIN) > m_max:
-        theta_mag = irfftn(hat[0], grid)
-        np.abs(theta_mag, out=theta_mag)
+        theta_mag = np.abs(irfftn(hat[0], grid, ws.real_row), out=ws.real_row)
     diagnostics = trust.diagnostics(theta_mag if theta_mag is not None and np.max(theta_mag) > m_max else m_mag)
     if p == 2:
         value = _pair_l2_by_parseval(hat, j, w10, grid, ws.coeffs)
@@ -491,21 +492,21 @@ def _decay_sample(orbit: SemigroupOrbit, ws: Workspace, t: float, p, j: int, w10
     return (value, *diagnostics)
 
 
-def _momentum_magnitude(rows: np.ndarray, grid: Grid, out: np.ndarray) -> tuple[np.ndarray, float]:
+def _momentum_magnitude(rows: np.ndarray, grid: Grid, out: np.ndarray, comp: np.ndarray) -> tuple[np.ndarray, float]:
     """(|m|, max_j max |m_j|) of the real fields of m's half-spectrum ``rows``, |m| in ``out``, one real row.
 
-    The rows are read out one at a time: each output's max and -min go into the peak, and its square into ``out``,
-    added in component order as :func:`_magnitude` adds them, so |m| is its value bit for bit and m is never copied.
+    The rows are read out one at a time into ``comp``, another real row: each output's max and -min go into the
+    peak, and its square into ``out``, added in component order as :func:`_magnitude` adds them, so |m| is its value
+    bit for bit, m is never copied and no real row is allocated.
     """
     peak = -np.inf
     for c, row in enumerate(rows):
-        comp = irfftn(row, grid)
+        irfftn(row, grid, comp)
         peak = max(peak, np.max(comp), -np.min(comp))
         if c:
             out += np.square(comp, out=comp)
         else:
             np.square(comp, out=out)
-        del comp  # freed before the next transform: two outputs held at once make the heap shrink and re-fault
     return np.sqrt(out, out=out), peak
 
 
@@ -560,8 +561,9 @@ def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutof
     """Low-band theta-component norm series of the linear flow (ablation measurand).
 
     The orbit forms the low band of the datum and runs S(t) on the coarsest grid that holds the cutoff (n/2 under the
-    default cutoff); samples are read out on n.  A datum handed over is freed once the orbit is built.  ``ws``, a
-    theta-only :class:`nsklab.spectral.Workspace`, lets series share buffers; by default it is made here.
+    default cutoff); samples are read out on n, each into the workspace's ``real_row``.  A datum handed over is freed
+    once the orbit is built.  ``ws``, a theta-only :class:`nsklab.spectral.Workspace`, lets series share buffers; by
+    default it is made here.
     """
     grid = data.grid
     orbit = SemigroupOrbit(data, params, "low", cutoff)
@@ -570,8 +572,7 @@ def theta_low_band_series(data: SpectralState, params: FluidParams, times, cutof
     ws = ws or Workspace(grid, theta_only=True)
 
     def sample(t):
-        mag = irfftn(orbit.halves(t, ws)[0], grid)
-        np.abs(mag, out=mag)
+        mag = np.abs(irfftn(orbit.halves(t, ws)[0], grid, ws.real_row), out=ws.real_row)
         return (_lp_norms_of_magnitude(mag, grid, (p,))[0], *trust.diagnostics(mag))
 
     return _series_measurement(sample, times, {"field": "theta", "band": "low", "p": "inf" if np.isinf(p) else p}, grid, orbit.band_modes)

@@ -103,8 +103,8 @@ def riesz_kernel_hat(grid: Grid, gamma: float, support_radius: float) -> np.ndar
     amplifying near-Nyquist content.  The envelope is a function of |xi|^2:
     it is evaluated by quadrature (:func:`_matern_envelope`) once per distinct
     value (``Grid.radial_values``) and looked up 2^15 modes at a time, by the
-    binary search that builds ``Grid.radial_index``, so no full-layout
-    envelope or index is held.
+    binary search that builds ``Grid.radial_index``, in the half layout's
+    |xi|^2, so no full-layout |xi|^2, envelope or index is formed.
     The mean mode is cleared.
     """
     if support_radius > grid.box_len / 2.0:
@@ -126,10 +126,11 @@ def riesz_kernel_hat(grid: Grid, gamma: float, support_radius: float) -> np.ndar
     del kernel
     values = grid.radial_values
     env = np.maximum(_matern_envelope(a * np.sqrt(values), gamma / 2.0), 0.02)
-    flat, xi_sq = k_hat.reshape(-1), grid.xi_sq.reshape(-1)
-    for lo in range(0, flat.size, 1 << 15):
-        part = slice(lo, lo + (1 << 15))
-        flat[part] /= env[np.searchsorted(values, xi_sq[part])]
+    # a mode's |xi|^2 is the half layout's at last-axis index |alias|, bit for bit: x^2 is even
+    rows, fold = grid.half_xi_sq.reshape(-1, grid.n // 2 + 1), np.abs(grid.axis_aliases())
+    flat, step = k_hat.reshape(-1, grid.n), max(1, (1 << 15) // grid.n)
+    for lo in range(0, len(flat), step):
+        flat[lo : lo + step] /= env[np.searchsorted(values, rows[lo : lo + step][:, fold])]
     k_hat[(0,) * grid.dim] = 0.0
     return k_hat
 

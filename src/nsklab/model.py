@@ -249,11 +249,14 @@ class Grid:
     def _axis_wavenumbers(self) -> np.ndarray:
         return _read_only((2.0 * np.pi / self.box_len) * self.axis_aliases().astype(float))
 
-    @cached_property
+    @property
     def xi_sq(self) -> np.ndarray:
-        """|xi|^2 on the full spectral grid."""
-        out = np.zeros(self.shape)
-        for x in self.wavevectors():
+        """|xi|^2 on the full spectral grid, formed on request: the grid keeps only :attr:`half_xi_sq`."""
+        return self._summed_squares(half=False)
+
+    def _summed_squares(self, half: bool) -> np.ndarray:
+        out = np.zeros(self.half_shape if half else self.shape)
+        for x in self.wavevectors(half):
             out = out + x**2
         return out
 
@@ -271,8 +274,9 @@ class Grid:
 
     @cached_property
     def half_xi_sq(self) -> np.ndarray:
-        """:attr:`xi_sq` on the half layout (shared, read-only)."""
-        return _read_only(self.xi_sq[..., : self.n // 2 + 1])
+        """:attr:`xi_sq` on the half layout (shared, read-only), summed from the half-layout wavevectors in the same
+        order, so it is the full table cut to n/2 + 1 bit for bit."""
+        return _read_only(self._summed_squares(half=True))
 
     @cached_property
     def radial_index(self) -> np.ndarray:
@@ -287,23 +291,8 @@ class Grid:
         return _read_only(np.searchsorted(self.radial_values, self.half_xi_sq).astype(np.int32))
 
     def periodic_r_sq(self, center=None) -> np.ndarray:
-        """Squared minimum-image distance to center (default: the box center).
-
-        The default-center array is computed once per grid and shared, so it
-        is returned read-only.
-        """
-        if center is None:
-            return self._centered_r_sq
-        return self._r_sq_about(center)
-
-    @cached_property
-    def _centered_r_sq(self) -> np.ndarray:
-        r_sq = self._r_sq_about(np.full(self.dim, self.box_len / 2.0))
-        r_sq.flags.writeable = False
-        return r_sq
-
-    def _r_sq_about(self, center) -> np.ndarray:
-        center = np.asarray(center, dtype=float)
+        """Squared minimum-image distance to center (default: the box center), formed on request."""
+        center = np.full(self.dim, self.box_len / 2.0) if center is None else np.asarray(center, dtype=float)
         r_sq = np.zeros(self.shape)
         for ax, x in enumerate(self.mesh()):
             d = np.abs(x - center[ax])

@@ -30,8 +30,9 @@ spectral space without conjugate symmetry; :func:`apply_semigroup`,
 :class:`SemigroupOrbit` and :func:`frequency_split` reject a half-layout
 state with ``GridMismatch``.  The nonlinear solver works on half spectra of
 real fields (:func:`to_spectral`).  Every real read-out is ``irfftn`` of a
-half spectrum, row by row; a full spectrum g is first projected by
-:func:`hermitian_half`, (g(xi) + conj g(-xi)) / 2.  A :class:`SemigroupOrbit`
+half spectrum, one row at a time, into a row of the caller's where it has one
+(a decay sample's land in its :class:`Workspace`); a full spectrum g is first
+projected by :func:`hermitian_half`, (g(xi) + conj g(-xi)) / 2.  A :class:`SemigroupOrbit`
 forms the band of its datum a row at a time and evaluates S(t) on the half
 layout of the grid its band and cutoff imply (:func:`_band_grid`); it
 zero-pads each sample back, which is exact for a band-limited spectrum.
@@ -110,11 +111,15 @@ def rfftn(arr: np.ndarray) -> np.ndarray:
     return _fft.r2c(arr, None, True, 0, None, _FFT_WORKERS)
 
 
-def irfftn(arr: np.ndarray, grid: Grid) -> np.ndarray:
-    """The real field of a half spectrum; any other shape than ``grid.half_shape`` is a GridMismatch."""
+def irfftn(arr: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """The real field of a half spectrum, into ``out`` (a new array if None); a spectrum of any other shape than
+    ``grid.half_shape``, or an ``out`` of any other than ``grid.shape``, is a GridMismatch (the kernel would fill an
+    ``out`` of the wrong shape without complaint)."""
     if arr.shape != grid.half_shape:
         raise GridMismatch(f"half spectrum of shape {arr.shape} on a grid whose half layout is {grid.half_shape}")
-    return _fft.c2r(arr, None, grid.n, False, 2, None, _FFT_WORKERS)
+    if out is not None and out.shape != grid.shape:
+        raise GridMismatch(f"output of shape {out.shape} for a field on a grid of shape {grid.shape}")
+    return _fft.c2r(arr, None, grid.n, False, 2, out, _FFT_WORKERS)
 
 
 def to_spectral(state: State) -> SpectralState:
@@ -254,10 +259,11 @@ class Workspace:
 
     ``hat`` is the half-spectrum stack a read-out fills: the theta row alone if theta_only, else all dim + 1 rows.
     A sample's block coefficients (and w) run in the leading elements of the half-layout buffers ``coeffs`` (and
-    ``w``, which follows them in one buffer), sized on its orbit's evaluation grid.  ``m``, one real row for the
-    caller's momentum magnitude, shares the memory of the first two ``coeffs`` rows (a real row is shorter than two
-    half-layout rows), and the caller may use the other rows, and all of them once it is done with m: a read-out is
-    done with its coefficients and w once it returns.
+    ``w``, which follows them in one buffer), sized on its orbit's evaluation grid.  A read-out is done with its
+    coefficients and w once it returns, and the caller may use the rows for its real fields: a real row is shorter
+    than two half-layout rows.  ``real_row``, one real row for the caller's inverse transforms, shares the memory of
+    the last two ``coeffs`` rows, rows 2-3, or rows 0-1 of a theta-only workspace.  ``m``, one real row for the
+    caller's momentum magnitude, shares the memory of the first two ``coeffs`` rows.
     """
 
     def __init__(self, grid: Grid, *, theta_only: bool = False):
@@ -270,6 +276,7 @@ class Workspace:
             shared = np.empty(size + 2 * math.prod(grid.half_shape))
             self.coeffs, self.m = _leading(shared, coeffs), _leading(shared, grid.shape)
             self.w = shared[size:].view(complex).reshape(grid.half_shape)
+        self.real_row = _leading(self.coeffs[-2:], grid.shape)
 
 
 def _leading(buf: np.ndarray, shape: tuple) -> np.ndarray:
@@ -308,8 +315,9 @@ def _band_grid(grid: Grid, band: str, cutoff: CutoffSpec | None) -> Grid:
 
 
 def _band_halves(hat: np.ndarray, fine: Grid, grid: Grid, band: str, cutoff: CutoffSpec | None):
-    """(half stack, mirror set, mirror values) of the band of ``hat``, a full-layout stack on ``fine``, on the half
-    layout of ``grid``, a grid of the same box that holds the band.
+    """(theta row, m stack, mirror set, mirror theta values, mirror m values) of the band of ``hat``, a full-layout
+    stack on ``fine``, on the half layout of ``grid``, a grid of the same box that holds the band.  The theta row and
+    the m stack are separate arrays, so a caller can drop a zero theta row alone.
 
     The band is formed a row at a time, at those modes and their mirrors -xi, with one half-layout row of mirror
     values; the mirror set holds every half mode on a Nyquist index of some axis, and every one where the band is not
@@ -321,19 +329,19 @@ def _band_halves(hat: np.ndarray, fine: Grid, grid: Grid, band: str, cutoff: Cut
     mirror = tuple(np.take(e, m) for e, m in zip(grid.embedding(fine, half=False), grid.mirrors(half=True)))
     phi = _cutoff_values(cutoff, grid.half_xi_sq)
     half = (Ellipsis, slice(0, grid.n // 2 + 1)) if grid is fine else (Ellipsis,) + own
-    datum = np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex)
+    theta, m = np.empty(grid.half_shape, dtype=complex), np.empty((grid.dim,) + grid.half_shape, dtype=complex)
     buf = np.empty(grid.half_shape, dtype=complex)
     carries = functools.reduce(np.logical_or, grid.nyquist(), np.zeros(grid.half_shape, dtype=bool))
-    for row, own_row in zip(hat, datum):
+    for row, own_row in zip(hat, [theta, *m]):
         _band_values(row[half], phi, band, own_row)
         carries |= own_row != np.conjugate(_band_values(row[(Ellipsis,) + mirror], phi, band, buf), out=buf)
     at = np.flatnonzero(carries)
     fine_at = tuple(np.take(ax, i) for ax, i in zip(mirror, np.unravel_index(at, grid.half_shape)))
     phi_at = None if phi is None else phi.reshape(-1)[at]
-    mirror_datum = np.empty((grid.dim + 1, at.size), dtype=complex)
-    for row, mir in zip(hat, mirror_datum):
+    mirror_theta, mirror_m = np.empty(at.size, dtype=complex), np.empty((grid.dim, at.size), dtype=complex)
+    for row, mir in zip(hat, [mirror_theta, *mirror_m]):
         _band_values(row[fine_at], phi_at, band, mir)
-    return datum, at, mirror_datum
+    return theta, m, at, mirror_theta, mirror_m
 
 
 class SemigroupOrbit:
@@ -354,8 +362,9 @@ class SemigroupOrbit:
     mirror-symmetric (its coefficients are functions of |xi|^2 and its odd xi factors change sign), so the image's
     Hermitian projection is the image itself; on a Nyquist index the odd factors do not change sign.  The datum is not
     kept: a caller that hands it over and drops its own reference once the orbit is built frees it.  A band whose theta
-    row is zero, on the half stack and the mirror set, enters the block as its zero theta (None), so no sample
-    multiplies it.  :meth:`halves` reads each sample out into a :class:`Workspace` that a series reuses.
+    row is zero, on the half stack and the mirror set, is not kept either: it enters the block as its zero theta
+    (None), so no sample multiplies it, and the orbit of divergence-free momentum data holds dim rows, not dim + 1.
+    :meth:`halves` reads each sample out into a :class:`Workspace` that a series reuses.
     """
 
     def __init__(self, data: SpectralState, params: FluidParams, band: str = "full", cutoff: CutoffSpec | None = None):
@@ -375,14 +384,14 @@ class SemigroupOrbit:
             self._padded = np.empty((grid.dim + 1,) + grid.half_shape, dtype=complex)
             # the fine half index of each coarse half mode: the two half layouts share the last axis's 0 .. m/2
             self._half_modes = (Ellipsis,) + grid.embedding(fine, half=True)[:-1] + (np.arange(grid.n // 2 + 1),)
-        self._datum, self.mirror, self._mirror_datum = _band_halves(data.hat, fine, grid, band, cutoff)
+        theta, self._m, self.mirror, mirror_theta, self._mirror_m = _band_halves(data.hat, fine, grid, band, cutoff)
         at = np.unravel_index(self.mirror, grid.half_shape)
         self._mirror_xis = [np.take(x, np.take(m, i)) for x, m, i in zip(grid.wavevectors(), grid.mirrors(half=False), at)]
         xi_sq = grid.half_xi_sq.reshape(-1)[self.mirror]  # |xi|^2 is even, bit for bit
-        self._mirror_a_hat = longitudinal_amplitude(self._mirror_datum[1:], self._mirror_xis, xi_sq)
-        self._a_hat = longitudinal_amplitude(self._datum[1:], grid.wavevectors(half=True), grid.half_xi_sq)
-        zero_theta = not (self._datum[0].any() or self._mirror_datum[0].any())
-        self._theta = (None, None) if zero_theta else (self._datum[0], self._mirror_datum[0])
+        self._mirror_a_hat = longitudinal_amplitude(self._mirror_m, self._mirror_xis, xi_sq)
+        self._a_hat = longitudinal_amplitude(self._m, grid.wavevectors(half=True), grid.half_xi_sq)
+        zero_theta = not (theta.any() or mirror_theta.any())
+        self._theta, self._mirror_theta = (None, None) if zero_theta else (theta, mirror_theta)
         grid.radial_index  # built here, before the series allocates its workspace
 
     def halves(self, t: float, ws: Workspace) -> np.ndarray:
@@ -400,11 +409,10 @@ class SemigroupOrbit:
         hat = ws.hat if grid is self.grid else self._padded[: len(ws.hat)]
         coeffs = _leading(ws.coeffs, (len(ws.coeffs),) + grid.half_shape)
         block = semigroup_block(self.params, grid, t, out=coeffs)
-        theta, mirror_theta = self._theta
         w = _leading(ws.w, grid.half_shape) if len(hat) > 1 else None
-        block.image(theta, self._datum[1:], self._a_hat, grid.wavevectors(half=True), hat, w)
+        block.image(self._theta, self._m, self._a_hat, grid.wavevectors(half=True), hat, w)
         mirrored = np.empty((len(hat), self.mirror.size), dtype=complex)
-        block.at(self.mirror).image(mirror_theta, self._mirror_datum[1:], self._mirror_a_hat, self._mirror_xis, mirrored, None)
+        block.at(self.mirror).image(self._mirror_theta, self._mirror_m, self._mirror_a_hat, self._mirror_xis, mirrored, None)
         for row, mir in zip(hat, mirrored):
             flat = row.reshape(-1)
             flat[self.mirror] = _project(mir, flat[self.mirror])
@@ -431,8 +439,9 @@ def apply_semigroup(spectral: SpectralState, params: FluidParams, t: float) -> S
     _require_full(spectral, "apply_semigroup")
     _check_time(t)
     grid, xis = spectral.grid, spectral.grid.wavevectors()
-    block = Block(*_semigroup_tables(params, grid.xi_sq, t), cap=params.kappa_star * params.rho_star)
-    a_hat = longitudinal_amplitude(spectral.m_hat, xis, grid.xi_sq)
+    xi_sq = grid.xi_sq  # formed on request: bound once
+    block = Block(*_semigroup_tables(params, xi_sq, t), cap=params.kappa_star * params.rho_star)
+    a_hat = longitudinal_amplitude(spectral.m_hat, xis, xi_sq)
     hat = block.image(spectral.theta_hat, spectral.m_hat, a_hat, xis, np.empty_like(spectral.hat), None)
     return SpectralState(grid=grid, hat=hat)
 
@@ -468,12 +477,18 @@ def default_cutoff(grid: Grid) -> CutoffSpec:
 
 
 def low_band_mode_count(grid: Grid, cutoff: CutoffSpec) -> int:
-    """Number of nonzero modes with |xi| <= 2 eps (the band the paper's epsilon isolates), counted 2^15 modes at a
-    time, so no temporary spans the full layout."""
-    xi_sq, count = grid.xi_sq.reshape(-1), 0
-    for lo in range(0, xi_sq.size, 1 << 15):
-        xi_abs = np.sqrt(xi_sq[lo : lo + (1 << 15)])
-        count += np.count_nonzero((xi_abs <= 2.0 * cutoff.eps) & (xi_abs > 0.0))
+    """Number of nonzero modes with |xi| <= 2 eps (the band the paper's epsilon isolates), on the full layout.
+
+    It is counted on the half layout, about 2^15 modes at a time, so no temporary spans a layout: a mode counts once
+    on the self-mirror last-axis planes 0 and n/2 and twice elsewhere, for itself and its mirror, whose |xi|^2 is the
+    same bit for bit.
+    """
+    rows = grid.half_xi_sq.reshape(-1, grid.n // 2 + 1)
+    step, count = max(1, (1 << 15) // rows.shape[1]), 0
+    for lo in range(0, len(rows), step):
+        xi_abs = np.sqrt(rows[lo : lo + step])
+        inside = (xi_abs <= 2.0 * cutoff.eps) & (xi_abs > 0.0)
+        count += 2 * np.count_nonzero(inside) - np.count_nonzero(inside[:, 0]) - np.count_nonzero(inside[:, -1])
     return int(count)
 
 

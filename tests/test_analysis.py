@@ -554,7 +554,7 @@ class TestSeriesOnOnePath:
         rows = rng.standard_normal((dim,) + g.half_shape) + 1j * rng.standard_normal((dim,) + g.half_shape)
         m = np.stack([irfftn(row, g) for row in rows])
         out = np.empty(g.shape)
-        mag, peak = analysis_mod._momentum_magnitude(rows, g, out)
+        mag, peak = analysis_mod._momentum_magnitude(rows, g, out, np.empty(g.shape))
         assert mag is out and np.array_equal(mag, analysis_mod._magnitude(m, g))
         assert peak == max(np.max(m), -np.min(m))
 
@@ -675,6 +675,56 @@ class TestDecayMemoryBudget:
         assert self.traced_peak(lambda: run_scenario(cfg, tmp_path)) <= budget * self.half_stack(g)
 
 
+class TestLeanReadOut:
+    """A decay read-out holds no full-size temporary: the grids keep only half-layout tables, the orbit of
+    divergence-free data keeps no theta row, and every inverse transform of a sample lands in its workspace."""
+
+    TIMES = (0.35, 1.7)
+
+    def test_series_leave_no_full_layout_array_on_a_grid(self, oscillatory_params, monkeypatch):
+        orbits = []
+
+        class Recorded(spectral_mod.SemigroupOrbit):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                orbits.append(self)
+
+        monkeypatch.setattr(analysis_mod, "SemigroupOrbit", Recorded)
+        g = Grid(dim=3, box_len=24.0, n=16)
+        data = curl_mixture_momentum_state(g, 2.5, 0.9, 1.75)
+        for band, p in (("low", 2.0), ("high", 2.0), ("high", np.inf)):
+            measure_semigroup_decay(data, oscillatory_params, self.TIMES, band=band, p=p, j=1, w10=True)
+        theta_low_band_series(random_spectrum(g, np.random.default_rng(7)), oscillatory_params, self.TIMES, default_cutoff(g), np.inf)
+        assert len(orbits) == 4 and orbits[0].eval_grid != g
+        for grid in [g] + [orbit.eval_grid for orbit in orbits]:
+            held = [name for name, v in vars(grid).items() if isinstance(v, np.ndarray) and v.shape == grid.shape]
+            assert held == [], grid
+
+    def test_orbit_of_divergence_free_data_keeps_no_theta_row(self, oscillatory_params):
+        g = Grid(dim=3, box_len=24.0, n=16)
+        orbit = spectral_mod.SemigroupOrbit(curl_mixture_momentum_state(g, 2.5, 0.9, 1.75), oscillatory_params, "high", default_cutoff(g))
+        assert orbit._theta is None and orbit._mirror_theta is None
+        held = [v.shape[: -g.dim] for v in vars(orbit).values() if isinstance(v, np.ndarray) and v.shape[-g.dim :] == g.half_shape]
+        assert sum(math.prod(lead) for lead in held) == g.dim + 1  # m and its a_hat
+
+    def test_sample_allocates_no_real_row(self, oscillatory_params):
+        """At 64^3 one sample's traced peak above its live set (orbit, workspace and trust geometry, all built before
+        the trace) is its mirror-set temporaries, about 1.15 MiB: under one real row (2.0 MiB), hence within one
+        half-layout row, where a transform output allocated per sample alone makes it one real row."""
+        g = Grid(dim=3, box_len=96.0, n=64)
+        orbit = spectral_mod.SemigroupOrbit(curl_mixture_momentum_state(g, 2.5, 0.3, 7.0), oscillatory_params, "high", spectral_mod.CutoffSpec(0.075))
+        ws, trust = spectral_mod.Workspace(g), analysis_mod._TrustGeometry(g)
+        for p, j, w10 in ((2.0, 1, True), (np.inf, 0, False)):
+            analysis_mod._decay_sample(orbit, ws, 0.35, p, j, w10, trust)  # fills every per-grid cache
+            tracemalloc.start()
+            try:
+                analysis_mod._decay_sample(orbit, ws, 1.7, p, j, w10, trust)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * g.mode_count, p
+
+
 class TestLowBandCount:
     """A series counts the modes of its low band once, with no full-layout float temporary, and records the
     count of the full-layout formula."""
@@ -686,10 +736,10 @@ class TestLowBandCount:
         xi_abs = np.sqrt(grid.xi_sq)
         return int(np.count_nonzero((xi_abs <= 2.0 * cutoff.eps) & (xi_abs > 0.0)))
 
-    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("dim,n", [(1, 2), (1, 64), (2, 32), (3, 16), (4, 8)])
     def test_count_equals_full_layout_formula(self, dim, n):
         g = Grid(dim=dim, box_len=24.0, n=n)
-        for eps in (0.1, 0.3, g.xi_max / 4.0, g.xi_max):
+        for eps in (0.1, 0.3, 3 * np.pi / g.box_len, g.xi_max / 4.0, g.xi_max):
             cut = spectral_mod.CutoffSpec(eps=eps)
             assert spectral_mod.low_band_mode_count(g, cut) == self.reference(g, cut), eps
 
@@ -723,7 +773,7 @@ class TestLowBandCount:
 
     def test_count_makes_no_full_layout_float_temporary(self):
         g = Grid(dim=3, box_len=24.0, n=64)
-        assert g.xi_sq.nbytes == 8 * g.mode_count  # cached before the trace
+        g.half_xi_sq  # cached before the trace
         tracemalloc.start()
         try:
             spectral_mod.low_band_mode_count(g, default_cutoff(g))

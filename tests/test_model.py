@@ -215,7 +215,7 @@ class TestRieszPair:
             assert env[0] == 1.0
             assert np.max(np.abs(env[1:] - want) / want) <= 1e-13, nu
 
-    @pytest.mark.parametrize("dim,n,gamma", [(2, 64, 1.0), (3, 32, 1.5)])
+    @pytest.mark.parametrize("dim,n,gamma", [(1, 256, 0.5), (2, 64, 1.0), (3, 32, 1.5), (4, 8, 2.0)])
     def test_members_equal_reference_bitwise(self, dim, n, gamma):
         """Divergence member first, then the generic one, each equal to the reference bit for bit (signed zeros
         included) at amplitude 0.5."""
@@ -271,10 +271,10 @@ class TestPeriodicGeometry:
             assert np.array_equal(g.periodic_r_sq(center), self._minimum_image_r_sq(g, center))
             assert np.array_equal(g.periodic_r_sq(), self._minimum_image_r_sq(g, np.full(dim, 3.5)))
 
-    def test_default_center_cached_read_only(self):
+    def test_default_center_is_the_box_center_and_not_kept(self):
         g = Grid(dim=2, box_len=4.0, n=16)
-        assert g.periodic_r_sq() is g.periodic_r_sq()
-        assert not g.periodic_r_sq().flags.writeable
+        assert np.array_equal(g.periodic_r_sq(), g.periodic_r_sq(np.full(2, 2.0)))
+        assert not any(isinstance(v, np.ndarray) and v.shape == g.shape for v in vars(g).values())
 
     def test_gaussian_bump_unchanged_bitwise(self):
         g = Grid(dim=3, box_len=8.0, n=16)

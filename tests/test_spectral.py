@@ -416,7 +416,7 @@ class TestWorkspaceReadOut:
                 for t in (0.0, 0.7):
                     assert np.array_equal(got.halves(t, ws).copy(), want.halves(t, ws)), (band, t)
                 if got.eval_grid == want.eval_grid:
-                    for name in ("mirror", "_datum", "_a_hat", "_mirror_datum", "_mirror_a_hat", "_mirror_xis"):
+                    for name in ("mirror", "_theta", "_m", "_a_hat", "_mirror_theta", "_mirror_m", "_mirror_a_hat", "_mirror_xis"):
                         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_band_is_validated_like_frequency_band(self, unit_params):
@@ -814,6 +814,20 @@ class TestHalfLayout:
         for shape in [(8, 6), (8, 4), (16, 5), (4, 5), g.shape, (8,), (2, 8, 5)]:
             with pytest.raises(GridMismatch):
                 spectral_mod.irfftn(np.ones(shape, dtype=complex), g)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_irfftn_into_out_equals_a_new_field(self, dim):
+        """irfftn fills and returns ``out``, bit for bit the field it returns without one; an ``out`` of any other
+        shape than the grid's is a GridMismatch (the kernel itself fills a (16, 16, 15) one without complaint)."""
+        g = Grid(dim=dim, box_len=3.0, n=16 if dim < 4 else 4)
+        rng = np.random.default_rng(810 + dim)
+        h = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
+        buf = np.empty(g.shape)
+        assert spectral_mod.irfftn(h, g, out=buf) is buf
+        assert np.array_equal(buf, spectral_mod.irfftn(h, g))
+        for shape in [g.shape[:-1] + (g.n - 1,), g.half_shape, (1,) + g.shape]:
+            with pytest.raises(GridMismatch):
+                spectral_mod.irfftn(h, g, out=np.empty(shape))
 
     def test_set_fft_workers_rejects_counts_below_one(self, monkeypatch):
         """The kernels read 0 workers as every core, so a count below 1 is refused and the setting kept."""
