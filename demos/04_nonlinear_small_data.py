@@ -10,24 +10,24 @@ the structural conservation laws to machine precision.
 
 import warnings
 
-from nsklab import Grid, NonlinearInitBlock, NonlinearScenario, critical_quadratic, make_params, run
+from nsklab import Grid, NonlinearInitBlock, NonlinearRunConfig, ParamsBlock, run
 
-params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(0.5, 1.0))
-grid = Grid(dim=3, box_len=8.0, n=16)
+params = ParamsBlock(mu=1.0, nu=1.0, kappa=1.0, rho_ref=1.0, pressure_k=0.5)
+grid = Grid(dim=3, n=16, box_len=8.0)
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     results = {
         eps: run(
-            NonlinearScenario(
+            NonlinearRunConfig(
+                seed=12,
                 params=params,
                 grid=grid,
+                init=NonlinearInitBlock(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.2),
                 amplitude=eps,
                 t_end=50.0,
                 dt=0.1,
-                seed=12,
                 sample_every=10,
-                init=NonlinearInitBlock(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.2),
             )
         )
         for eps in (0.02, 0.04)

@@ -56,7 +56,6 @@ from .model import (
 )
 from .nonlinear import (
     Etd2Stepper,
-    NonlinearScenario,
     RunResult,
     StepState,
     nonlinearity_g_hat,
@@ -67,6 +66,8 @@ from .runner import ScenarioOutcome, run_scenario, run_sweep
 from .scenario import (
     NonlinearExponentsBlock,
     NonlinearInitBlock,
+    NonlinearRunConfig,
+    ParamsBlock,
     ScenarioConfig,
     parse_config,
     parse_sweep_config,

@@ -10,7 +10,7 @@ these are the ones recorded in all outputs):
   requested order;
 * ``W^{m,l}`` of a pair is ``||theta||_{W^m} + ||m||_{W^l}``.
 
-Semigroup decay series at q = 2 are computed by Parseval from the evolved
+Semigroup decay series at p = 2 are computed by Parseval from the evolved
 spectrum, with no transform: each field's spectrum is the half spectrum of
 its real field (``spectral.SemigroupOrbit.halves``, the Hermitian projection
 of the evolved full spectrum), whose modes count twice off the self-mirror
@@ -25,7 +25,7 @@ cutoff imply; the datum is freed once the orbit is built, and every sample is
 read into one :class:`nsklab.spectral.Workspace`.
 
 The trust diagnostics of a decay sample measure whichever of theta and m
-peaks higher, so only they need real fields at q = 2.  m is read out a row at
+peaks higher, so only they need real fields at p = 2.  m is read out a row at
 a time into its magnitude, and theta is transformed only if the sum of its
 spectrum's magnitudes, a bound on its peak, reaches m's peak: data whose theta
 stays far below m, such as divergence-free momenta, cost dim inverse

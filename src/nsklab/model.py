@@ -172,11 +172,12 @@ def make_params(mu, nu, kappa, rho_ref, pressure: PressureLaw) -> FluidParams:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [0, L)^dim with n (a power of two) points per axis."""
+    """Uniform periodic grid on [0, L)^dim with n (a power of two) points per axis; the fields are in the key
+    order of a config's ``grid`` block, which a manifest keeps."""
 
     dim: int
-    box_len: float
     n: int
+    box_len: float
 
     def __post_init__(self):
         if not (1 <= self.dim <= 4):

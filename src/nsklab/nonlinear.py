@@ -56,7 +56,7 @@ import numpy as np
 from .analysis import _AGGREGATE_KEYS, NormSeries, aggregate_N, lp_norms
 from .errors import ConstraintViolation, NumericsWarning, RangeViolation, StepRejected
 from .model import FluidParams, Grid, SpectralState, State
-from .scenario import NonlinearExponentsBlock, NonlinearInitBlock
+from .scenario import NonlinearExponentsBlock, NonlinearInitBlock, NonlinearRunConfig
 from .spectral import (
     Block,
     dealias_mask,
@@ -224,52 +224,26 @@ class Etd2Stepper:
         return nxt
 
 
-@dataclass(frozen=True)
-class NonlinearScenario:
-    """Nonlinear run configuration with the exponent bookkeeping of the theory.
-
-    The exponents and initial-data widths are the config's blocks, defaults
-    included.  Violated exponent constraints produce 'outside theorem scope'
-    warnings, never errors: the solver integrates any admissible data.
-    """
-
-    params: FluidParams
-    grid: Grid
-    amplitude: float
-    t_end: float
-    dt: float
-    seed: int
-    exponents: NonlinearExponentsBlock = NonlinearExponentsBlock()
-    init: NonlinearInitBlock = NonlinearInitBlock()
-    sample_every: int = 1
-    nonlinear: bool = True
-
-    def __post_init__(self):
-        steps = self.t_end / self.dt if self.dt > 0 else 0.0
-        if not (steps > 0.5 and abs(steps - np.rint(steps)) <= 1e-9):
-            raise ConstraintViolation(f"t_end={self.t_end} and dt={self.dt} do not make a positive whole number of steps")
-        if not self.sample_every >= 1:
-            raise ConstraintViolation(f"sample_every = {self.sample_every} < 1")
-
-    def scope_warnings(self) -> list:
-        out = []
-        e = self.exponents
-        n, p, q1, q2, tau = self.grid.dim, e.p, e.q1, e.q2, e.tau
-        if not (3 <= n <= 7):
-            out.append(f"dimension N={n} outside theorem scope 3 <= N <= 7")
-        if not (2.0 < p < np.inf):
-            out.append(f"p={p} violates 2 < p < inf")
-        if not (q1 < n < q2):
-            out.append(f"(q1, q2)=({q1}, {q2}) violates q1 < N < q2")
-        if not (2.0 < q1 <= 4.0):
-            out.append(f"q1={q1} violates 2 < q1 <= 4")
-        if abs(1.0 / q1 - (1.0 / q2 + 1.0 / n)) > 1e-9:
-            out.append(f"1/q1 = 1/q2 + 1/N violated (1/{q1} vs 1/{q2} + 1/{n})")
-        if not (2.0 / p + n / q2 < 1.0):
-            out.append(f"2/p + N/q2 = {2.0 / p + n / q2:.3f} not < 1")
-        if not (1.0 / p < tau < n / q2 + 1.0 / p):
-            out.append(f"tau={tau} outside (1/p, N/q2 + 1/p)")
-        return out
+def _scope_warnings(dim: int, e: NonlinearExponentsBlock) -> list:
+    """The exponent constraints of the theory that dimension dim and the exponents e violate: each one is an
+    'outside theorem scope' warning, never an error, since the solver integrates any admissible data."""
+    out = []
+    n, p, q1, q2, tau = dim, e.p, e.q1, e.q2, e.tau
+    if not (3 <= n <= 7):
+        out.append(f"dimension N={n} outside theorem scope 3 <= N <= 7")
+    if not (2.0 < p < np.inf):
+        out.append(f"p={p} violates 2 < p < inf")
+    if not (q1 < n < q2):
+        out.append(f"(q1, q2)=({q1}, {q2}) violates q1 < N < q2")
+    if not (2.0 < q1 <= 4.0):
+        out.append(f"q1={q1} violates 2 < q1 <= 4")
+    if abs(1.0 / q1 - (1.0 / q2 + 1.0 / n)) > 1e-9:
+        out.append(f"1/q1 = 1/q2 + 1/N violated (1/{q1} vs 1/{q2} + 1/{n})")
+    if not (2.0 / p + n / q2 < 1.0):
+        out.append(f"2/p + N/q2 = {2.0 / p + n / q2:.3f} not < 1")
+    if not (1.0 / p < tau < n / q2 + 1.0 / p):
+        out.append(f"tau={tau} outside (1/p, N/q2 + 1/p)")
+    return out
 
 
 @dataclass
@@ -346,14 +320,14 @@ def _sample_fields(st: StepState, params: FluidParams, g_hat: np.ndarray | None)
     yield ("dt",), dm
 
 
-def _sample_norms(st: StepState, scn: NonlinearScenario, stepper: Etd2Stepper) -> dict:
-    """All norm constituents of the aggregate at one state; caches g(U) on st."""
+def _sample_norms(st: StepState, stepper: Etd2Stepper, exponents: NonlinearExponentsBlock, nonlinear: bool) -> dict:
+    """All norm constituents of the aggregate at one state; caches g(U) on st when the run is nonlinear."""
     grid = st.real.grid
-    if scn.nonlinear and st.g_hat is None:
+    if nonlinear and st.g_hat is None:
         st.g_hat = nonlinearity_g_hat(st, stepper.params, stepper.mask)
-    g_hat = st.g_hat if scn.nonlinear else None
+    g_hat = st.g_hat if nonlinear else None
     # each field is measured once for all its exponents and constituents; the sup norm only enters j0 and j1
-    qs = (np.inf, scn.exponents.q1, scn.exponents.q2)
+    qs = (np.inf, exponents.q1, exponents.q2)
     norms = {key: [] for key in ("j0", "j1", "w3", "w2", "dt")}
     for keys, f in _sample_fields(st, stepper.params, g_hat):
         measured = lp_norms(f, grid, qs if keys[0] in ("j0", "j1") else qs[1:])
@@ -373,74 +347,76 @@ def _sample_norms(st: StepState, scn: NonlinearScenario, stepper: Etd2Stepper) -
     return out
 
 
-def run(scn: NonlinearScenario, initial: State | None = None) -> RunResult:
-    """Integrate to t_end, sampling every constituent of the weighted aggregate.
+def run(cfg: NonlinearRunConfig, initial: State | None = None) -> RunResult:
+    """Integrate a nonlinear-run config to t_end, sampling every constituent of the weighted aggregate.
 
-    Partial results are retained up to the failure time if a step is
-    rejected.  Initial data outside the range condition take no step: the
-    run returns with a ``range_violation`` event at t = 0, no samples and
-    ``admissible_throughout`` False.  Mass and mean momentum are tracked
-    against their initial values; conjugate symmetry is monitored on the
-    final state.
+    An unset ``nonlinear_exponents`` or ``init`` block runs with that block's defaults.  Each exponent
+    constraint of the theory the run violates is a ``scope`` event and a NumericsWarning, never an error.
+    ``initial``, if given, replaces the seeded initial data.  Partial results are retained up to the
+    failure time if a step is rejected.  Initial data outside the range condition take no step: the run
+    returns with a ``range_violation`` event at t = 0, no samples and ``admissible_throughout`` False.
+    Mass and mean momentum are tracked against their initial values; conjugate symmetry is monitored on
+    the final state.
     """
     from .fields import nonlinear_initial_state
     from .spectral import conjugate_symmetry_defect
 
+    params, grid = cfg.params.fluid(), cfg.grid
+    e = cfg.nonlinear_exponents or NonlinearExponentsBlock()
     events = []
-    for msg in scn.scope_warnings():
+    for msg in _scope_warnings(grid.dim, e):
         warnings.warn(msg + " (outside theorem scope)", NumericsWarning, stacklevel=2)
         events.append({"t": 0.0, "kind": "scope", "message": msg})
 
     if initial is None:
-        rng = np.random.default_rng(scn.seed)
+        init = cfg.init or NonlinearInitBlock()
         initial, _ = nonlinear_initial_state(
-            scn.grid,
-            theta_amplitude=scn.amplitude,
-            theta_width=scn.init.theta_width,
-            m_amplitude=scn.amplitude * scn.init.m_relative_amplitude,
-            m_envelope_width=scn.init.m_envelope_width,
-            m_smooth_width=scn.init.m_smooth_width,
-            rng=rng,
+            grid,
+            theta_amplitude=cfg.amplitude,
+            theta_width=init.theta_width,
+            m_amplitude=cfg.amplitude * init.m_relative_amplitude,
+            m_envelope_width=init.m_envelope_width,
+            m_smooth_width=init.m_smooth_width,
+            rng=np.random.default_rng(cfg.seed),
         )
-    stepper = Etd2Stepper(scn.params, scn.grid, scn.dt)
+    stepper = Etd2Stepper(params, grid, cfg.dt)
     st = StepState.from_state(initial)
-    origin = (slice(None),) + (0,) * scn.grid.dim  # the zero mode of every row: the means of theta and m
+    origin = (slice(None),) + (0,) * grid.dim  # the zero mode of every row: the means of theta and m
     mean0 = st.spectral.hat[origin].copy()
 
     try:
-        st.real.check_range(scn.params)
+        st.real.check_range(params)
         admissible = True
     except RangeViolation as exc:  # an inadmissible start is recorded, and neither sampled nor stepped
         events.append({"t": 0.0, "kind": "range_violation", "message": str(exc)})
         admissible = False
-    n_steps = int(round(scn.t_end / scn.dt)) if admissible else 0
+    n_steps = int(round(cfg.t_end / cfg.dt)) if admissible else 0
     times = [0.0] if admissible else []
-    samples = [_sample_norms(st, scn, stepper)] if admissible else []
+    samples = [_sample_norms(st, stepper, e, cfg.nonlinear)] if admissible else []
     rejected = False
 
     for k in range(1, n_steps + 1):
         try:
-            st = stepper.step(st, nonlinear=scn.nonlinear)
+            st = stepper.step(st, nonlinear=cfg.nonlinear)
         except StepRejected as exc:
             events.append({"t": exc.t, "kind": "step_rejected", "message": str(exc)})
             rejected = True
             break
-        if k % scn.sample_every == 0 or k == n_steps:
+        if k % cfg.sample_every == 0 or k == n_steps:
             times.append(st.t)
-            samples.append(_sample_norms(st, scn, stepper))
-            admissible = admissible and st.real.is_admissible(scn.params)
+            samples.append(_sample_norms(st, stepper, e, cfg.nonlinear))
+            admissible = admissible and st.real.is_admissible(params)
 
     times = np.asarray(times)
     bundle = {
         key: NormSeries(times=times, values=np.array([s[key] for s in samples]), descriptor={"name": key})
         for key in _AGGREGATE_KEYS
     }
-    e = scn.exponents
-    agg_vals = np.array([aggregate_N(bundle, scn.grid.dim, e.p, e.q1, e.q2, e.tau, t) if t > 0 else 0.0 for t in times])
+    agg_vals = np.array([aggregate_N(bundle, grid.dim, e.p, e.q1, e.q2, e.tau, t) if t > 0 else 0.0 for t in times])
     aggregate = NormSeries(times=times, values=agg_vals, descriptor={"name": "aggregate_N"})
 
     mean1 = st.spectral.hat[origin]
-    mass_scale = max(abs(mean0[0]), scn.grid.mode_count * 1e-3)
+    mass_scale = max(abs(mean0[0]), grid.mode_count * 1e-3)
     mass_drift = abs(mean1[0] - mean0[0]) / mass_scale
     mom_drift = float(np.max(np.abs(mean1[1:] - mean0[1:]))) / max(float(np.max(np.abs(mean0[1:]))), mass_scale)
     sym = conjugate_symmetry_defect(st.spectral)

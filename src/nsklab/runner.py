@@ -18,15 +18,16 @@ built; the ablation's generic member is formed only after that.
 Exit-code policy lives in the CLI: 0 all verdicts pass, 2 verdict failures,
 1 execution error (partial artifacts are flushed before the error propagates).
 
-A sweep contains each scenario's execution error, and each entry whose
-config fails validation, in that scenario's outcome (status ``error``, with a
-``report.json`` of the error), so the other scenarios still run and keep
-their results, and writes ``sweep_summary.json`` with every scenario's status
-and run time.
+A sweep contains each scenario's execution error, each entry whose config
+fails validation and each scenario whose worker process dies in that
+scenario's outcome (status ``error``, with a ``report.json`` of the error), so
+the other scenarios still run and keep their results, and writes
+``sweep_summary.json`` with every scenario's status and run time.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import traceback
 import warnings
@@ -45,9 +46,9 @@ from .fields import (
     riesz_momentum_pair,
     transverse_packet,
 )
-from .model import Grid, SpectralState, critical_quadratic, make_params
-from .nonlinear import NonlinearScenario, run as run_nonlinear
-from .scenario import NonlinearExponentsBlock, NonlinearInitBlock, ScenarioConfig, config_to_dict
+from .model import SpectralState, critical_quadratic, make_params
+from .nonlinear import run as run_nonlinear
+from .scenario import ScenarioConfig, config_to_dict
 from .spectral import CutoffSpec, Workspace, default_cutoff
 from .svgplot import loglog_svg
 from .symbols import matexp_oracle, solution_symbol
@@ -78,25 +79,15 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _params_from_config(cfg: ScenarioConfig):
-    pb = cfg.params
-    return make_params(pb.mu, pb.nu, pb.kappa, pb.rho_ref, critical_quadratic(pb.pressure_k, pb.rho_ref))
-
-
-def _grid_from_config(cfg: ScenarioConfig) -> Grid:
-    gb = cfg.grid
-    return Grid(dim=gb.dim, box_len=gb.box_len, n=gb.n)
-
-
-def _support_radius(cfg: ScenarioConfig, grid: Grid) -> float:
+def _support_radius(cfg: ScenarioConfig) -> float:
     """The data's support radius, by default just under a quarter of the box."""
     radius = cfg.data.support_radius
-    return radius if radius is not None else 0.98 * grid.box_len / 4.0
+    return radius if radius is not None else 0.98 * cfg.grid.box_len / 4.0
 
 
-def _build_data(cfg: ScenarioConfig, grid: Grid) -> SpectralState:
-    db = cfg.data
-    support = _support_radius(cfg, grid)
+def _build_data(cfg: ScenarioConfig) -> SpectralState:
+    db, grid = cfg.data, cfg.grid
+    support = _support_radius(cfg)
     if db.kind in ("riesz_divergence", "riesz_generic"):
         # the only kind that draws: the generator, and numpy.random with it, is made here
         pair = riesz_momentum_pair(grid, db.gamma, support, rng=np.random.default_rng(cfg.seed), amplitude=db.amplitude)
@@ -114,26 +105,20 @@ def _build_data(cfg: ScenarioConfig, grid: Grid) -> SpectralState:
     raise ValidationError(f"unhandled data kind '{db.kind}'")
 
 
-def _series_dir(out_dir: Path) -> Path:
-    d = out_dir / "series"
+def _subdir(out_dir: Path, name: str) -> Path:
+    d = out_dir / name
     d.mkdir(parents=True, exist_ok=True)
     return d
 
 
-def _plots_dir(out_dir: Path) -> Path:
-    d = out_dir / "plots"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+def _cutoff(cfg: ScenarioConfig) -> CutoffSpec:
+    """The config's cutoff, or its grid's default cutoff where the config sets none."""
+    return default_cutoff(cfg.grid) if cfg.cutoff_eps is None else CutoffSpec(eps=cfg.cutoff_eps)
 
 
-def _cutoff(cfg: ScenarioConfig, grid: Grid) -> CutoffSpec:
-    """The config's cutoff, or the grid's default cutoff where the config sets none."""
-    return default_cutoff(grid) if cfg.cutoff_eps is None else CutoffSpec(eps=cfg.cutoff_eps)
-
-
-def _fit(cfg: ScenarioConfig, meas: DecayMeasurement, dim: int):
+def _fit(cfg: ScenarioConfig, meas: DecayMeasurement):
     """The decay fit of a measurement over the config's window, with its exponents, tolerance and trust mode."""
-    e = cfg.exponents
+    e, dim = cfg.exponents, cfg.grid.dim
     trust_ok = meas.trust_ok(cfg.fit_window, cfg.trust_mode)
     return fit_decay(meas.series, cfg.fit_window, dim=dim, p=e.p, q=e.q, j=e.j, tol_exp=cfg.tol_exp, trust_ok=trust_ok)
 
@@ -169,20 +154,18 @@ def _symbol_verify_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         order = np.argsort(ts, kind="stable")
         tt = ts[order]
         tt = tt + np.arange(len(tt)) * 1e-12  # strictly increasing for the series file
-        _write_csv(_series_dir(out_dir) / f"symbol_deviation_{regime}.csv", tt, devs[order])
+        _write_csv(_subdir(out_dir, "series") / f"symbol_deviation_{regime}.csv", tt, devs[order])
         rows[regime] = {"max_relative_deviation": worst, "samples": cfg.samples_per_regime, "pass": worst <= cfg.tol_symbol}
         all_pass = all_pass and rows[regime]["pass"]
     return {"regimes": rows, "tolerance": cfg.tol_symbol, "pass": all_pass}
 
 
 def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    params = _params_from_config(cfg)
-    grid = _grid_from_config(cfg)
-    cutoff = _cutoff(cfg, grid)
+    cutoff = _cutoff(cfg)
     # the datum is passed straight in: the measurement holds its only reference and frees it once its orbit is built
     meas = measure_semigroup_decay(
-        _build_data(cfg, grid),
-        params,
+        _build_data(cfg),
+        cfg.params.fluid(),
         cfg.times.values(),
         band=cfg.band,
         cutoff=cutoff,
@@ -190,11 +173,11 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         j=cfg.exponents.j,
         w10=cfg.w10,
     )
-    report = _fit(cfg, meas, grid.dim)
+    report = _fit(cfg, meas)
     name = f"pair_{cfg.band}"
-    _write_csv(_series_dir(out_dir) / f"{name}.csv", meas.series.times, meas.series.values)
-    _write_csv(_series_dir(out_dir) / "trust_mass_radius.csv", meas.series.times, meas.trust_radii)
-    _write_csv(_series_dir(out_dir) / "trust_edge_leak.csv", meas.series.times, meas.edge_leaks)
+    _write_csv(_subdir(out_dir, "series") / f"{name}.csv", meas.series.times, meas.series.values)
+    _write_csv(_subdir(out_dir, "series") / "trust_mass_radius.csv", meas.series.times, meas.trust_radii)
+    _write_csv(_subdir(out_dir, "series") / "trust_edge_leak.csv", meas.series.times, meas.edge_leaks)
     svg = loglog_svg(
         meas.series.times,
         meas.series.values,
@@ -202,7 +185,7 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         guide_slope=report.predicted_exponent,
         guide_label=f"guide slope {report.predicted_exponent:+.3f}",
     )
-    (_plots_dir(out_dir) / f"{name}.svg").write_text(svg)
+    (_subdir(out_dir, "plots") / f"{name}.svg").write_text(svg)
     return {
         "decay": report.to_dict(),
         "trust_mode": cfg.trust_mode,
@@ -222,13 +205,12 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     payload = {"skipped": True, "gap": None, "divergence": None, "generic": None, "gap_threshold": cfg.gap_threshold, "pass": False}
     if cfg.data.amplitude == 0.0:
         return dict(payload, reason="zero initial data")
-    params = _params_from_config(cfg)
-    grid = _grid_from_config(cfg)
+    params, grid = cfg.params.fluid(), cfg.grid
     rng = np.random.default_rng(cfg.seed)
     # divergence, then generic: each member goes straight to its series, which frees it once its orbit is built,
     # and the generic member is formed only after that
-    pair = riesz_momentum_pair(grid, cfg.data.gamma, _support_radius(cfg, grid), rng=rng, amplitude=cfg.data.amplitude)
-    cutoff = _cutoff(cfg, grid)
+    pair = riesz_momentum_pair(grid, cfg.data.gamma, _support_radius(cfg), rng=rng, amplitude=cfg.data.amplitude)
+    cutoff = _cutoff(cfg)
     ws = Workspace(grid, theta_only=True)
     times = cfg.times.values()
     fits = {}
@@ -236,11 +218,11 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         meas = theta_low_band_series(next(pair), params, times, cutoff, cfg.exponents.p, ws)
         if np.all(meas.series.values == 0.0):
             return dict(payload, reason="theta response identically zero")
-        fits[tag] = meas.series, _fit(cfg, meas, grid.dim)
+        fits[tag] = meas.series, _fit(cfg, meas)
     divergence, generic = fits["divergence"][1], fits["generic"][1]
     guide = divergence.predicted_exponent
     for tag, (series, report) in fits.items():
-        _write_csv(_series_dir(out_dir) / f"theta_low_{tag}.csv", series.times, series.values)
+        _write_csv(_subdir(out_dir, "series") / f"theta_low_{tag}.csv", series.times, series.values)
         svg = loglog_svg(
             series.times,
             series.values,
@@ -248,7 +230,7 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
             guide_slope=guide,
             guide_label=f"guide slope {guide:+.3f}",
         )
-        (_plots_dir(out_dir) / f"theta_low_{tag}.svg").write_text(svg)
+        (_subdir(out_dir, "plots") / f"theta_low_{tag}.svg").write_text(svg)
     gap = generic.fitted_exponent - divergence.fitted_exponent
     payload.update(skipped=False, reason="", gap=gap, divergence=divergence.to_dict(), generic=generic.to_dict())
     payload["pass"] = bool(
@@ -258,29 +240,17 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
 
 def _nonlinear_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    scn = NonlinearScenario(
-        params=_params_from_config(cfg),
-        grid=_grid_from_config(cfg),
-        amplitude=cfg.amplitude,
-        t_end=cfg.t_end,
-        dt=cfg.dt,
-        seed=cfg.seed,
-        sample_every=cfg.sample_every,
-        nonlinear=cfg.nonlinear,
-        exponents=cfg.nonlinear_exponents or NonlinearExponentsBlock(),
-        init=cfg.init or NonlinearInitBlock(),
-    )
     # NumericsWarnings become report events without a time, since a warning
     # carries none; other categories are dropped
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NumericsWarning)
-        result = run_nonlinear(scn)
+        result = run_nonlinear(cfg)
     events = result.events + [
         {"t": None, "kind": "warning", "message": str(w.message)}
         for w in caught
         if issubclass(w.category, NumericsWarning)
     ]
-    sdir = _series_dir(out_dir)
+    sdir = _subdir(out_dir, "series")
     for key, series in result.bundle.items():
         _write_csv(sdir / f"{key}.csv", series.times, series.values)
     _write_csv(sdir / "aggregate_N.csv", result.aggregate.times, result.aggregate.values)
@@ -289,7 +259,7 @@ def _nonlinear_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         np.maximum(result.aggregate.values[1:], 1e-300),
         title="aggregate weighted norm",
     )
-    (_plots_dir(out_dir) / "aggregate_N.svg").write_text(svg)
+    (_subdir(out_dir, "plots") / "aggregate_N.svg").write_text(svg)
     return {
         "success": bool(result.success),
         "rejected": bool(result.rejected),
@@ -320,39 +290,38 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> ScenarioOutcome:
     try:
         body = _RUNNERS[cfg.kind](cfg, out_dir)
     except Exception as exc:
-        _write_json(
-            out_dir / "report.json",
-            {"version": __version__, "kind": cfg.kind, "config": config_to_dict(cfg), "error": f"{type(exc).__name__}: {exc}", "traceback": "".join(traceback.format_exception(exc)), "pass": False},
-        )
+        _error_outcome(out_dir, exc, cfg)
         raise
-    report = {"version": __version__, "kind": cfg.kind, "config": config_to_dict(cfg)}
-    report.update(body)
+    report = {"version": __version__, "kind": cfg.kind, "config": config_to_dict(cfg), **body}
     _write_json(out_dir / "report.json", report)
     return ScenarioOutcome(all_pass=bool(report.get("pass", False)), report=report, out_dir=out_dir)
 
 
-def _error_outcome(out_dir: Path, exc: BaseException) -> ScenarioOutcome:
-    report = {
-        "error": f"{type(exc).__name__}: {exc}",
-        "traceback": "".join(traceback.format_exception(exc)),
-        "pass": False,
-    }
+def _error_outcome(out_dir: Path, exc: BaseException, cfg: ScenarioConfig | None = None) -> ScenarioOutcome:
+    """The ``error`` outcome of exc, with its report.json written under out_dir: the error and its traceback, and
+    the kind and config of the scenario when there is one (a config that failed validation is none)."""
+    report = {"version": __version__}
+    if cfg is not None:
+        report.update(kind=cfg.kind, config=config_to_dict(cfg))
+    report.update({"error": f"{type(exc).__name__}: {exc}", "traceback": "".join(traceback.format_exception(exc)), "pass": False})
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / "report.json", report)
+    except OSError:  # out_dir cannot be written: the outcome, and a sweep's summary, still carry the error
+        pass
     return ScenarioOutcome(all_pass=False, report=report, out_dir=out_dir)
 
 
 def _run_contained(cfg: ScenarioConfig | ValidationError, out_dir: Path) -> tuple[ScenarioOutcome, float]:
     """run_scenario with any exception turned into an ``error`` outcome; returns it with the wall time.  A config
-    that failed validation (its ValidationError) is such an outcome, with a report.json of the error written here."""
+    that failed validation (its ValidationError) is such an outcome."""
     start = perf_counter()
     if isinstance(cfg, ValidationError):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outcome = _error_outcome(out_dir, cfg)
-        _write_json(out_dir / "report.json", {"version": __version__, **outcome.report})
-        return outcome, perf_counter() - start
-    try:
-        outcome = run_scenario(cfg, out_dir)
-    except Exception as exc:
-        outcome = _error_outcome(out_dir, exc)
+        return _error_outcome(out_dir, cfg), perf_counter() - start
+    try:  # on a copy, as in a pool worker, so that no table the run caches on the config's grid outlives the run
+        outcome = run_scenario(copy.deepcopy(cfg), out_dir)
+    except Exception as exc:  # the report.json run_scenario wrote is rewritten with the traceback through here
+        outcome = _error_outcome(out_dir, exc, cfg)
     return outcome, perf_counter() - start
 
 
@@ -360,9 +329,10 @@ def run_sweep(sweep, out_root, threads: int = 1) -> list:
     """Fan independent scenarios out to a process pool, one subdirectory each.
 
     Returns one outcome per scenario, in sweep order; a scenario that raises,
-    or whose config failed validation, yields an ``error`` outcome instead of
-    discarding the others.  Writes ``sweep_summary.json`` (name, status and
-    run_s per scenario, and the error and traceback of each error).
+    whose config failed validation or whose worker died yields an ``error``
+    outcome, with a report.json of the error, instead of discarding the
+    others.  Writes ``sweep_summary.json`` (name, status and run_s per
+    scenario, and the error and traceback of each error).
     """
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -375,12 +345,13 @@ def run_sweep(sweep, out_root, threads: int = 1) -> list:
         with cf.ProcessPoolExecutor(max_workers=threads) as pool:
             # an invalid config is recorded here: a worker would get its error without the traceback
             futs = [None if isinstance(cfg, ValidationError) else pool.submit(_run_contained, cfg, sub) for _, cfg, sub in jobs]
-            results = []
-            for (_, cfg, sub), fut in zip(jobs, futs):
-                try:
-                    results.append(_run_contained(cfg, sub) if fut is None else fut.result())
-                except Exception as exc:  # the worker itself failed
-                    results.append((_error_outcome(sub, exc), None))
+        # read once the pool has shut down, so that no worker still writes where a failed one's report goes
+        results = []
+        for (_, cfg, sub), fut in zip(jobs, futs):
+            try:
+                results.append(_run_contained(cfg, sub) if fut is None else fut.result())
+            except Exception as exc:  # the worker itself failed
+                results.append((_error_outcome(sub, exc, cfg), None))
     rows = []
     for (name, _, _), (outcome, run_s) in zip(jobs, results):
         row = {"name": name, "status": outcome.status, "run_s": run_s}

@@ -6,22 +6,27 @@ kind has one frozen record (:class:`SymbolVerifyConfig`,
 :class:`NonlinearRunConfig`), and the records are the schema: a record's
 fields are the keys its kind accepts, and the fields without a default are
 the keys it requires.  A field whose type is a block record is a nested
-object, parsed the same way.  Unknown keys anywhere in the tree are errors
-(no silent typos); "inf" is the spelling of an infinite exponent.
+object, parsed the same way; the ``grid`` block is a :class:`nsklab.model.Grid`
+and the ``params`` block builds its :class:`nsklab.model.FluidParams`, so
+every value a run is built from is checked once, when the config is parsed.
+Unknown keys anywhere in the tree are errors (no silent typos); "inf" is the
+spelling of an exponent's infinity, and a finite exponent is at least 1.
 parse -> serialize -> parse is the identity.
 """
 
 # Annotations are evaluated here (no ``from __future__ import annotations``):
 # `_build` decodes each value by its field's type.
 import dataclasses
+import functools
 import json
 from dataclasses import asdict, dataclass
-from typing import ClassVar, NewType, get_args
+from typing import ClassVar, NewType, get_args, get_type_hints
 
 import numpy as np
 
 from .analysis import TOL_EXP
-from .errors import ParseError, ValidationError
+from .errors import ConstraintViolation, ParseError, ValidationError
+from .model import FluidParams, Grid, critical_quadratic, make_params
 
 DATA_KINDS = ("riesz_divergence", "riesz_generic", "scalar_riesz", "curl_mixture", "transverse_packet")
 
@@ -36,12 +41,12 @@ class ParamsBlock:
     rho_ref: float
     pressure_k: float = 1.0
 
+    def __post_init__(self):
+        self.fluid()
 
-@dataclass(frozen=True)
-class GridBlock:
-    dim: int
-    n: int
-    box_len: float
+    def fluid(self) -> FluidParams:
+        """The fluid constants, under the critical law pressure_k (rho - rho_ref)^2."""
+        return make_params(self.mu, self.nu, self.kappa, self.rho_ref, critical_quadratic(self.pressure_k, self.rho_ref))
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ class _DecayConfig(_Record):
     """The keys the two decay-fit kinds share."""
 
     params: ParamsBlock
-    grid: GridBlock
+    grid: Grid
     data: DataBlock
     times: TimesBlock
     exponents: ExponentsBlock
@@ -180,7 +185,7 @@ class AblationConfig(_DecayConfig):
 class NonlinearRunConfig(_Record):
     kind: ClassVar[str] = "nonlinear-run"
     params: ParamsBlock
-    grid: GridBlock
+    grid: Grid
     nonlinear_exponents: NonlinearExponentsBlock | None = None
     init: NonlinearInitBlock | None = None
     amplitude: float = 0.05
@@ -188,6 +193,14 @@ class NonlinearRunConfig(_Record):
     dt: float = 0.1
     sample_every: int = 1
     nonlinear: bool = True
+
+    def __post_init__(self):
+        super().__post_init__()
+        steps = self.t_end / self.dt if self.dt > 0 else 0.0
+        if not (steps > 0.5 and abs(steps - np.rint(steps)) <= 1e-9):
+            raise ValidationError(f"t_end={self.t_end} and dt={self.dt} do not make a positive whole number of steps")
+        if not self.sample_every >= 1:
+            raise ValidationError(f"sample_every = {self.sample_every} < 1")
 
 
 ScenarioConfig = SymbolVerifyConfig | LinearDecayConfig | AblationConfig | NonlinearRunConfig
@@ -202,25 +215,33 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _decode(f: dataclasses.Field, value, key: str):
-    """A JSON value as the field f: its type checked, blocks built, exponents and the fit window converted.
+@functools.cache
+def _fields(cls) -> dict:
+    """cls's fields by name, each with its type; postponed (string) annotations are resolved once per class."""
+    fields = dataclasses.fields(cls)
+    hints = get_type_hints(cls) if any(isinstance(f.type, str) for f in fields) else {}
+    return {f.name: (f, hints.get(f.name, f.type)) for f in fields}
+
+
+def _decode(f: dataclasses.Field, ftype, value, key: str):
+    """A JSON value as the field f of type ftype: its type checked, blocks built, exponents and fit window converted.
 
     null is accepted only for an optional (``| None``) field; a bool is not an int, and an int is a float
     (kept as it is, so a config serializes back to the same text).
     """
-    args = get_args(f.type)
+    args = get_args(ftype)
     if value is None:
         if type(None) in args:
             return None
         raise ValidationError(f"{key} is mandatory, got null" if f.default is dataclasses.MISSING else f"{key} must not be null")
-    tp = next((a for a in args if a is not type(None)), f.type)  # an optional block is a block
+    tp = next((a for a in args if a is not type(None)), ftype)  # an optional block is a block
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, f"block '{key}'")
     if tp is Exponent:
         if value == "inf":
             return np.inf
-        if not _is_number(value):
-            raise ValidationError(f"exponent must be a number or 'inf', got {value!r}")
+        if not (_is_number(value) and value >= 1):
+            raise ValidationError(f"exponent {key} must be a number of at least 1 or 'inf', got {value!r}")
         return float(value)
     if tp is tuple:
         if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
@@ -232,17 +253,22 @@ def _decode(f: dataclasses.Field, value, key: str):
 
 
 def _build(cls, raw, label: str):
-    """The record cls from a JSON object: an unknown key, then a missing one, is an error."""
+    """The record cls from a JSON object: an unknown key, then a missing one, is an error, and so is a
+    ConstraintViolation of cls's constructor."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{label} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    fields = _fields(cls)
     for key in raw:
         if key not in fields:
             raise ValidationError(f"unknown key '{key}' for {label}")
-    for name, f in fields.items():
+    for name, (f, _) in fields.items():
         if f.default is dataclasses.MISSING and name not in raw:
             raise ValidationError(f"{label} requires key '{name}'")
-    return cls(**{key: _decode(fields[key], value, key) for key, value in raw.items()})
+    values = {key: _decode(*fields[key], value, key) for key, value in raw.items()}
+    try:
+        return cls(**values)
+    except ConstraintViolation as exc:
+        raise ValidationError(f"{label}: {exc}") from exc
 
 
 def _encode_value(v):

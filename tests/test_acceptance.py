@@ -22,9 +22,9 @@ from nsklab.fields import (
     transverse_packet,
 )
 from nsklab.model import Grid, State, critical_quadratic, gaussian_bump, make_params
-from nsklab.nonlinear import Etd2Stepper, NonlinearScenario, StepState, run
+from nsklab.nonlinear import Etd2Stepper, StepState, run
 from nsklab.runner import run_scenario
-from nsklab.scenario import NonlinearInitBlock, config_from_dict
+from nsklab.scenario import NonlinearInitBlock, NonlinearRunConfig, ParamsBlock, config_from_dict
 from nsklab.spectral import (
     CutoffSpec,
     conjugate_symmetry_defect,
@@ -281,16 +281,16 @@ class TestCriterion7Conservation:
 
 class TestCriterion8NonlinearSmallData:
     INIT = NonlinearInitBlock(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.2)
+    PARAMS = ParamsBlock(mu=1.0, nu=1.0, kappa=1.0, rho_ref=1.0, pressure_k=0.5)
 
     def test_small_data_boundedness_and_scaling(self):
-        params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(0.5, 1.0))
         grid = Grid(dim=3, box_len=8.0, n=16)
         results = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for eps in (0.02, 0.04):
-                scn = NonlinearScenario(
-                    params=params,
+                scn = NonlinearRunConfig(
+                    params=self.PARAMS,
                     grid=grid,
                     amplitude=eps,
                     t_end=100.0,
@@ -327,12 +327,11 @@ class TestCriterion8NonlinearSmallData:
         """Halving the sample spacing moves the aggregate by <= 1% (quadrature gate)."""
         from nsklab.analysis import NormSeries, aggregate_N
 
-        params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(0.5, 1.0))
         grid = Grid(dim=3, box_len=8.0, n=16)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            scn = NonlinearScenario(
-                params=params,
+            scn = NonlinearRunConfig(
+                params=self.PARAMS,
                 grid=grid,
                 amplitude=0.02,
                 t_end=10.0,

@@ -32,7 +32,7 @@ from nsklab.errors import (
 )
 from nsklab.fields import curl_mixture_momentum_state, nonlinear_initial_state, riesz_momentum_pair, transverse_packet
 from nsklab.model import Grid, SpectralState, State, critical_quadratic, gaussian_bump, make_params
-from nsklab.nonlinear import Etd2Stepper, NonlinearScenario, StepState, _sample_norms
+from nsklab.nonlinear import Etd2Stepper, StepState, _sample_norms
 from nsklab.runner import run_scenario
 from nsklab.scenario import NonlinearExponentsBlock, config_from_dict
 from nsklab.spectral import apply_semigroup, default_cutoff, frequency_split, irfftn, multi_indices, to_real
@@ -55,8 +55,8 @@ def sobolev_norm(f, grid, k, q):
 def solver_norms(grid, theta, m, q1, q2):
     """The nonlinear solver's sample norms of (theta, m) at the exponents (q1, q2), linear part only."""
     params = make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(1.0, 1.0))
-    scn = NonlinearScenario(params=params, grid=grid, amplitude=0.0, t_end=1.0, dt=1.0, seed=0, exponents=NonlinearExponentsBlock(q1=q1, q2=q2), nonlinear=False)
-    return _sample_norms(StepState.from_state(State(grid=grid, fields=np.concatenate([theta[None], m]))), scn, Etd2Stepper(params, grid, 1.0))
+    state = StepState.from_state(State(grid=grid, fields=np.concatenate([theta[None], m])))
+    return _sample_norms(state, Etd2Stepper(params, grid, 1.0), NonlinearExponentsBlock(q1=q1, q2=q2), False)
 
 
 class TestLpNorm:

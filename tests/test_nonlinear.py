@@ -6,27 +6,35 @@ import pytest
 
 from conftest import fd4
 from nsklab.analysis import NormSeries, aggregate_N, fit_decay, measure_semigroup_decay
-from nsklab.errors import ConstraintViolation, RangeViolation, StepRejected, ValidityExceeded
+from nsklab.errors import RangeViolation, StepRejected, ValidationError, ValidityExceeded
 from nsklab.fields import nonlinear_initial_state, riesz_momentum_pair, smooth_random_field
 from nsklab.model import Grid, PressureLaw, SpectralState, State, critical_quadratic, gaussian_bump, make_params
 from nsklab.nonlinear import (
     Etd2Stepper,
-    NonlinearScenario,
     StepState,
     _sample_fields,
+    _scope_warnings,
     nonlinearity_g_hat,
     pressure_remainder,
     run,
     _sample_norms,
 )
-from nsklab.scenario import NonlinearInitBlock
+from nsklab.scenario import NonlinearExponentsBlock, NonlinearInitBlock, NonlinearRunConfig, ParamsBlock
 from nsklab.spectral import apply_semigroup, dealias_mask, derivative, rfftn, to_real
 from nsklab.symbols import phi_multiplier_tables
 
 
+PARAMS = ParamsBlock(mu=1.0, nu=1.0, kappa=1.0, rho_ref=1.0, pressure_k=0.5)
+
+
 @pytest.fixture
 def params():
-    return make_params(1.0, 1.0, 1.0, 1.0, critical_quadratic(0.5, 1.0))
+    return PARAMS.fluid()
+
+
+def run_config(grid, **keys):
+    """A nonlinear-run config on grid with the constants of the params fixture."""
+    return NonlinearRunConfig(params=PARAMS, grid=grid, **keys)
 
 
 def hermitian_extension(half_arr, grid):
@@ -282,13 +290,12 @@ class TestNonlinearityG:
         g = Grid(dim=3, box_len=4.0, n=8)
         st = StepState.from_state(small_state(g, np.random.default_rng(9), amp=0.1))
         stepper = Etd2Stepper(params, g, 0.05)
-        scn = NonlinearScenario(params=params, grid=g, amplitude=0.1, t_end=0.05, dt=0.05, seed=0)
         made = {}
         fft_calls.clear()
         nonlinearity_g_hat(st, params, stepper.mask)
         made["g"] = list(fft_calls)
         fft_calls.clear()
-        _sample_norms(st, scn, stepper)
+        _sample_norms(st, stepper, NonlinearExponentsBlock(), True)
         made["sample"] = list(fft_calls)
         fft_calls.clear()
         stepper.step(st)
@@ -365,13 +372,12 @@ class TestSample:
         monkeypatch.setattr(nonlinear_mod, "lp_norms", lp_norms)
         g = Grid(dim=3, box_len=4.0, n=8)
         st = StepState.from_state(small_state(g, np.random.default_rng(9), amp=0.1))
-        scn = NonlinearScenario(params=params, grid=g, amplitude=0.1, t_end=0.05, dt=0.05, seed=0)
-        _sample_norms(st, scn, Etd2Stepper(params, g, 0.05))
+        _sample_norms(st, Etd2Stepper(params, g, 0.05), NonlinearExponentsBlock(), True)
         # j0: theta, m; j1: grad theta, grad m; w3: 3 + 6 + 10 partials; w2: 3 + 6 partials; dt: 3 fields
         assert len(calls) == 35
         assert calls.count(3) == 4
 
-    def test_derivative_multipliers_built_once_per_run(self, params, monkeypatch):
+    def test_derivative_multipliers_built_once_per_run(self, monkeypatch):
         """No (i xi)^alpha multiplier is built after the first sample of a run."""
         import nsklab.nonlinear as nonlinear_mod
 
@@ -386,7 +392,7 @@ class TestSample:
         derivative.cache_clear()
         monkeypatch.setattr(nonlinear_mod, "_sample_norms", sample)
         g = Grid(dim=3, box_len=4.0, n=8)
-        assert run(NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=0.3, dt=0.1, seed=3)).success
+        assert run(run_config(g, amplitude=0.01, t_end=0.3, dt=0.1, seed=3)).success
         # every alpha of order 1 to 3 in dim 3: 3 + 6 + 10
         assert built == [19] * 4
 
@@ -458,7 +464,7 @@ class TestStep:
             for _ in range(50):
                 st = stepper.step(st)
 
-    def test_non_finite_stage_becomes_step_rejection(self, params, monkeypatch):
+    def test_non_finite_stage_becomes_step_rejection(self, monkeypatch):
         """A NaN nonlinearity rejects the step; the run records the event and keeps the series so far."""
         import nsklab.nonlinear as nonlinear_mod
 
@@ -474,7 +480,7 @@ class TestStep:
         g = Grid(dim=3, box_len=4.0, n=8)
         # g is evaluated by the t = 0 sample, the first step's stage, then as g(U_1) by the
         # second step, since sampling every second step leaves no cached g on U_1
-        scn = NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=0.8, dt=0.1, seed=3, sample_every=2)
+        scn = run_config(g, amplitude=0.01, t_end=0.8, dt=0.1, seed=3, sample_every=2)
         res = run(scn)
         assert res.rejected and not res.success
         rejected = [e for e in res.events if e["kind"] == "step_rejected"]
@@ -486,7 +492,7 @@ class TestStep:
         assert np.all(np.isfinite(res.final.real.theta))
 
     @pytest.mark.parametrize("nonlinear", [True, False])
-    def test_non_finite_propagator_becomes_step_rejection(self, params, monkeypatch, nonlinear):
+    def test_non_finite_propagator_becomes_step_rejection(self, monkeypatch, nonlinear):
         """An inf in the S(h) heat coefficient rejects the first step on both paths; the t = 0 sample is kept."""
         import nsklab.nonlinear as nonlinear_mod
 
@@ -500,7 +506,7 @@ class TestStep:
 
         monkeypatch.setattr(nonlinear_mod, "semigroup_block", inf_heat)
         g = Grid(dim=3, box_len=8.0, n=16)
-        scn = NonlinearScenario(params=params, grid=g, amplitude=0.02, t_end=0.3, dt=0.1, seed=3, nonlinear=nonlinear)
+        scn = run_config(g, amplitude=0.02, t_end=0.3, dt=0.1, seed=3, nonlinear=nonlinear)
         with np.errstate(invalid="ignore"):
             res = run(scn)
         assert res.rejected and not res.success
@@ -556,42 +562,39 @@ class TestInitialData:
 
 
 class TestScenario:
-    def test_scope_warnings_flag_bad_exponents(self, params):
-        g = Grid(dim=2, box_len=4.0, n=16)
-        scn = NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=0.1, dt=0.05, seed=0)
-        msgs = scn.scope_warnings()
+    def test_scope_warnings_flag_bad_exponents(self):
+        msgs = _scope_warnings(2, NonlinearExponentsBlock())
         assert any("dimension" in m for m in msgs)
 
-    def test_valid_exponents_for_3d(self, params):
-        g = Grid(dim=3, box_len=4.0, n=8)
-        scn = NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=0.1, dt=0.05, seed=0)
-        assert scn.scope_warnings() == []
+    def test_valid_exponents_for_3d(self):
+        assert _scope_warnings(3, NonlinearExponentsBlock()) == []
 
     @pytest.mark.parametrize(
         "t_end,dt,sample_every",
         [(0.25, 0.1, 1), (0.0, 0.1, 1), (-0.2, 0.1, 1), (0.3, 0.0, 1), (0.3, -0.1, 1), (0.3, 0.1, 0), (0.3, 0.1, -1)],
     )
-    def test_bad_step_count_or_sample_interval_rejected(self, params, t_end, dt, sample_every):
-        """A run must take a positive whole number of steps and sample at least every step it takes."""
+    def test_bad_step_count_or_sample_interval_rejected(self, t_end, dt, sample_every):
+        """A run must take a positive whole number of steps and sample at least every step it takes: its config
+        is refused when it is made."""
         g = Grid(dim=2, box_len=4.0, n=16)
-        with pytest.raises(ConstraintViolation):
-            NonlinearScenario(params=params, grid=g, amplitude=0.01, t_end=t_end, dt=dt, seed=0, sample_every=sample_every)
+        with pytest.raises(ValidationError):
+            run_config(g, amplitude=0.01, t_end=t_end, dt=dt, seed=0, sample_every=sample_every)
 
 
 class TestRun:
-    def test_zero_amplitude_gives_zero_aggregate(self, params):
+    def test_zero_amplitude_gives_zero_aggregate(self):
         g = Grid(dim=3, box_len=4.0, n=8)
-        scn = NonlinearScenario(params=params, grid=g, amplitude=0.0, t_end=0.5, dt=0.1, seed=3)
+        scn = run_config(g, amplitude=0.0, t_end=0.5, dt=0.1, seed=3)
         res = run(scn)
         assert res.success
         assert np.all(res.aggregate.values == 0.0)
 
-    def test_half_spectrum_matches_real_state_off_self_mirror_nyquist_modes(self, params):
+    def test_half_spectrum_matches_real_state_off_self_mirror_nyquist_modes(self):
         """The state's spectrum and real fields agree on every stored mode but the Nyquist modes of the
         self-mirror planes (last-axis index 0 and n/2), where the propagator's odd factors act."""
         g = Grid(dim=3, box_len=16.0, n=16)
         init = NonlinearInitBlock(theta_width=1.6, m_envelope_width=1.6, m_smooth_width=1.6)
-        res = run(NonlinearScenario(params=params, grid=g, amplitude=0.02, t_end=1.0, dt=0.1, seed=3, init=init))
+        res = run(run_config(g, amplitude=0.02, t_end=1.0, dt=0.1, seed=3, init=init))
         assert res.success
         st = res.final
         nyq = g.n // 2
@@ -602,9 +605,9 @@ class TestRun:
             err = np.abs(rfftn(real) - hat) / np.max(np.abs(hat))
             assert np.max(np.where(self_mirror_nyquist, 0.0, err)) <= 1e-14
 
-    def test_small_run_bounded_and_conservative(self, params):
+    def test_small_run_bounded_and_conservative(self):
         g = Grid(dim=3, box_len=8.0, n=16)
-        scn = NonlinearScenario(params=params, grid=g, amplitude=0.02, t_end=2.0, dt=0.1, seed=3)
+        scn = run_config(g, amplitude=0.02, t_end=2.0, dt=0.1, seed=3)
         res = run(scn)
         assert res.success
         assert res.mass_drift <= 1e-13
@@ -612,12 +615,11 @@ class TestRun:
         assert np.all(np.diff(res.aggregate.values) >= -1e-12)  # monotone
         assert np.isfinite(res.aggregate.values[-1])
 
-    def test_aggregate_stable_under_sampling_refinement(self, params):
+    def test_aggregate_stable_under_sampling_refinement(self):
         """Halving the sample spacing changes the aggregate by under 1%."""
         g = Grid(dim=2, box_len=8.0, n=16)
-        scn = NonlinearScenario(
-            params=params,
-            grid=g,
+        scn = run_config(
+            g,
             amplitude=0.02,
             t_end=4.0,
             dt=0.025,
@@ -632,21 +634,22 @@ class TestRun:
             vals[stride] = aggregate_N(b, 2, 4.0, 2.5, 15.0, 0.35, 4.0)
         assert abs(vals[1] - vals[2]) <= 0.01 * vals[1]
 
-    def test_sampling_stride_does_not_change_shared_samples(self, params):
+    def test_sampling_stride_does_not_change_shared_samples(self):
         """Runs sampling every step and every second step agree bitwise where both sample."""
         g = Grid(dim=3, box_len=8.0, n=8)
-        kw = dict(params=params, grid=g, amplitude=0.02, t_end=0.4, dt=0.1, seed=3)
-        r1 = run(NonlinearScenario(sample_every=1, **kw))
-        r2 = run(NonlinearScenario(sample_every=2, **kw))
+        kw = dict(amplitude=0.02, t_end=0.4, dt=0.1, seed=3)
+        r1 = run(run_config(g, sample_every=1, **kw))
+        r2 = run(run_config(g, sample_every=2, **kw))
         assert np.array_equal(r1.bundle["pair_linf_j0"].times[::2], r2.bundle["pair_linf_j0"].times)
         for key, series in r2.bundle.items():
             assert np.array_equal(r1.bundle[key].values[::2], series.values), key
         assert np.array_equal(r1.final.spectral.theta_hat, r2.final.spectral.theta_hat)
         assert np.array_equal(r1.final.spectral.m_hat, r2.final.spectral.m_hat)
 
-    def test_linear_only_run_reproduces_semigroup_decay_fit(self, params):
+    def test_linear_only_run_reproduces_semigroup_decay_fit(self):
         """With the nonlinearity disabled, run() and the linear harness fit the same exponent."""
-        p = make_params(1.0, 0.8, 0.7875, 1.0, critical_quadratic(1.0, 1.0))
+        constants = ParamsBlock(mu=1.0, nu=0.8, kappa=0.7875, rho_ref=1.0)
+        p = constants.fluid()
         g = Grid(dim=2, box_len=48.0, n=64)
         data = next(riesz_momentum_pair(g, 1.0, 11.0, rng=np.random.default_rng(5), amplitude=0.5))
         window = (1.0, 8.0)
@@ -654,8 +657,8 @@ class TestRun:
         meas = measure_semigroup_decay(data, p, times, band="full", p=np.inf, j=0)
         rep_harness = fit_decay(meas.series, window, dim=2, p=np.inf, q=2, j=0, trust_ok=True)
 
-        scn = NonlinearScenario(
-            params=p, grid=g, amplitude=1.0, t_end=10.0, dt=0.1, seed=5, sample_every=2, nonlinear=False
+        scn = NonlinearRunConfig(
+            params=constants, grid=g, amplitude=1.0, t_end=10.0, dt=0.1, seed=5, sample_every=2, nonlinear=False
         )
         res = run(scn, initial=to_real(data))
         rep_solver = fit_decay(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import runpy
 import subprocess
@@ -12,12 +13,13 @@ import pytest
 import nsklab.runner as runner_mod
 from nsklab.errors import ParseError, ValidationError
 from nsklab.model import Grid
-from nsklab.runner import run_scenario
+from nsklab.runner import run_scenario, run_sweep
 from nsklab.scenario import (
     DATA_KINDS,
     KINDS,
     RECORDS,
     config_from_dict,
+    config_to_dict,
     parse_config,
     parse_sweep_config,
     serialize_config,
@@ -60,8 +62,8 @@ def generated_config(kind, rng):
     def num():
         return float(rng.uniform(0.01, 50.0))
 
-    def exponent():
-        return "inf" if rng.random() < 0.3 else num()
+    def exponent():  # a finite exponent is at least 1
+        return "inf" if rng.random() < 0.3 else float(rng.uniform(1.0, 50.0))
 
     def maybe(block, **optional):
         block.update({key: value for key, value in optional.items() if rng.random() < 0.5})
@@ -102,8 +104,10 @@ def generated_config(kind, rng):
         "t_max": num,
         "tol_symbol": num,
         "amplitude": num,
-        "t_end": num,
-        "dt": num,
+        # a run takes a whole number of steps: dt divides the default t_end, and t_end is a multiple of dt
+        # (drawn first, keys being in sorted order) or of the default dt
+        "t_end": lambda: raw.get("dt", 0.1) * int(rng.integers(1, 1000)),
+        "dt": lambda: 10.0 / int(rng.integers(1, 1000)),
         "sample_every": lambda: int(rng.integers(1, 10)),
         "nonlinear": lambda: bool(rng.random() < 0.5),
     }
@@ -133,6 +137,8 @@ SCHEMA = {
         {"seed", "params", "grid"},
     ),
 }
+# A grid block's keys: Grid's fields, whose order is the block's key order in every manifest and report.
+GRID_KEYS = ["dim", "n", "box_len"]
 
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
@@ -290,7 +296,7 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=r"cutoff_eps must be > 0"):
             config_from_dict(dict(make(), cutoff_eps=eps))
         cfg = config_from_dict(dict(make(), cutoff_eps=0.5))
-        assert runner_mod._cutoff(cfg, Grid(dim=2, n=32, box_len=24.0)).eps == 0.5
+        assert runner_mod._cutoff(cfg).eps == 0.5
 
     @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation])
     @pytest.mark.parametrize("window", [[0.0, 6.0], [-1.0, 6.0], [6.0, 1.0], [3.0, 3.0]])
@@ -327,12 +333,103 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_record_fields_are_the_schema(self, kind):
-        """A kind's record accepts exactly its pinned keys, and requires the fields without a default."""
+        """A kind's record accepts exactly its pinned keys, and requires the fields without a default; a grid block
+        holds Grid's fields, in their order."""
         accepted, required = SCHEMA[kind]
         fields = dataclasses.fields(RECORDS[kind])
         assert RECORDS[kind].kind == kind
         assert {field.name for field in fields} | {"kind"} == accepted
         assert {field.name for field in fields if field.default is dataclasses.MISSING} == required
+        if "grid" in accepted:
+            assert [field.name for field in dataclasses.fields(Grid)] == GRID_KEYS
+            cfg = config_from_dict(generated_config(kind, np.random.default_rng(0)))
+            assert isinstance(cfg.grid, Grid)
+            assert list(config_to_dict(cfg)["grid"]) == GRID_KEYS
+
+    @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation, minimal_nonlinear])
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ({"n": 12}, "n must be a power of two"),
+            ({"n": 1}, "n must be a power of two"),
+            ({"box_len": -1.0}, "box_len > 0"),
+            ({"box_len": 0}, "box_len > 0"),
+            ({"dim": 0}, "1 <= dim <= 4"),
+            ({"dim": 5}, "1 <= dim <= 4"),
+        ],
+    )
+    def test_grid_checked_at_parse_time(self, make, grid, message):
+        """The grid block is a Grid: a grid it refuses is a ValidationError when the config is parsed, not an
+        error of the run once its manifest is written."""
+        raw = make()
+        raw["grid"].update(grid)
+        with pytest.raises(ValidationError, match=f"block 'grid': {message}"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation, minimal_nonlinear])
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"mu": 0.0}, r"mu_star > 0"),
+            ({"mu": -1.0}, r"mu_star > 0"),
+            ({"nu": -1.0}, r"mu_star \+ nu_star > 0"),
+            ({"nu": -2.0}, r"mu_star \+ nu_star > 0"),
+            ({"kappa": 0.0}, r"kappa_star > 0"),
+            ({"kappa": -0.5}, r"kappa_star > 0"),
+            ({"rho_ref": 0.0}, r"pressure validity interval requires 0 < rho_min"),
+            ({"rho_ref": -1.0}, r"pressure validity interval requires 0 < rho_min"),
+        ],
+    )
+    def test_params_checked_at_parse_time(self, make, params, message):
+        """The params block builds its FluidParams when it is made: constants they refuse are a ValidationError
+        when the config is parsed (rho_ref <= 0 leaves the pressure law no validity interval)."""
+        raw = make()
+        raw["params"].update(params)
+        with pytest.raises(ValidationError, match=f"block 'params': {message}"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            {"t_end": 1.0, "dt": 0.3},
+            {"t_end": 0.25, "dt": 0.1},
+            {"t_end": 0.0, "dt": 0.1},
+            {"t_end": -0.2, "dt": 0.1},
+            {"t_end": 0.3, "dt": 0.0},
+            {"t_end": 0.3, "dt": -0.1},
+        ],
+    )
+    def test_whole_steps_checked_at_parse_time(self, keys):
+        """A nonlinear run takes a positive whole number of steps, or its config is refused when it is parsed."""
+        with pytest.raises(ValidationError, match="do not make a positive whole number of steps"):
+            config_from_dict(dict(minimal_nonlinear(), **keys))
+
+    @pytest.mark.parametrize("sample_every", [0, -1])
+    def test_sample_every_checked_at_parse_time(self, sample_every):
+        with pytest.raises(ValidationError, match=f"sample_every = {sample_every} < 1"):
+            config_from_dict(dict(minimal_nonlinear(), sample_every=sample_every))
+
+    @pytest.mark.parametrize(
+        "make, block, key, value",
+        [
+            (minimal_linear_decay, "exponents", "p", 0.5),
+            (minimal_linear_decay, "exponents", "q", 0),
+            (minimal_ablation, "exponents", "p", 0.5),
+            (minimal_nonlinear, "nonlinear_exponents", "p", 0),
+            (minimal_nonlinear, "nonlinear_exponents", "q1", 0),
+            (minimal_nonlinear, "nonlinear_exponents", "q2", 0.99),
+            (minimal_nonlinear, "nonlinear_exponents", "q1", -2.5),
+        ],
+    )
+    def test_exponent_below_one_rejected_at_parse_time(self, make, block, key, value):
+        """A Lebesgue exponent is at least 1 or "inf": one below is a ValidationError naming it when the config is
+        parsed, not a ValueError naming another exponent, or a ZeroDivisionError, once the datum is built."""
+        raw = make()
+        raw[block] = {key: value}
+        with pytest.raises(ValidationError, match=f"exponent {key} must be a number of at least 1 or 'inf', got {value}"):
+            config_from_dict(raw)
+        raw[block] = {key: 1}
+        assert getattr(getattr(config_from_dict(raw), block), key) == 1.0
 
     @pytest.mark.parametrize("data_kind", [k for k in DATA_KINDS if k != "riesz_divergence"])
     def test_ablation_rejects_data_it_does_not_run(self, data_kind):
@@ -384,6 +481,16 @@ class TestParseConfig:
         for malformed in ([], {"scenarios": {}}, {"scenarios": [{"name": "a"}]}, {"scenarios": [dict(sweep["scenarios"][0], x=1)]}):
             with pytest.raises(ValidationError):
                 parse_sweep_config(json.dumps(malformed))
+
+
+_run_contained = runner_mod._run_contained
+
+
+def _dies_in_its_worker(cfg, out_dir):
+    """runner._run_contained, except that the worker of the entry named 'dies' exits at once, as a crashed one does."""
+    if out_dir.name == "dies":
+        os._exit(1)
+    return _run_contained(cfg, out_dir)
 
 
 class TestRunScenario:
@@ -491,7 +598,7 @@ class TestRunScenario:
         """The runner writes the ablation's own two measurements: two series, same bytes as a fresh measurement."""
         import nsklab.runner as runner_mod
         from nsklab.fields import riesz_momentum_pair
-        from nsklab.runner import _grid_from_config, _params_from_config, _write_csv
+        from nsklab.runner import _write_csv
         from nsklab.spectral import default_cutoff
 
         raw = {
@@ -517,10 +624,10 @@ class TestRunScenario:
         run_scenario(cfg, tmp_path / "abl")
         assert len(calls) == 2
 
-        grid = _grid_from_config(cfg)
+        grid = cfg.grid
         pair = riesz_momentum_pair(grid, 1.0, 11.0, rng=np.random.default_rng(7), amplitude=1.0)
         for tag, data in zip(("divergence", "generic"), pair):
-            meas = measured(data, _params_from_config(cfg), cfg.times.values(), default_cutoff(grid), np.inf)
+            meas = measured(data, cfg.params.fluid(), cfg.times.values(), default_cutoff(grid), np.inf)
             _write_csv(tmp_path / f"{tag}.csv", meas.series.times, meas.series.values)
             written = (tmp_path / "abl" / "series" / f"theta_low_{tag}.csv").read_bytes()
             assert written == (tmp_path / f"{tag}.csv").read_bytes()
@@ -570,9 +677,52 @@ class TestRunScenario:
         cfg_path.write_text(json.dumps(raw))
         assert cli.main(["nonlinear-run", "--config", str(cfg_path), "--out", str(tmp_path / "cli")]) == 2
 
+    def test_sweep_entry_refused_at_parse_time_is_its_error(self, tmp_path):
+        """Entries that once parsed and then failed in their run (a Grid, FluidParams, whole-steps or exponent check)
+        are each their own ValidationError outcome, with a report.json of it, and the other entries run."""
+        bad = {
+            "grid": {"grid": {"dim": 2, "n": 12, "box_len": 8.0}},
+            "params": {"params": {"mu": -1.0, "nu": 1.0, "kappa": 1.0, "rho_ref": 1.0}},
+            "steps": {"t_end": 1.0, "dt": 0.3},
+            "exponent": {"nonlinear_exponents": {"q1": 0}},
+        }
+        entries = [{"name": "ok", "config": minimal_nonlinear(1)}]
+        entries += [{"name": name, "config": dict(minimal_nonlinear(2), **keys)} for name, keys in bad.items()]
+        outcomes = run_sweep(parse_sweep_config(json.dumps({"scenarios": entries})), tmp_path)
+        assert [o.status for o in outcomes] == ["pass"] + ["error"] * len(bad)
+        for outcome in outcomes[1:]:
+            report = json.loads((outcome.out_dir / "report.json").read_text())
+            assert report["error"].startswith("ValidationError: ") and report["error"] == outcome.report["error"]
+            assert not (outcome.out_dir / "manifest.json").exists()
+
+    def test_serial_sweep_leaves_no_table_on_its_configs(self, tmp_path):
+        """A run caches |xi|^2 tables on its grid, the config's; a serial sweep runs each entry on a copy of its
+        config, as a pool worker does, so those tables do not outlive the run on the configs the sweep holds."""
+        sweep = parse_sweep_config(json.dumps({"scenarios": [{"name": "a", "config": minimal_nonlinear(1)}]}))
+        assert [o.status for o in run_sweep(sweep, tmp_path)] == ["pass"]
+        ((_, cfg),) = sweep.scenarios
+        assert not {"half_xi_sq", "radial_values", "radial_index"} & set(vars(cfg.grid))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="the patched worker reaches the pool by fork")
+    def test_sweep_worker_that_dies_leaves_a_report(self, tmp_path, monkeypatch):
+        """Every entry a dead worker ends, in a sweep on a process pool, is an error outcome with a report.json that
+        names the error."""
+        monkeypatch.setattr(runner_mod, "_run_contained", _dies_in_its_worker)
+        entries = [{"name": "ok", "config": minimal_nonlinear(1)}, {"name": "dies", "config": minimal_nonlinear(2)}]
+        outcomes = run_sweep(parse_sweep_config(json.dumps({"scenarios": entries})), tmp_path, threads=2)
+        summary = json.loads((tmp_path / "sweep_summary.json").read_text())["scenarios"]
+        assert outcomes[1].status == "error"
+        for outcome, row in zip(outcomes, summary):
+            report = json.loads((outcome.out_dir / "report.json").read_text())
+            if outcome.status == "error":
+                assert row["error"].startswith("BrokenProcessPool") and report["error"] == row["error"]
+                assert report["pass"] is False and report["kind"] == "nonlinear-run"
+            else:
+                assert report["pass"] is True
+
     def test_error_writes_partial_artifacts(self, tmp_path):
         raw = minimal_nonlinear()
-        raw["grid"] = {"dim": 2, "n": 12, "box_len": 8.0}  # n not a power of two
+        raw["init"] = {"theta_width": 0.0}  # a zero bump width: raises once the run builds its datum
         cfg = config_from_dict(raw)
         with pytest.raises(Exception):
             run_scenario(cfg, tmp_path / "bad")
@@ -648,7 +798,7 @@ class TestCli:
     def test_cli_sweep_contains_a_raising_scenario(self, tmp_path, threads):
         """The scenario that raises is an error outcome; the others still run and keep their artifacts."""
         bad = minimal_nonlinear(3)
-        bad["grid"] = {"dim": 2, "n": 12, "box_len": 8.0}  # n not a power of two: raises at run time
+        bad["init"] = {"theta_width": 0.0}  # a zero bump width: raises at run time
         sweep = {
             "scenarios": [
                 {"name": "s1", "config": minimal_nonlinear(1)},
