@@ -59,6 +59,7 @@ from .spectral import (
 )
 
 TOL_EXP = 0.1  # absolute tolerance on fitted decay exponents
+MIN_FIT_SAMPLES = 3  # a decay fit needs this many samples inside its window
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,12 @@ class NormSeries:
         object.__setattr__(self, "values", values)
 
     def window_slice(self, a: float, t: float):
-        return (self.times >= a - 1e-12) & (self.times <= t + 1e-12)
+        return window_mask(self.times, a, t)
+
+
+def window_mask(times: np.ndarray, a: float, t: float) -> np.ndarray:
+    """Which of ``times`` lie in the window [a, t], each end widened by 1e-12."""
+    return (times >= a - 1e-12) & (times <= t + 1e-12)
 
 
 def weighted_sup(series: NormSeries, ell: float, window: tuple[float, float]) -> float:
@@ -303,7 +309,7 @@ def fit_decay(
     if lo <= 0:
         raise ValueError("fit window must start at t > 0")
     sel = series.window_slice(lo, hi)
-    if int(sel.sum()) < 3:
+    if int(sel.sum()) < MIN_FIT_SAMPLES:
         raise WindowUncovered(f"only {int(sel.sum())} samples inside [{lo}, {hi}]")
     tvals = series.times[sel]
     vvals = series.values[sel]

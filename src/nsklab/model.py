@@ -191,11 +191,11 @@ class Grid:
     def spacing(self) -> float:
         return self.box_len / self.n
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         return (self.n,) * self.dim
 
-    @property
+    @cached_property
     def half_shape(self) -> tuple:
         """Shape of a half-layout spectrum: the last axis keeps indices 0 .. n/2."""
         return self.shape[:-1] + (self.n // 2 + 1,)

@@ -72,22 +72,12 @@ from .spectral import (
 )
 from .symbols import phi_multiplier_tables
 
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-GL_TAU = 0.5 * (GL_NODES + 1.0)
-GL_W = 0.5 * GL_WEIGHTS
-
 
 def pressure_remainder(theta: np.ndarray, params: FluidParams) -> np.ndarray:
-    """Taylor-remainder pressure term: (int_0^1 P''(rho* + tau theta)(1-tau) dtau) theta^2.
-
-    Pointwise 8-node Gauss-Legendre quadrature in tau; exact for pressure
-    laws polynomial up to degree 17.
-    """
-    params.pressure.check_density(params.rho_star + theta)
-    acc = np.zeros_like(theta)
-    for tau, w in zip(GL_TAU, GL_W):
-        acc += w * (1.0 - tau) * params.pressure.d2(params.rho_star + tau * theta)
-    return acc * theta**2
+    """The pressure's Taylor remainder P(rho*+theta) - P(rho*) - P'(rho*) theta, to a few ulp of |P(rho*+theta)| + |P(rho*)|."""
+    law, rho = params.pressure, params.rho_star + theta
+    law.check_density(rho)
+    return law.evaluate(rho) - law.evaluate(params.rho_star) - law.d1(params.rho_star) * theta
 
 
 def nonlinearity_g_hat(st: StepState, params: FluidParams, mask: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ the keys it requires.  A field whose type is a block record is a nested
 object, parsed the same way; the ``grid`` block is a :class:`nsklab.model.Grid`
 and the ``params`` block builds its :class:`nsklab.model.FluidParams`, so
 every value a run is built from is checked once, when the config is parsed.
-Unknown keys anywhere in the tree are errors (no silent typos); "inf" is the
-spelling of an exponent's infinity, and a finite exponent is at least 1.
+Unknown keys anywhere in the tree are errors (no silent typos), and so are
+NaN and the infinities; "inf" is the spelling of an exponent's infinity, and a
+finite exponent is at least 1.
 parse -> serialize -> parse is the identity.
 """
 
@@ -24,7 +25,7 @@ from typing import ClassVar, NewType, get_args, get_type_hints
 
 import numpy as np
 
-from .analysis import TOL_EXP
+from .analysis import MIN_FIT_SAMPLES, TOL_EXP, window_mask
 from .errors import ConstraintViolation, ParseError, ValidationError
 from .model import FluidParams, Grid, critical_quadratic, make_params
 
@@ -42,6 +43,8 @@ class ParamsBlock:
     pressure_k: float = 1.0
 
     def __post_init__(self):
+        if not self.rho_ref > 0.0:  # checked first: the pressure law's validity interval is built from it
+            raise ConstraintViolation(f"rho_ref must be > 0, got {self.rho_ref}")
         self.fluid()
 
     def fluid(self) -> FluidParams:
@@ -72,8 +75,8 @@ class TimesBlock:
     count: int
 
     def __post_init__(self):
-        if not (0.0 < self.t_min < self.t_max and self.count >= 3):
-            raise ValidationError(f"times need 0 < t_min < t_max and count >= 3, got {self.t_min}, {self.t_max}, {self.count}")
+        if not (0.0 < self.t_min < self.t_max and self.count >= MIN_FIT_SAMPLES):
+            raise ValidationError(f"times need 0 < t_min < t_max and count >= {MIN_FIT_SAMPLES}, got {self.t_min}, {self.t_max}, {self.count}")
 
     def values(self):
         return np.geomspace(self.t_min, self.t_max, self.count)
@@ -100,6 +103,11 @@ class NonlinearInitBlock:
     m_envelope_width: float = 2.0
     m_smooth_width: float = 1.0
     m_relative_amplitude: float = 1.0
+
+    def __post_init__(self):
+        for key in ("theta_width", "m_envelope_width", "m_smooth_width"):
+            if not getattr(self, key) > 0.0:
+                raise ConstraintViolation(f"{key} must be > 0, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -146,6 +154,9 @@ class _DecayConfig(_Record):
         super().__post_init__()
         if not (0.0 < self.fit_window[0] < self.fit_window[1]):
             raise ValidationError(f"fit_window needs 0 < lo < hi, got {list(self.fit_window)}")
+        inside = int(window_mask(self.times.values(), *self.fit_window).sum())
+        if inside < MIN_FIT_SAMPLES:
+            raise ValidationError(f"fit_window {list(self.fit_window)} holds {inside} of the sample times, a fit needs {MIN_FIT_SAMPLES}")
         if self.trust_mode not in ("mass_radius", "edge_leak"):
             raise ValidationError(f"trust_mode must be 'mass_radius' or 'edge_leak', got '{self.trust_mode}'")
         if self.cutoff_eps is not None and not self.cutoff_eps > 0.0:
@@ -303,10 +314,19 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number as ``json.loads`` reads it, refused unless finite: a literal past the float range, and the
+    constants NaN, Infinity and -Infinity that ``json.loads`` would also take as numbers."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValidationError(f"{text} is not a finite number (an exponent's infinity is spelled \"inf\")")
+    return value
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config from JSON text."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     return config_from_dict(raw)
@@ -328,7 +348,7 @@ class SweepConfig:
 def parse_sweep_config(text: str) -> SweepConfig:
     """Parse a sweep file; a malformed file (its root, the scenarios list or an entry's keys) is an error."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ParseError(f"sweep config is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     if not isinstance(raw, dict):

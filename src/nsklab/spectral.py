@@ -146,7 +146,7 @@ def to_real(spectral: SpectralState) -> State:
     hat = spectral.hat if spectral.half else hermitian_half(spectral.hat, grid)
     fields = np.empty((grid.dim + 1,) + grid.shape)
     for row, h in zip(fields, hat):
-        row[...] = irfftn(h, grid)
+        irfftn(h, grid, row)
     return State(grid=grid, fields=fields)
 
 

@@ -213,6 +213,40 @@ class TestPressureRemainder:
         want = law.evaluate(1.0 + theta) - law.evaluate(1.0) - law.d1(1.0) * theta
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    def test_builtin_law_is_its_square_bitwise(self):
+        """For critical_quadratic, P(rho*) and P'(rho*) are exactly 0: the remainder is k ((rho* + theta) - rho*)^2 bit for bit."""
+        for k, rho_star in ((0.5, 1.0), (0.7, 1.3), (3.0, 0.45)):
+            p = make_params(1.0, 1.0, 1.0, rho_star, critical_quadratic(k, rho_star))
+            theta = 0.6 * rho_star * np.sin(np.linspace(0.0, 7.0, 257)) ** 3
+            assert np.array_equal(pressure_remainder(theta, p), k * ((rho_star + theta) - rho_star) ** 2)
+
+    def test_degree_17_law(self):
+        """P = (rho - rho*)^17 is critical, and its remainder is theta^17; an 8-node rule in tau is exact only to degree 16."""
+        law = PressureLaw(
+            evaluate=lambda r: (r - 1.0) ** 17,
+            d1=lambda r: 17.0 * (r - 1.0) ** 16,
+            d2=lambda r: 272.0 * (r - 1.0) ** 15,
+            validity=(0.5, 1.5),
+        )
+        p = make_params(1.0, 1.0, 1.0, 1.0, law)
+        theta = np.array([-0.5, -0.375, -0.25, 0.125, 0.3125, 0.5])  # dyadic, so rho* + theta is exact
+        got = pressure_remainder(theta, p)
+        assert np.max(np.abs(got - theta**17) / np.abs(theta**17)) <= 1e-14
+
+    def test_general_law_to_a_few_ulp(self):
+        """The cosh law's remainder cosh(theta) - 1 equals the cancellation-free 2 sinh^2(theta/2) to a few ulp of
+        cosh(theta), the value the law's own evaluate rounds before it subtracts 1."""
+        law = PressureLaw(
+            evaluate=lambda r: np.cosh(r - 1.0) - 1.0,
+            d1=lambda r: np.sinh(r - 1.0),
+            d2=lambda r: np.cosh(r - 1.0),
+            validity=(0.05, 12.0),
+        )
+        p = make_params(1.0, 1.0, 1.0, 1.0, law)
+        theta = np.concatenate([np.linspace(-0.6, 0.6, 41), [1e-9, -3e-5, 5.0]])
+        got = pressure_remainder(theta, p)
+        assert np.all(np.abs(got - 2.0 * np.sinh(theta / 2.0) ** 2) <= 4.0 * np.spacing(np.cosh(theta)))
+
     def test_validity_exceeded(self):
         law = critical_quadratic(1.0, 1.0, validity=(0.5, 2.0))
         p = make_params(1.0, 1.0, 1.0, 1.0, law)

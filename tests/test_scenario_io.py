@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import nsklab.runner as runner_mod
+from nsklab.analysis import NormSeries, fit_decay
 from nsklab.errors import ParseError, ValidationError
 from nsklab.model import Grid
 from nsklab.runner import run_scenario, run_sweep
@@ -18,6 +19,7 @@ from nsklab.scenario import (
     DATA_KINDS,
     KINDS,
     RECORDS,
+    TimesBlock,
     config_from_dict,
     config_to_dict,
     parse_config,
@@ -56,7 +58,7 @@ def minimal_nonlinear(seed=5):
 def generated_config(kind, rng):
     """A random raw config of the given kind: every required key, each optional key with probability 1/2.
 
-    Keys come from the kind's record, in sorted order.
+    Keys come from the kind's record, in sorted order; a fit window is drawn after the times, over at least 3 of them.
     """
 
     def num():
@@ -95,7 +97,7 @@ def generated_config(kind, rng):
         "band": lambda: str(rng.choice(["low", "high", "full"])),
         "w10": lambda: bool(rng.random() < 0.5),
         "cutoff_eps": num,
-        "fit_window": lambda: sorted([num(), num()]),
+        "fit_window": lambda: None,  # drawn over the times, below
         "trust_mode": lambda: str(rng.choice(["mass_radius", "edge_leak"])),
         "tol_exp": num,
         "gap_threshold": num,
@@ -115,6 +117,10 @@ def generated_config(kind, rng):
     for field in sorted(dataclasses.fields(RECORDS[kind]), key=lambda field: field.name):
         if field.default is dataclasses.MISSING or rng.random() < 0.5:
             raw[field.name] = values[field.name]()
+    if "fit_window" in raw:
+        times = TimesBlock(**raw["times"]).values()
+        lo = int(rng.integers(0, times.size - 2))
+        raw["fit_window"] = [float(times[lo]), float(times[rng.integers(lo + 2, times.size)])]
     return raw
 
 
@@ -143,6 +149,7 @@ GRID_KEYS = ["dim", "n", "box_len"]
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.json"))
 BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+LINEAR_DECAY_2D = Path(__file__).resolve().parents[1] / "demos" / "configs" / "linear_decay_2d.json"
 
 
 def minimal_ablation(seed=11):
@@ -304,6 +311,49 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=r"fit_window needs 0 < lo < hi"):
             config_from_dict(dict(make(), fit_window=window))
 
+    @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation])
+    @pytest.mark.parametrize("window, inside", [([9.0, 12.0], 0), ([1.0, 1.2], 0), ([6.0, 8.0], 1), ([4.4, 8.0], 2)])
+    def test_fit_window_without_three_samples_refused_at_parse_time(self, make, window, inside):
+        """A window past t_max, between two samples or holding fewer than the 3 samples a fit needs is a
+        ValidationError when the config is parsed, not a WindowUncovered once the whole series is measured."""
+        with pytest.raises(ValidationError, match=rf"fit_window \[.*\] holds {inside} of the sample times, a fit needs 3"):
+            config_from_dict(dict(make(), fit_window=window))
+
+    def test_fit_window_counts_samples_as_the_fit_does(self):
+        """The parse-time count uses the fit's own window rule: a window whose ends sit within 1e-12 inside the
+        first and last of 3 sample times holds all 3, as fit_decay's window does."""
+        raw = minimal_linear_decay()
+        times = TimesBlock(**raw["times"]).values()
+        cfg = config_from_dict(dict(raw, fit_window=[times[7] + 5e-13, times[9] - 5e-13]))
+        series = NormSeries(times=times, values=times**-1.0)
+        assert fit_decay(series, cfg.fit_window, dim=2, p=np.inf, q=2.0, j=0).n_samples == 3
+        with pytest.raises(ValidationError, match="holds 2 of the sample times"):
+            config_from_dict(dict(raw, fit_window=[times[7] + 2e-12, times[9]]))
+
+    @pytest.mark.parametrize(
+        "block, key, literal",
+        [("grid", "box_len", "Infinity"), ("data", "amplitude", "NaN"), (None, "tol_exp", "NaN"), ("data", "amplitude", "-Infinity"), (None, "tol_exp", "1e309")],
+    )
+    def test_non_finite_number_refused(self, block, key, literal):
+        """json.loads reads NaN, Infinity, -Infinity and a literal past the float range as numbers; a config or a sweep
+        holding one is a ValidationError that names it (a NaN tol_exp would fail every verdict without an error)."""
+        raw = json.loads(LINEAR_DECAY_2D.read_text())
+        (raw[block] if block else raw)[key] = "@"
+        text = json.dumps(raw).replace('"@"', literal)
+        with pytest.raises(ValidationError, match=f"{literal} is not a finite number"):
+            parse_config(text)
+        with pytest.raises(ValidationError, match=f"{literal} is not a finite number"):
+            parse_sweep_config(f'{{"scenarios": [{{"name": "a", "config": {text}}}]}}')
+        parse_config(text.replace(literal, "1.5"))  # the same config with a finite number parses
+
+    @pytest.mark.parametrize("key", ["theta_width", "m_envelope_width", "m_smooth_width"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_init_widths_checked_at_parse_time(self, key, value):
+        """A Gaussian width of 0 or below is a ValidationError that names its key when the config is parsed, not a
+        ConstraintViolation once the run builds its datum, after its manifest is written."""
+        with pytest.raises(ValidationError, match=f"block 'init': {key} must be > 0, got {value}"):
+            config_from_dict(dict(minimal_nonlinear(), init={key: value}))
+
     @pytest.mark.parametrize("seed", [42, 1201])
     def test_benchmark_workload_configs_parse(self, seed):
         """Every workload config of the benchmark is a valid config, at its default seed and another; the workloads
@@ -376,13 +426,13 @@ class TestParseConfig:
             ({"nu": -2.0}, r"mu_star \+ nu_star > 0"),
             ({"kappa": 0.0}, r"kappa_star > 0"),
             ({"kappa": -0.5}, r"kappa_star > 0"),
-            ({"rho_ref": 0.0}, r"pressure validity interval requires 0 < rho_min"),
-            ({"rho_ref": -1.0}, r"pressure validity interval requires 0 < rho_min"),
+            ({"rho_ref": 0.0}, r"rho_ref must be > 0, got 0.0"),
+            ({"rho_ref": -1.0}, r"rho_ref must be > 0, got -1.0"),
         ],
     )
     def test_params_checked_at_parse_time(self, make, params, message):
         """The params block builds its FluidParams when it is made: constants they refuse are a ValidationError
-        when the config is parsed (rho_ref <= 0 leaves the pressure law no validity interval)."""
+        when the config is parsed (rho_ref <= 0 is named before the pressure law built from it is checked)."""
         raw = make()
         raw["params"].update(params)
         with pytest.raises(ValidationError, match=f"block 'params': {message}"):
@@ -685,6 +735,7 @@ class TestRunScenario:
             "params": {"params": {"mu": -1.0, "nu": 1.0, "kappa": 1.0, "rho_ref": 1.0}},
             "steps": {"t_end": 1.0, "dt": 0.3},
             "exponent": {"nonlinear_exponents": {"q1": 0}},
+            "init": {"init": {"theta_width": 0.0}},
         }
         entries = [{"name": "ok", "config": minimal_nonlinear(1)}]
         entries += [{"name": name, "config": dict(minimal_nonlinear(2), **keys)} for name, keys in bad.items()]
@@ -722,7 +773,7 @@ class TestRunScenario:
 
     def test_error_writes_partial_artifacts(self, tmp_path):
         raw = minimal_nonlinear()
-        raw["init"] = {"theta_width": 0.0}  # a zero bump width: raises once the run builds its datum
+        raw["amplitude"], raw["init"] = 1e308, {"m_relative_amplitude": 10.0}  # m's amplitude overflows: raises once the run builds its datum
         cfg = config_from_dict(raw)
         with pytest.raises(Exception):
             run_scenario(cfg, tmp_path / "bad")
@@ -798,7 +849,7 @@ class TestCli:
     def test_cli_sweep_contains_a_raising_scenario(self, tmp_path, threads):
         """The scenario that raises is an error outcome; the others still run and keep their artifacts."""
         bad = minimal_nonlinear(3)
-        bad["init"] = {"theta_width": 0.0}  # a zero bump width: raises at run time
+        bad["amplitude"], bad["init"] = 1e308, {"m_relative_amplitude": 10.0}  # m's amplitude overflows: raises at run time
         sweep = {
             "scenarios": [
                 {"name": "s1", "config": minimal_nonlinear(1)},
