@@ -94,7 +94,8 @@ def lp_norms(field_arr: np.ndarray, grid: Grid, qs) -> list:
 
 
 def _lp_norms_of_magnitude(mag: np.ndarray, grid: Grid, qs) -> list:
-    """lp_norms of a field given its pointwise magnitude; every mag**q is formed in one scratch buffer."""
+    """lp_norms of a field given its pointwise magnitude; every mag**q is formed in one scratch buffer.  Where the sum
+    of mag**q leaves the normal float range, the norm is the peak times the norm of mag / peak."""
     out = []
     power = None
     for q in qs:
@@ -104,8 +105,13 @@ def _lp_norms_of_magnitude(mag: np.ndarray, grid: Grid, qs) -> list:
         q = float(q)
         if q < 1.0:
             raise ValueError("q in [1, inf] required")
-        power = np.power(mag, q, out=power)
-        out.append(float(np.sum(power) ** (1.0 / q) * grid.cell_volume ** (1.0 / q)))
+        with np.errstate(over="ignore"):
+            power = np.power(mag, q, out=power)
+            total, peak = np.sum(power), 1.0
+        if not np.finfo(float).tiny <= total < np.inf:  # mag**q under- or overflowed: sum (mag / its peak)**q instead
+            peak = np.max(mag)
+            total = np.sum(np.power(mag / peak, q, out=power)) if 0.0 < peak < np.inf else total
+        out.append(float(peak * (total ** (1.0 / q) * grid.cell_volume ** (1.0 / q))))
     return out
 
 
@@ -263,7 +269,7 @@ def in_theorem_scope(p, q) -> bool:
     """Exponent window of the large-time (t >= 1) decay estimates."""
     if np.isinf(p) and np.isinf(q):
         return False
-    return (1.0 < q <= 2.0) and (2.0 <= p or np.isinf(p)) and q <= (p if not np.isinf(p) else np.inf)
+    return bool((1.0 < q <= 2.0) and (2.0 <= p or np.isinf(p)) and q <= (p if not np.isinf(p) else np.inf))
 
 
 @dataclass(frozen=True)

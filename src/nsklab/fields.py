@@ -34,8 +34,31 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .errors import ConstraintViolation
 from .model import Grid, SpectralState, State, gaussian_bump
 from .spectral import _quintic_step, divergence_form_momentum, fftn, irfftn, rfftn
+
+DATA_DIMS = {"curl_mixture": (2, 3), "transverse_packet": (2, 3, 4)}  # the grid dims a data kind's generator builds in
+
+
+def dim_limits(grid: Grid, kind: str) -> None:
+    """ConstraintViolation unless the generator of data ``kind`` builds in ``grid``'s dim (:data:`DATA_DIMS`)."""
+    if grid.dim not in DATA_DIMS[kind]:
+        raise ConstraintViolation(f"{kind} data needs dim in {DATA_DIMS[kind]}, got dim {grid.dim}")
+
+
+def ladder_limits(rho_min: float, rho_max: float) -> None:
+    """ConstraintViolation unless 0 < rho_min < rho_max, the range of a scale ladder (:func:`scale_mixture_hat`)."""
+    if not (0.0 < rho_min < rho_max):
+        raise ConstraintViolation(f"rho_min and rho_max need 0 < rho_min < rho_max, got {rho_min} and {rho_max}")
+
+
+def riesz_limits(grid: Grid, gamma: float, support_radius: float) -> None:
+    """ConstraintViolation unless 0 < gamma < dim and 0 < support_radius <= box_len / 2 (:func:`riesz_kernel_hat`)."""
+    if not (0.0 < gamma < grid.dim):
+        raise ConstraintViolation(f"gamma needs 0 < gamma < dim = {grid.dim}, got {gamma}")
+    if not (0.0 < support_radius <= grid.box_len / 2.0):
+        raise ConstraintViolation(f"support_radius needs 0 < support_radius <= box_len / 2 = {grid.box_len / 2.0:g}, got {support_radius}")
 
 
 def _center_phase(grid: Grid) -> np.ndarray:
@@ -51,8 +74,7 @@ def scale_mixture_hat(grid: Grid, gamma: float, rho_min: float, rho_max: float, 
     rho_k in [rho_min, rho_max], two per octave; the zero mode is cleared so
     the field has zero mean.
     """
-    if not (0 < rho_min < rho_max):
-        raise ValueError("0 < rho_min < rho_max required")
+    ladder_limits(rho_min, rho_max)
     n_scales = max(2, int(np.ceil(2 * np.log2(rho_max / rho_min))) + 1)
     rhos = np.geomspace(rho_min, rho_max, n_scales)
     xi_sq = grid.xi_sq
@@ -107,10 +129,7 @@ def riesz_kernel_hat(grid: Grid, gamma: float, support_radius: float) -> np.ndar
     |xi|^2, so no full-layout |xi|^2, envelope or index is formed.
     The mean mode is cleared.
     """
-    if support_radius > grid.box_len / 2.0:
-        raise ValueError("support radius exceeds half the box")
-    if not (0.0 < gamma < grid.dim):
-        raise ValueError("0 < gamma < dim required")
+    riesz_limits(grid, gamma, support_radius)
     r_sq = grid.periodic_r_sq()
     a = 0.75 * grid.spacing
     kernel = r_sq + a**2
@@ -207,8 +226,7 @@ def curl_mixture_momentum_state(grid: Grid, gamma_potential: float, rho_min: flo
     scalar profile times the fixed direction (0.36, 0.48, 0.8).  theta is
     identically zero under the linear flow of this data.
     """
-    if grid.dim not in (2, 3):
-        raise ValueError("curl construction implemented for dim 2 and 3")
+    dim_limits(grid, "curl_mixture")
     a_hat_prof = scale_mixture_hat(grid, gamma_potential, rho_min, rho_max, amplitude)
     a_hat_prof = a_hat_prof * _center_phase(grid)
     xis = grid.wavevectors()
@@ -233,8 +251,7 @@ def transverse_packet(grid: Grid, width: float, *, amplitude: float = 1.0) -> Sp
     projection makes the linear flow of this data an exact scalar heat
     semigroup.
     """
-    if grid.dim < 2:
-        raise ValueError("transverse data needs dim >= 2")
+    dim_limits(grid, "transverse_packet")
     xi_sq = grid.xi_sq
     prof = amplitude * np.exp(-0.5 * width**2 * xi_sq)
     xis = grid.wavevectors()

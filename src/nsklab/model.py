@@ -40,17 +40,16 @@ DEGENERACY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class PressureLaw:
-    """A pressure law given as the triple (P, P', P'') on a validity interval.
+    """A pressure law given as the pair (P, P') on a validity interval.
 
-    The callables must accept and return numpy arrays (or floats).  The two
-    derivatives are checked against centered finite differences of
-    ``evaluate`` when the law is attached to parameters; supplying an
-    inconsistent triple is rejected there.
+    The callables must accept and return numpy arrays (or floats).  When the
+    law is attached to parameters, P' is checked against centered finite
+    differences of ``evaluate`` (an inconsistent pair is rejected), and the
+    curvature P''(rho*) that scales the criticality tolerance is measured from P'.
     """
 
     evaluate: Callable
     d1: Callable
-    d2: Callable
     validity: tuple[float, float]
 
     def __post_init__(self):
@@ -79,39 +78,35 @@ def critical_quadratic(k: float, rho_star: float, validity=None) -> PressureLaw:
     return PressureLaw(
         evaluate=lambda rho: k * (rho - rho_star) ** 2,
         d1=lambda rho: 2.0 * k * (rho - rho_star),
-        d2=lambda rho: 2.0 * k * np.ones_like(np.asarray(rho, dtype=float)),
         validity=validity,
     )
 
 
-def _check_derivative_consistency(pressure: PressureLaw, rho_star: float):
-    """Gate: d1/d2 must agree with centered differences of evaluate to O(h^2).
+def _check_derivative_consistency(pressure: PressureLaw, rho_star: float) -> float:
+    """Gate: d1 must agree with centered differences of evaluate to O(h^2), h = 1e-4 of the validity span; returns
+    the curvature P''(rho_star), measured as the centered difference of d1 at rho_star with the same h.
 
     Compares errors at h and h/2: a consistent derivative shrinks by ~4x
     (or sits at rounding level); an inconsistent one stalls at its offset.
     """
     lo, hi = pressure.validity
     span = hi - lo
+    h = 1e-4 * span
     pts = lo + span * np.array([0.15, 0.35, 0.5, 0.65, 0.85])
     if lo < rho_star < hi:
         pts = np.append(pts, rho_star)
     scale = max(1.0, float(np.max(np.abs(pressure.evaluate(pts)))))
-    for name, deriv, base in (("P'", pressure.d1, pressure.evaluate), ("P''", pressure.d2, pressure.d1)):
-        h1 = 1e-4 * span
-        for rho in pts:
-            if not (lo + 2 * h1 < rho < hi - 2 * h1):
-                continue
-            claimed = float(deriv(rho))
-            fd1 = (float(base(rho + h1)) - float(base(rho - h1))) / (2 * h1)
-            fd2 = (float(base(rho + h1 / 2)) - float(base(rho - h1 / 2))) / h1
-            e1 = abs(claimed - fd1)
-            e2 = abs(claimed - fd2)
-            floor = 1e-7 * scale / span + 1e-10 * abs(claimed)
-            if e2 > max(0.5 * e1, floor):
-                raise ConstraintViolation(
-                    f"pressure law {name} disagrees with finite differences of its "
-                    f"antiderivative at rho={rho:.6g} (err {e2:.3g} at h={h1 / 2:.3g})"
-                )
+    for rho in pts:
+        if not (lo + 2 * h < rho < hi - 2 * h):
+            continue
+        claimed = float(pressure.d1(rho))
+        e1 = abs(claimed - (float(pressure.evaluate(rho + h)) - float(pressure.evaluate(rho - h))) / (2 * h))
+        e2 = abs(claimed - (float(pressure.evaluate(rho + h / 2)) - float(pressure.evaluate(rho - h / 2))) / h)
+        if e2 > max(0.5 * e1, 1e-7 * scale / span + 1e-10 * abs(claimed)):
+            raise ConstraintViolation(
+                f"pressure law P' disagrees with finite differences of P at rho={rho:.6g} (err {e2:.3g} at h={h / 2:.3g})"
+            )
+    return (float(pressure.d1(rho_star + h)) - float(pressure.d1(rho_star - h))) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -121,6 +116,7 @@ class FluidParams:
     mu_star, nu_star are the viscosities, kappa_star the capillarity and
     rho_star the reference density; alpha_star = mu*/rho*, beta_star =
     nu*/rho* and delta_star = (alpha*+beta*)^2/4 - rho* kappa* are derived.
+    The pressure law is critical: |P'(rho*)| <= CRITICALITY_RTOL max(1, |P''(rho*)|), P'' measured from P'.
     Construct through :func:`make_params`.
     """
 
@@ -142,13 +138,12 @@ class FluidParams:
             raise ConstraintViolation("kappa_star > 0")
         if not (self.rho_star > 0.0):
             raise ConstraintViolation("rho_star > 0")
-        _check_derivative_consistency(self.pressure, self.rho_star)
+        curvature = _check_derivative_consistency(self.pressure, self.rho_star)
         p1 = float(self.pressure.d1(self.rho_star))
-        p2 = float(self.pressure.d2(self.rho_star))
-        if abs(p1) > CRITICALITY_RTOL * max(1.0, abs(p2)):
+        if abs(p1) > CRITICALITY_RTOL * max(1.0, abs(curvature)):
             raise CriticalityViolation(
                 f"P'(rho_star) = {p1:.6g} is not zero (tolerance "
-                f"{CRITICALITY_RTOL:g} * max(1, |P''(rho_star)|))"
+                f"{CRITICALITY_RTOL:g} * max(1, |P''(rho_star)|), P''(rho_star) measured as {curvature:.6g})"
             )
         alpha = self.mu_star / self.rho_star
         beta = self.nu_star / self.rho_star

@@ -13,7 +13,10 @@ its seeded datum and fits the series with the config's window, exponents and
 trust mode; the ablation does so for each member of ``riesz_momentum_pair``,
 one ``theta_low_band_series`` each, and compares the two fitted exponents.
 A datum goes straight into its measurement, which frees it once its orbit is
-built; the ablation's generic member is formed only after that.
+built; the ablation's generic member is formed only after that.  A decay
+series that is 0 inside the fit window, of zero data or decayed past the float
+range, has nothing to fit: the report is ``skipped``, with the reason, and
+does not pass.
 
 Exit-code policy lives in the CLI: 0 all verdicts pass, 2 verdict failures,
 1 execution error (partial artifacts are flushed before the error propagates).
@@ -39,7 +42,7 @@ import numpy as np
 
 from ._version import __version__
 from .analysis import DecayMeasurement, fit_decay, measure_semigroup_decay, theta_low_band_series
-from .errors import NumericsWarning, ValidationError
+from .errors import NonPositiveSeries, NumericsWarning, ValidationError
 from .fields import (
     curl_mixture_momentum_state,
     riesz_kernel_hat,
@@ -49,7 +52,7 @@ from .fields import (
 from .model import SpectralState, critical_quadratic, make_params
 from .nonlinear import run as run_nonlinear
 from .scenario import ScenarioConfig, config_to_dict
-from .spectral import CutoffSpec, Workspace, default_cutoff
+from .spectral import Workspace
 from .svgplot import loglog_svg
 from .symbols import matexp_oracle, solution_symbol
 
@@ -79,15 +82,9 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _support_radius(cfg: ScenarioConfig) -> float:
-    """The data's support radius, by default just under a quarter of the box."""
-    radius = cfg.data.support_radius
-    return radius if radius is not None else 0.98 * cfg.grid.box_len / 4.0
-
-
 def _build_data(cfg: ScenarioConfig) -> SpectralState:
     db, grid = cfg.data, cfg.grid
-    support = _support_radius(cfg)
+    support = cfg.support_radius()
     if db.kind in ("riesz_divergence", "riesz_generic"):
         # the only kind that draws: the generator, and numpy.random with it, is made here
         pair = riesz_momentum_pair(grid, db.gamma, support, rng=np.random.default_rng(cfg.seed), amplitude=db.amplitude)
@@ -109,11 +106,6 @@ def _subdir(out_dir: Path, name: str) -> Path:
     d = out_dir / name
     d.mkdir(parents=True, exist_ok=True)
     return d
-
-
-def _cutoff(cfg: ScenarioConfig) -> CutoffSpec:
-    """The config's cutoff, or its grid's default cutoff where the config sets none."""
-    return default_cutoff(cfg.grid) if cfg.cutoff_eps is None else CutoffSpec(eps=cfg.cutoff_eps)
 
 
 def _fit(cfg: ScenarioConfig, meas: DecayMeasurement):
@@ -161,7 +153,7 @@ def _symbol_verify_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
 
 
 def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    cutoff = _cutoff(cfg)
+    cutoff = cfg.cutoff()
     # the datum is passed straight in: the measurement holds its only reference and frees it once its orbit is built
     meas = measure_semigroup_decay(
         _build_data(cfg),
@@ -173,11 +165,14 @@ def _linear_decay_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
         j=cfg.exponents.j,
         w10=cfg.w10,
     )
-    report = _fit(cfg, meas)
     name = f"pair_{cfg.band}"
     _write_csv(_subdir(out_dir, "series") / f"{name}.csv", meas.series.times, meas.series.values)
     _write_csv(_subdir(out_dir, "series") / "trust_mass_radius.csv", meas.series.times, meas.trust_radii)
     _write_csv(_subdir(out_dir, "series") / "trust_edge_leak.csv", meas.series.times, meas.edge_leaks)
+    try:
+        report = _fit(cfg, meas)
+    except NonPositiveSeries as exc:  # the norm is 0 in the window: the datum is zero, or decays past the float range
+        return {"skipped": True, "reason": f"no fit: {exc}", "decay": None, "pass": False}
     svg = loglog_svg(
         meas.series.times,
         meas.series.values,
@@ -203,22 +198,21 @@ def _ablation_report(cfg: ScenarioConfig, out_dir: Path) -> dict:
     the gap, generic minus divergence-form fitted exponent, is positive when the generic datum decays slower.
     """
     payload = {"skipped": True, "gap": None, "divergence": None, "generic": None, "gap_threshold": cfg.gap_threshold, "pass": False}
-    if cfg.data.amplitude == 0.0:
-        return dict(payload, reason="zero initial data")
     params, grid = cfg.params.fluid(), cfg.grid
     rng = np.random.default_rng(cfg.seed)
     # divergence, then generic: each member goes straight to its series, which frees it once its orbit is built,
     # and the generic member is formed only after that
-    pair = riesz_momentum_pair(grid, cfg.data.gamma, _support_radius(cfg), rng=rng, amplitude=cfg.data.amplitude)
-    cutoff = _cutoff(cfg)
+    pair = riesz_momentum_pair(grid, cfg.data.gamma, cfg.support_radius(), rng=rng, amplitude=cfg.data.amplitude)
+    cutoff = cfg.cutoff()
     ws = Workspace(grid, theta_only=True)
     times = cfg.times.values()
     fits = {}
     for tag in ("divergence", "generic"):
         meas = theta_low_band_series(next(pair), params, times, cutoff, cfg.exponents.p, ws)
-        if np.all(meas.series.values == 0.0):
-            return dict(payload, reason="theta response identically zero")
-        fits[tag] = meas.series, _fit(cfg, meas)
+        try:
+            fits[tag] = meas.series, _fit(cfg, meas)
+        except NonPositiveSeries as exc:  # a theta response that is 0 in the window, as it is for zero data
+            return dict(payload, reason=f"no fit of the {tag} theta response: {exc}")
     divergence, generic = fits["divergence"][1], fits["generic"][1]
     guide = divergence.predicted_exponent
     for tag, (series, report) in fits.items():

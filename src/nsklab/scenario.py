@@ -8,10 +8,12 @@ fields are the keys its kind accepts, and the fields without a default are
 the keys it requires.  A field whose type is a block record is a nested
 object, parsed the same way; the ``grid`` block is a :class:`nsklab.model.Grid`
 and the ``params`` block builds its :class:`nsklab.model.FluidParams`, so
-every value a run is built from is checked once, when the config is parsed.
-Unknown keys anywhere in the tree are errors (no silent typos), and so are
-NaN and the infinities; "inf" is the spelling of an exponent's infinity, and a
-finite exponent is at least 1.
+every value a run is built from is checked once, when the config is parsed;
+a decay config checks its data and cutoff against its grid with the limits
+its generator (``fields.riesz_limits``, ...) and the low band
+(``spectral.low_band_empty``) enforce.  Unknown keys anywhere in the tree are
+errors (no silent typos), and so are NaN and the infinities; "inf" is the
+spelling of an exponent's infinity, and a finite exponent is at least 1.
 parse -> serialize -> parse is the identity.
 """
 
@@ -20,6 +22,7 @@ parse -> serialize -> parse is the identity.
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar, NewType, get_args, get_type_hints
 
@@ -27,7 +30,9 @@ import numpy as np
 
 from .analysis import MIN_FIT_SAMPLES, TOL_EXP, window_mask
 from .errors import ConstraintViolation, ParseError, ValidationError
+from .fields import DATA_DIMS, dim_limits, ladder_limits, riesz_limits
 from .model import FluidParams, Grid, critical_quadratic, make_params
+from .spectral import CutoffSpec, default_cutoff, low_band_empty
 
 DATA_KINDS = ("riesz_divergence", "riesz_generic", "scalar_riesz", "curl_mixture", "transverse_packet")
 
@@ -161,6 +166,31 @@ class _DecayConfig(_Record):
             raise ValidationError(f"trust_mode must be 'mass_radius' or 'edge_leak', got '{self.trust_mode}'")
         if self.cutoff_eps is not None and not self.cutoff_eps > 0.0:
             raise ValidationError(f"cutoff_eps must be > 0, got {self.cutoff_eps}")
+        data = self.data  # held to its generator's limits on the grid
+        if data.kind in DATA_DIMS:
+            dim_limits(self.grid, data.kind)
+        if data.kind == "curl_mixture":
+            ladder_limits(data.rho_min, data.rho_max)
+        elif data.kind != "transverse_packet":  # a Riesz kind
+            riesz_limits(self.grid, data.gamma, self.support_radius())
+
+    def cutoff(self) -> CutoffSpec:
+        """The config's cutoff, or its grid's default cutoff where the config sets none."""
+        return default_cutoff(self.grid) if self.cutoff_eps is None else CutoffSpec(eps=self.cutoff_eps)
+
+    def support_radius(self) -> float:
+        """The data's support radius, by default just under a quarter of the box."""
+        radius = self.data.support_radius
+        return radius if radius is not None else 0.98 * self.grid.box_len / 4.0
+
+    def _check_low_band(self) -> None:
+        """A ValidationError naming cutoff_eps where the cutoff leaves the low band empty (``EmptyLowBand`` in a run)."""
+        cutoff = self.cutoff()
+        if low_band_empty(self.grid, cutoff):
+            raise ValidationError(
+                f"cutoff_eps {cutoff.eps:g}{' (the default)' if self.cutoff_eps is None else ''} leaves the low band empty: "
+                f"2 eps is under the least nonzero |xi|, 2 pi / box_len = {2.0 * math.pi / self.grid.box_len:g}"
+            )
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -175,6 +205,8 @@ class LinearDecayConfig(_DecayConfig):
             raise ValidationError(f"band must be low, high or full, got '{self.band}'")
         if self.exponents.j not in (0, 1):
             raise ValidationError(f"linear-decay measures derivative order j = 0 or 1, got {self.exponents.j}")
+        if self.band != "full":  # the low band splits off the high one too
+            self._check_low_band()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -190,6 +222,7 @@ class AblationConfig(_DecayConfig):
             raise ValidationError(f"ablation data kind must be 'riesz_divergence', got '{self.data.kind}'")
         if self.exponents.j != 0:
             raise ValidationError(f"the ablation measures theta itself, so j must be 0, got {self.exponents.j}")
+        self._check_low_band()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -238,7 +271,9 @@ def _decode(f: dataclasses.Field, ftype, value, key: str):
     """A JSON value as the field f of type ftype: its type checked, blocks built, exponents and fit window converted.
 
     null is accepted only for an optional (``| None``) field; a bool is not an int, and an int is a float
-    (kept as it is, so a config serializes back to the same text).
+    (kept as it is, so a config serializes back to the same text).  A non-finite float, alone or in the fit
+    window, is refused: NaN and the infinities that ``json.loads`` reads, a literal past the float range, or a
+    value of a dict given to :func:`config_from_dict`.
     """
     args = get_args(ftype)
     if value is None:
@@ -246,6 +281,9 @@ def _decode(f: dataclasses.Field, ftype, value, key: str):
             return None
         raise ValidationError(f"{key} is mandatory, got null" if f.default is dataclasses.MISSING else f"{key} must not be null")
     tp = next((a for a in args if a is not type(None)), ftype)  # an optional block is a block
+    if any(isinstance(v, float) and not math.isfinite(v) for v in (value if isinstance(value, list) else [value])):
+        spelling = ' (an exponent\'s infinity is spelled "inf")' if tp is Exponent else ""
+        raise ValidationError(f"{key} must be finite, got {value!r}{spelling}")
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, f"block '{key}'")
     if tp is Exponent:
@@ -314,19 +352,10 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
-def _finite_number(text: str) -> float:
-    """A JSON number as ``json.loads`` reads it, refused unless finite: a literal past the float range, and the
-    constants NaN, Infinity and -Infinity that ``json.loads`` would also take as numbers."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValidationError(f"{text} is not a finite number (an exponent's infinity is spelled \"inf\")")
-    return value
-
-
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a scenario config from JSON text."""
     try:
-        raw = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     return config_from_dict(raw)
@@ -348,7 +377,7 @@ class SweepConfig:
 def parse_sweep_config(text: str) -> SweepConfig:
     """Parse a sweep file; a malformed file (its root, the scenarios list or an entry's keys) is an error."""
     try:
-        raw = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"sweep config is not valid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
     if not isinstance(raw, dict):

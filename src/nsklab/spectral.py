@@ -492,15 +492,23 @@ def low_band_mode_count(grid: Grid, cutoff: CutoffSpec) -> int:
     return int(count)
 
 
+def low_band_empty(grid: Grid, cutoff: CutoffSpec) -> bool:
+    """Whether :func:`low_band_mode_count` is zero: the least nonzero |xi|, 2 pi / L, lies past 2 eps.
+
+    It is exact: that |xi| is the wavevector table's entry, and the count compares sqrt of its square, which is
+    the entry again.  It reads no table of the grid, so a config checks it when it is parsed and caches nothing.
+    """
+    return 2.0 * np.pi / grid.box_len > 2.0 * cutoff.eps
+
+
 def _require_low_band(grid: Grid, cutoff: CutoffSpec) -> int:
-    """:func:`low_band_mode_count`, which must not be zero (``EmptyLowBand``)."""
-    count = low_band_mode_count(grid, cutoff)
-    if count == 0:
+    """:func:`low_band_mode_count`, which must not be zero (``EmptyLowBand``, by :func:`low_band_empty`)."""
+    if low_band_empty(grid, cutoff):
         raise EmptyLowBand(
             f"no nonzero mode satisfies |xi| <= 2*eps = {2 * cutoff.eps:g} "
             f"(smallest nonzero |xi| is {2 * np.pi / grid.box_len:g})"
         )
-    return count
+    return low_band_mode_count(grid, cutoff)
 
 
 def frequency_band(spectral: SpectralState, cutoff: CutoffSpec, band: str) -> SpectralState:

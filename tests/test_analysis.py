@@ -109,6 +109,14 @@ class TestLpNorms:
                 f = rng.standard_normal(lead + g.shape)
                 assert lp_norms(f, g, qs) == [lp_norm(f, g, q) for q in qs]
 
+    @pytest.mark.parametrize("scale", [1e12, 1e-12, 1e100, 1e-100])
+    @pytest.mark.parametrize("q", [2.0, 40.0])
+    def test_norm_of_a_field_whose_powers_leave_the_float_range(self, scale, q):
+        """The norm scales with the field where |f|**q overflows or underflows, instead of reading inf or 0."""
+        g = Grid(dim=2, box_len=5.0, n=8)
+        f = np.random.default_rng(22).standard_normal((2,) + g.shape)
+        assert lp_norms(scale * f, g, (q,))[0] == pytest.approx(scale * lp_norm(f, g, q), rel=1e-13)
+
     def test_rejects_exponent_below_one(self):
         g = Grid(dim=1, box_len=1.0, n=8)
         with pytest.raises(ValueError):
@@ -377,6 +385,12 @@ class TestFitDecay:
         assert in_theorem_scope(2.0, 2.0)
         assert not in_theorem_scope(np.inf, np.inf)
         assert not in_theorem_scope(2.0, 3.0)
+
+    @pytest.mark.parametrize("p, q", [(1.5, 1.5), (np.float64(1.2), 2.0), (np.inf, 2.0), (3.0, 3.0), (np.inf, np.inf)])
+    def test_scope_flag_is_a_bool(self, p, q):
+        """The flag is a Python bool at every exponent, so a report holding it is JSON (it was numpy's bool for a finite
+        p < 2 with 1 < q <= 2, and a linear-decay at such exponents failed as it wrote its report)."""
+        assert type(in_theorem_scope(p, q)) is bool
 
 
 class TestAblation:

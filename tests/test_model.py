@@ -15,6 +15,7 @@ from nsklab.model import (
     critical_quadratic,
     gaussian_bump,
     make_params,
+    _check_derivative_consistency,
 )
 from nsklab.spectral import irfftn, to_real
 
@@ -42,7 +43,6 @@ class TestMakeParams:
         linear = PressureLaw(
             evaluate=lambda r: np.asarray(r, dtype=float),
             d1=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            d2=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             validity=(0.1, 10.0),
         )
         with pytest.raises(CriticalityViolation):
@@ -52,11 +52,30 @@ class TestMakeParams:
         bad = PressureLaw(
             evaluate=lambda r: (np.asarray(r, dtype=float) - 1.0) ** 2,
             d1=lambda r: 3.0 * (np.asarray(r, dtype=float) - 1.0),  # wrong factor
-            d2=lambda r: 2.0 * np.ones_like(np.asarray(r, dtype=float)),
             validity=(0.1, 10.0),
         )
         with pytest.raises(ConstraintViolation, match="finite differences"):
             make_params(1.0, 1.0, 1.0, 1.0, bad)
+
+    @pytest.mark.parametrize("curvature, critical", [(10.0, True), (1.0, False)])
+    def test_criticality_tolerance_scales_with_measured_curvature(self, curvature, critical):
+        """P'(rho*) = 3e-12 is within 1e-12 max(1, |P''(rho*)|) when P'' = 10 and outside it when P'' = 1: the law
+        supplies no P'', so the tolerance scales with the curvature measured from P'."""
+        law = PressureLaw(
+            evaluate=lambda r: 3e-12 * (r - 1.0) + 0.5 * curvature * (r - 1.0) ** 2,
+            d1=lambda r: 3e-12 + curvature * (r - 1.0),
+            validity=(0.1, 10.0),
+        )
+        if critical:
+            assert make_params(1.0, 1.0, 1.0, 1.0, law).pressure is law
+        else:
+            with pytest.raises(CriticalityViolation, match=r"P'\(rho_star\) = 3e-12 .* measured as 1\)"):
+                make_params(1.0, 1.0, 1.0, 1.0, law)
+
+    @pytest.mark.parametrize("k, rho_star", [(0.1, 0.1), (1.0, 1.0), (0.7, 2.0), (5.0, 10.0)])
+    def test_builtin_law_curvature_measures_2k(self, k, rho_star):
+        """The curvature the gate measures from critical_quadratic's P' is its P'' = 2k, to rounding."""
+        assert _check_derivative_consistency(critical_quadratic(k, rho_star), rho_star) == pytest.approx(2.0 * k, rel=1e-10)
 
     def test_random_valid_constructions_satisfy_invariants(self):
         rng = np.random.default_rng(7)
@@ -65,10 +84,11 @@ class TestMakeParams:
             nu = rng.uniform(-0.99 * mu, 10.0)
             kappa = rng.uniform(0.01, 10.0)
             rho = rng.uniform(0.1, 10.0)
-            p = make_params(mu, nu, kappa, rho, critical_quadratic(rng.uniform(0.1, 5.0), rho))
+            k = rng.uniform(0.1, 5.0)
+            p = make_params(mu, nu, kappa, rho, critical_quadratic(k, rho))
             assert p.mu_star > 0 and p.mu_star + p.nu_star > 0 and p.kappa_star > 0
             assert np.isfinite(p.alpha_star) and np.isfinite(p.beta_star)
-            assert abs(p.pressure.d1(p.rho_star)) <= 1e-12 * max(1.0, abs(p.pressure.d2(p.rho_star)))
+            assert abs(p.pressure.d1(p.rho_star)) <= 1e-12 * max(1.0, 2.0 * k)
 
 
 class TestPressureLaw:
@@ -88,7 +108,6 @@ class TestPressureLaw:
         law = PressureLaw(
             evaluate=lambda r: (r - 1.0) ** 2 + 0.5 * (r - 1.0) ** 3,
             d1=lambda r: 2.0 * (r - 1.0) + 1.5 * (r - 1.0) ** 2,
-            d2=lambda r: 2.0 + 3.0 * (r - 1.0),
             validity=(0.2, 5.0),
         )
         rho = 1.7
@@ -97,7 +116,7 @@ class TestPressureLaw:
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ConstraintViolation):
-            PressureLaw(lambda r: r, lambda r: r, lambda r: r, validity=(-1.0, 2.0))
+            PressureLaw(lambda r: r, lambda r: r, validity=(-1.0, 2.0))
 
 
 class TestGrid:

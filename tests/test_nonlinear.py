@@ -204,7 +204,6 @@ class TestPressureRemainder:
         law = PressureLaw(
             evaluate=lambda r: np.cosh(r - 1.0) - 1.0,
             d1=lambda r: np.sinh(r - 1.0),
-            d2=lambda r: np.cosh(r - 1.0),
             validity=(0.05, 12.0),
         )
         p = make_params(1.0, 1.0, 1.0, 1.0, law)
@@ -225,7 +224,6 @@ class TestPressureRemainder:
         law = PressureLaw(
             evaluate=lambda r: (r - 1.0) ** 17,
             d1=lambda r: 17.0 * (r - 1.0) ** 16,
-            d2=lambda r: 272.0 * (r - 1.0) ** 15,
             validity=(0.5, 1.5),
         )
         p = make_params(1.0, 1.0, 1.0, 1.0, law)
@@ -239,7 +237,6 @@ class TestPressureRemainder:
         law = PressureLaw(
             evaluate=lambda r: np.cosh(r - 1.0) - 1.0,
             d1=lambda r: np.sinh(r - 1.0),
-            d2=lambda r: np.cosh(r - 1.0),
             validity=(0.05, 12.0),
         )
         p = make_params(1.0, 1.0, 1.0, 1.0, law)

@@ -2,17 +2,23 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import runpy
 import subprocess
 import sys
+import tempfile
+import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import nsklab.runner as runner_mod
 from nsklab.analysis import NormSeries, fit_decay
-from nsklab.errors import ParseError, ValidationError
+from nsklab.errors import NumericsWarning, ParseError, ValidationError
+from nsklab.fields import DATA_DIMS
 from nsklab.model import Grid
 from nsklab.runner import run_scenario, run_sweep
 from nsklab.scenario import (
@@ -58,11 +64,13 @@ def minimal_nonlinear(seed=5):
 def generated_config(kind, rng):
     """A random raw config of the given kind: every required key, each optional key with probability 1/2.
 
-    Keys come from the kind's record, in sorted order; a fit window is drawn after the times, over at least 3 of them.
+    Keys come from the kind's record, the grid first, then in sorted order; a fit window is drawn after the times, over
+    at least 3 of them.  Values the grid limits are drawn within them: the data kinds built in its dim, gamma under
+    dim, a support radius up to half the box, and a cutoff whose low band holds the least nonzero |xi|, 2 pi / box_len.
     """
 
-    def num():
-        return float(rng.uniform(0.01, 50.0))
+    def num(lo=0.01, hi=50.0):
+        return float(rng.uniform(lo, hi))
 
     def exponent():  # a finite exponent is at least 1
         return "inf" if rng.random() < 0.3 else float(rng.uniform(1.0, 50.0))
@@ -72,7 +80,7 @@ def generated_config(kind, rng):
         return block
 
     def data_kind():  # the ablation takes riesz_divergence only; the draw is made anyway, so later keys keep theirs
-        drawn = str(rng.choice(DATA_KINDS))
+        drawn = str(rng.choice([k for k in DATA_KINDS if raw["grid"]["dim"] in DATA_DIMS.get(k, (raw["grid"]["dim"],))]))
         return "riesz_divergence" if kind == "ablation" else drawn
 
     values = {
@@ -81,13 +89,12 @@ def generated_config(kind, rng):
         "params": lambda: maybe({"mu": num(), "nu": num(), "kappa": num(), "rho_ref": num()}, pressure_k=num()),
         "grid": lambda: {"dim": int(rng.integers(1, 5)), "n": int(2 ** rng.integers(2, 8)), "box_len": num()},
         "data": lambda: maybe(
-            {"kind": data_kind()},
+            {"kind": data_kind(), "gamma": num(0.01, 0.99) * raw["grid"]["dim"]},  # the default 1.5 is over dim 1
             amplitude=num(),
-            gamma=num(),
-            support_radius=num(),
+            support_radius=num(0.01, 0.5) * raw["grid"]["box_len"],
             gamma_potential=num(),
-            rho_min=num(),
-            rho_max=num(),
+            rho_min=num(0.01, 0.3),  # under the default rho_max, and rho_max over the default rho_min
+            rho_max=num(7.0, 50.0),
             width=num(),
         ),
         "times": lambda: dict(zip(("t_min", "t_max"), sorted([num(), num()])), count=int(rng.integers(3, 40))),
@@ -96,7 +103,7 @@ def generated_config(kind, rng):
         "init": lambda: maybe({}, theta_width=num(), m_envelope_width=num(), m_smooth_width=num(), m_relative_amplitude=num()),
         "band": lambda: str(rng.choice(["low", "high", "full"])),
         "w10": lambda: bool(rng.random() < 0.5),
-        "cutoff_eps": num,
+        "cutoff_eps": lambda: num(1.0, 50.0) * np.pi / raw["grid"]["box_len"],
         "fit_window": lambda: None,  # drawn over the times, below
         "trust_mode": lambda: str(rng.choice(["mass_radius", "edge_leak"])),
         "tol_exp": num,
@@ -114,7 +121,7 @@ def generated_config(kind, rng):
         "nonlinear": lambda: bool(rng.random() < 0.5),
     }
     raw = {"kind": kind}
-    for field in sorted(dataclasses.fields(RECORDS[kind]), key=lambda field: field.name):
+    for field in sorted(dataclasses.fields(RECORDS[kind]), key=lambda field: (field.name != "grid", field.name)):
         if field.default is dataclasses.MISSING or rng.random() < 0.5:
             raw[field.name] = values[field.name]()
     if "fit_window" in raw:
@@ -303,7 +310,7 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match=r"cutoff_eps must be > 0"):
             config_from_dict(dict(make(), cutoff_eps=eps))
         cfg = config_from_dict(dict(make(), cutoff_eps=0.5))
-        assert runner_mod._cutoff(cfg).eps == 0.5
+        assert cfg.cutoff().eps == 0.5
 
     @pytest.mark.parametrize("make", [minimal_linear_decay, minimal_ablation])
     @pytest.mark.parametrize("window", [[0.0, 6.0], [-1.0, 6.0], [6.0, 1.0], [3.0, 3.0]])
@@ -331,20 +338,49 @@ class TestParseConfig:
             config_from_dict(dict(raw, fit_window=[times[7] + 2e-12, times[9]]))
 
     @pytest.mark.parametrize(
-        "block, key, literal",
-        [("grid", "box_len", "Infinity"), ("data", "amplitude", "NaN"), (None, "tol_exp", "NaN"), ("data", "amplitude", "-Infinity"), (None, "tol_exp", "1e309")],
+        "block, key, literal, value",
+        [
+            ("grid", "box_len", "Infinity", "inf"),
+            ("data", "amplitude", "NaN", "nan"),
+            (None, "tol_exp", "NaN", "nan"),
+            ("data", "amplitude", "-Infinity", "-inf"),
+            (None, "tol_exp", "1e309", "inf"),
+        ],
     )
-    def test_non_finite_number_refused(self, block, key, literal):
-        """json.loads reads NaN, Infinity, -Infinity and a literal past the float range as numbers; a config or a sweep
-        holding one is a ValidationError that names it (a NaN tol_exp would fail every verdict without an error)."""
-        raw = json.loads(LINEAR_DECAY_2D.read_text())
+    def test_non_finite_number_refused(self, block, key, literal, value):
+        """json.loads reads NaN, Infinity, -Infinity and a literal past the float range as non-finite numbers; a config
+        holding one is a ValidationError that names its key (a NaN tol_exp would fail every verdict without an error),
+        and in a sweep it is the error of its own entry, while the other entries parse."""
+        demo = LINEAR_DECAY_2D.read_text()
+        raw = json.loads(demo)
         (raw[block] if block else raw)[key] = "@"
         text = json.dumps(raw).replace('"@"', literal)
-        with pytest.raises(ValidationError, match=f"{literal} is not a finite number"):
+        message = f"{key} must be finite, got {value}"
+        with pytest.raises(ValidationError, match=message):
             parse_config(text)
-        with pytest.raises(ValidationError, match=f"{literal} is not a finite number"):
-            parse_sweep_config(f'{{"scenarios": [{{"name": "a", "config": {text}}}]}}')
+        (_, bad), (_, good) = parse_sweep_config(f'{{"scenarios": [{{"name": "a", "config": {text}}}, {{"name": "b", "config": {demo}}}]}}').scenarios
+        assert isinstance(bad, ValidationError) and message in str(bad)
+        assert good == parse_config(demo)
         parse_config(text.replace(literal, "1.5"))  # the same config with a finite number parses
+
+    @pytest.mark.parametrize(
+        "block, key, value, message",
+        [
+            ("data", "amplitude", float("nan"), "amplitude must be finite, got nan"),
+            (None, "tol_exp", float("inf"), "tol_exp must be finite, got inf"),
+            ("exponents", "p", float("inf"), 'p must be finite, got inf (an exponent\'s infinity is spelled "inf")'),
+            ("params", "mu", np.float64("-inf"), "mu must be finite, got"),
+            (None, "fit_window", [5.0, float("inf")], "fit_window must be finite, got [5.0, inf]"),
+        ],
+    )
+    def test_non_finite_value_refused_by_config_from_dict(self, block, key, value, message):
+        """A dict given to config_from_dict is held to the rule JSON text is: a non-finite number, an exponent or an
+        entry of the fit window included, is a ValidationError that names its key."""
+        raw = json.loads(LINEAR_DECAY_2D.read_text())
+        (raw[block] if block else raw)[key] = value
+        with pytest.raises(ValidationError) as err:
+            config_from_dict(raw)
+        assert message in str(err.value)
 
     @pytest.mark.parametrize("key", ["theta_width", "m_envelope_width", "m_smooth_width"])
     @pytest.mark.parametrize("value", [0.0, -1.0])
@@ -353,6 +389,51 @@ class TestParseConfig:
         ConstraintViolation once the run builds its datum, after its manifest is written."""
         with pytest.raises(ValidationError, match=f"block 'init': {key} must be > 0, got {value}"):
             config_from_dict(dict(minimal_nonlinear(), init={key: value}))
+
+    @pytest.mark.parametrize(
+        "kind, change, message",
+        [
+            ("linear-decay", {"cutoff_eps": 1e-4}, "cutoff_eps 0.0001 leaves the low band empty"),
+            ("ablation", {"cutoff_eps": 1e-4}, "cutoff_eps 0.0001 leaves the low band empty"),
+            ("linear-decay", {"grid": {"dim": 2, "n": 2, "box_len": 96.0}}, "(the default) leaves the low band empty"),
+            ("linear-decay", {"data": {"kind": "riesz_divergence", "gamma": 3.0}}, "gamma needs 0 < gamma < dim = 2, got 3.0"),
+            ("linear-decay", {"data": {"kind": "scalar_riesz", "gamma": 0.0}}, "gamma needs 0 < gamma < dim = 2, got 0.0"),
+            ("ablation", {"data": {"kind": "riesz_divergence", "support_radius": 60.0}}, "support_radius needs 0 < support_radius <= box_len / 2 = 48, got 60.0"),
+            ("linear-decay", {"data": {"kind": "riesz_generic", "support_radius": 0.0}}, "support_radius needs 0 < support_radius <= box_len / 2 = 48, got 0.0"),
+            ("linear-decay", {"data": {"kind": "curl_mixture", "rho_min": 5.0, "rho_max": 3.0}}, "need 0 < rho_min < rho_max, got 5.0 and 3.0"),
+            ("linear-decay", {"grid": {"dim": 1, "n": 64, "box_len": 96.0}, "data": {"kind": "curl_mixture"}}, "curl_mixture data needs dim in (2, 3), got dim 1"),
+            ("linear-decay", {"grid": {"dim": 4, "n": 4, "box_len": 96.0}, "data": {"kind": "curl_mixture"}}, "curl_mixture data needs dim in (2, 3), got dim 4"),
+            ("linear-decay", {"grid": {"dim": 1, "n": 64, "box_len": 96.0}, "data": {"kind": "transverse_packet"}}, "transverse_packet data needs dim in (2, 3, 4), got dim 1"),
+        ],
+    )
+    def test_data_and_cutoff_checked_against_the_grid_at_parse_time(self, kind, change, message):
+        """A cutoff that empties the low band and data their generator refuses on the grid are a ValidationError naming
+        the key when the config is parsed, not an EmptyLowBand or a generator's error once the run has written its
+        manifest (and, for the cutoff, built its datum).  The checks read the generators' own limits, and the grid of
+        a config that passes them caches no table: a sweep holds every entry's config, and a pool pickles it."""
+        raw = dict(json.loads(LINEAR_DECAY_2D.read_text()), kind=kind, grid={"dim": 2, "n": 64, "box_len": 96.0})
+        if kind == "ablation":
+            del raw["band"]
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            config_from_dict(raw | change)
+        assert set(vars(config_from_dict(raw).grid)) == {"dim", "n", "box_len"}  # the checks cached no table on it
+
+    def test_full_band_needs_no_low_band(self):
+        """A linear-decay of the full band splits nothing off, so any positive cutoff_eps parses for it."""
+        raw = dict(json.loads(LINEAR_DECAY_2D.read_text()), band="full", cutoff_eps=1e-4)
+        assert config_from_dict(raw).cutoff().eps == 1e-4
+        with pytest.raises(ValidationError, match="leaves the low band empty"):
+            config_from_dict(dict(raw, band="high"))
+
+    def test_zero_amplitude_decay_is_a_skip(self, tmp_path):
+        """A linear-decay of zero initial data has no decay to fit: it is skipped with its reason, as the ablation's
+        zero datum is, not a NonPositiveSeries error once the whole series is measured."""
+        raw = minimal_linear_decay()
+        raw["data"]["amplitude"] = 0.0
+        outcome = run_scenario(config_from_dict(raw), tmp_path)
+        assert outcome.status == "fail" and outcome.report["decay"] is None
+        assert outcome.report["skipped"] is True
+        assert outcome.report["reason"] == "no fit: series must be strictly positive on the fit window"
 
     @pytest.mark.parametrize("seed", [42, 1201])
     def test_benchmark_workload_configs_parse(self, seed):
@@ -536,6 +617,137 @@ class TestParseConfig:
 _run_contained = runner_mod._run_contained
 
 
+def toy_config(kind, rng):
+    """generated_config on a toy grid (n <= 16), with at most 20 symbol samples per regime and 3 nonlinear steps."""
+    raw = generated_config(kind, rng)
+    if "grid" in raw:
+        raw["grid"]["n"] = min(raw["grid"]["n"], 16)
+    if kind == "symbol-verify":
+        raw["samples_per_regime"] = min(raw.get("samples_per_regime", 1000), 20)
+    if kind == "nonlinear-run":
+        dt = raw.get("dt", 0.1)
+        raw["t_end"] = dt * min(round(raw.get("t_end", 10.0) / dt), 3)
+    return raw
+
+
+# One out-of-range value per key, as (block, key) -> value from the raw config; None is the top level.
+MUTATIONS = {
+    (None, "seed"): lambda raw: None,
+    (None, "out_dir"): lambda raw: 7,
+    (None, "samples_per_regime"): lambda raw: 0,
+    (None, "xi_scale"): lambda raw: float("nan"),
+    (None, "t_max"): lambda raw: 0.0,
+    (None, "tol_symbol"): lambda raw: float("nan"),
+    ("params", "mu"): lambda raw: 0.0,
+    ("params", "nu"): lambda raw: -2.0 * raw["params"]["mu"],
+    ("params", "kappa"): lambda raw: 0.0,
+    ("params", "rho_ref"): lambda raw: 0.0,
+    ("params", "pressure_k"): lambda raw: float("inf"),
+    ("grid", "dim"): lambda raw: 5,
+    ("grid", "n"): lambda raw: 12,
+    ("grid", "box_len"): lambda raw: 0.0,
+    ("data", "kind"): lambda raw: "bogus",
+    ("data", "amplitude"): lambda raw: 0.0,
+    ("data", "gamma"): lambda raw: float(raw["grid"]["dim"]),
+    ("data", "support_radius"): lambda raw: 0.6 * raw["grid"]["box_len"],
+    ("data", "gamma_potential"): lambda raw: float("nan"),
+    ("data", "rho_min"): lambda raw: 0.0,
+    ("data", "rho_max"): lambda raw: 0.001,
+    ("data", "width"): lambda raw: float("nan"),
+    ("times", "t_min"): lambda raw: 0.0,
+    ("times", "t_max"): lambda raw: -1.0,
+    ("times", "count"): lambda raw: 2,
+    ("exponents", "p"): lambda raw: 0.5,
+    ("exponents", "q"): lambda raw: 0.5,
+    ("exponents", "j"): lambda raw: 2,
+    ("nonlinear_exponents", "p"): lambda raw: 0.5,
+    ("nonlinear_exponents", "q1"): lambda raw: 0.5,
+    ("nonlinear_exponents", "q2"): lambda raw: 0.5,
+    ("nonlinear_exponents", "tau"): lambda raw: float("nan"),
+    ("init", "theta_width"): lambda raw: 0.0,
+    ("init", "m_envelope_width"): lambda raw: 0.0,
+    ("init", "m_smooth_width"): lambda raw: 0.0,
+    ("init", "m_relative_amplitude"): lambda raw: float("nan"),
+    (None, "band"): lambda raw: "middle",
+    (None, "w10"): lambda raw: 1,
+    (None, "cutoff_eps"): lambda raw: 0.1 * np.pi / raw["grid"]["box_len"],
+    (None, "fit_window"): lambda raw: [2.0 * raw["times"]["t_max"], 3.0 * raw["times"]["t_max"]],
+    (None, "trust_mode"): lambda raw: "none",
+    (None, "tol_exp"): lambda raw: float("nan"),
+    (None, "gap_threshold"): lambda raw: float("nan"),
+    (None, "amplitude"): lambda raw: 10.0,  # a nonlinear datum far outside the range condition
+    (None, "t_end"): lambda raw: -1.0,
+    (None, "dt"): lambda raw: 0.0,
+    (None, "sample_every"): lambda raw: 0,
+    (None, "nonlinear"): lambda raw: "yes",
+}
+
+
+def assert_runs(cfg):
+    """run_scenario of cfg in a scratch directory, with its NumericsWarnings (scope notes) ignored: it returns pass or
+    fail (a skip fails, with its reason), and a nonlinear run that does not succeed records why as an event."""
+    with tempfile.TemporaryDirectory() as out_dir, warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericsWarning)
+        outcome = run_scenario(cfg, out_dir)
+    assert outcome.status in ("pass", "fail")
+    if outcome.report.get("skipped"):
+        assert outcome.report["reason"]
+    if cfg.kind == "nonlinear-run" and not outcome.report["success"]:
+        assert {event["kind"] for event in outcome.report["events"]} & {"step_rejected", "range_violation"}
+
+
+# The valid toy config of each kind that a key's mutation is set in.
+BASE_CONFIGS = {
+    "symbol-verify": lambda: {"kind": "symbol-verify", "seed": 1, "samples_per_regime": 5},
+    "linear-decay": lambda: dict(minimal_linear_decay(), grid={"dim": 2, "n": 16, "box_len": 24.0}),
+    "ablation": lambda: dict(minimal_ablation(), grid={"dim": 2, "n": 16, "box_len": 24.0}),
+    "nonlinear-run": minimal_nonlinear,
+}
+# The data kind whose generator reads a key of the data block; the Riesz kinds read the others.
+DATA_KIND_OF = {"rho_min": "curl_mixture", "rho_max": "curl_mixture", "gamma_potential": "curl_mixture", "width": "transverse_packet"}
+
+
+class TestParseThenRun:
+    """A parsed config runs (ROADMAP item 6): parse_config refuses it with a ValidationError, or run_scenario returns
+    pass, fail or a skip, a nonlinear run recording a rejected step or a range violation as an event.  No other
+    exception escapes a parsed config."""
+
+    def test_every_key_has_a_mutation(self):
+        """MUTATIONS covers every key of every kind's record and of each block a record nests."""
+        keys = set()
+        for record in RECORDS.values():
+            for name, hint in typing.get_type_hints(record).items():
+                tp = next((a for a in typing.get_args(hint) if a is not type(None)), hint)  # an optional block is a block
+                if name != "kind":
+                    keys |= {(name, f.name) for f in dataclasses.fields(tp)} if dataclasses.is_dataclass(tp) else {(None, name)}
+        assert keys == set(MUTATIONS)
+
+    @pytest.mark.parametrize(
+        "kind, block, key",
+        [(kind, *mutation) for kind in KINDS for mutation in MUTATIONS if (mutation[0] or mutation[1]) in SCHEMA[kind][0]],
+    )
+    def test_an_out_of_range_key_is_named_or_runs(self, kind, block, key):
+        """One out-of-range value of a key, set in a toy config of each kind that takes the key (a linear-decay's data
+        of the kind whose generator reads it), is refused by a ValidationError that names the key, or the config runs:
+        a zero data amplitude is a skip, and a nonlinear datum outside the range condition a recorded event."""
+        raw = BASE_CONFIGS[kind]()
+        if kind == "linear-decay" and block == "data":
+            raw["data"]["kind"] = DATA_KIND_OF.get(key, "riesz_divergence")
+        (raw.setdefault(block, {}) if block else raw)[key] = MUTATIONS[block, key](raw)
+        try:
+            cfg = parse_config(json.dumps(raw))
+        except ValidationError as exc:
+            assert key in str(exc)
+        else:
+            assert_runs(cfg)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_a_generated_config_runs(self, kind, seed):
+        """A config generated_config draws on a toy grid parses and runs."""
+        assert_runs(parse_config(json.dumps(toy_config(kind, np.random.default_rng(seed)))))
+
+
 def _dies_in_its_worker(cfg, out_dir):
     """runner._run_contained, except that the worker of the entry named 'dies' exits at once, as a crashed one does."""
     if out_dir.name == "dies":
@@ -544,6 +756,25 @@ def _dies_in_its_worker(cfg, out_dir):
 
 
 class TestRunScenario:
+    @pytest.mark.parametrize("make, reason", [(minimal_linear_decay, "no fit: "), (minimal_ablation, "no fit of the divergence theta response: ")])
+    def test_series_that_decays_past_the_float_range_is_a_skip(self, make, reason, tmp_path):
+        """A decay whose norm underflows to 0 inside the fit window (rate (alpha* + beta*)/2 |xi|^2 on the
+        least nonzero mode, about 175, over t >= 30) has nothing to fit: the run is skipped with its reason, not a
+        NonPositiveSeries error, and a linear-decay keeps its series."""
+        raw = dict(
+            make(),
+            params={"mu": 10.0, "nu": 10.0, "kappa": 200.0, "rho_ref": 1.0},
+            grid={"dim": 1, "n": 16, "box_len": 1.5},
+            data={"kind": "riesz_divergence", "gamma": 0.5},
+            times={"t_min": 30.0, "t_max": 40.0, "count": 5},
+            fit_window=[30.0, 40.0],
+        )
+        outcome = run_scenario(config_from_dict(raw), tmp_path)
+        assert outcome.status == "fail" and outcome.report["skipped"] is True
+        assert outcome.report["reason"] == reason + "series must be strictly positive on the fit window"
+        if make is minimal_linear_decay:
+            assert np.all(np.loadtxt(tmp_path / "series" / "pair_low.csv", delimiter=",", skiprows=1)[:, 1] == 0.0)
+
     def test_nonlinear_run_artifacts(self, tmp_path):
         cfg = config_from_dict(minimal_nonlinear())
         outcome = run_scenario(cfg, tmp_path / "run")

@@ -30,6 +30,8 @@ from nsklab.spectral import (
     frequency_split,
     hermitian_half,
     irfftn,
+    low_band_empty,
+    low_band_mode_count,
     multi_indices,
     rfftn,
     to_real,
@@ -589,6 +591,18 @@ class TestFrequencySplit:
         sp = full_spectrum(random_state(g, np.random.default_rng(7), modes=3))
         with pytest.raises(EmptyLowBand):
             frequency_split(sp, CutoffSpec(eps=0.4))
+
+    @pytest.mark.parametrize("dim, n, box_len", [(1, 2, 1.0), (2, 16, 96.0), (3, 8, 2 * np.pi), (4, 4, 0.3)])
+    def test_low_band_empty_is_a_zero_mode_count(self, dim, n, box_len):
+        """low_band_empty, which reads no table of the grid, is low_band_mode_count == 0 exactly, on either side of
+        the boundary 2 eps = 2 pi / L."""
+        g, fresh = Grid(dim=dim, box_len=box_len, n=n), Grid(dim=dim, box_len=box_len, n=n)
+        edge = np.pi / box_len
+        for eps in (1e-4 * edge, np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), default_cutoff(g).eps):
+            cutoff = CutoffSpec(eps=eps)
+            assert low_band_empty(fresh, cutoff) == (low_band_mode_count(g, cutoff) == 0), eps
+        assert low_band_empty(g, CutoffSpec(eps=np.nextafter(edge, 0.0))) and not low_band_empty(g, CutoffSpec(eps=edge))
+        assert vars(fresh) == {"dim": dim, "n": n, "box_len": box_len}  # no table cached
 
     @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8), (4, 4)])
     def test_low_plus_high_reconstructs_random_spectra(self, dim, n):
